@@ -37,11 +37,7 @@ from .inference import (
     region_intermediate_laws,
     region_intermediate_qb,
 )
-from .marginal import (
-    estimate_margins,
-    extrapolate_expectile_laws,
-    extrapolate_expectile_qb,
-)
+from .marginal import estimate_margins
 from .sample import (
     MultivariateSample,
     ingest_csv,
@@ -178,24 +174,25 @@ def cmd_estimate(args) -> int:
     tau_prime = _resolve_tau_prime(args, sample.n)
     alpha = _alpha(args)
     naive = bool(args.naive)
+    methods = _methods(args)
     margins = estimate_margins(sample, tau)
+    stars = {"laws": margins.xi_star_laws, "qb": margins.xi_star_qb}
+    intervals = {"laws": marginal_interval_laws, "qb": marginal_interval_qb}
     rows = []
     for j, label in enumerate(sample.labels):
         try:
-            col = sample.column(j)
             entry = {
                 "label": label,
                 "gamma_hat": margins.gamma_hat[j],
                 "q_hat": margins.q_hat[j],
                 "xi_laws": margins.xi_laws[j],
                 "xi_qb": margins.xi_qb[j],
-                "xi_star_laws": extrapolate_expectile_laws(col, tau, tau_prime),
-                "xi_star_qb": extrapolate_expectile_qb(col, tau, tau_prime),
             }
-            laws_iv = marginal_interval_laws(sample, tau, tau_prime, j, alpha, naive=naive)
-            qb_iv = marginal_interval_qb(sample, tau, tau_prime, j, alpha, naive=naive)
-            entry["interval_laws"] = {"lower": laws_iv.lower, "upper": laws_iv.upper}
-            entry["interval_qb"] = {"lower": qb_iv.lower, "upper": qb_iv.upper}
+            for method in methods:
+                entry[f"xi_star_{method}"] = float(stars[method](tau_prime)[j])
+            for method in methods:
+                iv = intervals[method](sample, tau, tau_prime, j, alpha, naive=naive)
+                entry[f"interval_{method}"] = {"lower": iv.lower, "upper": iv.upper}
         except TailjointError as exc:
             raise DomainError(f"margin {label!r}: {exc}") from exc
         rows.append(entry)
@@ -213,18 +210,19 @@ def cmd_estimate(args) -> int:
     }
     _emit_json(doc, args.out, "estimate.json")
     if args.out is not None:
-        _print_estimate_table(rows)
+        _print_estimate_table(rows, methods)
     return 0
 
 
-def _print_estimate_table(rows) -> None:
-    header = f"{'margin':<12}{'gamma':>9}{'q':>12}{'xi~':>12}{'xi^':>12}{'xi~*':>12}{'xi^*':>12}"
-    print(header)
+def _print_estimate_table(rows, methods) -> None:
+    stars = {"laws": "xi~*", "qb": "xi^*"}
+    header = f"{'margin':<12}{'gamma':>9}{'q':>12}{'xi~':>12}{'xi^':>12}"
+    print(header + "".join(f"{stars[m]:>12}" for m in methods))
     for r in rows:
         print(
             f"{r['label']:<12}{r['gamma_hat']:>9.4f}{r['q_hat']:>12.5g}"
             f"{r['xi_laws']:>12.5g}{r['xi_qb']:>12.5g}"
-            f"{r['xi_star_laws']:>12.5g}{r['xi_star_qb']:>12.5g}"
+            + "".join(f"{r[f'xi_star_{m}']:>12.5g}" for m in methods)
         )
 
 

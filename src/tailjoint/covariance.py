@@ -26,7 +26,7 @@ from .numerics import (
     integrate_2d_tailbox_adaptive,
 )
 from .sample import MultivariateSample, TailLevelPair, compute_ranks, effective_k
-from .taildep import OracleTailCopula, _tail_copula_from_ranks
+from .taildep import OracleTailCopula, _r11_matrix, _tail_copula_from_ranks
 
 
 @dataclass(frozen=True)
@@ -220,14 +220,10 @@ def _contract_blocks(sigma: np.ndarray, log_dn: float) -> np.ndarray:
     """(1, 1/log dn)^T Sigma_block (1, 1/log dn) applied to every 2x2 block."""
     if log_dn <= 0.0:
         raise DomainError("contraction requires log d_n > 0")
-    d = sigma.shape[0] // 2
     w = 1.0 / log_dn
-    out = np.empty((d, d))
-    for j in range(d):
-        for ell in range(d):
-            b = sigma[2 * j : 2 * j + 2, 2 * ell : 2 * ell + 2]
-            out[j, ell] = b[0, 0] + (b[0, 1] + b[1, 0]) * w + b[1, 1] * w * w
-    return out
+    b00, b01 = sigma[0::2, 0::2], sigma[0::2, 1::2]
+    b10, b11 = sigma[1::2, 0::2], sigma[1::2, 1::2]
+    return b00 + (b01 + b10) * w + b11 * w * w
 
 
 def theoretical_v_star_laws(gammas, oracle, log_dn: float) -> CovarianceEstimate:
@@ -275,7 +271,9 @@ def theoretical_bias_star(lambdas, rhos) -> BiasEstimate:
     return BiasEstimate(lam / (1.0 - rho))
 
 
-def _v_laws_raw(sample: MultivariateSample, tau: float, margins=None) -> np.ndarray:
+def _v_laws_raw(
+    sample: MultivariateSample, tau: float, margins=None, phi=None
+) -> np.ndarray:
     margins = margins or estimate_margins(sample, tau)
     g, xi = margins.gamma_hat, margins.xi_laws
     if np.any(g >= 0.5):
@@ -293,7 +291,8 @@ def _v_laws_raw(sample: MultivariateSample, tau: float, margins=None) -> np.ndar
         * (1.0 + surv / omt)
         / (1.0 + (2.0 * tau - 1.0) * surv / omt) ** 2
     )
-    phi = asymmetric_weight(x - xi, tau)
+    if phi is None:
+        phi = asymmetric_weight(x - xi, tau)
     mbar = phi.T @ phi / n
     m = np.outer(g, g) * mbar / (omt * np.outer(xi, xi))
     np.fill_diagonal(m, diag)
@@ -358,25 +357,15 @@ def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
     """
     margins = estimate_margins(sample, tau)
     g, xi = margins.gamma_hat, margins.xi_laws
-    vlaws = _v_laws_raw(sample, tau, margins)
     x = sample.values
+    phi = asymmetric_weight(x - xi, tau)
+    vlaws = _v_laws_raw(sample, tau, margins, phi)
     n, d = sample.n, sample.d
     k = effective_k(n, tau)
     omt = 1.0 - tau
-    thresholds = np.sort(x, axis=0)[n - k - 1]
-    ranks = compute_ranks(sample)
-    phi = asymmetric_weight(x - xi, tau)
-
-    def cross(j, ell):
-        # Empirical estimate of Cov(Hill_j, LAWS_l): mean of log-excesses of
-        # margin j over its k-th top order statistic times the asymmetric
-        # residual of margin l, minus the indicator counterpart.
-        exceed = x[:, j] > thresholds[j]
-        logex = np.zeros(n)
-        logex[exceed] = np.log(x[exceed, j] / thresholds[j])
-        s1 = float(np.mean(logex * phi[:, ell]))
-        s2 = float(np.mean(exceed * phi[:, ell]))
-        return (g[ell] * s1 - g[j] * g[ell] * s2) / (omt * xi[ell])
+    thresholds = sample.sorted_columns[:, n - k - 1]
+    r11 = _r11_matrix(compute_ranks(sample), tau)
+    cross = _hill_laws_cross(x, phi, thresholds, g) / (omt * xi)
 
     sigma = np.zeros((2 * d, 2 * d))
     for j in range(d):
@@ -385,14 +374,29 @@ def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
         sigma[2 * j + 1, 2 * j + 1] = vlaws[j, j]
     for j in range(d):
         for ell in range(j + 1, d):
-            r11 = _tail_copula_from_ranks(ranks, tau, j, ell).evaluate(1.0, 1.0)
-            sigma[2 * j, 2 * ell] = sigma[2 * ell, 2 * j] = g[j] * g[ell] * r11
+            sigma[2 * j, 2 * ell] = sigma[2 * ell, 2 * j] = g[j] * g[ell] * r11[j, ell]
             sigma[2 * j + 1, 2 * ell + 1] = sigma[2 * ell + 1, 2 * j + 1] = vlaws[j, ell]
-            e12 = cross(j, ell)
-            e21 = cross(ell, j)
-            sigma[2 * j, 2 * ell + 1] = sigma[2 * ell + 1, 2 * j] = e12
-            sigma[2 * j + 1, 2 * ell] = sigma[2 * ell, 2 * j + 1] = e21
+            sigma[2 * j, 2 * ell + 1] = sigma[2 * ell + 1, 2 * j] = cross[j, ell]
+            sigma[2 * j + 1, 2 * ell] = sigma[2 * ell, 2 * j + 1] = cross[ell, j]
     return sigma
+
+
+def _hill_laws_cross(x, phi, thresholds, g) -> np.ndarray:
+    """Numerators of the empirical Cov(Hill_j, LAWS_l) for every pair (j, l).
+
+    Entry (j, l) is g_l times the mean of margin j's log-excesses over its
+    threshold times margin l's asymmetric residual, minus g_j g_l times the
+    mean of the exceedance indicator times that residual.  Each mean is a
+    separate contiguous reduction, summed exactly as a one-pair mean is.
+    """
+    rows = np.ascontiguousarray(x.T)
+    phi_rows = np.ascontiguousarray(phi.T)[None, :, :]
+    exceed = rows > thresholds[:, None]
+    logex = np.zeros(rows.shape)
+    logex[exceed] = np.log((rows / thresholds[:, None])[exceed])
+    s1 = np.mean(logex[:, None, :] * phi_rows, axis=2)
+    s2 = np.mean(exceed[:, None, :] * phi_rows, axis=2)
+    return g * s1 - np.outer(g, g) * s2
 
 
 def estimate_v_star_laws(

@@ -22,15 +22,10 @@ from .covariance import (
     estimate_v_star_qb,
 )
 from .errors import DomainError
-from .marginal import (
-    estimate_margins,
-    extrapolate_expectile_laws,
-    extrapolate_expectile_qb,
-    weissman_quantile,
-)
+from .marginal import estimate_margins
 from .numerics import SpdMatrix, chi_square_cdf, chi_square_quantile
 from .sample import MultivariateSample, TailLevelPair, compute_ranks
-from .taildep import _tail_copula_from_ranks
+from .taildep import _r11_matrix
 
 
 @dataclass(frozen=True)
@@ -116,12 +111,7 @@ def test_equal_expectiles_laws(
 ) -> TestResult:
     """Deviance test of equal extreme expectiles, LAWS-extrapolated."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    est = np.array(
-        [
-            extrapolate_expectile_laws(sample.column(j), tau, tau_prime)
-            for j in range(sample.d)
-        ]
-    )
+    est = estimate_margins(sample, tau).xi_star_laws(tau_prime)
     if np.any(est <= 0.0):
         raise DomainError("LAWS test requires positive extrapolated estimates")
     bias = estimate_bias_qb(sample, tau).components
@@ -135,12 +125,7 @@ def test_equal_expectiles_qb(
 ) -> TestResult:
     """Deviance test of equal extreme expectiles, QB-extrapolated."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    est = np.array(
-        [
-            extrapolate_expectile_qb(sample.column(j), tau, tau_prime)
-            for j in range(sample.d)
-        ]
-    )
+    est = estimate_margins(sample, tau).xi_star_qb(tau_prime)
     if np.any(est <= 0.0):
         raise DomainError("QB test requires positive extrapolated estimates")
     cov = estimate_v_star_qb(sample, tau, tau_prime).entries
@@ -152,17 +137,11 @@ def test_equal_quantiles(
 ) -> TestResult:
     """Deviance test of equal extreme quantiles via Weissman extrapolation."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    d = sample.d
-    est = np.array(
-        [weissman_quantile(sample.column(j), tau, tau_prime) for j in range(d)]
-    )
+    margins = estimate_margins(sample, tau)
+    est = margins.weissman_quantiles(tau_prime)
     if np.any(est <= 0.0):
         raise DomainError("quantile test requires positive extrapolated estimates")
-    g = estimate_margins(sample, tau).gamma_hat
-    cov = np.diag(g**2)
-    ranks = compute_ranks(sample)
-    for j in range(d):
-        for ell in range(j + 1, d):
-            r11 = _tail_copula_from_ranks(ranks, tau, j, ell).evaluate(1.0, 1.0)
-            cov[j, ell] = cov[ell, j] = g[j] * g[ell] * r11
+    g = margins.gamma_hat
+    cov = np.outer(g, g) * _r11_matrix(compute_ranks(sample), tau)
+    np.fill_diagonal(cov, g**2)
     return _build_result("quantile", np.log(est), cov, levels, alpha)

@@ -21,7 +21,7 @@ from .covariance import (
     estimate_v_star_qb,
 )
 from .errors import DomainError
-from .marginal import estimate_margins, extrapolate_expectile_laws, extrapolate_expectile_qb
+from .marginal import estimate_margins
 from .numerics import SpdMatrix, chi_square_quantile, std_normal_quantile
 from .sample import MultivariateSample, TailLevelPair
 
@@ -174,14 +174,10 @@ def region_extreme_laws(
     both the adjustment and the finite-n corrections (diagonal gamma-hat^2),
     matching the naive marginal intervals."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    center = np.array(
-        [
-            extrapolate_expectile_laws(sample.column(j), tau, tau_prime)
-            for j in range(sample.d)
-        ]
-    )
+    margins = estimate_margins(sample, tau)
+    center = margins.xi_star_laws(tau_prime)
     if naive:
-        g = estimate_margins(sample, tau).gamma_hat
+        g = margins.gamma_hat
         shape = SpdMatrix.from_array(np.diag(g**2), "naive star covariance")
         shift = np.zeros(sample.d)
     else:
@@ -209,14 +205,10 @@ def region_extreme_qb(
     naive: bool = False,
 ) -> ConfidenceRegion:
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    center = np.array(
-        [
-            extrapolate_expectile_qb(sample.column(j), tau, tau_prime)
-            for j in range(sample.d)
-        ]
-    )
+    margins = estimate_margins(sample, tau)
+    center = margins.xi_star_qb(tau_prime)
     if naive:
-        g = estimate_margins(sample, tau).gamma_hat
+        g = margins.gamma_hat
         shape = SpdMatrix.from_array(np.diag(g**2), "naive star covariance")
     else:
         shape = estimate_v_star_qb(sample, tau, tau_prime).matrix
@@ -289,7 +281,7 @@ def marginal_interval_laws(
     """
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
     margins = estimate_margins(sample, tau)
-    center = extrapolate_expectile_laws(sample.column(j), tau, tau_prime)
+    center = float(margins.xi_star_laws(tau_prime)[j])
     if center <= 0.0:
         raise DomainError("log-scale interval requires a positive point estimate")
     root = math.sqrt(sample.n * (1.0 - tau))
@@ -318,12 +310,13 @@ def marginal_interval_qb(
 ) -> MarginalInterval:
     """Log-scale interval for one extreme expectile, QB-extrapolated."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    center = extrapolate_expectile_qb(sample.column(j), tau, tau_prime)
+    margins = estimate_margins(sample, tau)
+    center = float(margins.xi_star_qb(tau_prime)[j])
     if center <= 0.0:
         raise DomainError("log-scale interval requires a positive point estimate")
     root = math.sqrt(sample.n * (1.0 - tau))
     if naive:
-        var = estimate_margins(sample, tau).gamma_hat[j] ** 2
+        var = margins.gamma_hat[j] ** 2
     else:
         var = estimate_v_star_qb(sample, tau, tau_prime).entries[j, j]
     half = levels.log_dn / root * math.sqrt(var) * std_normal_quantile(1.0 - alpha / 2.0)

@@ -28,8 +28,18 @@ def asymmetric_weight(y, tau: float):
     return np.where(y > 0.0, tau * y, (1.0 - tau) * y)
 
 
+def _sorted_row(column) -> np.ndarray:
+    """The column sorted ascending, as the single row of a 1 x n array."""
+    return np.sort(_column(column))[None, :]
+
+
 def laws_expectile(column, tau: float) -> float:
-    """Empirical expectile at level tau, solved exactly on the sorted data.
+    """Empirical expectile at level tau, solved exactly on the sorted data."""
+    return float(_laws_sorted(_sorted_row(column), tau)[0])
+
+
+def _laws_sorted(xs: np.ndarray, tau: float) -> np.ndarray:
+    """LAWS expectile of each ascending row of the 2-D array xs.
 
     The estimating function sum phi_tau(x_i - theta) is continuous, strictly
     decreasing and piecewise linear with breakpoints at the observations, so
@@ -37,51 +47,64 @@ def laws_expectile(column, tau: float) -> float:
     """
     if not 0.0 < tau < 1.0:
         raise DomainError(f"expectile level must be in (0,1), got {tau}")
-    xs = np.sort(_column(column))
-    n = xs.size
-    cum = np.cumsum(xs)
-    total = cum[-1]
+    n = xs.shape[1]
+    cum = np.cumsum(xs, axis=1)
+    total = cum[:, -1:]
     below = np.arange(1, n + 1)
     above = n - below
     s_below = cum
     s_above = total - cum
     psi = tau * (s_above - above * xs) + (1.0 - tau) * (s_below - below * xs)
-    idx = np.flatnonzero(psi <= 0.0)
-    m = int(idx[0])  # psi(x_max) <= 0 always
-    if m == 0 or psi[m] == 0.0:
-        return float(xs[m])
-    # Root lies in (xs[m-1], xs[m]); on that segment m points sit at or below.
-    s_lo, s_hi = cum[m - 1], total - cum[m - 1]
+    rows = np.arange(xs.shape[0])
+    m = np.argmax(psi <= 0.0, axis=1)  # psi(x_max) <= 0 always
+    at_point = (m == 0) | (psi[rows, m] == 0.0)
+    # Otherwise the root lies in (xs[m-1], xs[m]); on that segment m points
+    # sit at or below.
+    s_lo = cum[rows, m - 1]
+    s_hi = total[:, 0] - s_lo
     num = tau * s_hi + (1.0 - tau) * s_lo
     den = tau * (n - m) + (1.0 - tau) * m
-    return float(num / den)
+    return np.where(at_point, xs[rows, m], num / den)
 
 
 def empirical_quantile(column, tau: float) -> float:
     """Order statistic X_{n - floor(n(1-tau)), n}."""
-    xs = np.sort(_column(column))
-    n = xs.size
+    return float(_quantile_sorted(_sorted_row(column), tau)[0])
+
+
+def _quantile_sorted(xs: np.ndarray, tau: float) -> np.ndarray:
+    """The intermediate order statistic of each ascending row of xs."""
+    n = xs.shape[1]
     i = n - effective_k(n, tau)
     if i < 1:
         raise LevelError(f"quantile level tau={tau} too small for n={n}")
-    return float(xs[i - 1])
+    return xs[:, i - 1].copy()
 
 
 def hill_estimator(column, k: int) -> float:
     """Average log-excess of the top k order statistics over the (k+1)-th."""
-    xs = np.sort(_column(column))
-    n = xs.size
+    return float(_hill_sorted(_sorted_row(column), k)[0])
+
+
+def _hill_sorted(xs: np.ndarray, k: int) -> np.ndarray:
+    """Hill estimate of each ascending row of xs."""
+    n = xs.shape[1]
     if not 1 <= k <= n - 1:
         raise LevelError(f"Hill effective size k={k} outside [1, {n - 1}]")
-    threshold = xs[n - k - 1]
-    if threshold <= 0.0:
+    threshold = xs[:, n - k - 1 : n - k]
+    if np.any(threshold <= 0.0):
         raise DomainError("Hill requires positive tail: threshold order statistic <= 0")
-    return float(np.mean(np.log(xs[n - k:] / threshold)))
+    return np.mean(np.log(xs[:, n - k :] / threshold), axis=1)
+
+
+def _sort_and_hill(column, tau: float) -> tuple[np.ndarray, float]:
+    """The column as a sorted 1 x n row, and its Hill estimate at level tau."""
+    xs = _sorted_row(column)
+    return xs, float(_hill_sorted(xs, effective_k(xs.shape[1], tau))[0])
 
 
 def hill_at_level(column, tau: float) -> float:
-    x = _column(column)
-    return hill_estimator(x, effective_k(x.size, tau))
+    return _sort_and_hill(column, tau)[1]
 
 
 def qb_factor(gamma: float) -> float:
@@ -93,8 +116,8 @@ def qb_factor(gamma: float) -> float:
 
 def qb_expectile(column, tau: float) -> float:
     """Quantile-based expectile estimator at level tau."""
-    gamma = hill_at_level(column, tau)
-    return qb_factor(gamma) * empirical_quantile(column, tau)
+    xs, gamma = _sort_and_hill(column, tau)
+    return qb_factor(gamma) * float(_quantile_sorted(xs, tau)[0])
 
 
 def _extrapolation_factor(gamma: float, tau: float, tau_prime: float) -> float:
@@ -107,18 +130,19 @@ def _extrapolation_factor(gamma: float, tau: float, tau_prime: float) -> float:
 
 
 def weissman_quantile(column, tau: float, tau_prime: float) -> float:
-    gamma = hill_at_level(column, tau)
-    return _extrapolation_factor(gamma, tau, tau_prime) * empirical_quantile(column, tau)
+    xs, gamma = _sort_and_hill(column, tau)
+    return _extrapolation_factor(gamma, tau, tau_prime) * float(_quantile_sorted(xs, tau)[0])
 
 
 def extrapolate_expectile_laws(column, tau: float, tau_prime: float) -> float:
-    gamma = hill_at_level(column, tau)
-    return _extrapolation_factor(gamma, tau, tau_prime) * laws_expectile(column, tau)
+    xs, gamma = _sort_and_hill(column, tau)
+    return _extrapolation_factor(gamma, tau, tau_prime) * float(_laws_sorted(xs, tau)[0])
 
 
 def extrapolate_expectile_qb(column, tau: float, tau_prime: float) -> float:
-    gamma = hill_at_level(column, tau)
-    return qb_factor(gamma) * weissman_quantile(column, tau, tau_prime)
+    xs, gamma = _sort_and_hill(column, tau)
+    factor = _extrapolation_factor(gamma, tau, tau_prime)
+    return qb_factor(gamma) * (factor * float(_quantile_sorted(xs, tau)[0]))
 
 
 def gain_loss_ratio(column, theta: float) -> float:
@@ -141,18 +165,33 @@ class MarginalTailEstimates:
     xi_laws: np.ndarray
     xi_qb: np.ndarray
 
+    def _factors(self, tau_prime: float) -> np.ndarray:
+        return np.array(
+            [_extrapolation_factor(float(g), self.tau, tau_prime) for g in self.gamma_hat]
+        )
+
+    def weissman_quantiles(self, tau_prime: float) -> np.ndarray:
+        """Weissman extrapolated quantiles at level tau_prime, per margin."""
+        return self._factors(tau_prime) * self.q_hat
+
+    def xi_star_laws(self, tau_prime: float) -> np.ndarray:
+        """LAWS-extrapolated expectiles at level tau_prime, per margin."""
+        return self._factors(tau_prime) * self.xi_laws
+
+    def xi_star_qb(self, tau_prime: float) -> np.ndarray:
+        """QB-extrapolated expectiles at level tau_prime, per margin."""
+        factors = self._factors(tau_prime)
+        qb = np.array([qb_factor(float(g)) for g in self.gamma_hat])
+        return qb * (factors * self.q_hat)
+
 
 def estimate_margins(sample, tau: float) -> MarginalTailEstimates:
-    """Hill, intermediate quantile and both expectile estimators per column."""
-    d = sample.d
-    gamma = np.empty(d)
-    q = np.empty(d)
-    xi = np.empty(d)
-    for j in range(d):
-        col = sample.column(j)
-        gamma[j] = hill_at_level(col, tau)
-        q[j] = empirical_quantile(col, tau)
-        xi[j] = laws_expectile(col, tau)
+    """Hill, intermediate quantile and both expectile estimators per column,
+    read from the sample's cached order statistics."""
+    xs = sample.sorted_columns
+    gamma = _hill_sorted(xs, effective_k(sample.n, tau))
+    q = _quantile_sorted(xs, tau)
+    xi = _laws_sorted(xs, tau)
     xi_qb = np.array([qb_factor(g) for g in gamma]) * q
     return MarginalTailEstimates(
         tau=tau, gamma_hat=gamma, q_hat=q, xi_laws=xi, xi_qb=xi_qb

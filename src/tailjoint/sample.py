@@ -6,6 +6,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,10 @@ class MultivariateSample:
 
     Dates, when present, are per-row metadata used by the weekly
     log-returns transform.
+
+    The values are a read-only copy of the input.  The column-wise order
+    statistics and ranks are computed from one stable argsort on first use
+    and shared by every estimator that reads this sample.
     """
 
     values: np.ndarray
@@ -25,7 +30,7 @@ class MultivariateSample:
     dates: tuple[dt.date, ...] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.ndim != 2:
             raise DomainError("sample values must be a 2-D array")
         n, d = values.shape
@@ -42,6 +47,7 @@ class MultivariateSample:
             raise DomainError("column labels must be unique")
         if self.dates is not None and len(self.dates) != n:
             raise DomainError("date metadata length must match observation count")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
 
@@ -60,13 +66,46 @@ class MultivariateSample:
         return MultivariateSample(self.values * c, self.labels, self.dates)
 
     def select(self, indices) -> "MultivariateSample":
-        """Sub-sample of the given columns, preserving order."""
+        """Sub-sample of the given columns, preserving order.
+
+        A column's order statistics and ranks do not depend on the other
+        columns, so the sub-sample slices this sample's instead of sorting.
+        """
         indices = list(indices)
-        return MultivariateSample(
+        sub = MultivariateSample(
             self.values[:, indices],
             tuple(self.labels[j] for j in indices),
             self.dates,
         )
+        # Fill the sub-sample's cached properties before first use.
+        sub.__dict__["sorted_columns"] = _read_only(self.sorted_columns[indices])
+        sub.__dict__["ranks"] = _read_only(self.ranks[:, indices])
+        return sub
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """Row order of each column, d x n, ties kept in input order."""
+        return np.argsort(self.values.T, axis=1, kind="stable")
+
+    @cached_property
+    def sorted_columns(self) -> np.ndarray:
+        """d x n array whose row j is column j sorted ascending (read-only)."""
+        return _read_only(np.take_along_axis(self.values.T, self._order, axis=1))
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """n x d per-column ranks, 1 = smallest, stable tie-breaking by
+        input order (read-only)."""
+        ranks = np.empty((self.d, self.n), dtype=np.int64)
+        np.put_along_axis(
+            ranks, self._order, np.arange(1, self.n + 1)[None, :], axis=1
+        )
+        return _read_only(ranks).T
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def effective_k(n: int, tau: float) -> int:
@@ -110,25 +149,26 @@ class TailLevelPair:
 
 
 def compute_ranks(sample: MultivariateSample) -> np.ndarray:
-    """Per-column ranks, 1 = smallest, stable tie-breaking by input order."""
-    values = sample.values
-    ranks = np.empty(values.shape, dtype=np.int64)
-    order = np.argsort(values, axis=0, kind="stable")
-    rows = np.arange(1, sample.n + 1)
-    for j in range(sample.d):
-        ranks[order[:, j], j] = rows
-    return ranks
+    """Per-column ranks, 1 = smallest, stable tie-breaking by input order.
+
+    Returns the sample's cached, read-only rank array.
+    """
+    return sample.ranks
 
 
 def order_statistic(sample: MultivariateSample, j: int, i: int) -> float:
     """The i-th smallest value of column j (1-based i)."""
     if not 1 <= i <= sample.n:
         raise DomainError(f"order index {i} outside [1, {sample.n}]")
-    return float(np.sort(sample.values[:, j])[i - 1])
+    return float(sample.sorted_columns[j, i - 1])
 
 
 def ingest_csv(path, has_date_column: bool = False) -> MultivariateSample:
-    """Read a comma-separated file with a header row into a sample."""
+    """Read a comma-separated file with a header row into a sample.
+
+    Well-formed files are parsed in one bulk conversion; only when that
+    fails is the file walked cell by cell to name the first bad cell.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -141,8 +181,26 @@ def ingest_csv(path, has_date_column: bool = False) -> MultivariateSample:
     start = 1 if has_date_column else 0
     labels = tuple(h.strip() for h in header[start:])
     width = len(header)
-    values = np.empty((len(rows), len(labels)), dtype=float)
-    dates: list[dt.date] = []
+    try:
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged rows")
+        dates = (
+            tuple(dt.date.fromisoformat(row[0].strip()) for row in rows)
+            if has_date_column
+            else None
+        )
+        # float() semantics per cell, as in the walk below.
+        values = np.array([row[start:] for row in rows], dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite value")
+    except ValueError as exc:
+        _raise_first_bad_cell(path, rows, width, start, has_date_column)
+        raise IngestionError(f"{path}: {exc}") from exc
+    return MultivariateSample(values, labels, dates=dates)
+
+
+def _raise_first_bad_cell(path, rows, width: int, start: int, has_date_column: bool):
+    """Raise IngestionError naming the first bad row or cell in file order."""
     for i, row in enumerate(rows):
         if len(row) != width:
             raise IngestionError(
@@ -150,7 +208,7 @@ def ingest_csv(path, has_date_column: bool = False) -> MultivariateSample:
             )
         if has_date_column:
             try:
-                dates.append(dt.date.fromisoformat(row[0].strip()))
+                dt.date.fromisoformat(row[0].strip())
             except ValueError:
                 raise IngestionError(
                     f"{path}: row {i + 2}, column 1: bad date {row[0]!r}"
@@ -162,19 +220,16 @@ def ingest_csv(path, has_date_column: bool = False) -> MultivariateSample:
                     f"{path}: row {i + 2}, column {start + c + 1}: missing value"
                 )
             try:
-                values[i, c] = float(text)
+                value = float(text)
             except ValueError:
                 raise IngestionError(
                     f"{path}: row {i + 2}, column {start + c + 1}: "
                     f"unparsable number {text!r}"
                 ) from None
-            if not np.isfinite(values[i, c]):
+            if not math.isfinite(value):
                 raise IngestionError(
                     f"{path}: row {i + 2}, column {start + c + 1}: non-finite value"
                 )
-    return MultivariateSample(
-        values, labels, dates=tuple(dates) if has_date_column else None
-    )
 
 
 def emit_csv(sample: MultivariateSample, path) -> None:

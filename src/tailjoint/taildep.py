@@ -87,6 +87,15 @@ def _tail_copula_from_ranks(
     )
 
 
+def _r11_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
+    """R-hat(1,1) of every pair of columns at once: the count that
+    EmpiricalTailCopula.evaluate(1, 1) makes, as one product of the
+    top-rank indicators.  The diagonal is unused."""
+    n = ranks.shape[0]
+    top = ((n + 1 - ranks) / ((n + 1) * (1.0 - tau)) <= 1.0).astype(float)
+    return top.T @ top / (n * (1.0 - tau))
+
+
 def empirical_tail_copula_eval(
     sample: MultivariateSample, tau: float, j: int, ell: int, u: float, v: float
 ) -> float:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from tailjoint.cli import main, parse_model_spec
-from tailjoint.errors import DomainError
+from tailjoint.covariance import estimate_v_star_laws
+from tailjoint.errors import DomainError, TailjointError
+from tailjoint.sample import ingest_csv, tau_from_k
 
 
 def write_sample_csv(path, n=500, d=2, seed=5, gamma=1.0 / 3.0):
@@ -74,6 +76,24 @@ class TestEstimate:
         assert main(["estimate", "--input", str(data_csv), "--k", "50",
                      "--tau", "0.9"]) == 1
         assert "exactly one of --k and --tau" in capsys.readouterr().err
+
+    def test_method_selects_fields(self, tmp_path, data_csv, capsys):
+        docs = {}
+        for method in ("both", "laws", "qb"):
+            out = tmp_path / method
+            assert main(["estimate", "--input", str(data_csv), "--k", "50",
+                         "--method", method, "--out", str(out)]) == 0
+            docs[method] = json.loads((out / "estimate.json").read_text())
+        table = capsys.readouterr().out
+        assert "xi~*" in table and "xi^*" in table
+        both = docs["both"]["margins"]
+        for method, other in (("laws", "qb"), ("qb", "laws")):
+            dropped = {f"xi_star_{other}", f"interval_{other}"}
+            for full, m in zip(both, docs[method]["margins"]):
+                assert m == {key: v for key, v in full.items() if key not in dropped}
+        assert main(["estimate", "--input", str(data_csv), "--k", "50",
+                     "--method", "mean"]) == 1
+        assert "--method must be" in capsys.readouterr().err
 
     def test_missing_input_is_hard_error(self, tmp_path, capsys):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv"),
@@ -147,6 +167,48 @@ class TestTraceScan:
         statuses = [line.split(",", 2)[2] for line in lines]
         assert any(s == "ok" for s in statuses)
         assert any(s.startswith("failed:") for s in statuses)
+
+    def test_rows_match_covariance_trace(self, tmp_path, capsys):
+        # Heavy tail: some k fail in-band, and their message is the one the
+        # per-k covariance raises.
+        csv = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
+        assert main(["trace-scan", "--input", str(csv), "--k-min", "5",
+                     "--k-max", "80"]) == 2
+        lines = capsys.readouterr().out.splitlines()[1:]
+        sample = ingest_csv(csv)
+        tau_prime = 1.0 - 1.0 / sample.n
+        failed = 0
+        for k, line in zip(range(5, 81), lines):
+            k_text, trace, status = line.split(",", 2)
+            assert int(k_text) == k
+            try:
+                cov = estimate_v_star_laws(sample, tau_from_k(sample.n, k), tau_prime)
+            except TailjointError as exc:
+                assert status == f"failed: {exc}"
+                failed += 1
+                continue
+            assert status == "ok"
+            assert float(trace) == float(np.trace(cov.entries))
+        assert len(lines) == 76 and 0 < failed < 76
+
+    def test_sorts_do_not_grow_with_k_range(self, tmp_path, data_csv, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np, "sort", counting(np.sort))
+        monkeypatch.setattr(np, "argsort", counting(np.argsort))
+        counts = []
+        for k_max in (22, 120):
+            calls.clear()
+            assert main(["trace-scan", "--input", str(data_csv), "--k-min", "20",
+                         "--k-max", str(k_max), "--out", str(tmp_path / "out")]) == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
 
     def test_requires_k_arguments(self, data_csv, capsys):
         assert main(["trace-scan", "--input", str(data_csv)]) == 1

@@ -73,6 +73,72 @@ class TestRanks:
             assert s.values[i, 0] == order_statistic(s, 0, int(r))
 
 
+class TestOrderStatisticsCache:
+    """The cached sorted columns and ranks must equal a fresh sort."""
+
+    @staticmethod
+    def assert_matches_fresh_sort(s):
+        assert s.sorted_columns.shape == (s.d, s.n)
+        for j in range(s.d):
+            col = s.values[:, j]
+            assert np.array_equal(s.sorted_columns[j], np.sort(col))
+            expected = np.empty(s.n, dtype=np.int64)
+            expected[np.argsort(col, kind="stable")] = np.arange(1, s.n + 1)
+            assert np.array_equal(s.ranks[:, j], expected)
+
+    def test_random_panel(self):
+        rng = np.random.default_rng(7)
+        self.assert_matches_fresh_sort(make_sample(*rng.standard_t(3, size=(3, 50))))
+
+    def test_tied_values(self):
+        s = make_sample(
+            [2.0, 2.0, 1.0, 2.0, 1.0, 3.0], [0.0, 0.0, 0.0, 0.0, -1.0, 0.0]
+        )
+        self.assert_matches_fresh_sort(s)
+        assert list(s.ranks[:, 1]) == [2, 3, 4, 5, 1, 6]
+
+    def test_select_slices_parent_cache(self):
+        rng = np.random.default_rng(8)
+        vals = rng.normal(size=(40, 4))
+        vals[::5, 2] = vals[1, 2]  # ties
+        s = make_sample(*vals.T)
+        sub = s.select([3, 2, 0])
+        self.assert_matches_fresh_sort(sub)
+        assert np.array_equal(sub.sorted_columns, s.sorted_columns[[3, 2, 0]])
+
+    def test_select_before_parent_use(self):
+        rng = np.random.default_rng(9)
+        s = make_sample(*rng.normal(size=(2, 30)))
+        self.assert_matches_fresh_sort(s.select([1]))
+        self.assert_matches_fresh_sort(s)
+
+    def test_scaled(self):
+        rng = np.random.default_rng(10)
+        s = make_sample(*rng.normal(size=(2, 30)))
+        for c in (3.5, -2.0):
+            self.assert_matches_fresh_sort(s.scaled(c))
+
+    def test_computed_once(self):
+        s = make_sample([5.0, 1.0, 3.0, 7.0])
+        assert s.sorted_columns is s.sorted_columns
+        assert compute_ranks(s) is compute_ranks(s)
+
+    def test_values_read_only(self):
+        s = make_sample([5.0, 1.0, 3.0, 7.0], [1.0, 2.0, 3.0, 4.0])
+        for arr in (s.values, s.sorted_columns, s.ranks, s.column(0)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert list(s.sorted_columns[0]) == [1.0, 3.0, 5.0, 7.0]
+
+    def test_caller_array_untouched(self):
+        values = np.array([[5.0, 1.0], [1.0, 2.0], [3.0, 3.0], [7.0, 4.0]])
+        s = MultivariateSample(values, ("a", "b"))
+        assert values.flags.writeable
+        values[0, 0] = -100.0  # the sample holds its own copy
+        assert s.values[0, 0] == 5.0
+        assert list(s.sorted_columns[0]) == [1.0, 3.0, 5.0, 7.0]
+
+
 class TestOrderStatistic:
     def test_middle(self):
         s = make_sample([5.0, 1.0, 3.0, 9.0])
@@ -136,6 +202,24 @@ class TestIngestCsv(object):
         p.write_text("a,b\n1,2\n3,4,9\n5,6\n7,8\n")
         with pytest.raises(IngestionError, match=r"row 3"):
             ingest_csv(p)
+
+    def test_non_finite_value_named(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("a,b\n1,2\n3,4\n5,inf\n7,8\n")
+        with pytest.raises(IngestionError, match=r"row 4, column 2: non-finite"):
+            ingest_csv(p)
+
+    def test_first_bad_cell_in_file_order(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("date,a\n2020-01-06,1\n2020-01-07,x\nnot-a-date,3\n2020-01-09,4\n")
+        with pytest.raises(IngestionError, match=r"row 3, column 2: unparsable"):
+            ingest_csv(p, has_date_column=True)
+
+    def test_python_float_syntax(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("a,b\n 1_0,2\n3e1 ,+.5\n5,6\n7,8\n")
+        s = ingest_csv(p)
+        assert np.array_equal(s.values[:2], [[10.0, 2.0], [30.0, 0.5]])
 
     def test_unparsable_number(self, tmp_path):
         p = tmp_path / "x.csv"
