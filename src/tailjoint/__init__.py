@@ -12,7 +12,6 @@ from .covariance import (
     estimate_v_qb,
     estimate_v_star_laws,
     estimate_v_star_qb,
-    theoretical_bias_star,
     theoretical_sigma_laws,
     theoretical_sigma_q,
     theoretical_v_laws,
@@ -57,7 +56,6 @@ from .marginal import (
     estimate_margins,
     extrapolate_expectile_laws,
     extrapolate_expectile_qb,
-    gain_loss_ratio,
     hill_at_level,
     hill_estimator,
     laws_expectile,
@@ -67,18 +65,11 @@ from .marginal import (
     weissman_quantile,
 )
 from .numerics import (
-    QuadratureRule,
     SpdMatrix,
     chi_square_cdf,
     chi_square_quantile,
-    integrate_2d_tailbox,
     integrate_2d_tailbox_adaptive,
-    spd_quadratic_form,
-    spd_sqrt,
-    std_normal_cdf,
     std_normal_quantile,
-    student_t_cdf,
-    student_t_quantile,
 )
 from .sample import (
     MultivariateSample,
@@ -87,7 +78,6 @@ from .sample import (
     effective_k,
     emit_csv,
     ingest_csv,
-    order_statistic,
     tau_from_k,
     to_negative_weekly_log_returns,
 )
@@ -108,10 +98,7 @@ from .taildep import (
     EmpiricalTailCopula,
     OracleTailCopula,
     empirical_tail_copula,
-    empirical_tail_copula_eval,
     extremal_coefficient,
-    oracle_tail_copula_eval,
-    tail_copula_unit_integral,
 )
 
 __version__ = "0.1.0"

@@ -17,26 +17,15 @@ import itertools
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from .covariance import estimate_v_star_laws
-from .equality_tests import (
-    test_equal_expectiles_laws,
-    test_equal_expectiles_qb,
-    test_equal_quantiles,
-)
+from .equality_tests import _equality_test
 from .errors import DomainError, TailjointError
-from .inference import (
-    marginal_interval_laws,
-    marginal_interval_qb,
-    region_boundary_points,
-    region_extreme_laws,
-    region_extreme_qb,
-    region_intermediate_laws,
-    region_intermediate_qb,
-)
+from .inference import _estimate, _interval, _region, region_boundary_points
 from .marginal import estimate_margins
 from .sample import (
     MultivariateSample,
@@ -177,7 +166,9 @@ def cmd_estimate(args) -> int:
     methods = _methods(args)
     margins = estimate_margins(sample, tau)
     stars = {"laws": margins.xi_star_laws, "qb": margins.xi_star_qb}
-    intervals = {"laws": marginal_interval_laws, "qb": marginal_interval_qb}
+    # Built at first use, inside margin 0's error context, then shared by
+    # every margin's interval.
+    estimate = cache(lambda method: _estimate(sample, tau, tau_prime, method, naive))
     rows = []
     for j, label in enumerate(sample.labels):
         try:
@@ -191,7 +182,7 @@ def cmd_estimate(args) -> int:
             for method in methods:
                 entry[f"xi_star_{method}"] = float(stars[method](tau_prime)[j])
             for method in methods:
-                iv = intervals[method](sample, tau, tau_prime, j, alpha, naive=naive)
+                iv = _interval(estimate(method), j, alpha)
                 entry[f"interval_{method}"] = {"lower": iv.lower, "upper": iv.upper}
         except TailjointError as exc:
             raise DomainError(f"margin {label!r}: {exc}") from exc
@@ -239,44 +230,28 @@ def cmd_region(args) -> int:
     tau = _resolve_tau(args, sample.n)
     alpha = _alpha(args)
     naive = bool(args.naive)
-    intermediate = bool(args.intermediate)
-    tau_prime = None if intermediate else _resolve_tau_prime(args, sample.n)
-    builders = {
-        ("laws", True): lambda s: region_intermediate_laws(s, tau, alpha, naive=naive),
-        ("qb", True): lambda s: region_intermediate_qb(s, tau, alpha, naive=naive),
-        ("laws", False): lambda s: region_extreme_laws(s, tau, tau_prime, alpha, naive=naive),
-        ("qb", False): lambda s: region_extreme_qb(s, tau, tau_prime, alpha, naive=naive),
-    }
+    tau_prime = None if args.intermediate else _resolve_tau_prime(args, sample.n)
     docs = []
     failures = 0
     for group in _region_groups(sample.d):
         sub = sample.select(group)
         tag = "-".join(sub.labels)
         for method in _methods(args):
-            try:
-                region = builders[(method, intermediate)](sub)
-            except TailjointError as exc:
-                docs.append(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "command": "region",
-                        "margins": list(sub.labels),
-                        "method": method,
-                        "status": "failed",
-                        "error": str(exc),
-                    }
-                )
-                failures += 1
-                continue
             doc = {
                 "schema_version": SCHEMA_VERSION,
                 "command": "region",
                 "margins": list(sub.labels),
                 "method": method,
-                "status": "ok",
             }
-            doc.update(region.to_json_dict())
             docs.append(doc)
+            try:
+                region = _region(_estimate(sub, tau, tau_prime, method, naive), alpha)
+            except TailjointError as exc:
+                doc.update(status="failed", error=str(exc))
+                failures += 1
+                continue
+            doc["status"] = "ok"
+            doc.update(region.to_json_dict())
             if args.out is not None:
                 boundary = region_boundary_points(region)
                 _emit_csv_rows(
@@ -298,11 +273,6 @@ def cmd_test(args) -> int:
     tau = _resolve_tau(args, sample.n)
     tau_prime = _resolve_tau_prime(args, sample.n)
     alpha = _alpha(args)
-    testers = {
-        "laws": test_equal_expectiles_laws,
-        "qb": test_equal_expectiles_qb,
-        "quantile": test_equal_quantiles,
-    }
     groups = [tuple(range(sample.d))]
     if sample.d > 2:
         groups += list(itertools.combinations(range(sample.d), 2))
@@ -310,38 +280,24 @@ def cmd_test(args) -> int:
     failures = 0
     for group in groups:
         sub = sample.select(group)
-        for kind, tester in testers.items():
+        kinds = ("laws", "qb", "quantile")
+        if len(group) == 2:
+            kinds += ("extremal_coefficient",)
+        for kind in kinds:
             row = {"margins": list(sub.labels), "kind": kind}
             try:
-                result = tester(sub, tau, tau_prime, alpha)
+                if kind == "extremal_coefficient":
+                    result = {"statistic": extremal_coefficient(sub, tau, 0, 1)}
+                else:
+                    est = _estimate(sub, tau, tau_prime, kind)
+                    result = _equality_test(est, alpha).to_json_dict()
                 row["status"] = "ok"
-                row.update(result.to_json_dict())
+                row.update(result)
             except TailjointError as exc:
                 row["status"] = "failed"
                 row["error"] = str(exc)
                 failures += 1
             rows.append(row)
-        if len(group) == 2:
-            try:
-                omega = extremal_coefficient(sub, tau, 0, 1)
-                rows.append(
-                    {
-                        "margins": list(sub.labels),
-                        "kind": "extremal_coefficient",
-                        "status": "ok",
-                        "statistic": omega,
-                    }
-                )
-            except TailjointError as exc:
-                rows.append(
-                    {
-                        "margins": list(sub.labels),
-                        "kind": "extremal_coefficient",
-                        "status": "failed",
-                        "error": str(exc),
-                    }
-                )
-                failures += 1
     if failures == len(rows):
         raise DomainError("all tests failed: " + rows[0]["error"])
     doc = {

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .marginal import (
+    MarginalTailEstimates,
     asymmetric_weight,
     estimate_margins,
     m_function,
@@ -29,7 +30,7 @@ from .sample import MultivariateSample, TailLevelPair, compute_ranks, effective_
 from .taildep import OracleTailCopula, _r11_matrix, _tail_copula_from_ranks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceEstimate:
     """A symmetric PSD covariance matrix tagged with its provenance."""
 
@@ -47,7 +48,7 @@ class CovarianceEstimate:
         return self.matrix.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiasEstimate:
     """First-order bias components of the quantile-based estimator."""
 
@@ -80,6 +81,19 @@ def _pair_oracle(oracle, j: int, ell: int) -> OracleTailCopula:
         return oracle[(ell, j)]
 
 
+def _laws_pair_integral(orc: OracleTailCopula, gj: float, gl: float) -> float:
+    """Limit covariance of the intermediate LAWS estimators of one pair:
+    gj gl times the integral over [1,inf)^2 of R(cj x^{-1/gj}, cl y^{-1/gl})
+    with c = 1/g - 1; zero for tail-independent margins."""
+    if orc.kind == "independent":
+        return 0.0
+    cj, cl = 1.0 / gj - 1.0, 1.0 / gl - 1.0
+    aj, al = 1.0 / gj, 1.0 / gl
+    return gj * gl * integrate_2d_tailbox_adaptive(
+        lambda x, y: orc.evaluate(cj * x**-aj, cl * y**-al)
+    )
+
+
 def theoretical_v_laws(gammas, oracle) -> CovarianceEstimate:
     """Asymptotic covariance of the joint intermediate LAWS estimators."""
     g = _gammas(gammas, 0.5, "variance formula")
@@ -87,17 +101,22 @@ def theoretical_v_laws(gammas, oracle) -> CovarianceEstimate:
     m = np.diag(2.0 * g**3 / (1.0 - 2.0 * g))
     for j in range(d):
         for ell in range(j + 1, d):
-            orc = _pair_oracle(oracle, j, ell)
-            if orc.kind == "independent":
-                continue
-            cj, cl = 1.0 / g[j] - 1.0, 1.0 / g[ell] - 1.0
-            aj, al = 1.0 / g[j], 1.0 / g[ell]
-            m[j, ell] = m[ell, j] = g[j] * g[ell] * integrate_2d_tailbox_adaptive(
-                lambda x, y: orc.evaluate(cj * x**-aj, cl * y**-al)
+            m[j, ell] = m[ell, j] = _laws_pair_integral(
+                _pair_oracle(oracle, j, ell), g[j], g[ell]
             )
     return CovarianceEstimate(
         "theoretical_laws", SpdMatrix.from_array(m, "theoretical LAWS covariance")
     )
+
+
+def _interleave(hill: np.ndarray, cross: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The 2d x 2d covariance of (Hill_1, X_1, ..., Hill_d, X_d) from its
+    d x d blocks: Cov(Hill, Hill), Cov(Hill_j, X_l) at (j, l), and Cov(X, X)."""
+    d = hill.shape[0]
+    m = np.empty((2 * d, 2 * d))
+    m[0::2, 0::2], m[0::2, 1::2] = hill, cross
+    m[1::2, 0::2], m[1::2, 1::2] = cross.T, other
+    return m
 
 
 def theoretical_sigma_q(gammas, oracle) -> CovarianceEstimate:
@@ -107,29 +126,28 @@ def theoretical_sigma_q(gammas, oracle) -> CovarianceEstimate:
     """
     g = _gammas(gammas, 1.0, "covariance formula")
     d = g.size
-    m = np.zeros((2 * d, 2 * d))
-    for j in range(d):
-        m[2 * j, 2 * j] = m[2 * j + 1, 2 * j + 1] = g[j] ** 2
+    hill, cross = np.diag(g**2), np.zeros((d, d))
     for j in range(d):
         for ell in range(j + 1, d):
             orc = _pair_oracle(oracle, j, ell)
             r11 = orc.r11()
             iu = orc.unit_integral()
-            block = g[j] * g[ell] * np.array(
-                [[r11, iu - r11], [iu - r11, r11]]
-            )
-            m[2 * j : 2 * j + 2, 2 * ell : 2 * ell + 2] = block
-            m[2 * ell : 2 * ell + 2, 2 * j : 2 * j + 2] = block.T
+            hill[j, ell] = hill[ell, j] = g[j] * g[ell] * r11
+            cross[j, ell] = cross[ell, j] = g[j] * g[ell] * (iu - r11)
     return CovarianceEstimate(
-        "theoretical_sigma_q", SpdMatrix.from_array(m, "theoretical Hill/quantile covariance")
+        "theoretical_sigma_q",
+        SpdMatrix.from_array(
+            _interleave(hill, cross, hill), "theoretical Hill/quantile covariance"
+        ),
     )
 
 
-def theoretical_v_qb(gammas, oracle) -> CovarianceEstimate:
-    """Asymptotic covariance of the joint intermediate QB estimators."""
-    g = _gammas(gammas, 1.0, "covariance formula")
+def _theoretical_qb(g: np.ndarray, oracle, log_dn: float) -> np.ndarray:
+    """Limit QB covariance.  log_dn = 0 gives the intermediate (linear-scale)
+    matrix; log_dn > 0 shifts m by log d_n and divides by log d_n^2, giving
+    the covariance of the extrapolating estimators on the log scale."""
     d = g.size
-    mg = np.array([m_function(x) for x in g])
+    mg = np.array([m_function(x) for x in g]) + log_dn
     m = np.diag(g**2 * (1.0 + mg**2))
     for j in range(d):
         for ell in range(j + 1, d):
@@ -137,12 +155,17 @@ def theoretical_v_qb(gammas, oracle) -> CovarianceEstimate:
             r11 = orc.r11()
             iu = orc.unit_integral()
             m[j, ell] = m[ell, j] = g[j] * g[ell] * (
-                r11 * (mg[j] - 1.0) * (mg[ell] - 1.0)
-                + mg[j] * iu
-                + mg[ell] * iu
+                r11 * (mg[j] - 1.0) * (mg[ell] - 1.0) + (mg[j] + mg[ell]) * iu
             )
+    return m / log_dn**2 if log_dn else m
+
+
+def theoretical_v_qb(gammas, oracle) -> CovarianceEstimate:
+    """Asymptotic covariance of the joint intermediate QB estimators."""
+    g = _gammas(gammas, 1.0, "covariance formula")
     return CovarianceEstimate(
-        "theoretical_qb", SpdMatrix.from_array(m, "theoretical QB covariance")
+        "theoretical_qb",
+        SpdMatrix.from_array(_theoretical_qb(g, oracle, 0.0), "theoretical QB covariance"),
     )
 
 
@@ -173,12 +196,9 @@ def theoretical_sigma_laws(gammas, oracle) -> CovarianceEstimate:
     """
     g = _gammas(gammas, 0.5, "covariance formula")
     d = g.size
-    m = np.zeros((2 * d, 2 * d))
-    for j in range(d):
-        cross = _sigma_laws_cross_diag(g[j])
-        m[2 * j, 2 * j] = g[j] ** 2
-        m[2 * j, 2 * j + 1] = m[2 * j + 1, 2 * j] = cross
-        m[2 * j + 1, 2 * j + 1] = 2.0 * g[j] ** 3 / (1.0 - 2.0 * g[j])
+    hill = np.diag(g**2)
+    cross = np.diag([_sigma_laws_cross_diag(gj) for gj in g])
+    laws = np.diag(2.0 * g**3 / (1.0 - 2.0 * g))
 
     def cross_entry(orc, gj, gl):
         # Cov(Hill_j, LAWS_l): double integral with a dx/x weight on the
@@ -195,24 +215,15 @@ def theoretical_sigma_laws(gammas, oracle) -> CovarianceEstimate:
     for j in range(d):
         for ell in range(j + 1, d):
             orc = _pair_oracle(oracle, j, ell)
-            r11 = orc.r11()
-            m[2 * j, 2 * ell] = m[2 * ell, 2 * j] = g[j] * g[ell] * r11
-            if orc.kind == "independent":
-                v22 = 0.0
-            else:
-                cj, cl = 1.0 / g[j] - 1.0, 1.0 / g[ell] - 1.0
-                aj, al = 1.0 / g[j], 1.0 / g[ell]
-                v22 = g[j] * g[ell] * integrate_2d_tailbox_adaptive(
-                    lambda x, y: orc.evaluate(cj * x**-aj, cl * y**-al)
-                )
-            m[2 * j + 1, 2 * ell + 1] = m[2 * ell + 1, 2 * j + 1] = v22
-            e12 = cross_entry(orc, g[j], g[ell])
-            e21 = cross_entry(orc, g[ell], g[j])
-            m[2 * j, 2 * ell + 1] = m[2 * ell + 1, 2 * j] = e12
-            m[2 * j + 1, 2 * ell] = m[2 * ell, 2 * j + 1] = e21
+            hill[j, ell] = hill[ell, j] = g[j] * g[ell] * orc.r11()
+            laws[j, ell] = laws[ell, j] = _laws_pair_integral(orc, g[j], g[ell])
+            cross[j, ell] = cross_entry(orc, g[j], g[ell])
+            cross[ell, j] = cross_entry(orc, g[ell], g[j])
     return CovarianceEstimate(
         "theoretical_sigma_laws",
-        SpdMatrix.from_array(m, "theoretical Hill/LAWS covariance"),
+        SpdMatrix.from_array(
+            _interleave(hill, cross, laws), "theoretical Hill/LAWS covariance"
+        ),
     )
 
 
@@ -242,40 +253,20 @@ def theoretical_v_star_qb(gammas, oracle, log_dn: float) -> CovarianceEstimate:
     g = _gammas(gammas, 1.0, "covariance formula")
     if log_dn <= 0.0:
         raise DomainError("star-QB covariance requires log d_n > 0")
-    d = g.size
-    mg = np.array([m_function(x) for x in g]) + log_dn
-    m = np.diag(g**2 * (1.0 + mg**2))
-    for j in range(d):
-        for ell in range(j + 1, d):
-            orc = _pair_oracle(oracle, j, ell)
-            r11 = orc.r11()
-            iu = orc.unit_integral()
-            m[j, ell] = m[ell, j] = g[j] * g[ell] * (
-                r11 * (mg[j] - 1.0) * (mg[ell] - 1.0) + (mg[j] + mg[ell]) * iu
-            )
-    m /= log_dn**2
     return CovarianceEstimate(
         "theoretical_star_qb",
-        SpdMatrix.from_array(m, "theoretical star-QB covariance"),
+        SpdMatrix.from_array(
+            _theoretical_qb(g, oracle, log_dn), "theoretical star-QB covariance"
+        ),
     )
 
 
-def theoretical_bias_star(lambdas, rhos) -> BiasEstimate:
-    """Second-order extrapolation bias components lambda_j / (1 - rho_j)."""
-    lam = np.asarray(lambdas, dtype=float).ravel()
-    rho = np.asarray(rhos, dtype=float).ravel()
-    if lam.shape != rho.shape:
-        raise DomainError("lambda and rho vectors must have equal length")
-    if np.any(rho > 0.0):
-        raise DomainError("second-order parameters must satisfy rho <= 0")
-    return BiasEstimate(lam / (1.0 - rho))
-
-
 def _v_laws_raw(
-    sample: MultivariateSample, tau: float, margins=None, phi=None
+    sample: MultivariateSample, tau: float, fit: MarginalTailEstimates, phi: np.ndarray
 ) -> np.ndarray:
-    margins = margins or estimate_margins(sample, tau)
-    g, xi = margins.gamma_hat, margins.xi_laws
+    """Unclipped intermediate LAWS covariance, given the fit at tau and its
+    asymmetric residuals phi."""
+    g, xi = fit.gamma_hat, fit.xi_laws
     if np.any(g >= 0.5):
         raise DomainError(
             "tail too heavy for LAWS variance (Hill estimate >= 1/2) -- use QB"
@@ -291,28 +282,28 @@ def _v_laws_raw(
         * (1.0 + surv / omt)
         / (1.0 + (2.0 * tau - 1.0) * surv / omt) ** 2
     )
-    if phi is None:
-        phi = asymmetric_weight(x - xi, tau)
     mbar = phi.T @ phi / n
     m = np.outer(g, g) * mbar / (omt * np.outer(xi, xi))
     np.fill_diagonal(m, diag)
     return m
 
 
+def _v_laws(sample: MultivariateSample, tau: float, fit: MarginalTailEstimates) -> SpdMatrix:
+    phi = asymmetric_weight(sample.values - fit.xi_laws, tau)
+    return SpdMatrix.from_array(_v_laws_raw(sample, tau, fit, phi), "LAWS covariance")
+
+
 def estimate_v_laws(sample: MultivariateSample, tau: float) -> CovarianceEstimate:
     """Plug-in estimate of the intermediate LAWS covariance matrix."""
     return CovarianceEstimate(
-        "laws",
-        SpdMatrix.from_array(_v_laws_raw(sample, tau), "LAWS covariance"),
-        tau=tau,
+        "laws", _v_laws(sample, tau, estimate_margins(sample, tau)), tau=tau
     )
 
 
-def estimate_bias_qb(sample: MultivariateSample, tau: float) -> BiasEstimate:
-    """First-order bias of the QB estimator, -gamma (gamma^{-1}-1)^gamma
-    Xbar sqrt(n(1-tau)) / q-hat per margin."""
-    margins = estimate_margins(sample, tau)
-    g, q = margins.gamma_hat, margins.q_hat
+def _bias_qb(
+    sample: MultivariateSample, tau: float, fit: MarginalTailEstimates
+) -> BiasEstimate:
+    g, q = fit.gamma_hat, fit.q_hat
     if np.any(q == 0.0):
         raise DomainError("QB bias undefined: intermediate quantile is zero")
     means = sample.values.mean(axis=0)
@@ -321,10 +312,21 @@ def estimate_bias_qb(sample: MultivariateSample, tau: float) -> BiasEstimate:
     return BiasEstimate(comps)
 
 
-def _v_qb_raw(sample: MultivariateSample, tau: float, margins=None) -> np.ndarray:
-    margins = margins or estimate_margins(sample, tau)
-    g = margins.gamma_hat
-    mg = np.array([m_function(x) for x in g])
+def estimate_bias_qb(sample: MultivariateSample, tau: float) -> BiasEstimate:
+    """First-order bias of the QB estimator, -gamma (gamma^{-1}-1)^gamma
+    Xbar sqrt(n(1-tau)) / q-hat per margin."""
+    return _bias_qb(sample, tau, estimate_margins(sample, tau))
+
+
+def _v_qb(
+    sample: MultivariateSample, tau: float, fit: MarginalTailEstimates, log_dn: float
+) -> SpdMatrix:
+    """Plug-in QB covariance.  log_dn = 0 gives the intermediate
+    (linear-scale) matrix; log_dn > 0 shifts m by log d_n and divides by
+    log d_n^2, giving the covariance of the extrapolating estimators on the
+    log scale."""
+    g = fit.gamma_hat
+    mg = np.array([m_function(x) for x in g]) + log_dn
     d = sample.d
     m = np.diag(g**2 * (1.0 + mg**2))
     ranks = compute_ranks(sample)
@@ -337,16 +339,34 @@ def _v_qb_raw(sample: MultivariateSample, tau: float, margins=None) -> np.ndarra
             m[j, ell] = m[ell, j] = g[j] * g[ell] * (
                 r11 * (mg[j] - 1.0) * (mg[ell] - 1.0) + mg[j] * iu + mg[ell] * iv
             )
-    return m
+    if not log_dn:
+        return SpdMatrix.from_array(m, "QB covariance")
+    return SpdMatrix.from_array(m / log_dn**2, "star-QB covariance")
 
 
 def estimate_v_qb(sample: MultivariateSample, tau: float) -> CovarianceEstimate:
     """Plug-in estimate of the intermediate QB covariance matrix."""
     return CovarianceEstimate(
-        "qb",
-        SpdMatrix.from_array(_v_qb_raw(sample, tau), "QB covariance"),
-        tau=tau,
+        "qb", _v_qb(sample, tau, estimate_margins(sample, tau), 0.0), tau=tau
     )
+
+
+def _sigma_laws(
+    sample: MultivariateSample, tau: float, fit: MarginalTailEstimates
+) -> np.ndarray:
+    g, xi = fit.gamma_hat, fit.xi_laws
+    x = sample.values
+    phi = asymmetric_weight(x - xi, tau)
+    vlaws = _v_laws_raw(sample, tau, fit, phi)
+    n = sample.n
+    k = effective_k(n, tau)
+    omt = 1.0 - tau
+    thresholds = sample.sorted_columns[:, n - k - 1]
+    hill = np.outer(g, g) * _r11_matrix(compute_ranks(sample), tau)
+    np.fill_diagonal(hill, g**2)
+    cross = _hill_laws_cross(x, phi, thresholds, g) / (omt * xi)
+    np.fill_diagonal(cross, [_sigma_laws_cross_diag(gj) for gj in g])
+    return _interleave(hill, cross, vlaws)
 
 
 def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
@@ -355,30 +375,7 @@ def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
     Coordinates are interleaved per margin.  Returned unclipped so that the
     log d_n contraction is an exact linear function of these blocks.
     """
-    margins = estimate_margins(sample, tau)
-    g, xi = margins.gamma_hat, margins.xi_laws
-    x = sample.values
-    phi = asymmetric_weight(x - xi, tau)
-    vlaws = _v_laws_raw(sample, tau, margins, phi)
-    n, d = sample.n, sample.d
-    k = effective_k(n, tau)
-    omt = 1.0 - tau
-    thresholds = sample.sorted_columns[:, n - k - 1]
-    r11 = _r11_matrix(compute_ranks(sample), tau)
-    cross = _hill_laws_cross(x, phi, thresholds, g) / (omt * xi)
-
-    sigma = np.zeros((2 * d, 2 * d))
-    for j in range(d):
-        sigma[2 * j, 2 * j] = g[j] ** 2
-        sigma[2 * j, 2 * j + 1] = sigma[2 * j + 1, 2 * j] = _sigma_laws_cross_diag(g[j])
-        sigma[2 * j + 1, 2 * j + 1] = vlaws[j, j]
-    for j in range(d):
-        for ell in range(j + 1, d):
-            sigma[2 * j, 2 * ell] = sigma[2 * ell, 2 * j] = g[j] * g[ell] * r11[j, ell]
-            sigma[2 * j + 1, 2 * ell + 1] = sigma[2 * ell + 1, 2 * j + 1] = vlaws[j, ell]
-            sigma[2 * j, 2 * ell + 1] = sigma[2 * ell + 1, 2 * j] = cross[j, ell]
-            sigma[2 * j + 1, 2 * ell] = sigma[2 * ell, 2 * j + 1] = cross[ell, j]
-    return sigma
+    return _sigma_laws(sample, tau, estimate_margins(sample, tau))
 
 
 def _hill_laws_cross(x, phi, thresholds, g) -> np.ndarray:
@@ -399,17 +396,22 @@ def _hill_laws_cross(x, phi, thresholds, g) -> np.ndarray:
     return g * s1 - np.outer(g, g) * s2
 
 
+def _v_star_laws(
+    sample: MultivariateSample, tau: float, fit: MarginalTailEstimates, log_dn: float
+) -> SpdMatrix:
+    return SpdMatrix.from_array(
+        _contract_blocks(_sigma_laws(sample, tau, fit), log_dn), "star-LAWS covariance"
+    )
+
+
 def estimate_v_star_laws(
     sample: MultivariateSample, tau: float, tau_prime: float
 ) -> CovarianceEstimate:
     """Plug-in covariance of the LAWS extrapolating estimators (log scale)."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    sigma = estimate_sigma_laws(sample, tau)
     return CovarianceEstimate(
         "star_laws",
-        SpdMatrix.from_array(
-            _contract_blocks(sigma, levels.log_dn), "star-LAWS covariance"
-        ),
+        _v_star_laws(sample, tau, estimate_margins(sample, tau), levels.log_dn),
         tau=tau,
         tau_prime=tau_prime,
     )
@@ -420,26 +422,9 @@ def estimate_v_star_qb(
 ) -> CovarianceEstimate:
     """Plug-in covariance of the QB extrapolating estimators (log scale)."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    log_dn = levels.log_dn
-    margins = estimate_margins(sample, tau)
-    g = margins.gamma_hat
-    mg = np.array([m_function(x) for x in g]) + log_dn
-    d = sample.d
-    m = np.diag(g**2 * (1.0 + mg**2))
-    ranks = compute_ranks(sample)
-    for j in range(d):
-        for ell in range(j + 1, d):
-            tc = _tail_copula_from_ranks(ranks, tau, j, ell)
-            r11 = tc.evaluate(1.0, 1.0)
-            iu = tc.unit_integral(0)
-            iv = tc.unit_integral(1)
-            m[j, ell] = m[ell, j] = g[j] * g[ell] * (
-                r11 * (mg[j] - 1.0) * (mg[ell] - 1.0) + mg[j] * iu + mg[ell] * iv
-            )
-    m /= log_dn**2
     return CovarianceEstimate(
         "star_qb",
-        SpdMatrix.from_array(m, "star-QB covariance"),
+        _v_qb(sample, tau, estimate_margins(sample, tau), levels.log_dn),
         tau=tau,
         tau_prime=tau_prime,
     )

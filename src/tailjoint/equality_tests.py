@@ -16,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (
-    estimate_bias_qb,
-    estimate_v_star_laws,
-    estimate_v_star_qb,
-)
 from .errors import DomainError
-from .marginal import estimate_margins
+from .inference import _estimate, _Estimate
 from .numerics import SpdMatrix, chi_square_cdf, chi_square_quantile
-from .sample import MultivariateSample, TailLevelPair, compute_ranks
-from .taildep import _r11_matrix
+from .sample import MultivariateSample
 
 
 @dataclass(frozen=True)
@@ -74,25 +68,31 @@ def deviance_statistic(z, v: SpdMatrix) -> float:
     return v.quadratic_form(residual, "test")
 
 
-def _build_result(
-    kind: str,
-    z: np.ndarray,
-    cov: np.ndarray,
-    levels: TailLevelPair,
-    alpha: float,
-) -> TestResult:
+_TEST_NAMES = {"laws": "LAWS", "qb": "QB", "quantile": "quantile"}
+
+
+def _equality_test(est: _Estimate, alpha: float) -> TestResult:
+    if np.any(est.center <= 0.0):
+        raise DomainError(
+            f"{_TEST_NAMES[est.method]} test requires positive extrapolated estimates"
+        )
+    z = np.log(est.center) + est.shift()
+    cov = est.covariance()
+    if isinstance(cov, SpdMatrix):
+        cov = cov.entries
+    levels = est.levels
     d = z.size
     if d < 2:
         raise DomainError("equality test requires at least two margins")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     scale = (levels.log_dn / math.sqrt(levels.n * (1.0 - levels.tau))) ** 2
-    v = SpdMatrix.from_array(scale * cov, f"{kind} test covariance")
+    v = SpdMatrix.from_array(scale * cov, f"{est.method} test covariance")
     stat = deviance_statistic(z, v)
     mean = gls_common_mean(z, v)
     p = 1.0 - chi_square_cdf(stat, d - 1)
     return TestResult(
-        kind=kind,
+        kind=est.method,
         statistic=stat,
         df=d - 1,
         p_value=p,
@@ -110,38 +110,18 @@ def test_equal_expectiles_laws(
     sample: MultivariateSample, tau: float, tau_prime: float, alpha: float = 0.05
 ) -> TestResult:
     """Deviance test of equal extreme expectiles, LAWS-extrapolated."""
-    levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    est = estimate_margins(sample, tau).xi_star_laws(tau_prime)
-    if np.any(est <= 0.0):
-        raise DomainError("LAWS test requires positive extrapolated estimates")
-    bias = estimate_bias_qb(sample, tau).components
-    z = np.log(est) + bias / math.sqrt(sample.n * (1.0 - tau))
-    cov = estimate_v_star_laws(sample, tau, tau_prime).entries
-    return _build_result("laws", z, cov, levels, alpha)
+    return _equality_test(_estimate(sample, tau, tau_prime, "laws"), alpha)
 
 
 def test_equal_expectiles_qb(
     sample: MultivariateSample, tau: float, tau_prime: float, alpha: float = 0.05
 ) -> TestResult:
     """Deviance test of equal extreme expectiles, QB-extrapolated."""
-    levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    est = estimate_margins(sample, tau).xi_star_qb(tau_prime)
-    if np.any(est <= 0.0):
-        raise DomainError("QB test requires positive extrapolated estimates")
-    cov = estimate_v_star_qb(sample, tau, tau_prime).entries
-    return _build_result("qb", np.log(est), cov, levels, alpha)
+    return _equality_test(_estimate(sample, tau, tau_prime, "qb"), alpha)
 
 
 def test_equal_quantiles(
     sample: MultivariateSample, tau: float, tau_prime: float, alpha: float = 0.05
 ) -> TestResult:
     """Deviance test of equal extreme quantiles via Weissman extrapolation."""
-    levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    margins = estimate_margins(sample, tau)
-    est = margins.weissman_quantiles(tau_prime)
-    if np.any(est <= 0.0):
-        raise DomainError("quantile test requires positive extrapolated estimates")
-    g = margins.gamma_hat
-    cov = np.outer(g, g) * _r11_matrix(compute_ranks(sample), tau)
-    np.fill_diagonal(cov, g**2)
-    return _build_result("quantile", np.log(est), cov, levels, alpha)
+    return _equality_test(_estimate(sample, tau, tau_prime, "quantile"), alpha)

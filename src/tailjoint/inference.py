@@ -10,27 +10,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .covariance import (
-    estimate_bias_qb,
-    estimate_v_laws,
-    estimate_v_qb,
-    estimate_v_star_laws,
-    estimate_v_star_qb,
-)
+from .covariance import _bias_qb, _v_laws, _v_qb, _v_star_laws
 from .errors import DomainError
 from .marginal import estimate_margins
 from .numerics import SpdMatrix, chi_square_quantile, std_normal_quantile
-from .sample import MultivariateSample, TailLevelPair
+from .sample import MultivariateSample, TailLevelPair, compute_ranks
+from .taildep import _r11_matrix
 
 # Relative slack when comparing the membership quadratic form to radius^2,
 # so that analytically constructed boundary points test as inside.
 _BOUNDARY_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfidenceRegion:
     kind: str
     scale: str
@@ -91,24 +88,113 @@ class MarginalInterval:
         return self.lower <= x <= self.upper
 
 
-def _radius(n: int, tau: float, alpha: float, d: int, log_dn: float | None) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    r = math.sqrt(chi_square_quantile(1.0 - alpha, d) / (n * (1.0 - tau)))
-    return r * log_dn if log_dn is not None else r
-
-
-def _naive_diagonal(gamma_hat: np.ndarray, power: int, name: str) -> SpdMatrix:
+def _naive_diagonal(g: np.ndarray, power: int, name: str) -> SpdMatrix:
     """Independence-case diagonal shape matrix 2*g^power/(1-2g) used by the
     naive regions, which ignore both the tail dependence and the finite-n
     variance corrections (power 3 for LAWS, per the first-order variance of
     the intermediate expectile estimator; power 2 for QB)."""
-    g = np.asarray(gamma_hat, dtype=float)
     if np.any(g >= 0.5):
         raise DomainError(
             "tail too heavy for the naive variance (Hill estimate >= 1/2)"
         )
     return SpdMatrix.from_array(np.diag(2.0 * g**power / (1.0 - 2.0 * g)), name)
+
+
+class _Estimate(NamedTuple):
+    """The three inputs of a region, an interval or a test, read from one
+    marginal fit: a center, a bias shift and a covariance.
+
+    shift and covariance are built on first call and then reused; each
+    consumer calls them in its own order, which fixes the error it raises
+    when more than one input is undefined.
+    """
+
+    sample: MultivariateSample
+    tau: float
+    method: str
+    naive: bool
+    levels: TailLevelPair | None
+    center: np.ndarray
+    shift: Callable[[], np.ndarray]
+    covariance: Callable[[], SpdMatrix | np.ndarray]
+
+
+def _estimate(
+    sample: MultivariateSample,
+    tau: float,
+    tau_prime: float | None,
+    method: str,
+    naive: bool = False,
+) -> _Estimate:
+    """The center, bias shift and covariance of one estimator vector.
+
+    tau_prime=None is the intermediate level on the linear scale; otherwise
+    the extrapolation to tau_prime on the log scale.  method is "laws", "qb"
+    or, extrapolated only, "quantile" (Weissman), whose covariance is
+    returned unclipped as an array.  The naive variants assume independent
+    margins: a diagonal covariance and, extrapolated, no bias shift.
+    """
+    levels = None if tau_prime is None else TailLevelPair(tau, tau_prime, sample.n)
+    fit = estimate_margins(sample, tau)
+    g = fit.gamma_hat
+    zero = partial(np.zeros, sample.d)
+
+    def bias() -> np.ndarray:
+        return _bias_qb(sample, tau, fit).components / math.sqrt(sample.n * (1.0 - tau))
+
+    def quantile_covariance() -> np.ndarray:
+        cov = np.outer(g, g) * _r11_matrix(compute_ranks(sample), tau)
+        np.fill_diagonal(cov, g**2)
+        return cov
+
+    if levels is None:
+        if method == "laws":
+            center, shift, power = fit.xi_laws, zero, 3
+            cov = partial(_v_laws, sample, tau, fit)
+        else:
+            center, shift, power = fit.xi_qb, lambda: -bias(), 2
+            cov = partial(_v_qb, sample, tau, fit, 0.0)
+        if naive:
+            cov = partial(_naive_diagonal, g, power, f"naive {method.upper()} covariance")
+    else:
+        if method == "laws":
+            center, shift = fit.xi_star_laws(tau_prime), bias
+            cov = partial(_v_star_laws, sample, tau, fit, levels.log_dn)
+        elif method == "qb":
+            center, shift = fit.xi_star_qb(tau_prime), zero
+            cov = partial(_v_qb, sample, tau, fit, levels.log_dn)
+        else:
+            center, shift = fit.weissman_quantiles(tau_prime), zero
+            cov = quantile_covariance
+        if naive:
+            shift = zero
+            cov = partial(SpdMatrix.from_array, np.diag(g**2), "naive star covariance")
+    return _Estimate(
+        sample, tau, method, naive, levels, center, cache(shift), cache(cov)
+    )
+
+
+def _region(est: _Estimate, alpha: float) -> ConfidenceRegion:
+    shape = est.covariance()
+    shift = est.shift()
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be in (0,1), got {alpha}")
+    n, d = est.sample.n, est.sample.d
+    radius = math.sqrt(chi_square_quantile(1.0 - alpha, d) / (n * (1.0 - est.tau)))
+    extreme = est.levels is not None
+    return ConfidenceRegion(
+        kind=("extreme_" if extreme else "intermediate_")
+        + est.method
+        + ("_naive" if est.naive else ""),
+        scale="log" if extreme else "linear",
+        alpha=alpha,
+        tau=est.tau,
+        tau_prime=est.levels.tau_prime if extreme else None,
+        center=est.center,
+        bias_shift=shift,
+        shape=shape,
+        radius=radius * est.levels.log_dn if extreme else radius,
+    )
 
 
 def region_intermediate_laws(
@@ -117,22 +203,7 @@ def region_intermediate_laws(
     """Linear-scale joint region for the intermediate expectile vector,
     centered at the LAWS estimates.  The naive variant assumes independent
     margins: diagonal shape matrix with first-order entries 2g^3/(1-2g)."""
-    margins = estimate_margins(sample, tau)
-    if naive:
-        shape = _naive_diagonal(margins.gamma_hat, 3, "naive LAWS covariance")
-    else:
-        shape = estimate_v_laws(sample, tau).matrix
-    return ConfidenceRegion(
-        kind="intermediate_laws" + ("_naive" if naive else ""),
-        scale="linear",
-        alpha=alpha,
-        tau=tau,
-        tau_prime=None,
-        center=margins.xi_laws,
-        bias_shift=np.zeros(sample.d),
-        shape=shape,
-        radius=_radius(sample.n, tau, alpha, sample.d, None),
-    )
+    return _region(_estimate(sample, tau, None, "laws", naive), alpha)
 
 
 def region_intermediate_qb(
@@ -141,24 +212,7 @@ def region_intermediate_qb(
     """Linear-scale joint region for the intermediate expectile vector,
     centered at the bias-adjusted QB estimates.  The naive variant assumes
     independent margins: diagonal shape matrix with entries 2g^2/(1-2g)."""
-    margins = estimate_margins(sample, tau)
-    if naive:
-        shape = _naive_diagonal(margins.gamma_hat, 2, "naive QB covariance")
-    else:
-        shape = estimate_v_qb(sample, tau).matrix
-    bias = estimate_bias_qb(sample, tau).components
-    root = math.sqrt(sample.n * (1.0 - tau))
-    return ConfidenceRegion(
-        kind="intermediate_qb" + ("_naive" if naive else ""),
-        scale="linear",
-        alpha=alpha,
-        tau=tau,
-        tau_prime=None,
-        center=margins.xi_qb,
-        bias_shift=-bias / root,
-        shape=shape,
-        radius=_radius(sample.n, tau, alpha, sample.d, None),
-    )
+    return _region(_estimate(sample, tau, None, "qb", naive), alpha)
 
 
 def region_extreme_laws(
@@ -173,28 +227,7 @@ def region_extreme_laws(
     exponential.  The naive variant assumes independent margins and drops
     both the adjustment and the finite-n corrections (diagonal gamma-hat^2),
     matching the naive marginal intervals."""
-    levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    margins = estimate_margins(sample, tau)
-    center = margins.xi_star_laws(tau_prime)
-    if naive:
-        g = margins.gamma_hat
-        shape = SpdMatrix.from_array(np.diag(g**2), "naive star covariance")
-        shift = np.zeros(sample.d)
-    else:
-        shape = estimate_v_star_laws(sample, tau, tau_prime).matrix
-        root = math.sqrt(sample.n * (1.0 - tau))
-        shift = estimate_bias_qb(sample, tau).components / root
-    return ConfidenceRegion(
-        kind="extreme_laws" + ("_naive" if naive else ""),
-        scale="log",
-        alpha=alpha,
-        tau=tau,
-        tau_prime=tau_prime,
-        center=center,
-        bias_shift=shift,
-        shape=shape,
-        radius=_radius(sample.n, tau, alpha, sample.d, levels.log_dn),
-    )
+    return _region(_estimate(sample, tau, tau_prime, "laws", naive), alpha)
 
 
 def region_extreme_qb(
@@ -204,25 +237,7 @@ def region_extreme_qb(
     alpha: float,
     naive: bool = False,
 ) -> ConfidenceRegion:
-    levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    margins = estimate_margins(sample, tau)
-    center = margins.xi_star_qb(tau_prime)
-    if naive:
-        g = margins.gamma_hat
-        shape = SpdMatrix.from_array(np.diag(g**2), "naive star covariance")
-    else:
-        shape = estimate_v_star_qb(sample, tau, tau_prime).matrix
-    return ConfidenceRegion(
-        kind="extreme_qb" + ("_naive" if naive else ""),
-        scale="log",
-        alpha=alpha,
-        tau=tau,
-        tau_prime=tau_prime,
-        center=center,
-        bias_shift=np.zeros(sample.d),
-        shape=shape,
-        radius=_radius(sample.n, tau, alpha, sample.d, levels.log_dn),
-    )
+    return _region(_estimate(sample, tau, tau_prime, "qb", naive), alpha)
 
 
 def region_contains(region: ConfidenceRegion, point) -> bool:
@@ -266,6 +281,22 @@ def region_boundary_points(region: ConfidenceRegion) -> np.ndarray:
     return region.center * (1.0 + w)
 
 
+def _interval(est: _Estimate, j: int, alpha: float) -> MarginalInterval:
+    center = float(est.center[j])
+    if center <= 0.0:
+        raise DomainError("log-scale interval requires a positive point estimate")
+    root = math.sqrt(est.sample.n * (1.0 - est.tau))
+    shift = est.shift()[j]
+    var = est.covariance().entries[j, j]
+    half = est.levels.log_dn / root * math.sqrt(var) * std_normal_quantile(1.0 - alpha / 2.0)
+    return MarginalInterval(
+        lower=center * math.exp(shift - half),
+        upper=center * math.exp(shift + half),
+        margin=j,
+        alpha=alpha,
+    )
+
+
 def marginal_interval_laws(
     sample: MultivariateSample,
     tau: float,
@@ -279,25 +310,7 @@ def marginal_interval_laws(
     The naive variant drops the bias adjustment and uses the first-order
     asymptotic variance gamma-hat^2 in place of the finite-n covariance.
     """
-    levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    margins = estimate_margins(sample, tau)
-    center = float(margins.xi_star_laws(tau_prime)[j])
-    if center <= 0.0:
-        raise DomainError("log-scale interval requires a positive point estimate")
-    root = math.sqrt(sample.n * (1.0 - tau))
-    if naive:
-        shift = 0.0
-        var = margins.gamma_hat[j] ** 2
-    else:
-        shift = estimate_bias_qb(sample, tau).components[j] / root
-        var = estimate_v_star_laws(sample, tau, tau_prime).entries[j, j]
-    half = levels.log_dn / root * math.sqrt(var) * std_normal_quantile(1.0 - alpha / 2.0)
-    return MarginalInterval(
-        lower=center * math.exp(shift - half),
-        upper=center * math.exp(shift + half),
-        margin=j,
-        alpha=alpha,
-    )
+    return _interval(_estimate(sample, tau, tau_prime, "laws", naive), j, alpha)
 
 
 def marginal_interval_qb(
@@ -309,20 +322,4 @@ def marginal_interval_qb(
     naive: bool = False,
 ) -> MarginalInterval:
     """Log-scale interval for one extreme expectile, QB-extrapolated."""
-    levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    margins = estimate_margins(sample, tau)
-    center = float(margins.xi_star_qb(tau_prime)[j])
-    if center <= 0.0:
-        raise DomainError("log-scale interval requires a positive point estimate")
-    root = math.sqrt(sample.n * (1.0 - tau))
-    if naive:
-        var = margins.gamma_hat[j] ** 2
-    else:
-        var = estimate_v_star_qb(sample, tau, tau_prime).entries[j, j]
-    half = levels.log_dn / root * math.sqrt(var) * std_normal_quantile(1.0 - alpha / 2.0)
-    return MarginalInterval(
-        lower=center * math.exp(-half),
-        upper=center * math.exp(half),
-        margin=j,
-        alpha=alpha,
-    )
+    return _interval(_estimate(sample, tau, tau_prime, "qb", naive), j, alpha)

@@ -145,17 +145,7 @@ def extrapolate_expectile_qb(column, tau: float, tau_prime: float) -> float:
     return qb_factor(gamma) * (factor * float(_quantile_sorted(xs, tau)[0]))
 
 
-def gain_loss_ratio(column, theta: float) -> float:
-    """Empirical share of absolute deviation lying at or below theta."""
-    x = _column(column)
-    dev = np.abs(x - theta)
-    total = dev.sum()
-    if total == 0.0:
-        raise DomainError("gain-loss ratio undefined: all observations equal theta")
-    return float(dev[x <= theta].sum() / total)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalTailEstimates:
     """Per-margin tail summaries at a common intermediate level."""
 

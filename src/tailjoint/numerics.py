@@ -32,10 +32,6 @@ def std_normal_quantile(p: float) -> float:
     return float(stats.norm.ppf(p))
 
 
-def std_normal_cdf(x: float) -> float:
-    return float(stats.norm.cdf(x))
-
-
 def chi_square_quantile(p: float, df: int) -> float:
     """(1-alpha)-quantile of the chi-square distribution with df degrees."""
     if not 0.0 < p < 1.0:
@@ -51,21 +47,7 @@ def chi_square_cdf(x: float, df: int) -> float:
     return float(stats.chi2.cdf(x, df))
 
 
-def student_t_quantile(p: float, nu: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"Student-t quantile requires p in (0,1), got {p}")
-    if nu <= 0.0:
-        raise DomainError(f"Student-t quantile requires nu > 0, got {nu}")
-    return float(stats.t.ppf(p, nu))
-
-
-def student_t_cdf(x: float, nu: float) -> float:
-    if nu <= 0.0:
-        raise DomainError(f"Student-t cdf requires nu > 0, got {nu}")
-    return float(stats.t.cdf(x, nu))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpdMatrix:
     """Symmetric positive semidefinite matrix with clipping provenance.
 
@@ -136,72 +118,6 @@ class SpdMatrix:
         except linalg.LinAlgError as exc:
             raise SingularCovarianceError(f"singular {name} matrix") from exc
         return linalg.cho_solve((c, low), rhs)
-
-
-def spd_sqrt(m, name: str = "matrix") -> np.ndarray:
-    """Principal square root of a PSD matrix given as an array."""
-    return SpdMatrix.from_array(m, name).sqrt().entries
-
-
-def spd_quadratic_form(m, v, name: str = "covariance") -> float:
-    return SpdMatrix.from_array(m, name).quadratic_form(v, name)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights on (0,1), weights summing to one."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.size < 2:
-            raise DomainError("quadrature rule needs at least 2 nodes")
-        if not (np.all(nodes > 0.0) and np.all(nodes < 1.0)):
-            raise DomainError("quadrature nodes must lie in (0,1)")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise DomainError("quadrature nodes must be strictly increasing")
-        if np.any(weights <= 0.0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise DomainError("quadrature weights must be positive and sum to 1")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def gauss_legendre(cls, n: int = 200) -> "QuadratureRule":
-        x, w = np.polynomial.legendre.leggauss(n)
-        return cls(nodes=0.5 * (x + 1.0), weights=0.5 * w)
-
-
-_DEFAULT_RULE_CACHE: dict[int, QuadratureRule] = {}
-
-
-def default_rule(n: int = 200) -> QuadratureRule:
-    rule = _DEFAULT_RULE_CACHE.get(n)
-    if rule is None:
-        rule = QuadratureRule.gauss_legendre(n)
-        _DEFAULT_RULE_CACHE[n] = rule
-    return rule
-
-
-def integrate_2d_tailbox(f, rule: QuadratureRule | None = None) -> float:
-    """Tensor-rule integral of f over [1,inf)^2 via the x = 1/t transform.
-
-    f must accept numpy array arguments of equal shape.
-    """
-    rule = rule or default_rule()
-    s = rule.nodes
-    grid_x, grid_y = np.meshgrid(1.0 / s, 1.0 / s, indexing="ij")
-    vals = np.asarray(f(grid_x, grid_y), dtype=float)
-    jac = np.outer(s, s) ** -2
-    integrand = vals * jac
-    if not np.all(np.isfinite(integrand)):
-        i, j = np.argwhere(~np.isfinite(integrand))[0]
-        raise NumericError(
-            f"non-finite integrand at node (x={grid_x[i, j]!r}, y={grid_y[i, j]!r})"
-        )
-    return float(np.einsum("i,j,ij->", rule.weights, rule.weights, integrand))
 
 
 def _quad(f, a, b, tol):

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DomainError, IngestionError, LevelError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultivariateSample:
     """An n x d panel of real observations with column labels.
 
@@ -154,13 +154,6 @@ def compute_ranks(sample: MultivariateSample) -> np.ndarray:
     Returns the sample's cached, read-only rank array.
     """
     return sample.ranks
-
-
-def order_statistic(sample: MultivariateSample, j: int, i: int) -> float:
-    """The i-th smallest value of column j (1-based i)."""
-    if not 1 <= i <= sample.n:
-        raise DomainError(f"order index {i} outside [1, {sample.n}]")
-    return float(sample.sorted_columns[j, i - 1])
 
 
 def ingest_csv(path, has_date_column: bool = False) -> MultivariateSample:

@@ -18,14 +18,7 @@ import numpy as np
 from scipy import optimize, special, stats
 
 from .errors import DomainError, TailjointError
-from .inference import (
-    marginal_interval_laws,
-    marginal_interval_qb,
-    region_extreme_laws,
-    region_extreme_qb,
-    region_intermediate_laws,
-    region_intermediate_qb,
-)
+from .inference import _estimate, _interval, _region
 from .equality_tests import test_equal_expectiles_laws, test_equal_expectiles_qb
 from .marginal import estimate_margins
 from .sample import MultivariateSample, effective_k
@@ -319,10 +312,58 @@ def _run_replications(worker, M: int, workers: int):
         return list(pool.map(worker, range(M)))
 
 
-def _reduce(results):
-    """Split per-replication outcomes into successes and a failure count."""
-    ok = [r for r in results if r is not None]
-    return ok, len(results) - len(ok)
+def _run_mc(
+    experiment: str,
+    model: SimulationModel,
+    n: int,
+    tau: float,
+    tau_prime: float | None,
+    M: int,
+    master_seed: int,
+    workers: int,
+    names: tuple[str, ...],
+    replicate,
+    transform=float,
+) -> McReport:
+    """Run replicate(sample) on M seeded samples and report, per name, 100
+    times transform of the mean of that position of its outcome tuples.
+
+    A replication that raises a TailjointError counts as a failure and
+    enters no mean; with no successes the metrics are empty.
+    """
+    start = time.perf_counter()
+
+    def worker(i):
+        try:
+            return replicate(sample_model(model, n, rng_stream(master_seed, i)))
+        except TailjointError:
+            return None
+
+    results = _run_replications(worker, M, workers)
+    ok = np.array([r for r in results if r is not None])
+    metrics = {}
+    if len(ok):
+        for pos, name in enumerate(names):
+            metrics[name] = 100.0 * transform(float(ok[:, pos].mean()))
+    return McReport(
+        experiment=experiment,
+        model=model.kind,
+        n=n,
+        d=model.d,
+        k=effective_k(n, tau),
+        tau=tau,
+        tau_prime=tau_prime,
+        replications=M,
+        master_seed=master_seed,
+        metrics=metrics,
+        failures=len(results) - len(ok),
+        elapsed_seconds=time.perf_counter() - start,
+    )
+
+
+def _check_method(method: str) -> None:
+    if method not in ("laws", "qb"):
+        raise DomainError(f"unknown method {method!r}")
 
 
 def run_mc_mse(
@@ -338,39 +379,18 @@ def run_mc_mse(
     Reported as sqrt(mean squared relative error) x 100, averaged across
     margins, one entry per estimator.
     """
-    start = time.perf_counter()
     truth = true_expectiles(model, tau)
 
-    def worker(i):
-        try:
-            sample = sample_model(model, n, rng_stream(master_seed, i))
-            est = estimate_margins(sample, tau)
-            return (
-                np.mean((est.xi_laws / truth - 1.0) ** 2),
-                np.mean((est.xi_qb / truth - 1.0) ** 2),
-            )
-        except TailjointError:
-            return None
+    def replicate(sample):
+        est = estimate_margins(sample, tau)
+        return (
+            np.mean((est.xi_laws / truth - 1.0) ** 2),
+            np.mean((est.xi_qb / truth - 1.0) ** 2),
+        )
 
-    ok, failures = _reduce(_run_replications(worker, M, workers))
-    metrics = {}
-    if ok:
-        arr = np.array(ok)
-        metrics["rmse_pct_laws"] = 100.0 * math.sqrt(float(arr[:, 0].mean()))
-        metrics["rmse_pct_qb"] = 100.0 * math.sqrt(float(arr[:, 1].mean()))
-    return McReport(
-        experiment="mse",
-        model=model.kind,
-        n=n,
-        d=model.d,
-        k=effective_k(n, tau),
-        tau=tau,
-        tau_prime=None,
-        replications=M,
-        master_seed=master_seed,
-        metrics=metrics,
-        failures=failures,
-        elapsed_seconds=time.perf_counter() - start,
+    names = ("rmse_pct_laws", "rmse_pct_qb")
+    return _run_mc(
+        "mse", model, n, tau, None, M, master_seed, workers, names, replicate, math.sqrt
     )
 
 
@@ -391,14 +411,6 @@ def _pivot_covers(region, truth) -> bool:
     return form <= region.radius**2
 
 
-_REGION_BUILDERS = {
-    ("laws", False): region_intermediate_laws,
-    ("qb", False): region_intermediate_qb,
-    ("laws", True): region_extreme_laws,
-    ("qb", True): region_extreme_qb,
-}
-
-
 def run_mc_coverage(
     model: SimulationModel,
     n: int,
@@ -413,43 +425,16 @@ def run_mc_coverage(
 ) -> McReport:
     """Non-coverage rate of the joint confidence region (intermediate when
     tau_prime is omitted, extreme otherwise)."""
-    if method not in ("laws", "qb"):
-        raise DomainError(f"unknown method {method!r}")
-    start = time.perf_counter()
-    extreme = tau_prime is not None
-    truth = true_expectiles(model, tau_prime if extreme else tau)
-    build = _REGION_BUILDERS[(method, extreme)]
+    _check_method(method)
+    truth = true_expectiles(model, tau if tau_prime is None else tau_prime)
 
-    def worker(i):
-        try:
-            sample = sample_model(model, n, rng_stream(master_seed, i))
-            if extreme:
-                region = build(sample, tau, tau_prime, alpha, naive=naive)
-            else:
-                region = build(sample, tau, alpha, naive=naive)
-            return 0.0 if _pivot_covers(region, truth) else 1.0
-        except TailjointError:
-            return None
+    def replicate(sample):
+        region = _region(_estimate(sample, tau, tau_prime, method, naive), alpha)
+        return (0.0 if _pivot_covers(region, truth) else 1.0,)
 
-    ok, failures = _reduce(_run_replications(worker, M, workers))
-    metrics = {}
-    if ok:
-        metrics[f"noncoverage_pct_{method}" + ("_naive" if naive else "")] = (
-            100.0 * float(np.mean(ok))
-        )
-    return McReport(
-        experiment="coverage",
-        model=model.kind,
-        n=n,
-        d=model.d,
-        k=effective_k(n, tau),
-        tau=tau,
-        tau_prime=tau_prime,
-        replications=M,
-        master_seed=master_seed,
-        metrics=metrics,
-        failures=failures,
-        elapsed_seconds=time.perf_counter() - start,
+    names = (f"noncoverage_pct_{method}" + ("_naive" if naive else ""),)
+    return _run_mc(
+        "coverage", model, n, tau, tau_prime, M, master_seed, workers, names, replicate
     )
 
 
@@ -466,39 +451,17 @@ def run_mc_interval_coverage(
     workers: int = 1,
 ) -> McReport:
     """Non-coverage rate of the first-margin extreme expectile interval."""
-    if method not in ("laws", "qb"):
-        raise DomainError(f"unknown method {method!r}")
-    start = time.perf_counter()
+    _check_method(method)
     truth = model.margin_oracle(0).true_expectile(tau_prime)
-    build = marginal_interval_laws if method == "laws" else marginal_interval_qb
 
-    def worker(i):
-        try:
-            sample = sample_model(model, n, rng_stream(master_seed, i))
-            interval = build(sample, tau, tau_prime, 0, alpha, naive=naive)
-            return 0.0 if interval.contains(truth) else 1.0
-        except TailjointError:
-            return None
+    def replicate(sample):
+        interval = _interval(_estimate(sample, tau, tau_prime, method, naive), 0, alpha)
+        return (0.0 if interval.contains(truth) else 1.0,)
 
-    ok, failures = _reduce(_run_replications(worker, M, workers))
-    metrics = {}
-    if ok:
-        metrics[f"noncoverage_pct_{method}" + ("_naive" if naive else "")] = (
-            100.0 * float(np.mean(ok))
-        )
-    return McReport(
-        experiment="interval_coverage",
-        model=model.kind,
-        n=n,
-        d=model.d,
-        k=effective_k(n, tau),
-        tau=tau,
-        tau_prime=tau_prime,
-        replications=M,
-        master_seed=master_seed,
-        metrics=metrics,
-        failures=failures,
-        elapsed_seconds=time.perf_counter() - start,
+    names = (f"noncoverage_pct_{method}" + ("_naive" if naive else ""),)
+    return _run_mc(
+        "interval_coverage", model, n, tau, tau_prime, M, master_seed, workers,
+        names, replicate,
     )
 
 
@@ -516,43 +479,21 @@ def run_mc_power(
     """Rejection rates of the expectile equality tests; both test variants
     can share each simulated sample."""
     for m in methods:
-        if m not in ("laws", "qb"):
-            raise DomainError(f"unknown method {m!r}")
+        _check_method(m)
     if model.d < 2:
         raise DomainError("equality testing requires d >= 2")
-    start = time.perf_counter()
     testers = {
         "laws": test_equal_expectiles_laws,
         "qb": test_equal_expectiles_qb,
     }
 
-    def worker(i):
-        try:
-            sample = sample_model(model, n, rng_stream(master_seed, i))
-            return tuple(
-                1.0 if testers[m](sample, tau, tau_prime, alpha).reject else 0.0
-                for m in methods
-            )
-        except TailjointError:
-            return None
+    def replicate(sample):
+        return tuple(
+            1.0 if testers[m](sample, tau, tau_prime, alpha).reject else 0.0
+            for m in methods
+        )
 
-    ok, failures = _reduce(_run_replications(worker, M, workers))
-    metrics = {}
-    if ok:
-        arr = np.array(ok)
-        for pos, m in enumerate(methods):
-            metrics[f"rejection_pct_{m}"] = 100.0 * float(arr[:, pos].mean())
-    return McReport(
-        experiment="power",
-        model=model.kind,
-        n=n,
-        d=model.d,
-        k=effective_k(n, tau),
-        tau=tau,
-        tau_prime=tau_prime,
-        replications=M,
-        master_seed=master_seed,
-        metrics=metrics,
-        failures=failures,
-        elapsed_seconds=time.perf_counter() - start,
+    names = tuple(f"rejection_pct_{m}" for m in methods)
+    return _run_mc(
+        "power", model, n, tau, tau_prime, M, master_seed, workers, names, replicate
     )

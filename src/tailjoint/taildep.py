@@ -13,7 +13,7 @@ from .numerics import integrate_unit_log
 from .sample import MultivariateSample, compute_ranks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalTailCopula:
     """Rank-based step-function estimate of the tail copula of one pair.
 
@@ -50,7 +50,7 @@ class EmpiricalTailCopula:
             var, other = self.v, self.u
         else:
             raise DomainError("axis must be 0 or 1")
-        pts = np.sort(var[other <= 1.0])
+        pts = var[other <= 1.0]
         pts = pts[pts <= 1.0]
         if pts.size == 0:
             return 0.0
@@ -96,23 +96,11 @@ def _r11_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
     return top.T @ top / (n * (1.0 - tau))
 
 
-def empirical_tail_copula_eval(
-    sample: MultivariateSample, tau: float, j: int, ell: int, u: float, v: float
-) -> float:
-    return empirical_tail_copula(sample, tau, j, ell).evaluate(u, v)
-
-
-def tail_copula_unit_integral(
-    sample: MultivariateSample, tau: float, j: int, ell: int, axis: int
-) -> float:
-    return empirical_tail_copula(sample, tau, j, ell).unit_integral(axis)
-
-
 def extremal_coefficient(
     sample: MultivariateSample, tau: float, j: int, ell: int
 ) -> float:
     """omega-hat = 2 - R-hat(1,1)."""
-    return 2.0 - empirical_tail_copula_eval(sample, tau, j, ell, 1.0, 1.0)
+    return 2.0 - empirical_tail_copula(sample, tau, j, ell).evaluate(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -168,6 +156,3 @@ class OracleTailCopula:
             return 1.0
         return 2.0 - 2.0 ** (1.0 / self.theta)
 
-
-def oracle_tail_copula_eval(oracle: OracleTailCopula, x, y):
-    return oracle.evaluate(x, y)

@@ -39,7 +39,7 @@ from tailjoint.simulation import (
     run_mc_power,
     sample_model,
 )
-from tailjoint.taildep import OracleTailCopula, empirical_tail_copula_eval
+from tailjoint.taildep import OracleTailCopula, empirical_tail_copula
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -125,12 +125,13 @@ def test_criterion_4_tail_copula_oracle():
     s = MultivariateSample(
         np.column_stack([np.arange(128.0), 2.0 * np.arange(128.0) + 1.0]), ("a", "b")
     )
-    como = empirical_tail_copula_eval(s, 0.75, 0, 1, 1.0, 1.0)
+    como = empirical_tail_copula(s, 0.75, 0, 1).evaluate(1.0, 1.0)
     model = SimulationModel.gumbel_frechet(2)
     n, k = 5000, 70
     tau = 1.0 - k / n
     vals = [
-        empirical_tail_copula_eval(sample_model(model, n, rng_stream(42, i)), tau, 0, 1, 1.0, 1.0)
+        empirical_tail_copula(sample_model(model, n, rng_stream(42, i)), tau, 0, 1)
+        .evaluate(1.0, 1.0)
         for i in range(500)
     ]
     mean = float(np.mean(vals))

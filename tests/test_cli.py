@@ -95,6 +95,23 @@ class TestEstimate:
                      "--method", "mean"]) == 1
         assert "--method must be" in capsys.readouterr().err
 
+    def test_star_laws_covariance_built_once(self, tmp_path, monkeypatch, capsys):
+        from tailjoint.numerics import SpdMatrix
+
+        names = []
+        from_array = SpdMatrix.from_array.__func__
+
+        def counting(cls, m, name="matrix"):
+            names.append(name)
+            return from_array(cls, m, name)
+
+        monkeypatch.setattr(SpdMatrix, "from_array", classmethod(counting))
+        data = write_sample_csv(tmp_path / "d5.csv", n=1000, d=5, gamma=0.25)
+        assert main(["estimate", "--input", str(data), "--k", "100",
+                     "--method", "laws"]) == 0
+        capsys.readouterr()
+        assert names.count("star-LAWS covariance") == 1
+
     def test_missing_input_is_hard_error(self, tmp_path, capsys):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv"),
                      "--k", "50"]) == 1

@@ -12,7 +12,6 @@ from tailjoint.covariance import (
     estimate_v_qb,
     estimate_v_star_laws,
     estimate_v_star_qb,
-    theoretical_bias_star,
     theoretical_sigma_laws,
     theoretical_sigma_q,
     theoretical_v_laws,
@@ -144,16 +143,6 @@ class TestTheoreticalVStar:
         sig = theoretical_sigma_laws(g, LOG3).entries
         assert big[0, 0] == pytest.approx(sig[0, 0], abs=1e-6)
         assert big[0, 1] == pytest.approx(sig[0, 2], abs=1e-6)
-
-
-class TestTheoreticalBiasStar:
-    def test_formula(self):
-        b = theoretical_bias_star([1.0, -2.0], [0.0, -1.0])
-        assert np.allclose(b.components, [1.0, -1.0])
-
-    def test_positive_rho_rejected(self):
-        with pytest.raises(DomainError):
-            theoretical_bias_star([1.0], [0.5])
 
 
 class TestEstimateBiasQb:

@@ -177,6 +177,24 @@ class TestStatisticConstruction:
         v = SpdMatrix.from_array(result.covariance_scale * cov)
         assert result.statistic == pytest.approx(deviance_statistic(z, v), rel=1e-12)
 
+    def test_laws_fits_margins_once(self, monkeypatch):
+        import sys
+
+        from tailjoint import marginal
+
+        calls = []
+        original = marginal.estimate_margins
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("tailjoint") and vars(mod).get("estimate_margins") is original:
+                monkeypatch.setattr(mod, "estimate_margins", counting)
+        equal_expectiles_laws(fixture_sample(seed=21), TAU, TAU_PRIME)
+        assert len(calls) == 1
+
     def test_unequal_tails_eventually_rejected(self):
         # Strongly different tail indices should reject in most samples.
         rejections = 0

@@ -13,7 +13,6 @@ from tailjoint.marginal import (
     empirical_quantile,
     extrapolate_expectile_laws,
     extrapolate_expectile_qb,
-    gain_loss_ratio,
     hill_estimator,
     laws_expectile,
     m_function,
@@ -269,24 +268,30 @@ class TestExtrapolation:
 
 
 class TestGainLossRatio:
+    """The tau-expectile is the point whose share of absolute deviation at
+    or below it is tau."""
+
+    @staticmethod
+    def gain_loss_ratio(x, theta):
+        dev = np.abs(np.asarray(x) - theta)
+        return dev[np.asarray(x) <= theta].sum() / dev.sum()
+
     def test_hand_case(self):
-        assert gain_loss_ratio([0.0, 1.0, 2.0], 19.0 / 11.0) == pytest.approx(
+        theta = laws_expectile([0.0, 1.0, 2.0], 0.9)
+        assert self.gain_loss_ratio([0.0, 1.0, 2.0], theta) == pytest.approx(
             0.9, rel=1e-12
         )
 
     def test_symmetric_two_point(self):
-        assert gain_loss_ratio([0.0, 1.0], 0.5) == pytest.approx(0.5)
+        theta = laws_expectile([0.0, 1.0], 0.5)
+        assert self.gain_loss_ratio([0.0, 1.0], theta) == pytest.approx(0.5)
 
     def test_matches_expectile_level(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=101)
         for tau in (0.3, 0.5, 0.9, 0.97):
             theta = laws_expectile(x, tau)
-            assert gain_loss_ratio(x, theta) == pytest.approx(tau, abs=1e-10)
-
-    def test_constant_column_rejected(self):
-        with pytest.raises(DomainError):
-            gain_loss_ratio([2.0, 2.0, 2.0], 2.0)
+            assert self.gain_loss_ratio(x, theta) == pytest.approx(tau, abs=1e-10)
 
 
 class TestMFunction:

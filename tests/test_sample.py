@@ -15,7 +15,6 @@ from tailjoint.sample import (
     effective_k,
     emit_csv,
     ingest_csv,
-    order_statistic,
     tau_from_k,
     to_negative_weekly_log_returns,
 )
@@ -51,6 +50,14 @@ class TestMultivariateSample:
         assert sub.labels == ("C2", "C0")
         assert np.array_equal(sub.column(0), [9.0, 10.0, 11.0, 12.0])
 
+    def test_identity_equality_and_hashing(self):
+        s = make_sample([1, 2, 3, 4])
+        t = make_sample([1, 2, 3, 4])
+        assert s == s and s != t
+        assert s in [t, s] and s not in [t]
+        assert hash(s) == hash(s)
+        assert {s, t, s} == {s, t}
+
 
 class TestRanks:
     def test_hand_column(self):
@@ -70,7 +77,7 @@ class TestRanks:
         s = make_sample(rng.normal(size=25))
         ranks = compute_ranks(s)[:, 0]
         for i, r in enumerate(ranks):
-            assert s.values[i, 0] == order_statistic(s, 0, int(r))
+            assert s.values[i, 0] == s.sorted_columns[0, int(r) - 1]
 
 
 class TestOrderStatisticsCache:
@@ -142,19 +149,12 @@ class TestOrderStatisticsCache:
 class TestOrderStatistic:
     def test_middle(self):
         s = make_sample([5.0, 1.0, 3.0, 9.0])
-        assert order_statistic(s, 0, 2) == 3.0
+        assert s.sorted_columns[0, 1] == 3.0
 
     def test_extremes(self):
         s = make_sample([5.0, 1.0, 3.0, 9.0])
-        assert order_statistic(s, 0, 1) == 1.0
-        assert order_statistic(s, 0, 4) == 9.0
-
-    def test_out_of_range(self):
-        s = make_sample([5.0, 1.0, 3.0, 9.0])
-        with pytest.raises(DomainError):
-            order_statistic(s, 0, 0)
-        with pytest.raises(DomainError):
-            order_statistic(s, 0, 5)
+        assert s.sorted_columns[0, 0] == 1.0
+        assert s.sorted_columns[0, 3] == 9.0
 
 
 class TestLevels:

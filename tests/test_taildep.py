@@ -9,10 +9,7 @@ from tailjoint.sample import MultivariateSample
 from tailjoint.taildep import (
     OracleTailCopula,
     empirical_tail_copula,
-    empirical_tail_copula_eval,
     extremal_coefficient,
-    oracle_tail_copula_eval,
-    tail_copula_unit_integral,
 )
 
 
@@ -37,33 +34,33 @@ def antimonotone_sample(n=100, seed=1):
 class TestEmpiricalEvaluation:
     def test_comonotone_corner(self):
         s = comonotone_sample()
-        assert empirical_tail_copula_eval(s, 0.9, 0, 1, 1.0, 1.0) == pytest.approx(1.0)
+        assert empirical_tail_copula(s, 0.9, 0, 1).evaluate(1.0, 1.0) == pytest.approx(1.0)
 
     def test_antimonotone_corner(self):
         s = antimonotone_sample()
-        assert empirical_tail_copula_eval(s, 0.9, 0, 1, 1.0, 1.0) == 0.0
+        assert empirical_tail_copula(s, 0.9, 0, 1).evaluate(1.0, 1.0) == 0.0
 
     def test_zero_argument(self):
         s = comonotone_sample()
-        assert empirical_tail_copula_eval(s, 0.9, 0, 1, 0.0, 0.7) == 0.0
-        assert empirical_tail_copula_eval(s, 0.9, 0, 1, 0.7, 0.0) == 0.0
+        assert empirical_tail_copula(s, 0.9, 0, 1).evaluate(0.0, 0.7) == 0.0
+        assert empirical_tail_copula(s, 0.9, 0, 1).evaluate(0.7, 0.0) == 0.0
 
     def test_negative_argument_rejected(self):
         s = comonotone_sample()
         with pytest.raises(DomainError):
-            empirical_tail_copula_eval(s, 0.9, 0, 1, -0.1, 1.0)
+            empirical_tail_copula(s, 0.9, 0, 1).evaluate(-0.1, 1.0)
 
     def test_same_margin_rejected(self):
         s = comonotone_sample()
         with pytest.raises(DomainError):
-            empirical_tail_copula_eval(s, 0.9, 0, 0, 1.0, 1.0)
+            empirical_tail_copula(s, 0.9, 0, 0).evaluate(1.0, 1.0)
 
     def test_values_are_count_multiples(self):
         s = comonotone_sample(n=100)
         tau = 0.9
         k_eff = 100 * (1.0 - tau)
         for u, v in [(0.3, 0.8), (0.5, 0.5), (1.0, 0.2), (2.0, 2.0)]:
-            val = empirical_tail_copula_eval(s, tau, 0, 1, u, v)
+            val = empirical_tail_copula(s, tau, 0, 1).evaluate(u, v)
             assert (val * k_eff) == pytest.approx(round(val * k_eff), abs=1e-9)
 
     def test_monotone_in_each_argument(self):
@@ -72,14 +69,14 @@ class TestEmpiricalEvaluation:
         tau = 0.9
         grid = [0.1, 0.3, 0.6, 1.0, 1.5]
         for v in grid:
-            vals = [empirical_tail_copula_eval(s, tau, 0, 1, u, v) for u in grid]
+            vals = [empirical_tail_copula(s, tau, 0, 1).evaluate(u, v) for u in grid]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_symmetric_in_pair_swap(self):
         rng = np.random.default_rng(13)
         s = pair_sample(rng.normal(size=150), rng.normal(size=150))
-        a = empirical_tail_copula_eval(s, 0.9, 0, 1, 0.6, 0.9)
-        b = empirical_tail_copula_eval(s, 0.9, 1, 0, 0.9, 0.6)
+        a = empirical_tail_copula(s, 0.9, 0, 1).evaluate(0.6, 0.9)
+        b = empirical_tail_copula(s, 0.9, 1, 0).evaluate(0.9, 0.6)
         assert a == pytest.approx(b, abs=1e-14)
 
 
@@ -89,7 +86,7 @@ class TestUnitIntegral:
         rng = np.random.default_rng(21)
         x = rng.normal(size=150)
         s = pair_sample(x + 0.4 * rng.normal(size=150), x)
-        exact = tail_copula_unit_integral(s, 0.9, 0, 1, axis)
+        exact = empirical_tail_copula(s, 0.9, 0, 1).unit_integral(axis)
         tc = empirical_tail_copula(s, 0.9, 0, 1)
         # Direct Riemann sum over a uniform log-grid of the step function.
         g = np.exp(np.linspace(np.log(1e-6), 0.0, 400_001))
@@ -122,18 +119,18 @@ class TestUnitIntegral:
         # Antimonotone data: the top-k ranks of one margin are the bottom
         # ranks of the other, so no point satisfies both indicators.
         s = antimonotone_sample()
-        assert tail_copula_unit_integral(s, 0.9, 0, 1, 0) == 0.0
+        assert empirical_tail_copula(s, 0.9, 0, 1).unit_integral(0) == 0.0
 
     def test_axes_agree_for_exchangeable(self):
         s = comonotone_sample()
-        a = tail_copula_unit_integral(s, 0.9, 0, 1, 0)
-        b = tail_copula_unit_integral(s, 0.9, 0, 1, 1)
+        a = empirical_tail_copula(s, 0.9, 0, 1).unit_integral(0)
+        b = empirical_tail_copula(s, 0.9, 0, 1).unit_integral(1)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_bad_axis(self):
         s = comonotone_sample()
         with pytest.raises(DomainError):
-            tail_copula_unit_integral(s, 0.9, 0, 1, 2)
+            empirical_tail_copula(s, 0.9, 0, 1).unit_integral(2)
 
 
 class TestExtremalCoefficient:
@@ -153,18 +150,18 @@ class TestExtremalCoefficient:
 
 class TestOracle:
     def test_logistic_one_is_independent(self):
-        assert oracle_tail_copula_eval(OracleTailCopula.logistic(1.0), 1.0, 1.0) == 0.0
+        assert OracleTailCopula.logistic(1.0).evaluate(1.0, 1.0) == 0.0
 
     def test_logistic_three(self):
-        val = oracle_tail_copula_eval(OracleTailCopula.logistic(3.0), 1.0, 1.0)
+        val = OracleTailCopula.logistic(3.0).evaluate(1.0, 1.0)
         assert val == pytest.approx(2.0 - 2.0 ** (1.0 / 3.0), rel=1e-12)
         assert val == pytest.approx(0.740079, abs=1e-6)
 
     def test_comonotone_min(self):
-        assert oracle_tail_copula_eval(OracleTailCopula.comonotone(), 2.0, 3.0) == 2.0
+        assert OracleTailCopula.comonotone().evaluate(2.0, 3.0) == 2.0
 
     def test_independent_zero(self):
-        assert oracle_tail_copula_eval(OracleTailCopula.independent(), 5.0, 7.0) == 0.0
+        assert OracleTailCopula.independent().evaluate(5.0, 7.0) == 0.0
 
     def test_invalid_theta(self):
         with pytest.raises(DomainError):
@@ -203,5 +200,5 @@ class TestOracle:
         vals = []
         for i in range(500):
             s = sample_model(model, n, rng_stream(42, i))
-            vals.append(empirical_tail_copula_eval(s, tau, 0, 1, 1.0, 1.0))
+            vals.append(empirical_tail_copula(s, tau, 0, 1).evaluate(1.0, 1.0))
         assert np.mean(vals) == pytest.approx(2.0 - 2.0 ** (1.0 / 3.0), abs=0.08)
