@@ -16,7 +16,6 @@ from .covariance import (
     theoretical_sigma_q,
     theoretical_v_laws,
     theoretical_v_qb,
-    theoretical_v_star,
     theoretical_v_star_laws,
     theoretical_v_star_qb,
 )
@@ -68,7 +67,6 @@ from .numerics import (
     SpdMatrix,
     chi_square_cdf,
     chi_square_quantile,
-    integrate_2d_tailbox_adaptive,
     std_normal_quantile,
 )
 from .sample import (

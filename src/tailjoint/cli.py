@@ -165,6 +165,9 @@ def cmd_estimate(args) -> int:
     naive = bool(args.naive)
     methods = _methods(args)
     margins = estimate_margins(sample, tau)
+    # Every row reports xi_qb; a margin with gamma-hat >= 1 fails here,
+    # before any row is built.
+    xi_qb = margins.xi_qb
     stars = {"laws": margins.xi_star_laws, "qb": margins.xi_star_qb}
     # Built at first use, inside margin 0's error context, then shared by
     # every margin's interval.
@@ -177,7 +180,7 @@ def cmd_estimate(args) -> int:
                 "gamma_hat": margins.gamma_hat[j],
                 "q_hat": margins.q_hat[j],
                 "xi_laws": margins.xi_laws[j],
-                "xi_qb": margins.xi_qb[j],
+                "xi_qb": xi_qb[j],
             }
             for method in methods:
                 entry[f"xi_star_{method}"] = float(stars[method](tau_prime)[j])

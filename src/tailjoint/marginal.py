@@ -153,7 +153,12 @@ class MarginalTailEstimates:
     gamma_hat: np.ndarray
     q_hat: np.ndarray
     xi_laws: np.ndarray
-    xi_qb: np.ndarray
+
+    @property
+    def xi_qb(self) -> np.ndarray:
+        """QB expectiles at tau, per margin.  Computed on access, so a margin
+        with gamma-hat >= 1 fails only what needs the QB factor."""
+        return np.array([qb_factor(g) for g in self.gamma_hat]) * self.q_hat
 
     def _factors(self, tau_prime: float) -> np.ndarray:
         return np.array(
@@ -182,10 +187,7 @@ def estimate_margins(sample, tau: float) -> MarginalTailEstimates:
     gamma = _hill_sorted(xs, effective_k(sample.n, tau))
     q = _quantile_sorted(xs, tau)
     xi = _laws_sorted(xs, tau)
-    xi_qb = np.array([qb_factor(g) for g in gamma]) * q
-    return MarginalTailEstimates(
-        tau=tau, gamma_hat=gamma, q_hat=q, xi_laws=xi, xi_qb=xi_qb
-    )
+    return MarginalTailEstimates(tau=tau, gamma_hat=gamma, q_hat=q, xi_laws=xi)
 
 
 def m_function(x: float) -> float:

@@ -1,4 +1,4 @@
-"""Special functions, SPD matrix algebra and tail-box quadrature.
+"""Special functions, SPD matrix algebra and 1-D tail quadrature.
 
 All routines are pure functions; matrices are numpy arrays wrapped in the
 lightweight :class:`SpdMatrix` container which enforces symmetry and the
@@ -129,23 +129,30 @@ def _quad(f, a, b, tol):
     return val
 
 
-def integrate_2d_tailbox_adaptive(
-    f, weight_x: int = 0, weight_y: int = 0, tol: float = 1e-10
-) -> float:
-    """Adaptive iterated integral of f(x,y) x^{-weight_x} y^{-weight_y} on [1,inf)^2.
+def integrate_tail_box(r, c1: float, c2: float, g1: float, g2: float, w: int) -> float:
+    """Integral over [1,inf)^2 of R(c1 x^{-1/g1}, c2 y^{-1/g2}) x^{-w} dx dy.
 
-    Used by the theoretical covariance oracles, whose comonotone (min-type)
-    integrands have a kink that defeats fixed tensor rules at 1e-6 accuracy.
+    R must be homogeneous of order 1, as every tail copula is:
+    R(ts, s) = s R(t, 1).  With u = c1 x^{-1/g1} = ts and v = c2 y^{-1/g2}
+    = s the s-integral is closed-form, which leaves, for p = g1 (1-w),
+    q = g2 and e = 1-p-q > 0,
+
+        g1 c1^p g2 c2^q / e * int_0^inf R(t,1) t^{-p-1} min(c2, c1/t)^e dt.
+
+    The 1-D integrand can kink only at t = 1 (comonotone R) and at
+    t = c1/c2, so the quadrature is split there.
     """
+    p, q = g1 * (1.0 - w), g2
+    e = 1.0 - p - q
 
-    def inner(s):
-        return _quad(
-            lambda t: f(1.0 / s, 1.0 / t) * t ** (weight_y - 2), 0.0, 1.0, tol
-        ) * s ** (weight_x - 2)
+    def f(t):
+        return r(t, 1.0) * t ** (-p - 1.0) * min(c2, c1 / t) ** e
 
-    val = _quad(inner, 0.0, 1.0, tol * 10)
+    edges = [0.0, *sorted({1.0, c1 / c2}), np.inf]
+    val = sum(_quad(f, lo, hi, 1e-10) for lo, hi in zip(edges, edges[1:]))
+    val *= g1 * c1**p * g2 * c2**q / e
     if not np.isfinite(val):
-        raise NumericError("non-finite adaptive tail-box integral")
+        raise NumericError("non-finite tail-box integral")
     return float(val)
 
 

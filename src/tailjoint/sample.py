@@ -143,10 +143,6 @@ class TailLevelPair:
     def log_dn(self) -> float:
         return math.log((1.0 - self.tau) / (1.0 - self.tau_prime))
 
-    @classmethod
-    def from_k(cls, n: int, k: int, tau_prime: float) -> "TailLevelPair":
-        return cls(tau=tau_from_k(n, k), tau_prime=tau_prime, n=n)
-
 
 def compute_ranks(sample: MultivariateSample) -> np.ndarray:
     """Per-column ranks, 1 = smallest, stable tie-breaking by input order.

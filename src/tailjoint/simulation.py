@@ -276,10 +276,6 @@ class McReport:
         if self.replications < 1:
             raise DomainError("Monte Carlo requires at least one replication")
 
-    @property
-    def failure_rate(self) -> float:
-        return self.failures / self.replications
-
     def to_json_dict(self) -> dict:
         out = {
             "experiment": self.experiment,
@@ -296,12 +292,6 @@ class McReport:
         }
         out.update(sorted(self.metrics.items()))
         return out
-
-    def csv_header(self) -> list[str]:
-        return list(self.to_json_dict().keys())
-
-    def csv_row(self) -> list:
-        return list(self.to_json_dict().values())
 
 
 def _run_replications(worker, M: int, workers: int):

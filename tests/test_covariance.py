@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from tailjoint.covariance import (
     estimate_bias_qb,
@@ -16,7 +19,6 @@ from tailjoint.covariance import (
     theoretical_sigma_q,
     theoretical_v_laws,
     theoretical_v_qb,
-    theoretical_v_star,
     theoretical_v_star_laws,
 )
 from tailjoint.errors import DomainError
@@ -27,6 +29,7 @@ from tailjoint.marginal import (
     laws_expectile,
     m_function,
 )
+from tailjoint.numerics import CLIP_RTOL
 from tailjoint.sample import MultivariateSample, TailLevelPair, compute_ranks, effective_k
 from tailjoint.taildep import OracleTailCopula, empirical_tail_copula
 
@@ -44,6 +47,23 @@ def seed1_sample(n=200, d=2, comonotone=False):
     else:
         values = rng.pareto(3.0, size=(n, d)) + 1.0
     return MultivariateSample(values, tuple(f"X{j}" for j in range(values.shape[1])))
+
+
+def comonotone_laws_pair(g1, g2):
+    """Closed form of the comonotone LAWS off-diagonal g1 g2 times the
+    integral over [1,inf)^2 of min(c1 x^(-1/g1), c2 y^(-1/g2)), c = 1/g - 1.
+
+    With u = c1 x^(-1/g1), v = c2 y^(-1/g2) it is g1^2 g2^2 c1^g1 c2^g2 times
+    the integral of min(u,v) u^(-g1-1) v^(-g2-1) over (0,c1] x (0,c2], a sum
+    of power integrals split at u = v and u = c2."""
+    c1, c2 = 1.0 / g1 - 1.0, 1.0 / g2 - 1.0
+    a = min(c1, c2)
+    box = a ** (1.0 - g1 - g2) / ((1.0 - g1 - g2) * g2 * (1.0 - g2)) - a ** (
+        1.0 - g1
+    ) * c2**-g2 / (g2 * (1.0 - g1))
+    if c1 > c2:
+        box += c2 ** (1.0 - g2) / (1.0 - g2) * (c2**-g1 - c1**-g1) / g1
+    return (g1 * g2) ** 2 * c1**g1 * c2**g2 * box
 
 
 class TestTheoreticalVLaws:
@@ -67,6 +87,36 @@ class TestTheoreticalVLaws:
     def test_heavy_tail_rejected(self):
         with pytest.raises(DomainError):
             theoretical_v_laws([0.5, 0.3], IND)
+
+    @pytest.mark.parametrize("g1", [0.05, 0.2, 1.0 / 3.0, 0.4, 0.49])
+    @pytest.mark.parametrize("g2", [0.05, 0.2, 1.0 / 3.0, 0.4, 0.49])
+    def test_comonotone_closed_form(self, g1, g2):
+        v = theoretical_v_laws([g1, g2], COM).entries
+        assert v[0, 1] == pytest.approx(comonotone_laws_pair(g1, g2), rel=1e-10)
+
+    def test_comonotone_asymmetric_anchor(self):
+        assert comonotone_laws_pair(0.2, 0.4) == pytest.approx(0.10250930256796174, rel=1e-14)
+
+    def test_logistic_matches_log_coordinate_dblquad(self):
+        g1, g2, theta = 0.2, 0.4, 3.0
+        c1, c2 = 1.0 / g1 - 1.0, 1.0 / g2 - 1.0
+
+        def r(u, v):
+            # logistic tail copula without the cancellation of u + v - (...)
+            lo, hi = min(u, v), max(u, v)
+            if lo == 0.0:
+                return 0.0
+            return lo - hi * math.expm1(math.log1p((lo / hi) ** theta) / theta)
+
+        def f(b, a):
+            # x = e^(g1 a), y = e^(g2 b): dx dy = g1 g2 e^(g1 a + g2 b) da db
+            val = r(c1 * math.exp(-a), c2 * math.exp(-b))
+            return math.exp(math.log(val) + g1 * a + g2 * b) if val > 0.0 else 0.0
+
+        ref, _ = integrate.dblquad(f, 0.0, np.inf, 0.0, np.inf, epsabs=0.0, epsrel=1e-10)
+        ref *= (g1 * g2) ** 2
+        v = theoretical_v_laws([g1, g2], LOG3).entries
+        assert v[0, 1] == pytest.approx(ref, rel=1e-6)
 
 
 class TestTheoreticalSigmaQ:
@@ -121,21 +171,45 @@ class TestTheoreticalSigmaLaws:
         assert sig[1, 3] == pytest.approx(v[0, 1], rel=1e-8)
         assert sig[1, 1] == pytest.approx(v[0, 0], rel=1e-12)
 
+    @pytest.mark.parametrize("gammas", [(0.2, 0.4), (0.4, 0.2), (0.05, 0.49), (0.3, 0.3)])
+    def test_comonotone_hill_laws_cross_closed_form(self, gammas):
+        # Cov(Hill_j, LAWS_l) = g_l D - g_j g_l L with D the dx/x-weighted
+        # integral of min(x^(-1/g_j), c_l y^(-1/g_l)) over [1,inf)^2 and L
+        # the integral of min(1, c_l y^(-1/g_l)) over [1,inf).  Integrating
+        # in u = x^(-1/g_j), v = c_l y^(-1/g_l) (c_l > 1):
+        #   D = g_j g_l c_l^g_l (1/(g_l (1-g_l)^2) - c_l^(-g_l)/g_l),
+        #   L = c_l^g_l - 1 + c_l^(g_l-1),
+        # which leaves g_j g_l^2 c_l^g_l / (1-g_l)^2: at g_j = g_l the
+        # diagonal cross term.
+        m = theoretical_sigma_laws(list(gammas), COM).entries
+        for j, ell in ((0, 1), (1, 0)):
+            gj, gl = gammas[j], gammas[ell]
+            cl = 1.0 / gl - 1.0
+            closed = gj * gl**2 * cl**gl / (1.0 - gl) ** 2
+            assert m[2 * j, 2 * ell + 1] == pytest.approx(closed, rel=1e-10)
+
+
+class TestOracleSymmetry:
+    @given(
+        g1=st.floats(0.02, 0.48),
+        g2=st.floats(0.02, 0.48),
+        oracle=st.one_of(
+            st.just(COM), st.floats(1.0, 8.0).map(OracleTailCopula.logistic)
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_swapping_margins_swaps_entries(self, g1, g2, oracle):
+        perm = [2, 3, 0, 1]
+        for build, order in ((theoretical_v_laws, [1, 0]), (theoretical_sigma_laws, perm)):
+            fwd, rev = build([g1, g2], oracle), build([g2, g1], oracle)
+            assert np.allclose(
+                rev.entries, fwd.entries[np.ix_(order, order)], rtol=1e-9, atol=1e-13
+            )
+            for v in (fwd, rev):
+                assert v.matrix.clip_magnitude <= CLIP_RTOL * np.trace(v.entries)
+
 
 class TestTheoreticalVStar:
-    def test_comonotone_equal_gamma(self):
-        v = theoretical_v_star([1.0 / 3.0, 1.0 / 3.0], COM).entries
-        assert np.allclose(v, 1.0 / 9.0, atol=1e-12)
-
-    def test_independent_diagonal(self):
-        v = theoretical_v_star([0.3, 0.2], IND).entries
-        assert np.allclose(v, np.diag([0.09, 0.04]), atol=1e-12)
-
-    def test_logistic_offdiag(self):
-        v = theoretical_v_star([1.0 / 3.0, 1.0 / 3.0], LOG3).entries
-        assert v[0, 1] == pytest.approx((2.0 - 2.0 ** (1.0 / 3.0)) / 9.0, rel=1e-12)
-        assert v[0, 1] == pytest.approx(0.082231, abs=1e-6)
-
     def test_star_laws_contraction_limit(self):
         # As log d_n grows the contraction keeps only the Hill block.
         g = [1.0 / 3.0, 0.3]

@@ -1,6 +1,7 @@
 """Deviance tests for equality of extreme expectiles and quantiles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,29 @@ class TestStatisticConstruction:
                 monkeypatch.setattr(mod, "estimate_margins", counting)
         equal_expectiles_laws(fixture_sample(seed=21), TAU, TAU_PRIME)
         assert len(calls) == 1
+
+    def test_quantile_test_with_gamma_above_one(self):
+        # The Weissman test needs only gamma-hat and q-hat; a margin with
+        # gamma-hat >= 1, where the QB factor is undefined, must not stop it.
+        from tailjoint.marginal import estimate_margins
+
+        rng = np.random.default_rng(4)
+        u = rng.random((2000, 2))
+        s = MultivariateSample(
+            np.column_stack([(1.0 - u[:, 0]) ** -1.3, (1.0 - u[:, 1]) ** -0.3]), ("a", "b")
+        )
+        fit = estimate_margins(s, 0.95)
+        assert fit.gamma_hat[0] >= 1.0
+        with pytest.raises(DomainError, match="QB factor"):
+            fit.xi_qb
+        result = equal_quantiles(s, 0.95, 0.999)
+        assert math.isfinite(result.statistic) and 0.0 <= result.p_value <= 1.0
+        # The LAWS test shifts by the QB bias, which needs the QB factor: it
+        # fails with that message, not with NaN bias components.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="QB factor"):
+                equal_expectiles_laws(s, 0.95, 0.999)
 
     def test_unequal_tails_eventually_rejected(self):
         # Strongly different tail indices should reject in most samples.

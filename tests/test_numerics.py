@@ -16,7 +16,7 @@ from tailjoint.numerics import (
     SpdMatrix,
     chi_square_cdf,
     chi_square_quantile,
-    integrate_2d_tailbox_adaptive,
+    integrate_tail_box,
     std_normal_quantile,
 )
 
@@ -131,10 +131,20 @@ class TestQuadraticForm:
             assert q == 0.0
 
 
+def power_copula(a):
+    """R(u, v) = u^a v^(1-a): homogeneous of order 1, and it turns the tail
+    box into a product of two 1-D power integrals."""
+    return lambda u, v: u**a * v ** (1.0 - a)
+
+
 class TestIntegrate2dTailbox:
+    # integrate_tail_box(R, c1, c2, g1, g2, w) is the integral over [1,inf)^2
+    # of R(c1 x^(-1/g1), c2 y^(-1/g2)) x^(-w).  With c1 = c2 = 1 and
+    # R = power_copula(1/2), g1 = 1/(2a), g2 = 1/(2b), the integrand is
+    # x^(-a-w) y^(-b), whose integral is 1/((a+w-1)(b-1)).
     def test_product_power(self):
-        val = integrate_2d_tailbox_adaptive(lambda x, y: x**-3 * y**-3)
-        assert val == pytest.approx(0.25, rel=1e-8)
+        val = integrate_tail_box(power_copula(0.5), 1.0, 1.0, 1.0 / 6.0, 1.0 / 6.0, 0)
+        assert val == pytest.approx(0.25, rel=1e-10)
 
     def test_max_power_closed_form(self):
         # integral of max(x,y)^(-3) over [1,inf)^2 is exactly 1:
@@ -143,32 +153,43 @@ class TestIntegrate2dTailbox:
         g = 1.0 / 3.0
         closed = 2.0 * g**2 / ((1.0 - 2.0 * g) * (1.0 - g))
         assert closed == pytest.approx(1.0, rel=1e-14)
-        # The kink along x=y is what the theoretical covariances meet.
-        val = integrate_2d_tailbox_adaptive(
-            lambda x, y: np.maximum(x, y) ** (-1.0 / g)
-        )
-        assert val == pytest.approx(1.0, rel=1e-6)
+        # min(x^(-3), y^(-3)) = max(x,y)^(-3): the comonotone kink along
+        # x=y is what the theoretical covariances meet.
+        val = integrate_tail_box(np.minimum, 1.0, 1.0, g, g, 0)
+        assert val == pytest.approx(1.0, rel=1e-10)
 
     def test_zero_integrand(self):
-        assert integrate_2d_tailbox_adaptive(lambda x, y: 0.0 * x) == 0.0
+        assert integrate_tail_box(lambda u, v: 0.0 * u, 2.0, 3.0, 0.3, 0.2, 0) == 0.0
 
     @pytest.mark.parametrize("a,b", [(2.0, 3.0), (3.0, 4.0)])
     def test_analytic_powers(self, a, b):
-        val = integrate_2d_tailbox_adaptive(lambda x, y: x**-a * y**-b)
-        assert val == pytest.approx(1.0 / ((a - 1.0) * (b - 1.0)), rel=1e-8)
+        for w in (0, 1):
+            val = integrate_tail_box(
+                power_copula(0.5), 1.0, 1.0, 0.5 / a, 0.5 / b, w
+            )
+            assert val == pytest.approx(1.0 / ((a + w - 1.0) * (b - 1.0)), rel=1e-10)
 
     def test_half_integer_powers(self):
-        # Fractional powers leave a t^(1/2) term after the transform.
-        val = integrate_2d_tailbox_adaptive(lambda x, y: x**-2.5 * y**-3.5)
-        assert val == pytest.approx(1.0 / (1.5 * 2.5), rel=1e-8)
+        val = integrate_tail_box(power_copula(0.5), 1.0, 1.0, 0.2, 1.0 / 7.0, 0)
+        assert val == pytest.approx(1.0 / (1.5 * 2.5), rel=1e-10)
 
     @pytest.mark.parametrize("a,b", [(1.5, 4.0), (1.2, 2.0)])
     def test_slow_decay_adaptive(self, a, b):
-        # Powers close to 1 become singular under the 1/t transform; the
-        # adaptive integrator still resolves them.
-        val = integrate_2d_tailbox_adaptive(lambda x, y: x**-a * y**-b)
+        # Powers close to 1 leave a near-singular t^(-1+eps) end in the 1-D
+        # integrand; the adaptive rule still resolves it.
+        val = integrate_tail_box(power_copula(0.5), 1.0, 1.0, 0.5 / a, 0.5 / b, 0)
         assert val == pytest.approx(1.0 / ((a - 1.0) * (b - 1.0)), rel=1e-8)
+
+    def test_scales_and_unequal_exponent(self):
+        # R = u^a v^(1-a) with scales c1, c2 pulls out c1^a c2^(1-a).
+        a, c1, c2, g1, g2 = 0.3, 4.0, 1.5, 0.25, 0.2
+        for w in (0, 1):
+            val = integrate_tail_box(power_copula(a), c1, c2, g1, g2, w)
+            closed = c1**a * c2 ** (1.0 - a) / (
+                (a / g1 + w - 1.0) * ((1.0 - a) / g2 - 1.0)
+            )
+            assert val == pytest.approx(closed, rel=1e-10)
 
     def test_nonfinite_integrand_errors(self):
         with np.errstate(divide="ignore"), pytest.raises(NumericError):
-            integrate_2d_tailbox_adaptive(lambda x, y: np.float64(x) / 0.0)
+            integrate_tail_box(lambda u, v: np.float64(u) / 0.0, 1.0, 1.0, 0.3, 0.3, 0)

@@ -171,10 +171,6 @@ class TestLevels:
         assert lp.k == 50
         assert lp.log_dn == pytest.approx(math.log(50.0), rel=1e-12)
 
-    def test_from_k(self):
-        lp = TailLevelPair.from_k(1000, 50, 0.999)
-        assert lp.tau == pytest.approx(0.95)
-
     def test_invalid_levels(self):
         with pytest.raises(LevelError):
             TailLevelPair(tau=0.999, tau_prime=0.95, n=1000)
