@@ -45,7 +45,7 @@ from .taildep import extremal_coefficient
 
 SCHEMA_VERSION = "1"
 
-_INT_KEYS = {"k", "k_min", "k_max", "n", "reps", "seed", "workers"}
+_INT_KEYS = {"k", "k_min", "k_max", "n", "reps", "seed"}
 _FLOAT_KEYS = {"tau", "tau_prime", "alpha"}
 _BOOL_KEYS = {"naive", "intermediate", "date_column", "no_returns"}
 
@@ -363,7 +363,7 @@ def cmd_trace_scan(args) -> int:
     return 2 if failures else 0
 
 
-def parse_model_spec(text: str) -> tuple[SimulationModel, dict]:
+def parse_model_spec(text: str) -> SimulationModel:
     """Parse ``kind`` or ``kind:key=value,...`` into a simulation model.
 
     Keys: d, gamma (slash-separated for per-margin values), theta, vartheta.
@@ -386,10 +386,7 @@ def parse_model_spec(text: str) -> tuple[SimulationModel, dict]:
     vartheta = float(params.pop("vartheta", "3"))
     if params:
         raise DomainError(f"unknown model parameters: {sorted(params)}")
-    return SimulationModel(kind, d, gammas, theta=theta, vartheta=vartheta), {
-        "d": d,
-        "gamma": gamma_text,
-    }
+    return SimulationModel(kind, d, gammas, theta=theta, vartheta=vartheta)
 
 
 def cmd_simulate(args) -> int:
@@ -397,24 +394,23 @@ def cmd_simulate(args) -> int:
         raise DomainError("--model is required")
     if args.n is None:
         raise DomainError("--n is required")
-    model, _ = parse_model_spec(args.model)
+    model = parse_model_spec(args.model)
     n = args.n
     tau = _resolve_tau(args, n)
     alpha = _alpha(args)
     reps = args.reps if args.reps is not None else 100
     seed = args.seed if args.seed is not None else 1
-    workers = args.workers if args.workers is not None else 1
     naive = bool(args.naive)
     experiment = args.experiment if args.experiment is not None else "mse"
     reports = []
     if experiment == "mse":
-        reports.append(run_mc_mse(model, n, tau, reps, seed, workers=workers))
+        reports.append(run_mc_mse(model, n, tau, reps, seed))
     elif experiment == "coverage":
         for method in _methods(args):
             reports.append(
                 run_mc_coverage(
                     model, n, tau, reps, alpha, method, seed,
-                    tau_prime=args.tau_prime, naive=naive, workers=workers,
+                    tau_prime=args.tau_prime, naive=naive,
                 )
             )
     elif experiment == "interval":
@@ -422,16 +418,14 @@ def cmd_simulate(args) -> int:
         for method in _methods(args):
             reports.append(
                 run_mc_interval_coverage(
-                    model, n, tau, tau_prime, reps, alpha, method, seed,
-                    naive=naive, workers=workers,
+                    model, n, tau, tau_prime, reps, alpha, method, seed, naive=naive
                 )
             )
     elif experiment == "power":
         tau_prime = _resolve_tau_prime(args, n)
         reports.append(
             run_mc_power(
-                model, n, tau, tau_prime, reps, alpha, seed,
-                methods=_methods(args), workers=workers,
+                model, n, tau, tau_prime, reps, alpha, seed, methods=_methods(args)
             )
         )
     else:
@@ -442,8 +436,6 @@ def cmd_simulate(args) -> int:
     for r in reports:
         doc = {"schema_version": SCHEMA_VERSION, "command": "simulate", "naive": naive}
         doc.update(r.to_json_dict())
-        # wall-clock time would break byte-identical reruns
-        del doc["elapsed_seconds"]
         docs.append(doc)
     _emit_json(docs, args.out, "simulate.json")
     if args.out is not None:
@@ -523,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--naive", action="store_true", default=None)
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(run=cmd_simulate)
 
     p = commands.add_parser("ingest", help="validate a CSV and derive weekly returns")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .inference import _estimate, _Estimate
+from .inference import _check_alpha, _estimate, _Estimate
 from .numerics import SpdMatrix, chi_square_cdf, chi_square_quantile
 from .sample import MultivariateSample
 
@@ -84,8 +84,7 @@ def _equality_test(est: _Estimate, alpha: float) -> TestResult:
     d = z.size
     if d < 2:
         raise DomainError("equality test requires at least two margins")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0,1), got {alpha}")
+    _check_alpha(alpha)
     scale = (levels.log_dn / math.sqrt(levels.n * (1.0 - levels.tau))) ** 2
     v = SpdMatrix.from_array(scale * cov, f"{est.method} test covariance")
     stat = deviance_statistic(z, v)

@@ -174,11 +174,15 @@ def _estimate(
     )
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be in (0,1), got {alpha}")
+
+
 def _region(est: _Estimate, alpha: float) -> ConfidenceRegion:
     shape = est.covariance()
     shift = est.shift()
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0,1), got {alpha}")
+    _check_alpha(alpha)
     n, d = est.sample.n, est.sample.d
     radius = math.sqrt(chi_square_quantile(1.0 - alpha, d) / (n * (1.0 - est.tau)))
     extreme = est.levels is not None

@@ -86,11 +86,15 @@ def hill_estimator(column, k: int) -> float:
     return float(_hill_sorted(_sorted_row(column), k)[0])
 
 
+def _check_hill_size(n: int, k: int) -> None:
+    if not 1 <= k <= n - 1:
+        raise LevelError(f"Hill effective size k={k} outside [1, {n - 1}]")
+
+
 def _hill_sorted(xs: np.ndarray, k: int) -> np.ndarray:
     """Hill estimate of each ascending row of xs."""
     n = xs.shape[1]
-    if not 1 <= k <= n - 1:
-        raise LevelError(f"Hill effective size k={k} outside [1, {n - 1}]")
+    _check_hill_size(n, k)
     threshold = xs[:, n - k - 1 : n - k]
     if np.any(threshold <= 0.0):
         raise DomainError("Hill requires positive tail: threshold order statistic <= 0")

@@ -4,24 +4,22 @@ Carlo harnesses for MSE, region coverage, interval coverage and test power.
 Reproducibility contract: replication i of a run with master seed s draws
 exclusively from a counter-based generator keyed by (s, i), and results are
 reduced in replication order.  Outputs are therefore bit-identical for a
-given (model, n, M, master_seed), regardless of the worker count.
+given (model, n, M, master_seed).
 """
 
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import optimize, special, stats
 
 from .errors import DomainError, TailjointError
-from .inference import _estimate, _interval, _region
+from .inference import _check_alpha, _estimate, _interval, _region
 from .equality_tests import test_equal_expectiles_laws, test_equal_expectiles_qb
-from .marginal import estimate_margins
-from .sample import MultivariateSample, effective_k
+from .marginal import _check_hill_size, estimate_margins
+from .sample import MultivariateSample, TailLevelPair, effective_k
 
 _PAIRWISE_CORRELATIONS = {
     2: {(0, 1): 0.8},
@@ -270,36 +268,16 @@ class McReport:
     master_seed: int
     metrics: dict[str, float]
     failures: int
-    elapsed_seconds: float
 
     def __post_init__(self):
         if self.replications < 1:
             raise DomainError("Monte Carlo requires at least one replication")
 
     def to_json_dict(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "model": self.model,
-            "n": self.n,
-            "d": self.d,
-            "k": self.k,
-            "tau": self.tau,
-            "tau_prime": self.tau_prime,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "failures": self.failures,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-        out.update(sorted(self.metrics.items()))
+        """The fields in declaration order, with the metrics by name last."""
+        out = asdict(self)
+        out.update(sorted(out.pop("metrics").items()))
         return out
-
-
-def _run_replications(worker, M: int, workers: int):
-    """Evaluate worker(i) for i in 0..M-1, reducing strictly in index order."""
-    if workers <= 1:
-        return [worker(i) for i in range(M)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(M)))
 
 
 def _run_mc(
@@ -310,7 +288,6 @@ def _run_mc(
     tau_prime: float | None,
     M: int,
     master_seed: int,
-    workers: int,
     names: tuple[str, ...],
     replicate,
     transform=float,
@@ -319,9 +296,10 @@ def _run_mc(
     times transform of the mean of that position of its outcome tuples.
 
     A replication that raises a TailjointError counts as a failure and
-    enters no mean; with no successes the metrics are empty.
+    enters no mean; with no successes the metrics are empty.  Sizes and
+    levels that would fail every replication raise before the first.
     """
-    start = time.perf_counter()
+    _check_levels(n, tau, tau_prime)
 
     def worker(i):
         try:
@@ -329,7 +307,7 @@ def _run_mc(
         except TailjointError:
             return None
 
-    results = _run_replications(worker, M, workers)
+    results = [worker(i) for i in range(M)]
     ok = np.array([r for r in results if r is not None])
     metrics = {}
     if len(ok):
@@ -347,8 +325,17 @@ def _run_mc(
         master_seed=master_seed,
         metrics=metrics,
         failures=len(results) - len(ok),
-        elapsed_seconds=time.perf_counter() - start,
     )
+
+
+def _check_levels(n: int, tau: float, tau_prime: float | None) -> None:
+    """Raise the error that every replication of size n would raise."""
+    if n < 4:
+        raise DomainError("samplers require n >= 4")
+    if tau_prime is not None:
+        TailLevelPair(tau, tau_prime, n)
+    else:
+        _check_hill_size(n, effective_k(n, tau))
 
 
 def _check_method(method: str) -> None:
@@ -362,7 +349,6 @@ def run_mc_mse(
     tau: float,
     M: int,
     master_seed: int,
-    workers: int = 1,
 ) -> McReport:
     """Relative MSE of both intermediate expectile estimators.
 
@@ -380,7 +366,7 @@ def run_mc_mse(
 
     names = ("rmse_pct_laws", "rmse_pct_qb")
     return _run_mc(
-        "mse", model, n, tau, None, M, master_seed, workers, names, replicate, math.sqrt
+        "mse", model, n, tau, None, M, master_seed, names, replicate, math.sqrt
     )
 
 
@@ -411,11 +397,11 @@ def run_mc_coverage(
     master_seed: int,
     tau_prime: float | None = None,
     naive: bool = False,
-    workers: int = 1,
 ) -> McReport:
     """Non-coverage rate of the joint confidence region (intermediate when
     tau_prime is omitted, extreme otherwise)."""
     _check_method(method)
+    _check_alpha(alpha)
     truth = true_expectiles(model, tau if tau_prime is None else tau_prime)
 
     def replicate(sample):
@@ -424,7 +410,7 @@ def run_mc_coverage(
 
     names = (f"noncoverage_pct_{method}" + ("_naive" if naive else ""),)
     return _run_mc(
-        "coverage", model, n, tau, tau_prime, M, master_seed, workers, names, replicate
+        "coverage", model, n, tau, tau_prime, M, master_seed, names, replicate
     )
 
 
@@ -438,10 +424,10 @@ def run_mc_interval_coverage(
     method: str,
     master_seed: int,
     naive: bool = False,
-    workers: int = 1,
 ) -> McReport:
     """Non-coverage rate of the first-margin extreme expectile interval."""
     _check_method(method)
+    _check_alpha(alpha)
     truth = model.margin_oracle(0).true_expectile(tau_prime)
 
     def replicate(sample):
@@ -450,8 +436,7 @@ def run_mc_interval_coverage(
 
     names = (f"noncoverage_pct_{method}" + ("_naive" if naive else ""),)
     return _run_mc(
-        "interval_coverage", model, n, tau, tau_prime, M, master_seed, workers,
-        names, replicate,
+        "interval_coverage", model, n, tau, tau_prime, M, master_seed, names, replicate
     )
 
 
@@ -464,12 +449,12 @@ def run_mc_power(
     alpha: float,
     master_seed: int,
     methods: tuple[str, ...] = ("laws", "qb"),
-    workers: int = 1,
 ) -> McReport:
     """Rejection rates of the expectile equality tests; both test variants
     can share each simulated sample."""
     for m in methods:
         _check_method(m)
+    _check_alpha(alpha)
     if model.d < 2:
         raise DomainError("equality testing requires d >= 2")
     testers = {
@@ -485,5 +470,5 @@ def run_mc_power(
 
     names = tuple(f"rejection_pct_{m}" for m in methods)
     return _run_mc(
-        "power", model, n, tau, tau_prime, M, master_seed, workers, names, replicate
+        "power", model, n, tau, tau_prime, M, master_seed, names, replicate
     )

@@ -141,7 +141,7 @@ class OracleTailCopula:
         t = self.theta
         return (x + y - (x**t + y**t) ** (1.0 / t))[()]
 
-    def unit_integral(self, axis: int = 0) -> float:
+    def unit_integral(self) -> float:
         """Integral over (0,1] of R(u,1)/u; both axes agree by symmetry."""
         if self.kind == "independent":
             return 0.0

@@ -38,6 +38,7 @@ from tailjoint.simulation import (
     run_mc_mse,
     run_mc_power,
     sample_model,
+    true_expectiles,
 )
 from tailjoint.taildep import OracleTailCopula, empirical_tail_copula
 
@@ -320,11 +321,25 @@ def test_criterion_10_invariance_suite():
         region_contains(wide, p) or not region_contains(narrow, p) for p in grid
     ) and wide.radius > narrow.radius
 
-    reps = [
-        run_mc_mse(SimulationModel.clayton_frechet(2), 200, 0.9, 10, 3, workers=w)
-        for w in (1, 4)
+    model = SimulationModel.clayton_frechet(2)
+    reps = [run_mc_mse(model, 200, 0.9, 10, 3) for _ in range(2)]
+    truth = true_expectiles(model, 0.9)
+    fits = [
+        estimate_margins(sample_model(model, 200, rng_stream(3, i)), 0.9)
+        for i in range(10)
     ]
-    checks["thread determinism"] = reps[0].metrics == reps[1].metrics
+    errors = np.array(
+        [[np.mean((xi / truth - 1.0) ** 2) for xi in (f.xi_laws, f.xi_qb)]
+         for f in fits]
+    )
+    by_hand = {
+        name: 100.0 * math.sqrt(float(errors[:, pos].mean()))
+        for pos, name in enumerate(("rmse_pct_laws", "rmse_pct_qb"))
+    }
+    checks["replication-stream determinism"] = (
+        reps[0].metrics == reps[1].metrics == by_hand
+        and reps[0].failures == reps[1].failures == 0
+    )
 
     ok = all(checks.values())
     failed = [name for name, good in checks.items() if not good]

@@ -234,25 +234,60 @@ class TestTraceScan:
         capsys.readouterr()
 
 
+SIMULATE_FAILING_EVERY_REPLICATION = {
+    "tau_prime_below_tau": ["--experiment", "power", "--n", "200", "--k", "20",
+                            "--tau-prime", "0.5"],
+    "coverage_tau_prime_below_tau": ["--experiment", "coverage", "--n", "200",
+                                     "--k", "20", "--tau-prime", "0.2"],
+    "n_3": ["--experiment", "mse", "--n", "3", "--tau", "0.5"],
+}
+
+
 class TestSimulate:
-    def test_mse_deterministic_across_workers(self, tmp_path):
-        outs = []
-        for tag, workers in (("w1", "1"), ("w4", "4")):
+    def test_mse_rerun_byte_identical(self, tmp_path, capsys):
+        outs, streams = [], []
+        for tag in ("first", "second"):
             out = tmp_path / tag
             assert main(["simulate", "--model", "clayton_frechet",
                          "--experiment", "mse", "--n", "200", "--k", "20",
-                         "--reps", "10", "--seed", "3",
-                         "--workers", workers, "--out", str(out)]) == 0
+                         "--reps", "10", "--seed", "3", "--out", str(out)]) == 0
             outs.append(out)
-        assert (outs[0] / "simulate.json").read_bytes() == (
-            outs[1] / "simulate.json"
-        ).read_bytes()
-        assert (outs[0] / "simulate.csv").read_bytes() == (
-            outs[1] / "simulate.csv"
-        ).read_bytes()
+            streams.append(capsys.readouterr())
+        assert streams[0] == streams[1]
+        for name in ("simulate.json", "simulate.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         doc = json.loads((outs[0] / "simulate.json").read_text())
+        assert set(doc[0]) == {
+            "schema_version", "command", "naive", "experiment", "model", "n", "d",
+            "k", "tau", "tau_prime", "replications", "master_seed", "failures",
+            "rmse_pct_laws", "rmse_pct_qb",
+        }
         assert doc[0]["experiment"] == "mse"
-        assert "elapsed_seconds" not in doc[0]
+
+    @pytest.mark.parametrize(
+        "flags",
+        SIMULATE_FAILING_EVERY_REPLICATION.values(),
+        ids=SIMULATE_FAILING_EVERY_REPLICATION.keys(),
+    )
+    def test_configuration_that_fails_every_replication_exits_1(self, flags, capsys):
+        assert main(["simulate", "--model", "clayton_frechet", "--reps", "3",
+                     "--seed", "1", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_removed_thread_pool_option_rejected(self, tmp_path, capsys):
+        args = ["simulate", "--model", "clayton_frechet", "--n", "200", "--k", "20",
+                "--reps", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--workers", "2"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 2\n")
+        capsys.readouterr()
+        assert main([*args, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config key 'workers' is not a recognized flag" in err
 
     def test_coverage_both_methods(self, capsys):
         assert main(["simulate", "--model", "clayton_frechet", "--experiment",
@@ -334,24 +369,23 @@ class TestIngest:
 
 class TestModelSpec:
     def test_defaults(self):
-        model, meta = parse_model_spec("clayton_frechet")
+        model = parse_model_spec("clayton_frechet")
         assert model.kind == "clayton_frechet" and model.d == 2
         assert model.gammas == (1.0 / 3.0, 1.0 / 3.0)
         assert model.theta == 10.0
-        assert meta["d"] == 2
 
     def test_univariate_default_dimension(self):
-        model, _ = parse_model_spec("univariate_pareto")
+        model = parse_model_spec("univariate_pareto")
         assert model.d == 1
 
     def test_full_spec(self):
-        model, _ = parse_model_spec("gumbel_frechet:d=3,gamma=0.25,vartheta=2.5")
+        model = parse_model_spec("gumbel_frechet:d=3,gamma=0.25,vartheta=2.5")
         assert model.d == 3
         assert model.gammas == (0.25, 0.25, 0.25)
         assert model.vartheta == 2.5
 
     def test_per_margin_gammas(self):
-        model, _ = parse_model_spec("clayton_frechet:gamma=0.3/0.4")
+        model = parse_model_spec("clayton_frechet:gamma=0.3/0.4")
         assert model.gammas == (0.3, 0.4)
 
     def test_errors(self):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from tailjoint.errors import DomainError
+from tailjoint.errors import DomainError, LevelError
+from tailjoint.marginal import estimate_margins
 from tailjoint.simulation import (
     MarginOracle,
     McReport,
@@ -213,17 +214,42 @@ class TestMarginOracle:
 
 
 class TestHarnesses:
-    def test_mse_deterministic_across_workers(self):
+    def test_mse_reduces_replication_streams_in_order(self):
         model = SimulationModel.clayton_frechet(2)
-        reports = [
-            run_mc_mse(model, 200, 0.9, M=12, master_seed=3, workers=w)
-            for w in (1, 4, 8)
+        report = run_mc_mse(model, 200, 0.9, M=12, master_seed=3)
+        rerun = run_mc_mse(model, 200, 0.9, M=12, master_seed=3)
+        assert rerun.metrics == report.metrics and rerun.failures == report.failures
+        truth = true_expectiles(model, 0.9)
+        fits = [
+            estimate_margins(sample_model(model, 200, rng_stream(3, i)), 0.9)
+            for i in range(12)
         ]
-        base = reports[0].metrics
-        assert base["rmse_pct_laws"] > 0.0 and base["rmse_pct_qb"] > 0.0
-        for r in reports[1:]:
-            assert r.metrics == base
-            assert r.failures == reports[0].failures
+        errors = np.array(
+            [[np.mean((xi / truth - 1.0) ** 2) for xi in (f.xi_laws, f.xi_qb)]
+             for f in fits]
+        )
+        assert report.failures == 0
+        assert report.metrics == {
+            "rmse_pct_laws": 100.0 * math.sqrt(float(errors[:, 0].mean())),
+            "rmse_pct_qb": 100.0 * math.sqrt(float(errors[:, 1].mean())),
+        }
+        assert report.metrics["rmse_pct_laws"] > 0.0
+        assert report.metrics["rmse_pct_qb"] > 0.0
+
+    @pytest.mark.parametrize(
+        "run, args, error",
+        [
+            (run_mc_power, (200, 0.9, 0.5, 4, 0.05, 1), LevelError),
+            (run_mc_power, (200, 0.9, 0.999, 4, 1.5, 1), DomainError),
+            (run_mc_coverage, (200, 0.9, 4, 0.0, "laws", 1), DomainError),
+            (run_mc_mse, (200, 0.999, 4, 1), LevelError),
+            (run_mc_mse, (3, 0.5, 4, 1), DomainError),
+        ],
+        ids=["tau_prime_below_tau", "alpha_above_one", "alpha_zero", "k_zero", "n_3"],
+    )
+    def test_configuration_that_fails_every_replication_raises(self, run, args, error):
+        with pytest.raises(error):
+            run(SimulationModel.clayton_frechet(2), *args)
 
     def test_mse_single_replication(self):
         model = SimulationModel.univariate("pareto")
@@ -277,7 +303,7 @@ class TestHarnesses:
         report = McReport(
             experiment="mse", model="clayton_frechet", n=100, d=2, k=10,
             tau=0.9, tau_prime=None, replications=8, master_seed=1,
-            metrics={"rmse_pct_laws": 1.0}, failures=2, elapsed_seconds=0.1,
+            metrics={"rmse_pct_laws": 1.0}, failures=2,
         )
         doc = report.to_json_dict()
         assert doc["failures"] == 2 and doc["rmse_pct_laws"] == 1.0
@@ -285,5 +311,5 @@ class TestHarnesses:
             McReport(
                 experiment="mse", model="m", n=100, d=2, k=10, tau=0.9,
                 tau_prime=None, replications=0, master_seed=1, metrics={},
-                failures=0, elapsed_seconds=0.0,
+                failures=0,
             )
