@@ -63,11 +63,20 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
+def _number(cast, text: str, what: str):
+    """int(text) or float(text); a DomainError naming `what` if it does not parse."""
+    try:
+        return cast(text)
+    except ValueError:
+        expected = "an integer" if cast is int else "a number"
+        raise DomainError(f"{what}: expected {expected}, got {text!r}") from None
+
+
 def _coerce(key: str, text: str):
     if key in _INT_KEYS:
-        return int(text)
+        return _number(int, text, f"config key {key}")
     if key in _FLOAT_KEYS:
-        return float(text)
+        return _number(float, text, f"config key {key}")
     if key in _BOOL_KEYS:
         low = text.lower()
         if low in ("true", "1", "yes"):
@@ -127,28 +136,23 @@ def _load_sample(args) -> MultivariateSample:
     return ingest_csv(args.input, has_date_column=bool(args.date_column))
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _emit_json(doc, out_dir, name: str) -> None:
-    if out_dir is None:
-        sys.stdout.write(_json_text(doc))
-    else:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / name).write_text(_json_text(doc), encoding="utf-8")
-
-
-def _emit_csv_rows(header, rows, out_dir, name: str) -> None:
-    lines = [",".join(str(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(x) for x in row))
-    text = "\n".join(lines) + "\n"
+def _emit_text(text: str, out_dir, name: str) -> None:
+    """Write text to stdout, or to out_dir/name when an output directory is given."""
     if out_dir is None:
         sys.stdout.write(text)
     else:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         (Path(out_dir) / name).write_text(text, encoding="utf-8")
+
+
+def _emit_json(doc, out_dir, name: str) -> None:
+    _emit_text(json.dumps(doc, indent=2) + "\n", out_dir, name)
+
+
+def _emit_csv_rows(header, rows, out_dir, name: str) -> None:
+    lines = [",".join(str(h) for h in header)]
+    lines += [",".join(_csv_cell(x) for x in row) for row in rows]
+    _emit_text("\n".join(lines) + "\n", out_dir, name)
 
 
 def _csv_cell(x) -> str:
@@ -377,13 +381,17 @@ def parse_model_spec(text: str) -> SimulationModel:
         if not sep:
             raise DomainError(f"model parameter {item!r}: expected key=value")
         params[key.strip()] = value.strip()
-    d = int(params.pop("d", "1" if kind.startswith("univariate") else "2"))
+
+    def number(cast, key: str, text: str):
+        return _number(cast, text, f"model parameter {key}")
+
+    d = number(int, "d", params.pop("d", "1" if kind.startswith("univariate") else "2"))
     gamma_text = params.pop("gamma", format(1.0 / 3.0, ".17g"))
-    gammas = tuple(float(g) for g in gamma_text.split("/"))
+    gammas = tuple(number(float, "gamma", g) for g in gamma_text.split("/"))
     if len(gammas) == 1:
         gammas = gammas * d
-    theta = float(params.pop("theta", "10"))
-    vartheta = float(params.pop("vartheta", "3"))
+    theta = number(float, "theta", params.pop("theta", "10"))
+    vartheta = number(float, "vartheta", params.pop("vartheta", "3"))
     if params:
         raise DomainError(f"unknown model parameters: {sorted(params)}")
     return SimulationModel(kind, d, gammas, theta=theta, vartheta=vartheta)
@@ -397,11 +405,17 @@ def cmd_simulate(args) -> int:
     model = parse_model_spec(args.model)
     n = args.n
     tau = _resolve_tau(args, n)
+    experiment = args.experiment if args.experiment is not None else "mse"
+    if experiment == "mse":
+        given = {"--method": args.method, "--naive": args.naive or None,
+                 "--tau-prime": args.tau_prime, "--alpha": args.alpha}
+        unread = [flag for flag, value in given.items() if value is not None]
+        if unread:
+            raise DomainError(f"--experiment mse does not read {', '.join(unread)}")
     alpha = _alpha(args)
     reps = args.reps if args.reps is not None else 100
     seed = args.seed if args.seed is not None else 1
     naive = bool(args.naive)
-    experiment = args.experiment if args.experiment is not None else "mse"
     reports = []
     if experiment == "mse":
         reports.append(run_mc_mse(model, n, tau, reps, seed))

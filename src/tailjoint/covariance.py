@@ -6,6 +6,10 @@ copula oracle; by the oracle's homogeneity each of their integrals over
 Estimated matrices plug the marginal estimators and the empirical tail
 copula into the same displays; every estimated matrix is symmetrized and
 PSD-clipped through :class:`~tailjoint.numerics.SpdMatrix`.
+
+The Hill and QB displays (``_hill_block``, ``_qb_matrix``) read tail
+dependence only through two d x d pair matrices, R(1,1) and the unit
+integrals I, given by the oracle (``_oracle_matrix``) or by the ranks.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .marginal import (
 )
 from .numerics import SpdMatrix, integrate_1d_tail, integrate_tail_box
 from .sample import MultivariateSample, TailLevelPair, compute_ranks, effective_k
-from .taildep import OracleTailCopula, _r11_matrix, _tail_copula_from_ranks
+from .taildep import OracleTailCopula, _r11_matrix, _unit_integral_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +83,41 @@ def _pair_oracle(oracle, j: int, ell: int) -> OracleTailCopula:
         return oracle[(ell, j)]
 
 
+def _oracle_matrix(oracle, d: int, functional) -> np.ndarray:
+    """The symmetric d x d matrix of a pair functional of the oracle, such
+    as OracleTailCopula.r11 or .unit_integral, with a zero diagonal."""
+    m = np.zeros((d, d))
+    for j in range(d):
+        for ell in range(j + 1, d):
+            m[j, ell] = m[ell, j] = functional(_pair_oracle(oracle, j, ell))
+    return m
+
+
+_R11, _UNIT = OracleTailCopula.r11, OracleTailCopula.unit_integral
+
+
+def _hill_block(g: np.ndarray, r11: np.ndarray) -> np.ndarray:
+    """Cov(Hill_j, Hill_l) = g_j g_l R_jl(1,1), with g_j^2 on the diagonal."""
+    m = np.outer(g, g) * r11
+    np.fill_diagonal(m, g**2)
+    return m
+
+
+def _qb_matrix(
+    g: np.ndarray, r11: np.ndarray, unit: np.ndarray, log_dn: float
+) -> np.ndarray:
+    """QB covariance: g_j g_l (R (m_j-1)(m_l-1) + m_j I[j,l] + m_l I[l,j]) off
+    the diagonal and g^2 (1 + m^2) on it, with m_j = m(g_j) + log_dn and
+    I[j, l] on margin j's axis.  log_dn = 0 gives the intermediate
+    (linear-scale) matrix; log_dn > 0 divides by log d_n^2, giving the
+    covariance of the extrapolating estimators on the log scale."""
+    mg = np.array([m_function(x) for x in g]) + log_dn
+    mi = mg[:, None] * unit  # m_j I[j, l]
+    m = np.outer(g, g) * (r11 * np.outer(mg - 1.0, mg - 1.0) + (mi + mi.T))
+    np.fill_diagonal(m, g**2 * (1.0 + mg**2))
+    return m / log_dn**2 if log_dn else m
+
+
 def _laws_pair_integral(orc: OracleTailCopula, gj: float, gl: float) -> float:
     """Limit covariance of the intermediate LAWS estimators of one pair:
     gj gl times the integral over [1,inf)^2 of R(cj x^{-1/gj}, cl y^{-1/gl})
@@ -89,18 +128,26 @@ def _laws_pair_integral(orc: OracleTailCopula, gj: float, gl: float) -> float:
     return gj * gl * integrate_tail_box(orc.evaluate, cj, cl, gj, gl, 0)
 
 
-def theoretical_v_laws(gammas, oracle) -> CovarianceEstimate:
-    """Asymptotic covariance of the joint intermediate LAWS estimators."""
-    g = _gammas(gammas, 0.5, "variance formula")
-    d = g.size
+def _theoretical_laws_block(g: np.ndarray, oracle) -> np.ndarray:
+    """Limit covariance of the intermediate LAWS estimators: 2g^3/(1-2g) on
+    the diagonal, _laws_pair_integral off it."""
     m = np.diag(2.0 * g**3 / (1.0 - 2.0 * g))
-    for j in range(d):
-        for ell in range(j + 1, d):
+    for j in range(g.size):
+        for ell in range(j + 1, g.size):
             m[j, ell] = m[ell, j] = _laws_pair_integral(
                 _pair_oracle(oracle, j, ell), g[j], g[ell]
             )
+    return m
+
+
+def theoretical_v_laws(gammas, oracle) -> CovarianceEstimate:
+    """Asymptotic covariance of the joint intermediate LAWS estimators."""
+    g = _gammas(gammas, 0.5, "variance formula")
     return CovarianceEstimate(
-        "theoretical_laws", SpdMatrix.from_array(m, "theoretical LAWS covariance")
+        "theoretical_laws",
+        SpdMatrix.from_array(
+            _theoretical_laws_block(g, oracle), "theoretical LAWS covariance"
+        ),
     )
 
 
@@ -120,15 +167,9 @@ def theoretical_sigma_q(gammas, oracle) -> CovarianceEstimate:
     Coordinates are interleaved per margin: (gamma_1, q_1, gamma_2, q_2, ...).
     """
     g = _gammas(gammas, 1.0, "covariance formula")
-    d = g.size
-    hill, cross = np.diag(g**2), np.zeros((d, d))
-    for j in range(d):
-        for ell in range(j + 1, d):
-            orc = _pair_oracle(oracle, j, ell)
-            r11 = orc.r11()
-            iu = orc.unit_integral()
-            hill[j, ell] = hill[ell, j] = g[j] * g[ell] * r11
-            cross[j, ell] = cross[ell, j] = g[j] * g[ell] * (iu - r11)
+    r11 = _oracle_matrix(oracle, g.size, _R11)
+    hill = _hill_block(g, r11)
+    cross = np.outer(g, g) * (_oracle_matrix(oracle, g.size, _UNIT) - r11)
     return CovarianceEstimate(
         "theoretical_sigma_q",
         SpdMatrix.from_array(
@@ -137,30 +178,14 @@ def theoretical_sigma_q(gammas, oracle) -> CovarianceEstimate:
     )
 
 
-def _theoretical_qb(g: np.ndarray, oracle, log_dn: float) -> np.ndarray:
-    """Limit QB covariance.  log_dn = 0 gives the intermediate (linear-scale)
-    matrix; log_dn > 0 shifts m by log d_n and divides by log d_n^2, giving
-    the covariance of the extrapolating estimators on the log scale."""
-    d = g.size
-    mg = np.array([m_function(x) for x in g]) + log_dn
-    m = np.diag(g**2 * (1.0 + mg**2))
-    for j in range(d):
-        for ell in range(j + 1, d):
-            orc = _pair_oracle(oracle, j, ell)
-            r11 = orc.r11()
-            iu = orc.unit_integral()
-            m[j, ell] = m[ell, j] = g[j] * g[ell] * (
-                r11 * (mg[j] - 1.0) * (mg[ell] - 1.0) + (mg[j] + mg[ell]) * iu
-            )
-    return m / log_dn**2 if log_dn else m
-
-
 def theoretical_v_qb(gammas, oracle) -> CovarianceEstimate:
     """Asymptotic covariance of the joint intermediate QB estimators."""
     g = _gammas(gammas, 1.0, "covariance formula")
+    d = g.size
+    r11, unit = _oracle_matrix(oracle, d, _R11), _oracle_matrix(oracle, d, _UNIT)
+    m = _qb_matrix(g, r11, unit, 0.0)
     return CovarianceEstimate(
-        "theoretical_qb",
-        SpdMatrix.from_array(_theoretical_qb(g, oracle, 0.0), "theoretical QB covariance"),
+        "theoretical_qb", SpdMatrix.from_array(m, "theoretical QB covariance")
     )
 
 
@@ -176,9 +201,7 @@ def theoretical_sigma_laws(gammas, oracle) -> CovarianceEstimate:
     """
     g = _gammas(gammas, 0.5, "covariance formula")
     d = g.size
-    hill = np.diag(g**2)
     cross = np.diag([_sigma_laws_cross_diag(gj) for gj in g])
-    laws = np.diag(2.0 * g**3 / (1.0 - 2.0 * g))
 
     def cross_entry(orc, gj, gl):
         # Cov(Hill_j, LAWS_l): double integral with a dx/x weight on the
@@ -190,11 +213,11 @@ def theoretical_sigma_laws(gammas, oracle) -> CovarianceEstimate:
         single = integrate_1d_tail(lambda y: orc.evaluate(1.0, cl * y**-al))
         return gl * double - gj * gl * single
 
+    hill = _hill_block(g, _oracle_matrix(oracle, d, _R11))
+    laws = _theoretical_laws_block(g, oracle)
     for j in range(d):
         for ell in range(j + 1, d):
             orc = _pair_oracle(oracle, j, ell)
-            hill[j, ell] = hill[ell, j] = g[j] * g[ell] * orc.r11()
-            laws[j, ell] = laws[ell, j] = _laws_pair_integral(orc, g[j], g[ell])
             cross[j, ell] = cross_entry(orc, g[j], g[ell])
             cross[ell, j] = cross_entry(orc, g[ell], g[j])
     return CovarianceEstimate(
@@ -231,11 +254,11 @@ def theoretical_v_star_qb(gammas, oracle, log_dn: float) -> CovarianceEstimate:
     g = _gammas(gammas, 1.0, "covariance formula")
     if log_dn <= 0.0:
         raise DomainError("star-QB covariance requires log d_n > 0")
+    d = g.size
+    r11, unit = _oracle_matrix(oracle, d, _R11), _oracle_matrix(oracle, d, _UNIT)
+    m = _qb_matrix(g, r11, unit, log_dn)
     return CovarianceEstimate(
-        "theoretical_star_qb",
-        SpdMatrix.from_array(
-            _theoretical_qb(g, oracle, log_dn), "theoretical star-QB covariance"
-        ),
+        "theoretical_star_qb", SpdMatrix.from_array(m, "theoretical star-QB covariance")
     )
 
 
@@ -301,27 +324,11 @@ def estimate_bias_qb(sample: MultivariateSample, tau: float) -> BiasEstimate:
 def _v_qb(
     sample: MultivariateSample, tau: float, fit: MarginalTailEstimates, log_dn: float
 ) -> SpdMatrix:
-    """Plug-in QB covariance.  log_dn = 0 gives the intermediate
-    (linear-scale) matrix; log_dn > 0 shifts m by log d_n and divides by
-    log d_n^2, giving the covariance of the extrapolating estimators on the
-    log scale."""
-    g = fit.gamma_hat
-    mg = np.array([m_function(x) for x in g]) + log_dn
-    d = sample.d
-    m = np.diag(g**2 * (1.0 + mg**2))
+    """Plug-in QB covariance: _qb_matrix read from the ranks."""
     ranks = compute_ranks(sample)
-    for j in range(d):
-        for ell in range(j + 1, d):
-            tc = _tail_copula_from_ranks(ranks, tau, j, ell)
-            r11 = tc.evaluate(1.0, 1.0)
-            iu = tc.unit_integral(0)
-            iv = tc.unit_integral(1)
-            m[j, ell] = m[ell, j] = g[j] * g[ell] * (
-                r11 * (mg[j] - 1.0) * (mg[ell] - 1.0) + mg[j] * iu + mg[ell] * iv
-            )
-    if not log_dn:
-        return SpdMatrix.from_array(m, "QB covariance")
-    return SpdMatrix.from_array(m / log_dn**2, "star-QB covariance")
+    r11, unit = _r11_matrix(ranks, tau), _unit_integral_matrix(ranks, tau)
+    m = _qb_matrix(fit.gamma_hat, r11, unit, log_dn)
+    return SpdMatrix.from_array(m, "star-QB covariance" if log_dn else "QB covariance")
 
 
 def estimate_v_qb(sample: MultivariateSample, tau: float) -> CovarianceEstimate:
@@ -342,8 +349,7 @@ def _sigma_laws(
     k = effective_k(n, tau)
     omt = 1.0 - tau
     thresholds = sample.sorted_columns[:, n - k - 1]
-    hill = np.outer(g, g) * _r11_matrix(compute_ranks(sample), tau)
-    np.fill_diagonal(hill, g**2)
+    hill = _hill_block(g, _r11_matrix(compute_ranks(sample), tau))
     cross = _hill_laws_cross(x, phi, thresholds, g) / (omt * xi)
     np.fill_diagonal(cross, [_sigma_laws_cross_diag(gj) for gj in g])
     return _interleave(hill, cross, vlaws)

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .covariance import _bias_qb, _v_laws, _v_qb, _v_star_laws
+from .covariance import _bias_qb, _hill_block, _v_laws, _v_qb, _v_star_laws
 from .errors import DomainError
 from .marginal import estimate_margins
 from .numerics import SpdMatrix, chi_square_quantile, std_normal_quantile
@@ -142,11 +142,6 @@ def _estimate(
     def bias() -> np.ndarray:
         return _bias_qb(sample, tau, fit).components / math.sqrt(sample.n * (1.0 - tau))
 
-    def quantile_covariance() -> np.ndarray:
-        cov = np.outer(g, g) * _r11_matrix(compute_ranks(sample), tau)
-        np.fill_diagonal(cov, g**2)
-        return cov
-
     if levels is None:
         if method == "laws":
             center, shift, power = fit.xi_laws, zero, 3
@@ -165,7 +160,7 @@ def _estimate(
             cov = partial(_v_qb, sample, tau, fit, levels.log_dn)
         else:
             center, shift = fit.weissman_quantiles(tau_prime), zero
-            cov = quantile_covariance
+            cov = lambda: _hill_block(g, _r11_matrix(compute_ranks(sample), tau))
         if naive:
             shift = zero
             cov = partial(SpdMatrix.from_array, np.diag(g**2), "naive star covariance")
@@ -286,6 +281,7 @@ def region_boundary_points(region: ConfidenceRegion) -> np.ndarray:
 
 
 def _interval(est: _Estimate, j: int, alpha: float) -> MarginalInterval:
+    _check_alpha(alpha)
     center = float(est.center[j])
     if center <= 0.0:
         raise DomainError("log-scale interval requires a positive point estimate")

@@ -101,14 +101,8 @@ def _hill_sorted(xs: np.ndarray, k: int) -> np.ndarray:
     return np.mean(np.log(xs[:, n - k :] / threshold), axis=1)
 
 
-def _sort_and_hill(column, tau: float) -> tuple[np.ndarray, float]:
-    """The column as a sorted 1 x n row, and its Hill estimate at level tau."""
-    xs = _sorted_row(column)
-    return xs, float(_hill_sorted(xs, effective_k(xs.shape[1], tau))[0])
-
-
 def hill_at_level(column, tau: float) -> float:
-    return _sort_and_hill(column, tau)[1]
+    return float(_fit_column(column, tau).gamma_hat[0])
 
 
 def qb_factor(gamma: float) -> float:
@@ -120,33 +114,19 @@ def qb_factor(gamma: float) -> float:
 
 def qb_expectile(column, tau: float) -> float:
     """Quantile-based expectile estimator at level tau."""
-    xs, gamma = _sort_and_hill(column, tau)
-    return qb_factor(gamma) * float(_quantile_sorted(xs, tau)[0])
-
-
-def _extrapolation_factor(gamma: float, tau: float, tau_prime: float) -> float:
-    if not 0.0 < tau <= tau_prime < 1.0:
-        raise LevelError(
-            f"extrapolation requires tau <= tau_prime in (0,1), "
-            f"got {tau}, {tau_prime}"
-        )
-    return ((1.0 - tau_prime) / (1.0 - tau)) ** -gamma
+    return float(_fit_column(column, tau).xi_qb[0])
 
 
 def weissman_quantile(column, tau: float, tau_prime: float) -> float:
-    xs, gamma = _sort_and_hill(column, tau)
-    return _extrapolation_factor(gamma, tau, tau_prime) * float(_quantile_sorted(xs, tau)[0])
+    return float(_fit_column(column, tau).weissman_quantiles(tau_prime)[0])
 
 
 def extrapolate_expectile_laws(column, tau: float, tau_prime: float) -> float:
-    xs, gamma = _sort_and_hill(column, tau)
-    return _extrapolation_factor(gamma, tau, tau_prime) * float(_laws_sorted(xs, tau)[0])
+    return float(_fit_column(column, tau).xi_star_laws(tau_prime)[0])
 
 
 def extrapolate_expectile_qb(column, tau: float, tau_prime: float) -> float:
-    xs, gamma = _sort_and_hill(column, tau)
-    factor = _extrapolation_factor(gamma, tau, tau_prime)
-    return qb_factor(gamma) * (factor * float(_quantile_sorted(xs, tau)[0]))
+    return float(_fit_column(column, tau).xi_star_qb(tau_prime)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,9 +145,13 @@ class MarginalTailEstimates:
         return np.array([qb_factor(g) for g in self.gamma_hat]) * self.q_hat
 
     def _factors(self, tau_prime: float) -> np.ndarray:
-        return np.array(
-            [_extrapolation_factor(float(g), self.tau, tau_prime) for g in self.gamma_hat]
-        )
+        if not 0.0 < self.tau <= tau_prime < 1.0:
+            raise LevelError(
+                f"extrapolation requires tau <= tau_prime in (0,1), "
+                f"got {self.tau}, {tau_prime}"
+            )
+        ratio = (1.0 - tau_prime) / (1.0 - self.tau)
+        return np.array([ratio ** -float(g) for g in self.gamma_hat])
 
     def weissman_quantiles(self, tau_prime: float) -> np.ndarray:
         """Weissman extrapolated quantiles at level tau_prime, per margin."""
@@ -184,14 +168,22 @@ class MarginalTailEstimates:
         return qb * (factors * self.q_hat)
 
 
-def estimate_margins(sample, tau: float) -> MarginalTailEstimates:
-    """Hill, intermediate quantile and both expectile estimators per column,
-    read from the sample's cached order statistics."""
-    xs = sample.sorted_columns
-    gamma = _hill_sorted(xs, effective_k(sample.n, tau))
+def _fit_sorted(xs: np.ndarray, tau: float) -> MarginalTailEstimates:
+    """The fit of each ascending row of xs at level tau."""
+    gamma = _hill_sorted(xs, effective_k(xs.shape[1], tau))
     q = _quantile_sorted(xs, tau)
     xi = _laws_sorted(xs, tau)
     return MarginalTailEstimates(tau=tau, gamma_hat=gamma, q_hat=q, xi_laws=xi)
+
+
+def _fit_column(column, tau: float) -> MarginalTailEstimates:
+    return _fit_sorted(_sorted_row(column), tau)
+
+
+def estimate_margins(sample, tau: float) -> MarginalTailEstimates:
+    """Hill, intermediate quantile and both expectile estimators per column,
+    read from the sample's cached order statistics."""
+    return _fit_sorted(sample.sorted_columns, tau)
 
 
 def m_function(x: float) -> float:

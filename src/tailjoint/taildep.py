@@ -1,9 +1,9 @@
-"""Empirical tail copula, its log-weighted unit integrals, the extremal
+"""Empirical tail copula, its pair matrices R(1,1) and unit integrals (one
+matrix product each over the rank-transformed points), the extremal
 coefficient, and analytic tail-copula oracles used for testing."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +18,9 @@ class EmpiricalTailCopula:
     """Rank-based step-function estimate of the tail copula of one pair.
 
     Stores the transformed points (n+1-r_{i,j})/((n+1)(1-tau)) so that
-    evaluation is an exact count and the unit integrals are closed-form
-    sums over breakpoints.
+    evaluation is an exact count.  The covariances read R(1,1) and the unit
+    integrals of every pair at once from ``_r11_matrix`` and
+    ``_unit_integral_matrix``.
     """
 
     j: int
@@ -42,24 +43,6 @@ class EmpiricalTailCopula:
         count = int(np.count_nonzero((self.u <= u) & (self.v <= v)))
         return count / self.k_effective
 
-    def unit_integral(self, axis: int) -> float:
-        """Exact integral over (0,1] of R(u,1)/u (axis 0) or R(1,u)/u (axis 1)."""
-        if axis == 0:
-            var, other = self.u, self.v
-        elif axis == 1:
-            var, other = self.v, self.u
-        else:
-            raise DomainError("axis must be 0 or 1")
-        pts = var[other <= 1.0]
-        pts = pts[pts <= 1.0]
-        if pts.size == 0:
-            return 0.0
-        breaks, counts = np.unique(pts, return_counts=True)
-        cum = np.cumsum(counts) / self.k_effective
-        edges = np.append(breaks, 1.0)
-        # R vanishes below the smallest breakpoint, so that piece contributes 0.
-        return float(np.sum(cum * np.diff(np.log(edges))))
-
 
 def empirical_tail_copula(
     sample: MultivariateSample, tau: float, j: int, ell: int
@@ -68,23 +51,15 @@ def empirical_tail_copula(
         raise DomainError("tail copula is defined for distinct margins")
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must be in (0,1), got {tau}")
-    ranks = compute_ranks(sample)
-    return _tail_copula_from_ranks(ranks, tau, j, ell)
+    u = _tail_points(compute_ranks(sample), tau)
+    return EmpiricalTailCopula(j, ell, sample.n, tau, u[:, j], u[:, ell])
 
 
-def _tail_copula_from_ranks(
-    ranks: np.ndarray, tau: float, j: int, ell: int
-) -> EmpiricalTailCopula:
+def _tail_points(ranks: np.ndarray, tau: float) -> np.ndarray:
+    """U_ij = (n+1-r_ij)/((n+1)(1-tau)) for every observation and margin;
+    U_ij <= 1 marks the top ranks of margin j."""
     n = ranks.shape[0]
-    denom = (n + 1) * (1.0 - tau)
-    return EmpiricalTailCopula(
-        j=j,
-        ell=ell,
-        n=n,
-        tau=tau,
-        u=(n + 1 - ranks[:, j]) / denom,
-        v=(n + 1 - ranks[:, ell]) / denom,
-    )
+    return (n + 1 - ranks) / ((n + 1) * (1.0 - tau))
 
 
 def _r11_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
@@ -92,8 +67,20 @@ def _r11_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
     EmpiricalTailCopula.evaluate(1, 1) makes, as one product of the
     top-rank indicators.  The diagonal is unused."""
     n = ranks.shape[0]
-    top = ((n + 1 - ranks) / ((n + 1) * (1.0 - tau)) <= 1.0).astype(float)
+    top = (_tail_points(ranks, tau) <= 1.0).astype(float)
     return top.T @ top / (n * (1.0 - tau))
+
+
+def _unit_integral_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
+    """I[j, l], the integral over (0,1] of R-hat_jl(u,1)/u with u on margin
+    j's axis, for every pair of columns at once; the diagonal is unused.
+    R-hat_jl(u,1) steps up by 1/(n(1-tau)) at each U_ij <= 1 with U_il <= 1,
+    so I[j, l] sums -log U_ij over the points in the top ranks of both
+    margins and divides by n(1-tau)."""
+    n = ranks.shape[0]
+    u = _tail_points(ranks, tau)
+    # -log min(U, 1) is -log U on the top ranks and exactly 0 elsewhere.
+    return -np.log(np.minimum(u, 1.0)).T @ (u <= 1.0) / (n * (1.0 - tau))
 
 
 def extremal_coefficient(

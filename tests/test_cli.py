@@ -298,6 +298,34 @@ class TestSimulate:
         assert "noncoverage_pct_laws" in docs[0]
         assert "noncoverage_pct_qb" in docs[1]
 
+    def test_mse_rejects_flags_it_does_not_read(self, capsys):
+        assert main(["simulate", "--model", "clayton_frechet", "--experiment", "mse",
+                     "--n", "200", "--k", "20", "--reps", "2", "--method", "bogus",
+                     "--naive", "--tau-prime", "0.3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --experiment mse does not read --method, --naive, --tau-prime\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("clayton_frechet:d=abc", "d"),
+            ("clayton_frechet:d=2.5", "d"),
+            ("clayton_frechet:gamma=x", "gamma"),
+            ("clayton_frechet:gamma=0.3/y", "gamma"),
+            ("clayton_frechet:theta=ten", "theta"),
+            ("gumbel_frechet:vartheta=?", "vartheta"),
+        ],
+    )
+    def test_non_numeric_model_parameter_exits_1(self, spec, key, capsys):
+        assert main(["simulate", "--model", spec, "--n", "200", "--k", "20",
+                     "--reps", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: model parameter {key}: expected ")
+
     def test_unknown_model_and_experiment(self, capsys):
         assert main(["simulate", "--model", "bogus", "--n", "200",
                      "--k", "20"]) == 1
@@ -340,6 +368,19 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "expected key=value" in err
         assert "banana" in err
+
+    @pytest.mark.parametrize("line", ["k = abc", "k = 5.5", "alpha = high"])
+    def test_config_value_that_does_not_parse_exits_1(
+        self, tmp_path, data_csv, line, capsys
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["estimate", "--input", str(data_csv), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        key, value = (part.strip() for part in line.split("="))
+        assert captured.err.startswith(f"error: config key {key}: expected ")
+        assert repr(value) in captured.err
 
 
 class TestIngest:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import step_unit_integral
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -358,7 +359,7 @@ class TestEstimateVQb:
         mg = np.array([m_function(x) for x in g])
         tc = empirical_tail_copula(s, tau, 0, 1)
         r11 = tc.evaluate(1.0, 1.0)
-        iu, iv = tc.unit_integral(0), tc.unit_integral(1)
+        iu, iv = step_unit_integral(tc, 0), step_unit_integral(tc, 1)
         off = g[0] * g[1] * (
             r11 * (mg[0] - 1.0) * (mg[1] - 1.0) + mg[0] * iu + mg[1] * iv
         )
@@ -463,7 +464,7 @@ class TestEstimateVStarQb:
         mg = np.array([m_function(x) for x in g]) + log_dn
         tc = empirical_tail_copula(s, tau, 0, 1)
         r11 = tc.evaluate(1.0, 1.0)
-        iu, iv = tc.unit_integral(0), tc.unit_integral(1)
+        iu, iv = step_unit_integral(tc, 0), step_unit_integral(tc, 1)
         off = g[0] * g[1] * (
             r11 * (mg[0] - 1.0) * (mg[1] - 1.0) + mg[0] * iu + mg[1] * iv
         ) / log_dn**2

@@ -277,6 +277,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             region_intermediate_laws(fixture_sample(), TAU, 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, -0.1])
+    @pytest.mark.parametrize("interval", [marginal_interval_laws, marginal_interval_qb])
+    def test_interval_bad_alpha(self, interval, alpha):
+        with pytest.raises(DomainError, match=r"alpha must be in \(0,1\)"):
+            interval(fixture_sample(), TAU, TAU_PRIME, 0, alpha)
+
     def test_bad_levels(self):
         from tailjoint.errors import LevelError
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailjoint.errors import DomainError, LevelError
+from tailjoint import marginal
+from tailjoint.errors import DomainError, LevelError, TailjointError
 from tailjoint.marginal import (
     empirical_quantile,
     extrapolate_expectile_laws,
@@ -20,6 +21,7 @@ from tailjoint.marginal import (
     qb_factor,
     weissman_quantile,
 )
+from tailjoint.sample import effective_k
 
 
 def golden_section_expectile(x, tau, tol=1e-9):
@@ -265,6 +267,63 @@ class TestExtrapolation:
         ]
         assert vals[1] == pytest.approx(vals[0], rel=1e-3)
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+def _composed(name, x, tau, tau_prime):
+    """The univariate extrapolators composed by hand from the primitive
+    estimators, in the order the formulas read them."""
+    gamma = hill_estimator(x, effective_k(len(x), tau))
+    if name == "hill_at_level":
+        return gamma
+    if name == "qb_expectile":
+        return qb_factor(gamma) * empirical_quantile(x, tau)
+    if not 0.0 < tau <= tau_prime < 1.0:
+        raise LevelError(
+            f"extrapolation requires tau <= tau_prime in (0,1), got {tau}, {tau_prime}"
+        )
+    factor = ((1.0 - tau_prime) / (1.0 - tau)) ** -gamma
+    if name == "weissman_quantile":
+        return factor * empirical_quantile(x, tau)
+    if name == "extrapolate_expectile_laws":
+        return factor * laws_expectile(x, tau)
+    return qb_factor(gamma) * (factor * empirical_quantile(x, tau))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except TailjointError as exc:
+        return type(exc), str(exc)
+
+
+def test_univariate_extrapolators_read_one_fit():
+    # Random columns, including negative, tied and two-point ones, at levels
+    # inside and outside (0,1) and with tau_prime below tau: every value is
+    # bit-identical to the hand composition, and every error has the same
+    # class and message.
+    rng = np.random.default_rng(17)
+    names = (
+        "hill_at_level",
+        "qb_expectile",
+        "weissman_quantile",
+        "extrapolate_expectile_laws",
+        "extrapolate_expectile_qb",
+    )
+    errors = 0
+    for case in range(300):
+        n = (2, 3, 7, 40, 250)[case % 5]
+        x = rng.pareto(1.0 + case % 4, size=n) + 1.0 - 1.5 * (case % 3 == 0)
+        if case % 4 == 1:
+            x = np.round(x)
+        tau = (-0.1, 0.0, 0.3, 0.8, 0.9, 0.97, 1.0, 1.2)[case % 8]
+        tau_prime = (0.2, 0.95, 0.999, 1.0)[case % 4]
+        for name in names:
+            levels = (tau,) if name in names[:2] else (tau, tau_prime)
+            got = _outcome(getattr(marginal, name), x, *levels)
+            want = _outcome(_composed, name, x, tau, tau_prime)
+            assert got == want, (case, name)
+            errors += isinstance(want, tuple)
+    assert 0 < errors < 5 * 300
 
 
 class TestGainLossRatio:

@@ -1,13 +1,18 @@
-"""Empirical tail copula, unit integrals, extremal coefficient, and the
-analytic tail-copula oracles."""
+"""Empirical tail copula, its pair matrices R(1,1) and unit integrals,
+extremal coefficient, and the analytic tail-copula oracles."""
 
 import numpy as np
 import pytest
+from conftest import step_unit_integral
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailjoint.errors import DomainError
-from tailjoint.sample import MultivariateSample
+from tailjoint.sample import MultivariateSample, compute_ranks
 from tailjoint.taildep import (
     OracleTailCopula,
+    _r11_matrix,
+    _unit_integral_matrix,
     empirical_tail_copula,
     extremal_coefficient,
 )
@@ -80,13 +85,18 @@ class TestEmpiricalEvaluation:
         assert a == pytest.approx(b, abs=1e-14)
 
 
+def unit_integrals(s, tau):
+    return _unit_integral_matrix(compute_ranks(s), tau)
+
+
 class TestUnitIntegral:
     @pytest.mark.parametrize("axis", [0, 1])
     def test_riemann_oracle(self, axis):
         rng = np.random.default_rng(21)
         x = rng.normal(size=150)
         s = pair_sample(x + 0.4 * rng.normal(size=150), x)
-        exact = empirical_tail_copula(s, 0.9, 0, 1).unit_integral(axis)
+        # I[0, 1] integrates along margin 0's axis, I[1, 0] along margin 1's.
+        exact = unit_integrals(s, 0.9)[axis, 1 - axis]
         tc = empirical_tail_copula(s, 0.9, 0, 1)
         # Direct Riemann sum over a uniform log-grid of the step function.
         g = np.exp(np.linspace(np.log(1e-6), 0.0, 400_001))
@@ -113,24 +123,42 @@ class TestUnitIntegral:
         edges = np.append(pts, 1.0)
         for i in range(len(pts)):
             acc += (i + 1) / k_eff * (np.log(edges[i + 1]) - np.log(edges[i]))
-        assert tc.unit_integral(0) == pytest.approx(acc, rel=1e-12)
+        assert unit_integrals(s, tau)[0, 1] == pytest.approx(acc, rel=1e-12)
 
     def test_tail_independent_zero(self):
         # Antimonotone data: the top-k ranks of one margin are the bottom
         # ranks of the other, so no point satisfies both indicators.
-        s = antimonotone_sample()
-        assert empirical_tail_copula(s, 0.9, 0, 1).unit_integral(0) == 0.0
+        unit = unit_integrals(antimonotone_sample(), 0.9)
+        assert unit[0, 1] == 0.0 and unit[1, 0] == 0.0
 
     def test_axes_agree_for_exchangeable(self):
-        s = comonotone_sample()
-        a = empirical_tail_copula(s, 0.9, 0, 1).unit_integral(0)
-        b = empirical_tail_copula(s, 0.9, 0, 1).unit_integral(1)
-        assert a == pytest.approx(b, rel=1e-12)
+        unit = unit_integrals(comonotone_sample(), 0.9)
+        assert unit[0, 1] == pytest.approx(unit[1, 0], rel=1e-12)
 
-    def test_bad_axis(self):
-        s = comonotone_sample()
-        with pytest.raises(DomainError):
-            empirical_tail_copula(s, 0.9, 0, 1).unit_integral(2)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 5),
+        n=st.integers(20, 300),
+        levels=st.integers(2, 40),
+        tau=st.floats(0.05, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pair_matrices_match_step_sums(self, d, n, levels, tau, seed):
+        # Integer-valued columns with a shared component: ties within every
+        # column and dependence between them.
+        rng = np.random.default_rng(seed)
+        common = rng.integers(0, levels, size=(n, 1))
+        x = common + rng.integers(0, levels, size=(n, d)) * rng.integers(0, 2, size=d)
+        s = MultivariateSample(x.astype(float), tuple(f"X{j}" for j in range(d)))
+        ranks = compute_ranks(s)
+        unit, r11 = _unit_integral_matrix(ranks, tau), _r11_matrix(ranks, tau)
+        for j in range(d):
+            for ell in range(j + 1, d):
+                tc = empirical_tail_copula(s, tau, j, ell)
+                assert r11[j, ell] == r11[ell, j] == tc.evaluate(1.0, 1.0)
+                for got, axis in ((unit[j, ell], 0), (unit[ell, j], 1)):
+                    want = step_unit_integral(tc, axis)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestExtremalCoefficient:
