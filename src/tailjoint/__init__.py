@@ -4,8 +4,6 @@ asymptotic covariance plug-ins, confidence regions/intervals, equality
 tests, benchmark-model simulation, and a command-line front end."""
 
 from .covariance import (
-    BiasEstimate,
-    CovarianceEstimate,
     estimate_bias_qb,
     estimate_sigma_laws,
     estimate_v_laws,
@@ -72,7 +70,6 @@ from .numerics import (
 from .sample import (
     MultivariateSample,
     TailLevelPair,
-    compute_ranks,
     effective_k,
     emit_csv,
     ingest_csv,

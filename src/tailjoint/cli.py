@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Commands: estimate, region, test, trace-scan, simulate, ingest.  Flags can
-also be supplied through a flat ``key=value`` config file (--config); flags
-given on the command line take precedence.  Outputs are JSON documents with
-a schema_version field and CSV files with a header row; every command is a
-pure function of its inputs, so repeated runs are byte-identical.
+Commands: estimate, region, test, trace-scan, simulate, ingest; each
+declares only the flags it reads.  Flags can also be supplied through a flat
+``key=value`` config file (--config); flags given on the command line take
+precedence.  Outputs are JSON documents with a schema_version field and CSV
+files with a header row; every command is a pure function of its inputs, so
+repeated runs are byte-identical.
 
 Exit codes: 0 on success, 1 on a hard error, 2 when some per-k or per-pair
 computations failed but others succeeded (failures are reported in-band).
@@ -45,9 +46,17 @@ from .taildep import extremal_coefficient
 
 SCHEMA_VERSION = "1"
 
-_INT_KEYS = {"k", "k_min", "k_max", "n", "reps", "seed"}
-_FLOAT_KEYS = {"tau", "tau_prime", "alpha"}
-_BOOL_KEYS = {"naive", "intermediate", "date_column", "no_returns"}
+# Every flag's argparse options, keyed by destination; the flag itself is
+# the destination with dashes, and every default is None.  A config file
+# value takes its type from here: "type", or a boolean for a store_true flag.
+_INT, _FLOAT, _BOOL = {"type": int}, {"type": float}, {"action": "store_true"}
+_FLAGS = {
+    "config": {}, "input": {}, "date_column": _BOOL, "out": {},
+    "k": _INT, "tau": _FLOAT, "tau_prime": _FLOAT, "alpha": _FLOAT,
+    "method": {}, "naive": _BOOL, "intermediate": _BOOL, "k_min": _INT, "k_max": _INT,
+    "experiment": {}, "model": {}, "n": _INT, "reps": _INT, "seed": _INT,
+    "no_returns": _BOOL,
+}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -73,11 +82,10 @@ def _number(cast, text: str, what: str):
 
 
 def _coerce(key: str, text: str):
-    if key in _INT_KEYS:
-        return _number(int, text, f"config key {key}")
-    if key in _FLOAT_KEYS:
-        return _number(float, text, f"config key {key}")
-    if key in _BOOL_KEYS:
+    options = _FLAGS[key]
+    if "type" in options:
+        return _number(options["type"], text, f"config key {key}")
+    if options.get("action") == "store_true":
         low = text.lower()
         if low in ("true", "1", "yes"):
             return True
@@ -477,16 +485,24 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _add_common(sub, *, levels=True):
-    sub.add_argument("--config", default=None)
-    sub.add_argument("--input", default=None)
-    sub.add_argument("--date-column", dest="date_column", action="store_true", default=None)
-    sub.add_argument("--out", default=None)
-    if levels:
-        sub.add_argument("--k", type=int, default=None)
-        sub.add_argument("--tau", type=float, default=None)
-        sub.add_argument("--tau-prime", dest="tau_prime", type=float, default=None)
-        sub.add_argument("--alpha", type=float, default=None)
+_SOURCE = ("config", "input", "date_column", "out")
+_LEVELS = ("k", "tau", "tau_prime", "alpha")
+
+# Each command: its handler, its help line and the flags it reads.
+_COMMANDS = {
+    "estimate": (cmd_estimate, "per-margin tail and expectile estimates",
+                 _SOURCE + _LEVELS + ("method", "naive")),
+    "region": (cmd_region, "joint confidence regions with boundaries",
+               _SOURCE + _LEVELS + ("method", "naive", "intermediate")),
+    "test": (cmd_test, "expectile and quantile equality tests", _SOURCE + _LEVELS),
+    "trace-scan": (cmd_trace_scan, "trace of the extrapolated covariance per k",
+                   _SOURCE + ("k", "tau_prime", "k_min", "k_max")),
+    "simulate": (cmd_simulate, "Monte Carlo experiments on benchmark models",
+                 ("config", "out") + _LEVELS
+                 + ("experiment", "model", "n", "method", "naive", "reps", "seed")),
+    "ingest": (cmd_ingest, "validate a CSV and derive weekly returns",
+               _SOURCE + ("no_returns",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -496,46 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
         "of heavy-tailed multivariate data.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("estimate", help="per-margin tail and expectile estimates")
-    _add_common(p)
-    p.add_argument("--method", default=None)
-    p.add_argument("--naive", action="store_true", default=None)
-    p.set_defaults(run=cmd_estimate)
-
-    p = commands.add_parser("region", help="joint confidence regions with boundaries")
-    _add_common(p)
-    p.add_argument("--method", default=None)
-    p.add_argument("--naive", action="store_true", default=None)
-    p.add_argument("--intermediate", action="store_true", default=None)
-    p.set_defaults(run=cmd_region)
-
-    p = commands.add_parser("test", help="expectile and quantile equality tests")
-    _add_common(p)
-    p.set_defaults(run=cmd_test)
-
-    p = commands.add_parser("trace-scan", help="trace of the extrapolated covariance per k")
-    _add_common(p)
-    p.add_argument("--k-min", dest="k_min", type=int, default=None)
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p.set_defaults(run=cmd_trace_scan)
-
-    p = commands.add_parser("simulate", help="Monte Carlo experiments on benchmark models")
-    _add_common(p)
-    p.add_argument("--experiment", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--method", default=None)
-    p.add_argument("--naive", action="store_true", default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(run=cmd_simulate)
-
-    p = commands.add_parser("ingest", help="validate a CSV and derive weekly returns")
-    _add_common(p, levels=False)
-    p.add_argument("--no-returns", dest="no_returns", action="store_true", default=None)
-    p.set_defaults(run=cmd_ingest)
-
+    for name, (run, help_text, flags) in _COMMANDS.items():
+        # No abbreviations: a flag a command does not read must not parse
+        # as a prefix of one it does (--tau as --tau-prime).
+        p = commands.add_parser(name, help=help_text, allow_abbrev=False)
+        for dest in flags:
+            flag = "--" + dest.replace("_", "-")
+            p.add_argument(flag, dest=dest, default=None, **_FLAGS[dest])
+        p.set_defaults(run=run)
     return parser
 
 

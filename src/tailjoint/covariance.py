@@ -4,8 +4,10 @@ Theoretical matrices are exact functionals of the tail indices and a tail
 copula oracle; by the oracle's homogeneity each of their integrals over
 [1,inf)^2 is one 1-D quadrature (``numerics.integrate_tail_box``).
 Estimated matrices plug the marginal estimators and the empirical tail
-copula into the same displays; every estimated matrix is symmetrized and
-PSD-clipped through :class:`~tailjoint.numerics.SpdMatrix`.
+copula into the same displays.  Every covariance builder returns the
+symmetrized, PSD-clipped :class:`~tailjoint.numerics.SpdMatrix` it builds,
+except ``estimate_sigma_laws``, which returns the raw array; the QB bias is
+returned as its array of per-margin components.
 
 The Hill and QB displays (``_hill_block``, ``_qb_matrix``) read tail
 dependence only through two d x d pair matrices, R(1,1) and the unit
@@ -15,8 +17,6 @@ integrals I, given by the oracle (``_oracle_matrix``) or by the ranks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -28,39 +28,8 @@ from .marginal import (
     qb_factor,
 )
 from .numerics import SpdMatrix, integrate_1d_tail, integrate_tail_box
-from .sample import MultivariateSample, TailLevelPair, compute_ranks, effective_k
+from .sample import MultivariateSample, TailLevelPair, effective_k
 from .taildep import OracleTailCopula, _r11_matrix, _unit_integral_matrix
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceEstimate:
-    """A symmetric PSD covariance matrix tagged with its provenance."""
-
-    kind: str
-    matrix: SpdMatrix
-    tau: float | None = None
-    tau_prime: float | None = None
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.matrix.entries
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
-
-@dataclass(frozen=True, eq=False)
-class BiasEstimate:
-    """First-order bias components of the quantile-based estimator."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
-        if not np.all(np.isfinite(c)):
-            raise DomainError("bias components must be finite")
-        object.__setattr__(self, "components", c)
 
 
 def _gammas(gammas, upper: float, what: str) -> np.ndarray:
@@ -140,14 +109,11 @@ def _theoretical_laws_block(g: np.ndarray, oracle) -> np.ndarray:
     return m
 
 
-def theoretical_v_laws(gammas, oracle) -> CovarianceEstimate:
+def theoretical_v_laws(gammas, oracle) -> SpdMatrix:
     """Asymptotic covariance of the joint intermediate LAWS estimators."""
     g = _gammas(gammas, 0.5, "variance formula")
-    return CovarianceEstimate(
-        "theoretical_laws",
-        SpdMatrix.from_array(
-            _theoretical_laws_block(g, oracle), "theoretical LAWS covariance"
-        ),
+    return SpdMatrix.from_array(
+        _theoretical_laws_block(g, oracle), "theoretical LAWS covariance"
     )
 
 
@@ -161,7 +127,7 @@ def _interleave(hill: np.ndarray, cross: np.ndarray, other: np.ndarray) -> np.nd
     return m
 
 
-def theoretical_sigma_q(gammas, oracle) -> CovarianceEstimate:
+def theoretical_sigma_q(gammas, oracle) -> SpdMatrix:
     """2d x 2d covariance of (Hill, intermediate quantile) across margins.
 
     Coordinates are interleaved per margin: (gamma_1, q_1, gamma_2, q_2, ...).
@@ -170,22 +136,18 @@ def theoretical_sigma_q(gammas, oracle) -> CovarianceEstimate:
     r11 = _oracle_matrix(oracle, g.size, _R11)
     hill = _hill_block(g, r11)
     cross = np.outer(g, g) * (_oracle_matrix(oracle, g.size, _UNIT) - r11)
-    return CovarianceEstimate(
-        "theoretical_sigma_q",
-        SpdMatrix.from_array(
-            _interleave(hill, cross, hill), "theoretical Hill/quantile covariance"
-        ),
+    return SpdMatrix.from_array(
+        _interleave(hill, cross, hill), "theoretical Hill/quantile covariance"
     )
 
 
-def theoretical_v_qb(gammas, oracle) -> CovarianceEstimate:
+def theoretical_v_qb(gammas, oracle) -> SpdMatrix:
     """Asymptotic covariance of the joint intermediate QB estimators."""
     g = _gammas(gammas, 1.0, "covariance formula")
     d = g.size
     r11, unit = _oracle_matrix(oracle, d, _R11), _oracle_matrix(oracle, d, _UNIT)
-    m = _qb_matrix(g, r11, unit, 0.0)
-    return CovarianceEstimate(
-        "theoretical_qb", SpdMatrix.from_array(m, "theoretical QB covariance")
+    return SpdMatrix.from_array(
+        _qb_matrix(g, r11, unit, 0.0), "theoretical QB covariance"
     )
 
 
@@ -194,7 +156,7 @@ def _sigma_laws_cross_diag(g: float) -> float:
     return g**3 * (1.0 / g - 1.0) ** g / (1.0 - g) ** 2
 
 
-def theoretical_sigma_laws(gammas, oracle) -> CovarianceEstimate:
+def theoretical_sigma_laws(gammas, oracle) -> SpdMatrix:
     """2d x 2d covariance of (Hill, intermediate LAWS) across margins.
 
     Coordinates are interleaved per margin, as in theoretical_sigma_q.
@@ -220,11 +182,8 @@ def theoretical_sigma_laws(gammas, oracle) -> CovarianceEstimate:
             orc = _pair_oracle(oracle, j, ell)
             cross[j, ell] = cross_entry(orc, g[j], g[ell])
             cross[ell, j] = cross_entry(orc, g[ell], g[j])
-    return CovarianceEstimate(
-        "theoretical_sigma_laws",
-        SpdMatrix.from_array(
-            _interleave(hill, cross, laws), "theoretical Hill/LAWS covariance"
-        ),
+    return SpdMatrix.from_array(
+        _interleave(hill, cross, laws), "theoretical Hill/LAWS covariance"
     )
 
 
@@ -238,27 +197,23 @@ def _contract_blocks(sigma: np.ndarray, log_dn: float) -> np.ndarray:
     return b00 + (b01 + b10) * w + b11 * w * w
 
 
-def theoretical_v_star_laws(gammas, oracle, log_dn: float) -> CovarianceEstimate:
+def theoretical_v_star_laws(gammas, oracle, log_dn: float) -> SpdMatrix:
     """Finite-n covariance of the LAWS extrapolating estimators (log scale)."""
     sigma = theoretical_sigma_laws(gammas, oracle).entries
-    return CovarianceEstimate(
-        "theoretical_star_laws",
-        SpdMatrix.from_array(
-            _contract_blocks(sigma, log_dn), "theoretical star-LAWS covariance"
-        ),
+    return SpdMatrix.from_array(
+        _contract_blocks(sigma, log_dn), "theoretical star-LAWS covariance"
     )
 
 
-def theoretical_v_star_qb(gammas, oracle, log_dn: float) -> CovarianceEstimate:
+def theoretical_v_star_qb(gammas, oracle, log_dn: float) -> SpdMatrix:
     """Finite-n covariance of the QB extrapolating estimators (log scale)."""
     g = _gammas(gammas, 1.0, "covariance formula")
     if log_dn <= 0.0:
         raise DomainError("star-QB covariance requires log d_n > 0")
     d = g.size
     r11, unit = _oracle_matrix(oracle, d, _R11), _oracle_matrix(oracle, d, _UNIT)
-    m = _qb_matrix(g, r11, unit, log_dn)
-    return CovarianceEstimate(
-        "theoretical_star_qb", SpdMatrix.from_array(m, "theoretical star-QB covariance")
+    return SpdMatrix.from_array(
+        _qb_matrix(g, r11, unit, log_dn), "theoretical star-QB covariance"
     )
 
 
@@ -294,30 +249,30 @@ def _v_laws(sample: MultivariateSample, tau: float, fit: MarginalTailEstimates) 
     return SpdMatrix.from_array(_v_laws_raw(sample, tau, fit, phi), "LAWS covariance")
 
 
-def estimate_v_laws(sample: MultivariateSample, tau: float) -> CovarianceEstimate:
+def estimate_v_laws(sample: MultivariateSample, tau: float) -> SpdMatrix:
     """Plug-in estimate of the intermediate LAWS covariance matrix."""
-    return CovarianceEstimate(
-        "laws", _v_laws(sample, tau, estimate_margins(sample, tau)), tau=tau
-    )
+    return _v_laws(sample, tau, estimate_margins(sample, tau))
 
 
 def _bias_qb(
     sample: MultivariateSample, tau: float, fit: MarginalTailEstimates
-) -> BiasEstimate:
+) -> np.ndarray:
+    # q-hat is the Hill threshold order statistic, which estimate_margins
+    # has already required to be positive.
     g, q = fit.gamma_hat, fit.q_hat
     for gj in g:
         qb_factor(gj)  # raises where the factor (1/g - 1)^g below is undefined
-    if np.any(q == 0.0):
-        raise DomainError("QB bias undefined: intermediate quantile is zero")
     means = sample.values.mean(axis=0)
     root = math.sqrt(sample.n * (1.0 - tau))
     comps = -g * (1.0 / g - 1.0) ** g * means * root / q
-    return BiasEstimate(comps)
+    if not np.all(np.isfinite(comps)):
+        raise DomainError("bias components must be finite")
+    return comps
 
 
-def estimate_bias_qb(sample: MultivariateSample, tau: float) -> BiasEstimate:
-    """First-order bias of the QB estimator, -gamma (gamma^{-1}-1)^gamma
-    Xbar sqrt(n(1-tau)) / q-hat per margin."""
+def estimate_bias_qb(sample: MultivariateSample, tau: float) -> np.ndarray:
+    """First-order bias of the QB estimator, one component per margin:
+    -gamma (gamma^{-1}-1)^gamma Xbar sqrt(n(1-tau)) / q-hat."""
     return _bias_qb(sample, tau, estimate_margins(sample, tau))
 
 
@@ -325,17 +280,15 @@ def _v_qb(
     sample: MultivariateSample, tau: float, fit: MarginalTailEstimates, log_dn: float
 ) -> SpdMatrix:
     """Plug-in QB covariance: _qb_matrix read from the ranks."""
-    ranks = compute_ranks(sample)
+    ranks = sample.ranks
     r11, unit = _r11_matrix(ranks, tau), _unit_integral_matrix(ranks, tau)
     m = _qb_matrix(fit.gamma_hat, r11, unit, log_dn)
     return SpdMatrix.from_array(m, "star-QB covariance" if log_dn else "QB covariance")
 
 
-def estimate_v_qb(sample: MultivariateSample, tau: float) -> CovarianceEstimate:
+def estimate_v_qb(sample: MultivariateSample, tau: float) -> SpdMatrix:
     """Plug-in estimate of the intermediate QB covariance matrix."""
-    return CovarianceEstimate(
-        "qb", _v_qb(sample, tau, estimate_margins(sample, tau), 0.0), tau=tau
-    )
+    return _v_qb(sample, tau, estimate_margins(sample, tau), 0.0)
 
 
 def _sigma_laws(
@@ -349,7 +302,7 @@ def _sigma_laws(
     k = effective_k(n, tau)
     omt = 1.0 - tau
     thresholds = sample.sorted_columns[:, n - k - 1]
-    hill = _hill_block(g, _r11_matrix(compute_ranks(sample), tau))
+    hill = _hill_block(g, _r11_matrix(sample.ranks, tau))
     cross = _hill_laws_cross(x, phi, thresholds, g) / (omt * xi)
     np.fill_diagonal(cross, [_sigma_laws_cross_diag(gj) for gj in g])
     return _interleave(hill, cross, vlaws)
@@ -392,25 +345,15 @@ def _v_star_laws(
 
 def estimate_v_star_laws(
     sample: MultivariateSample, tau: float, tau_prime: float
-) -> CovarianceEstimate:
+) -> SpdMatrix:
     """Plug-in covariance of the LAWS extrapolating estimators (log scale)."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    return CovarianceEstimate(
-        "star_laws",
-        _v_star_laws(sample, tau, estimate_margins(sample, tau), levels.log_dn),
-        tau=tau,
-        tau_prime=tau_prime,
-    )
+    return _v_star_laws(sample, tau, estimate_margins(sample, tau), levels.log_dn)
 
 
 def estimate_v_star_qb(
     sample: MultivariateSample, tau: float, tau_prime: float
-) -> CovarianceEstimate:
+) -> SpdMatrix:
     """Plug-in covariance of the QB extrapolating estimators (log scale)."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    return CovarianceEstimate(
-        "star_qb",
-        _v_qb(sample, tau, estimate_margins(sample, tau), levels.log_dn),
-        tau=tau,
-        tau_prime=tau_prime,
-    )
+    return _v_qb(sample, tau, estimate_margins(sample, tau), levels.log_dn)

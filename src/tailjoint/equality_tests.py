@@ -12,7 +12,7 @@ be audited.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,19 +37,7 @@ class TestResult:
     covariance_scale: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "statistic": self.statistic,
-            "df": self.df,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "alpha": self.alpha,
-            "tau": self.tau,
-            "tau_prime": self.tau_prime,
-            "k": self.k,
-            "common_mean": self.common_mean,
-            "covariance_scale": self.covariance_scale,
-        }
+        return asdict(self)
 
 
 def gls_common_mean(z, v: SpdMatrix) -> float:
@@ -72,6 +60,10 @@ _TEST_NAMES = {"laws": "LAWS", "qb": "QB", "quantile": "quantile"}
 
 
 def _equality_test(est: _Estimate, alpha: float) -> TestResult:
+    d = est.center.size
+    if d < 2:
+        raise DomainError("equality test requires at least two margins")
+    _check_alpha(alpha)
     if np.any(est.center <= 0.0):
         raise DomainError(
             f"{_TEST_NAMES[est.method]} test requires positive extrapolated estimates"
@@ -81,10 +73,6 @@ def _equality_test(est: _Estimate, alpha: float) -> TestResult:
     if isinstance(cov, SpdMatrix):
         cov = cov.entries
     levels = est.levels
-    d = z.size
-    if d < 2:
-        raise DomainError("equality test requires at least two margins")
-    _check_alpha(alpha)
     scale = (levels.log_dn / math.sqrt(levels.n * (1.0 - levels.tau))) ** 2
     v = SpdMatrix.from_array(scale * cov, f"{est.method} test covariance")
     stat = deviance_statistic(z, v)

@@ -19,7 +19,7 @@ from .covariance import _bias_qb, _hill_block, _v_laws, _v_qb, _v_star_laws
 from .errors import DomainError
 from .marginal import estimate_margins
 from .numerics import SpdMatrix, chi_square_quantile, std_normal_quantile
-from .sample import MultivariateSample, TailLevelPair, compute_ranks
+from .sample import MultivariateSample, TailLevelPair
 from .taildep import _r11_matrix
 
 # Relative slack when comparing the membership quadratic form to radius^2,
@@ -140,7 +140,7 @@ def _estimate(
     zero = partial(np.zeros, sample.d)
 
     def bias() -> np.ndarray:
-        return _bias_qb(sample, tau, fit).components / math.sqrt(sample.n * (1.0 - tau))
+        return _bias_qb(sample, tau, fit) / math.sqrt(sample.n * (1.0 - tau))
 
     if levels is None:
         if method == "laws":
@@ -160,7 +160,7 @@ def _estimate(
             cov = partial(_v_qb, sample, tau, fit, levels.log_dn)
         else:
             center, shift = fit.weissman_quantiles(tau_prime), zero
-            cov = lambda: _hill_block(g, _r11_matrix(compute_ranks(sample), tau))
+            cov = lambda: _hill_block(g, _r11_matrix(sample.ranks, tau))
         if naive:
             shift = zero
             cov = partial(SpdMatrix.from_array, np.diag(g**2), "naive star covariance")
@@ -175,9 +175,9 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _region(est: _Estimate, alpha: float) -> ConfidenceRegion:
+    _check_alpha(alpha)
     shape = est.covariance()
     shift = est.shift()
-    _check_alpha(alpha)
     n, d = est.sample.n, est.sample.d
     radius = math.sqrt(chi_square_quantile(1.0 - alpha, d) / (n * (1.0 - est.tau)))
     extreme = est.levels is not None

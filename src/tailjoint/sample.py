@@ -144,14 +144,6 @@ class TailLevelPair:
         return math.log((1.0 - self.tau) / (1.0 - self.tau_prime))
 
 
-def compute_ranks(sample: MultivariateSample) -> np.ndarray:
-    """Per-column ranks, 1 = smallest, stable tie-breaking by input order.
-
-    Returns the sample's cached, read-only rank array.
-    """
-    return sample.ranks
-
-
 def ingest_csv(path, has_date_column: bool = False) -> MultivariateSample:
     """Read a comma-separated file with a header row into a sample.
 

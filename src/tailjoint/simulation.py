@@ -204,13 +204,6 @@ class MarginOracle:
             return 1.0 / (1.0 - self.gamma)
         return 0.0
 
-    def quantile(self, p: float) -> float:
-        if self.kind == "frechet":
-            return (-math.log(p)) ** -self.gamma
-        if self.kind == "pareto":
-            return (1.0 - p) ** -self.gamma
-        return float(stats.t.ppf(p, 1.0 / self.gamma))
-
     def partial_mean(self, theta: float) -> float:
         """E(X - theta)_+, exact via truncated first moments."""
         if self.kind == "frechet":

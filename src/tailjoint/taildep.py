@@ -1,6 +1,7 @@
 """Empirical tail copula, its pair matrices R(1,1) and unit integrals (one
 matrix product each over the rank-transformed points), the extremal
-coefficient, and analytic tail-copula oracles used for testing."""
+coefficient, and analytic tail-copula oracles used for testing.  Every
+empirical quantity reads the sample's cached ranks, ``sample.ranks``."""
 
 from __future__ import annotations
 
@@ -10,21 +11,19 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import integrate_unit_log
-from .sample import MultivariateSample, compute_ranks
+from .sample import MultivariateSample
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalTailCopula:
     """Rank-based step-function estimate of the tail copula of one pair.
 
-    Stores the transformed points (n+1-r_{i,j})/((n+1)(1-tau)) so that
-    evaluation is an exact count.  The covariances read R(1,1) and the unit
-    integrals of every pair at once from ``_r11_matrix`` and
-    ``_unit_integral_matrix``.
+    Stores the pair's transformed points (n+1-r_{i,j})/((n+1)(1-tau)), one
+    array per margin, so that evaluation is an exact count.  The covariances
+    read R(1,1) and the unit integrals of every pair at once from
+    ``_r11_matrix`` and ``_unit_integral_matrix``.
     """
 
-    j: int
-    ell: int
     n: int
     tau: float
     u: np.ndarray
@@ -51,8 +50,8 @@ def empirical_tail_copula(
         raise DomainError("tail copula is defined for distinct margins")
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must be in (0,1), got {tau}")
-    u = _tail_points(compute_ranks(sample), tau)
-    return EmpiricalTailCopula(j, ell, sample.n, tau, u[:, j], u[:, ell])
+    u = _tail_points(sample.ranks, tau)
+    return EmpiricalTailCopula(sample.n, tau, u[:, j], u[:, ell])
 
 
 def _tail_points(ranks: np.ndarray, tau: float) -> np.ndarray:

@@ -383,6 +383,45 @@ class TestConfigFile:
         assert repr(value) in captured.err
 
 
+def unread_flag_base(command, data_csv):
+    if command == "trace-scan":
+        return ["trace-scan", "--input", str(data_csv), "--k", "50"]
+    return ["simulate", "--model", "clayton_frechet", "--n", "200", "--k", "20",
+            "--reps", "3"]
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("trace-scan", ["--tau", "0.3"]),
+            ("trace-scan", ["--alpha", "7"]),
+            ("simulate", ["--input", "nonexistent.csv"]),
+            ("simulate", ["--date-column"]),
+        ],
+        ids=["trace-scan-tau", "trace-scan-alpha", "simulate-input", "simulate-date-column"],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, command, flags, data_csv):
+        with pytest.raises(SystemExit) as exc:
+            main([*unread_flag_base(command, data_csv), *flags])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, key, line",
+        [("trace-scan", "tau", "tau = 0.9"), ("simulate", "input", "input = x.csv")],
+    )
+    def test_config_key_the_command_does_not_read_exits_1(
+        self, tmp_path, data_csv, command, key, line, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        args = [*unread_flag_base(command, data_csv), "--config", str(cfg)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config key {key!r} is not a recognized flag" in captured.err
+
+
 class TestIngest:
     def test_weekly_returns(self, tmp_path, capsys):
         prices = write_price_csv(tmp_path / "prices.csv")

@@ -151,7 +151,7 @@ class TestStatisticConstruction:
         est = np.array(
             [extrapolate_expectile_laws(s.column(j), TAU, TAU_PRIME) for j in range(2)]
         )
-        bias = estimate_bias_qb(s, TAU).components
+        bias = estimate_bias_qb(s, TAU)
         z = np.log(est) + bias / math.sqrt(s.n * (1.0 - TAU))
         cov = estimate_v_star_laws(s, TAU, TAU_PRIME).entries
         v = Spd.from_array(result.covariance_scale * cov)
@@ -162,7 +162,6 @@ class TestStatisticConstruction:
 
     def test_quantile_covariance_form(self):
         from tailjoint.marginal import estimate_margins, weissman_quantile
-        from tailjoint.sample import compute_ranks
         from tailjoint.taildep import empirical_tail_copula
 
         s = fixture_sample(seed=22)

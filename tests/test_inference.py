@@ -11,6 +11,7 @@ from tailjoint.covariance import (
     estimate_v_star_laws,
     estimate_v_star_qb,
 )
+from tailjoint.equality_tests import test_equal_expectiles_laws as equal_expectiles_laws
 from tailjoint.errors import DomainError
 from tailjoint.inference import (
     ConfidenceRegion,
@@ -176,7 +177,7 @@ class TestRegionShapes:
     def test_qb_bias_shift(self):
         s = fixture_sample()
         region = region_intermediate_qb(s, TAU, ALPHA)
-        bias = estimate_bias_qb(s, TAU).components
+        bias = estimate_bias_qb(s, TAU)
         root = math.sqrt(s.n * (1.0 - TAU))
         assert np.allclose(region.bias_shift, -bias / root)
         ext = region_extreme_laws(s, TAU, TAU_PRIME, ALPHA)
@@ -239,7 +240,7 @@ class TestMarginalIntervals:
         from tailjoint.marginal import extrapolate_expectile_laws
 
         center = extrapolate_expectile_laws(s.column(0), TAU, TAU_PRIME)
-        shift = estimate_bias_qb(s, TAU).components[0] / math.sqrt(s.n * (1.0 - TAU))
+        shift = estimate_bias_qb(s, TAU)[0] / math.sqrt(s.n * (1.0 - TAU))
         shifted = center * math.exp(shift)
         assert interval.upper / shifted == pytest.approx(
             shifted / interval.lower, rel=1e-12
@@ -282,6 +283,26 @@ class TestValidation:
     def test_interval_bad_alpha(self, interval, alpha):
         with pytest.raises(DomainError, match=r"alpha must be in \(0,1\)"):
             interval(fixture_sample(), TAU, TAU_PRIME, 0, alpha)
+
+    @pytest.mark.parametrize(
+        "d, call, match",
+        [
+            (2, lambda s: region_intermediate_laws(s, TAU, 1.5), "alpha must be"),
+            (2, lambda s: region_extreme_laws(s, TAU, TAU_PRIME, 1.5), "alpha must be"),
+            (2, lambda s: equal_expectiles_laws(s, TAU, TAU_PRIME, 1.5), "alpha must be"),
+            (1, lambda s: equal_expectiles_laws(s, TAU, TAU_PRIME), "at least two margins"),
+        ],
+        ids=["region_intermediate", "region_extreme", "test_alpha", "test_one_margin"],
+    )
+    def test_arguments_checked_before_covariance(self, d, call, match):
+        # Hill estimates >= 1/2: the LAWS covariance of this panel fails, and
+        # a bad alpha or margin count must be reported in its place.
+        rng = np.random.default_rng(15)
+        s = MultivariateSample(rng.pareto(1.2, (500, d)) + 1.0, ("X0", "X1")[:d])
+        with pytest.raises(DomainError, match="tail too heavy"):
+            estimate_v_star_laws(s, TAU, TAU_PRIME)
+        with pytest.raises(DomainError, match=match):
+            call(s)
 
     def test_bad_levels(self):
         from tailjoint.errors import LevelError

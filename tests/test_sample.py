@@ -11,7 +11,6 @@ from tailjoint.errors import DomainError, IngestionError, LevelError
 from tailjoint.sample import (
     MultivariateSample,
     TailLevelPair,
-    compute_ranks,
     effective_k,
     emit_csv,
     ingest_csv,
@@ -62,20 +61,20 @@ class TestMultivariateSample:
 class TestRanks:
     def test_hand_column(self):
         s = make_sample([5.0, 1.0, 3.0, 7.0])
-        assert list(compute_ranks(s)[:, 0]) == [3, 1, 2, 4]
+        assert list(s.ranks[:, 0]) == [3, 1, 2, 4]
 
     def test_increasing_column(self):
         s = make_sample(np.arange(10.0))
-        assert list(compute_ranks(s)[:, 0]) == list(range(1, 11))
+        assert list(s.ranks[:, 0]) == list(range(1, 11))
 
     def test_stable_ties(self):
         s = make_sample([2.0, 2.0, 1.0, 2.0])
-        assert list(compute_ranks(s)[:, 0]) == [2, 3, 1, 4]
+        assert list(s.ranks[:, 0]) == [2, 3, 1, 4]
 
     def test_rank_inverse_recovers_order_statistics(self):
         rng = np.random.default_rng(3)
         s = make_sample(rng.normal(size=25))
-        ranks = compute_ranks(s)[:, 0]
+        ranks = s.ranks[:, 0]
         for i, r in enumerate(ranks):
             assert s.values[i, 0] == s.sorted_columns[0, int(r) - 1]
 
@@ -128,7 +127,7 @@ class TestOrderStatisticsCache:
     def test_computed_once(self):
         s = make_sample([5.0, 1.0, 3.0, 7.0])
         assert s.sorted_columns is s.sorted_columns
-        assert compute_ranks(s) is compute_ranks(s)
+        assert s.ranks is s.ranks
 
     def test_values_read_only(self):
         s = make_sample([5.0, 1.0, 3.0, 7.0], [1.0, 2.0, 3.0, 4.0])

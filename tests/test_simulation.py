@@ -146,13 +146,6 @@ class TestModelValidation:
 
 
 class TestMarginOracle:
-    def test_frechet_fixed_point(self):
-        # F(1) = exp(-1) for the unit Frechet, whatever the tail index.
-        for g in (0.2, G, 0.45):
-            assert MarginOracle("frechet", g).quantile(math.exp(-1.0)) == pytest.approx(
-                1.0, rel=1e-12
-            )
-
     def test_means(self):
         assert MarginOracle("pareto", G).mean() == pytest.approx(1.5, rel=1e-12)
         assert MarginOracle("student", G).mean() == 0.0

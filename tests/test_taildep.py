@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailjoint.errors import DomainError
-from tailjoint.sample import MultivariateSample, compute_ranks
+from tailjoint.sample import MultivariateSample
 from tailjoint.taildep import (
     OracleTailCopula,
     _r11_matrix,
@@ -86,7 +86,7 @@ class TestEmpiricalEvaluation:
 
 
 def unit_integrals(s, tau):
-    return _unit_integral_matrix(compute_ranks(s), tau)
+    return _unit_integral_matrix(s.ranks, tau)
 
 
 class TestUnitIntegral:
@@ -150,7 +150,7 @@ class TestUnitIntegral:
         common = rng.integers(0, levels, size=(n, 1))
         x = common + rng.integers(0, levels, size=(n, d)) * rng.integers(0, 2, size=d)
         s = MultivariateSample(x.astype(float), tuple(f"X{j}" for j in range(d)))
-        ranks = compute_ranks(s)
+        ranks = s.ranks
         unit, r11 = _unit_integral_matrix(ranks, tau), _r11_matrix(ranks, tau)
         for j in range(d):
             for ell in range(j + 1, d):
