@@ -98,8 +98,10 @@ def _coerce(key: str, text: str):
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "config", None) is None:
         return args
+    flags = _COMMANDS[args.command][2]
     for key, text in _parse_config_file(args.config).items():
-        if not hasattr(args, key):
+        # Only the command's own flags; a nested config file is never read.
+        if key == "config" or key not in flags:
             raise DomainError(f"config key {key!r} is not a recognized flag")
         if getattr(args, key) is None:
             setattr(args, key, _coerce(key, text))

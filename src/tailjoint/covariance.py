@@ -4,7 +4,11 @@ Theoretical matrices are exact functionals of the tail indices and a tail
 copula oracle; by the oracle's homogeneity each of their integrals over
 [1,inf)^2 is one 1-D quadrature (``numerics.integrate_tail_box``).
 Estimated matrices plug the marginal estimators and the empirical tail
-copula into the same displays.  Every covariance builder returns the
+copula into the same displays; each estimated builder takes only the sample
+and its levels and reads the fit that ``marginal.estimate_margins`` keeps
+on the sample, so one (sample, tau) is fitted once however many builders
+read it.  Every covariance builder, the Weissman (quantile-test) one
+included, returns the
 symmetrized, PSD-clipped :class:`~tailjoint.numerics.SpdMatrix` it builds,
 except ``estimate_sigma_laws``, which returns the raw array; the QB bias is
 returned as its array of per-margin components.
@@ -20,15 +24,9 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .marginal import (
-    MarginalTailEstimates,
-    asymmetric_weight,
-    estimate_margins,
-    m_function,
-    qb_factor,
-)
+from .marginal import asymmetric_weight, estimate_margins, m_function, qb_factor
 from .numerics import SpdMatrix, integrate_1d_tail, integrate_tail_box
-from .sample import MultivariateSample, TailLevelPair, effective_k
+from .sample import MultivariateSample, TailLevelPair
 from .taildep import OracleTailCopula, _r11_matrix, _unit_integral_matrix
 
 
@@ -217,11 +215,10 @@ def theoretical_v_star_qb(gammas, oracle, log_dn: float) -> SpdMatrix:
     )
 
 
-def _v_laws_raw(
-    sample: MultivariateSample, tau: float, fit: MarginalTailEstimates, phi: np.ndarray
-) -> np.ndarray:
-    """Unclipped intermediate LAWS covariance, given the fit at tau and its
-    asymmetric residuals phi."""
+def _v_laws_raw(sample: MultivariateSample, tau: float, phi: np.ndarray) -> np.ndarray:
+    """Unclipped intermediate LAWS covariance, given the asymmetric
+    residuals phi of the fit at tau."""
+    fit = estimate_margins(sample, tau)
     g, xi = fit.gamma_hat, fit.xi_laws
     if np.any(g >= 0.5):
         raise DomainError(
@@ -244,21 +241,18 @@ def _v_laws_raw(
     return m
 
 
-def _v_laws(sample: MultivariateSample, tau: float, fit: MarginalTailEstimates) -> SpdMatrix:
-    phi = asymmetric_weight(sample.values - fit.xi_laws, tau)
-    return SpdMatrix.from_array(_v_laws_raw(sample, tau, fit, phi), "LAWS covariance")
-
-
 def estimate_v_laws(sample: MultivariateSample, tau: float) -> SpdMatrix:
     """Plug-in estimate of the intermediate LAWS covariance matrix."""
-    return _v_laws(sample, tau, estimate_margins(sample, tau))
+    phi = asymmetric_weight(sample.values - estimate_margins(sample, tau).xi_laws, tau)
+    return SpdMatrix.from_array(_v_laws_raw(sample, tau, phi), "LAWS covariance")
 
 
-def _bias_qb(
-    sample: MultivariateSample, tau: float, fit: MarginalTailEstimates
-) -> np.ndarray:
+def estimate_bias_qb(sample: MultivariateSample, tau: float) -> np.ndarray:
+    """First-order bias of the QB estimator, one component per margin:
+    -gamma (gamma^{-1}-1)^gamma Xbar sqrt(n(1-tau)) / q-hat."""
     # q-hat is the Hill threshold order statistic, which estimate_margins
     # has already required to be positive.
+    fit = estimate_margins(sample, tau)
     g, q = fit.gamma_hat, fit.q_hat
     for gj in g:
         qb_factor(gj)  # raises where the factor (1/g - 1)^g below is undefined
@@ -270,42 +264,18 @@ def _bias_qb(
     return comps
 
 
-def estimate_bias_qb(sample: MultivariateSample, tau: float) -> np.ndarray:
-    """First-order bias of the QB estimator, one component per margin:
-    -gamma (gamma^{-1}-1)^gamma Xbar sqrt(n(1-tau)) / q-hat."""
-    return _bias_qb(sample, tau, estimate_margins(sample, tau))
-
-
-def _v_qb(
-    sample: MultivariateSample, tau: float, fit: MarginalTailEstimates, log_dn: float
-) -> SpdMatrix:
+def _v_qb(sample: MultivariateSample, tau: float, log_dn: float) -> SpdMatrix:
     """Plug-in QB covariance: _qb_matrix read from the ranks."""
+    g = estimate_margins(sample, tau).gamma_hat
     ranks = sample.ranks
     r11, unit = _r11_matrix(ranks, tau), _unit_integral_matrix(ranks, tau)
-    m = _qb_matrix(fit.gamma_hat, r11, unit, log_dn)
+    m = _qb_matrix(g, r11, unit, log_dn)
     return SpdMatrix.from_array(m, "star-QB covariance" if log_dn else "QB covariance")
 
 
 def estimate_v_qb(sample: MultivariateSample, tau: float) -> SpdMatrix:
     """Plug-in estimate of the intermediate QB covariance matrix."""
-    return _v_qb(sample, tau, estimate_margins(sample, tau), 0.0)
-
-
-def _sigma_laws(
-    sample: MultivariateSample, tau: float, fit: MarginalTailEstimates
-) -> np.ndarray:
-    g, xi = fit.gamma_hat, fit.xi_laws
-    x = sample.values
-    phi = asymmetric_weight(x - xi, tau)
-    vlaws = _v_laws_raw(sample, tau, fit, phi)
-    n = sample.n
-    k = effective_k(n, tau)
-    omt = 1.0 - tau
-    thresholds = sample.sorted_columns[:, n - k - 1]
-    hill = _hill_block(g, _r11_matrix(sample.ranks, tau))
-    cross = _hill_laws_cross(x, phi, thresholds, g) / (omt * xi)
-    np.fill_diagonal(cross, [_sigma_laws_cross_diag(gj) for gj in g])
-    return _interleave(hill, cross, vlaws)
+    return _v_qb(sample, tau, 0.0)
 
 
 def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
@@ -314,7 +284,15 @@ def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
     Coordinates are interleaved per margin.  Returned unclipped so that the
     log d_n contraction is an exact linear function of these blocks.
     """
-    return _sigma_laws(sample, tau, estimate_margins(sample, tau))
+    fit = estimate_margins(sample, tau)
+    g, xi = fit.gamma_hat, fit.xi_laws
+    phi = asymmetric_weight(sample.values - xi, tau)
+    vlaws = _v_laws_raw(sample, tau, phi)
+    hill = _hill_block(g, _r11_matrix(sample.ranks, tau))
+    # q-hat is the Hill threshold order statistic X_{n-k,n}.
+    cross = _hill_laws_cross(sample.values, phi, fit.q_hat, g) / ((1.0 - tau) * xi)
+    np.fill_diagonal(cross, [_sigma_laws_cross_diag(gj) for gj in g])
+    return _interleave(hill, cross, vlaws)
 
 
 def _hill_laws_cross(x, phi, thresholds, g) -> np.ndarray:
@@ -335,20 +313,13 @@ def _hill_laws_cross(x, phi, thresholds, g) -> np.ndarray:
     return g * s1 - np.outer(g, g) * s2
 
 
-def _v_star_laws(
-    sample: MultivariateSample, tau: float, fit: MarginalTailEstimates, log_dn: float
-) -> SpdMatrix:
-    return SpdMatrix.from_array(
-        _contract_blocks(_sigma_laws(sample, tau, fit), log_dn), "star-LAWS covariance"
-    )
-
-
 def estimate_v_star_laws(
     sample: MultivariateSample, tau: float, tau_prime: float
 ) -> SpdMatrix:
     """Plug-in covariance of the LAWS extrapolating estimators (log scale)."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    return _v_star_laws(sample, tau, estimate_margins(sample, tau), levels.log_dn)
+    m = _contract_blocks(estimate_sigma_laws(sample, tau), levels.log_dn)
+    return SpdMatrix.from_array(m, "star-LAWS covariance")
 
 
 def estimate_v_star_qb(
@@ -356,4 +327,13 @@ def estimate_v_star_qb(
 ) -> SpdMatrix:
     """Plug-in covariance of the QB extrapolating estimators (log scale)."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    return _v_qb(sample, tau, estimate_margins(sample, tau), levels.log_dn)
+    return _v_qb(sample, tau, levels.log_dn)
+
+
+def _v_star_quantile(sample: MultivariateSample, tau: float) -> SpdMatrix:
+    """Plug-in covariance of the Weissman extrapolating estimators (log
+    scale): the Hill block, g_j g_l R-hat_jl(1,1) off the diagonal."""
+    g = estimate_margins(sample, tau).gamma_hat
+    return SpdMatrix.from_array(
+        _hill_block(g, _r11_matrix(sample.ranks, tau)), "quantile test covariance"
+    )

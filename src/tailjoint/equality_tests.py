@@ -69,14 +69,13 @@ def _equality_test(est: _Estimate, alpha: float) -> TestResult:
             f"{_TEST_NAMES[est.method]} test requires positive extrapolated estimates"
         )
     z = np.log(est.center) + est.shift()
-    cov = est.covariance()
-    if isinstance(cov, SpdMatrix):
-        cov = cov.entries
     levels = est.levels
     scale = (levels.log_dn / math.sqrt(levels.n * (1.0 - levels.tau))) ** 2
-    v = SpdMatrix.from_array(scale * cov, f"{est.method} test covariance")
-    stat = deviance_statistic(z, v)
+    # The builder has checked the covariance: finite, symmetric and PSD, all
+    # kept by a positive scale.
+    v = SpdMatrix(scale * est.covariance().entries)
     mean = gls_common_mean(z, v)
+    stat = v.quadratic_form(z - mean, "test")  # deviance_statistic's arithmetic
     p = 1.0 - chi_square_cdf(stat, d - 1)
     return TestResult(
         kind=est.method,

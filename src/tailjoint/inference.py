@@ -15,12 +15,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .covariance import _bias_qb, _hill_block, _v_laws, _v_qb, _v_star_laws
+from .covariance import (
+    _v_star_quantile, estimate_bias_qb, estimate_v_laws, estimate_v_qb,
+    estimate_v_star_laws, estimate_v_star_qb,
+)
 from .errors import DomainError
 from .marginal import estimate_margins
 from .numerics import SpdMatrix, chi_square_quantile, std_normal_quantile
 from .sample import MultivariateSample, TailLevelPair
-from .taildep import _r11_matrix
 
 # Relative slack when comparing the membership quadratic form to radius^2,
 # so that analytically constructed boundary points test as inside.
@@ -101,8 +103,9 @@ def _naive_diagonal(g: np.ndarray, power: int, name: str) -> SpdMatrix:
 
 
 class _Estimate(NamedTuple):
-    """The three inputs of a region, an interval or a test, read from one
-    marginal fit: a center, a bias shift and a covariance.
+    """The three inputs of a region, an interval or a test, each read from
+    the sample's one marginal fit at tau: a center, a bias shift and a
+    covariance, always an SpdMatrix.
 
     shift and covariance are built on first call and then reused; each
     consumer calls them in its own order, which fixes the error it raises
@@ -116,7 +119,7 @@ class _Estimate(NamedTuple):
     levels: TailLevelPair | None
     center: np.ndarray
     shift: Callable[[], np.ndarray]
-    covariance: Callable[[], SpdMatrix | np.ndarray]
+    covariance: Callable[[], SpdMatrix]
 
 
 def _estimate(
@@ -130,9 +133,10 @@ def _estimate(
 
     tau_prime=None is the intermediate level on the linear scale; otherwise
     the extrapolation to tau_prime on the log scale.  method is "laws", "qb"
-    or, extrapolated only, "quantile" (Weissman), whose covariance is
-    returned unclipped as an array.  The naive variants assume independent
-    margins: a diagonal covariance and, extrapolated, no bias shift.
+    or, extrapolated only, "quantile" (Weissman).  Every part reads the fit
+    that estimate_margins keeps on the sample, through the builders of
+    ``covariance``.  The naive variants assume independent margins: a
+    diagonal covariance and, extrapolated, no bias shift.
     """
     levels = None if tau_prime is None else TailLevelPair(tau, tau_prime, sample.n)
     fit = estimate_margins(sample, tau)
@@ -140,27 +144,27 @@ def _estimate(
     zero = partial(np.zeros, sample.d)
 
     def bias() -> np.ndarray:
-        return _bias_qb(sample, tau, fit) / math.sqrt(sample.n * (1.0 - tau))
+        return estimate_bias_qb(sample, tau) / math.sqrt(sample.n * (1.0 - tau))
 
     if levels is None:
         if method == "laws":
             center, shift, power = fit.xi_laws, zero, 3
-            cov = partial(_v_laws, sample, tau, fit)
+            cov = partial(estimate_v_laws, sample, tau)
         else:
             center, shift, power = fit.xi_qb, lambda: -bias(), 2
-            cov = partial(_v_qb, sample, tau, fit, 0.0)
+            cov = partial(estimate_v_qb, sample, tau)
         if naive:
             cov = partial(_naive_diagonal, g, power, f"naive {method.upper()} covariance")
     else:
         if method == "laws":
             center, shift = fit.xi_star_laws(tau_prime), bias
-            cov = partial(_v_star_laws, sample, tau, fit, levels.log_dn)
+            cov = partial(estimate_v_star_laws, sample, tau, tau_prime)
         elif method == "qb":
             center, shift = fit.xi_star_qb(tau_prime), zero
-            cov = partial(_v_qb, sample, tau, fit, levels.log_dn)
+            cov = partial(estimate_v_star_qb, sample, tau, tau_prime)
         else:
             center, shift = fit.weissman_quantiles(tau_prime), zero
-            cov = lambda: _hill_block(g, _r11_matrix(sample.ranks, tau))
+            cov = partial(_v_star_quantile, sample, tau)
         if naive:
             shift = zero
             cov = partial(SpdMatrix.from_array, np.diag(g**2), "naive star covariance")

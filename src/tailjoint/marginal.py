@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LevelError
-from .sample import effective_k
+from .sample import _read_only, effective_k
 
 
 def _column(column) -> np.ndarray:
@@ -169,11 +169,11 @@ class MarginalTailEstimates:
 
 
 def _fit_sorted(xs: np.ndarray, tau: float) -> MarginalTailEstimates:
-    """The fit of each ascending row of xs at level tau."""
+    """The fit of each ascending row of xs at level tau, in read-only arrays."""
     gamma = _hill_sorted(xs, effective_k(xs.shape[1], tau))
     q = _quantile_sorted(xs, tau)
     xi = _laws_sorted(xs, tau)
-    return MarginalTailEstimates(tau=tau, gamma_hat=gamma, q_hat=q, xi_laws=xi)
+    return MarginalTailEstimates(tau, *(_read_only(a) for a in (gamma, q, xi)))
 
 
 def _fit_column(column, tau: float) -> MarginalTailEstimates:
@@ -182,8 +182,16 @@ def _fit_column(column, tau: float) -> MarginalTailEstimates:
 
 def estimate_margins(sample, tau: float) -> MarginalTailEstimates:
     """Hill, intermediate quantile and both expectile estimators per column,
-    read from the sample's cached order statistics."""
-    return _fit_sorted(sample.sorted_columns, tau)
+    read from the sample's cached order statistics.
+
+    The fit is computed once per (sample, tau) and kept on the sample, so
+    every estimator, region, interval and test at tau reads the same one; a
+    level whose fit raises is not kept, and raises again on the next call.
+    """
+    fits = sample._fits
+    if tau not in fits:
+        fits[tau] = _fit_sorted(sample.sorted_columns, tau)
+    return fits[tau]
 
 
 def m_function(x: float) -> float:

@@ -21,8 +21,9 @@ class MultivariateSample:
     log-returns transform.
 
     The values are a read-only copy of the input.  The column-wise order
-    statistics and ranks are computed from one stable argsort on first use
-    and shared by every estimator that reads this sample.
+    statistics and ranks are computed from one stable argsort on first use,
+    and the marginal fit once per level tau (``marginal.estimate_margins``);
+    all are read-only and shared by every estimator that reads this sample.
     """
 
     values: np.ndarray
@@ -86,6 +87,11 @@ class MultivariateSample:
     def _order(self) -> np.ndarray:
         """Row order of each column, d x n, ties kept in input order."""
         return np.argsort(self.values.T, axis=1, kind="stable")
+
+    @cached_property
+    def _fits(self) -> dict:
+        """Marginal fits by level tau, kept by ``marginal.estimate_margins``."""
+        return {}
 
     @cached_property
     def sorted_columns(self) -> np.ndarray:

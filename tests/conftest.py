@@ -21,6 +21,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def count_fits(monkeypatch) -> list:
+    """Record the level of every marginal fit computed (not looked up) from
+    here on; returns the record."""
+    from tailjoint import marginal
+
+    fits = []
+    original = marginal._fit_sorted
+
+    def counting(xs, tau):
+        fits.append(tau)
+        return original(xs, tau)
+
+    monkeypatch.setattr(marginal, "_fit_sorted", counting)
+    return fits
+
+
 def step_unit_integral(tc, axis: int) -> float:
     """Integral over (0,1] of R-hat(u,1)/u (axis 0) or R-hat(1,u)/u (axis 1)
     of an empirical tail copula, summed step by step: R-hat(., 1) is i/k on

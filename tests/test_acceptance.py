@@ -55,6 +55,12 @@ def report(criterion: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
+def failures(rep) -> str:
+    """The failed replications of a Monte Carlo report, shown next to each
+    rate read from it: a rate covers only the replications that succeeded."""
+    return f"failures={rep.failures}/{rep.replications}"
+
+
 def test_criterion_1_chi_square_quantiles():
     anchors = [(1, 3.8415), (3, 7.8147), (4, 9.4877)]
     values = [chi_square_quantile(0.95, df) for df, _ in anchors]
@@ -152,7 +158,8 @@ def test_criterion_5_intermediate_mse_table():
     ok = abs(laws - 9.236) < 1.0 and abs(qb - 17.119) < 1.0
     assert report(
         "criterion-5", ok,
-        f"LAWS {laws:.3f} vs 9.236+-1.0, QB {qb:.3f} vs 17.119+-1.0",
+        f"LAWS {laws:.3f} vs 9.236+-1.0 {failures(rep)}, "
+        f"QB {qb:.3f} vs 17.119+-1.0 {failures(rep)}",
     )
 
 
@@ -160,49 +167,58 @@ def test_criterion_6_intermediate_region_coverage():
     n = 1000
     tau = 1.0 - 1.0 / math.sqrt(n)
     model_ii = SimulationModel.gaussian_student(2)
-    adjusted = run_mc_coverage(
-        model_ii, n, tau, 2000, 0.05, "laws", master_seed=1
-    ).metrics["noncoverage_pct_laws"]
-    naive = run_mc_coverage(
+    adjusted_rep = run_mc_coverage(model_ii, n, tau, 2000, 0.05, "laws", master_seed=1)
+    naive_rep = run_mc_coverage(
         model_ii, n, tau, 2000, 0.05, "laws", master_seed=1, naive=True
-    ).metrics["noncoverage_pct_laws_naive"]
-    qb_naive = run_mc_coverage(
+    )
+    qb_naive_rep = run_mc_coverage(
         SimulationModel.clayton_frechet(2), n, tau, 2000, 0.05, "qb",
         master_seed=1, naive=True,
-    ).metrics["noncoverage_pct_qb_naive"]
+    )
+    adjusted = adjusted_rep.metrics["noncoverage_pct_laws"]
+    naive = naive_rep.metrics["noncoverage_pct_laws_naive"]
+    qb_naive = qb_naive_rep.metrics["noncoverage_pct_qb_naive"]
     ok = abs(adjusted - 5.49) < 1.5 and abs(naive - 8.37) < 1.5 and qb_naive < 0.5
     assert report(
         "criterion-6", ok,
-        f"adjusted {adjusted:.2f} vs 5.49+-1.5, naive {naive:.2f} vs 8.37+-1.5, "
-        f"QB naive {qb_naive:.2f} < 0.5",
+        f"adjusted {adjusted:.2f} vs 5.49+-1.5 {failures(adjusted_rep)}, "
+        f"naive {naive:.2f} vs 8.37+-1.5 {failures(naive_rep)}, "
+        f"QB naive {qb_naive:.2f} < 0.5 {failures(qb_naive_rep)}",
     )
 
 
 def test_criterion_7_extreme_interval_coverage():
     n, tau_prime, M = 1000, 0.999, 2000
-    adjusted = {}
+    reports = {}
     for margin in ("pareto", "frechet"):
         model = SimulationModel.univariate(margin)
         for k in (50, 100):
             tau = 1.0 - k / n
             for method in ("laws", "qb"):
-                rep = run_mc_interval_coverage(
+                reports[(margin, k, method)] = run_mc_interval_coverage(
                     model, n, tau, tau_prime, M, 0.05, method, master_seed=1
                 )
-                adjusted[(margin, k, method)] = rep.metrics[f"noncoverage_pct_{method}"]
-    naive = {
+    adjusted = {
+        key: rep.metrics[f"noncoverage_pct_{key[2]}"] for key, rep in reports.items()
+    }
+    naive_reps = {
         k: run_mc_interval_coverage(
             SimulationModel.univariate("frechet"), n, 1.0 - k / n, tau_prime,
             M, 0.05, "laws", master_seed=1, naive=True,
-        ).metrics["noncoverage_pct_laws_naive"]
+        )
         for k in (50, 100)
     }
+    naive = {k: r.metrics["noncoverage_pct_laws_naive"] for k, r in naive_reps.items()}
     in_band = {key: 2.0 <= v <= 10.0 for key, v in adjusted.items()}
     naive_ok = all(v > 12.0 for v in naive.values())
     ok = all(in_band.values()) and naive_ok
     detail = (
-        ", ".join(f"{m}/k={k}/{meth} {v:.2f}" for (m, k, meth), v in adjusted.items())
+        ", ".join(
+            f"{m}/k={k}/{meth} {v:.2f} {failures(reports[(m, k, meth)])}"
+            for (m, k, meth), v in adjusted.items()
+        )
         + ", naive frechet " + "/".join(f"{v:.1f}" for v in naive.values())
+        + " " + " and ".join(failures(r) for r in naive_reps.values())
     )
     report("criterion-7", ok, detail)
     out_of_band = [key for key, good in in_band.items() if not good]
@@ -221,20 +237,22 @@ def test_criterion_7_extreme_interval_coverage():
 
 def test_criterion_8_type_one_error():
     n, tau, tau_prime, M = 1000, 0.95, 0.999, 10_000
-    both = run_mc_power(
+    both_rep = run_mc_power(
         SimulationModel.gumbel_frechet(2), n, tau, tau_prime, M, 0.05, master_seed=1
-    ).metrics
-    laws, qb = both["rejection_pct_laws"], both["rejection_pct_qb"]
-    qb_i = run_mc_power(
+    )
+    laws, qb = (both_rep.metrics[f"rejection_pct_{m}"] for m in ("laws", "qb"))
+    qb_i_rep = run_mc_power(
         SimulationModel.clayton_frechet(2), n, tau, tau_prime, M, 0.05,
         master_seed=1, methods=("qb",),
-    ).metrics["rejection_pct_qb"]
+    )
+    qb_i = qb_i_rep.metrics["rejection_pct_qb"]
     laws_ok = abs(laws - 2.26) < 0.7
     ok = laws_ok and abs(qb - 2.79) < 0.7 and abs(qb_i - 8.71) < 1.5
     report(
         "criterion-8", ok,
-        f"LAWS {laws:.2f} vs 2.26+-0.7, QB {qb:.2f} vs 2.79+-0.7, "
-        f"QB model-i {qb_i:.2f} vs 8.71+-1.5",
+        f"LAWS {laws:.2f} vs 2.26+-0.7 {failures(both_rep)}, "
+        f"QB {qb:.2f} vs 2.79+-0.7 {failures(both_rep)}, "
+        f"QB model-i {qb_i:.2f} vs 8.71+-1.5 {failures(qb_i_rep)}",
     )
     assert abs(qb - 2.79) < 0.7
     assert abs(qb_i - 8.71) < 1.5
@@ -252,13 +270,14 @@ def test_criterion_8_type_one_error():
 def test_criterion_9_power_curve_shape():
     n, tau, tau_prime, M = 1000, 0.95, 0.999, 500
     gammas = (0.10, 0.20, 1.0 / 3.0, 0.40)
-    power = []
+    power, reports = [], []
     for g1 in gammas:
         model = SimulationModel.gumbel_frechet(2, gamma=(g1, 1.0 / 3.0))
         rep = run_mc_power(
             model, n, tau, tau_prime, M, 0.05, master_seed=1, methods=("qb",)
         )
         power.append(rep.metrics["rejection_pct_qb"])
+        reports.append(rep)
     # U-shape: unique minimum at gamma=1/3, non-increasing on the left
     # (power saturates at 100% for the smallest gammas), rising on the right.
     ok = (
@@ -267,7 +286,10 @@ def test_criterion_9_power_curve_shape():
         and all(power[2] < p for i, p in enumerate(power) if i != 2)
         and power[0] > 50.0
     )
-    detail = ", ".join(f"gamma={g:.2f}: {p:.1f}%" for g, p in zip(gammas, power))
+    detail = ", ".join(
+        f"gamma={g:.2f}: {p:.1f}% {failures(r)}"
+        for g, p, r in zip(gammas, power, reports)
+    )
     assert report("criterion-9", ok, detail)
 
 

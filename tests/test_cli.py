@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import count_fits
+
 from tailjoint.cli import main, parse_model_spec
 from tailjoint.covariance import estimate_v_star_laws
 from tailjoint.errors import DomainError, TailjointError
@@ -369,6 +371,19 @@ class TestConfigFile:
         assert "expected key=value" in err
         assert "banana" in err
 
+    @pytest.mark.parametrize("key", ["command", "run", "config"])
+    def test_config_key_that_is_not_a_flag_exits_1(self, tmp_path, data_csv, key, capsys):
+        # Attributes of the parsed arguments that are not flags of the
+        # command, and --config itself: a nested file is never read.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {tmp_path / 'nested.cfg'}\n")
+        (tmp_path / "nested.cfg").write_text("k = 40\n")
+        assert main(["estimate", "--input", str(data_csv), "--k", "30",
+                     "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config key {key!r} is not a recognized flag" in captured.err
+
     @pytest.mark.parametrize("line", ["k = abc", "k = 5.5", "alpha = high"])
     def test_config_value_that_does_not_parse_exits_1(
         self, tmp_path, data_csv, line, capsys
@@ -420,6 +435,18 @@ class TestFlagsPerCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"config key {key!r} is not a recognized flag" in captured.err
+
+
+class TestFitsPerCommand:
+    @pytest.mark.parametrize("command, fits", [("estimate", 1), ("test", 11), ("region", 10)])
+    def test_each_panel_fitted_once(self, tmp_path, monkeypatch, capsys, command, fits):
+        # d = 5: estimate fits the panel; test fits it and its 10 pairs, and
+        # region fits the 10 pairs, each once for every method and kind.
+        data = write_sample_csv(tmp_path / "d5.csv", n=1000, d=5, gamma=0.25)
+        counted = count_fits(monkeypatch)
+        assert main([command, "--input", str(data), "--k", "100"]) == 0
+        capsys.readouterr()
+        assert len(counted) == fits
 
 
 class TestIngest:

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import count_fits
+
 from tailjoint.equality_tests import (
     deviance_statistic,
     gls_common_mean,
@@ -178,22 +180,9 @@ class TestStatisticConstruction:
         assert result.statistic == pytest.approx(deviance_statistic(z, v), rel=1e-12)
 
     def test_laws_fits_margins_once(self, monkeypatch):
-        import sys
-
-        from tailjoint import marginal
-
-        calls = []
-        original = marginal.estimate_margins
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("tailjoint") and vars(mod).get("estimate_margins") is original:
-                monkeypatch.setattr(mod, "estimate_margins", counting)
+        fits = count_fits(monkeypatch)
         equal_expectiles_laws(fixture_sample(seed=21), TAU, TAU_PRIME)
-        assert len(calls) == 1
+        assert fits == [TAU]
 
     def test_quantile_test_with_gamma_above_one(self):
         # The Weissman test needs only gamma-hat and q-hat; a margin with

@@ -12,6 +12,7 @@ from tailjoint import marginal
 from tailjoint.errors import DomainError, LevelError, TailjointError
 from tailjoint.marginal import (
     empirical_quantile,
+    estimate_margins,
     extrapolate_expectile_laws,
     extrapolate_expectile_qb,
     hill_estimator,
@@ -21,7 +22,7 @@ from tailjoint.marginal import (
     qb_factor,
     weissman_quantile,
 )
-from tailjoint.sample import effective_k
+from tailjoint.sample import MultivariateSample, effective_k
 
 
 def golden_section_expectile(x, tau, tol=1e-9):
@@ -157,10 +158,27 @@ class TestHillEstimator:
     def test_nonpositive_threshold(self):
         with pytest.raises(DomainError, match="positive tail"):
             hill_estimator([-3.0, -2.0, -1.0, 1.0], 3)
+        # The same column in a sample, fitted at k = 3: a fit that raises is
+        # not kept, so the next call raises again.
+        s = MultivariateSample([[-3.0], [-2.0], [-1.0], [1.0]], ("a",))
+        for _ in range(2):
+            with pytest.raises(DomainError, match="positive tail"):
+                estimate_margins(s, 0.25)
 
     def test_bad_k(self):
         with pytest.raises(LevelError):
             hill_estimator([1.0, 2.0, 3.0], 3)
+
+
+class TestFitKeptOnSample:
+    def test_fit_arrays_read_only(self):
+        rng = np.random.default_rng(3)
+        s = MultivariateSample(rng.pareto(3.0, size=(200, 2)) + 1.0, ("a", "b"))
+        fit = estimate_margins(s, 0.9)
+        for arr in (fit.gamma_hat, fit.q_hat, fit.xi_laws):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert estimate_margins(s, 0.9) is fit
 
 
 class TestQbFactor:

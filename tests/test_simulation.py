@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
+from conftest import count_fits
+
 from tailjoint.errors import DomainError, LevelError
 from tailjoint.marginal import estimate_margins
 from tailjoint.simulation import (
@@ -291,6 +293,16 @@ class TestHarnesses:
             run_mc_coverage(
                 model, 500, 0.9, M=5, alpha=0.05, method="hill", master_seed=6
             )
+
+    def test_power_replication_fits_its_sample_once(self, monkeypatch):
+        # Both tests of the replication read one fit of its sample.
+        fits = count_fits(monkeypatch)
+        report = run_mc_power(
+            SimulationModel.gumbel_frechet(2), 1000, 0.95, 0.999, M=1,
+            alpha=0.05, master_seed=1,
+        )
+        assert report.failures == 0
+        assert fits == [0.95]
 
     def test_report_accounting(self):
         report = McReport(
