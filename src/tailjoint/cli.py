@@ -361,8 +361,7 @@ def cmd_trace_scan(args) -> int:
         raise DomainError(
             f"k range [{k_min}, {k_max}] outside [2, {sample.n - 1}] for n={sample.n}"
         )
-    rows = []
-    failures = 0
+    rows, errors = [], []
     for k in range(k_min, k_max + 1):
         tau = tau_from_k(sample.n, k)
         try:
@@ -370,11 +369,11 @@ def cmd_trace_scan(args) -> int:
             rows.append((k, float(np.trace(cov.entries)), "ok"))
         except TailjointError as exc:
             rows.append((k, math.nan, f"failed: {exc}"))
-            failures += 1
-    if failures == len(rows):
-        raise DomainError("trace scan failed at every k: " + rows[0][2])
+            errors.append(str(exc))
+    if len(errors) == len(rows):
+        raise DomainError("trace scan failed at every k: " + errors[0])
     _emit_csv_rows(("k", "trace", "status"), rows, args.out, "trace_scan.csv")
-    return 2 if failures else 0
+    return 2 if errors else 0
 
 
 def parse_model_spec(text: str) -> SimulationModel:

@@ -16,6 +16,15 @@ returned as its array of per-margin components.
 The Hill and QB displays (``_hill_block``, ``_qb_matrix``) read tail
 dependence only through two d x d pair matrices, R(1,1) and the unit
 integrals I, given by the oracle (``_oracle_matrix``) or by the ranks.
+
+An estimated star-LAWS covariance at one level passes over the whole
+n x d panel only for the asymmetric residuals phi, their Gram product and
+the top-rank indicators of R-hat(1,1), a comparison with one rank cut-off.
+The rest reads the sample's cached order statistics, ranks and LAWS sums:
+the LAWS root is one scan of tau A + (1 - tau) B, the survival counts are
+searches on the sorted columns, and the Hill/LAWS cross terms read only
+each margin's exceedances.  So a scan over many levels, such as
+``trace-scan``, sorts and sums the panel once.
 """
 
 from __future__ import annotations
@@ -215,9 +224,12 @@ def theoretical_v_star_qb(gammas, oracle, log_dn: float) -> SpdMatrix:
     )
 
 
-def _v_laws_raw(sample: MultivariateSample, tau: float, phi: np.ndarray) -> np.ndarray:
-    """Unclipped intermediate LAWS covariance, given the asymmetric
-    residuals phi of the fit at tau."""
+def _v_laws_raw(
+    sample: MultivariateSample, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unclipped intermediate LAWS covariance, and the asymmetric residuals
+    phi of the fit at tau that it reads.  The Hill estimates are checked
+    before any n x d work."""
     fit = estimate_margins(sample, tau)
     g, xi = fit.gamma_hat, fit.xi_laws
     if np.any(g >= 0.5):
@@ -226,25 +238,27 @@ def _v_laws_raw(sample: MultivariateSample, tau: float, phi: np.ndarray) -> np.n
         )
     if np.any(g <= 0.0):
         raise DomainError("LAWS variance requires positive Hill estimates")
-    x = sample.values
     n = sample.n
     omt = 1.0 - tau
-    surv = np.count_nonzero(x > xi, axis=0) / n
+    # The number of observations above xi, counted on the sorted columns.
+    at_or_below = [np.searchsorted(col, v, side="right")
+                   for col, v in zip(sample.sorted_columns, xi)]
+    surv = (n - np.array(at_or_below)) / n
     diag = (
         2.0 * g**2 / (1.0 - 2.0 * g)
         * (1.0 + surv / omt)
         / (1.0 + (2.0 * tau - 1.0) * surv / omt) ** 2
     )
+    phi = asymmetric_weight(sample.values - xi, tau)
     mbar = phi.T @ phi / n
     m = np.outer(g, g) * mbar / (omt * np.outer(xi, xi))
     np.fill_diagonal(m, diag)
-    return m
+    return m, phi
 
 
 def estimate_v_laws(sample: MultivariateSample, tau: float) -> SpdMatrix:
     """Plug-in estimate of the intermediate LAWS covariance matrix."""
-    phi = asymmetric_weight(sample.values - estimate_margins(sample, tau).xi_laws, tau)
-    return SpdMatrix.from_array(_v_laws_raw(sample, tau, phi), "LAWS covariance")
+    return SpdMatrix.from_array(_v_laws_raw(sample, tau)[0], "LAWS covariance")
 
 
 def estimate_bias_qb(sample: MultivariateSample, tau: float) -> np.ndarray:
@@ -286,31 +300,34 @@ def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
     """
     fit = estimate_margins(sample, tau)
     g, xi = fit.gamma_hat, fit.xi_laws
-    phi = asymmetric_weight(sample.values - xi, tau)
-    vlaws = _v_laws_raw(sample, tau, phi)
+    vlaws, phi = _v_laws_raw(sample, tau)
     hill = _hill_block(g, _r11_matrix(sample.ranks, tau))
     # q-hat is the Hill threshold order statistic X_{n-k,n}.
-    cross = _hill_laws_cross(sample.values, phi, fit.q_hat, g) / ((1.0 - tau) * xi)
+    cross = _hill_laws_cross(sample, phi, fit.q_hat, g) / ((1.0 - tau) * xi)
     np.fill_diagonal(cross, [_sigma_laws_cross_diag(gj) for gj in g])
     return _interleave(hill, cross, vlaws)
 
 
-def _hill_laws_cross(x, phi, thresholds, g) -> np.ndarray:
+def _hill_laws_cross(sample: MultivariateSample, phi, thresholds, g) -> np.ndarray:
     """Numerators of the empirical Cov(Hill_j, LAWS_l) for every pair (j, l).
 
     Entry (j, l) is g_l times the mean of margin j's log-excesses over its
     threshold times margin l's asymmetric residual, minus g_j g_l times the
-    mean of the exceedance indicator times that residual.  Each mean is a
-    separate contiguous reduction, summed exactly as a one-pair mean is.
+    mean of the exceedance indicator times that residual.  Margin j's
+    exceedances are the top of its sorted column, so its row of means is
+    one product of their log-excesses with the rows of phi they sit in, and
+    one sum of those rows; the log is taken only on exceedances.
     """
-    rows = np.ascontiguousarray(x.T)
-    phi_rows = np.ascontiguousarray(phi.T)[None, :, :]
-    exceed = rows > thresholds[:, None]
-    logex = np.zeros(rows.shape)
-    logex[exceed] = np.log((rows / thresholds[:, None])[exceed])
-    s1 = np.mean(logex[:, None, :] * phi_rows, axis=2)
-    s2 = np.mean(exceed[:, None, :] * phi_rows, axis=2)
-    return g * s1 - np.outer(g, g) * s2
+    n, d = sample.n, sample.d
+    s1, s2 = np.empty((d, d)), np.empty((d, d))
+    for j, (col, order, q) in enumerate(
+        zip(sample.sorted_columns, sample._order, thresholds)
+    ):
+        first = np.searchsorted(col, q, side="right")
+        top = phi[order[first:]]
+        s1[j] = np.log(col[first:] / q) @ top
+        s2[j] = top.sum(axis=0)
+    return g * (s1 / n) - np.outer(g, g) * (s2 / n)
 
 
 def estimate_v_star_laws(

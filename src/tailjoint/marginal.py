@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, LevelError
-from .sample import _read_only, effective_k
+from .sample import _read_only, _sums_sorted, effective_k
 
 
 def _column(column) -> np.ndarray:
@@ -35,33 +35,32 @@ def _sorted_row(column) -> np.ndarray:
 
 def laws_expectile(column, tau: float) -> float:
     """Empirical expectile at level tau, solved exactly on the sorted data."""
-    return float(_laws_sorted(_sorted_row(column), tau)[0])
+    xs = _sorted_row(column)
+    return float(_laws_sorted(xs, _sums_sorted(xs), tau)[0])
 
 
-def _laws_sorted(xs: np.ndarray, tau: float) -> np.ndarray:
-    """LAWS expectile of each ascending row of the 2-D array xs.
+def _laws_sorted(xs: np.ndarray, sums, tau: float) -> np.ndarray:
+    """LAWS expectile of each ascending row of the 2-D array xs, given the
+    rows' tau-free sums ``_sums_sorted(xs)`` (module ``sample``).
 
-    The estimating function sum phi_tau(x_i - theta) is continuous, strictly
-    decreasing and piecewise linear with breakpoints at the observations, so
-    the root is located by a sign change and solved in closed form.
+    The estimating function psi(theta) = sum phi_tau(x_i - theta) is
+    continuous, strictly decreasing and piecewise linear with breakpoints at
+    the observations, and its value at each of them is tau A + (1 - tau) B.
+    The root is located by the first breakpoint where psi <= 0 and solved
+    in closed form on the segment below it.
     """
     if not 0.0 < tau < 1.0:
         raise DomainError(f"expectile level must be in (0,1), got {tau}")
+    cum, a, b = sums
     n = xs.shape[1]
-    cum = np.cumsum(xs, axis=1)
-    total = cum[:, -1:]
-    below = np.arange(1, n + 1)
-    above = n - below
-    s_below = cum
-    s_above = total - cum
-    psi = tau * (s_above - above * xs) + (1.0 - tau) * (s_below - below * xs)
+    psi = tau * a + (1.0 - tau) * b
     rows = np.arange(xs.shape[0])
     m = np.argmax(psi <= 0.0, axis=1)  # psi(x_max) <= 0 always
     at_point = (m == 0) | (psi[rows, m] == 0.0)
     # Otherwise the root lies in (xs[m-1], xs[m]); on that segment m points
     # sit at or below.
     s_lo = cum[rows, m - 1]
-    s_hi = total[:, 0] - s_lo
+    s_hi = cum[:, -1] - s_lo
     num = tau * s_hi + (1.0 - tau) * s_lo
     den = tau * (n - m) + (1.0 - tau) * m
     return np.where(at_point, xs[rows, m], num / den)
@@ -168,21 +167,23 @@ class MarginalTailEstimates:
         return qb * (factors * self.q_hat)
 
 
-def _fit_sorted(xs: np.ndarray, tau: float) -> MarginalTailEstimates:
-    """The fit of each ascending row of xs at level tau, in read-only arrays."""
+def _fit_sorted(xs: np.ndarray, sums, tau: float) -> MarginalTailEstimates:
+    """The fit of each ascending row of xs at level tau, given the rows'
+    LAWS sums, in read-only arrays."""
     gamma = _hill_sorted(xs, effective_k(xs.shape[1], tau))
     q = _quantile_sorted(xs, tau)
-    xi = _laws_sorted(xs, tau)
+    xi = _laws_sorted(xs, sums, tau)
     return MarginalTailEstimates(tau, *(_read_only(a) for a in (gamma, q, xi)))
 
 
 def _fit_column(column, tau: float) -> MarginalTailEstimates:
-    return _fit_sorted(_sorted_row(column), tau)
+    xs = _sorted_row(column)
+    return _fit_sorted(xs, _sums_sorted(xs), tau)
 
 
 def estimate_margins(sample, tau: float) -> MarginalTailEstimates:
     """Hill, intermediate quantile and both expectile estimators per column,
-    read from the sample's cached order statistics.
+    read from the sample's cached order statistics and LAWS sums.
 
     The fit is computed once per (sample, tau) and kept on the sample, so
     every estimator, region, interval and test at tau reads the same one; a
@@ -190,7 +191,7 @@ def estimate_margins(sample, tau: float) -> MarginalTailEstimates:
     """
     fits = sample._fits
     if tau not in fits:
-        fits[tau] = _fit_sorted(sample.sorted_columns, tau)
+        fits[tau] = _fit_sorted(sample.sorted_columns, sample._laws_sums, tau)
     return fits[tau]
 
 

@@ -21,9 +21,12 @@ class MultivariateSample:
     log-returns transform.
 
     The values are a read-only copy of the input.  The column-wise order
-    statistics and ranks are computed from one stable argsort on first use,
-    and the marginal fit once per level tau (``marginal.estimate_margins``);
-    all are read-only and shared by every estimator that reads this sample.
+    statistics and ranks are computed from one stable argsort on first use;
+    the tau-free sums of the LAWS estimating function (``_laws_sums``: the
+    cumulative sums of the order statistics and the parts A and B of psi)
+    from one cumulative sum on first use; and the marginal fit once per level
+    tau (``marginal.estimate_margins``).  All are read-only and shared by
+    every estimator that reads this sample.
     """
 
     values: np.ndarray
@@ -69,8 +72,9 @@ class MultivariateSample:
     def select(self, indices) -> "MultivariateSample":
         """Sub-sample of the given columns, preserving order.
 
-        A column's order statistics and ranks do not depend on the other
-        columns, so the sub-sample slices this sample's instead of sorting.
+        A column's order statistics, ranks and LAWS sums do not depend on the
+        other columns, so the sub-sample slices this sample's instead of
+        sorting and summing.
         """
         indices = list(indices)
         sub = MultivariateSample(
@@ -81,6 +85,9 @@ class MultivariateSample:
         # Fill the sub-sample's cached properties before first use.
         sub.__dict__["sorted_columns"] = _read_only(self.sorted_columns[indices])
         sub.__dict__["ranks"] = _read_only(self.ranks[:, indices])
+        sub.__dict__["_laws_sums"] = tuple(
+            _read_only(s[indices]) for s in self._laws_sums
+        )
         return sub
 
     @cached_property
@@ -108,10 +115,35 @@ class MultivariateSample:
         )
         return _read_only(ranks).T
 
+    @cached_property
+    def _laws_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_sums_sorted`` of the sorted columns (read-only)."""
+        return _sums_sorted(self.sorted_columns)
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _sums_sorted(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tau-free parts of the LAWS estimating function of each ascending
+    row of the 2-D array xs, as read-only arrays of its shape.
+
+    With cum the cumulative sums of a row, and above and below the numbers
+    of points strictly above and at or below position i, these are cum and
+
+        A_i = (cum_n - cum_i) - above_i x_i,   B_i = cum_i - below_i x_i,
+
+    so that psi_tau(x_i) = tau A_i + (1 - tau) B_i at every level tau.
+    """
+    n = xs.shape[1]
+    cum = np.cumsum(xs, axis=1)
+    below = np.arange(1, n + 1)
+    above = n - below
+    a = (cum[:, -1:] - cum) - above * xs
+    b = cum - below * xs
+    return _read_only(cum), _read_only(a), _read_only(b)
 
 
 def effective_k(n: int, tau: float) -> int:

@@ -64,9 +64,15 @@ def _tail_points(ranks: np.ndarray, tau: float) -> np.ndarray:
 def _r11_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
     """R-hat(1,1) of every pair of columns at once: the count that
     EmpiricalTailCopula.evaluate(1, 1) makes, as one product of the
-    top-rank indicators.  The diagonal is unused."""
+    top-rank indicators.  The diagonal is unused.
+
+    U_ij <= 1 holds for every rank at or above the smallest rank c for
+    which it holds (U falls as the rank rises), so c is found by that same
+    test applied to the ranks 1..n, the indicators are one integer
+    comparison with c, and the counts are exact."""
     n = ranks.shape[0]
-    top = (_tail_points(ranks, tau) <= 1.0).astype(float)
+    c = n + 1 - np.count_nonzero(_tail_points(np.arange(1, n + 1), tau) <= 1.0)
+    top = (ranks >= c).astype(float)
     return top.T @ top / (n * (1.0 - tau))
 
 

@@ -6,6 +6,9 @@ tests, so they are replayed in the terminal summary instead.
 """
 
 import numpy as np
+from hypothesis import strategies as st
+
+from tailjoint.sample import MultivariateSample
 
 CRITERION_LINES = []
 
@@ -29,12 +32,28 @@ def count_fits(monkeypatch) -> list:
     fits = []
     original = marginal._fit_sorted
 
-    def counting(xs, tau):
+    def counting(xs, sums, tau):
         fits.append(tau)
-        return original(xs, tau)
+        return original(xs, sums, tau)
 
     monkeypatch.setattr(marginal, "_fit_sorted", counting)
     return fits
+
+
+def count_numpy_calls(monkeypatch, *names) -> list:
+    """Record the name of every call of the given numpy functions (``np.sort``
+    for "sort") from here on; returns the record."""
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(np, name, counting(getattr(np, name)))
+    return calls
 
 
 def step_unit_integral(tc, axis: int) -> float:
@@ -45,3 +64,24 @@ def step_unit_integral(tc, axis: int) -> float:
     pts = np.sort(var[(var <= 1.0) & (other <= 1.0)])
     steps = np.arange(1, pts.size + 1) / tc.k_effective
     return float(np.sum(steps * np.diff(np.log(np.append(pts, 1.0)))))
+
+
+@st.composite
+def tail_panels(draw) -> MultivariateSample:
+    """An n x d panel (n = 8..80, d = 1..5) of Pareto-tailed columns with
+    ties from rounding, a constant run in each column and, when shifted far
+    enough, negative values."""
+    n, d = draw(st.integers(8, 80)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = (1.0 - rng.random((n, d))) ** -draw(st.floats(0.05, 0.45))
+    x = np.round(x, draw(st.integers(1, 6))) - draw(st.floats(0.0, 1.5))
+    for j in range(d):
+        start, length = rng.integers(0, n), rng.integers(1, n // 4 + 1)
+        x[start : start + length, j] = x[start, j]
+    return MultivariateSample(x, tuple(f"X{j}" for j in range(d)))
+
+
+def level_grid(n: int) -> list:
+    """Levels tau in [0.5, 0.98] at which n(1-tau) is mostly not an integer,
+    and the levels 1 - k/n at which it is."""
+    return list(np.linspace(0.5, 0.98, 23)) + [1.0 - k / n for k in range(1, n)]

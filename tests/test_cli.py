@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import count_fits
+from conftest import count_fits, count_numpy_calls
 
 from tailjoint.cli import main, parse_model_spec
 from tailjoint.covariance import estimate_v_star_laws
@@ -210,24 +210,35 @@ class TestTraceScan:
             assert float(trace) == float(np.trace(cov.entries))
         assert len(lines) == 76 and 0 < failed < 76
 
-    def test_sorts_do_not_grow_with_k_range(self, tmp_path, data_csv, monkeypatch):
-        calls = []
-
-        def counting(fn):
-            def wrapped(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(np, "sort", counting(np.sort))
-        monkeypatch.setattr(np, "argsort", counting(np.argsort))
+    def scan_call_counts(self, tmp_path, data_csv, calls) -> list:
+        """len(calls) after a trace-scan over k=20..22 and over k=20..120."""
         counts = []
         for k_max in (22, 120):
             calls.clear()
             assert main(["trace-scan", "--input", str(data_csv), "--k-min", "20",
                          "--k-max", str(k_max), "--out", str(tmp_path / "out")]) == 0
             counts.append(len(calls))
+        return counts
+
+    def test_sorts_do_not_grow_with_k_range(self, tmp_path, data_csv, monkeypatch):
+        calls = count_numpy_calls(monkeypatch, "sort", "argsort")
+        counts = self.scan_call_counts(tmp_path, data_csv, calls)
         assert counts[0] == counts[1] <= 2
+
+    def test_cumsums_do_not_grow_with_k_range(self, tmp_path, data_csv, monkeypatch):
+        calls = count_numpy_calls(monkeypatch, "cumsum")
+        counts = self.scan_call_counts(tmp_path, data_csv, calls)
+        assert counts[0] == counts[1]
+
+    def test_every_k_failing_names_the_reason_once(self, tmp_path, capsys):
+        # Tail index 2/3: every Hill estimate in k=20..25 is above 1/2.
+        csv = write_sample_csv(tmp_path / "heavier.csv", gamma=0.67)
+        assert main(["trace-scan", "--input", str(csv), "--k-min", "20",
+                     "--k-max", "25"]) == 1
+        assert capsys.readouterr().err == (
+            "error: trace scan failed at every k: tail too heavy for LAWS "
+            "variance (Hill estimate >= 1/2) -- use QB\n"
+        )
 
     def test_requires_k_arguments(self, data_csv, capsys):
         assert main(["trace-scan", "--input", str(data_csv)]) == 1

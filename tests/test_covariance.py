@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import step_unit_integral
+from conftest import level_grid, step_unit_integral, tail_panels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from tailjoint.covariance import (
+    _sigma_laws_cross_diag,
     estimate_bias_qb,
     estimate_sigma_laws,
     estimate_v_laws,
@@ -22,10 +23,11 @@ from tailjoint.covariance import (
     theoretical_v_qb,
     theoretical_v_star_laws,
 )
-from tailjoint.errors import DomainError
+from tailjoint.errors import DomainError, TailjointError
 from tailjoint.marginal import (
     asymmetric_weight,
     empirical_quantile,
+    estimate_margins,
     hill_estimator,
     laws_expectile,
     m_function,
@@ -346,6 +348,50 @@ class TestEstimateVLaws:
         assert all(
             abs(a - 2.0 / 9.0) > abs(b - 2.0 / 9.0) for a, b in zip(limits, limits[1:])
         )
+
+
+def broadcast_mean_cross(x, phi, thresholds, g):
+    """Cov(Hill_j, LAWS_l) numerators with each mean taken over the whole
+    panel, one pair at a time: the reference for _hill_laws_cross."""
+    rows = np.ascontiguousarray(x.T)
+    phi_rows = np.ascontiguousarray(phi.T)[None, :, :]
+    exceed = rows > thresholds[:, None]
+    logex = np.zeros(rows.shape)
+    logex[exceed] = np.log((rows / thresholds[:, None])[exceed])
+    s1 = np.mean(logex[:, None, :] * phi_rows, axis=2)
+    s2 = np.mean(exceed[:, None, :] * phi_rows, axis=2)
+    return g * s1 - np.outer(g, g) * s2
+
+
+class TestEstimateSigmaLawsExactness:
+    @given(tail_panels())
+    @settings(max_examples=60, deadline=None)
+    def test_diagonal_exact_and_cross_terms_close(self, s):
+        n = s.n
+        for tau in level_grid(n):
+            try:
+                sigma = estimate_sigma_laws(s, tau)
+            except TailjointError:
+                continue
+            fit = estimate_margins(s, tau)
+            g, xi, omt = fit.gamma_hat, fit.xi_laws, 1.0 - tau
+            surv = np.count_nonzero(s.values > xi, axis=0) / n
+            vdiag = (
+                2.0 * g**2 / (1.0 - 2.0 * g)
+                * (1.0 + surv / omt)
+                / (1.0 + (2.0 * tau - 1.0) * surv / omt) ** 2
+            )
+            cdiag = np.array([_sigma_laws_cross_diag(gj) for gj in g])
+            assert np.array_equal(np.diag(sigma)[0::2], g**2)
+            assert np.array_equal(np.diag(sigma)[1::2], vdiag)
+            assert np.array_equal(np.diag(sigma[0::2, 1::2]), cdiag)
+            phi = asymmetric_weight(s.values - xi, tau)
+            cross = broadcast_mean_cross(s.values, phi, fit.q_hat, g) / (omt * xi)
+            np.fill_diagonal(cross, cdiag)
+            want = sigma.copy()
+            want[0::2, 1::2], want[1::2, 0::2] = cross, cross.T
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(sigma - want)) <= 1e-13 * scale
 
 
 class TestEstimateVQb:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import level_grid, tail_panels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +117,52 @@ class TestLawsExpectile:
         base = laws_expectile(x, tau)
         shifted = laws_expectile([a * v + b for v in x], tau)
         assert shifted == pytest.approx(a * base + b, rel=1e-9, abs=1e-7)
+
+
+def full_scan_laws(xs, tau):
+    """The LAWS root of each ascending row of xs, with psi rebuilt from a
+    fresh cumulative sum at this level: the reference the cached sums must
+    reproduce bit for bit."""
+    n = xs.shape[1]
+    cum = np.cumsum(xs, axis=1)
+    total = cum[:, -1:]
+    below = np.arange(1, n + 1)
+    above = n - below
+    s_below = cum
+    s_above = total - cum
+    psi = tau * (s_above - above * xs) + (1.0 - tau) * (s_below - below * xs)
+    rows = np.arange(xs.shape[0])
+    m = np.argmax(psi <= 0.0, axis=1)
+    at_point = (m == 0) | (psi[rows, m] == 0.0)
+    s_lo = cum[rows, m - 1]
+    s_hi = total[:, 0] - s_lo
+    num = tau * s_hi + (1.0 - tau) * s_lo
+    den = tau * (n - m) + (1.0 - tau) * m
+    return np.where(at_point, xs[rows, m], num / den)
+
+
+class TestLawsFromCachedSums:
+    @given(tail_panels())
+    @settings(max_examples=60, deadline=None)
+    def test_root_equals_full_scan(self, s):
+        xs = s.sorted_columns
+        for tau in level_grid(s.n):
+            want = full_scan_laws(xs, tau)
+            for j in range(s.d):
+                assert laws_expectile(s.column(j), tau) == want[j]
+            try:
+                fit = estimate_margins(s, tau)
+            except TailjointError:
+                continue  # the Hill part of the fit raises before LAWS is read
+            assert np.array_equal(fit.xi_laws, want)
+
+    def test_sub_sample_slices_the_sums(self):
+        rng = np.random.default_rng(4)
+        s = MultivariateSample(rng.pareto(3.0, size=(50, 3)) + 1.0, ("a", "b", "c"))
+        sub = s.select([2, 0])
+        for whole, part in zip(s._laws_sums, sub._laws_sums):
+            assert np.array_equal(part, whole[[2, 0]])
+            assert not part.flags.writeable
 
 
 class TestEmpiricalQuantile:

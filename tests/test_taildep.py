@@ -3,7 +3,7 @@ extremal coefficient, and the analytic tail-copula oracles."""
 
 import numpy as np
 import pytest
-from conftest import step_unit_integral
+from conftest import level_grid, step_unit_integral, tail_panels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +12,7 @@ from tailjoint.sample import MultivariateSample
 from tailjoint.taildep import (
     OracleTailCopula,
     _r11_matrix,
+    _tail_points,
     _unit_integral_matrix,
     empirical_tail_copula,
     extremal_coefficient,
@@ -83,6 +84,16 @@ class TestEmpiricalEvaluation:
         a = empirical_tail_copula(s, 0.9, 0, 1).evaluate(0.6, 0.9)
         b = empirical_tail_copula(s, 0.9, 1, 0).evaluate(0.9, 0.6)
         assert a == pytest.approx(b, abs=1e-14)
+
+
+class TestR11Matrix:
+    @given(tail_panels())
+    @settings(max_examples=40, deadline=None)
+    def test_rank_cut_off_equals_indicator_product(self, s):
+        for tau in level_grid(s.n):
+            top = (_tail_points(s.ranks, tau) <= 1.0).astype(float)
+            want = top.T @ top / (s.n * (1.0 - tau))
+            assert np.array_equal(_r11_matrix(s.ranks, tau), want)
 
 
 def unit_integrals(s, tau):
