@@ -17,13 +17,21 @@ The Hill and QB displays (``_hill_block``, ``_qb_matrix``) read tail
 dependence only through two d x d pair matrices, R(1,1) and the unit
 integrals I, given by the oracle (``_oracle_matrix``) or by the ranks.
 
+Each estimated display is computed for a stack of B samples at once
+(``_v_laws_raw``, ``_sigma_laws``, ``_v_star_laws``, ``_v_qb_raw``,
+``_bias_qb``: leading axis B, with the fit as (B, d) arrays), and a check
+that fails marks its sample through an ``errors.Checks``.  The public
+single-sample builders are the stack of one (``MultivariateSample._stack``)
+with ``errors.RAISE``, so they raise the first failure; the Monte Carlo
+power harness runs the same code on stacks of replications.
+
 An estimated star-LAWS covariance at one level passes over the whole
-n x d panel only for the asymmetric residuals phi, their Gram product and
-the top-rank indicators of R-hat(1,1), a comparison with one rank cut-off.
-The rest reads the sample's cached order statistics, ranks and LAWS sums:
-the LAWS root is one scan of tau A + (1 - tau) B, the survival counts are
-searches on the sorted columns, and the Hill/LAWS cross terms read only
-each margin's exceedances.  So a scan over many levels, such as
+n x d panel only for the asymmetric residuals phi, their Gram product, the
+survival counts and the top-rank indicators of R-hat(1,1), comparisons
+with one cut-off each.  The rest reads the sample's cached order
+statistics, ranks and LAWS sums: the LAWS root is one scan of
+tau A + (1 - tau) B, and the Hill/LAWS cross terms read only each margin's
+top k order statistics.  So a scan over many levels, such as
 ``trace-scan``, sorts and sums the panel once.
 """
 
@@ -32,10 +40,10 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .errors import DomainError
-from .marginal import asymmetric_weight, estimate_margins, m_function, qb_factor
+from .errors import RAISE, DomainError
+from .marginal import _check_qb, asymmetric_weight, estimate_margins, m_function
 from .numerics import SpdMatrix, integrate_1d_tail, integrate_tail_box
-from .sample import MultivariateSample, TailLevelPair
+from .sample import MultivariateSample, TailLevelPair, effective_k
 from .taildep import OracleTailCopula, _r11_matrix, _unit_integral_matrix
 
 
@@ -72,25 +80,43 @@ def _oracle_matrix(oracle, d: int, functional) -> np.ndarray:
 _R11, _UNIT = OracleTailCopula.r11, OracleTailCopula.unit_integral
 
 
+def _outer(g: np.ndarray) -> np.ndarray:
+    """g_j g_l for every pair, one d x d matrix per leading index of g."""
+    return g[..., :, None] * g[..., None, :]
+
+
+def _set_diagonal(m: np.ndarray, diag: np.ndarray) -> None:
+    i = np.arange(m.shape[-1])
+    m[..., i, i] = diag
+
+
+def _each(f, g: np.ndarray) -> np.ndarray:
+    """The scalar function f of every entry of g."""
+    return np.array([f(x) for x in g.flat]).reshape(g.shape)
+
+
 def _hill_block(g: np.ndarray, r11: np.ndarray) -> np.ndarray:
     """Cov(Hill_j, Hill_l) = g_j g_l R_jl(1,1), with g_j^2 on the diagonal."""
-    m = np.outer(g, g) * r11
-    np.fill_diagonal(m, g**2)
+    m = _outer(g) * r11
+    _set_diagonal(m, g**2)
     return m
 
 
 def _qb_matrix(
-    g: np.ndarray, r11: np.ndarray, unit: np.ndarray, log_dn: float
+    g: np.ndarray, r11: np.ndarray, unit: np.ndarray, log_dn: float, checks
 ) -> np.ndarray:
     """QB covariance: g_j g_l (R (m_j-1)(m_l-1) + m_j I[j,l] + m_l I[l,j]) off
     the diagonal and g^2 (1 + m^2) on it, with m_j = m(g_j) + log_dn and
     I[j, l] on margin j's axis.  log_dn = 0 gives the intermediate
     (linear-scale) matrix; log_dn > 0 divides by log d_n^2, giving the
-    covariance of the extrapolating estimators on the log scale."""
-    mg = np.array([m_function(x) for x in g]) + log_dn
-    mi = mg[:, None] * unit  # m_j I[j, l]
-    m = np.outer(g, g) * (r11 * np.outer(mg - 1.0, mg - 1.0) + (mi + mi.T))
-    np.fill_diagonal(m, g**2 * (1.0 + mg**2))
+    covariance of the extrapolating estimators on the log scale.  A sample
+    with some g outside (0, 1), where m is undefined, fails."""
+    ok = (g > 0.0) & (g < 1.0)
+    checks(~ok, lambda j: DomainError(f"m(x) requires x in (0,1), got {g.flat[j]}"))
+    mg = _each(lambda x: m_function(x) if 0.0 < x < 1.0 else np.nan, g) + log_dn
+    mi = mg[..., :, None] * unit  # m_j I[j, l]
+    m = _outer(g) * (r11 * _outer(mg - 1.0) + (mi + np.swapaxes(mi, -1, -2)))
+    _set_diagonal(m, g**2 * (1.0 + mg**2))
     return m / log_dn**2 if log_dn else m
 
 
@@ -126,11 +152,12 @@ def theoretical_v_laws(gammas, oracle) -> SpdMatrix:
 
 def _interleave(hill: np.ndarray, cross: np.ndarray, other: np.ndarray) -> np.ndarray:
     """The 2d x 2d covariance of (Hill_1, X_1, ..., Hill_d, X_d) from its
-    d x d blocks: Cov(Hill, Hill), Cov(Hill_j, X_l) at (j, l), and Cov(X, X)."""
-    d = hill.shape[0]
-    m = np.empty((2 * d, 2 * d))
-    m[0::2, 0::2], m[0::2, 1::2] = hill, cross
-    m[1::2, 0::2], m[1::2, 1::2] = cross.T, other
+    d x d blocks: Cov(Hill, Hill), Cov(Hill_j, X_l) at (j, l), and Cov(X, X);
+    one matrix per leading index."""
+    d = hill.shape[-1]
+    m = np.empty(hill.shape[:-2] + (2 * d, 2 * d))
+    m[..., 0::2, 0::2], m[..., 0::2, 1::2] = hill, cross
+    m[..., 1::2, 0::2], m[..., 1::2, 1::2] = np.swapaxes(cross, -1, -2), other
     return m
 
 
@@ -154,7 +181,7 @@ def theoretical_v_qb(gammas, oracle) -> SpdMatrix:
     d = g.size
     r11, unit = _oracle_matrix(oracle, d, _R11), _oracle_matrix(oracle, d, _UNIT)
     return SpdMatrix.from_array(
-        _qb_matrix(g, r11, unit, 0.0), "theoretical QB covariance"
+        _qb_matrix(g, r11, unit, 0.0, RAISE), "theoretical QB covariance"
     )
 
 
@@ -199,8 +226,8 @@ def _contract_blocks(sigma: np.ndarray, log_dn: float) -> np.ndarray:
     if log_dn <= 0.0:
         raise DomainError("contraction requires log d_n > 0")
     w = 1.0 / log_dn
-    b00, b01 = sigma[0::2, 0::2], sigma[0::2, 1::2]
-    b10, b11 = sigma[1::2, 0::2], sigma[1::2, 1::2]
+    b00, b01 = sigma[..., 0::2, 0::2], sigma[..., 0::2, 1::2]
+    b10, b11 = sigma[..., 1::2, 0::2], sigma[..., 1::2, 1::2]
     return b00 + (b01 + b10) * w + b11 * w * w
 
 
@@ -220,70 +247,81 @@ def theoretical_v_star_qb(gammas, oracle, log_dn: float) -> SpdMatrix:
     d = g.size
     r11, unit = _oracle_matrix(oracle, d, _R11), _oracle_matrix(oracle, d, _UNIT)
     return SpdMatrix.from_array(
-        _qb_matrix(g, r11, unit, log_dn), "theoretical star-QB covariance"
+        _qb_matrix(g, r11, unit, log_dn, RAISE), "theoretical star-QB covariance"
     )
 
 
-def _v_laws_raw(
-    sample: MultivariateSample, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unclipped intermediate LAWS covariance, and the asymmetric residuals
-    phi of the fit at tau that it reads.  The Hill estimates are checked
-    before any n x d work."""
+def _one(sample: MultivariateSample, tau: float):
+    """The sample as a stack of one, and its fit at tau as (1, d) arrays:
+    gamma-hat, q-hat and xi-hat LAWS."""
     fit = estimate_margins(sample, tau)
-    g, xi = fit.gamma_hat, fit.xi_laws
-    if np.any(g >= 0.5):
-        raise DomainError(
+    return sample._stack, fit.gamma_hat[None], fit.q_hat[None], fit.xi_laws[None]
+
+
+def _v_laws_raw(st, g, xi, tau: float, checks) -> tuple[np.ndarray, np.ndarray]:
+    """Unclipped intermediate LAWS covariance of each sample of the stack
+    st, and the asymmetric residuals phi of its fit at tau that it reads.
+    The Hill estimates are checked before any n x d work."""
+    checks(
+        g >= 0.5,
+        lambda j: DomainError(
             "tail too heavy for LAWS variance (Hill estimate >= 1/2) -- use QB"
-        )
-    if np.any(g <= 0.0):
-        raise DomainError("LAWS variance requires positive Hill estimates")
-    n = sample.n
+        ),
+    )
+    checks(g <= 0.0, lambda j: DomainError("LAWS variance requires positive Hill estimates"))
+    n = st.n
     omt = 1.0 - tau
-    # The number of observations above xi, counted on the sorted columns.
-    at_or_below = [np.searchsorted(col, v, side="right")
-                   for col, v in zip(sample.sorted_columns, xi)]
-    surv = (n - np.array(at_or_below)) / n
+    surv = (st.sorted_columns > xi[..., None]).sum(axis=-1) / n
     diag = (
         2.0 * g**2 / (1.0 - 2.0 * g)
         * (1.0 + surv / omt)
         / (1.0 + (2.0 * tau - 1.0) * surv / omt) ** 2
     )
-    phi = asymmetric_weight(sample.values - xi, tau)
-    mbar = phi.T @ phi / n
-    m = np.outer(g, g) * mbar / (omt * np.outer(xi, xi))
-    np.fill_diagonal(m, diag)
+    phi = asymmetric_weight(st.values - xi[..., None, :], tau)
+    mbar = np.swapaxes(phi, -1, -2) @ phi / n
+    m = _outer(g) * mbar / (omt * _outer(xi))
+    _set_diagonal(m, diag)
     return m, phi
 
 
 def estimate_v_laws(sample: MultivariateSample, tau: float) -> SpdMatrix:
     """Plug-in estimate of the intermediate LAWS covariance matrix."""
-    return SpdMatrix.from_array(_v_laws_raw(sample, tau)[0], "LAWS covariance")
+    st, g, _, xi = _one(sample, tau)
+    m = _v_laws_raw(st, g, xi, tau, RAISE)[0][0]
+    return SpdMatrix.from_array(m, "LAWS covariance")
+
+
+def _bias_qb(st, g, q, tau: float, checks) -> np.ndarray:
+    """The QB bias components of each sample of the stack st (see
+    estimate_bias_qb)."""
+    _check_qb(g, checks)  # where the factor (1/g - 1)^g below is undefined
+    means = st.values.mean(axis=-2)
+    root = math.sqrt(st.n * (1.0 - tau))
+    # q-hat is the Hill threshold order statistic, which the fit has
+    # already required to be positive.
+    comps = -g * (1.0 / g - 1.0) ** g * means * root / q
+    checks(~np.isfinite(comps), lambda j: DomainError("bias components must be finite"))
+    return comps
 
 
 def estimate_bias_qb(sample: MultivariateSample, tau: float) -> np.ndarray:
     """First-order bias of the QB estimator, one component per margin:
     -gamma (gamma^{-1}-1)^gamma Xbar sqrt(n(1-tau)) / q-hat."""
-    # q-hat is the Hill threshold order statistic, which estimate_margins
-    # has already required to be positive.
-    fit = estimate_margins(sample, tau)
-    g, q = fit.gamma_hat, fit.q_hat
-    for gj in g:
-        qb_factor(gj)  # raises where the factor (1/g - 1)^g below is undefined
-    means = sample.values.mean(axis=0)
-    root = math.sqrt(sample.n * (1.0 - tau))
-    comps = -g * (1.0 / g - 1.0) ** g * means * root / q
-    if not np.all(np.isfinite(comps)):
-        raise DomainError("bias components must be finite")
-    return comps
+    st, g, q, _ = _one(sample, tau)
+    return _bias_qb(st, g, q, tau, RAISE)[0]
+
+
+def _v_qb_raw(st, g, tau: float, log_dn: float, checks) -> np.ndarray:
+    """Unclipped plug-in QB covariance of each sample of the stack st:
+    _qb_matrix read from the ranks."""
+    ranks = st.ranks
+    r11, unit = _r11_matrix(ranks, tau), _unit_integral_matrix(ranks, tau)
+    return _qb_matrix(g, r11, unit, log_dn, checks)
 
 
 def _v_qb(sample: MultivariateSample, tau: float, log_dn: float) -> SpdMatrix:
-    """Plug-in QB covariance: _qb_matrix read from the ranks."""
-    g = estimate_margins(sample, tau).gamma_hat
-    ranks = sample.ranks
-    r11, unit = _r11_matrix(ranks, tau), _unit_integral_matrix(ranks, tau)
-    m = _qb_matrix(g, r11, unit, log_dn)
+    st, g, _, _ = _one(sample, tau)
+    m = _v_qb_raw(st, g, tau, log_dn, RAISE)[0]
     return SpdMatrix.from_array(m, "star-QB covariance" if log_dn else "QB covariance")
 
 
@@ -292,42 +330,51 @@ def estimate_v_qb(sample: MultivariateSample, tau: float) -> SpdMatrix:
     return _v_qb(sample, tau, 0.0)
 
 
+def _sigma_laws(st, g, q, xi, tau: float, checks) -> np.ndarray:
+    """Raw plug-in (Hill, LAWS) covariance of each sample of the stack st
+    (see estimate_sigma_laws)."""
+    vlaws, phi = _v_laws_raw(st, g, xi, tau, checks)
+    hill = _hill_block(g, _r11_matrix(st.ranks, tau))
+    k = effective_k(st.n, tau)
+    cross = _hill_laws_cross(st, phi, q, g, k) / ((1.0 - tau) * xi[..., None, :])
+    _set_diagonal(cross, _each(_sigma_laws_cross_diag, g))
+    return _interleave(hill, cross, vlaws)
+
+
 def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
     """Raw 2d x 2d plug-in estimate of the joint (Hill, LAWS) covariance.
 
     Coordinates are interleaved per margin.  Returned unclipped so that the
     log d_n contraction is an exact linear function of these blocks.
     """
-    fit = estimate_margins(sample, tau)
-    g, xi = fit.gamma_hat, fit.xi_laws
-    vlaws, phi = _v_laws_raw(sample, tau)
-    hill = _hill_block(g, _r11_matrix(sample.ranks, tau))
-    # q-hat is the Hill threshold order statistic X_{n-k,n}.
-    cross = _hill_laws_cross(sample, phi, fit.q_hat, g) / ((1.0 - tau) * xi)
-    np.fill_diagonal(cross, [_sigma_laws_cross_diag(gj) for gj in g])
-    return _interleave(hill, cross, vlaws)
+    return _sigma_laws(*_one(sample, tau), tau, RAISE)[0]
 
 
-def _hill_laws_cross(sample: MultivariateSample, phi, thresholds, g) -> np.ndarray:
-    """Numerators of the empirical Cov(Hill_j, LAWS_l) for every pair (j, l).
+def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
+    """Numerators of the empirical Cov(Hill_j, LAWS_l) for every pair (j, l)
+    of each sample of the stack st.
 
     Entry (j, l) is g_l times the mean of margin j's log-excesses over its
     threshold times margin l's asymmetric residual, minus g_j g_l times the
-    mean of the exceedance indicator times that residual.  Margin j's
-    exceedances are the top of its sorted column, so its row of means is
-    one product of their log-excesses with the rows of phi they sit in, and
-    one sum of those rows; the log is taken only on exceedances.
+    mean of the exceedance indicator times that residual.  The threshold is
+    margin j's (k+1)-th largest value, so its exceedances are among its top
+    k order statistics; the ones tied with it add a zero log-excess and are
+    left out of the indicator.  So margin j's row of means is one product
+    of those k log-excesses with the rows of phi they sit in, and one sum of
+    those rows; the log is taken only on the top k.
     """
-    n, d = sample.n, sample.d
-    s1, s2 = np.empty((d, d)), np.empty((d, d))
-    for j, (col, order, q) in enumerate(
-        zip(sample.sorted_columns, sample._order, thresholds)
-    ):
-        first = np.searchsorted(col, q, side="right")
-        top = phi[order[first:]]
-        s1[j] = np.log(col[first:] / q) @ top
-        s2[j] = top.sum(axis=0)
-    return g * (s1 / n) - np.outer(g, g) * (s2 / n)
+    n = st.n
+    rows = st.order[..., n - k :]  # (B, d, k): margin j's top k rows
+    top = phi[np.arange(len(phi))[:, None, None], rows]  # (B, d, k, d)
+    values, q = st.sorted_columns[..., n - k :], thresholds[..., None]
+    s1 = (np.log(values / q)[..., None, :] @ top)[..., 0, :]
+    s2 = np.where((values > q)[..., None], top, 0.0).sum(axis=-2)
+    return g[..., None, :] * (s1 / n) - _outer(g) * (s2 / n)
+
+
+def _v_star_laws(st, g, q, xi, tau: float, log_dn: float, checks) -> np.ndarray:
+    """Unclipped plug-in star-LAWS covariance of each sample of the stack st."""
+    return _contract_blocks(_sigma_laws(st, g, q, xi, tau, checks), log_dn)
 
 
 def estimate_v_star_laws(
@@ -335,7 +382,7 @@ def estimate_v_star_laws(
 ) -> SpdMatrix:
     """Plug-in covariance of the LAWS extrapolating estimators (log scale)."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    m = _contract_blocks(estimate_sigma_laws(sample, tau), levels.log_dn)
+    m = _v_star_laws(*_one(sample, tau), tau, levels.log_dn, RAISE)[0]
     return SpdMatrix.from_array(m, "star-LAWS covariance")
 
 

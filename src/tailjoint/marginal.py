@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, LevelError
+from .errors import RAISE, DomainError, LevelError
 from .sample import _read_only, _sums_sorted, effective_k
 
 
@@ -82,7 +82,7 @@ def _quantile_sorted(xs: np.ndarray, tau: float) -> np.ndarray:
 
 def hill_estimator(column, k: int) -> float:
     """Average log-excess of the top k order statistics over the (k+1)-th."""
-    return float(_hill_sorted(_sorted_row(column), k)[0])
+    return float(_hill_sorted(_sorted_row(column), k, RAISE)[0])
 
 
 def _check_hill_size(n: int, k: int) -> None:
@@ -90,13 +90,16 @@ def _check_hill_size(n: int, k: int) -> None:
         raise LevelError(f"Hill effective size k={k} outside [1, {n - 1}]")
 
 
-def _hill_sorted(xs: np.ndarray, k: int) -> np.ndarray:
-    """Hill estimate of each ascending row of xs."""
+def _hill_sorted(xs: np.ndarray, k: int, checks) -> np.ndarray:
+    """Hill estimate of each ascending row of xs; a row whose threshold
+    order statistic is not positive fails its sample (see errors.Checks)."""
     n = xs.shape[1]
     _check_hill_size(n, k)
     threshold = xs[:, n - k - 1 : n - k]
-    if np.any(threshold <= 0.0):
-        raise DomainError("Hill requires positive tail: threshold order statistic <= 0")
+    checks(
+        threshold <= 0.0,
+        lambda j: DomainError("Hill requires positive tail: threshold order statistic <= 0"),
+    )
     return np.mean(np.log(xs[:, n - k :] / threshold), axis=1)
 
 
@@ -109,6 +112,22 @@ def qb_factor(gamma: float) -> float:
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"QB factor undefined for tail index {gamma}")
     return (1.0 / gamma - 1.0) ** -gamma
+
+
+def _check_qb(g: np.ndarray, checks) -> np.ndarray:
+    """Fail each sample with an entry of g outside (0, 1), where qb_factor
+    is undefined, named by its first such entry; return where g is inside."""
+    ok = (g > 0.0) & (g < 1.0)
+    checks(~ok, lambda j: DomainError(f"QB factor undefined for tail index {g.flat[j]}"))
+    return ok
+
+
+def _qb_factors(g: np.ndarray, checks) -> np.ndarray:
+    """qb_factor of every entry of g, NaN where _check_qb fails it."""
+    ok = _check_qb(g, checks)
+    return np.array(
+        [qb_factor(x) if good else np.nan for x, good in zip(g.flat, ok.flat)]
+    ).reshape(g.shape)
 
 
 def qb_expectile(column, tau: float) -> float:
@@ -130,7 +149,8 @@ def extrapolate_expectile_qb(column, tau: float, tau_prime: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MarginalTailEstimates:
-    """Per-margin tail summaries at a common intermediate level."""
+    """Per-margin tail summaries at a common intermediate level: arrays of
+    d margins, or (B, d) for a stack of B samples."""
 
     tau: float
     gamma_hat: np.ndarray
@@ -141,7 +161,7 @@ class MarginalTailEstimates:
     def xi_qb(self) -> np.ndarray:
         """QB expectiles at tau, per margin.  Computed on access, so a margin
         with gamma-hat >= 1 fails only what needs the QB factor."""
-        return np.array([qb_factor(g) for g in self.gamma_hat]) * self.q_hat
+        return _qb_factors(self.gamma_hat, RAISE) * self.q_hat
 
     def _factors(self, tau_prime: float) -> np.ndarray:
         if not 0.0 < self.tau <= tau_prime < 1.0:
@@ -150,7 +170,8 @@ class MarginalTailEstimates:
                 f"got {self.tau}, {tau_prime}"
             )
         ratio = (1.0 - tau_prime) / (1.0 - self.tau)
-        return np.array([ratio ** -float(g) for g in self.gamma_hat])
+        g = self.gamma_hat
+        return np.array([ratio ** -float(x) for x in g.flat]).reshape(g.shape)
 
     def weissman_quantiles(self, tau_prime: float) -> np.ndarray:
         """Weissman extrapolated quantiles at level tau_prime, per margin."""
@@ -160,25 +181,35 @@ class MarginalTailEstimates:
         """LAWS-extrapolated expectiles at level tau_prime, per margin."""
         return self._factors(tau_prime) * self.xi_laws
 
-    def xi_star_qb(self, tau_prime: float) -> np.ndarray:
+    def xi_star_qb(self, tau_prime: float, checks=RAISE) -> np.ndarray:
         """QB-extrapolated expectiles at level tau_prime, per margin."""
         factors = self._factors(tau_prime)
-        qb = np.array([qb_factor(float(g)) for g in self.gamma_hat])
-        return qb * (factors * self.q_hat)
+        return _qb_factors(self.gamma_hat, checks) * (factors * self.q_hat)
 
 
-def _fit_sorted(xs: np.ndarray, sums, tau: float) -> MarginalTailEstimates:
+def _fit_sorted(xs: np.ndarray, sums, tau: float, checks) -> MarginalTailEstimates:
     """The fit of each ascending row of xs at level tau, given the rows'
     LAWS sums, in read-only arrays."""
-    gamma = _hill_sorted(xs, effective_k(xs.shape[1], tau))
+    gamma = _hill_sorted(xs, effective_k(xs.shape[1], tau), checks)
     q = _quantile_sorted(xs, tau)
     xi = _laws_sorted(xs, sums, tau)
     return MarginalTailEstimates(tau, *(_read_only(a) for a in (gamma, q, xi)))
 
 
+def _fit_stack(st, tau: float, checks) -> MarginalTailEstimates:
+    """The fit at tau of every sample of the stack st (``sample._Stack``),
+    as (B, d) arrays: one _fit_sorted of all its B*d sorted columns."""
+    b, d, n = st.sorted_columns.shape
+    xs = st.sorted_columns.reshape(-1, n)
+    rows = _fit_sorted(xs, _sums_sorted(xs), tau, checks)
+    return MarginalTailEstimates(
+        tau, *(a.reshape(b, d) for a in (rows.gamma_hat, rows.q_hat, rows.xi_laws))
+    )
+
+
 def _fit_column(column, tau: float) -> MarginalTailEstimates:
     xs = _sorted_row(column)
-    return _fit_sorted(xs, _sums_sorted(xs), tau)
+    return _fit_sorted(xs, _sums_sorted(xs), tau, RAISE)
 
 
 def estimate_margins(sample, tau: float) -> MarginalTailEstimates:
@@ -191,7 +222,7 @@ def estimate_margins(sample, tau: float) -> MarginalTailEstimates:
     """
     fits = sample._fits
     if tau not in fits:
-        fits[tau] = _fit_sorted(sample.sorted_columns, sample._laws_sums, tau)
+        fits[tau] = _fit_sorted(sample.sorted_columns, sample._laws_sums, tau, RAISE)
     return fits[tau]
 
 

@@ -2,7 +2,10 @@
 
 All routines are pure functions; matrices are numpy arrays wrapped in the
 lightweight :class:`SpdMatrix` container which enforces symmetry and the
-eigenvalue clipping policy used throughout the covariance estimators.
+eigenvalue clipping policy used throughout the covariance estimators.  The
+check and clip (``_spd_stack``) and the Cholesky algebra (``_cholesky``,
+``_forward``, ``_cho_solve``) work on stacks of matrices; an ``SpdMatrix``
+is their stack of one.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, linalg, stats
+from scipy import integrate, special, stats
 
 from .errors import (
+    RAISE,
     DomainError,
     NotPositiveSemidefiniteError,
     NumericError,
@@ -44,13 +48,13 @@ def chi_square_quantile(p: float, df: int) -> float:
         raise DomainError(f"chi-square quantile requires p in (0,1), got {p}")
     if df < 1 or int(df) != df:
         raise DomainError(f"chi-square quantile requires integer df >= 1, got {df}")
-    return float(stats.chi2.ppf(p, df))
+    return float(2.0 * special.gammaincinv(df / 2.0, p))
 
 
 def chi_square_cdf(x: float, df: int) -> float:
     if df < 1:
         raise DomainError(f"chi-square cdf requires df >= 1, got {df}")
-    return float(stats.chi2.cdf(x, df))
+    return float(special.chdtr(df, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,24 +78,8 @@ class SpdMatrix:
         m = np.asarray(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"{name} must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NumericError(f"{name} has non-finite entries")
-        scale = np.max(np.abs(m)) or 1.0
-        if np.max(np.abs(m - m.T)) > 1e-8 * scale:
-            raise DomainError(f"{name} is not symmetric")
-        sym = 0.5 * (m + m.T)
-        w, v = np.linalg.eigh(sym)
-        tol = CLIP_RTOL * max(abs(np.trace(sym)), np.finfo(float).tiny)
-        if w[0] < -tol:
-            raise NotPositiveSemidefiniteError(
-                f"{name} has eigenvalue {w[0]:.3e} below -{tol:.3e}"
-            )
-        clip = float(max(0.0, -w[0]))
-        if w[0] < 0.0:
-            w = np.clip(w, 0.0, None)
-            sym = (v * w) @ v.T
-            sym = 0.5 * (sym + sym.T)
-        return cls(entries=sym, clip_magnitude=clip)
+        entries, clip = _spd_stack(m[None], name, RAISE)
+        return cls(entries=entries[0], clip_magnitude=float(clip[0]))
 
     def sqrt(self) -> "SpdMatrix":
         """Principal symmetric square root."""
@@ -107,23 +95,91 @@ class SpdMatrix:
             raise DomainError(
                 f"vector of length {vec.shape} does not match dimension {self.dim}"
             )
-        tr = abs(np.trace(self.entries)) or 1.0
-        try:
-            c, low = linalg.cho_factor(self.entries, lower=True)
-        except linalg.LinAlgError as exc:
-            raise SingularCovarianceError(f"singular {name} matrix") from exc
-        if np.min(np.diag(c)) ** 2 <= 1e-10 * tr:
-            raise SingularCovarianceError(f"singular {name} matrix")
-        y = linalg.solve_triangular(c, vec, lower=low)
-        return float(y @ y)
+        m = self.entries[None]
+        c = _cholesky(m)
+        RAISE(_singular(c, m), lambda j: SingularCovarianceError(f"singular {name} matrix"))
+        return float(_squared_norm(_forward(c, vec[None]))[0])
 
-    def solve(self, rhs, name: str = "covariance") -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        try:
-            c, low = linalg.cho_factor(self.entries, lower=True)
-        except linalg.LinAlgError as exc:
-            raise SingularCovarianceError(f"singular {name} matrix") from exc
-        return linalg.cho_solve((c, low), rhs)
+
+def _spd_stack(m: np.ndarray, name: str, checks) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrized, PSD-clipped matrices of the stack m (B, d, d) and
+    their clip magnitudes.  A matrix with a non-finite entry, an asymmetry
+    above 1e-8 of its largest entry, or an eigenvalue below -CLIP_RTOL times
+    its trace fails its sample, in that order; eigenvalues above that are
+    clipped up to zero.  A non-finite matrix is replaced by the identity so
+    that the decomposition of the others is defined."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    checks(~finite, lambda j: NumericError(f"{name} has non-finite entries"))
+    if not finite.all():
+        m = np.where(finite[:, None, None], m, np.eye(m.shape[-1]))
+    t = m.transpose(0, 2, 1)
+    scale = np.abs(m).max(axis=(-2, -1))
+    scale[scale == 0.0] = 1.0
+    checks(
+        np.abs(m - t).max(axis=(-2, -1)) > 1e-8 * scale,
+        lambda j: DomainError(f"{name} is not symmetric"),
+    )
+    sym = 0.5 * (m + t)
+    w, v = np.linalg.eigh(sym)
+    low = w[:, 0]
+    tol = CLIP_RTOL * np.maximum(np.abs(sym.trace(axis1=1, axis2=2)), np.finfo(float).tiny)
+    checks(
+        low < -tol,
+        lambda j: NotPositiveSemidefiniteError(
+            f"{name} has eigenvalue {low[j]:.3e} below -{tol[j]:.3e}"
+        ),
+    )
+    clip = np.maximum(0.0, -low)
+    neg = low < 0.0
+    if neg.any():
+        vn = v[neg]
+        s = (vn * np.clip(w[neg], 0.0, None)[:, None, :]) @ vn.transpose(0, 2, 1)
+        sym[neg] = 0.5 * (s + s.transpose(0, 2, 1))
+    return sym, clip
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of each matrix of the stack a (B, d, d), column
+    by column.  Where a pivot is not positive the factor's diagonal entry is
+    zero or NaN; ``_singular`` and the callers' checks read that."""
+    c = np.zeros_like(a)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(a.shape[-1]):
+            row = c[:, j, :j]
+            c[:, j, j] = np.sqrt(a[:, j, j] - _squared_norm(row))
+            below = a[:, j + 1 :, j] - np.einsum("bik,bk->bi", c[:, j + 1 :, :j], row)
+            c[:, j + 1 :, j] = below / c[:, j, j, None]
+    return c
+
+
+def _singular(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Where the factor c of a is not usable for a quadratic form: a pivot
+    that is not positive, or a smallest diagonal entry whose square is at
+    most 1e-10 times |trace a| (1 for a zero trace)."""
+    tr = np.abs(np.trace(a, axis1=-2, axis2=-1))
+    tr[tr == 0.0] = 1.0
+    return ~(np.diagonal(c, axis1=-2, axis2=-1).min(axis=-1) ** 2 > 1e-10 * tr)
+
+
+def _squared_norm(y: np.ndarray) -> np.ndarray:
+    return (y * y).sum(axis=-1)
+
+
+def _forward(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """y with c y = b for each lower factor c (B, d, d) and row b (B, d)."""
+    y = np.empty_like(b)
+    for j in range(b.shape[-1]):
+        y[:, j] = (b[:, j] - (c[:, j, :j] * y[:, :j]).sum(axis=-1)) / c[:, j, j]
+    return y
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with c c^T x = b for each lower factor c (B, d, d) and row b (B, d)."""
+    y = _forward(c, b)
+    x = np.empty_like(y)
+    for j in reversed(range(b.shape[-1])):
+        x[:, j] = (y[:, j] - (c[:, j + 1 :, j] * x[:, j + 1 :]).sum(axis=-1)) / c[:, j, j]
+    return x
 
 
 def _quad(f, a, b, tol=_QUAD_TOL):

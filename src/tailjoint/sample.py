@@ -7,6 +7,7 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +84,7 @@ class MultivariateSample:
             self.dates,
         )
         # Fill the sub-sample's cached properties before first use.
+        sub.__dict__["_order"] = self._order[indices]
         sub.__dict__["sorted_columns"] = _read_only(self.sorted_columns[indices])
         sub.__dict__["ranks"] = _read_only(self.ranks[:, indices])
         sub.__dict__["_laws_sums"] = tuple(
@@ -93,7 +95,7 @@ class MultivariateSample:
     @cached_property
     def _order(self) -> np.ndarray:
         """Row order of each column, d x n, ties kept in input order."""
-        return np.argsort(self.values.T, axis=1, kind="stable")
+        return _column_order(self.values)
 
     @cached_property
     def _fits(self) -> dict:
@@ -103,22 +105,65 @@ class MultivariateSample:
     @cached_property
     def sorted_columns(self) -> np.ndarray:
         """d x n array whose row j is column j sorted ascending (read-only)."""
-        return _read_only(np.take_along_axis(self.values.T, self._order, axis=1))
+        return _sorted_columns(self.values, self._order)
 
     @cached_property
     def ranks(self) -> np.ndarray:
         """n x d per-column ranks, 1 = smallest, stable tie-breaking by
         input order (read-only)."""
-        ranks = np.empty((self.d, self.n), dtype=np.int64)
-        np.put_along_axis(
-            ranks, self._order, np.arange(1, self.n + 1)[None, :], axis=1
-        )
-        return _read_only(ranks).T
+        return _column_ranks(self._order)
 
     @cached_property
     def _laws_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``_sums_sorted`` of the sorted columns (read-only)."""
         return _sums_sorted(self.sorted_columns)
+
+    @property
+    def _stack(self) -> "_Stack":
+        """This sample as a stack of one, for the stacked builders."""
+        return _Stack(
+            self.values[None], self._order[None], self.sorted_columns[None],
+            self.ranks[None],
+        )
+
+
+class _Stack(NamedTuple):
+    """B samples of one size n x d, stacked along a leading axis: the values
+    (B, n, d), each column's row order and sorted values (B, d, n), and the
+    ranks (B, n, d), all as ``MultivariateSample`` computes them."""
+
+    values: np.ndarray
+    order: np.ndarray
+    sorted_columns: np.ndarray
+    ranks: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[-2]
+
+
+def _stack_panels(values: np.ndarray) -> _Stack:
+    """Sort and rank a (B, n, d) stack of panels with one argsort."""
+    order = _column_order(values)
+    return _Stack(values, order, _sorted_columns(values, order), _column_ranks(order))
+
+
+def _column_order(values: np.ndarray) -> np.ndarray:
+    """Row order of each column of (..., n, d) panels, as (..., d, n), ties
+    kept in input order."""
+    return np.argsort(np.swapaxes(values, -1, -2), axis=-1, kind="stable")
+
+
+def _sorted_columns(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Each column of (..., n, d) panels sorted ascending, as (..., d, n)."""
+    return _read_only(np.take_along_axis(np.swapaxes(values, -1, -2), order, axis=-1))
+
+
+def _column_ranks(order: np.ndarray) -> np.ndarray:
+    """(..., n, d) ranks, 1 = smallest, from the (..., d, n) row order."""
+    ranks = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
+    return np.swapaxes(_read_only(ranks), -1, -2)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

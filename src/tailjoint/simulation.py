@@ -4,7 +4,11 @@ Carlo harnesses for MSE, region coverage, interval coverage and test power.
 Reproducibility contract: replication i of a run with master seed s draws
 exclusively from a counter-based generator keyed by (s, i), and results are
 reduced in replication order.  Outputs are therefore bit-identical for a
-given (model, n, M, master_seed).
+given (model, n, M, master_seed).  The MSE and coverage harnesses run their
+replications one by one; the power harness draws each replication from its
+own stream in the same way, and then tests a stack of them at once through
+the stacked builders that the single-sample tests run as a stack of one, so
+each replication's decision and failure are the single-sample test's.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import optimize, special, stats
 
-from .errors import DomainError, TailjointError
+from .errors import Checks, DomainError, TailjointError
 from .inference import _check_alpha, _estimate, _interval, _region
-from .equality_tests import test_equal_expectiles_laws, test_equal_expectiles_qb
-from .marginal import _check_hill_size, estimate_margins
-from .sample import MultivariateSample, TailLevelPair, effective_k
+from .equality_tests import _stacked_statistic
+from .marginal import _check_hill_size, _fit_stack, estimate_margins
+from .numerics import chi_square_quantile
+from .sample import MultivariateSample, TailLevelPair, _stack_panels, effective_k
 
 _PAIRWISE_CORRELATIONS = {
     2: {(0, 1): 0.8},
@@ -148,6 +153,12 @@ def sample_model(
     """Draw n observations from the model using the supplied generator."""
     if n < 4:
         raise DomainError("samplers require n >= 4")
+    labels = tuple(f"X{j + 1}" for j in range(model.d))
+    return MultivariateSample(_draw(model, n, rng), labels)
+
+
+def _draw(model: SimulationModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The n x d values of sample_model."""
     g = np.asarray(model.gammas)
     d = model.d
     kind = model.kind
@@ -180,8 +191,7 @@ def sample_model(
         x = (1.0 - rng.random(size=(n, 1))) ** -g
     else:  # univariate_student
         x = stats.t.ppf(rng.random(size=(n, 1)), 1.0 / g[0])
-    labels = tuple(f"X{j + 1}" for j in range(d))
-    return MultivariateSample(np.asarray(x, dtype=float), labels)
+    return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -301,6 +311,24 @@ def _run_mc(
             return None
 
     results = [worker(i) for i in range(M)]
+    return _report(
+        experiment, model, n, tau, tau_prime, master_seed, names, results, transform
+    )
+
+
+def _report(
+    experiment: str,
+    model: SimulationModel,
+    n: int,
+    tau: float,
+    tau_prime: float | None,
+    master_seed: int,
+    names: tuple[str, ...],
+    results: list,
+    transform=float,
+) -> McReport:
+    """The report of replication outcomes in order: a tuple per success and
+    None per failure."""
     ok = np.array([r for r in results if r is not None])
     metrics = {}
     if len(ok):
@@ -314,7 +342,7 @@ def _run_mc(
         k=effective_k(n, tau),
         tau=tau,
         tau_prime=tau_prime,
-        replications=M,
+        replications=len(results),
         master_seed=master_seed,
         metrics=metrics,
         failures=len(results) - len(ok),
@@ -444,24 +472,77 @@ def run_mc_power(
     methods: tuple[str, ...] = ("laws", "qb"),
 ) -> McReport:
     """Rejection rates of the expectile equality tests; both test variants
-    can share each simulated sample."""
+    share each simulated sample.
+
+    Each replication's decisions and failure are those of
+    test_equal_expectiles_laws and _qb on sample_model(model, n,
+    rng_stream(master_seed, i)), computed for stacks of replications (see
+    _power_outcomes).  A replication fails as a whole when either test
+    fails, so a LAWS failure also leaves that replication's QB decision out
+    of the QB rate.  Counting each method's failures on its own would move
+    the benchmark's stored mc_power references (their failures and QB
+    rate), so it waits for a change that regenerates them.
+    """
     for m in methods:
         _check_method(m)
     _check_alpha(alpha)
     if model.d < 2:
         raise DomainError("equality testing requires d >= 2")
-    testers = {
-        "laws": test_equal_expectiles_laws,
-        "qb": test_equal_expectiles_qb,
-    }
-
-    def replicate(sample):
-        return tuple(
-            1.0 if testers[m](sample, tau, tau_prime, alpha).reject else 0.0
-            for m in methods
-        )
-
+    _check_levels(n, tau, tau_prime)
+    levels = TailLevelPair(tau, tau_prime, n)
+    outcomes = _power_outcomes(model, levels, M, alpha, master_seed, methods)
+    results = [None if isinstance(o, TailjointError) else o for o in outcomes]
     names = tuple(f"rejection_pct_{m}" for m in methods)
-    return _run_mc(
-        "power", model, n, tau, tau_prime, M, master_seed, names, replicate
-    )
+    return _report("power", model, n, tau, tau_prime, master_seed, names, results)
+
+
+# Replications per stack in _power_outcomes.  A stack shares the fixed cost
+# of each numpy call among its replications, and its (B, n, d) arrays add to
+# the peak memory.  At n=1000, d=2 (the benchmark's mc_power workload on a
+# 2-core Xeon) stacks of 8, 12 and 16 took 0.70, 0.66 and 0.65 ms per
+# replication (2.17 one by one) and added 0.6, 1.3 and 2.2 MB of peak RSS.
+_POWER_STACK = 12
+
+
+def _power_outcomes(
+    model: SimulationModel,
+    levels: TailLevelPair,
+    M: int,
+    alpha: float,
+    master_seed: int,
+    methods: tuple[str, ...],
+) -> list:
+    """Each replication's outcome in order: its rejections as a tuple (1.0
+    or 0.0 per method), or the TailjointError of the first check that it
+    fails, in the order the single-sample tests make them.
+
+    Replication i draws from rng_stream(master_seed, i), as sample_model
+    does.  Stacks of _POWER_STACK replications are sorted, ranked and
+    fitted at once and tested method by method; a failed check marks its
+    replication (errors.Checks), whose later arithmetic is ignored.
+    """
+    n = levels.n
+    quantile = chi_square_quantile(1.0 - alpha, model.d - 1)
+    outcomes = []
+    for start in range(0, M, _POWER_STACK):
+        values = np.stack([
+            _draw(model, n, rng_stream(master_seed, i))
+            for i in range(start, min(start + _POWER_STACK, M))
+        ])
+        checks = Checks(len(values))
+        checks(
+            ~np.isfinite(values).all(axis=(1, 2)),
+            lambda j: DomainError("sample values must all be finite"),
+        )
+        with np.errstate(all="ignore"):
+            st = _stack_panels(values)
+            fit = _fit_stack(st, levels.tau, checks)
+            rejects = [
+                _stacked_statistic(st, fit, levels, m, checks) > quantile
+                for m in methods
+            ]
+        outcomes += [
+            error if error is not None else tuple(1.0 if r[i] else 0.0 for r in rejects)
+            for i, error in enumerate(checks.first)
+        ]
+    return outcomes

@@ -55,25 +55,26 @@ def empirical_tail_copula(
 
 
 def _tail_points(ranks: np.ndarray, tau: float) -> np.ndarray:
-    """U_ij = (n+1-r_ij)/((n+1)(1-tau)) for every observation and margin;
-    U_ij <= 1 marks the top ranks of margin j."""
-    n = ranks.shape[0]
+    """U_ij = (n+1-r_ij)/((n+1)(1-tau)) for every observation and margin of
+    (..., n, d) ranks; U_ij <= 1 marks the top ranks of margin j."""
+    n = ranks.shape[-2]
     return (n + 1 - ranks) / ((n + 1) * (1.0 - tau))
 
 
 def _r11_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
     """R-hat(1,1) of every pair of columns at once: the count that
     EmpiricalTailCopula.evaluate(1, 1) makes, as one product of the
-    top-rank indicators.  The diagonal is unused.
+    top-rank indicators.  The diagonal is unused.  ranks is (..., n, d),
+    one d x d matrix per leading index.
 
     U_ij <= 1 holds for every rank at or above the smallest rank c for
     which it holds (U falls as the rank rises), so c is found by that same
     test applied to the ranks 1..n, the indicators are one integer
     comparison with c, and the counts are exact."""
-    n = ranks.shape[0]
-    c = n + 1 - np.count_nonzero(_tail_points(np.arange(1, n + 1), tau) <= 1.0)
+    n = ranks.shape[-2]
+    c = n + 1 - np.count_nonzero(_tail_points(np.arange(1, n + 1)[:, None], tau) <= 1.0)
     top = (ranks >= c).astype(float)
-    return top.T @ top / (n * (1.0 - tau))
+    return np.swapaxes(top, -1, -2) @ top / (n * (1.0 - tau))
 
 
 def _unit_integral_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
@@ -81,11 +82,13 @@ def _unit_integral_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
     j's axis, for every pair of columns at once; the diagonal is unused.
     R-hat_jl(u,1) steps up by 1/(n(1-tau)) at each U_ij <= 1 with U_il <= 1,
     so I[j, l] sums -log U_ij over the points in the top ranks of both
-    margins and divides by n(1-tau)."""
-    n = ranks.shape[0]
+    margins and divides by n(1-tau).  ranks is (..., n, d), as for
+    _r11_matrix."""
+    n = ranks.shape[-2]
     u = _tail_points(ranks, tau)
     # -log min(U, 1) is -log U on the top ranks and exactly 0 elsewhere.
-    return -np.log(np.minimum(u, 1.0)).T @ (u <= 1.0) / (n * (1.0 - tau))
+    logs = np.swapaxes(np.log(np.minimum(u, 1.0)), -1, -2)
+    return -logs @ (u <= 1.0) / (n * (1.0 - tau))
 
 
 def extremal_coefficient(

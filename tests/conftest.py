@@ -32,9 +32,9 @@ def count_fits(monkeypatch) -> list:
     fits = []
     original = marginal._fit_sorted
 
-    def counting(xs, sums, tau):
+    def counting(xs, sums, tau, checks):
         fits.append(tau)
-        return original(xs, sums, tau)
+        return original(xs, sums, tau, checks)
 
     monkeypatch.setattr(marginal, "_fit_sorted", counting)
     return fits

@@ -8,12 +8,21 @@ from scipy import integrate, optimize, stats
 
 from conftest import count_fits
 
-from tailjoint.errors import DomainError, LevelError
+from tailjoint.equality_tests import (
+    test_equal_expectiles_laws as equal_expectiles_laws,
+    test_equal_expectiles_qb as equal_expectiles_qb,
+)
+from tailjoint.errors import (
+    DomainError, LevelError, NotPositiveSemidefiniteError, TailjointError,
+)
 from tailjoint.marginal import estimate_margins
+from tailjoint.sample import TailLevelPair
 from tailjoint.simulation import (
+    _POWER_STACK,
     MarginOracle,
     McReport,
     SimulationModel,
+    _power_outcomes,
     listed_correlation,
     rng_stream,
     run_mc_coverage,
@@ -318,3 +327,65 @@ class TestHarnesses:
                 tau_prime=None, replications=0, master_seed=1, metrics={},
                 failures=0,
             )
+
+
+class TestStackedPower:
+    """run_mc_power tests stacks of replications at once; each replication's
+    outcome must be what the single-sample tests give on its own sample."""
+
+    N, TAU, TAU_PRIME, ALPHA = 1000, 0.95, 0.999, 0.05
+    # At seed 4 the first replications of this model include LAWS failures
+    # of both classes: DomainError (gamma-hat >= 1/2) and not PSD.
+    FAILING = SimulationModel.gumbel_frechet(2, gamma=(0.4, G))
+
+    def serial(self, model, seed, i, methods):
+        """The outcome of replication i from the single-sample tests."""
+        testers = {"laws": equal_expectiles_laws, "qb": equal_expectiles_qb}
+        sample = sample_model(model, self.N, rng_stream(seed, i))
+        try:
+            return tuple(
+                1.0 if testers[m](sample, self.TAU, self.TAU_PRIME, self.ALPHA).reject
+                else 0.0
+                for m in methods
+            )
+        except TailjointError as exc:
+            return exc
+
+    def outcomes(self, model, seed, M, methods):
+        levels = TailLevelPair(self.TAU, self.TAU_PRIME, self.N)
+        return _power_outcomes(model, levels, M, self.ALPHA, seed, methods)
+
+    @pytest.mark.parametrize("M", [1, _POWER_STACK - 1, _POWER_STACK + 1])
+    @pytest.mark.parametrize("methods", [("laws", "qb"), ("laws",), ("qb",)])
+    @pytest.mark.parametrize(
+        "model, seed",
+        [(SimulationModel.gumbel_frechet(2), 1), (FAILING, 4)],
+        ids=["gumbel", "gumbel-0.4"],
+    )
+    def test_outcomes_equal_single_sample_tests(self, model, seed, methods, M):
+        got = self.outcomes(model, seed, M, methods)
+        assert len(got) == M
+        for i, outcome in enumerate(got):
+            want = self.serial(model, seed, i, methods)
+            if isinstance(want, TailjointError):
+                assert (type(outcome), str(outcome)) == (type(want), str(want))
+            else:
+                assert outcome == want
+
+    def test_report_reduces_stacked_outcomes(self, monkeypatch):
+        M, methods = _POWER_STACK + 1, ("laws", "qb")
+        outcomes = self.outcomes(self.FAILING, 4, M, methods)
+        errors = [o for o in outcomes if isinstance(o, TailjointError)]
+        assert {type(e) for e in errors} == {DomainError, NotPositiveSemidefiniteError}
+        fits = count_fits(monkeypatch)
+        report = run_mc_power(
+            self.FAILING, self.N, self.TAU, self.TAU_PRIME, M, self.ALPHA, 4
+        )
+        assert fits == [self.TAU, self.TAU]  # one fit per stack
+        ok = np.array([o for o in outcomes if not isinstance(o, TailjointError)])
+        assert report.failures == len(errors)
+        assert report.metrics == {
+            f"rejection_pct_{m}": 100.0 * float(ok[:, pos].mean())
+            for pos, m in enumerate(methods)
+        }
+
