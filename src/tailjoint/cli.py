@@ -23,13 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .covariance import estimate_v_star_laws
+from .covariance import _scan_v_star_laws
 from .equality_tests import _equality_test
-from .errors import DomainError, TailjointError
+from .errors import DomainError, LevelError, TailjointError
 from .inference import _estimate, _interval, _region, region_boundary_points
 from .marginal import estimate_margins
 from .sample import (
     MultivariateSample,
+    TailLevelPair,
     ingest_csv,
     emit_csv,
     tau_from_k,
@@ -361,15 +362,23 @@ def cmd_trace_scan(args) -> int:
         raise DomainError(
             f"k range [{k_min}, {k_max}] outside [2, {sample.n - 1}] for n={sample.n}"
         )
-    rows, errors = [], []
-    for k in range(k_min, k_max + 1):
-        tau = tau_from_k(sample.n, k)
+    # Each k's covariance or failure, as estimate_v_star_laws gives it: a
+    # level that TailLevelPair rejects fails first, the rest run stacked.
+    ks = range(k_min, k_max + 1)
+    levels, results = {}, {}
+    for k in ks:
         try:
-            cov = estimate_v_star_laws(sample, tau, tau_prime)
-            rows.append((k, float(np.trace(cov.entries)), "ok"))
-        except TailjointError as exc:
-            rows.append((k, math.nan, f"failed: {exc}"))
-            errors.append(str(exc))
+            levels[k] = TailLevelPair(tau_from_k(sample.n, k), tau_prime, sample.n)
+        except LevelError as exc:
+            results[k] = exc
+    results.update(zip(levels, _scan_v_star_laws(sample, list(levels.values()))))
+    rows, errors = [], []
+    for k in ks:
+        if isinstance(results[k], TailjointError):
+            rows.append((k, math.nan, f"failed: {results[k]}"))
+            errors.append(str(results[k]))
+        else:
+            rows.append((k, float(np.trace(results[k])), "ok"))
     if len(errors) == len(rows):
         raise DomainError("trace scan failed at every k: " + errors[0])
     _emit_csv_rows(("k", "trace", "status"), rows, args.out, "trace_scan.csv")

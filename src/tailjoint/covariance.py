@@ -17,22 +17,24 @@ The Hill and QB displays (``_hill_block``, ``_qb_matrix``) read tail
 dependence only through two d x d pair matrices, R(1,1) and the unit
 integrals I, given by the oracle (``_oracle_matrix``) or by the ranks.
 
-Each estimated display is computed for a stack of B samples at once
+Each estimated display is computed for a stack of B entries at once
 (``_v_laws_raw``, ``_sigma_laws``, ``_v_star_laws``, ``_v_qb_raw``,
 ``_bias_qb``: leading axis B, with the fit as (B, d) arrays), and a check
-that fails marks its sample through an ``errors.Checks``.  The public
+that fails marks its entry through an ``errors.Checks``.  An entry is a
+sample (B samples at one level) or a level of one sample (the LAWS builders
+also take tau, and so k, and log d_n as (B, 1) arrays).  The public
 single-sample builders are the stack of one (``MultivariateSample._stack``)
 with ``errors.RAISE``, so they raise the first failure; the Monte Carlo
 power harness runs the same code on stacks of replications.
 
-An estimated star-LAWS covariance at one level passes over the whole
-n x d panel only for the asymmetric residuals phi, their Gram product, the
-survival counts and the top-rank indicators of R-hat(1,1), comparisons
-with one cut-off each.  The rest reads the sample's cached order
-statistics, ranks and LAWS sums: the LAWS root is one scan of
-tau A + (1 - tau) B, and the Hill/LAWS cross terms read only each margin's
-top k order statistics.  So a scan over many levels, such as
-``trace-scan``, sorts and sums the panel once.
+A scan over many levels, such as ``trace-scan`` (``_scan_v_star_laws``),
+runs chunks of levels of one sample as such stacks: one fit, one
+covariance and one batched SPD check per chunk, each level failing alone.
+It sorts and sums the panel once.  A level passes over the whole n x d
+panel only for the LAWS root (one scan of tau A + (1 - tau) B over the
+cached LAWS sums), the asymmetric residuals phi with their Gram product,
+and the survival counts.  R-hat(1,1) reads each margin's top ranks once per
+chunk, and the Hill/LAWS cross terms each margin's top k rows.
 """
 
 from __future__ import annotations
@@ -40,10 +42,12 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .errors import RAISE, DomainError
-from .marginal import _check_qb, asymmetric_weight, estimate_margins, m_function
-from .numerics import SpdMatrix, integrate_1d_tail, integrate_tail_box
-from .sample import MultivariateSample, TailLevelPair, effective_k
+from .errors import RAISE, Checks, DomainError
+from .marginal import (
+    _check_qb, _fit_levels, asymmetric_weight, estimate_margins, m_function,
+)
+from .numerics import SpdMatrix, _spd_stack, integrate_1d_tail, integrate_tail_box
+from .sample import MultivariateSample, TailLevelPair, _runs, effective_k
 from .taildep import OracleTailCopula, _r11_matrix, _unit_integral_matrix
 
 
@@ -127,7 +131,7 @@ def _laws_pair_integral(orc: OracleTailCopula, gj: float, gl: float) -> float:
     if orc.kind == "independent":
         return 0.0
     cj, cl = 1.0 / gj - 1.0, 1.0 / gl - 1.0
-    return gj * gl * integrate_tail_box(orc.evaluate, cj, cl, gj, gl, 0)
+    return gj * gl * integrate_tail_box(orc._formula, cj, cl, gj, gl, 0)
 
 
 def _theoretical_laws_block(g: np.ndarray, oracle) -> np.ndarray:
@@ -205,8 +209,8 @@ def theoretical_sigma_laws(gammas, oracle) -> SpdMatrix:
         if orc.kind == "independent":
             return 0.0
         cl, al = 1.0 / gl - 1.0, 1.0 / gl
-        double = integrate_tail_box(orc.evaluate, 1.0, cl, gj, gl, 1)
-        single = integrate_1d_tail(lambda y: orc.evaluate(1.0, cl * y**-al))
+        double = integrate_tail_box(orc._formula, 1.0, cl, gj, gl, 1)
+        single = integrate_1d_tail(lambda y: orc._formula(1.0, cl * y**-al))
         return gl * double - gj * gl * single
 
     hill = _hill_block(g, _oracle_matrix(oracle, d, _R11))
@@ -221,11 +225,15 @@ def theoretical_sigma_laws(gammas, oracle) -> SpdMatrix:
     )
 
 
-def _contract_blocks(sigma: np.ndarray, log_dn: float) -> np.ndarray:
-    """(1, 1/log dn)^T Sigma_block (1, 1/log dn) applied to every 2x2 block."""
-    if log_dn <= 0.0:
-        raise DomainError("contraction requires log d_n > 0")
-    w = 1.0 / log_dn
+def _contract_blocks(sigma: np.ndarray, log_dn, checks) -> np.ndarray:
+    """(1, 1/log dn)^T Sigma_block (1, 1/log dn) applied to every 2x2 block,
+    with one log dn, or a (B, 1) array of one per matrix of the stack; a
+    log dn that is not positive fails its matrix."""
+    checks(
+        np.broadcast_to(np.asarray(log_dn) <= 0.0, sigma.shape[:-2] + (1,)),
+        lambda j: DomainError("contraction requires log d_n > 0"),
+    )
+    w = 1.0 / np.expand_dims(log_dn, -1)
     b00, b01 = sigma[..., 0::2, 0::2], sigma[..., 0::2, 1::2]
     b10, b11 = sigma[..., 1::2, 0::2], sigma[..., 1::2, 1::2]
     return b00 + (b01 + b10) * w + b11 * w * w
@@ -235,7 +243,7 @@ def theoretical_v_star_laws(gammas, oracle, log_dn: float) -> SpdMatrix:
     """Finite-n covariance of the LAWS extrapolating estimators (log scale)."""
     sigma = theoretical_sigma_laws(gammas, oracle).entries
     return SpdMatrix.from_array(
-        _contract_blocks(sigma, log_dn), "theoretical star-LAWS covariance"
+        _contract_blocks(sigma, log_dn, RAISE), "theoretical star-LAWS covariance"
     )
 
 
@@ -258,10 +266,14 @@ def _one(sample: MultivariateSample, tau: float):
     return sample._stack, fit.gamma_hat[None], fit.q_hat[None], fit.xi_laws[None]
 
 
-def _v_laws_raw(st, g, xi, tau: float, checks) -> tuple[np.ndarray, np.ndarray]:
-    """Unclipped intermediate LAWS covariance of each sample of the stack
-    st, and the asymmetric residuals phi of its fit at tau that it reads.
-    The Hill estimates are checked before any n x d work."""
+def _v_laws_raw(st, g, q, xi, tau, checks) -> tuple[np.ndarray, np.ndarray]:
+    """Unclipped intermediate LAWS covariance of each of the B entries of
+    the fit (g, q, xi), and the numerators of its Hill/LAWS cross terms
+    (``_hill_laws_cross``): samples of the stack st at one level tau, or
+    levels of its one sample at a (B, 1) array of tau.  The Hill estimates
+    are checked before any n x d work, which runs for one run of entries
+    that share tau at a time: the survival counts, and the asymmetric
+    residuals phi, read by their Gram product and by the cross terms."""
     checks(
         g >= 0.5,
         lambda j: DomainError(
@@ -270,24 +282,28 @@ def _v_laws_raw(st, g, xi, tau: float, checks) -> tuple[np.ndarray, np.ndarray]:
     )
     checks(g <= 0.0, lambda j: DomainError("LAWS variance requires positive Hill estimates"))
     n = st.n
+    surv = np.empty(g.shape)
+    mbar, cross = np.empty(g.shape + g.shape[-1:]), np.empty(g.shape + g.shape[-1:])
+    for t, run in _runs(tau, len(g)):
+        surv[run] = (st.sorted_columns > xi[run, :, None]).sum(axis=-1)
+        phi = asymmetric_weight(st.values - xi[run, None, :], t)
+        mbar[run] = np.swapaxes(phi, -1, -2) @ phi / n
+        cross[run] = _hill_laws_cross(st, phi, q[run], g[run], effective_k(n, t))
+    surv /= n
     omt = 1.0 - tau
-    surv = (st.sorted_columns > xi[..., None]).sum(axis=-1) / n
     diag = (
         2.0 * g**2 / (1.0 - 2.0 * g)
         * (1.0 + surv / omt)
         / (1.0 + (2.0 * tau - 1.0) * surv / omt) ** 2
     )
-    phi = asymmetric_weight(st.values - xi[..., None, :], tau)
-    mbar = np.swapaxes(phi, -1, -2) @ phi / n
-    m = _outer(g) * mbar / (omt * _outer(xi))
+    m = _outer(g) * mbar / (np.expand_dims(omt, -1) * _outer(xi))
     _set_diagonal(m, diag)
-    return m, phi
+    return m, cross
 
 
 def estimate_v_laws(sample: MultivariateSample, tau: float) -> SpdMatrix:
     """Plug-in estimate of the intermediate LAWS covariance matrix."""
-    st, g, _, xi = _one(sample, tau)
-    m = _v_laws_raw(st, g, xi, tau, RAISE)[0][0]
+    m = _v_laws_raw(*_one(sample, tau), tau, RAISE)[0][0]
     return SpdMatrix.from_array(m, "LAWS covariance")
 
 
@@ -314,8 +330,7 @@ def estimate_bias_qb(sample: MultivariateSample, tau: float) -> np.ndarray:
 def _v_qb_raw(st, g, tau: float, log_dn: float, checks) -> np.ndarray:
     """Unclipped plug-in QB covariance of each sample of the stack st:
     _qb_matrix read from the ranks."""
-    ranks = st.ranks
-    r11, unit = _r11_matrix(ranks, tau), _unit_integral_matrix(ranks, tau)
+    r11, unit = _r11_matrix(st, tau), _unit_integral_matrix(st.ranks, tau)
     return _qb_matrix(g, r11, unit, log_dn, checks)
 
 
@@ -330,13 +345,12 @@ def estimate_v_qb(sample: MultivariateSample, tau: float) -> SpdMatrix:
     return _v_qb(sample, tau, 0.0)
 
 
-def _sigma_laws(st, g, q, xi, tau: float, checks) -> np.ndarray:
-    """Raw plug-in (Hill, LAWS) covariance of each sample of the stack st
+def _sigma_laws(st, g, q, xi, tau, checks) -> np.ndarray:
+    """Raw plug-in (Hill, LAWS) covariance of each entry of the stack st
     (see estimate_sigma_laws)."""
-    vlaws, phi = _v_laws_raw(st, g, xi, tau, checks)
-    hill = _hill_block(g, _r11_matrix(st.ranks, tau))
-    k = effective_k(st.n, tau)
-    cross = _hill_laws_cross(st, phi, q, g, k) / ((1.0 - tau) * xi[..., None, :])
+    vlaws, cross = _v_laws_raw(st, g, q, xi, tau, checks)
+    hill = _hill_block(g, _r11_matrix(st, tau))
+    cross /= np.expand_dims(1.0 - tau, -1) * xi[..., None, :]
     _set_diagonal(cross, _each(_sigma_laws_cross_diag, g))
     return _interleave(hill, cross, vlaws)
 
@@ -352,7 +366,8 @@ def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
 
 def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
     """Numerators of the empirical Cov(Hill_j, LAWS_l) for every pair (j, l)
-    of each sample of the stack st.
+    of each of the B entries of phi, samples of the stack st or levels of
+    its one sample, at one effective size k.
 
     Entry (j, l) is g_l times the mean of margin j's log-excesses over its
     threshold times margin l's asymmetric residual, minus g_j g_l times the
@@ -364,7 +379,7 @@ def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
     those rows; the log is taken only on the top k.
     """
     n = st.n
-    rows = st.order[..., n - k :]  # (B, d, k): margin j's top k rows
+    rows = st.order[..., n - k :]  # (S, d, k): margin j's top k rows
     top = phi[np.arange(len(phi))[:, None, None], rows]  # (B, d, k, d)
     values, q = st.sorted_columns[..., n - k :], thresholds[..., None]
     s1 = (np.log(values / q)[..., None, :] @ top)[..., 0, :]
@@ -372,9 +387,45 @@ def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
     return g[..., None, :] * (s1 / n) - _outer(g) * (s2 / n)
 
 
-def _v_star_laws(st, g, q, xi, tau: float, log_dn: float, checks) -> np.ndarray:
-    """Unclipped plug-in star-LAWS covariance of each sample of the stack st."""
-    return _contract_blocks(_sigma_laws(st, g, q, xi, tau, checks), log_dn)
+def _v_star_laws(st, g, q, xi, tau, log_dn, checks) -> np.ndarray:
+    """Unclipped plug-in star-LAWS covariance of each entry of the stack st,
+    at one level (tau, log dn) or at (B, 1) arrays of one level per entry."""
+    return _contract_blocks(_sigma_laws(st, g, q, xi, tau, checks), log_dn, checks)
+
+
+# The levels of one chunk of a scan.  The n-long work (the LAWS estimating
+# function, the survival counts, the residuals phi) runs one level at a
+# time; what a chunk holds for all its levels at once is R-hat(1,1)'s
+# pair-minimum comparison, at most one byte per level, pair of margins and
+# observation.  Chunks keep that to this many bytes, 1 MB: 8 levels at
+# n = 5000, d = 5.  Larger temporaries made the allocator return and
+# re-fault its memory on every chunk, which cost more than the chunk saved.
+_SCAN_BYTES = 2**20
+
+
+def _scan_v_star_laws(sample: MultivariateSample, levels: list) -> list:
+    """The star-LAWS covariance of the sample at each TailLevelPair of
+    levels, in order: its checked entries, or the TailjointError of the
+    first check it fails, the one estimate_v_star_laws raises.
+
+    The levels run in chunks, each one stack of levels of the sample with
+    one fit, one _v_star_laws and one _spd_stack; each level is fitted once
+    and not kept on the sample.
+    """
+    size = max(1, _SCAN_BYTES // (sample.n * sample.d**2))
+    out = []
+    for start in range(0, len(levels), size):
+        chunk = levels[start : start + size]
+        tau = np.array([[lv.tau] for lv in chunk])
+        log_dn = np.array([[lv.log_dn] for lv in chunk])
+        checks = Checks(len(chunk))
+        with np.errstate(all="ignore"):
+            fit = _fit_levels(sample, tau, checks)
+            g, q, xi = fit.gamma_hat, fit.q_hat, fit.xi_laws
+            m = _v_star_laws(sample._stack, g, q, xi, tau, log_dn, checks)
+            m = _spd_stack(m, "star-LAWS covariance", checks)[0]
+        out += [m[i] if error is None else error for i, error in enumerate(checks.first)]
+    return out
 
 
 def estimate_v_star_laws(
@@ -399,5 +450,5 @@ def _v_star_quantile(sample: MultivariateSample, tau: float) -> SpdMatrix:
     scale): the Hill block, g_j g_l R-hat_jl(1,1) off the diagonal."""
     g = estimate_margins(sample, tau).gamma_hat
     return SpdMatrix.from_array(
-        _hill_block(g, _r11_matrix(sample.ranks, tau)), "quantile test covariance"
+        _hill_block(g, _r11_matrix(sample._stack, tau)[0]), "quantile test covariance"
     )

@@ -54,10 +54,10 @@ class Checks:
 
     def __call__(self, bad, error) -> None:
         bad = np.asarray(bad)
-        if self.first is None:
-            if bad.any():
-                raise error(int(np.argmax(bad)))
+        if not bad.any():
             return
+        if self.first is None:
+            raise error(int(np.argmax(bad)))
         rows = bad.reshape(len(self.first), -1)
         for i in np.flatnonzero(rows.any(axis=1)):
             if self.first[i] is None:

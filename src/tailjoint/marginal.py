@@ -23,9 +23,13 @@ def _column(column) -> np.ndarray:
 
 def asymmetric_weight(y, tau: float):
     """phi_tau(y) = |tau - 1{y <= 0}| y, the derivative of the check
-    function eta_tau / 2."""
+    function eta_tau / 2.  The weight is read from the pair (1 - tau, tau)
+    by the sign of y: the same products as a branch per entry, without its
+    mispredictions on a mixed-sign y."""
     y = np.asarray(y, dtype=float)
-    return np.where(y > 0.0, tau * y, (1.0 - tau) * y)
+    phi = np.take([1.0 - tau, tau], (y > 0.0).astype(np.intp))
+    phi *= y
+    return phi
 
 
 def _sorted_row(column) -> np.ndarray:
@@ -39,24 +43,32 @@ def laws_expectile(column, tau: float) -> float:
     return float(_laws_sorted(xs, _sums_sorted(xs), tau)[0])
 
 
-def _laws_sorted(xs: np.ndarray, sums, tau: float) -> np.ndarray:
+def _laws_sorted(xs: np.ndarray, sums, tau) -> np.ndarray:
     """LAWS expectile of each ascending row of the 2-D array xs, given the
-    rows' tau-free sums ``_sums_sorted(xs)`` (module ``sample``).
+    rows' tau-free sums ``_sums_sorted(xs)`` (module ``sample``): one per
+    row at a level tau, or (L, R) for an (L, 1) array of levels and R rows.
 
     The estimating function psi(theta) = sum phi_tau(x_i - theta) is
     continuous, strictly decreasing and piecewise linear with breakpoints at
     the observations, and its value at each of them is tau A + (1 - tau) B.
     The root is located by the first breakpoint where psi <= 0 and solved
-    in closed form on the segment below it.
+    in closed form on the segment below it.  psi is evaluated one level at
+    a time, so it takes R x n values whatever the number of levels.
     """
-    if not 0.0 < tau < 1.0:
+    levels = np.ravel(tau).tolist()
+    if not all(0.0 < t < 1.0 for t in levels):
         raise DomainError(f"expectile level must be in (0,1), got {tau}")
     cum, a, b = sums
     n = xs.shape[1]
-    psi = tau * a + (1.0 - tau) * b
     rows = np.arange(xs.shape[0])
-    m = np.argmax(psi <= 0.0, axis=1)  # psi(x_max) <= 0 always
-    at_point = (m == 0) | (psi[rows, m] == 0.0)
+    m = np.empty((len(levels), len(rows)), dtype=np.intp)
+    at_point = np.empty(m.shape, dtype=bool)
+    for i, t in enumerate(levels):
+        psi = t * a + (1.0 - t) * b
+        m[i] = np.argmax(psi <= 0.0, axis=1)  # psi(x_max) <= 0 always
+        at_point[i] = (m[i] == 0) | (psi[rows, m[i]] == 0.0)
+    shape = np.shape(tau)[:-1] + rows.shape
+    m, at_point = m.reshape(shape), at_point.reshape(shape)
     # Otherwise the root lies in (xs[m-1], xs[m]); on that segment m points
     # sit at or below.
     s_lo = cum[rows, m - 1]
@@ -71,13 +83,14 @@ def empirical_quantile(column, tau: float) -> float:
     return float(_quantile_sorted(_sorted_row(column), tau)[0])
 
 
-def _quantile_sorted(xs: np.ndarray, tau: float) -> np.ndarray:
-    """The intermediate order statistic of each ascending row of xs."""
+def _quantile_sorted(xs: np.ndarray, tau) -> np.ndarray:
+    """The intermediate order statistic of each ascending row of xs, at a
+    level tau or, as (L, R), at each of an (L, 1) array of levels."""
     n = xs.shape[1]
     i = n - effective_k(n, tau)
-    if i < 1:
-        raise LevelError(f"quantile level tau={tau} too small for n={n}")
-    return xs[:, i - 1].copy()
+    if np.any(i < 1):
+        raise LevelError(f"quantile level tau={np.min(tau)} too small for n={n}")
+    return xs[np.arange(xs.shape[0]), i - 1]
 
 
 def hill_estimator(column, k: int) -> float:
@@ -90,17 +103,25 @@ def _check_hill_size(n: int, k: int) -> None:
         raise LevelError(f"Hill effective size k={k} outside [1, {n - 1}]")
 
 
-def _hill_sorted(xs: np.ndarray, k: int, checks) -> np.ndarray:
-    """Hill estimate of each ascending row of xs; a row whose threshold
-    order statistic is not positive fails its sample (see errors.Checks)."""
+def _hill_sorted(xs: np.ndarray, k, checks) -> np.ndarray:
+    """Hill estimate of each ascending row of xs: at an effective size k, or,
+    as (L, R), at each of an (L, 1) array of sizes.  A row whose threshold
+    order statistic is not positive fails its sample or level (see
+    errors.Checks).  Each estimate is the mean over exactly its own top k."""
     n = xs.shape[1]
-    _check_hill_size(n, k)
-    threshold = xs[:, n - k - 1 : n - k]
+    ks = np.ravel(k).tolist()
+    for size in ks:
+        _check_hill_size(n, size)
+    thresholds = xs[:, [n - 1 - size for size in ks]].T
     checks(
-        threshold <= 0.0,
+        thresholds <= 0.0,
         lambda j: DomainError("Hill requires positive tail: threshold order statistic <= 0"),
     )
-    return np.mean(np.log(xs[:, n - k :] / threshold), axis=1)
+    gamma = np.array([
+        np.mean(np.log(xs[:, n - size :] / t[:, None]), axis=1)
+        for size, t in zip(ks, thresholds)
+    ])
+    return gamma.reshape(np.shape(k)[:-1] + xs.shape[:1])
 
 
 def hill_at_level(column, tau: float) -> float:
@@ -150,9 +171,11 @@ def extrapolate_expectile_qb(column, tau: float, tau_prime: float) -> float:
 @dataclass(frozen=True, eq=False)
 class MarginalTailEstimates:
     """Per-margin tail summaries at a common intermediate level: arrays of
-    d margins, or (B, d) for a stack of B samples."""
+    d margins, or (B, d) for a stack of B samples; or (L, d) for L levels of
+    one sample, with tau their (L, 1) array, which only the stacked
+    builders read."""
 
-    tau: float
+    tau: float | np.ndarray
     gamma_hat: np.ndarray
     q_hat: np.ndarray
     xi_laws: np.ndarray
@@ -187,9 +210,11 @@ class MarginalTailEstimates:
         return _qb_factors(self.gamma_hat, checks) * (factors * self.q_hat)
 
 
-def _fit_sorted(xs: np.ndarray, sums, tau: float, checks) -> MarginalTailEstimates:
+def _fit_sorted(xs: np.ndarray, sums, tau, checks) -> MarginalTailEstimates:
     """The fit of each ascending row of xs at level tau, given the rows'
-    LAWS sums, in read-only arrays."""
+    LAWS sums, in read-only arrays.  For an (L, 1) array of levels tau the
+    arrays are (L, R), level by row, each level's exactly as a call at that
+    level alone gives it."""
     gamma = _hill_sorted(xs, effective_k(xs.shape[1], tau), checks)
     q = _quantile_sorted(xs, tau)
     xi = _laws_sorted(xs, sums, tau)
@@ -205,6 +230,12 @@ def _fit_stack(st, tau: float, checks) -> MarginalTailEstimates:
     return MarginalTailEstimates(
         tau, *(a.reshape(b, d) for a in (rows.gamma_hat, rows.q_hat, rows.xi_laws))
     )
+
+
+def _fit_levels(sample, tau: np.ndarray, checks) -> MarginalTailEstimates:
+    """The fit of the sample at each of an (L, 1) array of levels tau, as
+    (L, d) arrays; unlike estimate_margins it is not kept on the sample."""
+    return _fit_sorted(sample.sorted_columns, sample._laws_sums, tau, checks)
 
 
 def _fit_column(column, tau: float) -> MarginalTailEstimates:

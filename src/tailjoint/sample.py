@@ -130,7 +130,9 @@ class MultivariateSample:
 class _Stack(NamedTuple):
     """B samples of one size n x d, stacked along a leading axis: the values
     (B, n, d), each column's row order and sorted values (B, d, n), and the
-    ranks (B, n, d), all as ``MultivariateSample`` computes them."""
+    ranks (B, n, d), all as ``MultivariateSample`` computes them.  A stack
+    of one sample also serves B levels of it: the builders broadcast it
+    against their (B, d) fit and (B, 1) level arrays."""
 
     values: np.ndarray
     order: np.ndarray
@@ -140,6 +142,19 @@ class _Stack(NamedTuple):
     @property
     def n(self) -> int:
         return self.values.shape[-2]
+
+
+def _runs(values, b: int):
+    """(value, entries) for each run of consecutive entries of a stack of b
+    that share a per-entry value, such as a level tau: one value for every
+    entry, or one per entry in a (b, 1) array.  entries is a slice, so a
+    run's arrays are views."""
+    v = np.broadcast_to(np.ravel(values), (b,)).tolist()
+    lo = 0
+    for hi in range(1, b + 1):
+        if hi == b or v[hi] != v[lo]:
+            yield v[lo], slice(lo, hi)
+            lo = hi
 
 
 def _stack_panels(values: np.ndarray) -> _Stack:
@@ -191,9 +206,11 @@ def _sums_sorted(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _read_only(cum), _read_only(a), _read_only(b)
 
 
-def effective_k(n: int, tau: float) -> int:
-    """floor(n(1-tau)) with a guard against floating-point droop."""
-    return int(math.floor(n * (1.0 - tau) + 1e-9))
+def effective_k(n: int, tau):
+    """floor(n(1-tau)) with a guard against floating-point droop: an int for
+    a level tau, an integer array for an array of levels."""
+    k = np.floor(n * (1.0 - np.asarray(tau, dtype=float)) + 1e-9).astype(np.int64)
+    return k if k.ndim else int(k)
 
 
 def tau_from_k(n: int, k: int) -> float:

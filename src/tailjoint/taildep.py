@@ -46,12 +46,16 @@ class EmpiricalTailCopula:
 def empirical_tail_copula(
     sample: MultivariateSample, tau: float, j: int, ell: int
 ) -> EmpiricalTailCopula:
+    _check_pair(tau, j, ell)
+    u = _tail_points(sample.ranks, tau)
+    return EmpiricalTailCopula(sample.n, tau, u[:, j], u[:, ell])
+
+
+def _check_pair(tau: float, j: int, ell: int) -> None:
     if j == ell:
         raise DomainError("tail copula is defined for distinct margins")
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must be in (0,1), got {tau}")
-    u = _tail_points(sample.ranks, tau)
-    return EmpiricalTailCopula(sample.n, tau, u[:, j], u[:, ell])
 
 
 def _tail_points(ranks: np.ndarray, tau: float) -> np.ndarray:
@@ -61,20 +65,29 @@ def _tail_points(ranks: np.ndarray, tau: float) -> np.ndarray:
     return (n + 1 - ranks) / ((n + 1) * (1.0 - tau))
 
 
-def _r11_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
+def _r11_matrix(st, tau) -> np.ndarray:
     """R-hat(1,1) of every pair of columns at once: the count that
-    EmpiricalTailCopula.evaluate(1, 1) makes, as one product of the
-    top-rank indicators.  The diagonal is unused.  ranks is (..., n, d),
-    one d x d matrix per leading index.
+    EmpiricalTailCopula.evaluate(1, 1) makes, one d x d matrix per entry of
+    a stack.  st is a ``sample._Stack`` of B samples at one level tau, or
+    of one sample at a (B, 1) array of levels.  The diagonal is unused.
 
     U_ij <= 1 holds for every rank at or above the smallest rank c for
     which it holds (U falls as the rank rises), so c is found by that same
-    test applied to the ranks 1..n, the indicators are one integer
-    comparison with c, and the counts are exact."""
-    n = ranks.shape[-2]
-    c = n + 1 - np.count_nonzero(_tail_points(np.arange(1, n + 1)[:, None], tau) <= 1.0)
-    top = (ranks >= c).astype(float)
-    return np.swapaxes(top, -1, -2) @ top / (n * (1.0 - tau))
+    test applied to the ranks 1..n.  Entry (j, l) counts the rows whose
+    ranks on margins j and l are both at least c: among margin j's rows of
+    rank at least the stack's lowest cut-off, read once through its row
+    order, those whose pair-minimum rank reaches c.  The counts are exact."""
+    n = st.n
+    u = _tail_points(np.arange(1, n + 1)[:, None], np.expand_dims(tau, -1))
+    cut = n + 1 - (u <= 1.0).sum(axis=(-2, -1))
+    low = int(np.min(cut))
+    rows = st.order[..., None, low - 1 :]  # (S, d, 1, M): margin j's rows of rank low..n
+    by_margin = np.swapaxes(st.ranks, -1, -2)  # (S, d, n): each margin's ranks in row order
+    margins = np.arange(by_margin.shape[1])[:, None]
+    top = by_margin[np.arange(len(rows))[:, None, None, None], margins, rows]  # (S, d, d, M)
+    pair_min = np.minimum(top, np.arange(low, n + 1))
+    counts = (pair_min >= np.reshape(cut, (-1, 1, 1, 1))).sum(axis=-1)
+    return counts / np.expand_dims(n * (1.0 - tau), -1)
 
 
 def _unit_integral_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
@@ -94,8 +107,25 @@ def _unit_integral_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
 def extremal_coefficient(
     sample: MultivariateSample, tau: float, j: int, ell: int
 ) -> float:
-    """omega-hat = 2 - R-hat(1,1)."""
-    return 2.0 - empirical_tail_copula(sample, tau, j, ell).evaluate(1.0, 1.0)
+    """omega-hat = 2 - R-hat(1,1), the pair's entry of _r11_matrix."""
+    _check_pair(tau, j, ell)
+    return 2.0 - float(_r11_matrix(sample._stack, tau)[0, j, ell])
+
+
+def _independent(x, y, theta):
+    return np.zeros(np.broadcast(x, y).shape)[()]
+
+
+def _comonotone(x, y, theta):
+    return np.minimum(x, y)
+
+
+def _logistic(x, y, theta):
+    return x + y - (x**theta + y**theta) ** (1.0 / theta)
+
+
+# R(x, y) of each kind of oracle, for floats or arrays of x, y >= 0.
+_FORMULAS = {"independent": _independent, "comonotone": _comonotone, "logistic": _logistic}
 
 
 @dataclass(frozen=True)
@@ -106,7 +136,7 @@ class OracleTailCopula:
     theta: float = float("nan")
 
     def __post_init__(self):
-        if self.kind not in ("independent", "comonotone", "logistic"):
+        if self.kind not in _FORMULAS:
             raise DomainError(f"unknown tail copula kind {self.kind!r}")
         if self.kind == "logistic":
             if not self.theta >= 1.0:
@@ -129,12 +159,12 @@ class OracleTailCopula:
         y = np.asarray(y, dtype=float)
         if np.any(x < 0.0) or np.any(y < 0.0):
             raise DomainError("tail copula arguments must be nonnegative")
-        if self.kind == "independent":
-            return np.zeros(np.broadcast(x, y).shape)[()]
-        if self.kind == "comonotone":
-            return np.minimum(x, y)[()]
-        t = self.theta
-        return (x + y - (x**t + y**t) ** (1.0 / t))[()]
+        return self._formula(x, y)
+
+    def _formula(self, x, y):
+        """R(x, y) without the argument checks of evaluate: the quadrature
+        integrands call it at nonnegative floats."""
+        return _FORMULAS[self.kind](x, y, self.theta)
 
     def unit_integral(self) -> float:
         """Integral over (0,1] of R(u,1)/u; both axes agree by symmetry."""
@@ -142,7 +172,7 @@ class OracleTailCopula:
             return 0.0
         if self.kind == "comonotone":
             return 1.0  # integral of min(u,1)/u = 1 on (0,1]
-        return integrate_unit_log(lambda u: self.evaluate(u, 1.0))
+        return integrate_unit_log(lambda u: self._formula(u, 1.0))
 
     def r11(self) -> float:
         if self.kind == "independent":
@@ -150,4 +180,3 @@ class OracleTailCopula:
         if self.kind == "comonotone":
             return 1.0
         return 2.0 - 2.0 ** (1.0 / self.theta)
-

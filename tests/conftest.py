@@ -26,14 +26,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def count_fits(monkeypatch) -> list:
     """Record the level of every marginal fit computed (not looked up) from
-    here on; returns the record."""
+    here on, one entry per level of a fit of many levels; returns the
+    record."""
     from tailjoint import marginal
 
     fits = []
     original = marginal._fit_sorted
 
     def counting(xs, sums, tau, checks):
-        fits.append(tau)
+        fits.extend(np.ravel(tau).tolist())
         return original(xs, sums, tau, checks)
 
     monkeypatch.setattr(marginal, "_fit_sorted", counting)

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import count_fits, count_numpy_calls
 
+from tailjoint import covariance
 from tailjoint.cli import main, parse_model_spec
 from tailjoint.covariance import estimate_v_star_laws
 from tailjoint.errors import DomainError, TailjointError
@@ -187,6 +188,26 @@ class TestTraceScan:
         assert any(s == "ok" for s in statuses)
         assert any(s.startswith("failed:") for s in statuses)
 
+    @staticmethod
+    def statuses_match_single_levels(csv, lines, k_min, tau_prime) -> list:
+        """Check each scan row against estimate_v_star_laws at its k: the
+        trace exactly, or the text of the exception it raises; returns the
+        rows' statuses."""
+        sample = ingest_csv(csv)
+        statuses = []
+        for k, line in enumerate(lines, k_min):
+            k_text, trace, status = line.split(",", 2)
+            assert int(k_text) == k
+            statuses.append(status)
+            try:
+                cov = estimate_v_star_laws(sample, tau_from_k(sample.n, k), tau_prime)
+            except TailjointError as exc:
+                assert status == f"failed: {exc}"
+                continue
+            assert status == "ok"
+            assert float(trace) == float(np.trace(cov.entries))
+        return statuses
+
     def test_rows_match_covariance_trace(self, tmp_path, capsys):
         # Heavy tail: some k fail in-band, and their message is the one the
         # per-k covariance raises.
@@ -194,21 +215,55 @@ class TestTraceScan:
         assert main(["trace-scan", "--input", str(csv), "--k-min", "5",
                      "--k-max", "80"]) == 2
         lines = capsys.readouterr().out.splitlines()[1:]
-        sample = ingest_csv(csv)
-        tau_prime = 1.0 - 1.0 / sample.n
-        failed = 0
-        for k, line in zip(range(5, 81), lines):
-            k_text, trace, status = line.split(",", 2)
-            assert int(k_text) == k
-            try:
-                cov = estimate_v_star_laws(sample, tau_from_k(sample.n, k), tau_prime)
-            except TailjointError as exc:
-                assert status == f"failed: {exc}"
-                failed += 1
-                continue
-            assert status == "ok"
-            assert float(trace) == float(np.trace(cov.entries))
+        statuses = self.statuses_match_single_levels(csv, lines, 5, 1.0 - 1.0 / 300)
+        failed = sum(s != "ok" for s in statuses)
         assert len(lines) == 76 and 0 < failed < 76
+
+    def test_rows_match_across_chunk_boundaries(self, tmp_path, capsys, monkeypatch):
+        # Chunks of three levels: the failed levels of the heavy panel sit
+        # between ok ones inside a chunk, and each keeps its own first
+        # failure.
+        csv = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
+        monkeypatch.setattr(covariance, "_SCAN_BYTES", 3 * 300 * 2**2)
+        assert main(["trace-scan", "--input", str(csv), "--k-min", "5",
+                     "--k-max", "80"]) == 2
+        lines = capsys.readouterr().out.splitlines()[1:]
+        statuses = self.statuses_match_single_levels(csv, lines, 5, 1.0 - 1.0 / 300)
+        chunks = [statuses[i : i + 3] for i in range(0, len(statuses), 3)]
+        assert any("ok" in c and any(s != "ok" for s in c) for c in chunks)
+
+    def test_levels_rejected_before_the_fit(self, tmp_path, capsys, monkeypatch):
+        # At tau' = 0.99 and n = 300, k = 2 and 3 give tau >= tau': those
+        # rows fail with the LevelError of TailLevelPair, the rest run.
+        csv = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
+        monkeypatch.setattr(covariance, "_SCAN_BYTES", 3 * 300 * 2**2)
+        assert main(["trace-scan", "--input", str(csv), "--tau-prime", "0.99",
+                     "--k-min", "2", "--k-max", "80"]) == 2
+        lines = capsys.readouterr().out.splitlines()[1:]
+        statuses = self.statuses_match_single_levels(csv, lines, 2, 0.99)
+        assert all(s.startswith("failed: levels must satisfy") for s in statuses[:2])
+        assert not statuses[2].startswith("failed: levels must satisfy")
+        assert "ok" in statuses
+
+    def test_one_eigh_per_chunk_and_one_fit_per_level(self, tmp_path, data_csv, monkeypatch):
+        # Chunks of 7 levels: k = 20..22 is one chunk, k = 20..120 fifteen.
+        monkeypatch.setattr(covariance, "_SCAN_BYTES", 7 * 500 * 2**2)
+        fits = count_fits(monkeypatch)
+        eighs = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            eighs.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for k_max, chunks in ((22, 1), (120, 15)):
+            fits.clear()
+            eighs.clear()
+            assert main(["trace-scan", "--input", str(data_csv), "--k-min", "20",
+                         "--k-max", str(k_max), "--out", str(tmp_path / "out")]) == 0
+            assert fits == [tau_from_k(500, k) for k in range(20, k_max + 1)]
+            assert len(eighs) <= chunks
 
     def scan_call_counts(self, tmp_path, data_csv, calls) -> list:
         """len(calls) after a trace-scan over k=20..22 and over k=20..120."""

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from tailjoint import covariance
 from tailjoint.covariance import (
     _sigma_laws_cross_diag,
     estimate_bias_qb,
@@ -23,7 +24,11 @@ from tailjoint.covariance import (
     theoretical_v_qb,
     theoretical_v_star_laws,
 )
-from tailjoint.errors import DomainError, TailjointError
+from tailjoint.errors import (
+    DomainError,
+    NotPositiveSemidefiniteError,
+    TailjointError,
+)
 from tailjoint.marginal import (
     asymmetric_weight,
     empirical_quantile,
@@ -33,7 +38,8 @@ from tailjoint.marginal import (
     m_function,
 )
 from tailjoint.numerics import CLIP_RTOL
-from tailjoint.sample import MultivariateSample, effective_k
+from tailjoint.sample import MultivariateSample, TailLevelPair, effective_k, tau_from_k
+from tailjoint.simulation import SimulationModel, rng_stream, sample_model
 from tailjoint.taildep import OracleTailCopula, empirical_tail_copula
 
 
@@ -543,3 +549,40 @@ class TestEstimateVStarQb:
             ests.append(estimate_v_star_qb(s, tau, tau_prime).entries)
         mean_est = np.mean(ests, axis=0)
         assert np.allclose(mean_est, theo, atol=0.1)
+
+
+def flat_topped_panel() -> MultivariateSample:
+    """A Pareto panel whose first column has its top 30 values tied: its
+    Hill estimate is 0 for k < 30."""
+    rng = np.random.default_rng(9)
+    x = (1.0 - rng.random((200, 3))) ** -0.3
+    x[np.argsort(x[:, 0])[-30:], 0] = 10.0
+    return MultivariateSample(x, ("A", "B", "C"))
+
+
+class TestScanVStarLaws:
+    def test_each_level_equals_its_single_level_call(self, monkeypatch):
+        # Chunks of three levels.  At k = 44..56 this Gumbel draw has
+        # star-LAWS matrices that are not PSD next to valid ones; the
+        # flat-topped panel has Hill estimates of 0 and of 1/2 and more.
+        # Whole matrices are compared: their trace reads only diagonals
+        # that phi and the cross terms do not reach.
+        gumbel = sample_model(SimulationModel.gumbel_frechet(d=2), 1000, rng_stream(1, 30))
+        kinds = set()
+        for sample, ks in ((gumbel, range(44, 57)), (flat_topped_panel(), range(2, 199))):
+            monkeypatch.setattr(covariance, "_SCAN_BYTES", 3 * sample.n * sample.d**2)
+            levels = [TailLevelPair(tau_from_k(sample.n, k), 0.999, sample.n) for k in ks]
+            for lv, got in zip(levels, covariance._scan_v_star_laws(sample, levels)):
+                try:
+                    want = estimate_v_star_laws(sample, lv.tau, lv.tau_prime).entries
+                except TailjointError as exc:
+                    assert type(got) is type(exc) and str(got) == str(exc)
+                    psd = isinstance(exc, NotPositiveSemidefiniteError)
+                    kinds.add(type(exc).__name__ if psd else str(exc).split(" (")[0])
+                    continue
+                assert np.array_equal(got, want)
+        assert kinds == {
+            "NotPositiveSemidefiniteError",
+            "LAWS variance requires positive Hill estimates",
+            "tail too heavy for LAWS variance",
+        }

@@ -93,7 +93,7 @@ class TestR11Matrix:
         for tau in level_grid(s.n):
             top = (_tail_points(s.ranks, tau) <= 1.0).astype(float)
             want = top.T @ top / (s.n * (1.0 - tau))
-            assert np.array_equal(_r11_matrix(s.ranks, tau), want)
+            assert np.array_equal(_r11_matrix(s._stack, tau)[0], want)
 
 
 def unit_integrals(s, tau):
@@ -162,7 +162,7 @@ class TestUnitIntegral:
         x = common + rng.integers(0, levels, size=(n, d)) * rng.integers(0, 2, size=d)
         s = MultivariateSample(x.astype(float), tuple(f"X{j}" for j in range(d)))
         ranks = s.ranks
-        unit, r11 = _unit_integral_matrix(ranks, tau), _r11_matrix(ranks, tau)
+        unit, r11 = _unit_integral_matrix(ranks, tau), _r11_matrix(s._stack, tau)[0]
         for j in range(d):
             for ell in range(j + 1, d):
                 tc = empirical_tail_copula(s, tau, j, ell)
