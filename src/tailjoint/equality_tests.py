@@ -21,7 +21,7 @@ from .errors import RAISE, DomainError, SingularCovarianceError
 from .inference import _check_alpha, _estimate, _Estimate
 from .numerics import (
     SpdMatrix, _cho_solve, _cholesky, _forward, _singular, _spd_stack,
-    _squared_norm, chi_square_cdf, chi_square_quantile,
+    _squared_norm, chi_square_quantile, chi_square_sf,
 )
 from .sample import MultivariateSample, TailLevelPair
 
@@ -148,7 +148,7 @@ def _equality_test(est: _Estimate, alpha: float) -> TestResult:
         RAISE,
     )
     stat, mean = float(stat[0]), float(mean[0])
-    p = 1.0 - chi_square_cdf(stat, d - 1)
+    p = chi_square_sf(stat, d - 1)
     levels = est.levels
     return TestResult(
         kind=est.method,

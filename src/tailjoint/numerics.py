@@ -6,6 +6,11 @@ eigenvalue clipping policy used throughout the covariance estimators.  The
 check and clip (``_spd_stack``) and the Cholesky algebra (``_cholesky``,
 ``_forward``, ``_cho_solve``) work on stacks of matrices; an ``SpdMatrix``
 is their stack of one.
+
+The normal and chi-square functions call ``scipy.special`` directly.
+``scipy.integrate`` is imported by the first quadrature, which only the
+theoretical (oracle) covariances run, so that importing the package loads
+neither it nor ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special
 
 from .errors import (
     RAISE,
@@ -39,22 +44,31 @@ def std_normal_quantile(p: float) -> float:
     """Quantile of the standard Gaussian distribution."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"normal quantile requires p in (0,1), got {p}")
-    return float(stats.norm.ppf(p))
+    return float(special.ndtri(p))
+
+
+def _check_df(df, name: str) -> None:
+    if not (df >= 1 and float(df).is_integer()):
+        raise DomainError(f"chi-square {name} requires integer df >= 1, got {df}")
 
 
 def chi_square_quantile(p: float, df: int) -> float:
     """(1-alpha)-quantile of the chi-square distribution with df degrees."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"chi-square quantile requires p in (0,1), got {p}")
-    if df < 1 or int(df) != df:
-        raise DomainError(f"chi-square quantile requires integer df >= 1, got {df}")
+    _check_df(df, "quantile")
     return float(2.0 * special.gammaincinv(df / 2.0, p))
 
 
 def chi_square_cdf(x: float, df: int) -> float:
-    if df < 1:
-        raise DomainError(f"chi-square cdf requires df >= 1, got {df}")
+    _check_df(df, "cdf")
     return float(special.chdtr(df, x))
+
+
+def chi_square_sf(x: float, df: int) -> float:
+    """Upper tail P(X > x), accurate where it is far below 1e-16."""
+    _check_df(df, "sf")
+    return float(special.chdtrc(df, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +197,11 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _quad(f, a, b, tol=_QUAD_TOL):
+    # Imported here, and quad looked up on each call, so that a wrapper
+    # patched onto scipy.integrate.quad (as perfbench's tracer does) sees
+    # every quadrature.
+    from scipy import integrate
+
     # Kinked (min-type) integrands make quad grumble about roundoff even
     # when the returned value is accurate; keep the noise out of user runs.
     with warnings.catch_warnings():

@@ -9,6 +9,9 @@ replications one by one; the power harness draws each replication from its
 own stream in the same way, and then tests a stack of them at once through
 the stacked builders that the single-sample tests run as a stack of one, so
 each replication's decision and failure are the single-sample test's.
+
+The samplers and the margin oracles call ``scipy.special`` directly;
+``scipy.optimize`` is imported by the first true-expectile solve.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special
 
 from .errors import Checks, DomainError, TailjointError
 from .inference import _check_alpha, _estimate, _interval, _region
@@ -175,9 +178,9 @@ def _draw(model: SimulationModel, n: int, rng: np.random.Generator) -> np.ndarra
     elif kind == "gaussian_student":
         chol = np.linalg.cholesky(listed_correlation(d))
         z = rng.standard_normal(size=(n, d)) @ chol.T
-        u = stats.norm.cdf(z)
+        u = special.ndtr(z)
         x = np.column_stack(
-            [stats.t.ppf(u[:, j], 1.0 / g[j]) for j in range(d)]
+            [_student_quantile(u[:, j], 1.0 / g[j]) for j in range(d)]
         )
     elif kind == "multivariate_student":
         nu = 1.0 / g[0]
@@ -190,8 +193,14 @@ def _draw(model: SimulationModel, n: int, rng: np.random.Generator) -> np.ndarra
     elif kind == "univariate_pareto":
         x = (1.0 - rng.random(size=(n, 1))) ** -g
     else:  # univariate_student
-        x = stats.t.ppf(rng.random(size=(n, 1)), 1.0 / g[0])
+        x = _student_quantile(rng.random(size=(n, 1)), 1.0 / g[0])
     return np.asarray(x, dtype=float)
+
+
+def _student_quantile(u: np.ndarray, nu: float) -> np.ndarray:
+    """The Student-t(nu) quantiles of the levels u in [0, 1].  stdtrit gives
+    +inf at u = 0; the quantile there is -inf."""
+    return np.where(u == 0.0, -np.inf, special.stdtrit(nu, u))
 
 
 @dataclass(frozen=True)
@@ -229,11 +238,18 @@ class MarginOracle:
                 return self.mean() - theta
             return self.gamma / (1.0 - self.gamma) * theta ** (1.0 - 1.0 / self.gamma)
         nu = 1.0 / self.gamma
-        upper = (nu + theta**2) / (nu - 1.0) * float(stats.t.pdf(theta, nu))
-        return upper - theta * float(stats.t.sf(theta, nu))
+        log_pdf = (
+            np.log(special.poch(0.5 * nu, 0.5))
+            - 0.5 * (np.log(nu) + np.log(np.pi))
+            - (nu + 1.0) / 2.0 * np.log1p(theta * theta / nu)
+        )
+        upper = (nu + theta**2) / (nu - 1.0) * float(np.exp(log_pdf))
+        return upper - theta * float(special.stdtr(nu, -theta))
 
     def true_expectile(self, tau: float) -> float:
         """Root of tau E(X-theta)_+ = (1-tau) E(theta-X)_+ to 1e-12."""
+        from scipy import optimize
+
         if not 0.0 < tau < 1.0:
             raise DomainError(f"expectile level must be in (0,1), got {tau}")
         mu = self.mean()

@@ -3,6 +3,10 @@ and byte-identical reruns."""
 
 import datetime
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -568,3 +572,14 @@ class TestModelSpec:
             parse_model_spec("clayton_frechet:spam=1")
         with pytest.raises(DomainError):
             parse_model_spec("not_a_model")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailjoint", "--help"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: tailjoint")
+    assert "trace-scan" in proc.stdout

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from conftest import count_fits
 
@@ -123,6 +124,16 @@ class TestAllTesters:
         assert result.reject == (result.p_value < 0.05 - 1e-10) or math.isclose(
             result.p_value, 0.05, abs_tol=1e-9
         )
+
+    def test_p_value_from_the_upper_tail(self, tester):
+        # Tails 0.45 and 0.1 put the statistic so far out that 1 - cdf
+        # would read 0.0.
+        u = np.random.default_rng(3).random((5000, 2))
+        s = MultivariateSample((1.0 - u) ** -np.array([0.45, 0.1]), ("a", "b"))
+        result = tester(s, TAU, TAU_PRIME)
+        assert 0.0 < result.p_value < 1e-16
+        assert result.p_value == special.chdtrc(result.df, result.statistic)
+        assert result.reject
 
     def test_d1_rejected(self, tester):
         s = MultivariateSample(

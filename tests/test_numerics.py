@@ -16,6 +16,7 @@ from tailjoint.numerics import (
     SpdMatrix,
     chi_square_cdf,
     chi_square_quantile,
+    chi_square_sf,
     integrate_tail_box,
     std_normal_quantile,
 )
@@ -37,6 +38,11 @@ class TestStdNormalQuantile:
         with pytest.raises(DomainError):
             std_normal_quantile(p)
 
+    def test_equals_scipy_stats(self):
+        grid = [1e-300, 1e-16, 1e-8, *np.linspace(0.001, 0.999, 37), 1.0 - 1e-12]
+        for p in grid:
+            assert std_normal_quantile(float(p)) == stats.norm.ppf(p)
+
 
 class TestChiSquareQuantile:
     # Frozen reference values; accuracy requirement 5e-4.
@@ -56,6 +62,26 @@ class TestChiSquareQuantile:
             chi_square_quantile(0.95, 0)
         with pytest.raises(DomainError):
             chi_square_quantile(1.0, 2)
+
+
+class TestChiSquareTails:
+    @pytest.mark.parametrize("df", [1.5, 0, -1, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name,fn", [("cdf", chi_square_cdf), ("sf", chi_square_sf)])
+    def test_df_validated_like_the_quantile(self, name, fn, df):
+        with pytest.raises(DomainError, match=f"chi-square {name} requires integer df >= 1, got"):
+            fn(3.0, df)
+
+    def test_quantile_rejects_fractional_df(self):
+        with pytest.raises(DomainError, match="chi-square quantile requires integer df >= 1, got 1.5"):
+            chi_square_quantile(0.95, 1.5)
+
+    def test_integral_float_df_accepted(self):
+        assert chi_square_cdf(3.0, 2.0) == chi_square_cdf(3.0, 2)
+
+    def test_sf_far_tail(self):
+        # 1 - cdf is 0.0 here; chi2(2) has the closed-form tail exp(-x/2).
+        assert 1.0 - chi_square_cdf(200.0, 2) == 0.0
+        assert chi_square_sf(200.0, 2) == pytest.approx(np.exp(-100.0), rel=1e-13)
 
 
 @pytest.mark.parametrize("p", np.arange(0.01, 1.0, 0.07))

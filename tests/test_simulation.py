@@ -22,7 +22,9 @@ from tailjoint.simulation import (
     MarginOracle,
     McReport,
     SimulationModel,
+    _draw,
     _power_outcomes,
+    _student_quantile,
     listed_correlation,
     rng_stream,
     run_mc_coverage,
@@ -104,6 +106,50 @@ class TestSamplers:
     def test_labels(self):
         s = sample_model(SimulationModel.clayton_frechet(3), 10, rng_stream(0, 0))
         assert s.labels == ("X1", "X2", "X3")
+
+
+class TestSpecialFunctionForms:
+    """The samplers and oracles call scipy.special directly; their values
+    are exactly those of the scipy.stats forms they replace."""
+
+    @staticmethod
+    def stats_draw(model, n, rng):
+        g = np.asarray(model.gammas)
+        if model.kind == "gaussian_student":
+            chol = np.linalg.cholesky(listed_correlation(model.d))
+            z = rng.standard_normal(size=(n, model.d)) @ chol.T
+            u = stats.norm.cdf(z)
+            return np.column_stack(
+                [stats.t.ppf(u[:, j], 1.0 / g[j]) for j in range(model.d)]
+            )
+        return stats.t.ppf(rng.random(size=(n, 1)), 1.0 / g[0])
+
+    @pytest.mark.parametrize("model", [
+        SimulationModel.gaussian_student(3),
+        SimulationModel.gaussian_student(2, gamma=(0.2, 0.45)),
+        SimulationModel.univariate("student"),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_draws_equal_stats_form(self, model, seed):
+        x = _draw(model, 2000, rng_stream(seed, 5))
+        assert np.array_equal(x, self.stats_draw(model, 2000, rng_stream(seed, 5)))
+
+    @pytest.mark.parametrize("nu", [2.0, 3.0, 1.0 / 0.45, 10.0])
+    def test_quantile_step_at_the_ends(self, nu):
+        # At u = 0 stdtrit alone gives +inf.
+        u = np.array([0.0, 1.0, 1e-300, 0.5, 1e-3, 0.999])
+        x = _student_quantile(u, nu)
+        assert x[0] == -np.inf
+        assert np.array_equal(x, stats.t.ppf(u, nu))
+
+    @pytest.mark.parametrize("g", [0.1, 0.25, G, 0.45])
+    def test_student_partial_mean_equals_stats_form(self, g):
+        orc = MarginOracle("student", g)
+        nu = 1.0 / g
+        for theta in (-30.0, -1.5, 0.0, 0.3, 1.5, 4.0, 25.0, 1e4):
+            ref = (nu + theta**2) / (nu - 1.0) * float(stats.t.pdf(theta, nu))
+            ref -= theta * float(stats.t.sf(theta, nu))
+            assert orc.partial_mean(theta) == ref
 
 
 class TestStreams:
