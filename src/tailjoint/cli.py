@@ -26,7 +26,7 @@ import numpy as np
 from .covariance import _scan_v_star_laws
 from .equality_tests import _equality_test
 from .errors import DomainError, LevelError, TailjointError
-from .inference import _estimate, _interval, _region, region_boundary_points
+from .inference import _estimate_sample, _interval, _region, region_boundary_points
 from .marginal import estimate_margins
 from .sample import (
     MultivariateSample,
@@ -186,7 +186,7 @@ def cmd_estimate(args) -> int:
     stars = {"laws": margins.xi_star_laws, "qb": margins.xi_star_qb}
     # Built at first use, inside margin 0's error context, then shared by
     # every margin's interval.
-    estimate = cache(lambda method: _estimate(sample, tau, tau_prime, method, naive))
+    estimate = cache(lambda method: _estimate_sample(sample, tau, tau_prime, method, naive))
     rows = []
     for j, label in enumerate(sample.labels):
         try:
@@ -263,7 +263,7 @@ def cmd_region(args) -> int:
             }
             docs.append(doc)
             try:
-                region = _region(_estimate(sub, tau, tau_prime, method, naive), alpha)
+                region = _region(_estimate_sample(sub, tau, tau_prime, method, naive), alpha)
             except TailjointError as exc:
                 doc.update(status="failed", error=str(exc))
                 failures += 1
@@ -307,7 +307,7 @@ def cmd_test(args) -> int:
                 if kind == "extremal_coefficient":
                     result = {"statistic": extremal_coefficient(sub, tau, 0, 1)}
                 else:
-                    est = _estimate(sub, tau, tau_prime, kind)
+                    est = _estimate_sample(sub, tau, tau_prime, kind)
                     result = _equality_test(est, alpha).to_json_dict()
                 row["status"] = "ok"
                 row.update(result)

@@ -7,10 +7,9 @@ Estimated matrices plug the marginal estimators and the empirical tail
 copula into the same displays; each estimated builder takes only the sample
 and its levels and reads the fit that ``marginal.estimate_margins`` keeps
 on the sample, so one (sample, tau) is fitted once however many builders
-read it.  Every covariance builder, the Weissman (quantile-test) one
-included, returns the
-symmetrized, PSD-clipped :class:`~tailjoint.numerics.SpdMatrix` it builds,
-except ``estimate_sigma_laws``, which returns the raw array; the QB bias is
+read it.  Every public covariance builder returns the symmetrized,
+PSD-clipped :class:`~tailjoint.numerics.SpdMatrix` it builds, except
+``estimate_sigma_laws``, which returns the raw array; the QB bias is
 returned as its array of per-margin components.
 
 The Hill and QB displays (``_hill_block``, ``_qb_matrix``) read tail
@@ -24,8 +23,11 @@ that fails marks its entry through an ``errors.Checks``.  An entry is a
 sample (B samples at one level) or a level of one sample (the LAWS builders
 also take tau, and so k, and log d_n as (B, 1) arrays).  The public
 single-sample builders are the stack of one (``MultivariateSample._stack``)
-with ``errors.RAISE``, so they raise the first failure; the Monte Carlo
-power harness runs the same code on stacks of replications.
+with ``errors.RAISE``, so they raise the first failure.  The regions,
+intervals and tests read these stacked builders through
+``inference._estimate``, which also builds the naive diagonals and the
+Weissman (quantile-test) covariance, the Hill block; the Monte Carlo power
+harness runs the same code on stacks of replications.
 
 A scan over many levels, such as ``trace-scan`` (``_scan_v_star_laws``),
 runs chunks of levels of one sample as such stacks: one fit, one
@@ -423,7 +425,7 @@ def _scan_v_star_laws(sample: MultivariateSample, levels: list) -> list:
             fit = _fit_levels(sample, tau, checks)
             g, q, xi = fit.gamma_hat, fit.q_hat, fit.xi_laws
             m = _v_star_laws(sample._stack, g, q, xi, tau, log_dn, checks)
-            m = _spd_stack(m, "star-LAWS covariance", checks)[0]
+            m = _spd_stack(m, "star-LAWS covariance", checks).entries
         out += [m[i] if error is None else error for i, error in enumerate(checks.first)]
     return out
 
@@ -443,12 +445,3 @@ def estimate_v_star_qb(
     """Plug-in covariance of the QB extrapolating estimators (log scale)."""
     levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
     return _v_qb(sample, tau, levels.log_dn)
-
-
-def _v_star_quantile(sample: MultivariateSample, tau: float) -> SpdMatrix:
-    """Plug-in covariance of the Weissman extrapolating estimators (log
-    scale): the Hill block, g_j g_l R-hat_jl(1,1) off the diagonal."""
-    g = estimate_margins(sample, tau).gamma_hat
-    return SpdMatrix.from_array(
-        _hill_block(g, _r11_matrix(sample._stack, tau)[0]), "quantile test covariance"
-    )

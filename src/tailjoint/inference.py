@@ -15,14 +15,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .covariance import (
-    _v_star_quantile, estimate_bias_qb, estimate_v_laws, estimate_v_qb,
-    estimate_v_star_laws, estimate_v_star_qb,
+from .covariance import _bias_qb, _hill_block, _one, _v_laws_raw, _v_qb_raw, _v_star_laws
+from .errors import RAISE, Checks, DomainError
+from .marginal import MarginalTailEstimates, _qb_factors
+from .numerics import (
+    SpdMatrix, _spd_stack, _SpdStack, chi_square_quantile, std_normal_quantile,
 )
-from .errors import DomainError
-from .marginal import estimate_margins
-from .numerics import SpdMatrix, chi_square_quantile, std_normal_quantile
-from .sample import MultivariateSample, TailLevelPair
+from .sample import MultivariateSample, TailLevelPair, _Stack
+from .taildep import _r11_matrix
 
 # Relative slack when comparing the membership quadratic form to radius^2,
 # so that analytically constructed boundary points test as inside.
@@ -90,87 +90,123 @@ class MarginalInterval:
         return self.lower <= x <= self.upper
 
 
-def _naive_diagonal(g: np.ndarray, power: int, name: str) -> SpdMatrix:
-    """Independence-case diagonal shape matrix 2*g^power/(1-2g) used by the
-    naive regions, which ignore both the tail dependence and the finite-n
-    variance corrections (power 3 for LAWS, per the first-order variance of
-    the intermediate expectile estimator; power 2 for QB)."""
-    if np.any(g >= 0.5):
-        raise DomainError(
-            "tail too heavy for the naive variance (Hill estimate >= 1/2)"
-        )
-    return SpdMatrix.from_array(np.diag(2.0 * g**power / (1.0 - 2.0 * g)), name)
+def _diagonal(diag: np.ndarray) -> np.ndarray:
+    """The diagonal matrix of each row of diag (B, d)."""
+    return diag[..., None] * np.eye(diag.shape[-1])
 
 
 class _Estimate(NamedTuple):
-    """The three inputs of a region, an interval or a test, each read from
-    the sample's one marginal fit at tau: a center, a bias shift and a
-    covariance, always an SpdMatrix.
+    """The three inputs of a region, an interval or a test of each sample of
+    a stack, each read from the stack's one marginal fit at tau: centers
+    (B, d), bias shifts (B, d) and a checked covariance stack
+    (``numerics._SpdStack``), whose checks fail samples through ``checks``.
 
     shift and covariance are built on first call and then reused; each
     consumer calls them in its own order, which fixes the error it raises
     when more than one input is undefined.
     """
 
-    sample: MultivariateSample
+    n: int
     tau: float
     method: str
     naive: bool
     levels: TailLevelPair | None
+    checks: Checks
     center: np.ndarray
     shift: Callable[[], np.ndarray]
-    covariance: Callable[[], SpdMatrix]
+    covariance: Callable[[], _SpdStack]
 
 
 def _estimate(
+    st: _Stack,
+    fit: MarginalTailEstimates,
+    levels: TailLevelPair | None,
+    method: str,
+    naive: bool,
+    checks: Checks,
+) -> _Estimate:
+    """The center, bias shift and covariance of one estimator vector of each
+    sample of the stack st, whose fit at tau = fit.tau holds (B, d) arrays.
+
+    levels=None is the intermediate level tau on the linear scale;
+    otherwise the extrapolation to levels.tau_prime on the log scale.
+    method is "laws", "qb" or, extrapolated only, "quantile" (Weissman).
+    Each part is built for the whole stack by the stacked builders of
+    ``covariance``, and each covariance is checked by one ``_spd_stack``,
+    with the names and in the check order of the public single-sample
+    builders; a failed check fails its sample through checks.  The naive
+    variants assume independent margins: a diagonal covariance and,
+    extrapolated, no bias shift.
+    """
+    tau = fit.tau
+    g, q, xi = fit.gamma_hat, fit.q_hat, fit.xi_laws
+    zero = partial(np.zeros, g.shape)
+
+    def bias() -> np.ndarray:
+        return _bias_qb(st, g, q, tau, checks) / math.sqrt(st.n * (1.0 - tau))
+
+    def naive_diagonal(power: int) -> np.ndarray:
+        # The independence-case variance 2g^power/(1-2g), ignoring both the
+        # tail dependence and the finite-n corrections (power 3 for LAWS,
+        # per the first-order variance of the intermediate expectile
+        # estimator; power 2 for QB).
+        checks(
+            g >= 0.5,
+            lambda j: DomainError(
+                "tail too heavy for the naive variance (Hill estimate >= 1/2)"
+            ),
+        )
+        return _diagonal(2.0 * g**power / (1.0 - 2.0 * g))
+
+    name = f"{method.upper()} covariance"
+    if levels is None:
+        if method == "laws":
+            center, shift, power = xi, zero, 3
+
+            def raw():
+                return _v_laws_raw(st, g, q, xi, tau, checks)[0]
+        else:
+            center, shift, power = _qb_factors(g, checks) * q, lambda: -bias(), 2
+            raw = partial(_v_qb_raw, st, g, tau, 0.0, checks)
+        if naive:
+            raw, name = partial(naive_diagonal, power), "naive " + name
+    else:
+        tau_prime, log_dn = levels.tau_prime, levels.log_dn
+        name = "star-" + name
+        if method == "laws":
+            center, shift = fit.xi_star_laws(tau_prime), bias
+            raw = partial(_v_star_laws, st, g, q, xi, tau, log_dn, checks)
+        elif method == "qb":
+            center, shift = fit.xi_star_qb(tau_prime, checks), zero
+            raw = partial(_v_qb_raw, st, g, tau, log_dn, checks)
+        else:
+            center, shift = fit.weissman_quantiles(tau_prime), zero
+            name = "quantile test covariance"
+
+            def raw():
+                return _hill_block(g, _r11_matrix(st, tau))
+        if naive:
+            shift, raw = zero, partial(_diagonal, g**2)
+            name = "naive star covariance"
+    return _Estimate(
+        st.n, tau, method, naive, levels, checks, center, cache(shift),
+        cache(lambda: _spd_stack(raw(), name, checks)),
+    )
+
+
+def _estimate_sample(
     sample: MultivariateSample,
     tau: float,
     tau_prime: float | None,
     method: str,
     naive: bool = False,
 ) -> _Estimate:
-    """The center, bias shift and covariance of one estimator vector.
-
-    tau_prime=None is the intermediate level on the linear scale; otherwise
-    the extrapolation to tau_prime on the log scale.  method is "laws", "qb"
-    or, extrapolated only, "quantile" (Weissman).  Every part reads the fit
-    that estimate_margins keeps on the sample, through the builders of
-    ``covariance``.  The naive variants assume independent margins: a
-    diagonal covariance and, extrapolated, no bias shift.
-    """
+    """_estimate of the sample as a stack of one, which raises its first
+    failure: the estimate of every single-sample region, interval and test,
+    read from the fit that estimate_margins keeps on the sample."""
     levels = None if tau_prime is None else TailLevelPair(tau, tau_prime, sample.n)
-    fit = estimate_margins(sample, tau)
-    g = fit.gamma_hat
-    zero = partial(np.zeros, sample.d)
-
-    def bias() -> np.ndarray:
-        return estimate_bias_qb(sample, tau) / math.sqrt(sample.n * (1.0 - tau))
-
-    if levels is None:
-        if method == "laws":
-            center, shift, power = fit.xi_laws, zero, 3
-            cov = partial(estimate_v_laws, sample, tau)
-        else:
-            center, shift, power = fit.xi_qb, lambda: -bias(), 2
-            cov = partial(estimate_v_qb, sample, tau)
-        if naive:
-            cov = partial(_naive_diagonal, g, power, f"naive {method.upper()} covariance")
-    else:
-        if method == "laws":
-            center, shift = fit.xi_star_laws(tau_prime), bias
-            cov = partial(estimate_v_star_laws, sample, tau, tau_prime)
-        elif method == "qb":
-            center, shift = fit.xi_star_qb(tau_prime), zero
-            cov = partial(estimate_v_star_qb, sample, tau, tau_prime)
-        else:
-            center, shift = fit.weissman_quantiles(tau_prime), zero
-            cov = partial(_v_star_quantile, sample, tau)
-        if naive:
-            shift = zero
-            cov = partial(SpdMatrix.from_array, np.diag(g**2), "naive star covariance")
-    return _Estimate(
-        sample, tau, method, naive, levels, center, cache(shift), cache(cov)
-    )
+    st, *fit = _one(sample, tau)
+    return _estimate(st, MarginalTailEstimates(tau, *fit), levels, method, naive, RAISE)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -180,9 +216,9 @@ def _check_alpha(alpha: float) -> None:
 
 def _region(est: _Estimate, alpha: float) -> ConfidenceRegion:
     _check_alpha(alpha)
-    shape = est.covariance()
-    shift = est.shift()
-    n, d = est.sample.n, est.sample.d
+    shape = SpdMatrix(est.covariance())
+    shift = est.shift()[0]
+    n, d = est.n, shape.dim
     radius = math.sqrt(chi_square_quantile(1.0 - alpha, d) / (n * (1.0 - est.tau)))
     extreme = est.levels is not None
     return ConfidenceRegion(
@@ -193,7 +229,7 @@ def _region(est: _Estimate, alpha: float) -> ConfidenceRegion:
         alpha=alpha,
         tau=est.tau,
         tau_prime=est.levels.tau_prime if extreme else None,
-        center=est.center,
+        center=est.center[0],
         bias_shift=shift,
         shape=shape,
         radius=radius * est.levels.log_dn if extreme else radius,
@@ -206,7 +242,7 @@ def region_intermediate_laws(
     """Linear-scale joint region for the intermediate expectile vector,
     centered at the LAWS estimates.  The naive variant assumes independent
     margins: diagonal shape matrix with first-order entries 2g^3/(1-2g)."""
-    return _region(_estimate(sample, tau, None, "laws", naive), alpha)
+    return _region(_estimate_sample(sample, tau, None, "laws", naive), alpha)
 
 
 def region_intermediate_qb(
@@ -215,7 +251,7 @@ def region_intermediate_qb(
     """Linear-scale joint region for the intermediate expectile vector,
     centered at the bias-adjusted QB estimates.  The naive variant assumes
     independent margins: diagonal shape matrix with entries 2g^2/(1-2g)."""
-    return _region(_estimate(sample, tau, None, "qb", naive), alpha)
+    return _region(_estimate_sample(sample, tau, None, "qb", naive), alpha)
 
 
 def region_extreme_laws(
@@ -230,7 +266,7 @@ def region_extreme_laws(
     exponential.  The naive variant assumes independent margins and drops
     both the adjustment and the finite-n corrections (diagonal gamma-hat^2),
     matching the naive marginal intervals."""
-    return _region(_estimate(sample, tau, tau_prime, "laws", naive), alpha)
+    return _region(_estimate_sample(sample, tau, tau_prime, "laws", naive), alpha)
 
 
 def region_extreme_qb(
@@ -240,7 +276,7 @@ def region_extreme_qb(
     alpha: float,
     naive: bool = False,
 ) -> ConfidenceRegion:
-    return _region(_estimate(sample, tau, tau_prime, "qb", naive), alpha)
+    return _region(_estimate_sample(sample, tau, tau_prime, "qb", naive), alpha)
 
 
 def region_contains(region: ConfidenceRegion, point) -> bool:
@@ -248,6 +284,8 @@ def region_contains(region: ConfidenceRegion, point) -> bool:
     point = np.asarray(point, dtype=float)
     if point.shape != region.center.shape:
         raise DomainError("point dimension does not match region")
+    if not np.isfinite(point).all():
+        raise DomainError("membership requires a finite point")
     if region.scale == "log":
         if np.any(point <= 0.0):
             raise DomainError("log-scale membership requires a positive point")
@@ -286,12 +324,12 @@ def region_boundary_points(region: ConfidenceRegion) -> np.ndarray:
 
 def _interval(est: _Estimate, j: int, alpha: float) -> MarginalInterval:
     _check_alpha(alpha)
-    center = float(est.center[j])
+    center = float(est.center[0, j])
     if center <= 0.0:
         raise DomainError("log-scale interval requires a positive point estimate")
-    root = math.sqrt(est.sample.n * (1.0 - est.tau))
-    shift = est.shift()[j]
-    var = est.covariance().entries[j, j]
+    root = math.sqrt(est.n * (1.0 - est.tau))
+    shift = est.shift()[0, j]
+    var = est.covariance().entries[0, j, j]
     half = est.levels.log_dn / root * math.sqrt(var) * std_normal_quantile(1.0 - alpha / 2.0)
     return MarginalInterval(
         lower=center * math.exp(shift - half),
@@ -314,7 +352,7 @@ def marginal_interval_laws(
     The naive variant drops the bias adjustment and uses the first-order
     asymptotic variance gamma-hat^2 in place of the finite-n covariance.
     """
-    return _interval(_estimate(sample, tau, tau_prime, "laws", naive), j, alpha)
+    return _interval(_estimate_sample(sample, tau, tau_prime, "laws", naive), j, alpha)
 
 
 def marginal_interval_qb(
@@ -326,4 +364,4 @@ def marginal_interval_qb(
     naive: bool = False,
 ) -> MarginalInterval:
     """Log-scale interval for one extreme expectile, QB-extrapolated."""
-    return _interval(_estimate(sample, tau, tau_prime, "qb", naive), j, alpha)
+    return _interval(_estimate_sample(sample, tau, tau_prime, "qb", naive), j, alpha)

@@ -3,9 +3,12 @@
 All routines are pure functions; matrices are numpy arrays wrapped in the
 lightweight :class:`SpdMatrix` container which enforces symmetry and the
 eigenvalue clipping policy used throughout the covariance estimators.  The
-check and clip (``_spd_stack``) and the Cholesky algebra (``_cholesky``,
-``_forward``, ``_cho_solve``) work on stacks of matrices; an ``SpdMatrix``
-is their stack of one.
+check and clip (``_spd_stack``) works on stacks of matrices and keeps the
+eigenpairs (w, v) of its one ``eigh`` per matrix (``_SpdStack``); every
+inverse quadratic form, GLS mean and deviance reads them, as sum (v^T x)^2
+/ w, and so does the square root, v w^{1/2} v^T.  A matrix whose smallest
+eigenvalue is at most 1e-10 times its trace is singular for all of them.
+An ``SpdMatrix`` is a stack of one.
 
 The normal and chi-square functions call ``scipy.special`` directly.
 ``scipy.integrate`` is imported by the first quadrature, which only the
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -71,17 +75,54 @@ def chi_square_sf(x: float, df: int) -> float:
     return float(special.chdtrc(df, x))
 
 
+class _SpdStack(NamedTuple):
+    """A checked stack of B symmetric PSD matrices, kept with the eigenpairs
+    of its check: each matrix entries[b] (d x d) is v[b] diag(w[b]) v[b]^T,
+    with the eigenvalues w (B, d) ascending and clipped at zero and the
+    eigenvectors in the columns of v (B, d, d); clip holds the magnitude of
+    each matrix's clip, 0 where none."""
+
+    entries: np.ndarray
+    clip: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+
+    def singular(self) -> np.ndarray:
+        """Where a matrix is too near singular to invert: its smallest
+        eigenvalue is at most 1e-10 times its trace (1 for a zero trace)."""
+        tr = self.w.sum(axis=-1)
+        tr[tr == 0.0] = 1.0
+        return self.w[:, 0] <= 1e-10 * tr
+
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """diag(w)^{-1/2} v^T x of each row x (B, d), whose squared norm is
+        x^T m^{-1} x."""
+        return (x[:, None, :] @ self.v)[:, 0, :] / np.sqrt(self.w)
+
+
 @dataclass(frozen=True, eq=False)
 class SpdMatrix:
     """Symmetric positive semidefinite matrix with clipping provenance.
 
     Construction symmetrizes the input and clips slightly negative
     eigenvalues (within CLIP_RTOL times the trace) up to zero; larger
-    violations raise :class:`NotPositiveSemidefiniteError`.
+    violations raise :class:`NotPositiveSemidefiniteError`.  The matrix
+    keeps the eigenpairs of that check, its stack of one (``_SpdStack``),
+    and reads its quadratic form and its square root from them.  It is
+    singular, and its quadratic form raises
+    :class:`SingularCovarianceError`, when its smallest eigenvalue is at
+    most 1e-10 times its trace.
     """
 
-    entries: np.ndarray
-    clip_magnitude: float = 0.0
+    _stack: _SpdStack
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self._stack.entries[0]
+
+    @property
+    def clip_magnitude(self) -> float:
+        return float(self._stack.clip[0])
 
     @property
     def dim(self) -> int:
@@ -92,36 +133,34 @@ class SpdMatrix:
         m = np.asarray(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"{name} must be square, got shape {m.shape}")
-        entries, clip = _spd_stack(m[None], name, RAISE)
-        return cls(entries=entries[0], clip_magnitude=float(clip[0]))
+        return cls(_spd_stack(m[None], name, RAISE))
 
     def sqrt(self) -> "SpdMatrix":
-        """Principal symmetric square root."""
-        w, v = np.linalg.eigh(self.entries)
-        w = np.clip(w, 0.0, None)
-        s = (v * np.sqrt(w)) @ v.T
-        return SpdMatrix(entries=0.5 * (s + s.T))
+        """Principal symmetric square root, v diag(w)^{1/2} v^T."""
+        w, v = np.sqrt(self._stack.w), self._stack.v
+        s = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
+        return SpdMatrix(_SpdStack(0.5 * (s + s.transpose(0, 2, 1)), np.zeros(1), w, v))
 
     def quadratic_form(self, vec, name: str = "covariance") -> float:
-        """v^T m^{-1} v through a Cholesky factorization."""
+        """v^T m^{-1} v from the kept eigenpairs."""
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.dim,):
             raise DomainError(
-                f"vector of length {vec.shape} does not match dimension {self.dim}"
+                f"vector of length {vec.size} does not match dimension {self.dim}"
             )
-        m = self.entries[None]
-        c = _cholesky(m)
-        RAISE(_singular(c, m), lambda j: SingularCovarianceError(f"singular {name} matrix"))
-        return float(_squared_norm(_forward(c, vec[None]))[0])
+        if not np.isfinite(vec).all():
+            raise DomainError("quadratic form requires a finite vector")
+        RAISE(self._stack.singular(), lambda j: SingularCovarianceError(f"singular {name} matrix"))
+        return float((self._stack.whiten(vec[None]) ** 2).sum())
 
 
-def _spd_stack(m: np.ndarray, name: str, checks) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetrized, PSD-clipped matrices of the stack m (B, d, d) and
-    their clip magnitudes.  A matrix with a non-finite entry, an asymmetry
-    above 1e-8 of its largest entry, or an eigenvalue below -CLIP_RTOL times
-    its trace fails its sample, in that order; eigenvalues above that are
-    clipped up to zero.  A non-finite matrix is replaced by the identity so
-    that the decomposition of the others is defined."""
+def _spd_stack(m: np.ndarray, name: str, checks) -> _SpdStack:
+    """The symmetrized, PSD-clipped matrices of the stack m (B, d, d), their
+    clip magnitudes and their eigenpairs.  A matrix with a non-finite entry,
+    an asymmetry above 1e-8 of its largest entry, or an eigenvalue below
+    -CLIP_RTOL times its trace fails its sample, in that order; eigenvalues
+    above that are clipped up to zero.  A non-finite matrix is replaced by
+    the identity so that the decomposition of the others is defined."""
     finite = np.isfinite(m).all(axis=(-2, -1))
     checks(~finite, lambda j: NumericError(f"{name} has non-finite entries"))
     if not finite.all():
@@ -146,54 +185,11 @@ def _spd_stack(m: np.ndarray, name: str, checks) -> tuple[np.ndarray, np.ndarray
     clip = np.maximum(0.0, -low)
     neg = low < 0.0
     if neg.any():
+        w = np.clip(w, 0.0, None)
         vn = v[neg]
-        s = (vn * np.clip(w[neg], 0.0, None)[:, None, :]) @ vn.transpose(0, 2, 1)
+        s = (vn * w[neg][:, None, :]) @ vn.transpose(0, 2, 1)
         sym[neg] = 0.5 * (s + s.transpose(0, 2, 1))
-    return sym, clip
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of each matrix of the stack a (B, d, d), column
-    by column.  Where a pivot is not positive the factor's diagonal entry is
-    zero or NaN; ``_singular`` and the callers' checks read that."""
-    c = np.zeros_like(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(a.shape[-1]):
-            row = c[:, j, :j]
-            c[:, j, j] = np.sqrt(a[:, j, j] - _squared_norm(row))
-            below = a[:, j + 1 :, j] - np.einsum("bik,bk->bi", c[:, j + 1 :, :j], row)
-            c[:, j + 1 :, j] = below / c[:, j, j, None]
-    return c
-
-
-def _singular(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Where the factor c of a is not usable for a quadratic form: a pivot
-    that is not positive, or a smallest diagonal entry whose square is at
-    most 1e-10 times |trace a| (1 for a zero trace)."""
-    tr = np.abs(np.trace(a, axis1=-2, axis2=-1))
-    tr[tr == 0.0] = 1.0
-    return ~(np.diagonal(c, axis1=-2, axis2=-1).min(axis=-1) ** 2 > 1e-10 * tr)
-
-
-def _squared_norm(y: np.ndarray) -> np.ndarray:
-    return (y * y).sum(axis=-1)
-
-
-def _forward(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y with c y = b for each lower factor c (B, d, d) and row b (B, d)."""
-    y = np.empty_like(b)
-    for j in range(b.shape[-1]):
-        y[:, j] = (b[:, j] - (c[:, j, :j] * y[:, :j]).sum(axis=-1)) / c[:, j, j]
-    return y
-
-
-def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with c c^T x = b for each lower factor c (B, d, d) and row b (B, d)."""
-    y = _forward(c, b)
-    x = np.empty_like(y)
-    for j in reversed(range(b.shape[-1])):
-        x[:, j] = (y[:, j] - (c[:, j + 1 :, j] * x[:, j + 1 :]).sum(axis=-1)) / c[:, j, j]
-    return x
+    return _SpdStack(sym, clip, w, v)
 
 
 def _quad(f, a, b, tol=_QUAD_TOL):

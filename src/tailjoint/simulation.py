@@ -7,8 +7,9 @@ reduced in replication order.  Outputs are therefore bit-identical for a
 given (model, n, M, master_seed).  The MSE and coverage harnesses run their
 replications one by one; the power harness draws each replication from its
 own stream in the same way, and then tests a stack of them at once through
-the stacked builders that the single-sample tests run as a stack of one, so
-each replication's decision and failure are the single-sample test's.
+``inference._estimate`` and ``equality_tests._statistic``, which the
+single-sample tests run as a stack of one, so each replication's decision
+and failure are the single-sample test's.
 
 The samplers and the margin oracles call ``scipy.special`` directly;
 ``scipy.optimize`` is imported by the first true-expectile solve.
@@ -23,8 +24,8 @@ import numpy as np
 from scipy import special
 
 from .errors import Checks, DomainError, TailjointError
-from .inference import _check_alpha, _estimate, _interval, _region
-from .equality_tests import _stacked_statistic
+from .inference import _check_alpha, _estimate, _estimate_sample, _interval, _region
+from .equality_tests import _statistic
 from .marginal import _check_hill_size, _fit_stack, estimate_margins
 from .numerics import chi_square_quantile
 from .sample import MultivariateSample, TailLevelPair, _stack_panels, effective_k
@@ -442,7 +443,7 @@ def run_mc_coverage(
     truth = true_expectiles(model, tau if tau_prime is None else tau_prime)
 
     def replicate(sample):
-        region = _region(_estimate(sample, tau, tau_prime, method, naive), alpha)
+        region = _region(_estimate_sample(sample, tau, tau_prime, method, naive), alpha)
         return (0.0 if _pivot_covers(region, truth) else 1.0,)
 
     names = (f"noncoverage_pct_{method}" + ("_naive" if naive else ""),)
@@ -468,7 +469,7 @@ def run_mc_interval_coverage(
     truth = model.margin_oracle(0).true_expectile(tau_prime)
 
     def replicate(sample):
-        interval = _interval(_estimate(sample, tau, tau_prime, method, naive), 0, alpha)
+        interval = _interval(_estimate_sample(sample, tau, tau_prime, method, naive), 0, alpha)
         return (0.0 if interval.contains(truth) else 1.0,)
 
     names = (f"noncoverage_pct_{method}" + ("_naive" if naive else ""),)
@@ -492,8 +493,9 @@ def run_mc_power(
 
     Each replication's decisions and failure are those of
     test_equal_expectiles_laws and _qb on sample_model(model, n,
-    rng_stream(master_seed, i)), computed for stacks of replications (see
-    _power_outcomes).  A replication fails as a whole when either test
+    rng_stream(master_seed, i)): _power_outcomes runs the tests' own
+    estimate dispatch (inference._estimate) and statistic on stacks of
+    replications.  A replication fails as a whole when either test
     fails, so a LAWS failure also leaves that replication's QB decision out
     of the QB rate.  Counting each method's failures on its own would move
     the benchmark's stored mc_power references (their failures and QB
@@ -534,8 +536,10 @@ def _power_outcomes(
 
     Replication i draws from rng_stream(master_seed, i), as sample_model
     does.  Stacks of _POWER_STACK replications are sorted, ranked and
-    fitted at once and tested method by method; a failed check marks its
-    replication (errors.Checks), whose later arithmetic is ignored.
+    fitted at once and tested method by method through inference._estimate
+    and equality_tests._statistic, the code of the single-sample tests; a
+    failed check marks its replication (errors.Checks), whose later
+    arithmetic is ignored.
     """
     n = levels.n
     quantile = chi_square_quantile(1.0 - alpha, model.d - 1)
@@ -554,7 +558,7 @@ def _power_outcomes(
             st = _stack_panels(values)
             fit = _fit_stack(st, levels.tau, checks)
             rejects = [
-                _stacked_statistic(st, fit, levels, m, checks) > quantile
+                _statistic(_estimate(st, fit, levels, m, False, checks))[0] > quantile
                 for m in methods
             ]
         outcomes += [

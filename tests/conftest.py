@@ -41,6 +41,21 @@ def count_fits(monkeypatch) -> list:
     return fits
 
 
+def count_eighs(monkeypatch) -> list:
+    """Record every ``np.linalg.eigh`` call from here on as the length of its
+    argument: the number of matrices of a (B, d, d) stack; returns the
+    record."""
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        eighs.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return eighs
+
+
 def count_numpy_calls(monkeypatch, *names) -> list:
     """Record the name of every call of the given numpy functions (``np.sort``
     for "sort") from here on; returns the record."""

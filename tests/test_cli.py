@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_fits, count_numpy_calls
+from conftest import count_eighs, count_fits, count_numpy_calls
 
 from tailjoint import covariance
 from tailjoint.cli import main, parse_model_spec
@@ -103,21 +103,14 @@ class TestEstimate:
         assert "--method must be" in capsys.readouterr().err
 
     def test_star_laws_covariance_built_once(self, tmp_path, monkeypatch, capsys):
-        from tailjoint.numerics import SpdMatrix
-
-        names = []
-        from_array = SpdMatrix.from_array.__func__
-
-        def counting(cls, m, name="matrix"):
-            names.append(name)
-            return from_array(cls, m, name)
-
-        monkeypatch.setattr(SpdMatrix, "from_array", classmethod(counting))
+        # The star-LAWS covariance is the only matrix of a LAWS estimate:
+        # one eigh of a stack of one builds and checks it for every margin.
         data = write_sample_csv(tmp_path / "d5.csv", n=1000, d=5, gamma=0.25)
+        eighs = count_eighs(monkeypatch)
         assert main(["estimate", "--input", str(data), "--k", "100",
                      "--method", "laws"]) == 0
         capsys.readouterr()
-        assert names.count("star-LAWS covariance") == 1
+        assert eighs == [1]
 
     def test_missing_input_is_hard_error(self, tmp_path, capsys):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv"),
@@ -253,14 +246,7 @@ class TestTraceScan:
         # Chunks of 7 levels: k = 20..22 is one chunk, k = 20..120 fifteen.
         monkeypatch.setattr(covariance, "_SCAN_BYTES", 7 * 500 * 2**2)
         fits = count_fits(monkeypatch)
-        eighs = []
-        eigh = np.linalg.eigh
-
-        def counting(a, *args, **kwargs):
-            eighs.append(len(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        eighs = count_eighs(monkeypatch)
         for k_max, chunks in ((22, 1), (120, 15)):
             fits.clear()
             eighs.clear()

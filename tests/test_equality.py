@@ -72,6 +72,27 @@ class TestDevianceStatistic:
         assert deviance_statistic([1.0, 1.0, 1.0 + 1e-6], v) > 0.0
 
 
+class TestNearSingular:
+    # Smallest eigenvalue about 5e-14, below 1e-10 times the trace 2, though
+    # a Cholesky factorization succeeds (its last pivot is 1e-13 > 0): the
+    # GLS mean and the deviance both raise, by the one eigenvalue rule.
+    V = [[1.0, 1.0], [1.0, 1.0 + 1e-13]]
+
+    @pytest.mark.parametrize("f", [gls_common_mean, deviance_statistic])
+    def test_raises(self, f):
+        from tailjoint.errors import SingularCovarianceError
+
+        with pytest.raises(SingularCovarianceError, match="^singular test matrix$"):
+            f([0.0, 1.0], SpdMatrix.from_array(self.V))
+
+
+@pytest.mark.parametrize("f", [gls_common_mean, deviance_statistic])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vector_errors(f, bad):
+    with pytest.raises(DomainError, match="finite vector"):
+        f([bad, 1.0], SpdMatrix.from_array(np.eye(2)))
+
+
 def duplicated_sample():
     s = fixture_sample()
     return MultivariateSample(np.column_stack([s.column(0), s.column(0)]), ("a", "b"))

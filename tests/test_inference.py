@@ -11,10 +11,18 @@ from tailjoint.covariance import (
     estimate_v_star_laws,
     estimate_v_star_qb,
 )
-from tailjoint.equality_tests import test_equal_expectiles_laws as equal_expectiles_laws
+from conftest import count_eighs
+
+from tailjoint.equality_tests import (
+    test_equal_expectiles_laws as equal_expectiles_laws,
+    test_equal_expectiles_qb as equal_expectiles_qb,
+    test_equal_quantiles as equal_quantiles,
+)
 from tailjoint.errors import DomainError
 from tailjoint.inference import (
     ConfidenceRegion,
+    _estimate_sample,
+    _interval,
     marginal_interval_laws,
     marginal_interval_qb,
     region_boundary_points,
@@ -110,6 +118,13 @@ class TestRegionBasics:
         with pytest.raises(DomainError):
             region_contains(region, [-1.0, 1.0])
 
+    @pytest.mark.parametrize("build", ALL_BUILDERS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_errors(self, build, bad):
+        region = build(fixture_sample())
+        with pytest.raises(DomainError, match="finite point"):
+            region_contains(region, [bad, 1.0])
+
 
 class TestBoundaryPoints:
     @pytest.mark.parametrize("build", ALL_BUILDERS)
@@ -140,6 +155,46 @@ class TestBoundaryPoints:
         region = ALL_BUILDERS[0](fixture_sample(d=4))
         with pytest.raises(DomainError):
             region_boundary_points(region)
+
+
+class TestOneEighPerCovariance:
+    """A covariance is decomposed once, by its PSD check: every test,
+    membership, boundary and interval reads the kept eigenpairs."""
+
+    @pytest.mark.parametrize(
+        "tester", [equal_expectiles_laws, equal_expectiles_qb, equal_quantiles]
+    )
+    def test_each_test_runs_one_eigh(self, tester, monkeypatch):
+        s = fixture_sample(d=3)
+        eighs = count_eighs(monkeypatch)
+        tester(s, TAU, TAU_PRIME)
+        assert eighs == [1]
+
+    @pytest.mark.parametrize("build", ALL_BUILDERS)
+    def test_existing_region_runs_none(self, build, monkeypatch):
+        region = build(fixture_sample(d=3))
+        eighs = count_eighs(monkeypatch)
+        points = region_boundary_points(region)
+        assert all(region_contains(region, z) for z in points[::256])
+        assert eighs == []
+
+    @pytest.mark.parametrize("naive", [False, True])
+    @pytest.mark.parametrize(
+        "method, public", [("laws", marginal_interval_laws), ("qb", marginal_interval_qb)]
+    )
+    def test_intervals_of_an_existing_estimate_run_none(
+        self, method, public, naive, monkeypatch
+    ):
+        s = fixture_sample(d=3)
+        eighs = count_eighs(monkeypatch)
+        public(s, TAU, TAU_PRIME, 0, ALPHA, naive)
+        assert eighs == [1]
+        est = _estimate_sample(s, TAU, TAU_PRIME, method, naive)
+        est.covariance()
+        eighs.clear()
+        for j in range(3):
+            _interval(est, j, ALPHA)
+        assert eighs == []
 
 
 class TestRegionShapes:

@@ -156,6 +156,91 @@ class TestQuadraticForm:
         if not any(v):
             assert q == 0.0
 
+    def test_length_mismatch_names_the_length(self):
+        with pytest.raises(DomainError, match=r"^vector of length 3 does not match dimension 2$"):
+            quadratic_form(np.eye(2), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_errors(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            quadratic_form(np.eye(2), [bad, 1.0])
+
+
+# Two backward-stable solvers of one matrix can differ by a small multiple
+# of eps times its condition number (up to 7.4 in 20000 random cases with
+# d = 1..5 and conditions up to 1e8); 1e-9 relative bounds the rest.
+def solver_rtol(cond: float) -> float:
+    return 1e-9 + 50.0 * np.finfo(float).eps * cond
+
+
+@st.composite
+def spd_cases(draw, dims=(1, 5), low=None):
+    """A random SPD matrix with d in dims, condition number 10^(0..8) and
+    overall scale 10^(-3..3), a random vector, and the condition number; with
+    low, the smallest eigenvalue is set to low times the sum of the others."""
+    d = draw(st.integers(*dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cond = 10.0 ** draw(st.floats(0.0, 8.0))
+    w = np.geomspace(1.0, 1.0 / cond, d) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    if low is not None:
+        w[-1] = low * w[:-1].sum()
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    m = (q * w) @ q.T
+    x = rng.normal(size=d) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return 0.5 * (m + m.T), x, cond
+
+
+class TestEigenAlgebraProperties:
+    """The quadratic form, the GLS mean and the deviance read the eigenpairs
+    kept by the PSD check; they must agree with a direct solve."""
+
+    @given(spd_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_agree_with_solve(self, case):
+        from tailjoint.equality_tests import deviance_statistic, gls_common_mean
+
+        m, x, cond = case
+        v = SpdMatrix.from_array(m)
+        e, one = v.entries, np.ones(x.size)
+        form, inv_one = x @ np.linalg.solve(e, x), np.linalg.solve(e, one)
+        mean = x @ inv_one / (one @ inv_one)
+        r = x - mean
+        rtol = solver_rtol(cond)
+        assert v.quadratic_form(x) == pytest.approx(form, rel=rtol, abs=0.0)
+        # The mean's natural scale is sqrt(x' m^-1 x / 1' m^-1 1) (Cauchy-
+        # Schwarz), the deviance's is x' m^-1 x: both can be near zero.
+        scale = np.sqrt(form / (one @ inv_one))
+        assert abs(gls_common_mean(x, v) - mean) <= rtol * scale
+        assert abs(deviance_statistic(x, v) - r @ np.linalg.solve(e, r)) <= rtol * form
+
+    @given(spd_cases(), st.floats(1e-3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_the_matrix_scales_the_form(self, case, c):
+        m, x, cond = case
+        form = SpdMatrix.from_array(m).quadratic_form(x)
+        scaled = SpdMatrix.from_array(c * m).quadratic_form(x)
+        assert scaled == pytest.approx(form / c, rel=solver_rtol(cond), abs=0.0)
+
+    @given(spd_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_sqrt_squared_reproduces_entries(self, case):
+        v = SpdMatrix.from_array(case[0])
+        s = v.sqrt().entries
+        assert np.abs(s @ s - v.entries).max() <= 1e-10 * np.trace(v.entries)
+
+    @given(spd_cases(dims=(2, 5), low=-1e-9))
+    @settings(max_examples=100, deadline=None)
+    def test_clipped_matrix_is_singular_everywhere(self, case):
+        from tailjoint.equality_tests import deviance_statistic, gls_common_mean
+
+        m, x, _ = case
+        v = SpdMatrix.from_array(m)
+        assert v.clip_magnitude > 0.0
+        for f in (v.quadratic_form, lambda x: gls_common_mean(x, v),
+                  lambda x: deviance_statistic(x, v)):
+            with pytest.raises(SingularCovarianceError):
+                f(x)
+
 
 def power_copula(a):
     """R(u, v) = u^a v^(1-a): homogeneous of order 1, and it turns the tail
