@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .covariance import _bias_qb, _hill_block, _one, _v_laws_raw, _v_qb_raw, _v_star_laws
-from .errors import RAISE, Checks, DomainError
+from .errors import RAISE, Checks, DomainError, NumericError
 from .marginal import MarginalTailEstimates, _qb_factors
 from .numerics import (
     SpdMatrix, _spd_stack, _SpdStack, chi_square_quantile, std_normal_quantile,
@@ -52,8 +52,8 @@ class ConfidenceRegion:
             raise DomainError("region dimension mismatch")
         if not self.radius > 0.0:
             raise DomainError("region radius must be positive")
-        if self.scale == "log" and np.any(center <= 0.0):
-            raise DomainError("log-scale regions require positive centers")
+        if self.scale == "log":
+            _check_log_centers(center, RAISE)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "bias_shift", shift)
 
@@ -90,6 +90,12 @@ class MarginalInterval:
         return self.lower <= x <= self.upper
 
 
+def _check_log_centers(center: np.ndarray, checks) -> None:
+    """Fail each sample with a non-positive center entry, which a log-scale
+    region cannot hold."""
+    checks(center <= 0.0, lambda j: DomainError("log-scale regions require positive centers"))
+
+
 def _diagonal(diag: np.ndarray) -> np.ndarray:
     """The diagonal matrix of each row of diag (B, d)."""
     return diag[..., None] * np.eye(diag.shape[-1])
@@ -101,9 +107,13 @@ class _Estimate(NamedTuple):
     (B, d), bias shifts (B, d) and a checked covariance stack
     (``numerics._SpdStack``), whose checks fail samples through ``checks``.
 
-    shift and covariance are built on first call and then reused; each
-    consumer calls them in its own order, which fixes the error it raises
-    when more than one input is undefined.
+    The stack is one sample (``_estimate_sample``: the single-sample
+    regions, intervals and tests) or a stack of Monte Carlo replications
+    (``simulation``), read by the same consumers: the region parts, the
+    interval endpoints and the test statistic.  shift and covariance are
+    built on first call and then reused; each consumer calls them in its
+    own order, which fixes the error it raises when more than one input is
+    undefined.
     """
 
     n: int
@@ -214,25 +224,32 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
 
 
-def _region(est: _Estimate, alpha: float) -> ConfidenceRegion:
+def _region_parts(est: _Estimate, alpha: float):
+    """The kind, checked covariance stack, bias shifts (B, d) and radius of
+    the region of each sample of the estimate's stack, built in this order:
+    the covariance, the shift and, on the log scale, the positive-center
+    check.  The single-sample regions and the coverage harness read them."""
     _check_alpha(alpha)
-    shape = SpdMatrix(est.covariance())
-    shift = est.shift()[0]
-    n, d = est.n, shape.dim
-    radius = math.sqrt(chi_square_quantile(1.0 - alpha, d) / (n * (1.0 - est.tau)))
+    covariance, shift = est.covariance(), est.shift()
+    extreme = est.levels is not None
+    if extreme:
+        _check_log_centers(est.center, est.checks)
+    kind = ("extreme_" if extreme else "intermediate_") + est.method
+    kind += "_naive" if est.naive else ""
+    d = est.center.shape[-1]
+    radius = math.sqrt(chi_square_quantile(1.0 - alpha, d) / (est.n * (1.0 - est.tau)))
+    if extreme:
+        radius *= est.levels.log_dn
+    return kind, covariance, shift, radius
+
+
+def _region(est: _Estimate, alpha: float) -> ConfidenceRegion:
+    kind, covariance, shift, radius = _region_parts(est, alpha)
     extreme = est.levels is not None
     return ConfidenceRegion(
-        kind=("extreme_" if extreme else "intermediate_")
-        + est.method
-        + ("_naive" if est.naive else ""),
-        scale="log" if extreme else "linear",
-        alpha=alpha,
-        tau=est.tau,
-        tau_prime=est.levels.tau_prime if extreme else None,
-        center=est.center[0],
-        bias_shift=shift,
-        shape=shape,
-        radius=radius * est.levels.log_dn if extreme else radius,
+        kind=kind, scale="log" if extreme else "linear", alpha=alpha, tau=est.tau,
+        tau_prime=est.levels.tau_prime if extreme else None, center=est.center[0],
+        bias_shift=shift[0], shape=SpdMatrix(covariance), radius=radius,
     )
 
 
@@ -322,21 +339,34 @@ def region_boundary_points(region: ConfidenceRegion) -> np.ndarray:
     return region.center * (1.0 + w)
 
 
-def _interval(est: _Estimate, j: int, alpha: float) -> MarginalInterval:
+def _endpoints(est: _Estimate, j: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper endpoints (B,) of the log-scale interval for
+    margin j of each sample of the estimate's stack, center x exp(shift -+
+    half width).  A sample fails on a non-positive center, then on its
+    shift and its covariance, built in that order, then on an endpoint
+    that overflows."""
     _check_alpha(alpha)
-    center = float(est.center[0, j])
-    if center <= 0.0:
-        raise DomainError("log-scale interval requires a positive point estimate")
-    root = math.sqrt(est.n * (1.0 - est.tau))
-    shift = est.shift()[0, j]
-    var = est.covariance().entries[0, j, j]
-    half = est.levels.log_dn / root * math.sqrt(var) * std_normal_quantile(1.0 - alpha / 2.0)
-    return MarginalInterval(
-        lower=center * math.exp(shift - half),
-        upper=center * math.exp(shift + half),
-        margin=j,
-        alpha=alpha,
+    checks, center = est.checks, est.center[:, j]
+    checks(
+        center <= 0.0,
+        lambda i: DomainError("log-scale interval requires a positive point estimate"),
     )
+    root = math.sqrt(est.n * (1.0 - est.tau))
+    shift = est.shift()[:, j]
+    var = est.covariance().entries[:, j, j]
+    half = est.levels.log_dn / root * np.sqrt(var) * std_normal_quantile(1.0 - alpha / 2.0)
+    with np.errstate(over="ignore"):
+        lower, upper = center * np.exp(shift - half), center * np.exp(shift + half)
+    checks(
+        ~(np.isfinite(lower) & np.isfinite(upper)),
+        lambda i: NumericError("non-finite interval endpoint"),
+    )
+    return lower, upper
+
+
+def _interval(est: _Estimate, j: int, alpha: float) -> MarginalInterval:
+    lower, upper = _endpoints(est, j, alpha)
+    return MarginalInterval(float(lower[0]), float(upper[0]), margin=j, alpha=alpha)
 
 
 def marginal_interval_laws(

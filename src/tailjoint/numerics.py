@@ -148,10 +148,19 @@ class SpdMatrix:
             raise DomainError(
                 f"vector of length {vec.size} does not match dimension {self.dim}"
             )
-        if not np.isfinite(vec).all():
-            raise DomainError("quadratic form requires a finite vector")
-        RAISE(self._stack.singular(), lambda j: SingularCovarianceError(f"singular {name} matrix"))
-        return float((self._stack.whiten(vec[None]) ** 2).sum())
+        return float(_quadratic_form(self._stack, vec[None], name, RAISE)[0])
+
+
+def _quadratic_form(m: _SpdStack, x: np.ndarray, name: str, checks) -> np.ndarray:
+    """x^T m^{-1} x of each row x (B, d) under the matching matrix of the
+    checked stack m, from its eigenpairs.  A sample whose row is not finite,
+    or else whose matrix is singular, fails."""
+    checks(
+        ~np.isfinite(x).all(axis=-1),
+        lambda j: DomainError("quadratic form requires a finite vector"),
+    )
+    checks(m.singular(), lambda j: SingularCovarianceError(f"singular {name} matrix"))
+    return (m.whiten(x) ** 2).sum(axis=-1)
 
 
 def _spd_stack(m: np.ndarray, name: str, checks) -> _SpdStack:

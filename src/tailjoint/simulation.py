@@ -4,12 +4,12 @@ Carlo harnesses for MSE, region coverage, interval coverage and test power.
 Reproducibility contract: replication i of a run with master seed s draws
 exclusively from a counter-based generator keyed by (s, i), and results are
 reduced in replication order.  Outputs are therefore bit-identical for a
-given (model, n, M, master_seed).  The MSE and coverage harnesses run their
-replications one by one; the power harness draws each replication from its
-own stream in the same way, and then tests a stack of them at once through
-``inference._estimate`` and ``equality_tests._statistic``, which the
-single-sample tests run as a stack of one, so each replication's decision
-and failure are the single-sample test's.
+given (model, n, M, master_seed).  Every harness runs on one engine
+(``_run_mc``): it draws stacks of replications, sorts, ranks and fits each
+stack at once, and hands it to the harness's outcome function, which runs
+the stacked code that the single-sample estimators, regions, intervals and
+tests run as a stack of one (``inference._estimate`` and its consumers), so
+each replication's outcome and failure are the single-sample call's.
 
 The samplers and the margin oracles call ``scipy.special`` directly;
 ``scipy.optimize`` is imported by the first true-expectile solve.
@@ -24,10 +24,10 @@ import numpy as np
 from scipy import special
 
 from .errors import Checks, DomainError, TailjointError
-from .inference import _check_alpha, _estimate, _estimate_sample, _interval, _region
+from .inference import _check_alpha, _endpoints, _estimate, _region_parts
 from .equality_tests import _statistic
-from .marginal import _check_hill_size, _fit_stack, estimate_margins
-from .numerics import chi_square_quantile
+from .marginal import _check_hill_size, _fit_stack, _qb_factors
+from .numerics import _quadratic_form, chi_square_quantile
 from .sample import MultivariateSample, TailLevelPair, _stack_panels, effective_k
 
 _PAIRWISE_CORRELATIONS = {
@@ -136,7 +136,11 @@ def _expand(gamma, d: int) -> tuple[float, ...]:
 
 
 def rng_stream(master_seed: int, stream_index: int) -> np.random.Generator:
-    """Counter-based generator keyed by (master seed, replication index)."""
+    """Counter-based generator keyed by (master seed, replication index),
+    each an integer in [0, 2^64)."""
+    for name, value in (("seed", master_seed), ("stream index", stream_index)):
+        if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**64):
+            raise DomainError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     key = np.array([master_seed, stream_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -300,80 +304,88 @@ class McReport:
         return out
 
 
-def _run_mc(
-    experiment: str,
-    model: SimulationModel,
-    n: int,
-    tau: float,
-    tau_prime: float | None,
-    M: int,
-    master_seed: int,
-    names: tuple[str, ...],
-    replicate,
-    transform=float,
-) -> McReport:
-    """Run replicate(sample) on M seeded samples and report, per name, 100
-    times transform of the mean of that position of its outcome tuples.
+# Replications per stack.  A stack shares the fixed cost of each numpy call
+# among its replications, and its (B, n, d) arrays add to the peak memory.
+# At n=1000, d=2 (the benchmark's mc_power workload on a 2-core Xeon) stacks
+# of 8, 12 and 16 took 0.70, 0.66 and 0.65 ms per power replication (2.17
+# one by one) and added 0.6, 1.3 and 2.2 MB of peak RSS.
+_STACK = 12
 
-    A replication that raises a TailjointError counts as a failure and
-    enters no mean; with no successes the metrics are empty.  Sizes and
-    levels that would fail every replication raise before the first.
+
+def _outcomes(
+    model: SimulationModel, n: int, tau: float, M: int, master_seed: int, outcome
+) -> list:
+    """Each replication's outcome in order: a tuple with one float per array
+    that outcome returns, or the TailjointError of the first check that the
+    replication fails.
+
+    Replication i draws from rng_stream(master_seed, i), as sample_model
+    does.  Stacks of _STACK replications are sorted, ranked and fitted at
+    tau at once, and outcome(st, fit, checks) returns a list of (B,) arrays
+    computed by the stacked code that the single-sample estimators,
+    regions, intervals and tests run as a stack of one; a failed check
+    marks its replication (errors.Checks), whose later arithmetic is
+    ignored.
     """
-    _check_levels(n, tau, tau_prime)
+    outcomes = []
+    for start in range(0, M, _STACK):
+        values = np.stack([
+            _draw(model, n, rng_stream(master_seed, i))
+            for i in range(start, min(start + _STACK, M))
+        ])
+        checks = Checks(len(values))
+        checks(
+            ~np.isfinite(values).all(axis=(1, 2)),
+            lambda j: DomainError("sample values must all be finite"),
+        )
+        with np.errstate(all="ignore"):
+            st = _stack_panels(values)
+            columns = outcome(st, _fit_stack(st, tau, checks), checks)
+        outcomes += [
+            error if error is not None else tuple(float(c[i]) for c in columns)
+            for i, error in enumerate(checks.first)
+        ]
+    return outcomes
 
-    def worker(i):
-        try:
-            return replicate(sample_model(model, n, rng_stream(master_seed, i)))
-        except TailjointError:
-            return None
 
-    results = [worker(i) for i in range(M)]
-    return _report(
-        experiment, model, n, tau, tau_prime, master_seed, names, results, transform
-    )
-
-
-def _report(
-    experiment: str,
-    model: SimulationModel,
-    n: int,
-    tau: float,
-    tau_prime: float | None,
-    master_seed: int,
-    names: tuple[str, ...],
-    results: list,
-    transform=float,
+def _run_mc(
+    experiment: str, model: SimulationModel, n: int, tau: float, tau_prime: float | None,
+    M: int, master_seed: int, names: tuple[str, ...], outcome, transform=float,
 ) -> McReport:
-    """The report of replication outcomes in order: a tuple per success and
-    None per failure."""
-    ok = np.array([r for r in results if r is not None])
-    metrics = {}
-    if len(ok):
-        for pos, name in enumerate(names):
-            metrics[name] = 100.0 * transform(float(ok[:, pos].mean()))
+    """Run outcome on M seeded replications (``_outcomes``) and report, per
+    name, 100 times transform of the mean of that position of the
+    successful replications' outcomes.
+
+    A failed replication enters no mean; with no successes the metrics are
+    empty.  A replication count that is not an integer >= 1 raises before
+    the first replication, as do (through _check_levels, which each harness
+    calls first) sizes and levels that would fail every replication.
+    """
+    if not isinstance(M, (int, np.integer)):
+        raise DomainError(f"replication count must be an integer, got {M!r}")
+    if M < 1:
+        raise DomainError("Monte Carlo requires at least one replication")
+    results = _outcomes(model, n, tau, M, master_seed, outcome)
+    ok = np.array([r for r in results if not isinstance(r, TailjointError)])
+    metrics = {
+        name: 100.0 * transform(float(ok[:, pos].mean())) for pos, name in enumerate(names)
+    } if len(ok) else {}
     return McReport(
-        experiment=experiment,
-        model=model.kind,
-        n=n,
-        d=model.d,
-        k=effective_k(n, tau),
-        tau=tau,
-        tau_prime=tau_prime,
-        replications=len(results),
-        master_seed=master_seed,
-        metrics=metrics,
-        failures=len(results) - len(ok),
+        experiment=experiment, model=model.kind, n=n, d=model.d, k=effective_k(n, tau),
+        tau=tau, tau_prime=tau_prime, replications=M, master_seed=master_seed,
+        metrics=metrics, failures=M - len(ok),
     )
 
 
-def _check_levels(n: int, tau: float, tau_prime: float | None) -> None:
-    """Raise the error that every replication of size n would raise."""
+def _check_levels(n: int, tau: float, tau_prime: float | None) -> TailLevelPair | None:
+    """Raise the error that every replication of size n would raise; return
+    the level pair, or None without tau_prime."""
     if n < 4:
         raise DomainError("samplers require n >= 4")
-    if tau_prime is not None:
-        TailLevelPair(tau, tau_prime, n)
-    else:
+    if tau_prime is None:
         _check_hill_size(n, effective_k(n, tau))
+        return None
+    return TailLevelPair(tau, tau_prime, n)
 
 
 def _check_method(method: str) -> None:
@@ -391,38 +403,18 @@ def run_mc_mse(
     """Relative MSE of both intermediate expectile estimators.
 
     Reported as sqrt(mean squared relative error) x 100, averaged across
-    margins, one entry per estimator.
+    margins, one entry per estimator.  A replication fails where
+    estimate_margins or the QB factor would fail on its sample.
     """
     truth = true_expectiles(model, tau)
+    _check_levels(n, tau, None)
 
-    def replicate(sample):
-        est = estimate_margins(sample, tau)
-        return (
-            np.mean((est.xi_laws / truth - 1.0) ** 2),
-            np.mean((est.xi_qb / truth - 1.0) ** 2),
-        )
+    def outcome(st, fit, checks):
+        xi_qb = _qb_factors(fit.gamma_hat, checks) * fit.q_hat
+        return [np.mean((xi / truth - 1.0) ** 2, axis=-1) for xi in (fit.xi_laws, xi_qb)]
 
     names = ("rmse_pct_laws", "rmse_pct_qb")
-    return _run_mc(
-        "mse", model, n, tau, None, M, master_seed, names, replicate, math.sqrt
-    )
-
-
-def _pivot_covers(region, truth) -> bool:
-    """Coverage check through the studentized pivot of the central limit
-    approximation that defines the region: the residual is estimate-over-truth
-    (bias-corrected), studentized by the estimated shape matrix and compared
-    with the chi-square radius.  On the log scale this coincides with set
-    membership; on the linear scale it is the form whose nominal level the
-    region is calibrated for.
-    """
-    truth = np.asarray(truth, dtype=float)
-    if region.scale == "log":
-        residual = np.log(region.center / truth) + region.bias_shift
-    else:
-        residual = region.center / truth - 1.0 + region.bias_shift
-    form = region.shape.quadratic_form(residual, region.kind)
-    return form <= region.radius**2
+    return _run_mc("mse", model, n, tau, None, M, master_seed, names, outcome, math.sqrt)
 
 
 def run_mc_coverage(
@@ -437,19 +429,29 @@ def run_mc_coverage(
     naive: bool = False,
 ) -> McReport:
     """Non-coverage rate of the joint confidence region (intermediate when
-    tau_prime is omitted, extreme otherwise)."""
+    tau_prime is omitted, extreme otherwise), read through the studentized
+    pivot of the central limit approximation that defines the region: the
+    bias-corrected residual estimate-over-truth, studentized by the shape
+    matrix, against the radius.  On the log scale this is set membership;
+    on the linear scale it is the form whose nominal level the region is
+    calibrated for.  Each replication's region parts and failure are the
+    single-sample region's (inference._region_parts)."""
     _check_method(method)
     _check_alpha(alpha)
     truth = true_expectiles(model, tau if tau_prime is None else tau_prime)
+    levels = _check_levels(n, tau, tau_prime)
 
-    def replicate(sample):
-        region = _region(_estimate_sample(sample, tau, tau_prime, method, naive), alpha)
-        return (0.0 if _pivot_covers(region, truth) else 1.0,)
+    def outcome(st, fit, checks):
+        est = _estimate(st, fit, levels, method, naive, checks)
+        kind, covariance, shift, radius = _region_parts(est, alpha)
+        if tau_prime is None:
+            residual = est.center / truth - 1.0 + shift
+        else:
+            residual = np.log(est.center / truth) + shift
+        return [_quadratic_form(covariance, residual, kind, checks) > radius**2]
 
     names = (f"noncoverage_pct_{method}" + ("_naive" if naive else ""),)
-    return _run_mc(
-        "coverage", model, n, tau, tau_prime, M, master_seed, names, replicate
-    )
+    return _run_mc("coverage", model, n, tau, tau_prime, M, master_seed, names, outcome)
 
 
 def run_mc_interval_coverage(
@@ -463,18 +465,23 @@ def run_mc_interval_coverage(
     master_seed: int,
     naive: bool = False,
 ) -> McReport:
-    """Non-coverage rate of the first-margin extreme expectile interval."""
+    """Non-coverage rate of the first-margin extreme expectile interval.
+
+    Each replication's endpoints and failure are those of the single-sample
+    interval (inference._endpoints)."""
     _check_method(method)
     _check_alpha(alpha)
     truth = model.margin_oracle(0).true_expectile(tau_prime)
+    levels = _check_levels(n, tau, tau_prime)
 
-    def replicate(sample):
-        interval = _interval(_estimate_sample(sample, tau, tau_prime, method, naive), 0, alpha)
-        return (0.0 if interval.contains(truth) else 1.0,)
+    def outcome(st, fit, checks):
+        est = _estimate(st, fit, levels, method, naive, checks)
+        lower, upper = _endpoints(est, 0, alpha)
+        return [~((lower <= truth) & (truth <= upper))]
 
     names = (f"noncoverage_pct_{method}" + ("_naive" if naive else ""),)
     return _run_mc(
-        "interval_coverage", model, n, tau, tau_prime, M, master_seed, names, replicate
+        "interval_coverage", model, n, tau, tau_prime, M, master_seed, names, outcome
     )
 
 
@@ -488,81 +495,33 @@ def run_mc_power(
     master_seed: int,
     methods: tuple[str, ...] = ("laws", "qb"),
 ) -> McReport:
-    """Rejection rates of the expectile equality tests; both test variants
-    share each simulated sample.
+    """Rejection rates of the expectile equality tests; the test variants
+    share each simulated sample, and each replication's decisions and
+    failure are those of test_equal_expectiles_laws and _qb on it.
 
-    Each replication's decisions and failure are those of
-    test_equal_expectiles_laws and _qb on sample_model(model, n,
-    rng_stream(master_seed, i)): _power_outcomes runs the tests' own
-    estimate dispatch (inference._estimate) and statistic on stacks of
-    replications.  A replication fails as a whole when either test
-    fails, so a LAWS failure also leaves that replication's QB decision out
-    of the QB rate.  Counting each method's failures on its own would move
-    the benchmark's stored mc_power references (their failures and QB
-    rate), so it waits for a change that regenerates them.
+    A replication fails as a whole when any test fails, so a LAWS failure
+    also leaves its QB decision out of the QB rate.  Counting each method's
+    failures on its own would move the benchmark's stored mc_power
+    references (their failures and QB rate), so it waits for a change that
+    regenerates them.
     """
     for m in methods:
         _check_method(m)
+    if not methods:
+        raise DomainError("power needs at least one method")
+    if len(set(methods)) != len(methods):
+        raise DomainError(f"repeated method in {tuple(methods)}")
     _check_alpha(alpha)
     if model.d < 2:
         raise DomainError("equality testing requires d >= 2")
-    _check_levels(n, tau, tau_prime)
-    levels = TailLevelPair(tau, tau_prime, n)
-    outcomes = _power_outcomes(model, levels, M, alpha, master_seed, methods)
-    results = [None if isinstance(o, TailjointError) else o for o in outcomes]
-    names = tuple(f"rejection_pct_{m}" for m in methods)
-    return _report("power", model, n, tau, tau_prime, master_seed, names, results)
-
-
-# Replications per stack in _power_outcomes.  A stack shares the fixed cost
-# of each numpy call among its replications, and its (B, n, d) arrays add to
-# the peak memory.  At n=1000, d=2 (the benchmark's mc_power workload on a
-# 2-core Xeon) stacks of 8, 12 and 16 took 0.70, 0.66 and 0.65 ms per
-# replication (2.17 one by one) and added 0.6, 1.3 and 2.2 MB of peak RSS.
-_POWER_STACK = 12
-
-
-def _power_outcomes(
-    model: SimulationModel,
-    levels: TailLevelPair,
-    M: int,
-    alpha: float,
-    master_seed: int,
-    methods: tuple[str, ...],
-) -> list:
-    """Each replication's outcome in order: its rejections as a tuple (1.0
-    or 0.0 per method), or the TailjointError of the first check that it
-    fails, in the order the single-sample tests make them.
-
-    Replication i draws from rng_stream(master_seed, i), as sample_model
-    does.  Stacks of _POWER_STACK replications are sorted, ranked and
-    fitted at once and tested method by method through inference._estimate
-    and equality_tests._statistic, the code of the single-sample tests; a
-    failed check marks its replication (errors.Checks), whose later
-    arithmetic is ignored.
-    """
-    n = levels.n
+    levels = _check_levels(n, tau, tau_prime)
     quantile = chi_square_quantile(1.0 - alpha, model.d - 1)
-    outcomes = []
-    for start in range(0, M, _POWER_STACK):
-        values = np.stack([
-            _draw(model, n, rng_stream(master_seed, i))
-            for i in range(start, min(start + _POWER_STACK, M))
-        ])
-        checks = Checks(len(values))
-        checks(
-            ~np.isfinite(values).all(axis=(1, 2)),
-            lambda j: DomainError("sample values must all be finite"),
-        )
-        with np.errstate(all="ignore"):
-            st = _stack_panels(values)
-            fit = _fit_stack(st, levels.tau, checks)
-            rejects = [
-                _statistic(_estimate(st, fit, levels, m, False, checks))[0] > quantile
-                for m in methods
-            ]
-        outcomes += [
-            error if error is not None else tuple(1.0 if r[i] else 0.0 for r in rejects)
-            for i, error in enumerate(checks.first)
+
+    def outcome(st, fit, checks):
+        return [
+            _statistic(_estimate(st, fit, levels, m, False, checks))[0] > quantile
+            for m in methods
         ]
-    return outcomes
+
+    names = tuple(f"rejection_pct_{m}" for m in methods)
+    return _run_mc("power", model, n, tau, tau_prime, M, master_seed, names, outcome)

@@ -8,6 +8,7 @@ tests, so they are replayed in the terminal summary instead.
 import numpy as np
 from hypothesis import strategies as st
 
+from tailjoint.errors import TailjointError
 from tailjoint.sample import MultivariateSample
 
 CRITERION_LINES = []
@@ -39,6 +40,35 @@ def count_fits(monkeypatch) -> list:
 
     monkeypatch.setattr(marginal, "_fit_sorted", counting)
     return fits
+
+
+def record_outcomes(monkeypatch) -> list:
+    """Record the per-replication outcomes of every Monte Carlo harness run
+    from here on (``simulation._outcomes``), one list per run; returns the
+    record."""
+    from tailjoint import simulation
+
+    runs = []
+    original = simulation._outcomes
+
+    def recording(*args):
+        runs.append(original(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(simulation, "_outcomes", recording)
+    return runs
+
+
+def assert_same_outcome(outcome, serial) -> None:
+    """A stacked replication's outcome, its values or the TailjointError that
+    failed it, is serial()'s value, or the error of the same class and
+    message that serial() raises."""
+    try:
+        want = serial()
+    except TailjointError as exc:
+        assert (type(outcome), str(outcome)) == (type(exc), str(exc))
+    else:
+        assert outcome == want
 
 
 def count_eighs(monkeypatch) -> list:

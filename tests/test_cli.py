@@ -112,6 +112,19 @@ class TestEstimate:
         capsys.readouterr()
         assert eighs == [1]
 
+    def test_interval_endpoint_overflow_exits_1(self, tmp_path, capsys):
+        # gamma-hat just below 1/2 at k=20: the LAWS interval's upper
+        # endpoint overflows.
+        excesses = 0.49999999 + np.linspace(-0.3, 0.3, 20)
+        values = np.concatenate([np.linspace(0.5, 1.0, 180), np.exp(excesses)])
+        csv = tmp_path / "heavy.csv"
+        csv.write_text("a\n" + "".join(f"{x:.17g}\n" for x in values), encoding="utf-8")
+        assert main(["estimate", "--input", str(csv), "--k", "20",
+                     "--tau-prime", "0.999"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: margin 'a': non-finite interval endpoint\n"
+
     def test_missing_input_is_hard_error(self, tmp_path, capsys):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv"),
                      "--k", "50"]) == 1
@@ -333,6 +346,15 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_negative_seed_exits_1(self, capsys):
+        assert main(["simulate", "--model", "clayton_frechet", "--n", "200",
+                     "--k", "20", "--reps", "3", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: seed must be an integer in [0, 2**64), got -1\n"
+        )
 
     def test_removed_thread_pool_option_rejected(self, tmp_path, capsys):
         args = ["simulate", "--model", "clayton_frechet", "--n", "200", "--k", "20",

@@ -18,7 +18,7 @@ from tailjoint.equality_tests import (
     test_equal_expectiles_qb as equal_expectiles_qb,
     test_equal_quantiles as equal_quantiles,
 )
-from tailjoint.errors import DomainError
+from tailjoint.errors import DomainError, NumericError
 from tailjoint.inference import (
     ConfidenceRegion,
     _estimate_sample,
@@ -45,6 +45,15 @@ def fixture_sample(n=400, d=2, seed=1):
     # mild common factor so tail dependence is nontrivial
     values[:, 1:] += 0.3 * values[:, [0]]
     return MultivariateSample(values, tuple(f"X{j}" for j in range(d)))
+
+
+def hill_just_below_half() -> MultivariateSample:
+    """n=200 points whose top 20 log-excesses over the 21st largest (1.0)
+    average 0.49999999: at tau=0.9 (k=20) gamma-hat sits just below 1/2,
+    where the LAWS variance 2g^3/(1-2g) is about 1e7."""
+    excesses = 0.49999999 + np.linspace(-0.3, 0.3, 20)
+    values = np.concatenate([np.linspace(0.5, 1.0, 180), np.exp(excesses)])
+    return MultivariateSample(values[:, None], ("a",))
 
 
 def one_column(n=400, seed=2):
@@ -318,6 +327,12 @@ class TestMarginalIntervals:
         assert math.log(laws.upper / laws.lower) / math.log(
             qb.upper / qb.lower
         ) == pytest.approx(math.sqrt(v_laws / v_qb), rel=1e-10)
+
+    def test_endpoint_overflow_fails_with_numeric_error(self):
+        s = hill_just_below_half()
+        assert 0.4999 < estimate_margins(s, 0.9).gamma_hat[0] < 0.5
+        with pytest.raises(NumericError, match="non-finite interval endpoint"):
+            marginal_interval_laws(s, 0.9, 0.999, 0, 0.05)
 
     def test_interval_scaling(self):
         s = one_column()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from conftest import count_fits
+from conftest import assert_same_outcome, count_fits, record_outcomes
 
 from tailjoint.equality_tests import (
     test_equal_expectiles_laws as equal_expectiles_laws,
@@ -15,15 +15,21 @@ from tailjoint.equality_tests import (
 from tailjoint.errors import (
     DomainError, LevelError, NotPositiveSemidefiniteError, TailjointError,
 )
+from tailjoint.inference import (
+    marginal_interval_laws,
+    marginal_interval_qb,
+    region_extreme_laws,
+    region_extreme_qb,
+    region_intermediate_laws,
+    region_intermediate_qb,
+)
 from tailjoint.marginal import estimate_margins
-from tailjoint.sample import TailLevelPair
 from tailjoint.simulation import (
-    _POWER_STACK,
+    _STACK,
     MarginOracle,
     McReport,
     SimulationModel,
     _draw,
-    _power_outcomes,
     _student_quantile,
     listed_correlation,
     rng_stream,
@@ -163,6 +169,19 @@ class TestStreams:
         b = rng_stream(5, 1).random(8)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (1.0, 0), ("1", 0)]
+    )
+    def test_key_outside_uint64_raises(self, seed, index):
+        with pytest.raises(DomainError, match="integer in"):
+            rng_stream(seed, index)
+
+    def test_key_range_ends(self):
+        top = 2**64 - 1
+        assert np.array_equal(
+            rng_stream(top, top).random(4), rng_stream(np.uint64(top), top).random(4)
+        )
+
 
 class TestModelValidation:
     def test_unknown_kind(self):
@@ -294,8 +313,18 @@ class TestHarnesses:
             (run_mc_coverage, (200, 0.9, 4, 0.0, "laws", 1), DomainError),
             (run_mc_mse, (200, 0.999, 4, 1), LevelError),
             (run_mc_mse, (3, 0.5, 4, 1), DomainError),
+            (run_mc_mse, (200, 0.9, 3, -1), DomainError),
+            (run_mc_coverage, (200, 0.9, 3, 0.05, "laws", 2**64), DomainError),
+            (run_mc_mse, (200, 0.9, 2.5, 1), DomainError),
+            (run_mc_interval_coverage, (200, 0.9, 0.999, 0, 0.05, "qb", 1), DomainError),
+            (run_mc_power, (200, 0.9, 0.999, 4, 0.05, 1, ()), DomainError),
+            (run_mc_power, (200, 0.9, 0.999, 4, 0.05, 1, ("laws", "laws")), DomainError),
         ],
-        ids=["tau_prime_below_tau", "alpha_above_one", "alpha_zero", "k_zero", "n_3"],
+        ids=[
+            "tau_prime_below_tau", "alpha_above_one", "alpha_zero", "k_zero", "n_3",
+            "seed_negative", "seed_2_64", "M_not_integer", "M_zero", "no_methods",
+            "repeated_method",
+        ],
     )
     def test_configuration_that_fails_every_replication_raises(self, run, args, error):
         with pytest.raises(error):
@@ -349,15 +378,24 @@ class TestHarnesses:
                 model, 500, 0.9, M=5, alpha=0.05, method="hill", master_seed=6
             )
 
-    def test_power_replication_fits_its_sample_once(self, monkeypatch):
-        # Both tests of the replication read one fit of its sample.
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda model, M: run_mc_mse(model, 1000, 0.95, M, 1),
+            lambda model, M: run_mc_coverage(model, 1000, 0.95, M, 0.05, "laws", 1, 0.999),
+            lambda model, M: run_mc_interval_coverage(
+                model, 1000, 0.95, 0.999, M, 0.05, "qb", 1
+            ),
+            lambda model, M: run_mc_power(model, 1000, 0.95, 0.999, M, 0.05, 1),
+        ],
+        ids=["mse", "coverage", "interval", "power"],
+    )
+    def test_replication_fits_its_sample_once(self, run, monkeypatch):
+        # Everything a replication computes reads one fit of its stack.
         fits = count_fits(monkeypatch)
-        report = run_mc_power(
-            SimulationModel.gumbel_frechet(2), 1000, 0.95, 0.999, M=1,
-            alpha=0.05, master_seed=1,
-        )
+        report = run(SimulationModel.gumbel_frechet(2), _STACK + 1)
         assert report.failures == 0
-        assert fits == [0.95]
+        assert fits == [0.95, 0.95]  # one fit per stack
 
     def test_report_accounting(self):
         report = McReport(
@@ -388,39 +426,37 @@ class TestStackedPower:
         """The outcome of replication i from the single-sample tests."""
         testers = {"laws": equal_expectiles_laws, "qb": equal_expectiles_qb}
         sample = sample_model(model, self.N, rng_stream(seed, i))
-        try:
-            return tuple(
-                1.0 if testers[m](sample, self.TAU, self.TAU_PRIME, self.ALPHA).reject
-                else 0.0
-                for m in methods
-            )
-        except TailjointError as exc:
-            return exc
+        return tuple(
+            1.0 if testers[m](sample, self.TAU, self.TAU_PRIME, self.ALPHA).reject
+            else 0.0
+            for m in methods
+        )
 
-    def outcomes(self, model, seed, M, methods):
-        levels = TailLevelPair(self.TAU, self.TAU_PRIME, self.N)
-        return _power_outcomes(model, levels, M, self.ALPHA, seed, methods)
+    def outcomes(self, model, seed, M, methods, monkeypatch):
+        runs = record_outcomes(monkeypatch)
+        run_mc_power(
+            model, self.N, self.TAU, self.TAU_PRIME, M, self.ALPHA, seed, methods
+        )
+        return runs[0]
 
-    @pytest.mark.parametrize("M", [1, _POWER_STACK - 1, _POWER_STACK + 1])
+    @pytest.mark.parametrize("M", [1, _STACK - 1, _STACK + 1])
     @pytest.mark.parametrize("methods", [("laws", "qb"), ("laws",), ("qb",)])
     @pytest.mark.parametrize(
         "model, seed",
         [(SimulationModel.gumbel_frechet(2), 1), (FAILING, 4)],
         ids=["gumbel", "gumbel-0.4"],
     )
-    def test_outcomes_equal_single_sample_tests(self, model, seed, methods, M):
-        got = self.outcomes(model, seed, M, methods)
+    def test_outcomes_equal_single_sample_tests(
+        self, model, seed, methods, M, monkeypatch
+    ):
+        got = self.outcomes(model, seed, M, methods, monkeypatch)
         assert len(got) == M
         for i, outcome in enumerate(got):
-            want = self.serial(model, seed, i, methods)
-            if isinstance(want, TailjointError):
-                assert (type(outcome), str(outcome)) == (type(want), str(want))
-            else:
-                assert outcome == want
+            assert_same_outcome(outcome, lambda: self.serial(model, seed, i, methods))
 
     def test_report_reduces_stacked_outcomes(self, monkeypatch):
-        M, methods = _POWER_STACK + 1, ("laws", "qb")
-        outcomes = self.outcomes(self.FAILING, 4, M, methods)
+        M, methods = _STACK + 1, ("laws", "qb")
+        outcomes = self.outcomes(self.FAILING, 4, M, methods, monkeypatch)
         errors = [o for o in outcomes if isinstance(o, TailjointError)]
         assert {type(e) for e in errors} == {DomainError, NotPositiveSemidefiniteError}
         fits = count_fits(monkeypatch)
@@ -435,3 +471,128 @@ class TestStackedPower:
             for pos, m in enumerate(methods)
         }
 
+
+def noncovered(region, truth) -> tuple:
+    """(1.0,) when the pivot of the region's central limit approximation
+    misses truth, (0.0,) otherwise: the residual estimate-over-truth,
+    bias-corrected, studentized by the shape matrix, against the radius."""
+    truth = np.asarray(truth, dtype=float)
+    if region.scale == "log":
+        residual = np.log(region.center / truth) + region.bias_shift
+    else:
+        residual = region.center / truth - 1.0 + region.bias_shift
+    form = region.shape.quadratic_form(residual, region.kind)
+    return (0.0 if form <= region.radius**2 else 1.0,)
+
+
+class TestStackedHarnesses:
+    """The MSE, coverage and interval harnesses run stacks of replications
+    on the engine of the power harness; each replication's outcome must be
+    what the single-sample estimators, regions and intervals give on its
+    own sample."""
+
+    ALPHA = 0.05
+    N6 = 1000
+    TAU6 = 1.0 - 1.0 / math.sqrt(N6)
+    # Gaussian-Student d=2 at criterion 6's level: at seed 17 the first
+    # replications include LAWS failures of both classes, gamma-hat >= 1/2
+    # (DomainError) and not PSD.
+    STUDENT = SimulationModel.gaussian_student(2)
+    REGIONS = {
+        (None, "laws"): lambda s, tau, tp, alpha, naive: region_intermediate_laws(
+            s, tau, alpha, naive
+        ),
+        (None, "qb"): lambda s, tau, tp, alpha, naive: region_intermediate_qb(
+            s, tau, alpha, naive
+        ),
+        (0.999, "laws"): region_extreme_laws,
+        (0.999, "qb"): region_extreme_qb,
+    }
+
+    def check(self, runs, model, n, seed, M, serial):
+        assert len(runs) == 1 and len(runs[0]) == M
+        for i, outcome in enumerate(runs[0]):
+            assert_same_outcome(
+                outcome, lambda: serial(sample_model(model, n, rng_stream(seed, i)))
+            )
+
+    @pytest.mark.parametrize("M", [1, _STACK - 1, _STACK + 1])
+    @pytest.mark.parametrize(
+        "model, n, tau, seed",
+        [
+            (SimulationModel.clayton_frechet(3), 500, 0.9, 1),
+            # Univariate Student at tau=0.7: at seed 2 the fit fails some
+            # replications (QB factor undefined, gamma-hat >= 1).
+            (SimulationModel.univariate("student"), 100, 0.7, 2),
+        ],
+        ids=["clayton-3", "student-1"],
+    )
+    def test_mse_outcomes_equal_single_sample_fits(
+        self, model, n, tau, seed, M, monkeypatch
+    ):
+        truth = true_expectiles(model, tau)
+
+        def serial(sample):
+            fit = estimate_margins(sample, tau)
+            return tuple(np.mean((xi / truth - 1.0) ** 2) for xi in (fit.xi_laws, fit.xi_qb))
+
+        runs = record_outcomes(monkeypatch)
+        run_mc_mse(model, n, tau, M, seed)
+        self.check(runs, model, n, seed, M, serial)
+
+    @pytest.mark.parametrize("M", [1, _STACK - 1, _STACK + 1])
+    @pytest.mark.parametrize("naive", [False, True], ids=["adjusted", "naive"])
+    @pytest.mark.parametrize("method", ["laws", "qb"])
+    @pytest.mark.parametrize("tau_prime", [None, 0.999], ids=["intermediate", "extreme"])
+    @pytest.mark.parametrize(
+        "model, seed", [(STUDENT, 17), (SimulationModel.gumbel_frechet(2), 2)],
+        ids=["student-2", "gumbel-2"],
+    )
+    def test_coverage_outcomes_equal_single_sample_regions(
+        self, model, seed, tau_prime, method, naive, M, monkeypatch
+    ):
+        n, tau = self.N6, self.TAU6
+        build = self.REGIONS[(tau_prime, method)]
+        truth = true_expectiles(model, tau if tau_prime is None else tau_prime)
+
+        def serial(sample):
+            return noncovered(build(sample, tau, tau_prime, self.ALPHA, naive), truth)
+
+        runs = record_outcomes(monkeypatch)
+        run_mc_coverage(
+            model, n, tau, M, self.ALPHA, method, seed, tau_prime=tau_prime, naive=naive
+        )
+        self.check(runs, model, n, seed, M, serial)
+
+    def test_coverage_set_holds_both_failure_classes(self, monkeypatch):
+        runs = record_outcomes(monkeypatch)
+        run_mc_coverage(self.STUDENT, self.N6, self.TAU6, _STACK + 1, self.ALPHA, "laws", 17)
+        errors = {type(o) for o in runs[0] if isinstance(o, TailjointError)}
+        assert errors == {DomainError, NotPositiveSemidefiniteError}
+
+    @pytest.mark.parametrize("M", [1, _STACK - 1, _STACK + 1])
+    @pytest.mark.parametrize("naive", [False, True], ids=["adjusted", "naive"])
+    @pytest.mark.parametrize(
+        "method, public", [("laws", marginal_interval_laws), ("qb", marginal_interval_qb)]
+    )
+    @pytest.mark.parametrize(
+        "margin, seed",
+        # Frechet at k=50: at seed 94 the third replication's LAWS interval
+        # fails (gamma-hat >= 1/2).
+        [("frechet", 94), ("pareto", 1)],
+    )
+    def test_interval_outcomes_equal_single_sample_intervals(
+        self, margin, seed, method, public, naive, M, monkeypatch
+    ):
+        model, n, tau, tau_prime = SimulationModel.univariate(margin), 1000, 0.95, 0.999
+        truth = model.margin_oracle(0).true_expectile(tau_prime)
+
+        def serial(sample):
+            interval = public(sample, tau, tau_prime, 0, self.ALPHA, naive)
+            return (0.0 if interval.contains(truth) else 1.0,)
+
+        runs = record_outcomes(monkeypatch)
+        run_mc_interval_coverage(
+            model, n, tau, tau_prime, M, self.ALPHA, method, seed, naive=naive
+        )
+        self.check(runs, model, n, seed, M, serial)
