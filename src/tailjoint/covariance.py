@@ -65,12 +65,14 @@ def _gammas(gammas, upper: float, what: str) -> np.ndarray:
 
 
 def _pair_oracle(oracle, j: int, ell: int) -> OracleTailCopula:
+    """The oracle of the pair (j, ell): the one oracle of every pair, or the
+    dict's entry under (j, ell) or (ell, j)."""
     if isinstance(oracle, OracleTailCopula):
         return oracle
-    try:
-        return oracle[(j, ell)]
-    except KeyError:
-        return oracle[(ell, j)]
+    for pair in ((j, ell), (ell, j)):
+        if pair in oracle:
+            return oracle[pair]
+    raise DomainError(f"no tail copula oracle for the pair ({j}, {ell})")
 
 
 def _oracle_matrix(oracle, d: int, functional) -> np.ndarray:
@@ -212,7 +214,9 @@ def theoretical_sigma_laws(gammas, oracle) -> SpdMatrix:
             return 0.0
         cl, al = 1.0 / gl - 1.0, 1.0 / gl
         double = integrate_tail_box(orc._formula, 1.0, cl, gj, gl, 1)
-        single = integrate_1d_tail(lambda y: orc._formula(1.0, cl * y**-al))
+        # R(1, cl y^{-al}) kinks where its second argument is 1, for the
+        # comonotone R.
+        single = integrate_1d_tail(lambda y: orc._formula(1.0, cl * y**-al), cl**gl)
         return gl * double - gj * gl * single
 
     hill = _hill_block(g, _oracle_matrix(oracle, d, _R11))

@@ -29,7 +29,8 @@ class SingularCovarianceError(TailjointError):
 
 
 class NumericError(TailjointError):
-    """A numerical routine produced a non-finite intermediate value."""
+    """A numerical routine produced a non-finite intermediate value, or a
+    quadrature did not converge."""
 
 
 class Checks:

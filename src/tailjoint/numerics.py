@@ -10,15 +10,15 @@ inverse quadratic form, GLS mean and deviance reads them, as sum (v^T x)^2
 eigenvalue is at most 1e-10 times its trace is singular for all of them.
 An ``SpdMatrix`` is a stack of one.
 
-The normal and chi-square functions call ``scipy.special`` directly.
-``scipy.integrate`` is imported by the first quadrature, which only the
-theoretical (oracle) covariances run, so that importing the package loads
-neither it nor ``scipy.stats``.
+The normal and chi-square functions call ``scipy.special`` directly; no
+other scipy module is used.  The 1-D integrals of the theoretical (oracle)
+covariances use one nested double-exponential rule (``_de_integral``):
+each level evaluates the integrand once, on an array of nodes, and an
+integral that does not reach its tolerance raises NumericError.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,10 +37,10 @@ from .errors import (
 # clipped to zero; anything more negative is treated as a formula bug.
 CLIP_RTOL = 1e-6
 
-# Absolute and relative tolerance of the adaptive quadratures.
-# integrate_1d_tail does not split off kinks; the comonotone one in the
-# Hill-LAWS cross term costs up to 4e-10 relative at 1e-10, below 1e-12 at
-# 1e-12.
+# Tolerance of the quadratures: an integral I is accepted when its error
+# estimate is at most tol max(1, |I|).  integrate_1d_tail, split at the
+# comonotone kink of the Hill-LAWS cross term that its caller passes, is
+# held to 1e-12, which typically costs it one more level than 1e-10.
 _QUAD_TOL, _TAIL_1D_TOL = 1e-10, 1e-12
 
 
@@ -201,18 +201,108 @@ def _spd_stack(m: np.ndarray, name: str, checks) -> _SpdStack:
     return _SpdStack(sym, clip, w, v)
 
 
-def _quad(f, a, b, tol=_QUAD_TOL):
-    # Imported here, and quad looked up on each call, so that a wrapper
-    # patched onto scipy.integrate.quad (as perfbench's tracer does) sees
-    # every quadrature.
-    from scipy import integrate
+# Double-exponential quadrature (Takahasi and Mori, Publ. RIMS 9, 1974): the
+# trapezoidal rule, with step h in t, of the integrand carried onto the real
+# line by a change of variables whose terms then fall double-exponentially
+# in |t|, also at an algebraic endpoint singularity or an algebraic decay at
+# infinity.  A finite piece [a, b] takes tanh-sinh, x = a + (b - a) s with
+# s = 1/(1 + exp(-pi sinh t)); a piece [a, inf) takes exp-sinh,
+# x = a + exp(pi/2 sinh t).  The first level has step 1/8, and each of the
+# six others halves it (to 1/512): it keeps every node before it and
+# evaluates only the odd multiples of its step.  The tanh-sinh nodes run
+# over |t| <= 6, to within 1e-275 (b - a) of either end, and the exp-sinh
+# nodes over |t| <= 6.75, from 1e-291 past a out to 1e291: near the limits
+# of double precision, but far enough inside them that the nodes of a
+# narrow piece and the weights of the far ones stay normal numbers.
+_DE_H0, _DE_LEVELS = 0.125, 7
+_DE_T_FINITE, _DE_T_INFINITE = 6.0, 6.75
 
-    # Kinked (min-type) integrands make quad grumble about roundoff even
-    # when the returned value is accurate; keep the noise out of user runs.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=300)
-    return val
+
+class _DeLevel(NamedTuple):
+    """The new nodes of one level, and its step h.  For tanh-sinh, each
+    node's offset from the nearer end of [0, 1] (negative from 1, where
+    ``right``) and its weight ds/dt; for exp-sinh, each node x - a and its
+    weight dx/dt."""
+
+    h: float
+    right: np.ndarray
+    off: np.ndarray
+    ts_w: np.ndarray
+    es_x: np.ndarray
+    es_w: np.ndarray
+
+
+def _de_level(level: int) -> _DeLevel:
+    h = _DE_H0 / 2**level
+
+    def new_t(t_max):
+        # The first level's nodes, an even number of steps each side of 0
+        # so that its even nodes are every other one from the first, or the
+        # odd multiples of a later level's step.
+        k = 2 * int(t_max / (2 * _DE_H0)) * 2**level
+        k = np.arange(-k, k + 1)
+        return (k if level == 0 else k[k % 2 == 1]) * h
+
+    t = new_t(_DE_T_FINITE)
+    u = np.pi * np.sinh(t)
+    s, sc = 1.0 / (1.0 + np.exp(-u)), 1.0 / (1.0 + np.exp(u))
+    y = new_t(_DE_T_INFINITE)
+    x = np.exp(0.5 * np.pi * np.sinh(y))
+    return _DeLevel(
+        h, t > 0.0, np.where(t > 0.0, -sc, s), np.pi * np.cosh(t) * s * sc,
+        x, 0.5 * np.pi * np.cosh(y) * x,
+    )
+
+
+_DE = tuple(_de_level(level) for level in range(_DE_LEVELS))
+
+
+def _de_integral(f, edges, tol: float, what: str) -> float:
+    """Integral of f over [edges[0], edges[-1]], as the sum over the pieces
+    between consecutive edges, of which only the last may end at inf.
+
+    f takes an array of points and returns its values there; each level
+    calls it once, on its new nodes in every piece.  The first level gives
+    the estimates at steps h and 2h (from its even nodes) at once.  The
+    integral has converged when the last halving changed it by at most
+    tol max(1, |I|), counting in the outermost terms of each piece, the size
+    of what the finite node range leaves out.  Floating-point warnings are
+    silenced inside: a non-finite sum, or no convergence at the last level,
+    raises NumericError.
+    """
+    a = np.array(edges[:-1], dtype=float)[:, None]
+    b = np.array(edges[1:], dtype=float)[:, None]
+    tail = b[-1, 0] == np.inf
+    if tail:
+        start, a, b = a[-1, 0], a[:-1], b[:-1]
+    width = b - a
+    total = 0.0
+    with np.errstate(all="ignore"):
+        for lv in _DE:
+            x = (np.where(lv.right, b, a) + width * lv.off).ravel()
+            w = (width * lv.ts_w).ravel()
+            if tail:
+                x, w = np.concatenate((x, start + lv.es_x)), np.concatenate((w, lv.es_w))
+            wf = w * f(x)
+            total += wf.sum()
+            value = lv.h * total
+            if not np.isfinite(value):
+                raise NumericError(f"non-finite {what}")
+            if lv is _DE[0]:
+                n = width.size * lv.off.size
+                ts, es = wf[:n].reshape(width.size, lv.off.size), wf[n:]
+                last = 2.0 * lv.h * (ts[:, ::2].sum() + es[::2].sum())
+                ends = np.abs(ts[:, [0, -1]]).sum()
+                if tail:
+                    ends += np.abs(es[[0, -1]]).sum()
+                ends *= lv.h
+            change = abs(value - last)
+            if change + ends <= tol * max(1.0, abs(value)):
+                return float(value)
+            last = value
+    raise NumericError(
+        f"{what} did not converge to {tol:g}: the last halving changed it by {change:.1e}"
+    )
 
 
 def integrate_tail_box(r, c1: float, c2: float, g1: float, g2: float, w: int) -> float:
@@ -221,38 +311,35 @@ def integrate_tail_box(r, c1: float, c2: float, g1: float, g2: float, w: int) ->
     R must be homogeneous of order 1, as every tail copula is:
     R(ts, s) = s R(t, 1).  With u = c1 x^{-1/g1} = ts and v = c2 y^{-1/g2}
     = s the s-integral is closed-form, which leaves, for p = g1 (1-w),
-    q = g2 and e = 1-p-q > 0,
+    q = g2 and e = 1-p-q,
 
-        g1 c1^p g2 c2^q / e * int_0^inf R(t,1) t^{-p-1} min(c2, c1/t)^e dt.
+        g1 c1^p g2 c2^q / e * int_0^inf R(t,1) t^{-p-1} min(c2, c1/t)^e dt;
 
-    The 1-D integrand can kink only at t = 1 (comonotone R) and at
-    t = c1/c2, so the quadrature is split there.
+    the integral diverges unless e > 0, and raises DomainError.  R takes an
+    array of t.  The 1-D integrand can kink only at t = 1 (comonotone R)
+    and at t = c1/c2, so the quadrature is split there.
     """
     p, q = g1 * (1.0 - w), g2
     e = 1.0 - p - q
+    if not e > 0.0:
+        raise DomainError(f"tail-box integral diverges: g1 (1 - w) + g2 = {p + q} >= 1")
 
     def f(t):
-        return r(t, 1.0) * t ** (-p - 1.0) * min(c2, c1 / t) ** e
+        # R(t,1)/t times t^{-p}: t^{-p-1} alone overflows at the nodes near 0.
+        return r(t, 1.0) / t * t**-p * np.minimum(c2, c1 / t) ** e
 
     edges = [0.0, *sorted({1.0, c1 / c2}), np.inf]
-    val = sum(_quad(f, lo, hi) for lo, hi in zip(edges, edges[1:]))
-    val *= g1 * c1**p * g2 * c2**q / e
-    if not np.isfinite(val):
-        raise NumericError("non-finite tail-box integral")
-    return float(val)
+    val = _de_integral(f, edges, _QUAD_TOL, "tail-box integral")
+    return float(val * g1 * c1**p * g2 * c2**q / e)
 
 
-def integrate_1d_tail(f) -> float:
-    """Adaptive integral of f(x) over [1,inf) via the x = 1/t transform."""
-    val = _quad(lambda t: f(1.0 / t) / t**2, 0.0, 1.0, _TAIL_1D_TOL)
-    if not np.isfinite(val):
-        raise NumericError("non-finite tail integral")
-    return float(val)
+def integrate_1d_tail(f, kink: float) -> float:
+    """Integral over [1,inf) of f, which takes an array of x, split at a
+    point where f may kink (when it lies above 1)."""
+    edges = [1.0, kink, np.inf] if kink > 1.0 else [1.0, np.inf]
+    return _de_integral(f, edges, _TAIL_1D_TOL, "tail integral")
 
 
 def integrate_unit_log(f) -> float:
-    """Adaptive integral of f(u)/u over (0,1]."""
-    val = _quad(lambda u: f(u) / u, 0.0, 1.0)
-    if not np.isfinite(val):
-        raise NumericError("non-finite unit log-weight integral")
-    return float(val)
+    """Integral over (0,1] of f(u)/u, f taking an array of u."""
+    return _de_integral(lambda u: f(u) / u, [0.0, 1.0], _QUAD_TOL, "unit log-weight integral")

@@ -121,7 +121,13 @@ def _comonotone(x, y, theta):
 
 
 def _logistic(x, y, theta):
-    return x + y - (x**theta + y**theta) ** (1.0 / theta)
+    # x + y - (x^theta + y^theta)^(1/theta), written with lo = min(x, y) and
+    # hi = max(x, y) as lo - hi expm1(log1p((lo/hi)^theta)/theta): the power
+    # (lo/hi)^theta <= 1 cannot overflow, R(t, 1) near t = 0 is not the
+    # difference of two numbers near 1, and theta = inf gives min(x, y).
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    ratio = np.divide(lo, hi, out=np.zeros(np.shape(lo)), where=lo > 0.0)
+    return (lo - hi * np.expm1(np.log1p(ratio**theta) / theta))[()]
 
 
 # R(x, y) of each kind of oracle, for floats or arrays of x, y >= 0.
@@ -163,7 +169,7 @@ class OracleTailCopula:
 
     def _formula(self, x, y):
         """R(x, y) without the argument checks of evaluate: the quadrature
-        integrands call it at nonnegative floats."""
+        integrands call it on arrays of nonnegative nodes."""
         return _FORMULAS[self.kind](x, y, self.theta)
 
     def unit_integral(self) -> float:

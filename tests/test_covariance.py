@@ -218,6 +218,38 @@ class TestOracleSymmetry:
                 assert v.clip_magnitude <= CLIP_RTOL * np.trace(v.entries)
 
 
+class TestLogisticLimit:
+    # As theta grows the logistic tail copula tends to the comonotone one:
+    # R(t, 1) differs from min(t, 1) by at most log(2)/theta, and only for t
+    # within about 1/theta of 1, so the integrals agree to about 1/theta^2.
+    @pytest.mark.parametrize("theta", [1e6, math.inf])
+    def test_v_laws_matches_comonotone(self, theta):
+        g = (0.2, 0.3)
+        v = theoretical_v_laws(g, OracleTailCopula.logistic(theta)).entries
+        assert np.allclose(v, theoretical_v_laws(g, COM).entries, rtol=1e-10, atol=0.0)
+
+    def test_infinite_theta_is_comonotone(self):
+        # R(1,1) = 2 - 2^(1/theta) and the unit integral reach their
+        # comonotone values only at theta = inf.
+        g = (0.2, 0.3)
+        orc = OracleTailCopula.logistic(math.inf)
+        assert orc.evaluate([0.5, 2.0, 3.0], [1.0, 1.0, 0.0]).tolist() == [0.5, 1.0, 0.0]
+        for build in (theoretical_sigma_laws, theoretical_v_qb):
+            assert np.allclose(
+                build(g, orc).entries, build(g, COM).entries, rtol=1e-10, atol=0.0
+            )
+
+    def test_large_theta_does_not_overflow(self):
+        val = OracleTailCopula.logistic(1e6).evaluate([1e-300, 1.0, 1e300], 1.0)
+        assert val.tolist() == [1e-300, pytest.approx(1.0 - math.log(2.0) / 1e6), 1.0]
+
+
+def test_dict_oracle_missing_pair_names_it():
+    oracle = {(0, 1): OracleTailCopula.logistic(2.0)}
+    with pytest.raises(DomainError, match=r"pair \(0, 2\)"):
+        theoretical_v_laws((0.2, 0.3, 0.25), oracle)
+
+
 class TestTheoreticalVStar:
     def test_star_laws_contraction_limit(self):
         # As log d_n grows the contraction keeps only the Hill block.

@@ -1,10 +1,12 @@
 """Special functions, SPD matrix algebra, and tail-box quadrature."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from tailjoint.errors import (
     DomainError,
@@ -17,9 +19,12 @@ from tailjoint.numerics import (
     chi_square_cdf,
     chi_square_quantile,
     chi_square_sf,
+    integrate_1d_tail,
     integrate_tail_box,
+    integrate_unit_log,
     std_normal_quantile,
 )
+from tailjoint.taildep import OracleTailCopula
 
 
 class TestStdNormalQuantile:
@@ -304,3 +309,103 @@ class TestIntegrate2dTailbox:
     def test_nonfinite_integrand_errors(self):
         with np.errstate(divide="ignore"), pytest.raises(NumericError):
             integrate_tail_box(lambda u, v: np.float64(u) / 0.0, 1.0, 1.0, 0.3, 0.3, 0)
+
+    @pytest.mark.parametrize("g", [0.6, 0.5])
+    def test_divergent_box_rejected(self, g):
+        # e = 1 - g1 (1 - w) - g2 <= 0: the integral over the box diverges.
+        with pytest.raises(DomainError, match="diverges"):
+            integrate_tail_box(power_copula(0.5), 1.0, 1.0, g, g, 0)
+
+
+class TestQuadratureConvergence:
+    def test_divergent_integral_raises(self):
+        # The integral of 1/u over (0, 1] diverges: the outermost terms near
+        # 0 never fall below the tolerance.
+        with pytest.raises(NumericError, match="did not converge"):
+            integrate_unit_log(np.ones_like)
+
+    def test_oscillating_integrand_raises(self):
+        with pytest.raises(NumericError):
+            integrate_1d_tail(np.cos, 2.0)
+
+    def test_tail_split_at_kink(self):
+        # min(1, 4/x^2) kinks at x = 2: the integral is 1 + 2 = 3.
+        assert integrate_1d_tail(lambda x: np.minimum(1.0, 4.0 / x**2), 2.0) == (
+            pytest.approx(3.0, rel=1e-12)
+        )
+
+
+# The accuracy grid: every integral the theoretical covariances take of the
+# logistic and comonotone tail copulas, against scipy's QUADPACK at
+# 1e-13 (a reference only; the package does not use it).
+THETAS = [1.05, 1.2, 2.0, 5.0, 20.0, 100.0, "comonotone"]
+GAMMAS = [0.05, 0.15, 0.25, 1.0 / 3.0, 0.45, 0.49]
+REF_TOL = 1e-13
+
+
+def scalar_r(theta):
+    """R(u, v) of one pair of floats, written apart from the package."""
+    if theta == "comonotone":
+        return min
+
+    def r(u, v):
+        lo, hi = min(u, v), max(u, v)
+        if lo == 0.0:
+            return 0.0
+        return lo - hi * math.expm1(math.log1p((lo / hi) ** theta) / theta)
+
+    return r
+
+
+def oracle(theta):
+    if theta == "comonotone":
+        return OracleTailCopula.comonotone()
+    return OracleTailCopula.logistic(theta)
+
+
+def reference(f, edges) -> float:
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        val, _ = integrate.quad(f, lo, hi, epsabs=REF_TOL, epsrel=REF_TOL, limit=500)
+        total += val
+    return total
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("theta", THETAS)
+class TestQuadratureAccuracy:
+    def test_tail_box(self, theta):
+        # The LAWS pairs (w = 0, c = 1/g - 1 on both axes) and the Hill/LAWS
+        # cross terms (w = 1, c1 = 1); the 1-D integral is claimed to 1e-10
+        # max(1, |I|), and the returned value is it times a closed-form scale.
+        r = scalar_r(theta)
+        for g1 in GAMMAS:
+            for g2 in GAMMAS:
+                for w in (0, 1):
+                    c1, c2 = (1.0 if w else 1.0 / g1 - 1.0), 1.0 / g2 - 1.0
+                    p, q = g1 * (1 - w), g2
+                    e = 1.0 - p - q
+                    scale = g1 * c1**p * g2 * c2**q / e
+
+                    def f(t):
+                        return r(t, 1.0) / t * t**-p * min(c2, c1 / t) ** e
+
+                    ref = scale * reference(f, [0.0, *sorted({1.0, c1 / c2}), math.inf])
+                    val = integrate_tail_box(oracle(theta)._formula, c1, c2, g1, g2, w)
+                    assert abs(val - ref) <= 1e-10 * max(scale, abs(ref)), (g1, g2, w)
+
+    def test_1d_tail(self, theta):
+        # The single integral of the cross terms, over [1, inf) of
+        # R(1, c y^(-1/g)), claimed to 1e-12 max(1, |I|).
+        r = scalar_r(theta)
+        for g in GAMMAS:
+            c = 1.0 / g - 1.0
+            ref = reference(lambda y: r(1.0, c * y ** (-1.0 / g)), [1.0, c**g, math.inf])
+            val = integrate_1d_tail(lambda y: oracle(theta)._formula(1.0, c * y ** (-1.0 / g)), c**g)
+            assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref)), g
+
+    def test_unit_integral(self, theta):
+        r = scalar_r(theta)
+        ref = reference(lambda u: r(u, 1.0) / u, [0.0, 1.0])
+        val = integrate_unit_log(lambda u: oracle(theta)._formula(u, 1.0))
+        assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
