@@ -166,6 +166,14 @@ def _emit_csv_rows(header, rows, out_dir, name: str) -> None:
     _emit_text("\n".join(lines) + "\n", out_dir, name)
 
 
+def _emit_csv_points(header, points: np.ndarray, out_dir, name: str) -> None:
+    """The rows of a 2-D float array as CSV, each row formatted by one %
+    of "%.17g,...,%.17g": the digits that _csv_cell gives each float."""
+    row = ",".join(["%.17g"] * points.shape[1])
+    lines = [",".join(header)] + [row % p for p in map(tuple, points.tolist())]
+    _emit_text("\n".join(lines) + "\n", out_dir, name)
+
+
 def _csv_cell(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
@@ -271,10 +279,9 @@ def cmd_region(args) -> int:
             doc["status"] = "ok"
             doc.update(region.to_json_dict())
             if args.out is not None:
-                boundary = region_boundary_points(region)
-                _emit_csv_rows(
+                _emit_csv_points(
                     sub.labels,
-                    boundary.tolist(),
+                    region_boundary_points(region),
                     args.out,
                     f"boundary_{tag}_{method}.csv",
                 )

@@ -29,13 +29,22 @@ intervals and tests read these stacked builders through
 Weissman (quantile-test) covariance, the Hill block; the Monte Carlo power
 harness runs the same code on stacks of replications.
 
+The n-long work reads the stack's column-major (B, d, n) rows
+(``sample._Stack``): the values, the sorted values, the row order and the
+ranks, so each margin's loop runs along one contiguous row.  The LAWS
+residuals phi are built there, each margin's scaled by the power of two of
+its xi-hat so that their Gram product phi phi^T cannot overflow or
+underflow, and the Hill/LAWS cross terms gather each margin's top k rows
+from them.
+
 A scan over many levels, such as ``trace-scan`` (``_scan_v_star_laws``),
 runs chunks of levels of one sample as such stacks: one fit, one
 covariance and one batched SPD check per chunk, each level failing alone.
-It sorts and sums the panel once.  A level passes over the whole n x d
-panel only for the LAWS root (one scan of tau A + (1 - tau) B over the
-cached LAWS sums), the asymmetric residuals phi with their Gram product,
-and the survival counts.  R-hat(1,1) reads each margin's top ranks once per
+It sorts and sums the panel once, and counts each margin's survivals at
+every level of a chunk with one search of its sorted values.  A level
+passes over the whole n x d panel only for the LAWS root (one scan of
+tau A + (1 - tau) B over the cached LAWS sums) and the residuals phi with
+their Gram product.  R-hat(1,1) reads each margin's top ranks once per
 chunk, and the Hill/LAWS cross terms each margin's top k rows.
 """
 
@@ -45,9 +54,7 @@ import math
 import numpy as np
 
 from .errors import RAISE, Checks, DomainError
-from .marginal import (
-    _check_qb, _fit_levels, asymmetric_weight, estimate_margins, m_function,
-)
+from .marginal import _check_qb, _fit_levels, estimate_margins, m_function
 from .numerics import SpdMatrix, _spd_stack, integrate_1d_tail, integrate_tail_box
 from .sample import MultivariateSample, TailLevelPair, _runs, effective_k
 from .taildep import OracleTailCopula, _r11_matrix, _unit_integral_matrix
@@ -203,6 +210,13 @@ def theoretical_sigma_laws(gammas, oracle) -> SpdMatrix:
 
     Coordinates are interleaved per margin, as in theoretical_sigma_q.
     """
+    return SpdMatrix.from_array(
+        _theoretical_sigma_laws(gammas, oracle), "theoretical Hill/LAWS covariance"
+    )
+
+
+def _theoretical_sigma_laws(gammas, oracle) -> np.ndarray:
+    """The unchecked array of theoretical_sigma_laws."""
     g = _gammas(gammas, 0.5, "covariance formula")
     d = g.size
     cross = np.diag([_sigma_laws_cross_diag(gj) for gj in g])
@@ -226,9 +240,7 @@ def theoretical_sigma_laws(gammas, oracle) -> SpdMatrix:
             orc = _pair_oracle(oracle, j, ell)
             cross[j, ell] = cross_entry(orc, g[j], g[ell])
             cross[ell, j] = cross_entry(orc, g[ell], g[j])
-    return SpdMatrix.from_array(
-        _interleave(hill, cross, laws), "theoretical Hill/LAWS covariance"
-    )
+    return _interleave(hill, cross, laws)
 
 
 def _contract_blocks(sigma: np.ndarray, log_dn, checks) -> np.ndarray:
@@ -246,8 +258,10 @@ def _contract_blocks(sigma: np.ndarray, log_dn, checks) -> np.ndarray:
 
 
 def theoretical_v_star_laws(gammas, oracle, log_dn: float) -> SpdMatrix:
-    """Finite-n covariance of the LAWS extrapolating estimators (log scale)."""
-    sigma = theoretical_sigma_laws(gammas, oracle).entries
+    """Finite-n covariance of the LAWS extrapolating estimators (log scale):
+    the contraction of the theoretical (Hill, LAWS) covariance, of which
+    only the result is checked."""
+    sigma = _theoretical_sigma_laws(gammas, oracle)
     return SpdMatrix.from_array(
         _contract_blocks(sigma, log_dn, RAISE), "theoretical star-LAWS covariance"
     )
@@ -274,12 +288,18 @@ def _one(sample: MultivariateSample, tau: float):
 
 def _v_laws_raw(st, g, q, xi, tau, checks) -> tuple[np.ndarray, np.ndarray]:
     """Unclipped intermediate LAWS covariance of each of the B entries of
-    the fit (g, q, xi), and the numerators of its Hill/LAWS cross terms
-    (``_hill_laws_cross``): samples of the stack st at one level tau, or
-    levels of its one sample at a (B, 1) array of tau.  The Hill estimates
-    are checked before any n x d work, which runs for one run of entries
-    that share tau at a time: the survival counts, and the asymmetric
-    residuals phi, read by their Gram product and by the cross terms."""
+    the fit (g, q, xi), and its Hill/LAWS cross terms, whose diagonal
+    ``_sigma_laws`` replaces by the closed form: samples of the stack st at
+    one level tau, or levels of its one sample at a (B, 1) array of tau.
+    The Hill estimates are checked before any n-long work, which runs on
+    the column-major rows of st for one run of entries that share tau at a
+    time: the asymmetric residuals phi, read by their Gram product and by
+    the cross terms (``_hill_laws_cross``).
+
+    Margin j's residuals are scaled by 2^-e_j, with xi_j = m_j 2^e_j, and
+    its xi by the same power, to m_j: the Gram product neither overflows
+    nor underflows at any scale of the data, and, power-of-two scaling
+    being exact, every entry is the unscaled formula's to the bit."""
     checks(
         g >= 0.5,
         lambda j: DomainError(
@@ -288,23 +308,41 @@ def _v_laws_raw(st, g, q, xi, tau, checks) -> tuple[np.ndarray, np.ndarray]:
     )
     checks(g <= 0.0, lambda j: DomainError("LAWS variance requires positive Hill estimates"))
     n = st.n
-    surv = np.empty(g.shape)
+    mant, power = np.frexp(xi)
+    scale = np.ldexp(1.0, -power)[..., None]
+    surv = _survivals(st, xi)
     mbar, cross = np.empty(g.shape + g.shape[-1:]), np.empty(g.shape + g.shape[-1:])
     for t, run in _runs(tau, len(g)):
-        surv[run] = (st.sorted_columns > xi[run, :, None]).sum(axis=-1)
-        phi = asymmetric_weight(st.values - xi[run, None, :], t)
-        mbar[run] = np.swapaxes(phi, -1, -2) @ phi / n
+        # phi_tau(y) = (1 - tau) y, or tau y above xi: where the rank is
+        # above n - surv.  Built in place, from y = (x - xi) 2^-e.
+        phi = st.columns - xi[run, :, None]
+        phi *= scale[run]
+        phi *= np.where(st.ranks > n - surv[run, :, None], t, 1.0 - t)
+        mbar[run] = phi @ np.swapaxes(phi, -1, -2) / n
         cross[run] = _hill_laws_cross(st, phi, q[run], g[run], effective_k(n, t))
-    surv /= n
     omt = 1.0 - tau
+    cross /= np.expand_dims(omt, -1) * mant[..., None, :]
+    surv = surv / n
     diag = (
         2.0 * g**2 / (1.0 - 2.0 * g)
         * (1.0 + surv / omt)
         / (1.0 + (2.0 * tau - 1.0) * surv / omt) ** 2
     )
-    m = _outer(g) * mbar / (np.expand_dims(omt, -1) * _outer(xi))
+    m = _outer(g) * mbar / (np.expand_dims(omt, -1) * _outer(mant))
     _set_diagonal(m, diag)
     return m, cross
+
+
+def _survivals(st, xi) -> np.ndarray:
+    """The number of each margin's values above its xi, per entry: by one
+    comparison of the stack's sorted columns with xi, or, for the levels of
+    a stack of one sample, by one search of each sorted column."""
+    columns = st.sorted_columns
+    if len(columns) > 1:
+        return (columns > xi[..., None]).sum(axis=-1)
+    return st.n - np.stack([
+        np.searchsorted(column, x, side="right") for column, x in zip(columns[0], xi.T)
+    ], axis=-1)
 
 
 def estimate_v_laws(sample: MultivariateSample, tau: float) -> SpdMatrix:
@@ -317,6 +355,8 @@ def _bias_qb(st, g, q, tau: float, checks) -> np.ndarray:
     """The QB bias components of each sample of the stack st (see
     estimate_bias_qb)."""
     _check_qb(g, checks)  # where the factor (1/g - 1)^g below is undefined
+    # Summed over the row-major values, in row order: a sum along the
+    # column-major rows would be pairwise, and differ in its last bits.
     means = st.values.mean(axis=-2)
     root = math.sqrt(st.n * (1.0 - tau))
     # q-hat is the Hill threshold order statistic, which the fit has
@@ -356,7 +396,6 @@ def _sigma_laws(st, g, q, xi, tau, checks) -> np.ndarray:
     (see estimate_sigma_laws)."""
     vlaws, cross = _v_laws_raw(st, g, q, xi, tau, checks)
     hill = _hill_block(g, _r11_matrix(st, tau))
-    cross /= np.expand_dims(1.0 - tau, -1) * xi[..., None, :]
     _set_diagonal(cross, _each(_sigma_laws_cross_diag, g))
     return _interleave(hill, cross, vlaws)
 
@@ -372,8 +411,8 @@ def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
 
 def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
     """Numerators of the empirical Cov(Hill_j, LAWS_l) for every pair (j, l)
-    of each of the B entries of phi, samples of the stack st or levels of
-    its one sample, at one effective size k.
+    of each of the B entries of phi, (B, d, n) residuals of samples of the
+    stack st or of levels of its one sample, at one effective size k.
 
     Entry (j, l) is g_l times the mean of margin j's log-excesses over its
     threshold times margin l's asymmetric residual, minus g_j g_l times the
@@ -381,12 +420,13 @@ def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
     margin j's (k+1)-th largest value, so its exceedances are among its top
     k order statistics; the ones tied with it add a zero log-excess and are
     left out of the indicator.  So margin j's row of means is one product
-    of those k log-excesses with the rows of phi they sit in, and one sum of
-    those rows; the log is taken only on the top k.
+    of those k log-excesses with the residuals of the rows they sit in, and
+    one sum of those residuals; the log is taken only on the top k.
     """
-    n = st.n
-    rows = st.order[..., n - k :]  # (S, d, k): margin j's top k rows
-    top = phi[np.arange(len(phi))[:, None, None], rows]  # (B, d, k, d)
+    b, d, n = phi.shape
+    # phi[b, l, r] of margin j's top k rows r, gathered by flat index.
+    first = np.arange(b)[:, None] * (d * n) + np.arange(d) * n  # (B, d): row starts
+    top = phi.ravel()[st.order[..., n - k :, None] + first[:, None, None, :]]  # (B, d, k, d)
     values, q = st.sorted_columns[..., n - k :], thresholds[..., None]
     s1 = (np.log(values / q)[..., None, :] @ top)[..., 0, :]
     s2 = np.where((values > q)[..., None], top, 0.0).sum(axis=-2)

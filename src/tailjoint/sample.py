@@ -22,7 +22,9 @@ class MultivariateSample:
     log-returns transform.
 
     The values are a read-only copy of the input.  The column-wise order
-    statistics and ranks are computed from one stable argsort on first use;
+    statistics and ranks are computed on first use from one argsort of the
+    values' column-major copy (``_column_order``: only a column with tied
+    values is sorted again, stably), and equal those of a stable argsort;
     the tau-free sums of the LAWS estimating function (``_laws_sums``: the
     cumulative sums of the order statistics and the parts A and B of psi)
     from one cumulative sum on first use; and the marginal fit once per level
@@ -75,7 +77,8 @@ class MultivariateSample:
 
         A column's order statistics, ranks and LAWS sums do not depend on the
         other columns, so the sub-sample slices this sample's instead of
-        sorting and summing.
+        sorting and summing: for a run of adjacent columns, such as all of
+        them, as views of this sample's rows, otherwise as copies.
         """
         indices = list(indices)
         sub = MultivariateSample(
@@ -83,35 +86,52 @@ class MultivariateSample:
             tuple(self.labels[j] for j in indices),
             self.dates,
         )
+        rows = indices
+        if indices and indices == list(range(indices[0], indices[-1] + 1)):
+            rows = slice(indices[0], indices[-1] + 1)
         # Fill the sub-sample's cached properties before first use.
-        sub.__dict__["_order"] = self._order[indices]
-        sub.__dict__["sorted_columns"] = _read_only(self.sorted_columns[indices])
-        sub.__dict__["ranks"] = _read_only(self.ranks[:, indices])
-        sub.__dict__["_laws_sums"] = tuple(
-            _read_only(s[indices]) for s in self._laws_sums
-        )
+        sub.__dict__["_columns"] = _read_only(self._columns[rows])
+        sub.__dict__["_sorted"] = tuple(_read_only(a[rows]) for a in self._sorted)
+        sub.__dict__["_ranks"] = _read_only(self._ranks[rows])
+        sub.__dict__["_laws_sums"] = tuple(_read_only(s[rows]) for s in self._laws_sums)
         return sub
 
     @cached_property
+    def _columns(self) -> np.ndarray:
+        """The values column-major, d x n: row j is column j (read-only)."""
+        return _read_only(np.ascontiguousarray(self.values.T))
+
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row order and the sorted values of each column, d x n
+        (``_column_order``)."""
+        return _column_order(self._columns)
+
+    @property
     def _order(self) -> np.ndarray:
         """Row order of each column, d x n, ties kept in input order."""
-        return _column_order(self.values)
+        return self._sorted[0]
 
     @cached_property
     def _fits(self) -> dict:
         """Marginal fits by level tau, kept by ``marginal.estimate_margins``."""
         return {}
 
-    @cached_property
+    @property
     def sorted_columns(self) -> np.ndarray:
         """d x n array whose row j is column j sorted ascending (read-only)."""
-        return _sorted_columns(self.values, self._order)
+        return self._sorted[1]
+
+    @cached_property
+    def _ranks(self) -> np.ndarray:
+        """The ranks column-major, d x n (read-only)."""
+        return _column_ranks(self._order)
 
     @cached_property
     def ranks(self) -> np.ndarray:
         """n x d per-column ranks, 1 = smallest, stable tie-breaking by
         input order (read-only)."""
-        return _column_ranks(self._order)
+        return self._ranks.T
 
     @cached_property
     def _laws_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,19 +142,22 @@ class MultivariateSample:
     def _stack(self) -> "_Stack":
         """This sample as a stack of one, for the stacked builders."""
         return _Stack(
-            self.values[None], self._order[None], self.sorted_columns[None],
-            self.ranks[None],
+            self.values[None], self._columns[None], self._order[None],
+            self.sorted_columns[None], self._ranks[None],
         )
 
 
 class _Stack(NamedTuple):
     """B samples of one size n x d, stacked along a leading axis: the values
-    (B, n, d), each column's row order and sorted values (B, d, n), and the
-    ranks (B, n, d), all as ``MultivariateSample`` computes them.  A stack
-    of one sample also serves B levels of it: the builders broadcast it
-    against their (B, d) fit and (B, 1) level arrays."""
+    (B, n, d), which the QB bias averages, and, column-major as (B, d, n)
+    for the n-long work of the covariances, the values again, each column's
+    row order, its sorted values and its ranks, all as ``MultivariateSample``
+    computes them.  A stack of one sample also serves B levels of it: the
+    builders broadcast it against their (B, d) fit and (B, 1) level
+    arrays."""
 
     values: np.ndarray
+    columns: np.ndarray
     order: np.ndarray
     sorted_columns: np.ndarray
     ranks: np.ndarray
@@ -158,27 +181,41 @@ def _runs(values, b: int):
 
 
 def _stack_panels(values: np.ndarray) -> _Stack:
-    """Sort and rank a (B, n, d) stack of panels with one argsort."""
-    order = _column_order(values)
-    return _Stack(values, order, _sorted_columns(values, order), _column_ranks(order))
+    """Sort and rank a (B, n, d) stack of panels (``_column_order``)."""
+    columns = _read_only(np.ascontiguousarray(np.swapaxes(values, -1, -2)))
+    order, sorted_columns = _column_order(columns)
+    return _Stack(values, columns, order, sorted_columns, _column_ranks(order))
 
 
-def _column_order(values: np.ndarray) -> np.ndarray:
-    """Row order of each column of (..., n, d) panels, as (..., d, n), ties
-    kept in input order."""
-    return np.argsort(np.swapaxes(values, -1, -2), axis=-1, kind="stable")
+def _column_order(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row order of each row of (..., d, n) columns, ties kept in input
+    order, and the row sorted ascending, both (..., d, n) and read-only:
+    those of a stable argsort.
 
-
-def _sorted_columns(values: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Each column of (..., n, d) panels sorted ascending, as (..., d, n)."""
-    return _read_only(np.take_along_axis(np.swapaxes(values, -1, -2), order, axis=-1))
+    One argsort of numpy's default kind (SIMD where the CPU has it) orders
+    every column, but may put equal values in any order.  So the columns
+    whose sorted values hold an adjacent equal pair are sorted again,
+    stably, and their sorted values gathered again, because -0.0 == +0.0.
+    The sorted values of the first gather serve both the tie check and the
+    untied columns.  NaN is equal to nothing, so rows of NaN, which only a
+    replication that has failed its finiteness check holds, may differ in
+    order from a stable argsort."""
+    order = np.argsort(columns, axis=-1)
+    xs = np.take_along_axis(columns, order, axis=-1)
+    tied = np.nonzero((xs[..., 1:] == xs[..., :-1]).any(axis=-1))
+    if tied[0].size:
+        again = columns[tied]
+        order[tied] = np.argsort(again, axis=-1, kind="stable")
+        xs[tied] = np.take_along_axis(again, order[tied], axis=-1)
+    return _read_only(order), _read_only(xs)
 
 
 def _column_ranks(order: np.ndarray) -> np.ndarray:
-    """(..., n, d) ranks, 1 = smallest, from the (..., d, n) row order."""
+    """(..., d, n) ranks, 1 = smallest, from the (..., d, n) row order
+    (read-only)."""
     ranks = np.empty(order.shape, dtype=np.int64)
     np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
-    return np.swapaxes(_read_only(ranks), -1, -2)
+    return _read_only(ranks)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

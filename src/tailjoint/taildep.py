@@ -1,7 +1,8 @@
 """Empirical tail copula, its pair matrices R(1,1) and unit integrals (one
 matrix product each over the rank-transformed points), the extremal
 coefficient, and analytic tail-copula oracles used for testing.  Every
-empirical quantity reads the sample's cached ranks, ``sample.ranks``."""
+empirical quantity reads the sample's cached ranks, column-major as d x n
+rows (``MultivariateSample._ranks``, ``_Stack.ranks``)."""
 
 from __future__ import annotations
 
@@ -47,8 +48,8 @@ def empirical_tail_copula(
     sample: MultivariateSample, tau: float, j: int, ell: int
 ) -> EmpiricalTailCopula:
     _check_pair(tau, j, ell)
-    u = _tail_points(sample.ranks, tau)
-    return EmpiricalTailCopula(sample.n, tau, u[:, j], u[:, ell])
+    u = _tail_points(sample._ranks, tau)
+    return EmpiricalTailCopula(sample.n, tau, u[j], u[ell])
 
 
 def _check_pair(tau: float, j: int, ell: int) -> None:
@@ -59,9 +60,9 @@ def _check_pair(tau: float, j: int, ell: int) -> None:
 
 
 def _tail_points(ranks: np.ndarray, tau: float) -> np.ndarray:
-    """U_ij = (n+1-r_ij)/((n+1)(1-tau)) for every observation and margin of
-    (..., n, d) ranks; U_ij <= 1 marks the top ranks of margin j."""
-    n = ranks.shape[-2]
+    """U_ij = (n+1-r_ij)/((n+1)(1-tau)) for every margin and observation of
+    (..., d, n) ranks; U_ij <= 1 marks the top ranks of margin j."""
+    n = ranks.shape[-1]
     return (n + 1 - ranks) / ((n + 1) * (1.0 - tau))
 
 
@@ -78,13 +79,12 @@ def _r11_matrix(st, tau) -> np.ndarray:
     rank at least the stack's lowest cut-off, read once through its row
     order, those whose pair-minimum rank reaches c.  The counts are exact."""
     n = st.n
-    u = _tail_points(np.arange(1, n + 1)[:, None], np.expand_dims(tau, -1))
-    cut = n + 1 - (u <= 1.0).sum(axis=(-2, -1))
+    u = _tail_points(np.arange(1, n + 1), tau)
+    cut = n + 1 - (u <= 1.0).sum(axis=-1)
     low = int(np.min(cut))
     rows = st.order[..., None, low - 1 :]  # (S, d, 1, M): margin j's rows of rank low..n
-    by_margin = np.swapaxes(st.ranks, -1, -2)  # (S, d, n): each margin's ranks in row order
-    margins = np.arange(by_margin.shape[1])[:, None]
-    top = by_margin[np.arange(len(rows))[:, None, None, None], margins, rows]  # (S, d, d, M)
+    margins = np.arange(st.ranks.shape[1])[:, None]
+    top = st.ranks[np.arange(len(rows))[:, None, None, None], margins, rows]  # (S, d, d, M)
     pair_min = np.minimum(top, np.arange(low, n + 1))
     counts = (pair_min >= np.reshape(cut, (-1, 1, 1, 1))).sum(axis=-1)
     return counts / np.expand_dims(n * (1.0 - tau), -1)
@@ -95,13 +95,13 @@ def _unit_integral_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
     j's axis, for every pair of columns at once; the diagonal is unused.
     R-hat_jl(u,1) steps up by 1/(n(1-tau)) at each U_ij <= 1 with U_il <= 1,
     so I[j, l] sums -log U_ij over the points in the top ranks of both
-    margins and divides by n(1-tau).  ranks is (..., n, d), as for
-    _r11_matrix."""
-    n = ranks.shape[-2]
+    margins and divides by n(1-tau).  ranks is (..., d, n), as in a
+    ``sample._Stack``."""
+    n = ranks.shape[-1]
     u = _tail_points(ranks, tau)
     # -log min(U, 1) is -log U on the top ranks and exactly 0 elsewhere.
-    logs = np.swapaxes(np.log(np.minimum(u, 1.0)), -1, -2)
-    return -logs @ (u <= 1.0) / (n * (1.0 - tau))
+    logs = np.log(np.minimum(u, 1.0))
+    return -logs @ np.swapaxes(u <= 1.0, -1, -2) / (n * (1.0 - tau))
 
 
 def extremal_coefficient(

@@ -3,6 +3,7 @@ and byte-identical reruns."""
 
 import datetime
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,10 +21,10 @@ from tailjoint.errors import DomainError, TailjointError
 from tailjoint.sample import ingest_csv, tau_from_k
 
 
-def write_sample_csv(path, n=500, d=2, seed=5, gamma=1.0 / 3.0):
+def write_sample_csv(path, n=500, d=2, seed=5, gamma=1.0 / 3.0, scale=1.0):
     rng = np.random.default_rng(seed)
     u = rng.random((n, d))
-    values = (1.0 - u) ** -gamma
+    values = scale * (1.0 - u) ** -gamma
     lines = [",".join(f"X{j + 1}" for j in range(d))]
     lines += [",".join(format(x, ".17g") for x in row) for row in values]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -580,6 +581,79 @@ class TestModelSpec:
             parse_model_spec("clayton_frechet:spam=1")
         with pytest.raises(DomainError):
             parse_model_spec("not_a_model")
+
+
+# Fields of the CLI outputs that are c times their value when the data are
+# multiplied by c, and the log-scale common mean of a test, which moves by
+# log c; every other number is unchanged.
+_SCALED = {"q_hat", "xi_laws", "xi_qb", "xi_star_laws", "xi_star_qb", "lower", "upper",
+           "center"}
+
+
+def assert_equivariant(got, want, c: float, key=None) -> None:
+    """got, read from the outputs for data multiplied by c, against want,
+    from the unscaled data, to criterion 10's tolerance of 1e-10."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert_equivariant(got[k], want[k], c, k)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_equivariant(g, w, c, key)
+    elif isinstance(want, float) and key in _SCALED:
+        assert got == pytest.approx(c * want, rel=1e-10, abs=0.0), key
+    elif isinstance(want, float) and key == "common_mean":
+        assert got == pytest.approx(want + math.log(c), rel=1e-10, abs=1e-10), key
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=0.0, abs=1e-10), key
+    else:
+        assert got == want, key
+
+
+class TestScaleEquivariance:
+    """On a Pareto panel (n=60, k=15) multiplied by 1e-300 or 1e300, where
+    a LAWS Gram product of the residuals would underflow or overflow, every
+    command succeeds without a floating-point warning, and its outputs are
+    those of the unscaled panel, scaled as the data are."""
+
+    COMMANDS = (
+        ["estimate", "--k", "15"],
+        ["region", "--k", "15"],
+        ["test", "--k", "15"],
+        ["trace-scan", "--k-min", "4", "--k-max", "59"],
+    )
+
+    @staticmethod
+    def outputs(tmp_path, c: float) -> dict:
+        csv = write_sample_csv(tmp_path / f"x{c}.csv", n=60, scale=c)
+        out = tmp_path / f"out{c}"
+        for argv in TestScaleEquivariance.COMMANDS:
+            assert main(argv + ["--input", str(csv), "--out", str(out)]) == 0
+        docs = {}
+        for path in sorted(out.iterdir()):
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".json":
+                docs[path.name] = json.loads(text)
+            else:
+                rows = [line.split(",") for line in text.splitlines()]
+                docs[path.name] = [rows[0]] + [[float(x) for x in r[:2]] for r in rows[1:]]
+        return docs
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_outputs_scale_with_the_data(self, tmp_path, c):
+        want, got = self.outputs(tmp_path, 1.0), self.outputs(tmp_path, c)
+        assert got.keys() == want.keys() and len(want) == 6
+        for name in want:
+            if name.startswith("boundary_"):
+                assert got[name][0] == want[name][0]
+                assert np.allclose(got[name][1:], c * np.array(want[name][1:]),
+                                   rtol=1e-10, atol=0.0)
+            elif name == "trace_scan.csv":
+                assert np.allclose(got[name][1:], want[name][1:], rtol=0.0, atol=1e-10)
+            else:
+                assert_equivariant(got[name], want[name], c)
 
 
 def test_python_dash_m_runs_the_cli():

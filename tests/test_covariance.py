@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import level_grid, step_unit_integral, tail_panels
+from conftest import count_eighs, level_grid, step_unit_integral, tail_panels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -25,11 +25,14 @@ from tailjoint.covariance import (
     theoretical_v_star_laws,
 )
 from tailjoint.errors import (
+    RAISE,
     DomainError,
     NotPositiveSemidefiniteError,
     TailjointError,
 )
 from tailjoint.marginal import (
+    _fit_levels,
+    _fit_stack,
     asymmetric_weight,
     empirical_quantile,
     estimate_margins,
@@ -38,7 +41,9 @@ from tailjoint.marginal import (
     m_function,
 )
 from tailjoint.numerics import CLIP_RTOL
-from tailjoint.sample import MultivariateSample, TailLevelPair, effective_k, tau_from_k
+from tailjoint.sample import (
+    MultivariateSample, TailLevelPair, _stack_panels, effective_k, tau_from_k,
+)
 from tailjoint.simulation import SimulationModel, rng_stream, sample_model
 from tailjoint.taildep import OracleTailCopula, empirical_tail_copula
 
@@ -259,6 +264,16 @@ class TestTheoreticalVStar:
         assert big[0, 0] == pytest.approx(sig[0, 0], abs=1e-6)
         assert big[0, 1] == pytest.approx(sig[0, 2], abs=1e-6)
 
+    def test_star_laws_contracts_the_raw_sigma_and_checks_once(self, monkeypatch):
+        g, log_dn = [0.15, 0.25, 0.2], math.log(50.0)
+        sig = theoretical_sigma_laws(g, LOG3).entries
+        eighs = count_eighs(monkeypatch)
+        m = theoretical_v_star_laws(g, LOG3, log_dn).entries
+        assert eighs == [1]
+        w = 1.0 / log_dn
+        want = sig[0::2, 0::2] + (sig[0::2, 1::2] + sig[1::2, 0::2]) * w + sig[1::2, 1::2] * w * w
+        assert np.array_equal(m, want)
+
 
 class TestEstimateBiasQb:
     def test_hand_values(self):
@@ -430,6 +445,82 @@ class TestEstimateSigmaLawsExactness:
             want[0::2, 1::2], want[1::2, 0::2] = cross, cross.T
             scale = np.max(np.abs(want))
             assert np.max(np.abs(sigma - want)) <= 1e-13 * scale
+
+
+def row_major_laws(st, g, q, xi, tau):
+    """The raw LAWS covariance and the Hill/LAWS cross terms of each entry
+    of the stack st, built on its row-major (n, d) values: the residuals
+    phi = asymmetric_weight(x - xi) with the weight chosen by sign, their
+    Gram phi^T phi, and the cross terms from the (k, d) rows of phi that
+    each margin's top k rows hold.  The reference that the column-major
+    builder (covariance._v_laws_raw) equals bit for bit."""
+    n, d = st.n, g.shape[-1]
+    vlaws, cross = np.empty((len(g), d, d)), np.empty((len(g), d, d))
+    for b, t in enumerate(np.broadcast_to(np.ravel(tau), len(g))):
+        s = b if len(st.values) > 1 else 0
+        gb, omt = g[b], 1.0 - t
+        phi = asymmetric_weight(st.values[s] - xi[b], t)
+        surv = (st.sorted_columns[s] > xi[b][:, None]).sum(axis=-1) / n
+        vlaws[b] = np.outer(gb, gb) * (phi.T @ phi / n) / (omt * np.outer(xi[b], xi[b]))
+        np.fill_diagonal(
+            vlaws[b],
+            2.0 * gb**2 / (1.0 - 2.0 * gb)
+            * (1.0 + surv / omt)
+            / (1.0 + (2.0 * t - 1.0) * surv / omt) ** 2,
+        )
+        k = effective_k(n, t)
+        top = phi[st.order[s][:, n - k :]]  # (d, k, d)
+        values, thresholds = st.sorted_columns[s][:, n - k :], q[b][:, None]
+        s1 = (np.log(values / thresholds)[:, None, :] @ top)[:, 0, :]
+        s2 = np.where((values > thresholds)[..., None], top, 0.0).sum(axis=-2)
+        cross[b] = gb[None, :] * (s1 / n) - np.outer(gb, gb) * (s2 / n)
+        cross[b] /= omt * xi[b][None, :]
+    return vlaws, cross
+
+
+class TestColumnMajorLaws:
+    """The LAWS covariance on column-major (B, d, n) rows, with each
+    margin's residuals scaled by a power of two, is the row-major
+    construction to the bit, for a stack of samples and for a stack of
+    levels of one sample."""
+
+    @staticmethod
+    def assert_bit_for_bit(st, fit, tau):
+        g, q, xi = fit.gamma_hat, fit.q_hat, fit.xi_laws
+        vlaws, cross = row_major_laws(st, g, q, xi, tau)
+        got_vlaws, got_cross = covariance._v_laws_raw(st, g, q, xi, tau, RAISE)
+        assert np.array_equal(got_vlaws, vlaws)
+        assert np.array_equal(got_cross, cross)
+        sigma = covariance._sigma_laws(st, g, q, xi, tau, RAISE)
+        off = ~np.eye(g.shape[-1], dtype=bool)
+        assert np.array_equal(sigma[:, 1::2, 1::2], vlaws)
+        assert np.array_equal(sigma[:, 0::2, 1::2][:, off], cross[:, off])
+
+    def test_replication_stack(self):
+        model = SimulationModel.gumbel_frechet(d=3, gamma=0.25)
+        values = np.stack(
+            [sample_model(model, 400, rng_stream(5, i)).values for i in range(6)]
+        )
+        values[3] -= 0.6  # a negative value in one sample
+        st = _stack_panels(values)
+        self.assert_bit_for_bit(st, _fit_stack(st, 0.9, RAISE), 0.9)
+
+    def test_level_stack(self):
+        model = SimulationModel.gumbel_frechet(d=3, gamma=0.25)
+        x = sample_model(model, 600, rng_stream(6, 0)).values
+        s = MultivariateSample(np.round(x, 2), ("a", "b", "c"))  # ties
+        tau = np.array([[tau_from_k(s.n, k)] for k in range(20, 240, 9)])
+        self.assert_bit_for_bit(s._stack, _fit_levels(s, tau, RAISE), tau)
+
+    def test_level_stack_with_expectile_on_an_observation(self):
+        # Integer values: at k = 10 margin 1's LAWS expectile is exactly 7,
+        # so the survival count must leave out the observations equal to it.
+        x = np.floor((1.0 - np.random.default_rng(0).random((40, 2))) ** -0.3 * 4.0)
+        s = MultivariateSample(x, ("a", "b"))
+        tau = np.array([[tau_from_k(s.n, k)] for k in range(4, 11)])
+        fit = _fit_levels(s, tau, RAISE)
+        assert fit.xi_laws[-1, 1] == 7.0 and 7.0 in s.column(1)
+        self.assert_bit_for_bit(s._stack, fit, tau)
 
 
 class TestEstimateVQb:

@@ -6,11 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailjoint.errors import DomainError, IngestionError, LevelError
 from tailjoint.sample import (
     MultivariateSample,
     TailLevelPair,
+    _column_order,
+    _stack_panels,
     effective_k,
     emit_csv,
     ingest_csv,
@@ -112,6 +116,18 @@ class TestOrderStatisticsCache:
         self.assert_matches_fresh_sort(sub)
         assert np.array_equal(sub.sorted_columns, s.sorted_columns[[3, 2, 0]])
 
+    def test_select_of_adjacent_columns_shares_rows(self):
+        rng = np.random.default_rng(11)
+        s = make_sample(*rng.normal(size=(4, 30)))
+        for group in ([1, 2], [0, 1, 2, 3]):
+            sub = s.select(group)
+            self.assert_matches_fresh_sort(sub)
+            for a, b in ((sub._columns, s._columns), (sub.sorted_columns, s.sorted_columns),
+                         (sub._order, s._order), (sub._ranks, s._ranks),
+                         (sub._laws_sums[0], s._laws_sums[0])):
+                assert np.shares_memory(a, b)
+        assert not np.shares_memory(s.select([2, 0])._columns, s._columns)
+
     def test_select_before_parent_use(self):
         rng = np.random.default_rng(9)
         s = make_sample(*rng.normal(size=(2, 30)))
@@ -143,6 +159,93 @@ class TestOrderStatisticsCache:
         values[0, 0] = -100.0  # the sample holds its own copy
         assert s.values[0, 0] == 5.0
         assert list(s.sorted_columns[0]) == [1.0, 3.0, 5.0, 7.0]
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The float64 array's bit patterns, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@st.composite
+def tied_stacks(draw) -> np.ndarray:
+    """A (B, n, d) stack of panels whose columns are each drawn with one
+    kind of ties: none, values repeated from a short list, a constant,
+    signed zeros among a few values, or small integers."""
+    b, n, d = draw(st.integers(1, 4)), draw(st.integers(4, 60)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((b, n, d))
+    for j in range(d):
+        kind = draw(st.sampled_from(["untied", "repeats", "constant", "zeros", "integers"]))
+        if kind == "repeats":
+            x[..., j] = rng.choice(rng.standard_normal(draw(st.integers(1, 8))), (b, n))
+        elif kind == "constant":
+            x[..., j] = rng.standard_normal()
+        elif kind == "zeros":
+            x[..., j] = rng.choice([0.0, -0.0, 1.5, -2.0], (b, n))
+        elif kind == "integers":
+            x[..., j] = rng.integers(-3, 4, (b, n))
+    return x
+
+
+def stable_sort(values: np.ndarray):
+    """Row order, sorted values and ranks of each column of (..., n, d)
+    panels by a stable argsort, each as (..., d, n)."""
+    columns = np.swapaxes(values, -1, -2)
+    order = np.argsort(columns, axis=-1, kind="stable")
+    ranks = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
+    return order, np.take_along_axis(columns, order, axis=-1), ranks
+
+
+def count_sorts(monkeypatch) -> list:
+    """Record the shape and kind of every ``np.argsort`` call from here on."""
+    calls = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("kind")))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    return calls
+
+
+class TestColumnOrder:
+    """One default-kind argsort, with the tied columns sorted again stably,
+    gives exactly the stable argsort's order, sorted values and ranks."""
+
+    @given(tied_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_stack_equals_stable_argsort(self, x):
+        order, xs, ranks = stable_sort(x)
+        stack = _stack_panels(x)
+        assert np.array_equal(stack.order, order)
+        assert np.array_equal(bits(stack.sorted_columns), bits(xs))
+        assert np.array_equal(stack.ranks, ranks)
+        assert np.array_equal(bits(stack.columns), bits(np.swapaxes(x, -1, -2)))
+
+    @given(tied_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_sample_equals_stable_argsort(self, x):
+        s = MultivariateSample(x[0], tuple(f"C{j}" for j in range(x.shape[2])))
+        order, xs, ranks = stable_sort(x[0])
+        assert np.array_equal(s._order, order)
+        assert np.array_equal(bits(s.sorted_columns), bits(xs))
+        assert np.array_equal(s.ranks, ranks.T)
+        assert np.array_equal(s._stack.ranks[0], ranks)
+
+    def test_untied_panel_sorts_once(self, monkeypatch):
+        x = np.random.default_rng(4).standard_normal((3, 50, 2))
+        calls = count_sorts(monkeypatch)
+        _column_order(np.ascontiguousarray(np.swapaxes(x, -1, -2)))
+        assert calls == [((3, 2, 50), None)]
+
+    def test_only_the_tied_column_sorts_again(self, monkeypatch):
+        x = np.random.default_rng(5).standard_normal((3, 50, 2))
+        x[1, 7, 1] = x[1, 30, 1]
+        calls = count_sorts(monkeypatch)
+        _column_order(np.ascontiguousarray(np.swapaxes(x, -1, -2)))
+        assert calls == [((3, 2, 50), None), ((1, 50), "stable")]
 
 
 class TestOrderStatistic:

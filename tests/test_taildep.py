@@ -91,13 +91,13 @@ class TestR11Matrix:
     @settings(max_examples=40, deadline=None)
     def test_rank_cut_off_equals_indicator_product(self, s):
         for tau in level_grid(s.n):
-            top = (_tail_points(s.ranks, tau) <= 1.0).astype(float)
+            top = (_tail_points(s._ranks, tau) <= 1.0).astype(float).T
             want = top.T @ top / (s.n * (1.0 - tau))
             assert np.array_equal(_r11_matrix(s._stack, tau)[0], want)
 
 
 def unit_integrals(s, tau):
-    return _unit_integral_matrix(s.ranks, tau)
+    return _unit_integral_matrix(s._ranks, tau)
 
 
 class TestUnitIntegral:
@@ -161,8 +161,7 @@ class TestUnitIntegral:
         common = rng.integers(0, levels, size=(n, 1))
         x = common + rng.integers(0, levels, size=(n, d)) * rng.integers(0, 2, size=d)
         s = MultivariateSample(x.astype(float), tuple(f"X{j}" for j in range(d)))
-        ranks = s.ranks
-        unit, r11 = _unit_integral_matrix(ranks, tau), _r11_matrix(s._stack, tau)[0]
+        unit, r11 = _unit_integral_matrix(s._ranks, tau), _r11_matrix(s._stack, tau)[0]
         for j in range(d):
             for ell in range(j + 1, d):
                 tc = empirical_tail_copula(s, tau, j, ell)
