@@ -16,18 +16,16 @@ The Hill and QB displays (``_hill_block``, ``_qb_matrix``) read tail
 dependence only through two d x d pair matrices, R(1,1) and the unit
 integrals I, given by the oracle (``_oracle_matrix``) or by the ranks.
 
-Each estimated display is computed for a stack of B entries at once
-(``_v_laws_raw``, ``_sigma_laws``, ``_v_star_laws``, ``_v_qb_raw``,
-``_bias_qb``: leading axis B, with the fit as (B, d) arrays), and a check
-that fails marks its entry through an ``errors.Checks``.  An entry is a
-sample (B samples at one level) or a level of one sample (the LAWS builders
-also take tau, and so k, and log d_n as (B, 1) arrays).  The public
-single-sample builders are the stack of one (``MultivariateSample._stack``)
-with ``errors.RAISE``, so they raise the first failure.  The regions,
-intervals and tests read these stacked builders through
-``inference._estimate``, which also builds the naive diagonals and the
-Weissman (quantile-test) covariance, the Hill block; the Monte Carlo power
-harness runs the same code on stacks of replications.
+Each estimated display is computed for a stack of B samples at one level
+at once (``_v_laws_raw``, ``_sigma_laws``, ``_v_star_laws``,
+``_v_qb_raw``, ``_bias_qb``: leading axis B, with the fit as (B, d)
+arrays), and a check that fails marks its sample through an
+``errors.Checks``.  The public single-sample builders are the stack of one
+(``MultivariateSample._stack``) with ``errors.RAISE``, so they raise the
+first failure.  The regions, intervals and tests read these stacked
+builders through ``inference._estimate``, which also builds the naive
+diagonals and the Weissman (quantile-test) covariance, the Hill block; the
+Monte Carlo power harness runs the same code on stacks of replications.
 
 The n-long work reads the stack's column-major (B, d, n) rows
 (``sample._Stack``): the values, the sorted values, the row order and the
@@ -37,15 +35,16 @@ its xi-hat so that their Gram product phi phi^T cannot overflow or
 underflow, and the Hill/LAWS cross terms gather each margin's top k rows
 from them.
 
-A scan over many levels, such as ``trace-scan`` (``_scan_v_star_laws``),
-runs chunks of levels of one sample as such stacks: one fit, one
-covariance and one batched SPD check per chunk, each level failing alone.
-It sorts and sums the panel once, and counts each margin's survivals at
-every level of a chunk with one search of its sorted values.  A level
-passes over the whole n x d panel only for the LAWS root (one scan of
-tau A + (1 - tau) B over the cached LAWS sums) and the residuals phi with
-their Gram product.  R-hat(1,1) reads each margin's top ranks once per
-chunk, and the Hill/LAWS cross terms each margin's top k rows.
+A scan over many levels of one sample, such as ``trace-scan``
+(``_scan_v_star_laws``), fits every level at once and builds no
+residuals.  The sets of rows that its sums run over (the values above
+xi-hat, above q-hat, and R-hat(1,1)'s top ranks, of one margin or of two)
+only gain rows as k grows, so every level's Gram entries, cross terms and
+counts are prefix sums along the levels of sums over the rows by the level
+at which they enter (``_nested_sums``): one pass over the panel per pair
+of margins, whatever the number of levels.  The diagonals are the same
+closed forms, and one batched SPD check serves all the levels, each
+failing alone, with the first failure that estimate_v_star_laws raises.
 """
 
 from __future__ import annotations
@@ -53,11 +52,11 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .errors import RAISE, Checks, DomainError
+from .errors import RAISE, Checks, DomainError, NumericError
 from .marginal import _check_qb, _fit_levels, estimate_margins, m_function
 from .numerics import SpdMatrix, _spd_stack, integrate_1d_tail, integrate_tail_box
-from .sample import MultivariateSample, TailLevelPair, _runs, effective_k
-from .taildep import OracleTailCopula, _r11_matrix, _unit_integral_matrix
+from .sample import MultivariateSample, TailLevelPair, effective_k
+from .taildep import OracleTailCopula, _r11_cut, _r11_matrix, _unit_integral_matrix
 
 
 def _gammas(gammas, upper: float, what: str) -> np.ndarray:
@@ -286,20 +285,9 @@ def _one(sample: MultivariateSample, tau: float):
     return sample._stack, fit.gamma_hat[None], fit.q_hat[None], fit.xi_laws[None]
 
 
-def _v_laws_raw(st, g, q, xi, tau, checks) -> tuple[np.ndarray, np.ndarray]:
-    """Unclipped intermediate LAWS covariance of each of the B entries of
-    the fit (g, q, xi), and its Hill/LAWS cross terms, whose diagonal
-    ``_sigma_laws`` replaces by the closed form: samples of the stack st at
-    one level tau, or levels of its one sample at a (B, 1) array of tau.
-    The Hill estimates are checked before any n-long work, which runs on
-    the column-major rows of st for one run of entries that share tau at a
-    time: the asymmetric residuals phi, read by their Gram product and by
-    the cross terms (``_hill_laws_cross``).
-
-    Margin j's residuals are scaled by 2^-e_j, with xi_j = m_j 2^e_j, and
-    its xi by the same power, to m_j: the Gram product neither overflows
-    nor underflows at any scale of the data, and, power-of-two scaling
-    being exact, every entry is the unscaled formula's to the bit."""
+def _check_laws(g, checks) -> None:
+    """Fail each entry with a Hill estimate outside (0, 1/2), where the LAWS
+    covariance is undefined."""
     checks(
         g >= 0.5,
         lambda j: DomainError(
@@ -307,19 +295,41 @@ def _v_laws_raw(st, g, q, xi, tau, checks) -> tuple[np.ndarray, np.ndarray]:
         ),
     )
     checks(g <= 0.0, lambda j: DomainError("LAWS variance requires positive Hill estimates"))
+
+
+def _v_laws_raw(st, g, q, xi, tau: float, checks) -> tuple[np.ndarray, np.ndarray]:
+    """Unclipped intermediate LAWS covariance of each of the B samples of
+    the stack st at level tau, with the fit (g, q, xi), and its Hill/LAWS
+    cross terms, whose diagonal ``_sigma_laws`` replaces by the closed form.
+    The Hill estimates are checked before any n-long work, which runs on
+    the column-major rows of st: the asymmetric residuals phi, read by their
+    Gram product and by the cross terms (``_hill_laws_cross``).
+
+    Margin j's residuals are scaled by 2^-e_j, with xi_j = m_j 2^e_j, and
+    its xi by the same power, to m_j: the Gram product neither overflows
+    nor underflows at any scale of the data, and, power-of-two scaling
+    being exact, every entry is the unscaled formula's to the bit."""
+    _check_laws(g, checks)
     n = st.n
     mant, power = np.frexp(xi)
-    scale = np.ldexp(1.0, -power)[..., None]
-    surv = _survivals(st, xi)
-    mbar, cross = np.empty(g.shape + g.shape[-1:]), np.empty(g.shape + g.shape[-1:])
-    for t, run in _runs(tau, len(g)):
-        # phi_tau(y) = (1 - tau) y, or tau y above xi: where the rank is
-        # above n - surv.  Built in place, from y = (x - xi) 2^-e.
-        phi = st.columns - xi[run, :, None]
-        phi *= scale[run]
-        phi *= np.where(st.ranks > n - surv[run, :, None], t, 1.0 - t)
-        mbar[run] = phi @ np.swapaxes(phi, -1, -2) / n
-        cross[run] = _hill_laws_cross(st, phi, q[run], g[run], effective_k(n, t))
+    surv = (st.sorted_columns > xi[..., None]).sum(axis=-1)
+    # phi_tau(y) = (1 - tau) y, or tau y above xi: where the rank is above
+    # n - surv.  Built in place, from y = (x - xi) 2^-e.
+    phi = st.columns - xi[..., None]
+    phi *= np.ldexp(1.0, -power)[..., None]
+    phi *= np.where(st.ranks > n - surv[..., None], tau, 1.0 - tau)
+    mbar = phi @ np.swapaxes(phi, -1, -2) / n
+    cross = _hill_laws_cross(st, phi, q, g, effective_k(n, tau))
+    return _laws_blocks(g, mbar, cross, surv, tau, mant, n)
+
+
+def _laws_blocks(g, mbar, cross, surv, tau, mant, n: int):
+    """The LAWS covariance and the Hill/LAWS cross terms of each entry from
+    the Gram product mbar of its residuals scaled by the powers of two that
+    take xi to mant, and the numerators of the cross terms, from the same
+    residuals: their off-diagonals.  The diagonal of the covariance is the
+    closed form in the survival counts surv (the number of each margin's
+    values above xi).  tau is one level or an (L, 1) array of them."""
     omt = 1.0 - tau
     cross /= np.expand_dims(omt, -1) * mant[..., None, :]
     surv = surv / n
@@ -328,21 +338,11 @@ def _v_laws_raw(st, g, q, xi, tau, checks) -> tuple[np.ndarray, np.ndarray]:
         * (1.0 + surv / omt)
         / (1.0 + (2.0 * tau - 1.0) * surv / omt) ** 2
     )
-    m = _outer(g) * mbar / (np.expand_dims(omt, -1) * _outer(mant))
+    m = _outer(g)
+    m *= mbar
+    m /= np.expand_dims(omt, -1) * _outer(mant)
     _set_diagonal(m, diag)
     return m, cross
-
-
-def _survivals(st, xi) -> np.ndarray:
-    """The number of each margin's values above its xi, per entry: by one
-    comparison of the stack's sorted columns with xi, or, for the levels of
-    a stack of one sample, by one search of each sorted column."""
-    columns = st.sorted_columns
-    if len(columns) > 1:
-        return (columns > xi[..., None]).sum(axis=-1)
-    return st.n - np.stack([
-        np.searchsorted(column, x, side="right") for column, x in zip(columns[0], xi.T)
-    ], axis=-1)
 
 
 def estimate_v_laws(sample: MultivariateSample, tau: float) -> SpdMatrix:
@@ -391,13 +391,18 @@ def estimate_v_qb(sample: MultivariateSample, tau: float) -> SpdMatrix:
     return _v_qb(sample, tau, 0.0)
 
 
-def _sigma_laws(st, g, q, xi, tau, checks) -> np.ndarray:
-    """Raw plug-in (Hill, LAWS) covariance of each entry of the stack st
+def _sigma_laws(st, g, q, xi, tau: float, checks) -> np.ndarray:
+    """Raw plug-in (Hill, LAWS) covariance of each sample of the stack st
     (see estimate_sigma_laws)."""
     vlaws, cross = _v_laws_raw(st, g, q, xi, tau, checks)
-    hill = _hill_block(g, _r11_matrix(st, tau))
+    return _sigma_blocks(g, vlaws, cross, _r11_matrix(st, tau))
+
+
+def _sigma_blocks(g, vlaws, cross, r11) -> np.ndarray:
+    """The (Hill, LAWS) covariance from its LAWS block, the Hill/LAWS cross
+    terms, whose diagonal this replaces by the closed form, and R-hat(1,1)."""
     _set_diagonal(cross, _each(_sigma_laws_cross_diag, g))
-    return _interleave(hill, cross, vlaws)
+    return _interleave(_hill_block(g, r11), cross, vlaws)
 
 
 def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
@@ -411,8 +416,8 @@ def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
 
 def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
     """Numerators of the empirical Cov(Hill_j, LAWS_l) for every pair (j, l)
-    of each of the B entries of phi, (B, d, n) residuals of samples of the
-    stack st or of levels of its one sample, at one effective size k.
+    of each of the B samples of the stack st, from their (B, d, n)
+    residuals phi, at one effective size k.
 
     Entry (j, l) is g_l times the mean of margin j's log-excesses over its
     threshold times margin l's asymmetric residual, minus g_j g_l times the
@@ -433,20 +438,10 @@ def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
     return g[..., None, :] * (s1 / n) - _outer(g) * (s2 / n)
 
 
-def _v_star_laws(st, g, q, xi, tau, log_dn, checks) -> np.ndarray:
-    """Unclipped plug-in star-LAWS covariance of each entry of the stack st,
-    at one level (tau, log dn) or at (B, 1) arrays of one level per entry."""
+def _v_star_laws(st, g, q, xi, tau: float, log_dn: float, checks) -> np.ndarray:
+    """Unclipped plug-in star-LAWS covariance of each sample of the stack st
+    at the levels (tau, log dn)."""
     return _contract_blocks(_sigma_laws(st, g, q, xi, tau, checks), log_dn, checks)
-
-
-# The levels of one chunk of a scan.  The n-long work (the LAWS estimating
-# function, the survival counts, the residuals phi) runs one level at a
-# time; what a chunk holds for all its levels at once is R-hat(1,1)'s
-# pair-minimum comparison, at most one byte per level, pair of margins and
-# observation.  Chunks keep that to this many bytes, 1 MB: 8 levels at
-# n = 5000, d = 5.  Larger temporaries made the allocator return and
-# re-fault its memory on every chunk, which cost more than the chunk saved.
-_SCAN_BYTES = 2**20
 
 
 def _scan_v_star_laws(sample: MultivariateSample, levels: list) -> list:
@@ -454,24 +449,122 @@ def _scan_v_star_laws(sample: MultivariateSample, levels: list) -> list:
     levels, in order: its checked entries, or the TailjointError of the
     first check it fails, the one estimate_v_star_laws raises.
 
-    The levels run in chunks, each one stack of levels of the sample with
-    one fit, one _v_star_laws and one _spd_stack; each level is fitted once
-    and not kept on the sample.
+    The levels are fitted at once, in ascending k, and not kept on the
+    sample; their (Hill, LAWS) matrices come from ``_nested_sums``, and are
+    contracted and checked by one ``_spd_stack``, each level failing alone.
     """
-    size = max(1, _SCAN_BYTES // (sample.n * sample.d**2))
-    out = []
-    for start in range(0, len(levels), size):
-        chunk = levels[start : start + size]
-        tau = np.array([[lv.tau] for lv in chunk])
-        log_dn = np.array([[lv.log_dn] for lv in chunk])
-        checks = Checks(len(chunk))
-        with np.errstate(all="ignore"):
-            fit = _fit_levels(sample, tau, checks)
-            g, q, xi = fit.gamma_hat, fit.q_hat, fit.xi_laws
-            m = _v_star_laws(sample._stack, g, q, xi, tau, log_dn, checks)
-            m = _spd_stack(m, "star-LAWS covariance", checks).entries
-        out += [m[i] if error is None else error for i, error in enumerate(checks.first)]
+    if not levels:
+        return []
+    order = sorted(range(len(levels)), key=lambda i: -levels[i].tau)
+    tau = np.array([[levels[i].tau] for i in order])
+    log_dn = np.array([[levels[i].log_dn] for i in order])
+    checks = Checks(len(order))
+    with np.errstate(all="ignore"):
+        fit = _fit_levels(sample, tau, checks)
+        g = fit.gamma_hat
+        _check_laws(g, checks)
+        sigma = _sigma_blocks(g, *_nested_sums(sample, g, fit.q_hat, fit.xi_laws, tau))
+        m = _contract_blocks(sigma, log_dn, checks)
+        m = _spd_stack(m, "star-LAWS covariance", checks).entries
+    out = [None] * len(order)
+    for row, (i, error) in enumerate(zip(order, checks.first)):
+        out[i] = m[row] if error is None else error
     return out
+
+
+def _nested_sums(sample: MultivariateSample, g, q, xi, tau):
+    """``_v_laws_raw``'s LAWS block and cross terms, and R-hat(1,1), of the
+    sample at each of an (L, 1) array of levels tau in ascending k (falling
+    tau), given their (L, d) fit, from sums over nested sets of rows.
+
+    Each sum runs over one of three sets of a margin j, or over the rows
+    that two of them share: A_j, the values above xi_j, where phi's weight
+    is tau and not 1 - tau; T_j, the values above q_j, the rows whose
+    log-excess the cross terms read; and R-hat's top ranks.  Their cut-offs
+    fall as k grows, so each set only gains rows: a row enters it at one
+    level (``_entries``), and a set shared by two margins at the later of
+    its two.  With phi's weight split as (1 - tau) + (2 tau - 1) 1{A}, each
+    Gram entry and cross numerator is a sum over such sets of a product of
+    residuals y - delta or of log x_j - log q_j, expanded into sums of
+    products, of single terms and counts (``_set_sums``): one ``bincount``
+    of the rows by entry level and one ``cumsum`` along the levels each,
+    whatever the number of levels.  The pairs of margins run one at a time.
+
+    Margin j is scaled once by the power of two 2^-e_j that takes its
+    largest |x| to [1/2, 1), and centred on its scaled xi c_j at the middle
+    level: y = x 2^-e_j - c_j, and delta = xi 2^-e_j - c_j at each level.
+    So no product overflows or underflows at any scale of the data, and
+    the expansion loses no more than the spread of xi over the levels
+    allows.  The survival counts and R-hat's counts are integers, exact.
+    A cut-off sequence that does not fall, such as an xi-hat that rises
+    with k, raises NumericError."""
+    n, d, levels = sample.n, sample.d, len(tau)
+    x = sample._columns
+    scale = np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=-1))[1])
+    mant, log_q = xi * scale, np.log(q * scale)
+    centre = mant[levels // 2]
+    y, delta = x * scale[:, None] - centre[:, None], mant - centre
+    above = [_entries(xi[:, j], x[j], "LAWS expectiles") for j in range(d)]
+    over = [_entries(q[:, j], x[j], "Hill thresholds") for j in range(d)]
+    cut = _r11_cut(n, tau[:, 0])
+    top = [_entries(cut - 1, r, "tail copula cut-offs") for r in sample._ranks]
+    surv = np.stack([_prefix(e, levels) for e in above], axis=-1)
+
+    a, b = 1.0 - tau[:, 0], 2.0 * tau[:, 0] - 1.0
+    gram, cross, r11 = (np.zeros((levels, d, d)) for _ in range(3))
+    everyone = np.zeros(n, dtype=np.intp)
+    for j in range(d):
+        logs = np.log(x[j] * scale[j])
+        for ell in range(d):
+            if ell == j:
+                continue
+            # Over T_j, and over T_j and A_ell: the sums of (log x_j -
+            # log q_j)(y_ell - delta_ell), and of y_ell - delta_ell.
+            over_j, both = (
+                _set_sums(e, logs, y[ell], log_q[:, j], delta[:, ell], levels)
+                for e in (over[j], np.maximum(over[j], above[ell]))
+            )
+            s1, s2 = (a * t + b * u for t, u in zip(over_j, both))
+            cross[:, j, ell] = g[:, ell] * (s1 / n) - g[:, j] * g[:, ell] * (s2 / n)
+            if ell < j:
+                continue
+            # Over every row, A_j, A_ell and both: the sums of
+            # (y_j - delta_j)(y_ell - delta_ell).
+            s_all, s_j, s_ell, s_both = (
+                _set_sums(e, y[j], y[ell], delta[:, j], delta[:, ell], levels)[0]
+                for e in (everyone, above[j], above[ell], np.maximum(above[j], above[ell]))
+            )
+            gram[:, j, ell] = gram[:, ell, j] = (
+                a * a * s_all + a * b * (s_j + s_ell) + b * b * s_both
+            )
+            r11[:, j, ell] = r11[:, ell, j] = _prefix(np.maximum(top[j], top[ell]), levels)
+    gram /= n
+    r11 /= np.expand_dims(n * (1.0 - tau), -1)
+    return (*_laws_blocks(g, gram, cross, surv, tau, mant, n), r11)
+
+
+def _entries(cuts, x, what: str) -> np.ndarray:
+    """The level at which each value of x enters the sets {x > cut} of a
+    sequence of levels, whose cut-offs cuts fall or stay: the first level
+    whose cut-off is below it, or len(cuts) for none."""
+    if np.any(cuts[1:] > cuts[:-1]):
+        raise NumericError(f"{what} rise with k: the scan's tail sets are not nested")
+    return np.searchsorted(-cuts, -x, side="right").astype(np.int32)
+
+
+def _prefix(entry, levels: int, weights=None) -> np.ndarray:
+    """Over the rows that have entered by each of the levels, given each
+    row's entry level (levels for never): the integer count of those rows,
+    or the sum of their weights."""
+    return np.cumsum(np.bincount(entry, weights, minlength=levels + 1)[:levels])
+
+
+def _set_sums(entry, u, v, mu, nu, levels: int):
+    """The sums of (u - mu)(v - nu) and of v - nu over the rows that have
+    entered by each of the levels (``_prefix``), with u and v per row and
+    mu and nu per level."""
+    uv, su, sv, count = (_prefix(entry, levels, w) for w in (u * v, u, v, None))
+    return uv - nu * su - mu * sv + mu * nu * count, sv - nu * count
 
 
 def estimate_v_star_laws(

@@ -152,9 +152,7 @@ class _Stack(NamedTuple):
     (B, n, d), which the QB bias averages, and, column-major as (B, d, n)
     for the n-long work of the covariances, the values again, each column's
     row order, its sorted values and its ranks, all as ``MultivariateSample``
-    computes them.  A stack of one sample also serves B levels of it: the
-    builders broadcast it against their (B, d) fit and (B, 1) level
-    arrays."""
+    computes them."""
 
     values: np.ndarray
     columns: np.ndarray
@@ -165,19 +163,6 @@ class _Stack(NamedTuple):
     @property
     def n(self) -> int:
         return self.values.shape[-2]
-
-
-def _runs(values, b: int):
-    """(value, entries) for each run of consecutive entries of a stack of b
-    that share a per-entry value, such as a level tau: one value for every
-    entry, or one per entry in a (b, 1) array.  entries is a slice, so a
-    run's arrays are views."""
-    v = np.broadcast_to(np.ravel(values), (b,)).tolist()
-    lo = 0
-    for hi in range(1, b + 1):
-        if hi == b or v[hi] != v[lo]:
-            yield v[lo], slice(lo, hi)
-            lo = hi
 
 
 def _stack_panels(values: np.ndarray) -> _Stack:

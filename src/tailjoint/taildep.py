@@ -59,35 +59,42 @@ def _check_pair(tau: float, j: int, ell: int) -> None:
         raise DomainError(f"tau must be in (0,1), got {tau}")
 
 
-def _tail_points(ranks: np.ndarray, tau: float) -> np.ndarray:
+def _tail_points(ranks: np.ndarray, tau, n: int | None = None) -> np.ndarray:
     """U_ij = (n+1-r_ij)/((n+1)(1-tau)) for every margin and observation of
-    (..., d, n) ranks; U_ij <= 1 marks the top ranks of margin j."""
-    n = ranks.shape[-1]
+    (..., d, n) ranks, or for other ranks r of a sample of size n; U_ij <= 1
+    marks the top ranks of margin j."""
+    n = ranks.shape[-1] if n is None else n
     return (n + 1 - ranks) / ((n + 1) * (1.0 - tau))
 
 
-def _r11_matrix(st, tau) -> np.ndarray:
-    """R-hat(1,1) of every pair of columns at once: the count that
-    EmpiricalTailCopula.evaluate(1, 1) makes, one d x d matrix per entry of
-    a stack.  st is a ``sample._Stack`` of B samples at one level tau, or
-    of one sample at a (B, 1) array of levels.  The diagonal is unused.
+def _r11_cut(n: int, tau):
+    """The smallest rank r of a sample of size n whose U (``_tail_points``)
+    is at most 1, at a level tau or at each of an array of levels: the top
+    ranks are those at or above it.  U falls as the rank rises, so the cut
+    is n + 1 minus the number of m = n + 1 - r in 1..n that pass the test.
+    Every m up to (n+1)(1-tau), as that product rounds, passes, and none
+    above its floor plus one, so only that one m is tested."""
+    tau = np.asarray(tau, dtype=float)
+    floor = np.floor((n + 1) * (1.0 - tau)).astype(np.int64)
+    next_passes = (floor < n) & (_tail_points(n - floor, tau, n) <= 1.0)
+    return n + 1 - np.minimum(floor, n) - next_passes
 
-    U_ij <= 1 holds for every rank at or above the smallest rank c for
-    which it holds (U falls as the rank rises), so c is found by that same
-    test applied to the ranks 1..n.  Entry (j, l) counts the rows whose
-    ranks on margins j and l are both at least c: among margin j's rows of
-    rank at least the stack's lowest cut-off, read once through its row
-    order, those whose pair-minimum rank reaches c.  The counts are exact."""
+
+def _r11_matrix(st, tau: float) -> np.ndarray:
+    """R-hat(1,1) of every pair of columns at once: the count that
+    EmpiricalTailCopula.evaluate(1, 1) makes, one d x d matrix per sample of
+    a ``sample._Stack`` at level tau.  The diagonal is unused.
+
+    Entry (j, l) counts the rows whose ranks on margins j and l both reach
+    the cut-off rank c (``_r11_cut``): among margin j's rows of rank at
+    least c, read through its row order, those whose rank on margin l
+    reaches c too.  The counts are exact."""
     n = st.n
-    u = _tail_points(np.arange(1, n + 1), tau)
-    cut = n + 1 - (u <= 1.0).sum(axis=-1)
-    low = int(np.min(cut))
-    rows = st.order[..., None, low - 1 :]  # (S, d, 1, M): margin j's rows of rank low..n
+    cut = int(_r11_cut(n, tau))
+    rows = st.order[..., None, cut - 1 :]  # (S, d, 1, M): margin j's rows of rank cut..n
     margins = np.arange(st.ranks.shape[1])[:, None]
     top = st.ranks[np.arange(len(rows))[:, None, None, None], margins, rows]  # (S, d, d, M)
-    pair_min = np.minimum(top, np.arange(low, n + 1))
-    counts = (pair_min >= np.reshape(cut, (-1, 1, 1, 1))).sum(axis=-1)
-    return counts / np.expand_dims(n * (1.0 - tau), -1)
+    return (top >= cut).sum(axis=-1) / (n * (1.0 - tau))
 
 
 def _unit_integral_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:

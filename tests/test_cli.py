@@ -14,7 +14,6 @@ import pytest
 
 from conftest import count_eighs, count_fits, count_numpy_calls
 
-from tailjoint import covariance
 from tailjoint.cli import main, parse_model_spec
 from tailjoint.covariance import estimate_v_star_laws
 from tailjoint.errors import DomainError, TailjointError
@@ -230,24 +229,21 @@ class TestTraceScan:
         failed = sum(s != "ok" for s in statuses)
         assert len(lines) == 76 and 0 < failed < 76
 
-    def test_rows_match_across_chunk_boundaries(self, tmp_path, capsys, monkeypatch):
-        # Chunks of three levels: the failed levels of the heavy panel sit
-        # between ok ones inside a chunk, and each keeps its own first
-        # failure.
+    def test_failed_levels_between_ok_ones_keep_their_own_failure(self, tmp_path, capsys):
+        # The failed levels of the heavy panel sit between ok ones, and each
+        # keeps its own first failure.
         csv = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
-        monkeypatch.setattr(covariance, "_SCAN_BYTES", 3 * 300 * 2**2)
         assert main(["trace-scan", "--input", str(csv), "--k-min", "5",
                      "--k-max", "80"]) == 2
         lines = capsys.readouterr().out.splitlines()[1:]
         statuses = self.statuses_match_single_levels(csv, lines, 5, 1.0 - 1.0 / 300)
-        chunks = [statuses[i : i + 3] for i in range(0, len(statuses), 3)]
-        assert any("ok" in c and any(s != "ok" for s in c) for c in chunks)
+        ok = [i for i, s in enumerate(statuses) if s == "ok"]
+        assert any(s != "ok" for s in statuses[ok[0] : ok[-1]])
 
-    def test_levels_rejected_before_the_fit(self, tmp_path, capsys, monkeypatch):
+    def test_levels_rejected_before_the_fit(self, tmp_path, capsys):
         # At tau' = 0.99 and n = 300, k = 2 and 3 give tau >= tau': those
         # rows fail with the LevelError of TailLevelPair, the rest run.
         csv = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
-        monkeypatch.setattr(covariance, "_SCAN_BYTES", 3 * 300 * 2**2)
         assert main(["trace-scan", "--input", str(csv), "--tau-prime", "0.99",
                      "--k-min", "2", "--k-max", "80"]) == 2
         lines = capsys.readouterr().out.splitlines()[1:]
@@ -256,18 +252,26 @@ class TestTraceScan:
         assert not statuses[2].startswith("failed: levels must satisfy")
         assert "ok" in statuses
 
-    def test_one_eigh_per_chunk_and_one_fit_per_level(self, tmp_path, data_csv, monkeypatch):
-        # Chunks of 7 levels: k = 20..22 is one chunk, k = 20..120 fifteen.
-        monkeypatch.setattr(covariance, "_SCAN_BYTES", 7 * 500 * 2**2)
+    def test_every_level_rejected_before_the_fit(self, tmp_path, capsys):
+        # At tau' = 0.99 and n = 300 no k in 2..3 gives tau < tau': no
+        # level reaches the scan, and every row names the LevelError.
+        csv = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
+        assert main(["trace-scan", "--input", str(csv), "--tau-prime", "0.99",
+                     "--k-min", "2", "--k-max", "3"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: trace scan failed at every k: levels must satisfy"
+        )
+
+    def test_one_eigh_per_scan_and_one_fit_per_level(self, tmp_path, data_csv, monkeypatch):
         fits = count_fits(monkeypatch)
         eighs = count_eighs(monkeypatch)
-        for k_max, chunks in ((22, 1), (120, 15)):
+        for k_max in (22, 120):
             fits.clear()
             eighs.clear()
             assert main(["trace-scan", "--input", str(data_csv), "--k-min", "20",
                          "--k-max", str(k_max), "--out", str(tmp_path / "out")]) == 0
             assert fits == [tau_from_k(500, k) for k in range(20, k_max + 1)]
-            assert len(eighs) <= chunks
+            assert eighs == [k_max - 19]
 
     def scan_call_counts(self, tmp_path, data_csv, calls) -> list:
         """len(calls) after a trace-scan over k=20..22 and over k=20..120."""
@@ -284,8 +288,10 @@ class TestTraceScan:
         counts = self.scan_call_counts(tmp_path, data_csv, calls)
         assert counts[0] == counts[1] <= 2
 
-    def test_cumsums_do_not_grow_with_k_range(self, tmp_path, data_csv, monkeypatch):
-        calls = count_numpy_calls(monkeypatch, "cumsum")
+    def test_bincounts_and_cumsums_do_not_grow_with_k_range(
+        self, tmp_path, data_csv, monkeypatch
+    ):
+        calls = count_numpy_calls(monkeypatch, "bincount", "cumsum")
         counts = self.scan_call_counts(tmp_path, data_csv, calls)
         assert counts[0] == counts[1]
 

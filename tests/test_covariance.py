@@ -1,6 +1,8 @@
 """Theoretical covariance/bias oracles and their plug-in estimators."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,10 +30,10 @@ from tailjoint.errors import (
     RAISE,
     DomainError,
     NotPositiveSemidefiniteError,
+    NumericError,
     TailjointError,
 )
 from tailjoint.marginal import (
-    _fit_levels,
     _fit_stack,
     asymmetric_weight,
     empirical_quantile,
@@ -448,29 +450,27 @@ class TestEstimateSigmaLawsExactness:
 
 
 def row_major_laws(st, g, q, xi, tau):
-    """The raw LAWS covariance and the Hill/LAWS cross terms of each entry
+    """The raw LAWS covariance and the Hill/LAWS cross terms of each sample
     of the stack st, built on its row-major (n, d) values: the residuals
     phi = asymmetric_weight(x - xi) with the weight chosen by sign, their
     Gram phi^T phi, and the cross terms from the (k, d) rows of phi that
     each margin's top k rows hold.  The reference that the column-major
     builder (covariance._v_laws_raw) equals bit for bit."""
     n, d = st.n, g.shape[-1]
+    omt, k = 1.0 - tau, effective_k(n, tau)
     vlaws, cross = np.empty((len(g), d, d)), np.empty((len(g), d, d))
-    for b, t in enumerate(np.broadcast_to(np.ravel(tau), len(g))):
-        s = b if len(st.values) > 1 else 0
-        gb, omt = g[b], 1.0 - t
-        phi = asymmetric_weight(st.values[s] - xi[b], t)
-        surv = (st.sorted_columns[s] > xi[b][:, None]).sum(axis=-1) / n
+    for b, gb in enumerate(g):
+        phi = asymmetric_weight(st.values[b] - xi[b], tau)
+        surv = (st.sorted_columns[b] > xi[b][:, None]).sum(axis=-1) / n
         vlaws[b] = np.outer(gb, gb) * (phi.T @ phi / n) / (omt * np.outer(xi[b], xi[b]))
         np.fill_diagonal(
             vlaws[b],
             2.0 * gb**2 / (1.0 - 2.0 * gb)
             * (1.0 + surv / omt)
-            / (1.0 + (2.0 * t - 1.0) * surv / omt) ** 2,
+            / (1.0 + (2.0 * tau - 1.0) * surv / omt) ** 2,
         )
-        k = effective_k(n, t)
-        top = phi[st.order[s][:, n - k :]]  # (d, k, d)
-        values, thresholds = st.sorted_columns[s][:, n - k :], q[b][:, None]
+        top = phi[st.order[b][:, n - k :]]  # (d, k, d)
+        values, thresholds = st.sorted_columns[b][:, n - k :], q[b][:, None]
         s1 = (np.log(values / thresholds)[:, None, :] @ top)[:, 0, :]
         s2 = np.where((values > thresholds)[..., None], top, 0.0).sum(axis=-2)
         cross[b] = gb[None, :] * (s1 / n) - np.outer(gb, gb) * (s2 / n)
@@ -481,8 +481,7 @@ def row_major_laws(st, g, q, xi, tau):
 class TestColumnMajorLaws:
     """The LAWS covariance on column-major (B, d, n) rows, with each
     margin's residuals scaled by a power of two, is the row-major
-    construction to the bit, for a stack of samples and for a stack of
-    levels of one sample."""
+    construction to the bit, for a stack of samples and for one sample."""
 
     @staticmethod
     def assert_bit_for_bit(st, fit, tau):
@@ -505,22 +504,15 @@ class TestColumnMajorLaws:
         st = _stack_panels(values)
         self.assert_bit_for_bit(st, _fit_stack(st, 0.9, RAISE), 0.9)
 
-    def test_level_stack(self):
-        model = SimulationModel.gumbel_frechet(d=3, gamma=0.25)
-        x = sample_model(model, 600, rng_stream(6, 0)).values
-        s = MultivariateSample(np.round(x, 2), ("a", "b", "c"))  # ties
-        tau = np.array([[tau_from_k(s.n, k)] for k in range(20, 240, 9)])
-        self.assert_bit_for_bit(s._stack, _fit_levels(s, tau, RAISE), tau)
-
-    def test_level_stack_with_expectile_on_an_observation(self):
+    def test_one_sample_with_expectile_on_an_observation(self):
         # Integer values: at k = 10 margin 1's LAWS expectile is exactly 7,
         # so the survival count must leave out the observations equal to it.
-        x = np.floor((1.0 - np.random.default_rng(0).random((40, 2))) ** -0.3 * 4.0)
-        s = MultivariateSample(x, ("a", "b"))
-        tau = np.array([[tau_from_k(s.n, k)] for k in range(4, 11)])
-        fit = _fit_levels(s, tau, RAISE)
-        assert fit.xi_laws[-1, 1] == 7.0 and 7.0 in s.column(1)
-        self.assert_bit_for_bit(s._stack, fit, tau)
+        s = integer_panel()
+        tau = tau_from_k(s.n, 10)
+        fit = estimate_margins(s, tau)
+        assert fit.xi_laws[1] == 7.0 and 7.0 in s.column(1)
+        one = type(fit)(tau, *(a[None] for a in (fit.gamma_hat, fit.q_hat, fit.xi_laws)))
+        self.assert_bit_for_bit(s._stack, one, tau)
 
 
 class TestEstimateVQb:
@@ -683,29 +675,149 @@ def flat_topped_panel() -> MultivariateSample:
     return MultivariateSample(x, ("A", "B", "C"))
 
 
+def integer_panel() -> MultivariateSample:
+    """A 40 x 2 panel of integers: at k = 10 margin 1's LAWS expectile is
+    exactly 7, one of its values."""
+    x = np.floor((1.0 - np.random.default_rng(0).random((40, 2))) ** -0.3 * 4.0)
+    return MultivariateSample(x, ("a", "b"))
+
+
+def tied_panel() -> MultivariateSample:
+    """A Gumbel draw rounded to two decimals: ties in every column."""
+    model = SimulationModel.gumbel_frechet(d=3, gamma=0.25)
+    x = sample_model(model, 600, rng_stream(6, 0)).values
+    return MultivariateSample(np.round(x, 2), ("a", "b", "c"))
+
+
+@st.composite
+def scan_panels(draw) -> MultivariateSample:
+    """An n x d panel (n = 5..60, d = 1, 2, 3 or 5) of Pareto-tailed
+    columns: plain, rounded (ties) or integer, shifted to hold negative
+    values or not, with its last column a copy of its first or not, and
+    scaled by 1, 1e300 or 1e-300."""
+    n, d = draw(st.integers(5, 60)), draw(st.sampled_from([1, 2, 3, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = (1.0 - rng.random((n, d))) ** -draw(st.floats(0.05, 0.45))
+    kind = draw(st.sampled_from(["plain", "rounded", "integer"]))
+    if kind == "rounded":
+        x = np.round(x, draw(st.integers(1, 3)))
+    elif kind == "integer":
+        x = np.floor(4.0 * x)
+    x -= draw(st.sampled_from([0.0, 0.5, 1.5]))
+    if d > 1 and draw(st.booleans()):
+        x[:, -1] = x[:, 0]
+    x *= draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    return MultivariateSample(x, tuple(f"X{j}" for j in range(d)))
+
+
+def scan_with_clips(sample, ks, tau_prime):
+    """_scan_v_star_laws of the sample at k = ks (ascending) and tau_prime,
+    and the clip magnitude of each level's checked matrix."""
+    levels = [TailLevelPair(tau_from_k(sample.n, k), tau_prime, sample.n) for k in ks]
+    spd_stack, clips = covariance._spd_stack, []
+
+    def recording(*args):
+        checked = spd_stack(*args)
+        clips.extend(checked.clip)
+        return checked
+
+    with mock.patch.object(covariance, "_spd_stack", recording):
+        got = covariance._scan_v_star_laws(sample, levels)
+    return levels, got, clips
+
+
+def assert_scan_matches_single_levels(sample, ks, tau_prime=0.999, exact=False) -> set:
+    """Each level of a scan of the sample against estimate_v_star_laws: the
+    same failure class and message, or else, where neither clips, the same
+    trace to the bit, and every entry within 1e-12 of the matrix's largest
+    (exact: every entry to the bit).  Returns the kinds of failure seen."""
+    kinds = set()
+    for lv, got, clip in zip(*scan_with_clips(sample, ks, tau_prime)):
+        try:
+            want = estimate_v_star_laws(sample, lv.tau, lv.tau_prime)
+        except TailjointError as exc:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            psd = isinstance(exc, NotPositiveSemidefiniteError)
+            kinds.add(type(exc).__name__ if psd else str(exc).split(" (")[0])
+            continue
+        assert not isinstance(got, TailjointError), got
+        if exact:
+            assert np.array_equal(got, want.entries)
+        if clip == 0.0 and want.clip_magnitude == 0.0:
+            assert np.trace(got) == np.trace(want.entries)
+        scale = np.max(np.abs(want.entries))
+        assert np.max(np.abs(got - want.entries)) <= 1e-12 * scale
+    return kinds
+
+
 class TestScanVStarLaws:
-    def test_each_level_equals_its_single_level_call(self, monkeypatch):
-        # Chunks of three levels.  At k = 44..56 this Gumbel draw has
-        # star-LAWS matrices that are not PSD next to valid ones; the
-        # flat-topped panel has Hill estimates of 0 and of 1/2 and more.
-        # Whole matrices are compared: their trace reads only diagonals
-        # that phi and the cross terms do not reach.
+    def test_each_level_equals_its_single_level_call(self):
+        # At k = 44..56 this Gumbel draw has star-LAWS matrices that are
+        # not PSD next to valid ones; the flat-topped panel has Hill
+        # estimates of 0 and of 1/2 and more.  Whole matrices are compared:
+        # their trace reads only diagonals that the nested sums do not
+        # reach.
         gumbel = sample_model(SimulationModel.gumbel_frechet(d=2), 1000, rng_stream(1, 30))
         kinds = set()
         for sample, ks in ((gumbel, range(44, 57)), (flat_topped_panel(), range(2, 199))):
-            monkeypatch.setattr(covariance, "_SCAN_BYTES", 3 * sample.n * sample.d**2)
-            levels = [TailLevelPair(tau_from_k(sample.n, k), 0.999, sample.n) for k in ks]
-            for lv, got in zip(levels, covariance._scan_v_star_laws(sample, levels)):
-                try:
-                    want = estimate_v_star_laws(sample, lv.tau, lv.tau_prime).entries
-                except TailjointError as exc:
-                    assert type(got) is type(exc) and str(got) == str(exc)
-                    psd = isinstance(exc, NotPositiveSemidefiniteError)
-                    kinds.add(type(exc).__name__ if psd else str(exc).split(" (")[0])
-                    continue
-                assert np.array_equal(got, want)
+            kinds |= assert_scan_matches_single_levels(sample, ks, exact=True)
         assert kinds == {
             "NotPositiveSemidefiniteError",
             "LAWS variance requires positive Hill estimates",
             "tail too heavy for LAWS variance",
         }
+
+    def test_tied_and_integer_panels(self):
+        # Ties in every column, and an expectile equal to an observation at
+        # k = 10 of the integer panel: a value equal to xi is not above it.
+        assert_scan_matches_single_levels(tied_panel(), range(20, 240, 9))
+        s = integer_panel()
+        assert estimate_margins(s, tau_from_k(s.n, 10)).xi_laws[1] == 7.0
+        assert_scan_matches_single_levels(s, range(2, 40))
+
+    @given(scan_panels())
+    @settings(max_examples=40, deadline=None)
+    def test_every_level_matches_its_single_level_call(self, s):
+        assert_scan_matches_single_levels(s, range(2, s.n), 1.0 - 0.5 / s.n)
+
+    def test_levels_in_any_order(self):
+        # The scan runs its levels in ascending k and returns them in the
+        # order given, repeats included.
+        s = tied_panel()
+        levels = [TailLevelPair(tau_from_k(s.n, k), 0.999, s.n) for k in (90, 30, 60, 30)]
+        got = covariance._scan_v_star_laws(s, levels)
+        assert np.array_equal(got[1], got[3])
+        for lv, m in zip(levels, got):
+            want = estimate_v_star_laws(s, lv.tau, lv.tau_prime).entries
+            assert np.trace(m) == np.trace(want)
+            assert np.max(np.abs(m - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_rising_cut_offs_raise(self, monkeypatch):
+        # Exact expectiles fall as k grows; a fit whose xi-hat rises would
+        # make the tail sets not nested, and the scan refuses it.
+        fit_levels = covariance._fit_levels
+
+        def rising(sample, tau, checks):
+            fit = fit_levels(sample, tau, checks)
+            return type(fit)(fit.tau, fit.gamma_hat, fit.q_hat, fit.xi_laws[::-1])
+
+        monkeypatch.setattr(covariance, "_fit_levels", rising)
+        s = tied_panel()
+        levels = [TailLevelPair(tau_from_k(s.n, k), 0.999, s.n) for k in (20, 30)]
+        with pytest.raises(NumericError, match="LAWS expectiles rise with k"):
+            covariance._scan_v_star_laws(s, levels)
+
+    def test_memory_does_not_grow_by_rows_per_level(self):
+        # Beyond its (L, 2d, 2d) results, a scan of L levels holds nothing
+        # per level: no (L, n) array.  So adding 400 levels raises its peak
+        # by far less than one n-long row of floats per level.
+        s = sample_model(SimulationModel.gumbel_frechet(d=3), 4000, rng_stream(2, 0))
+        s._ranks, s._laws_sums  # sorted, ranked and summed before tracing
+        peaks = []
+        for ks in (range(50, 60), range(50, 460)):
+            levels = [TailLevelPair(tau_from_k(s.n, k), 0.9999, s.n) for k in ks]
+            tracemalloc.start()
+            covariance._scan_v_star_laws(s, levels)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 400 * s.n * 8 / 4

@@ -11,6 +11,7 @@ from tailjoint.errors import DomainError
 from tailjoint.sample import MultivariateSample
 from tailjoint.taildep import (
     OracleTailCopula,
+    _r11_cut,
     _r11_matrix,
     _tail_points,
     _unit_integral_matrix,
@@ -95,6 +96,17 @@ class TestR11Matrix:
             want = top.T @ top / (s.n * (1.0 - tau))
             assert np.array_equal(_r11_matrix(s._stack, tau)[0], want)
 
+    @given(n=st.integers(4, 6000), k=st.integers(1, 5999), tau=st.floats(1e-9, 1.0 - 1e-9))
+    @settings(max_examples=200, deadline=None)
+    def test_cut_off_tests_every_rank(self, n, k, tau):
+        # The one rank that _r11_cut tests gives the cut-off that testing
+        # every rank 1..n gives, at 1 - k/n and at any level.
+        taus = np.array([tau, 1.0 - min(k, n - 1) / n])
+        ranks = np.arange(1, n + 1)
+        want = [n + 1 - (_tail_points(ranks, t) <= 1.0).sum() for t in taus]
+        assert _r11_cut(n, taus).tolist() == want
+        assert [_r11_cut(n, t) for t in taus] == want
+
 
 def unit_integrals(s, tau):
     return _unit_integral_matrix(s._ranks, tau)
@@ -109,12 +121,15 @@ class TestUnitIntegral:
         # I[0, 1] integrates along margin 0's axis, I[1, 0] along margin 1's.
         exact = unit_integrals(s, 0.9)[axis, 1 - axis]
         tc = empirical_tail_copula(s, 0.9, 0, 1)
-        # Direct Riemann sum over a uniform log-grid of the step function.
+        # Direct Riemann sum over a uniform log-grid of the step function
+        # R-hat(u, 1) (axis 0) or R-hat(1, u) (axis 1): the count that
+        # tc.evaluate makes at each grid point, read from the sorted points.
         g = np.exp(np.linspace(np.log(1e-6), 0.0, 400_001))
-        if axis == 0:
-            f = np.array([tc.evaluate(u, 1.0) for u in g])
-        else:
-            f = np.array([tc.evaluate(1.0, u) for u in g])
+        var, other = (tc.u, tc.v) if axis == 0 else (tc.v, tc.u)
+        f = np.searchsorted(np.sort(var[other <= 1.0]), g, side="right") / tc.k_effective
+        for i in range(0, g.size, 4_000):
+            args = (g[i], 1.0) if axis == 0 else (1.0, g[i])
+            assert f[i] == tc.evaluate(*args)
         oracle = float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(np.log(g))))
         assert exact == pytest.approx(oracle, abs=1e-3)
         # the step representation is exact: breakpoint refinement converges
