@@ -20,10 +20,8 @@ from .covariance import (
 from .equality_tests import (
     TestResult,
     deviance_statistic,
+    equality_test,
     gls_common_mean,
-    test_equal_expectiles_laws,
-    test_equal_expectiles_qb,
-    test_equal_quantiles,
 )
 from .errors import (
     DomainError,
@@ -37,29 +35,21 @@ from .errors import (
 from .inference import (
     ConfidenceRegion,
     MarginalInterval,
-    marginal_interval_laws,
-    marginal_interval_qb,
+    confidence_region,
+    marginal_interval,
     region_boundary_points,
     region_contains,
-    region_extreme_laws,
-    region_extreme_qb,
-    region_intermediate_laws,
-    region_intermediate_qb,
 )
 from .marginal import (
     MarginalTailEstimates,
     asymmetric_weight,
     empirical_quantile,
     estimate_margins,
-    extrapolate_expectile_laws,
-    extrapolate_expectile_qb,
-    hill_at_level,
+    fit_column,
     hill_estimator,
     laws_expectile,
     m_function,
-    qb_expectile,
     qb_factor,
-    weissman_quantile,
 )
 from .numerics import (
     SpdMatrix,

@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import _scan_v_star_laws
-from .equality_tests import _equality_test
+from .equality_tests import equality_test
 from .errors import DomainError, LevelError, TailjointError
-from .inference import _estimate_sample, _interval, _region, region_boundary_points
+from .inference import _estimate_sample, _interval, confidence_region, region_boundary_points
 from .marginal import estimate_margins
 from .sample import (
     MultivariateSample,
@@ -271,7 +271,7 @@ def cmd_region(args) -> int:
             }
             docs.append(doc)
             try:
-                region = _region(_estimate_sample(sub, tau, tau_prime, method, naive), alpha)
+                region = confidence_region(sub, tau, tau_prime, alpha, method, naive)
             except TailjointError as exc:
                 doc.update(status="failed", error=str(exc))
                 failures += 1
@@ -314,8 +314,7 @@ def cmd_test(args) -> int:
                 if kind == "extremal_coefficient":
                     result = {"statistic": extremal_coefficient(sub, tau, 0, 1)}
                 else:
-                    est = _estimate_sample(sub, tau, tau_prime, kind)
-                    result = _equality_test(est, alpha).to_json_dict()
+                    result = equality_test(sub, tau, tau_prime, kind, alpha).to_json_dict()
                 row["status"] = "ok"
                 row.update(result)
             except TailjointError as exc:

@@ -376,7 +376,7 @@ def estimate_bias_qb(sample: MultivariateSample, tau: float) -> np.ndarray:
 def _v_qb_raw(st, g, tau: float, log_dn: float, checks) -> np.ndarray:
     """Unclipped plug-in QB covariance of each sample of the stack st:
     _qb_matrix read from the ranks."""
-    r11, unit = _r11_matrix(st, tau), _unit_integral_matrix(st.ranks, tau)
+    r11, unit = _r11_matrix(st, tau), _unit_integral_matrix(st, tau)
     return _qb_matrix(g, r11, unit, log_dn, checks)
 
 

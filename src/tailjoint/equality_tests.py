@@ -25,13 +25,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import RAISE, DomainError, SingularCovarianceError
-from .inference import _check_alpha, _estimate_sample, _Estimate
+from .inference import _check_alpha, _check_method, _estimate_sample, _Estimate
 from .numerics import SpdMatrix, _SpdStack, chi_square_quantile, chi_square_sf
 from .sample import MultivariateSample
 
 
 @dataclass(frozen=True)
 class TestResult:
+    __test__ = False  # not a pytest test class
+
     kind: str
     statistic: float
     df: int
@@ -100,46 +102,30 @@ def _statistic(est: _Estimate):
     return stat / scale, mean, scale
 
 
-def _equality_test(est: _Estimate, alpha: float) -> TestResult:
-    d = est.center.shape[-1]
+def equality_test(
+    sample: MultivariateSample, tau: float, tau_prime: float, kind: str, alpha: float = 0.05
+) -> TestResult:
+    """Deviance test of equal extreme expectiles at tau_prime, LAWS- or
+    QB-extrapolated (kind "laws" or "qb"), or of equal extreme quantiles by
+    Weissman extrapolation (kind "quantile")."""
+    _check_method(kind, tuple(_TEST_NAMES))
+    est = _estimate_sample(sample, tau, tau_prime, kind)
+    d = sample.d
     if d < 2:
         raise DomainError("equality test requires at least two margins")
     _check_alpha(alpha)
     stat, mean, scale = _statistic(est)
     stat, mean = float(stat[0]), float(mean[0])
-    p = chi_square_sf(stat, d - 1)
-    levels = est.levels
     return TestResult(
-        kind=est.method,
+        kind=kind,
         statistic=stat,
         df=d - 1,
-        p_value=p,
+        p_value=chi_square_sf(stat, d - 1),
         reject=stat > chi_square_quantile(1.0 - alpha, d - 1),
         alpha=alpha,
-        tau=levels.tau,
-        tau_prime=levels.tau_prime,
-        k=levels.k,
+        tau=tau,
+        tau_prime=tau_prime,
+        k=est.levels.k,
         common_mean=mean,
         covariance_scale=scale,
     )
-
-
-def test_equal_expectiles_laws(
-    sample: MultivariateSample, tau: float, tau_prime: float, alpha: float = 0.05
-) -> TestResult:
-    """Deviance test of equal extreme expectiles, LAWS-extrapolated."""
-    return _equality_test(_estimate_sample(sample, tau, tau_prime, "laws"), alpha)
-
-
-def test_equal_expectiles_qb(
-    sample: MultivariateSample, tau: float, tau_prime: float, alpha: float = 0.05
-) -> TestResult:
-    """Deviance test of equal extreme expectiles, QB-extrapolated."""
-    return _equality_test(_estimate_sample(sample, tau, tau_prime, "qb"), alpha)
-
-
-def test_equal_quantiles(
-    sample: MultivariateSample, tau: float, tau_prime: float, alpha: float = 0.05
-) -> TestResult:
-    """Deviance test of equal extreme quantiles via Weissman extrapolation."""
-    return _equality_test(_estimate_sample(sample, tau, tau_prime, "quantile"), alpha)

@@ -21,7 +21,7 @@ from .marginal import MarginalTailEstimates, _qb_factors
 from .numerics import (
     SpdMatrix, _spd_stack, _SpdStack, chi_square_quantile, std_normal_quantile,
 )
-from .sample import MultivariateSample, TailLevelPair, _Stack
+from .sample import MultivariateSample, TailLevelPair, _check_margin, _Stack
 from .taildep import _r11_matrix
 
 # Relative slack when comparing the membership quadratic form to radius^2,
@@ -219,6 +219,13 @@ def _estimate_sample(
     return _estimate(st, MarginalTailEstimates(tau, *fit), levels, method, naive, RAISE)
 
 
+def _check_method(method: str, methods: tuple[str, ...] = ("laws", "qb")) -> None:
+    """The one check of a method name: _estimate reads any name but "laws"
+    as QB, or extrapolated as Weissman."""
+    if method not in methods:
+        raise DomainError(f"unknown method {method!r}")
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
@@ -243,57 +250,32 @@ def _region_parts(est: _Estimate, alpha: float):
     return kind, covariance, shift, radius
 
 
-def _region(est: _Estimate, alpha: float) -> ConfidenceRegion:
+def confidence_region(
+    sample: MultivariateSample,
+    tau: float,
+    tau_prime: float | None,
+    alpha: float,
+    method: str,
+    naive: bool = False,
+) -> ConfidenceRegion:
+    """Joint confidence region for the expectile vector, centered at the
+    LAWS or the bias-adjusted QB estimates (method "laws" or "qb").
+
+    With tau_prime=None the region is for the intermediate expectiles at
+    tau, on the linear scale; otherwise for the extreme expectiles at
+    tau_prime, on the log scale, with the bias adjustment inside the
+    exponential.  The naive variant assumes independent margins: a
+    diagonal shape matrix with first-order entries 2g^3/(1-2g) (LAWS) or
+    2g^2/(1-2g) (QB) at tau, and gamma-hat^2 with no bias adjustment at
+    tau_prime, matching the naive marginal intervals."""
+    _check_method(method)
+    est = _estimate_sample(sample, tau, tau_prime, method, naive)
     kind, covariance, shift, radius = _region_parts(est, alpha)
-    extreme = est.levels is not None
     return ConfidenceRegion(
-        kind=kind, scale="log" if extreme else "linear", alpha=alpha, tau=est.tau,
-        tau_prime=est.levels.tau_prime if extreme else None, center=est.center[0],
-        bias_shift=shift[0], shape=SpdMatrix(covariance), radius=radius,
+        kind=kind, scale="linear" if tau_prime is None else "log", alpha=alpha, tau=tau,
+        tau_prime=tau_prime, center=est.center[0], bias_shift=shift[0],
+        shape=SpdMatrix(covariance), radius=radius,
     )
-
-
-def region_intermediate_laws(
-    sample: MultivariateSample, tau: float, alpha: float, naive: bool = False
-) -> ConfidenceRegion:
-    """Linear-scale joint region for the intermediate expectile vector,
-    centered at the LAWS estimates.  The naive variant assumes independent
-    margins: diagonal shape matrix with first-order entries 2g^3/(1-2g)."""
-    return _region(_estimate_sample(sample, tau, None, "laws", naive), alpha)
-
-
-def region_intermediate_qb(
-    sample: MultivariateSample, tau: float, alpha: float, naive: bool = False
-) -> ConfidenceRegion:
-    """Linear-scale joint region for the intermediate expectile vector,
-    centered at the bias-adjusted QB estimates.  The naive variant assumes
-    independent margins: diagonal shape matrix with entries 2g^2/(1-2g)."""
-    return _region(_estimate_sample(sample, tau, None, "qb", naive), alpha)
-
-
-def region_extreme_laws(
-    sample: MultivariateSample,
-    tau: float,
-    tau_prime: float,
-    alpha: float,
-    naive: bool = False,
-) -> ConfidenceRegion:
-    """Log-scale joint region for the extreme expectile vector, centered at
-    the LAWS extrapolating estimates with the bias adjustment inside the
-    exponential.  The naive variant assumes independent margins and drops
-    both the adjustment and the finite-n corrections (diagonal gamma-hat^2),
-    matching the naive marginal intervals."""
-    return _region(_estimate_sample(sample, tau, tau_prime, "laws", naive), alpha)
-
-
-def region_extreme_qb(
-    sample: MultivariateSample,
-    tau: float,
-    tau_prime: float,
-    alpha: float,
-    naive: bool = False,
-) -> ConfidenceRegion:
-    return _region(_estimate_sample(sample, tau, tau_prime, "qb", naive), alpha)
 
 
 def region_contains(region: ConfidenceRegion, point) -> bool:
@@ -369,29 +351,21 @@ def _interval(est: _Estimate, j: int, alpha: float) -> MarginalInterval:
     return MarginalInterval(float(lower[0]), float(upper[0]), margin=j, alpha=alpha)
 
 
-def marginal_interval_laws(
+def marginal_interval(
     sample: MultivariateSample,
     tau: float,
     tau_prime: float,
     j: int,
     alpha: float,
+    method: str,
     naive: bool = False,
 ) -> MarginalInterval:
-    """Log-scale interval for one extreme expectile, LAWS-extrapolated.
+    """Log-scale interval for the extreme expectile of margin j at
+    tau_prime, LAWS- or QB-extrapolated (method "laws" or "qb").
 
     The naive variant drops the bias adjustment and uses the first-order
     asymptotic variance gamma-hat^2 in place of the finite-n covariance.
     """
-    return _interval(_estimate_sample(sample, tau, tau_prime, "laws", naive), j, alpha)
-
-
-def marginal_interval_qb(
-    sample: MultivariateSample,
-    tau: float,
-    tau_prime: float,
-    j: int,
-    alpha: float,
-    naive: bool = False,
-) -> MarginalInterval:
-    """Log-scale interval for one extreme expectile, QB-extrapolated."""
-    return _interval(_estimate_sample(sample, tau, tau_prime, "qb", naive), j, alpha)
+    _check_method(method)
+    _check_margin(j, sample.d)
+    return _interval(_estimate_sample(sample, tau, tau_prime, method, naive), j, alpha)

@@ -99,6 +99,8 @@ def hill_estimator(column, k: int) -> float:
 
 
 def _check_hill_size(n: int, k: int) -> None:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise LevelError(f"Hill effective size must be an integer, got {k!r}")
     if not 1 <= k <= n - 1:
         raise LevelError(f"Hill effective size k={k} outside [1, {n - 1}]")
 
@@ -124,10 +126,6 @@ def _hill_sorted(xs: np.ndarray, k, checks) -> np.ndarray:
     return gamma.reshape(np.shape(k)[:-1] + xs.shape[:1])
 
 
-def hill_at_level(column, tau: float) -> float:
-    return float(_fit_column(column, tau).gamma_hat[0])
-
-
 def qb_factor(gamma: float) -> float:
     """(gamma^{-1} - 1)^{-gamma}, the expectile/quantile proportionality."""
     if not 0.0 < gamma < 1.0:
@@ -149,23 +147,6 @@ def _qb_factors(g: np.ndarray, checks) -> np.ndarray:
     return np.array(
         [qb_factor(x) if good else np.nan for x, good in zip(g.flat, ok.flat)]
     ).reshape(g.shape)
-
-
-def qb_expectile(column, tau: float) -> float:
-    """Quantile-based expectile estimator at level tau."""
-    return float(_fit_column(column, tau).xi_qb[0])
-
-
-def weissman_quantile(column, tau: float, tau_prime: float) -> float:
-    return float(_fit_column(column, tau).weissman_quantiles(tau_prime)[0])
-
-
-def extrapolate_expectile_laws(column, tau: float, tau_prime: float) -> float:
-    return float(_fit_column(column, tau).xi_star_laws(tau_prime)[0])
-
-
-def extrapolate_expectile_qb(column, tau: float, tau_prime: float) -> float:
-    return float(_fit_column(column, tau).xi_star_qb(tau_prime)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +219,10 @@ def _fit_levels(sample, tau: np.ndarray, checks) -> MarginalTailEstimates:
     return _fit_sorted(sample.sorted_columns, sample._laws_sums, tau, checks)
 
 
-def _fit_column(column, tau: float) -> MarginalTailEstimates:
+def fit_column(column, tau: float) -> MarginalTailEstimates:
+    """The fit of one column at level tau, as arrays of one margin: the Hill
+    index, the intermediate quantile and the LAWS expectile, from which the
+    QB expectile and the Weissman, LAWS and QB extrapolations are read."""
     xs = _sorted_row(column)
     return _fit_sorted(xs, _sums_sorted(xs), tau, RAISE)
 

@@ -81,6 +81,8 @@ class MultivariateSample:
         them, as views of this sample's rows, otherwise as copies.
         """
         indices = list(indices)
+        for j in indices:
+            _check_margin(j, self.d)
         sub = MultivariateSample(
             self.values[:, indices],
             tuple(self.labels[j] for j in indices),
@@ -201,6 +203,12 @@ def _column_ranks(order: np.ndarray) -> np.ndarray:
     ranks = np.empty(order.shape, dtype=np.int64)
     np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
     return _read_only(ranks)
+
+
+def _check_margin(j, d: int) -> None:
+    """Require a margin index: an integer, not a bool, in [0, d)."""
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < d:
+        raise DomainError(f"margin index must be an integer in [0, {d - 1}], got {j!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

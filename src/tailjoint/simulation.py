@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special
 
 from .errors import Checks, DomainError, TailjointError
-from .inference import _check_alpha, _endpoints, _estimate, _region_parts
+from .inference import _check_alpha, _check_method, _endpoints, _estimate, _region_parts
 from .equality_tests import _statistic
 from .marginal import _check_hill_size, _fit_stack, _qb_factors
 from .numerics import _quadratic_form, chi_square_quantile
@@ -388,11 +388,6 @@ def _check_levels(n: int, tau: float, tau_prime: float | None) -> TailLevelPair 
     return TailLevelPair(tau, tau_prime, n)
 
 
-def _check_method(method: str) -> None:
-    if method not in ("laws", "qb"):
-        raise DomainError(f"unknown method {method!r}")
-
-
 def run_mc_mse(
     model: SimulationModel,
     n: int,
@@ -497,7 +492,7 @@ def run_mc_power(
 ) -> McReport:
     """Rejection rates of the expectile equality tests; the test variants
     share each simulated sample, and each replication's decisions and
-    failure are those of test_equal_expectiles_laws and _qb on it.
+    failure are those of equality_test on it.
 
     A replication fails as a whole when any test fails, so a LAWS failure
     also leaves its QB decision out of the QB rate.  Counting each method's

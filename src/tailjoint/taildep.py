@@ -1,5 +1,5 @@
-"""Empirical tail copula, its pair matrices R(1,1) and unit integrals (one
-matrix product each over the rank-transformed points), the extremal
+"""Empirical tail copula, its pair matrices R(1,1) and unit integrals (each a
+sum over the one gather of the top ranks of every pair), the extremal
 coefficient, and analytic tail-copula oracles used for testing.  Every
 empirical quantity reads the sample's cached ranks, column-major as d x n
 rows (``MultivariateSample._ranks``, ``_Stack.ranks``)."""
@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import integrate_unit_log
-from .sample import MultivariateSample
+from .sample import MultivariateSample, _check_margin
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,12 +47,14 @@ class EmpiricalTailCopula:
 def empirical_tail_copula(
     sample: MultivariateSample, tau: float, j: int, ell: int
 ) -> EmpiricalTailCopula:
-    _check_pair(tau, j, ell)
+    _check_pair(sample.d, tau, j, ell)
     u = _tail_points(sample._ranks, tau)
     return EmpiricalTailCopula(sample.n, tau, u[j], u[ell])
 
 
-def _check_pair(tau: float, j: int, ell: int) -> None:
+def _check_pair(d: int, tau: float, j: int, ell: int) -> None:
+    _check_margin(j, d)
+    _check_margin(ell, d)
     if j == ell:
         raise DomainError("tail copula is defined for distinct margins")
     if not 0.0 < tau < 1.0:
@@ -80,42 +82,42 @@ def _r11_cut(n: int, tau):
     return n + 1 - np.minimum(floor, n) - next_passes
 
 
+def _top_pairs(st, tau: float) -> np.ndarray:
+    """(S, d, d, M) mask of a ``sample._Stack`` at level tau: entry (j, l, m)
+    says whether margin j's row of rank cut + m, the m-th of its rows of
+    rank cut..n (read through its row order), reaches the cut-off rank c
+    (``_r11_cut``) on margin l too: the rows in the top ranks of both."""
+    cut = int(_r11_cut(st.n, tau))
+    rows = st.order[..., None, cut - 1 :]  # (S, d, 1, M)
+    margins = np.arange(st.ranks.shape[1])[:, None]
+    return st.ranks[np.arange(len(rows))[:, None, None, None], margins, rows] >= cut
+
+
 def _r11_matrix(st, tau: float) -> np.ndarray:
     """R-hat(1,1) of every pair of columns at once: the count that
     EmpiricalTailCopula.evaluate(1, 1) makes, one d x d matrix per sample of
-    a ``sample._Stack`` at level tau.  The diagonal is unused.
-
-    Entry (j, l) counts the rows whose ranks on margins j and l both reach
-    the cut-off rank c (``_r11_cut``): among margin j's rows of rank at
-    least c, read through its row order, those whose rank on margin l
-    reaches c too.  The counts are exact."""
-    n = st.n
-    cut = int(_r11_cut(n, tau))
-    rows = st.order[..., None, cut - 1 :]  # (S, d, 1, M): margin j's rows of rank cut..n
-    margins = np.arange(st.ranks.shape[1])[:, None]
-    top = st.ranks[np.arange(len(rows))[:, None, None, None], margins, rows]  # (S, d, d, M)
-    return (top >= cut).sum(axis=-1) / (n * (1.0 - tau))
+    a ``sample._Stack`` at level tau, exactly.  The diagonal is unused."""
+    return _top_pairs(st, tau).sum(axis=-1) / (st.n * (1.0 - tau))
 
 
-def _unit_integral_matrix(ranks: np.ndarray, tau: float) -> np.ndarray:
+def _unit_integral_matrix(st, tau: float) -> np.ndarray:
     """I[j, l], the integral over (0,1] of R-hat_jl(u,1)/u with u on margin
-    j's axis, for every pair of columns at once; the diagonal is unused.
+    j's axis, for every pair of columns of each sample of a
+    ``sample._Stack`` at once; the diagonal is unused.
     R-hat_jl(u,1) steps up by 1/(n(1-tau)) at each U_ij <= 1 with U_il <= 1,
     so I[j, l] sums -log U_ij over the points in the top ranks of both
-    margins and divides by n(1-tau).  ranks is (..., d, n), as in a
-    ``sample._Stack``."""
-    n = ranks.shape[-1]
-    u = _tail_points(ranks, tau)
-    # -log min(U, 1) is -log U on the top ranks and exactly 0 elsewhere.
-    logs = np.log(np.minimum(u, 1.0))
-    return -logs @ np.swapaxes(u <= 1.0, -1, -2) / (n * (1.0 - tau))
+    margins (``_top_pairs``) and divides by n(1-tau).  Margin j's top rows
+    have the ranks cut..n, whose U are the same on every margin."""
+    top, n = _top_pairs(st, tau), st.n
+    logs = np.log(_tail_points(np.arange(n + 1 - top.shape[-1], n + 1), tau, n))
+    return top @ -logs / (n * (1.0 - tau))
 
 
 def extremal_coefficient(
     sample: MultivariateSample, tau: float, j: int, ell: int
 ) -> float:
     """omega-hat = 2 - R-hat(1,1), the pair's entry of _r11_matrix."""
-    _check_pair(tau, j, ell)
+    _check_pair(sample.d, tau, j, ell)
     return 2.0 - float(_r11_matrix(sample._stack, tau)[0, j, ell])
 
 

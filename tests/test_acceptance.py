@@ -13,18 +13,14 @@ import pytest
 from conftest import record_criterion
 
 from tailjoint.covariance import theoretical_v_laws
-from tailjoint.equality_tests import (
-    test_equal_expectiles_laws as equal_expectiles_laws,
-    test_equal_expectiles_qb as equal_expectiles_qb,
-)
+from tailjoint.equality_tests import equality_test
 from tailjoint.inference import (
+    confidence_region,
     region_contains,
-    region_extreme_laws,
-    region_intermediate_laws,
 )
 from tailjoint.marginal import (
     estimate_margins,
-    extrapolate_expectile_laws,
+    fit_column,
     hill_estimator,
     laws_expectile,
 )
@@ -313,8 +309,8 @@ def test_criterion_10_invariance_suite():
         and np.all(np.abs(m2.xi_qb - c * m1.xi_qb) < 1e-10 * c)
     )
 
-    r1 = region_extreme_laws(s, tau, tau_prime, alpha)
-    r2 = region_extreme_laws(sc, tau, tau_prime, alpha)
+    r1 = confidence_region(s, tau, tau_prime, alpha, "laws")
+    r2 = confidence_region(sc, tau, tau_prime, alpha, "laws")
     z = r1.center * 1.01
     checks["region equivariance"] = (
         np.all(np.abs(r2.center - c * r1.center) < 1e-10 * c)
@@ -322,8 +318,8 @@ def test_criterion_10_invariance_suite():
         and abs(r2.radius - r1.radius) < 1e-10
     )
 
-    t1 = equal_expectiles_laws(s, tau, tau_prime)
-    t2 = equal_expectiles_laws(sc, tau, tau_prime)
+    t1 = equality_test(s, tau, tau_prime, "laws")
+    t2 = equality_test(sc, tau, tau_prime, "laws")
     checks["statistic scale invariance"] = abs(t2.statistic - t1.statistic) < 1e-10
 
     dup = MultivariateSample(np.column_stack([s.column(0), s.column(0)]), ("a", "b"))
@@ -331,13 +327,13 @@ def test_criterion_10_invariance_suite():
         np.column_stack([s.column(0), s.column(0) ** 1.2]), ("a", "b")
     )
     checks["zero statistic iff equal"] = (
-        equal_expectiles_laws(dup, tau, tau_prime).statistic < 1e-10
-        and equal_expectiles_qb(dup, tau, tau_prime).statistic < 1e-10
-        and equal_expectiles_qb(mixed, tau, tau_prime).statistic > 1e-10
+        equality_test(dup, tau, tau_prime, "laws").statistic < 1e-10
+        and equality_test(dup, tau, tau_prime, "qb").statistic < 1e-10
+        and equality_test(mixed, tau, tau_prime, "qb").statistic > 1e-10
     )
 
-    wide = region_intermediate_laws(s, tau, 0.05)
-    narrow = region_intermediate_laws(s, tau, 0.20)
+    wide = confidence_region(s, tau, None, 0.05, "laws")
+    narrow = confidence_region(s, tau, None, 0.20, "laws")
     grid = [narrow.center * (1.0 + eps) for eps in (0.0, 0.01, 0.03, 0.1, 0.3)]
     checks["alpha nesting"] = all(
         region_contains(wide, p) or not region_contains(narrow, p) for p in grid
@@ -400,7 +396,7 @@ def test_criterion_11_exchange_rate_pipeline():
     tau = 1.0 - 150.0 / returns.n
     tau_prime = 0.9995312
     gamma = hill_estimator(returns.column(j), 150)
-    xi_star = extrapolate_expectile_laws(returns.column(j), tau, tau_prime)
+    xi_star = fit_column(returns.column(j), tau).xi_star_laws(tau_prime)[0]
     ok = abs(gamma - 0.3331) < 0.002 and abs(xi_star - 0.0716) < 0.002
     assert report(
         "criterion-11", ok, f"gamma {gamma:.4f} vs 0.3331, xi* {xi_star:.4f} vs 0.0716"

@@ -11,10 +11,8 @@ from conftest import count_fits
 
 from tailjoint.equality_tests import (
     deviance_statistic,
+    equality_test,
     gls_common_mean,
-    test_equal_expectiles_laws as equal_expectiles_laws,
-    test_equal_expectiles_qb as equal_expectiles_qb,
-    test_equal_quantiles as equal_quantiles,
 )
 from tailjoint.errors import DomainError
 from tailjoint.numerics import SpdMatrix, chi_square_cdf
@@ -98,11 +96,9 @@ def duplicated_sample():
     return MultivariateSample(np.column_stack([s.column(0), s.column(0)]), ("a", "b"))
 
 
-@pytest.mark.parametrize(
-    "tester", [equal_expectiles_laws, equal_expectiles_qb]
-)
-def test_duplicated_columns_lambda_zero(tester):
-    result = tester(duplicated_sample(), TAU, TAU_PRIME)
+@pytest.mark.parametrize("kind", ["laws", "qb"])
+def test_duplicated_columns_lambda_zero(kind):
+    result = equality_test(duplicated_sample(), TAU, TAU_PRIME, kind)
     assert result.statistic == pytest.approx(0.0, abs=1e-12)
     assert not result.reject
     assert result.p_value == pytest.approx(1.0, abs=1e-12)
@@ -115,30 +111,28 @@ def test_duplicated_columns_quantile_singular():
     from tailjoint.errors import SingularCovarianceError
 
     with pytest.raises(SingularCovarianceError):
-        equal_quantiles(duplicated_sample(), TAU, TAU_PRIME)
+        equality_test(duplicated_sample(), TAU, TAU_PRIME, "quantile")
 
 
-@pytest.mark.parametrize(
-    "tester", [equal_expectiles_laws, equal_expectiles_qb, equal_quantiles]
-)
+@pytest.mark.parametrize("kind", ["laws", "qb", "quantile"])
 class TestAllTesters:
 
-    def test_scale_invariance(self, tester):
+    def test_scale_invariance(self, kind):
         s = fixture_sample()
-        r1 = tester(s, TAU, TAU_PRIME)
-        r2 = tester(s.scaled(9.75), TAU, TAU_PRIME)
+        r1 = equality_test(s, TAU, TAU_PRIME, kind)
+        r2 = equality_test(s.scaled(9.75), TAU, TAU_PRIME, kind)
         assert r2.statistic == pytest.approx(r1.statistic, rel=1e-9)
         assert r2.reject == r1.reject
 
-    def test_permutation_invariance(self, tester):
+    def test_permutation_invariance(self, kind):
         s = fixture_sample(d=3)
-        r1 = tester(s, TAU, TAU_PRIME)
-        r2 = tester(s.select([2, 0, 1]), TAU, TAU_PRIME)
+        r1 = equality_test(s, TAU, TAU_PRIME, kind)
+        r2 = equality_test(s.select([2, 0, 1]), TAU, TAU_PRIME, kind)
         assert r2.statistic == pytest.approx(r1.statistic, rel=1e-9)
 
-    def test_p_value_consistent_with_decision(self, tester):
+    def test_p_value_consistent_with_decision(self, kind):
         s = fixture_sample(heavy_first=True, seed=11)
-        result = tester(s, TAU, TAU_PRIME, alpha=0.05)
+        result = equality_test(s, TAU, TAU_PRIME, kind, alpha=0.05)
         assert result.p_value == pytest.approx(
             1.0 - chi_square_cdf(result.statistic, result.df), abs=1e-12
         )
@@ -146,26 +140,26 @@ class TestAllTesters:
             result.p_value, 0.05, abs_tol=1e-9
         )
 
-    def test_p_value_from_the_upper_tail(self, tester):
+    def test_p_value_from_the_upper_tail(self, kind):
         # Tails 0.45 and 0.1 put the statistic so far out that 1 - cdf
         # would read 0.0.
         u = np.random.default_rng(3).random((5000, 2))
         s = MultivariateSample((1.0 - u) ** -np.array([0.45, 0.1]), ("a", "b"))
-        result = tester(s, TAU, TAU_PRIME)
+        result = equality_test(s, TAU, TAU_PRIME, kind)
         assert 0.0 < result.p_value < 1e-16
         assert result.p_value == special.chdtrc(result.df, result.statistic)
         assert result.reject
 
-    def test_d1_rejected(self, tester):
+    def test_d1_rejected(self, kind):
         s = MultivariateSample(
             (np.random.default_rng(0).pareto(3.0, size=(100, 1)) + 1.0), ("a",)
         )
         with pytest.raises(DomainError):
-            tester(s, TAU, TAU_PRIME)
+            equality_test(s, TAU, TAU_PRIME, kind)
 
-    def test_metadata(self, tester):
+    def test_metadata(self, kind):
         s = fixture_sample()
-        result = tester(s, TAU, TAU_PRIME, alpha=0.1)
+        result = equality_test(s, TAU, TAU_PRIME, kind, alpha=0.1)
         assert result.df == s.d - 1
         assert result.alpha == 0.1
         assert result.k == 50
@@ -177,13 +171,13 @@ class TestAllTesters:
 class TestStatisticConstruction:
     def test_laws_uses_bias_shifted_log_estimates(self):
         from tailjoint.covariance import estimate_bias_qb, estimate_v_star_laws
-        from tailjoint.marginal import extrapolate_expectile_laws
+        from tailjoint.marginal import fit_column
         from tailjoint.numerics import SpdMatrix as Spd
 
         s = fixture_sample(seed=21)
-        result = equal_expectiles_laws(s, TAU, TAU_PRIME)
+        result = equality_test(s, TAU, TAU_PRIME, "laws")
         est = np.array(
-            [extrapolate_expectile_laws(s.column(j), TAU, TAU_PRIME) for j in range(2)]
+            [fit_column(s.column(j), TAU).xi_star_laws(TAU_PRIME)[0] for j in range(2)]
         )
         bias = estimate_bias_qb(s, TAU)
         z = np.log(est) + bias / math.sqrt(s.n * (1.0 - TAU))
@@ -195,25 +189,24 @@ class TestStatisticConstruction:
         assert result.common_mean == pytest.approx(gls_common_mean(z, v), rel=1e-12)
 
     def test_quantile_covariance_form(self):
-        from tailjoint.marginal import estimate_margins, weissman_quantile
+        from tailjoint.marginal import estimate_margins, fit_column
         from tailjoint.taildep import empirical_tail_copula
 
         s = fixture_sample(seed=22)
-        result = equal_quantiles(s, TAU, TAU_PRIME)
+        result = equality_test(s, TAU, TAU_PRIME, "quantile")
         g = estimate_margins(s, TAU).gamma_hat
         r11 = empirical_tail_copula(s, TAU, 0, 1).evaluate(1.0, 1.0)
         cov = np.array(
             [[g[0] ** 2, g[0] * g[1] * r11], [g[0] * g[1] * r11, g[1] ** 2]]
         )
-        z = np.log(
-            [weissman_quantile(s.column(j), TAU, TAU_PRIME) for j in range(2)]
-        )
+        fits = [fit_column(s.column(j), TAU) for j in range(2)]
+        z = np.log([fit.weissman_quantiles(TAU_PRIME)[0] for fit in fits])
         v = SpdMatrix.from_array(result.covariance_scale * cov)
         assert result.statistic == pytest.approx(deviance_statistic(z, v), rel=1e-12)
 
     def test_laws_fits_margins_once(self, monkeypatch):
         fits = count_fits(monkeypatch)
-        equal_expectiles_laws(fixture_sample(seed=21), TAU, TAU_PRIME)
+        equality_test(fixture_sample(seed=21), TAU, TAU_PRIME, "laws")
         assert fits == [TAU]
 
     def test_quantile_test_with_gamma_above_one(self):
@@ -230,14 +223,14 @@ class TestStatisticConstruction:
         assert fit.gamma_hat[0] >= 1.0
         with pytest.raises(DomainError, match="QB factor"):
             fit.xi_qb
-        result = equal_quantiles(s, 0.95, 0.999)
+        result = equality_test(s, 0.95, 0.999, "quantile")
         assert math.isfinite(result.statistic) and 0.0 <= result.p_value <= 1.0
         # The LAWS test shifts by the QB bias, which needs the QB factor: it
         # fails with that message, not with NaN bias components.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match="QB factor"):
-                equal_expectiles_laws(s, 0.95, 0.999)
+                equality_test(s, 0.95, 0.999, "laws")
 
     def test_unequal_tails_eventually_rejected(self):
         # Strongly different tail indices should reject in most samples.
@@ -249,6 +242,6 @@ class TestStatisticConstruction:
                 [(1.0 - u[:, 0]) ** -0.45, (1.0 - u[:, 1]) ** -0.15]
             )
             s = MultivariateSample(values, ("a", "b"))
-            if equal_expectiles_qb(s, 1.0 - 100 / 2000, TAU_PRIME).reject:
+            if equality_test(s, 1.0 - 100 / 2000, TAU_PRIME, "qb").reject:
                 rejections += 1
         assert rejections >= 12

@@ -13,26 +13,18 @@ from tailjoint.covariance import (
 )
 from conftest import count_eighs
 
-from tailjoint.equality_tests import (
-    test_equal_expectiles_laws as equal_expectiles_laws,
-    test_equal_expectiles_qb as equal_expectiles_qb,
-    test_equal_quantiles as equal_quantiles,
-)
+from tailjoint.equality_tests import equality_test
 from tailjoint.errors import DomainError, NumericError
 from tailjoint.inference import (
     ConfidenceRegion,
     _estimate_sample,
     _interval,
-    marginal_interval_laws,
-    marginal_interval_qb,
+    confidence_region,
+    marginal_interval,
     region_boundary_points,
     region_contains,
-    region_extreme_laws,
-    region_extreme_qb,
-    region_intermediate_laws,
-    region_intermediate_qb,
 )
-from tailjoint.marginal import estimate_margins
+from tailjoint.marginal import estimate_margins, fit_column
 from tailjoint.numerics import SpdMatrix, chi_square_quantile, std_normal_quantile
 from tailjoint.sample import MultivariateSample
 
@@ -63,12 +55,11 @@ def one_column(n=400, seed=2):
     )
 
 
-ALL_BUILDERS = [
-    lambda s, naive=False: region_intermediate_laws(s, TAU, ALPHA, naive=naive),
-    lambda s, naive=False: region_intermediate_qb(s, TAU, ALPHA, naive=naive),
-    lambda s, naive=False: region_extreme_laws(s, TAU, TAU_PRIME, ALPHA, naive=naive),
-    lambda s, naive=False: region_extreme_qb(s, TAU, TAU_PRIME, ALPHA, naive=naive),
-]
+def region_builder(tau_prime, method):
+    return lambda s, naive=False: confidence_region(s, TAU, tau_prime, ALPHA, method, naive)
+
+
+ALL_BUILDERS = [region_builder(tp, m) for tp in (None, TAU_PRIME) for m in ("laws", "qb")]
 
 
 class TestRegionBasics:
@@ -91,9 +82,8 @@ class TestRegionBasics:
         s = fixture_sample()
         wide = build(s)
         # smaller alpha gives a larger radius: same shape, nested regions
-        assert region_intermediate_laws(s, TAU, 0.01).radius > region_intermediate_laws(
-            s, TAU, 0.10
-        ).radius
+        radius = {a: confidence_region(s, TAU, None, a, "laws").radius for a in (0.01, 0.10)}
+        assert radius[0.01] > radius[0.10]
         boundary = region_boundary_points(wide)
         bigger = ConfidenceRegion(
             kind=wide.kind,
@@ -110,10 +100,10 @@ class TestRegionBasics:
 
     def test_radius_formula(self):
         s = fixture_sample()
-        inter = region_intermediate_laws(s, TAU, ALPHA)
+        inter = confidence_region(s, TAU, None, ALPHA, "laws")
         expected = math.sqrt(chi_square_quantile(0.95, 2) / (s.n * (1.0 - TAU)))
         assert inter.radius == pytest.approx(expected, rel=1e-12)
-        ext = region_extreme_laws(s, TAU, TAU_PRIME, ALPHA)
+        ext = confidence_region(s, TAU, TAU_PRIME, ALPHA, "laws")
         log_dn = math.log((1.0 - TAU) / (1.0 - TAU_PRIME))
         assert ext.radius == pytest.approx(expected * log_dn, rel=1e-12)
 
@@ -123,7 +113,7 @@ class TestRegionBasics:
             region_contains(region, [1.0, 2.0, 3.0])
 
     def test_log_scale_positive_point_required(self):
-        region = region_extreme_qb(fixture_sample(), TAU, TAU_PRIME, ALPHA)
+        region = confidence_region(fixture_sample(), TAU, TAU_PRIME, ALPHA, "qb")
         with pytest.raises(DomainError):
             region_contains(region, [-1.0, 1.0])
 
@@ -145,7 +135,7 @@ class TestBoundaryPoints:
 
     def test_constructed_eigen_boundary_point(self):
         s = fixture_sample()
-        region = region_intermediate_laws(s, TAU, ALPHA)
+        region = confidence_region(s, TAU, None, ALPHA, "laws")
         vals, vecs = np.linalg.eigh(region.shape.entries)
         w = region.radius * math.sqrt(vals[-1]) * vecs[:, -1]
         z = region.center * (1.0 + w + region.bias_shift)
@@ -170,13 +160,11 @@ class TestOneEighPerCovariance:
     """A covariance is decomposed once, by its PSD check: every test,
     membership, boundary and interval reads the kept eigenpairs."""
 
-    @pytest.mark.parametrize(
-        "tester", [equal_expectiles_laws, equal_expectiles_qb, equal_quantiles]
-    )
-    def test_each_test_runs_one_eigh(self, tester, monkeypatch):
+    @pytest.mark.parametrize("kind", ["laws", "qb", "quantile"])
+    def test_each_test_runs_one_eigh(self, kind, monkeypatch):
         s = fixture_sample(d=3)
         eighs = count_eighs(monkeypatch)
-        tester(s, TAU, TAU_PRIME)
+        equality_test(s, TAU, TAU_PRIME, kind)
         assert eighs == [1]
 
     @pytest.mark.parametrize("build", ALL_BUILDERS)
@@ -188,15 +176,11 @@ class TestOneEighPerCovariance:
         assert eighs == []
 
     @pytest.mark.parametrize("naive", [False, True])
-    @pytest.mark.parametrize(
-        "method, public", [("laws", marginal_interval_laws), ("qb", marginal_interval_qb)]
-    )
-    def test_intervals_of_an_existing_estimate_run_none(
-        self, method, public, naive, monkeypatch
-    ):
+    @pytest.mark.parametrize("method", ["laws", "qb"])
+    def test_intervals_of_an_existing_estimate_run_none(self, method, naive, monkeypatch):
         s = fixture_sample(d=3)
         eighs = count_eighs(monkeypatch)
-        public(s, TAU, TAU_PRIME, 0, ALPHA, naive)
+        marginal_interval(s, TAU, TAU_PRIME, 0, ALPHA, method, naive)
         assert eighs == [1]
         est = _estimate_sample(s, TAU, TAU_PRIME, method, naive)
         est.covariance()
@@ -210,44 +194,44 @@ class TestRegionShapes:
     def test_adjusted_shapes_are_plugin_estimates(self):
         s = fixture_sample()
         assert np.allclose(
-            region_intermediate_laws(s, TAU, ALPHA).shape.entries,
+            confidence_region(s, TAU, None, ALPHA, "laws").shape.entries,
             estimate_v_laws(s, TAU).entries,
         )
         assert np.allclose(
-            region_extreme_laws(s, TAU, TAU_PRIME, ALPHA).shape.entries,
+            confidence_region(s, TAU, TAU_PRIME, ALPHA, "laws").shape.entries,
             estimate_v_star_laws(s, TAU, TAU_PRIME).entries,
         )
         assert np.allclose(
-            region_extreme_qb(s, TAU, TAU_PRIME, ALPHA).shape.entries,
+            confidence_region(s, TAU, TAU_PRIME, ALPHA, "qb").shape.entries,
             estimate_v_star_qb(s, TAU, TAU_PRIME).entries,
         )
 
     def test_naive_shapes_are_independence_diagonals(self):
         s = fixture_sample()
         g = estimate_margins(s, TAU).gamma_hat
-        laws = region_intermediate_laws(s, TAU, ALPHA, naive=True)
+        laws = confidence_region(s, TAU, None, ALPHA, "laws", naive=True)
         assert np.allclose(
             laws.shape.entries, np.diag(2.0 * g**3 / (1.0 - 2.0 * g))
         )
-        qb = region_intermediate_qb(s, TAU, ALPHA, naive=True)
+        qb = confidence_region(s, TAU, None, ALPHA, "qb", naive=True)
         assert np.allclose(qb.shape.entries, np.diag(2.0 * g**2 / (1.0 - 2.0 * g)))
         for ext in (
-            region_extreme_laws(s, TAU, TAU_PRIME, ALPHA, naive=True),
-            region_extreme_qb(s, TAU, TAU_PRIME, ALPHA, naive=True),
+            confidence_region(s, TAU, TAU_PRIME, ALPHA, "laws", naive=True),
+            confidence_region(s, TAU, TAU_PRIME, ALPHA, "qb", naive=True),
         ):
             assert np.allclose(ext.shape.entries, np.diag(g**2))
             assert np.allclose(ext.bias_shift, 0.0)
 
     def test_qb_bias_shift(self):
         s = fixture_sample()
-        region = region_intermediate_qb(s, TAU, ALPHA)
+        region = confidence_region(s, TAU, None, ALPHA, "qb")
         bias = estimate_bias_qb(s, TAU)
         root = math.sqrt(s.n * (1.0 - TAU))
         assert np.allclose(region.bias_shift, -bias / root)
-        ext = region_extreme_laws(s, TAU, TAU_PRIME, ALPHA)
+        ext = confidence_region(s, TAU, TAU_PRIME, ALPHA, "laws")
         assert np.allclose(ext.bias_shift, bias / root)
         assert np.allclose(
-            region_extreme_qb(s, TAU, TAU_PRIME, ALPHA).bias_shift, 0.0
+            confidence_region(s, TAU, TAU_PRIME, ALPHA, "qb").bias_shift, 0.0
         )
 
 
@@ -269,13 +253,10 @@ class TestScaleEquivariance:
 class TestMarginalIntervals:
     def test_d1_region_equals_interval(self):
         s = one_column()
-        for method, region_fn, interval_fn in (
-            ("laws", region_extreme_laws, marginal_interval_laws),
-            ("qb", region_extreme_qb, marginal_interval_qb),
-        ):
+        for method in ("laws", "qb"):
             for naive in (False, True):
-                region = region_fn(s, TAU, TAU_PRIME, ALPHA, naive=naive)
-                interval = interval_fn(s, TAU, TAU_PRIME, 0, ALPHA, naive=naive)
+                region = confidence_region(s, TAU, TAU_PRIME, ALPHA, method, naive)
+                interval = marginal_interval(s, TAU, TAU_PRIME, 0, ALPHA, method, naive)
                 # chi-square(1) radius on the log scale equals the normal
                 # two-sided construction
                 shift = region.bias_shift[0]
@@ -287,10 +268,8 @@ class TestMarginalIntervals:
 
     def test_scalar_endpoint_formula(self):
         s = one_column()
-        interval = marginal_interval_qb(s, TAU, TAU_PRIME, 0, ALPHA)
-        from tailjoint.marginal import extrapolate_expectile_qb
-
-        center = extrapolate_expectile_qb(s.column(0), TAU, TAU_PRIME)
+        interval = marginal_interval(s, TAU, TAU_PRIME, 0, ALPHA, "qb")
+        center = fit_column(s.column(0), TAU).xi_star_qb(TAU_PRIME)[0]
         log_dn = math.log((1.0 - TAU) / (1.0 - TAU_PRIME))
         root = math.sqrt(s.n * (1.0 - TAU))
         var = estimate_v_star_qb(s, TAU, TAU_PRIME).entries[0, 0]
@@ -300,10 +279,8 @@ class TestMarginalIntervals:
 
     def test_multiplicative_symmetry(self):
         s = one_column()
-        interval = marginal_interval_laws(s, TAU, TAU_PRIME, 0, ALPHA)
-        from tailjoint.marginal import extrapolate_expectile_laws
-
-        center = extrapolate_expectile_laws(s.column(0), TAU, TAU_PRIME)
+        interval = marginal_interval(s, TAU, TAU_PRIME, 0, ALPHA, "laws")
+        center = fit_column(s.column(0), TAU).xi_star_laws(TAU_PRIME)[0]
         shift = estimate_bias_qb(s, TAU)[0] / math.sqrt(s.n * (1.0 - TAU))
         shifted = center * math.exp(shift)
         assert interval.upper / shifted == pytest.approx(
@@ -312,16 +289,14 @@ class TestMarginalIntervals:
 
     def test_qb_interval_contains_point_estimate(self):
         s = one_column()
-        from tailjoint.marginal import extrapolate_expectile_qb
-
-        center = extrapolate_expectile_qb(s.column(0), TAU, TAU_PRIME)
-        interval = marginal_interval_qb(s, TAU, TAU_PRIME, 0, ALPHA)
+        center = fit_column(s.column(0), TAU).xi_star_qb(TAU_PRIME)[0]
+        interval = marginal_interval(s, TAU, TAU_PRIME, 0, ALPHA, "qb")
         assert interval.contains(center)
 
     def test_width_ratio_tracks_variances(self):
         s = one_column()
-        laws = marginal_interval_laws(s, TAU, TAU_PRIME, 0, ALPHA)
-        qb = marginal_interval_qb(s, TAU, TAU_PRIME, 0, ALPHA)
+        laws = marginal_interval(s, TAU, TAU_PRIME, 0, ALPHA, "laws")
+        qb = marginal_interval(s, TAU, TAU_PRIME, 0, ALPHA, "qb")
         v_laws = estimate_v_star_laws(s, TAU, TAU_PRIME).entries[0, 0]
         v_qb = estimate_v_star_qb(s, TAU, TAU_PRIME).entries[0, 0]
         assert math.log(laws.upper / laws.lower) / math.log(
@@ -332,35 +307,57 @@ class TestMarginalIntervals:
         s = hill_just_below_half()
         assert 0.4999 < estimate_margins(s, 0.9).gamma_hat[0] < 0.5
         with pytest.raises(NumericError, match="non-finite interval endpoint"):
-            marginal_interval_laws(s, 0.9, 0.999, 0, 0.05)
+            marginal_interval(s, 0.9, 0.999, 0, 0.05, "laws")
 
     def test_interval_scaling(self):
         s = one_column()
         c = 4.0
-        i1 = marginal_interval_laws(s, TAU, TAU_PRIME, 0, ALPHA)
-        i2 = marginal_interval_laws(s.scaled(c), TAU, TAU_PRIME, 0, ALPHA)
+        i1 = marginal_interval(s, TAU, TAU_PRIME, 0, ALPHA, "laws")
+        i2 = marginal_interval(s.scaled(c), TAU, TAU_PRIME, 0, ALPHA, "laws")
         assert i2.lower == pytest.approx(c * i1.lower, rel=1e-10)
         assert i2.upper == pytest.approx(c * i1.upper, rel=1e-10)
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: confidence_region(s, TAU, None, ALPHA, "quantile"),
+            lambda s: confidence_region(s, TAU, TAU_PRIME, ALPHA, "LAWS"),
+            lambda s: marginal_interval(s, TAU, TAU_PRIME, 0, ALPHA, "quantile"),
+            lambda s: equality_test(s, TAU, TAU_PRIME, "weissman"),
+        ],
+        ids=["region_intermediate", "region_extreme", "interval", "test"],
+    )
+    def test_unknown_method(self, call):
+        # Unchecked, _estimate reads any name but "laws" as QB, or as
+        # Weissman when extrapolating.
+        with pytest.raises(DomainError, match="unknown method"):
+            call(fixture_sample())
+
+    @pytest.mark.parametrize("j", [-1, 2, True, 0.0])
+    def test_interval_margin_index(self, j):
+        # Unchecked, -1 gives an interval labelled margin=-1.
+        with pytest.raises(DomainError, match="margin index"):
+            marginal_interval(fixture_sample(), TAU, TAU_PRIME, j, ALPHA, "laws")
+
     def test_bad_alpha(self):
         with pytest.raises(DomainError):
-            region_intermediate_laws(fixture_sample(), TAU, 0.0)
+            confidence_region(fixture_sample(), TAU, None, 0.0, "laws")
 
     @pytest.mark.parametrize("alpha", [0.0, 1.5, -0.1])
-    @pytest.mark.parametrize("interval", [marginal_interval_laws, marginal_interval_qb])
-    def test_interval_bad_alpha(self, interval, alpha):
+    @pytest.mark.parametrize("method", ["laws", "qb"])
+    def test_interval_bad_alpha(self, method, alpha):
         with pytest.raises(DomainError, match=r"alpha must be in \(0,1\)"):
-            interval(fixture_sample(), TAU, TAU_PRIME, 0, alpha)
+            marginal_interval(fixture_sample(), TAU, TAU_PRIME, 0, alpha, method)
 
     @pytest.mark.parametrize(
         "d, call, match",
         [
-            (2, lambda s: region_intermediate_laws(s, TAU, 1.5), "alpha must be"),
-            (2, lambda s: region_extreme_laws(s, TAU, TAU_PRIME, 1.5), "alpha must be"),
-            (2, lambda s: equal_expectiles_laws(s, TAU, TAU_PRIME, 1.5), "alpha must be"),
-            (1, lambda s: equal_expectiles_laws(s, TAU, TAU_PRIME), "at least two margins"),
+            (2, lambda s: confidence_region(s, TAU, None, 1.5, "laws"), "alpha must be"),
+            (2, lambda s: confidence_region(s, TAU, TAU_PRIME, 1.5, "laws"), "alpha must be"),
+            (2, lambda s: equality_test(s, TAU, TAU_PRIME, "laws", 1.5), "alpha must be"),
+            (1, lambda s: equality_test(s, TAU, TAU_PRIME, "laws"), "at least two margins"),
         ],
         ids=["region_intermediate", "region_extreme", "test_alpha", "test_one_margin"],
     )
@@ -378,7 +375,7 @@ class TestValidation:
         from tailjoint.errors import LevelError
 
         with pytest.raises(LevelError):
-            region_extreme_laws(fixture_sample(), 0.999, 0.9, ALPHA)
+            confidence_region(fixture_sample(), 0.999, 0.9, ALPHA, "laws")
 
     def test_region_invariants(self):
         with pytest.raises(DomainError):

@@ -9,19 +9,15 @@ from conftest import level_grid, tail_panels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailjoint import marginal
 from tailjoint.errors import DomainError, LevelError, TailjointError
 from tailjoint.marginal import (
     empirical_quantile,
     estimate_margins,
-    extrapolate_expectile_laws,
-    extrapolate_expectile_qb,
+    fit_column,
     hill_estimator,
     laws_expectile,
     m_function,
-    qb_expectile,
     qb_factor,
-    weissman_quantile,
 )
 from tailjoint.sample import MultivariateSample, effective_k
 
@@ -216,6 +212,11 @@ class TestHillEstimator:
         with pytest.raises(LevelError):
             hill_estimator([1.0, 2.0, 3.0], 3)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_non_integer_k(self, k):
+        with pytest.raises(LevelError, match="must be an integer"):
+            hill_estimator([1.0, 2.0, 3.0, 4.0], k)
+
 
 class TestFitKeptOnSample:
     def test_fit_arrays_read_only(self):
@@ -248,11 +249,9 @@ class TestQbFactor:
         rng = np.random.default_rng(6)
         x = rng.pareto(3.0, size=500) + 1.0
         tau = 0.9
-        from tailjoint.marginal import hill_at_level
-
-        g = hill_at_level(x, tau)
-        assert qb_expectile(x, tau) == pytest.approx(
-            qb_factor(g) * empirical_quantile(x, tau), rel=1e-12
+        fit = fit_column(x, tau)
+        assert fit.xi_qb[0] == pytest.approx(
+            qb_factor(fit.gamma_hat[0]) * empirical_quantile(x, tau), rel=1e-12
         )
 
 
@@ -266,11 +265,10 @@ class TestExtrapolation:
         # gamma-hat = 0.5 across one decade multiplies by 10^0.5.
         x = self.pareto_sample()
         tau, tau_prime = 0.9, 0.99
-        from tailjoint.marginal import hill_at_level
-
-        g = hill_at_level(x, tau)
+        fit = fit_column(x, tau)
+        g = fit.gamma_hat[0]
         expected = ((1.0 - tau_prime) / (1.0 - tau)) ** -g * empirical_quantile(x, tau)
-        assert weissman_quantile(x, tau, tau_prime) == pytest.approx(expected, rel=1e-12)
+        assert fit.weissman_quantiles(tau_prime)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_decade_factor_values(self):
         assert 10.0**0.5 == pytest.approx(3.16228, abs=1e-5)
@@ -282,38 +280,31 @@ class TestExtrapolation:
     def test_tau_prime_equal_tau_is_identity(self):
         x = self.pareto_sample()
         tau = 0.9
-        assert weissman_quantile(x, tau, tau) == pytest.approx(
+        fit = fit_column(x, tau)
+        assert fit.weissman_quantiles(tau)[0] == pytest.approx(
             empirical_quantile(x, tau), rel=1e-12
         )
-        assert extrapolate_expectile_laws(x, tau, tau) == pytest.approx(
-            laws_expectile(x, tau), rel=1e-12
-        )
-        assert extrapolate_expectile_qb(x, tau, tau) == pytest.approx(
-            qb_expectile(x, tau), rel=1e-12
-        )
+        assert fit.xi_star_laws(tau)[0] == pytest.approx(laws_expectile(x, tau), rel=1e-12)
+        assert fit.xi_star_qb(tau)[0] == pytest.approx(fit.xi_qb[0], rel=1e-12)
 
     def test_qb_extrapolation_identity(self):
         # (qb factor) x (Weissman quantile) == (extrapolation factor) x (QB
         # intermediate expectile): both routes to 1e-12.
         x = self.pareto_sample()
         tau, tau_prime = 0.9, 0.999
-        from tailjoint.marginal import hill_at_level
-
-        g = hill_at_level(x, tau)
-        route_a = qb_factor(g) * weissman_quantile(x, tau, tau_prime)
-        route_b = ((1.0 - tau_prime) / (1.0 - tau)) ** -g * qb_expectile(x, tau)
-        assert extrapolate_expectile_qb(x, tau, tau_prime) == pytest.approx(
-            route_a, rel=1e-12
-        )
+        fit = fit_column(x, tau)
+        g = fit.gamma_hat[0]
+        route_a = qb_factor(g) * fit.weissman_quantiles(tau_prime)[0]
+        route_b = ((1.0 - tau_prime) / (1.0 - tau)) ** -g * fit.xi_qb[0]
+        assert fit.xi_star_qb(tau_prime)[0] == pytest.approx(route_a, rel=1e-12)
         assert route_a == pytest.approx(route_b, rel=1e-12)
 
     def test_laws_extrapolation_composition(self):
         x = self.pareto_sample()
         tau, tau_prime = 0.9, 0.999
-        from tailjoint.marginal import hill_at_level
-
-        g = hill_at_level(x, tau)
-        assert extrapolate_expectile_laws(x, tau, tau_prime) == pytest.approx(
+        fit = fit_column(x, tau)
+        g = fit.gamma_hat[0]
+        assert fit.xi_star_laws(tau_prime)[0] == pytest.approx(
             ((1.0 - tau_prime) / (1.0 - tau)) ** -g * laws_expectile(x, tau),
             rel=1e-12,
         )
@@ -321,35 +312,32 @@ class TestExtrapolation:
     def test_levels_validated(self):
         x = self.pareto_sample()
         with pytest.raises(LevelError):
-            weissman_quantile(x, 0.99, 0.9)
+            fit_column(x, 0.99).weissman_quantiles(0.9)
 
     def test_continuity_in_tau_prime(self):
         x = self.pareto_sample()
-        tau = 0.9
-        vals = [
-            extrapolate_expectile_laws(x, tau, tp)
-            for tp in (0.9, 0.90001, 0.95, 0.99, 0.999)
-        ]
+        fit = fit_column(x, 0.9)
+        vals = [fit.xi_star_laws(tp)[0] for tp in (0.9, 0.90001, 0.95, 0.99, 0.999)]
         assert vals[1] == pytest.approx(vals[0], rel=1e-3)
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 def _composed(name, x, tau, tau_prime):
-    """The univariate extrapolators composed by hand from the primitive
-    estimators, in the order the formulas read them."""
+    """Each estimate that fit_column gives a column, composed by hand from
+    the primitive estimators, in the order the formulas read them."""
     gamma = hill_estimator(x, effective_k(len(x), tau))
-    if name == "hill_at_level":
+    if name == "gamma_hat":
         return gamma
-    if name == "qb_expectile":
+    if name == "xi_qb":
         return qb_factor(gamma) * empirical_quantile(x, tau)
     if not 0.0 < tau <= tau_prime < 1.0:
         raise LevelError(
             f"extrapolation requires tau <= tau_prime in (0,1), got {tau}, {tau_prime}"
         )
     factor = ((1.0 - tau_prime) / (1.0 - tau)) ** -gamma
-    if name == "weissman_quantile":
+    if name == "weissman_quantiles":
         return factor * empirical_quantile(x, tau)
-    if name == "extrapolate_expectile_laws":
+    if name == "xi_star_laws":
         return factor * laws_expectile(x, tau)
     return qb_factor(gamma) * (factor * empirical_quantile(x, tau))
 
@@ -361,19 +349,20 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _read_fit(name, x, tau, tau_prime):
+    """The estimate name of fit_column(x, tau), at tau_prime if extrapolated,
+    as a float."""
+    value = getattr(fit_column(x, tau), name)
+    return float((value if name in ("gamma_hat", "xi_qb") else value(tau_prime))[0])
+
+
 def test_univariate_extrapolators_read_one_fit():
     # Random columns, including negative, tied and two-point ones, at levels
     # inside and outside (0,1) and with tau_prime below tau: every value is
     # bit-identical to the hand composition, and every error has the same
     # class and message.
     rng = np.random.default_rng(17)
-    names = (
-        "hill_at_level",
-        "qb_expectile",
-        "weissman_quantile",
-        "extrapolate_expectile_laws",
-        "extrapolate_expectile_qb",
-    )
+    names = ("gamma_hat", "xi_qb", "weissman_quantiles", "xi_star_laws", "xi_star_qb")
     errors = 0
     for case in range(300):
         n = (2, 3, 7, 40, 250)[case % 5]
@@ -383,8 +372,7 @@ def test_univariate_extrapolators_read_one_fit():
         tau = (-0.1, 0.0, 0.3, 0.8, 0.9, 0.97, 1.0, 1.2)[case % 8]
         tau_prime = (0.2, 0.95, 0.999, 1.0)[case % 4]
         for name in names:
-            levels = (tau,) if name in names[:2] else (tau, tau_prime)
-            got = _outcome(getattr(marginal, name), x, *levels)
+            got = _outcome(_read_fit, name, x, tau, tau_prime)
             want = _outcome(_composed, name, x, tau, tau_prime)
             assert got == want, (case, name)
             errors += isinstance(want, tuple)

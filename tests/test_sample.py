@@ -53,6 +53,14 @@ class TestMultivariateSample:
         assert sub.labels == ("C2", "C0")
         assert np.array_equal(sub.column(0), [9.0, 10.0, 11.0, 12.0])
 
+    @pytest.mark.parametrize("indices", [[-1], [0, 3], [True]])
+    def test_select_margin_indices_checked(self, indices):
+        # Unchecked, [-1] slices no cached column: a one-column sub-sample
+        # whose fit holds empty arrays.
+        s = make_sample([1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12])
+        with pytest.raises(DomainError, match="margin index"):
+            s.select(indices)
+
     def test_identity_equality_and_hashing(self):
         s = make_sample([1, 2, 3, 4])
         t = make_sample([1, 2, 3, 4])

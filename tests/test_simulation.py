@@ -8,21 +8,11 @@ from scipy import integrate, optimize, stats
 
 from conftest import assert_same_outcome, count_fits, record_outcomes
 
-from tailjoint.equality_tests import (
-    test_equal_expectiles_laws as equal_expectiles_laws,
-    test_equal_expectiles_qb as equal_expectiles_qb,
-)
+from tailjoint.equality_tests import equality_test
 from tailjoint.errors import (
     DomainError, LevelError, NotPositiveSemidefiniteError, TailjointError,
 )
-from tailjoint.inference import (
-    marginal_interval_laws,
-    marginal_interval_qb,
-    region_extreme_laws,
-    region_extreme_qb,
-    region_intermediate_laws,
-    region_intermediate_qb,
-)
+from tailjoint.inference import confidence_region, marginal_interval
 from tailjoint.marginal import estimate_margins
 from tailjoint.simulation import (
     _STACK,
@@ -424,10 +414,9 @@ class TestStackedPower:
 
     def serial(self, model, seed, i, methods):
         """The outcome of replication i from the single-sample tests."""
-        testers = {"laws": equal_expectiles_laws, "qb": equal_expectiles_qb}
         sample = sample_model(model, self.N, rng_stream(seed, i))
         return tuple(
-            1.0 if testers[m](sample, self.TAU, self.TAU_PRIME, self.ALPHA).reject
+            1.0 if equality_test(sample, self.TAU, self.TAU_PRIME, m, self.ALPHA).reject
             else 0.0
             for m in methods
         )
@@ -498,16 +487,6 @@ class TestStackedHarnesses:
     # replications include LAWS failures of both classes, gamma-hat >= 1/2
     # (DomainError) and not PSD.
     STUDENT = SimulationModel.gaussian_student(2)
-    REGIONS = {
-        (None, "laws"): lambda s, tau, tp, alpha, naive: region_intermediate_laws(
-            s, tau, alpha, naive
-        ),
-        (None, "qb"): lambda s, tau, tp, alpha, naive: region_intermediate_qb(
-            s, tau, alpha, naive
-        ),
-        (0.999, "laws"): region_extreme_laws,
-        (0.999, "qb"): region_extreme_qb,
-    }
 
     def check(self, runs, model, n, seed, M, serial):
         assert len(runs) == 1 and len(runs[0]) == M
@@ -552,11 +531,11 @@ class TestStackedHarnesses:
         self, model, seed, tau_prime, method, naive, M, monkeypatch
     ):
         n, tau = self.N6, self.TAU6
-        build = self.REGIONS[(tau_prime, method)]
         truth = true_expectiles(model, tau if tau_prime is None else tau_prime)
 
         def serial(sample):
-            return noncovered(build(sample, tau, tau_prime, self.ALPHA, naive), truth)
+            region = confidence_region(sample, tau, tau_prime, self.ALPHA, method, naive)
+            return noncovered(region, truth)
 
         runs = record_outcomes(monkeypatch)
         run_mc_coverage(
@@ -572,9 +551,7 @@ class TestStackedHarnesses:
 
     @pytest.mark.parametrize("M", [1, _STACK - 1, _STACK + 1])
     @pytest.mark.parametrize("naive", [False, True], ids=["adjusted", "naive"])
-    @pytest.mark.parametrize(
-        "method, public", [("laws", marginal_interval_laws), ("qb", marginal_interval_qb)]
-    )
+    @pytest.mark.parametrize("method", ["laws", "qb"])
     @pytest.mark.parametrize(
         "margin, seed",
         # Frechet at k=50: at seed 94 the third replication's LAWS interval
@@ -582,13 +559,13 @@ class TestStackedHarnesses:
         [("frechet", 94), ("pareto", 1)],
     )
     def test_interval_outcomes_equal_single_sample_intervals(
-        self, margin, seed, method, public, naive, M, monkeypatch
+        self, margin, seed, method, naive, M, monkeypatch
     ):
         model, n, tau, tau_prime = SimulationModel.univariate(margin), 1000, 0.95, 0.999
         truth = model.margin_oracle(0).true_expectile(tau_prime)
 
         def serial(sample):
-            interval = public(sample, tau, tau_prime, 0, self.ALPHA, naive)
+            interval = marginal_interval(sample, tau, tau_prime, 0, self.ALPHA, method, naive)
             return (0.0 if interval.contains(truth) else 1.0,)
 
         runs = record_outcomes(monkeypatch)

@@ -109,7 +109,7 @@ class TestR11Matrix:
 
 
 def unit_integrals(s, tau):
-    return _unit_integral_matrix(s._ranks, tau)
+    return _unit_integral_matrix(s._stack, tau)[0]
 
 
 class TestUnitIntegral:
@@ -176,7 +176,7 @@ class TestUnitIntegral:
         common = rng.integers(0, levels, size=(n, 1))
         x = common + rng.integers(0, levels, size=(n, d)) * rng.integers(0, 2, size=d)
         s = MultivariateSample(x.astype(float), tuple(f"X{j}" for j in range(d)))
-        unit, r11 = _unit_integral_matrix(s._ranks, tau), _r11_matrix(s._stack, tau)[0]
+        unit, r11 = _unit_integral_matrix(s._stack, tau)[0], _r11_matrix(s._stack, tau)[0]
         for j in range(d):
             for ell in range(j + 1, d):
                 tc = empirical_tail_copula(s, tau, j, ell)
@@ -199,6 +199,13 @@ class TestExtremalCoefficient:
         s = pair_sample(rng.random(n), rng.random(n))
         tau = 1.0 - 316.0 / n
         assert extremal_coefficient(s, tau, 0, 1) == pytest.approx(2.0, abs=0.1)
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, 7), (0, 2), (True, 0), (0, 1.0)])
+    @pytest.mark.parametrize("function", [extremal_coefficient, empirical_tail_copula])
+    def test_margin_indices_checked(self, function, pair):
+        # Unchecked, -1 reads the last column and 7 or 2 raise an IndexError.
+        with pytest.raises(DomainError, match="margin index"):
+            function(comonotone_sample(), 0.9, *pair)
 
 
 class TestOracle:
