@@ -56,7 +56,13 @@ from .errors import RAISE, Checks, DomainError, NumericError
 from .marginal import _check_qb, _fit_levels, estimate_margins, m_function
 from .numerics import SpdMatrix, _spd_stack, integrate_1d_tail, integrate_tail_box
 from .sample import MultivariateSample, TailLevelPair, effective_k
-from .taildep import OracleTailCopula, _r11_cut, _r11_matrix, _unit_integral_matrix
+from .taildep import (
+    OracleTailCopula,
+    _r11_cut,
+    _r11_matrix,
+    _top_pairs,
+    _unit_integral_matrix,
+)
 
 
 def _gammas(gammas, upper: float, what: str) -> np.ndarray:
@@ -375,8 +381,9 @@ def estimate_bias_qb(sample: MultivariateSample, tau: float) -> np.ndarray:
 
 def _v_qb_raw(st, g, tau: float, log_dn: float, checks) -> np.ndarray:
     """Unclipped plug-in QB covariance of each sample of the stack st:
-    _qb_matrix read from the ranks."""
-    r11, unit = _r11_matrix(st, tau), _unit_integral_matrix(st, tau)
+    _qb_matrix read from the ranks, through one ``_top_pairs`` mask."""
+    top = _top_pairs(st, tau)
+    r11, unit = _r11_matrix(top, st.n, tau), _unit_integral_matrix(top, st.n, tau)
     return _qb_matrix(g, r11, unit, log_dn, checks)
 
 
@@ -395,7 +402,7 @@ def _sigma_laws(st, g, q, xi, tau: float, checks) -> np.ndarray:
     """Raw plug-in (Hill, LAWS) covariance of each sample of the stack st
     (see estimate_sigma_laws)."""
     vlaws, cross = _v_laws_raw(st, g, q, xi, tau, checks)
-    return _sigma_blocks(g, vlaws, cross, _r11_matrix(st, tau))
+    return _sigma_blocks(g, vlaws, cross, _r11_matrix(_top_pairs(st, tau), st.n, tau))
 
 
 def _sigma_blocks(g, vlaws, cross, r11) -> np.ndarray:

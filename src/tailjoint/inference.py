@@ -22,7 +22,7 @@ from .numerics import (
     SpdMatrix, _spd_stack, _SpdStack, chi_square_quantile, std_normal_quantile,
 )
 from .sample import MultivariateSample, TailLevelPair, _check_margin, _Stack
-from .taildep import _r11_matrix
+from .taildep import _r11_matrix, _top_pairs
 
 # Relative slack when comparing the membership quadratic form to radius^2,
 # so that analytically constructed boundary points test as inside.
@@ -194,7 +194,7 @@ def _estimate(
             name = "quantile test covariance"
 
             def raw():
-                return _hill_block(g, _r11_matrix(st, tau))
+                return _hill_block(g, _r11_matrix(_top_pairs(st, tau), st.n, tau))
         if naive:
             shift, raw = zero, partial(_diagonal, g**2)
             name = "naive star covariance"

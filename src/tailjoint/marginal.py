@@ -52,23 +52,18 @@ def _laws_sorted(xs: np.ndarray, sums, tau) -> np.ndarray:
     continuous, strictly decreasing and piecewise linear with breakpoints at
     the observations, and its value at each of them is tau A + (1 - tau) B.
     The root is located by the first breakpoint where psi <= 0 and solved
-    in closed form on the segment below it.  psi is evaluated one level at
-    a time, so it takes R x n values whatever the number of levels.
+    in closed form on the segment below it.  The breakpoints of all levels
+    come from one search over the levels (``_breakpoints``), not from a pass
+    over the rows per level.
     """
-    levels = np.ravel(tau).tolist()
-    if not all(0.0 < t < 1.0 for t in levels):
+    levels = np.ravel(np.asarray(tau, dtype=float))
+    if not np.all((levels > 0.0) & (levels < 1.0)):
         raise DomainError(f"expectile level must be in (0,1), got {tau}")
     cum, a, b = sums
     n = xs.shape[1]
     rows = np.arange(xs.shape[0])
-    m = np.empty((len(levels), len(rows)), dtype=np.intp)
-    at_point = np.empty(m.shape, dtype=bool)
-    for i, t in enumerate(levels):
-        psi = t * a + (1.0 - t) * b
-        m[i] = np.argmax(psi <= 0.0, axis=1)  # psi(x_max) <= 0 always
-        at_point[i] = (m[i] == 0) | (psi[rows, m[i]] == 0.0)
-    shape = np.shape(tau)[:-1] + rows.shape
-    m, at_point = m.reshape(shape), at_point.reshape(shape)
+    m = _breakpoints(a, b, levels).reshape(np.shape(tau)[:-1] + rows.shape)
+    at_point = (m == 0) | (tau * a[rows, m] + (1.0 - tau) * b[rows, m] == 0.0)
     # Otherwise the root lies in (xs[m-1], xs[m]); on that segment m points
     # sit at or below.
     s_lo = cum[rows, m - 1]
@@ -76,6 +71,54 @@ def _laws_sorted(xs: np.ndarray, sums, tau) -> np.ndarray:
     num = tau * s_hi + (1.0 - tau) * s_lo
     den = tau * (n - m) + (1.0 - tau) * m
     return np.where(at_point, xs[rows, m], num / den)
+
+
+def _breakpoints(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``argmax(psi <= 0, axis=1)`` with psi = t a + (1 - t) b, at each of
+    the 1-D array of levels t, as (L, R): the first position of each row
+    where psi <= 0, or 0 where there is none.
+
+    Where a >= 0 and b <= 0 the rounded psi cannot decrease as t grows:
+    each rounded product is monotone in its rounded factor t or 1 - t, and
+    the rounded sum in its terms.  So at such a point psi <= 0 holds on a
+    prefix of the ascending levels, whose length c one binary search over
+    the levels finds for every point together; the breakpoint at the l-th
+    smallest level is the first position whose running max of c exceeds l.
+    The other points, where rounding puts a or b across zero (as in a
+    constant column) or either is NaN, are evaluated at every level.  At
+    one level the search is that evaluation, made for every point at once.
+    """
+    if len(t) == 1:
+        return np.argmax(t[0] * a + (1.0 - t[0]) * b <= 0.0, axis=1)[None]
+    size, (r, n) = len(t), a.shape
+    order = np.argsort(t, kind="stable")
+    # The ascending levels, padded with NaN, where psi <= 0 fails, to 2^p - 1.
+    steps = [1 << p for p in reversed(range(size.bit_length()))]
+    ts = np.full(2 * steps[0] - 1, np.nan)
+    ts[:size] = t[order]
+    us = 1.0 - ts
+    c = np.zeros(a.shape, dtype=np.intp)
+    for step in steps:
+        i = c + (step - 1)
+        np.add(c, step, out=c, where=ts[i] * a + us[i] * b <= 0.0)
+    off = ~((a >= 0.0) & (b <= 0.0))
+    c[off] = 0
+    # The running max, offset by row so that one searchsorted serves all.
+    row = np.arange(r)[:, None]
+    top = np.maximum.accumulate(c, axis=1) + (size + 1) * row
+    queries = np.arange(size) + (size + 1) * row
+    m = np.searchsorted(top.ravel(), queries.ravel(), side="right").reshape(r, size)
+    m = (m - n * row).T
+    if off.any():
+        at, pos = np.nonzero(off)
+        first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])
+        hit = ts[:size, None] * a[off] + us[:size, None] * b[off] <= 0.0
+        pos = np.minimum.reduceat(np.where(hit, pos, n), first, axis=1)
+        m[:, at[first]] = np.minimum(m[:, at[first]], pos)
+    m[m == n] = 0  # no point with psi <= 0: argmax gives 0
+    out = np.empty_like(m)
+    out[order] = m
+    return out
 
 
 def empirical_quantile(column, tau: float) -> float:

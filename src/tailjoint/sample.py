@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,6 +68,7 @@ class MultivariateSample:
         return self.values.shape[1]
 
     def column(self, j: int) -> np.ndarray:
+        _check_margin(j, self.d)
         return self.values[:, j]
 
     def scaled(self, c: float) -> "MultivariateSample":
@@ -277,49 +279,88 @@ class TailLevelPair:
 def ingest_csv(path, has_date_column: bool = False) -> MultivariateSample:
     """Read a comma-separated file with a header row into a sample.
 
-    Well-formed files are parsed in one bulk conversion; only when that
-    fails is the file walked cell by cell to name the first bad cell.
+    A plain file (``_parse_plain``) is parsed by numpy's C reader; any other
+    file, or a plain one whose parse might differ, is walked cell by cell
+    (``_parse_cells``), which names the first bad row or cell in file order.
+    Both give the values that the csv module and float() read.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        rows = list(reader)
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
+        # Line by line, as the csv module reads a file, so that a decoding
+        # error names the same position.
+        text = "".join(fh)
     start = 1 if has_date_column else 0
+    header, values, dates = _parse_plain(text, start) or _parse_cells(path, text, start)
     labels = tuple(h.strip() for h in header[start:])
-    width = len(header)
-    try:
-        if any(len(row) != width for row in rows):
-            raise ValueError("ragged rows")
-        dates = (
-            tuple(dt.date.fromisoformat(row[0].strip()) for row in rows)
-            if has_date_column
-            else None
-        )
-        # float() semantics per cell, as in the walk below.
-        values = np.array([row[start:] for row in rows], dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite value")
-    except ValueError as exc:
-        _raise_first_bad_cell(path, rows, width, start, has_date_column)
-        raise IngestionError(f"{path}: {exc}") from exc
     return MultivariateSample(values, labels, dates=dates)
 
 
-def _raise_first_bad_cell(path, rows, width: int, start: int, has_date_column: bool):
-    """Raise IngestionError naming the first bad row or cell in file order."""
+def _parse_plain(text: str, start: int):
+    """The header cells, the values and the dates (the first column's, when
+    start is 1) of a plain text, parsed by one ``np.loadtxt``; or None.
+
+    A text is plain when it has no quote, no NUL, and no \\r outside a
+    \\r\\n.  Each line of a plain text is one csv row, whose cells are its
+    pieces between commas, but for a blank line, a row of no cells (so a
+    blank header is left to the walk).  The C reader parses a cell as
+    float() does, or fails (on underscores and non-ASCII digits, among
+    others); but it skips blank lines, warns when it finds nothing else,
+    and ignores the cells that usecols leaves out.  So the result is kept
+    only if it holds a row per line and every value is finite, and a dated
+    text must hold a comma per line for every column after the first.
+    """
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    head, _, body = text.partition("\n")
+    header = head.removesuffix("\r").split(",")
+    width = len(header)
+    lines = body.count("\n") + (not body.endswith("\n"))
+    if header == [""] or not body.strip("\r\n"):
+        return None
+    if start and body.count(",") != lines * (width - 1):
+        return None
+    try:
+        values = np.loadtxt(
+            io.StringIO(body), delimiter=",", comments=None, ndmin=2,
+            usecols=range(start, width) if start else None,
+        )
+    except ValueError:
+        return None
+    if values.shape != (lines, width - start) or not np.all(np.isfinite(values)):
+        return None
+    dates = None
+    if start:
+        try:
+            dates = tuple(
+                dt.date.fromisoformat(line.split(",", 1)[0].strip())
+                for line in body.split("\n", lines - 1)
+            )
+        except ValueError:
+            return None
+    return header, values, dates
+
+
+def _parse_cells(path, text: str, start: int):
+    """The header cells, the values and the dates (from the first column
+    when start is 1) of any text, read by the csv module and float() cell
+    by cell; IngestionError names the first bad row or cell in file order."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise IngestionError(f"{path}: empty file")
+    rows = list(reader)
+    if not rows:
+        raise IngestionError(f"{path}: no data rows")
+    width = len(header)
+    values = np.empty((len(rows), max(width - start, 0)))
+    dates = [] if start else None
     for i, row in enumerate(rows):
         if len(row) != width:
             raise IngestionError(
                 f"{path}: row {i + 2} has {len(row)} cells, expected {width}"
             )
-        if has_date_column:
+        if start:
             try:
-                dt.date.fromisoformat(row[0].strip())
+                dates.append(dt.date.fromisoformat(row[0].strip()))
             except ValueError:
                 raise IngestionError(
                     f"{path}: row {i + 2}, column 1: bad date {row[0]!r}"
@@ -341,6 +382,8 @@ def _raise_first_bad_cell(path, rows, width: int, start: int, has_date_column: b
                 raise IngestionError(
                     f"{path}: row {i + 2}, column {start + c + 1}: non-finite value"
                 )
+            values[i, c] = value
+    return header, values, tuple(dates) if start else None
 
 
 def emit_csv(sample: MultivariateSample, path) -> None:

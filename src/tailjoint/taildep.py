@@ -93,22 +93,23 @@ def _top_pairs(st, tau: float) -> np.ndarray:
     return st.ranks[np.arange(len(rows))[:, None, None, None], margins, rows] >= cut
 
 
-def _r11_matrix(st, tau: float) -> np.ndarray:
-    """R-hat(1,1) of every pair of columns at once: the count that
-    EmpiricalTailCopula.evaluate(1, 1) makes, one d x d matrix per sample of
-    a ``sample._Stack`` at level tau, exactly.  The diagonal is unused."""
-    return _top_pairs(st, tau).sum(axis=-1) / (st.n * (1.0 - tau))
+def _r11_matrix(top: np.ndarray, n: int, tau: float) -> np.ndarray:
+    """R-hat(1,1) of every pair of columns at once, from the ``_top_pairs``
+    mask of a stack of samples of size n at level tau: the count that
+    EmpiricalTailCopula.evaluate(1, 1) makes, one d x d matrix per sample,
+    exactly.  The diagonal is unused."""
+    return top.sum(axis=-1) / (n * (1.0 - tau))
 
 
-def _unit_integral_matrix(st, tau: float) -> np.ndarray:
+def _unit_integral_matrix(top: np.ndarray, n: int, tau: float) -> np.ndarray:
     """I[j, l], the integral over (0,1] of R-hat_jl(u,1)/u with u on margin
-    j's axis, for every pair of columns of each sample of a
-    ``sample._Stack`` at once; the diagonal is unused.
+    j's axis, for every pair of columns of each sample at once, from the
+    ``_top_pairs`` mask of a stack of samples of size n at level tau; the
+    diagonal is unused.
     R-hat_jl(u,1) steps up by 1/(n(1-tau)) at each U_ij <= 1 with U_il <= 1,
     so I[j, l] sums -log U_ij over the points in the top ranks of both
-    margins (``_top_pairs``) and divides by n(1-tau).  Margin j's top rows
-    have the ranks cut..n, whose U are the same on every margin."""
-    top, n = _top_pairs(st, tau), st.n
+    margins and divides by n(1-tau).  Margin j's top rows have the ranks
+    cut..n, whose U are the same on every margin."""
     logs = np.log(_tail_points(np.arange(n + 1 - top.shape[-1], n + 1), tau, n))
     return top @ -logs / (n * (1.0 - tau))
 
@@ -118,7 +119,8 @@ def extremal_coefficient(
 ) -> float:
     """omega-hat = 2 - R-hat(1,1), the pair's entry of _r11_matrix."""
     _check_pair(sample.d, tau, j, ell)
-    return 2.0 - float(_r11_matrix(sample._stack, tau)[0, j, ell])
+    r11 = _r11_matrix(_top_pairs(sample._stack, tau), sample.n, tau)
+    return 2.0 - float(r11[0, j, ell])
 
 
 def _independent(x, y, theta):

@@ -639,6 +639,14 @@ class TestEstimateVStarQb:
         assert est[0, 0] == pytest.approx(diag0, rel=1e-12)
         assert est[0, 1] == pytest.approx(off, rel=1e-12)
 
+    def test_one_top_pairs_gather(self):
+        # R-hat(1,1) and the unit integrals read the same mask.
+        with mock.patch.object(
+            covariance, "_top_pairs", side_effect=covariance._top_pairs
+        ) as top_pairs:
+            estimate_v_star_qb(seed1_sample(), 0.9, 0.999)
+        assert top_pairs.call_count == 1
+
     def test_large_log_dn_diagonal_tends_to_gamma_sq(self):
         s = seed1_sample()
         tau = 0.9

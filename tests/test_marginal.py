@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tailjoint.errors import DomainError, LevelError, TailjointError
 from tailjoint.marginal import (
+    _laws_sorted,
     empirical_quantile,
     estimate_margins,
     fit_column,
@@ -19,7 +20,8 @@ from tailjoint.marginal import (
     m_function,
     qb_factor,
 )
-from tailjoint.sample import MultivariateSample, effective_k
+from tailjoint.sample import MultivariateSample, _sums_sorted, effective_k
+from tailjoint.simulation import SimulationModel, rng_stream, sample_model
 
 
 def golden_section_expectile(x, tau, tol=1e-9):
@@ -159,6 +161,75 @@ class TestLawsFromCachedSums:
         for whole, part in zip(s._laws_sums, sub._laws_sums):
             assert np.array_equal(part, whole[[2, 0]])
             assert not part.flags.writeable
+
+
+def assert_levels_match_single_calls(xs, levels) -> None:
+    """_laws_sorted of the ascending rows xs at the (L, 1) array of levels
+    equals, bit for bit, its L single-level calls, in which psi is
+    evaluated at every point."""
+    xs = np.sort(np.asarray(xs, dtype=float), axis=1)
+    sums = _sums_sorted(xs)
+    tau = np.asarray(levels, dtype=float).reshape(-1, 1)
+    got = _laws_sorted(xs, sums, tau)
+    want = np.array([_laws_sorted(xs, sums, float(t)) for t in tau[:, 0]])
+    assert got.shape == want.shape == (len(tau), len(xs))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def level_search_cases(draw):
+    """Rows of n = 4..60 points, continuous, rounded (tied), constant or
+    rounded with mixed signs, and 2..12 levels drawn, unsorted, from a pool
+    of 4, so that some repeat."""
+    n, rows = draw(st.integers(4, 60)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_t(3.0, size=(rows, n))
+    kind = draw(st.sampled_from(["continuous", "rounded", "constant", "mixed"]))
+    if kind == "rounded":
+        x = np.round(np.abs(x), 1)
+    elif kind == "constant":
+        x[0] = draw(st.sampled_from([0.01, 0.1, 2.3, -1.3, 1e-300]))
+    elif kind == "mixed":
+        x = np.round(x, 1)
+    pool = draw(st.lists(st.floats(0.01, 0.99), min_size=4, max_size=4))
+    return x, draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))
+
+
+class TestLawsLevelSearch:
+    """The breakpoints of many levels from one search over the levels."""
+
+    def test_cli_d5_panel_over_the_scan_levels(self):
+        s = sample_model(
+            SimulationModel.gaussian_student(d=5, gamma=0.25), 5000, rng_stream(1, 0)
+        )
+        assert_levels_match_single_calls(
+            s.sorted_columns, [1.0 - k / 5000 for k in range(50, 501)]
+        )
+
+    @given(level_search_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_panels_and_level_lists(self, case):
+        assert_levels_match_single_calls(*case)
+
+    def test_unsorted_and_repeated_levels(self):
+        rng = np.random.default_rng(3)
+        x = rng.pareto(3.0, size=(3, 200))
+        assert_levels_match_single_calls(x, [0.9, 0.5, 0.99, 0.9, 0.1, 0.5, 0.97])
+
+    def test_constant_column(self):
+        x = np.vstack([np.full(14, 2.3), np.arange(14.0)])
+        _, a, b = _sums_sorted(x)
+        assert np.any((a[0] < 0.0) | (b[0] > 0.0))
+        assert_levels_match_single_calls(x, np.linspace(0.05, 0.95, 19))
+
+    def test_mixed_sign_rounded_column(self):
+        x = np.array([[-3.1, 0.0, 0.1, 0.4, 1.0, 1.3, 1.8, 1.8]])
+        _, a, b = _sums_sorted(x)
+        assert np.any((a < 0.0) | (b > 0.0))
+        assert_levels_match_single_calls(x, np.linspace(0.01, 0.99, 99))
+
+    def test_four_points_two_levels(self):
+        assert_levels_match_single_calls([[0.5, 1.0, 2.0, 7.0]], [0.75, 0.25])
 
 
 class TestEmpiricalQuantile:

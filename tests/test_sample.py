@@ -1,14 +1,18 @@
 """Sample container, ranks, order statistics, CSV I/O and the weekly
 returns transform."""
 
+import csv
 import datetime as dt
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailjoint import sample
 from tailjoint.errors import DomainError, IngestionError, LevelError
 from tailjoint.sample import (
     MultivariateSample,
@@ -60,6 +64,12 @@ class TestMultivariateSample:
         s = make_sample([1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12])
         with pytest.raises(DomainError, match="margin index"):
             s.select(indices)
+
+    @pytest.mark.parametrize("j", [-1, 3, True])
+    def test_column_margin_index_checked(self, j):
+        s = make_sample([1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12])
+        with pytest.raises(DomainError, match="margin index"):
+            s.column(j)
 
     def test_identity_equality_and_hashing(self):
         s = make_sample([1, 2, 3, 4])
@@ -355,6 +365,156 @@ class TestIngestCsv(object):
         emit_csv(s2, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert np.array_equal(s.values, s2.values)
+
+
+def ingest_outcome(path, has_date_column: bool):
+    """ingest_csv's sample as (values' bits, labels, dates), or its error as
+    (class name, message)."""
+    try:
+        s = ingest_csv(path, has_date_column=has_date_column)
+    except (IngestionError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    return s.values.tobytes(), s.labels, s.dates
+
+
+def walk_outcome(path, has_date_column: bool):
+    """ingest_outcome with every file read by the csv module's walk alone."""
+    with mock.patch.object(sample, "_parse_plain", lambda text, start: None):
+        return ingest_outcome(path, has_date_column)
+
+
+# Pieces of number syntax, separators and line breaks, and cells that
+# float() or the C reader may each take or refuse.
+CSV_ALPHABET = (
+    list("0123456789.e+-_") + [" ", "\t", "#", '"', ",", "\r", "\n", "\r\n"]
+    + ["\u0661", "\xa0", "inf", "nan", "1e400"]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A well-formed panel of 4..6 rows, 1..3 columns and maybe a date
+    column, written with repr or %.6e and LF or CRLF, with up to 4 pieces of
+    CSV_ALPHABET inserted, replaced or deleted at random places."""
+    dated = draw(st.booleans())
+    width, n = draw(st.integers(1, 3)), draw(st.integers(4, 6))
+    fmt = draw(st.sampled_from([repr, "{:.6e}".format]))
+    cells = st.floats(allow_nan=False, allow_infinity=False)
+    lines = [",".join(["date"] * dated + [f"c{j}" for j in range(width)])]
+    for i in range(n):
+        values = [fmt(draw(cells)) for _ in range(width)]
+        lines.append(",".join([f"2020-01-{i + 1:02d}"] * dated + values))
+    text = list(draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n")
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(CSV_ALPHABET))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or at == len(text):
+            text.insert(at, piece)
+        elif edit == "replace":
+            text[at] = piece
+        else:
+            del text[at]
+    return "".join(text), dated
+
+
+class TestIngestPaths:
+    """Plain files are parsed by numpy's C reader, others walked by the csv
+    module: both give the same values, labels, dates and errors."""
+
+    @given(csv_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome_as_the_walk(self, tmp_path_factory, case):
+        text, dated = case
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ingest_outcome(path, dated) == walk_outcome(path, dated)
+
+    @pytest.mark.parametrize(
+        "text, dated",
+        [
+            ('"a",b\n1,2\n3,4\n5,6\n7,8\n', False),  # quoted header cell
+            ("a\rb,c\n1,2\n3,4\n5,6\n7,8\n", False),  # lone CR in the header
+            ("a,b\n1,2\r\r\n3,4\n5,6\n7,8\n", False),  # lone CR in the body
+            ("a,b\n1,2\x00\n3,4\n5,6\n7,8\n", False),
+            ("\n1\n2\n3\n4\n", False),  # blank header
+            ("a\n1\n  \n3\n4\n", False),  # a blank cell in a line of spaces
+            ("a,b\n1,2,\n3,4\n5,6\n7,8\n", False),
+            ("a,b\n1_0,2\n\u0661,4\n5,6\n7,8", False),
+            ("d,a\n2020-01-01,1,9\n2020-01-02,2\n2020-01-03,3\n2020-01-04,4\n", True),
+            ("d,a\n2020-01-01,1,\n2020-01-02,2\n2020-01-03,3\n2020-01-04,4\n", True),
+            ("d,a,b\n2020-01-01,1,2\n2020-01-02,2,3,\n2020-01-03,3\n2020-01-04,4,5\n", True),
+            ("d,a\n2020-01-01 ,1\n2020-01-02,2\n2020-01-03,3\n2020-01-04,4\n", True),
+            ("d,a\n2020-01-01\n2020-01-02,2\n2020-01-03,3\n2020-01-04,4\n", True),
+            ("d\n2020-01-01\n2020-01-02\n2020-01-03\n2020-01-04\n", True),  # no values
+        ],
+    )
+    def test_edge_files_same_outcome_as_the_walk(self, tmp_path, text, dated):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ingest_outcome(path, dated) == walk_outcome(path, dated)
+
+    @pytest.mark.parametrize("fmt", ["emit_csv", "repr", "%.6e"])
+    def test_random_doubles_round_trip(self, tmp_path, fmt):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-300, 300, (300, 3))
+        x[:3] = [[5e-324, -0.0, 2.2250738585072014e-308]] * 3
+        path = tmp_path / "x.csv"
+        if fmt == "emit_csv":
+            emit_csv(MultivariateSample(x, ("a", "b", "c")), path)
+            want = x
+        else:
+            write = repr if fmt == "repr" else fmt.__mod__
+            cells = [[write(float(v)) for v in row] for row in x]
+            path.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in cells))
+            want = np.array([[float(c) for c in row] for row in cells])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ingest_csv(path).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ("a,b\n1,2\n\n3,4\n5,6\n7,8\n", 3),
+            ("a,b\r\n1,2\r\n3,4\r\n5,6\r\n7,8\r\n\r\n", 6),
+            ("a\n\n\n", 2),
+        ],
+    )
+    def test_blank_row_named(self, tmp_path, text, row):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestionError, match=rf"row {row} has 0 cells"):
+                ingest_csv(path)
+
+    def test_decoding_error_as_the_csv_module_reports_it(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"\xff,3\n")
+        with open(path, newline="", encoding="utf-8") as fh:
+            with pytest.raises(UnicodeDecodeError) as want:
+                list(csv.reader(fh))
+        with pytest.raises(UnicodeDecodeError) as got:
+            ingest_csv(path)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("dated", [False, True])
+    def test_emitted_panel_not_walked(self, tmp_path, dated):
+        rng = np.random.default_rng(9)
+        dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(i) for i in range(50))
+        s = MultivariateSample(
+            rng.pareto(3.0, size=(50, 4)), tuple("abcd"), dates if dated else None
+        )
+        emit_csv(s, tmp_path / "x.csv")
+        with mock.patch.object(csv, "reader", side_effect=csv.reader) as reader:
+            got = ingest_csv(tmp_path / "x.csv", has_date_column=dated)
+        assert reader.call_count == 0
+        assert np.array_equal(got.values, s.values) and got.dates == s.dates
 
 
 class TestWeeklyReturns:

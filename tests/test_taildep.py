@@ -14,6 +14,7 @@ from tailjoint.taildep import (
     _r11_cut,
     _r11_matrix,
     _tail_points,
+    _top_pairs,
     _unit_integral_matrix,
     empirical_tail_copula,
     extremal_coefficient,
@@ -94,7 +95,7 @@ class TestR11Matrix:
         for tau in level_grid(s.n):
             top = (_tail_points(s._ranks, tau) <= 1.0).astype(float).T
             want = top.T @ top / (s.n * (1.0 - tau))
-            assert np.array_equal(_r11_matrix(s._stack, tau)[0], want)
+            assert np.array_equal(_r11_matrix(_top_pairs(s._stack, tau), s.n, tau)[0], want)
 
     @given(n=st.integers(4, 6000), k=st.integers(1, 5999), tau=st.floats(1e-9, 1.0 - 1e-9))
     @settings(max_examples=200, deadline=None)
@@ -109,7 +110,7 @@ class TestR11Matrix:
 
 
 def unit_integrals(s, tau):
-    return _unit_integral_matrix(s._stack, tau)[0]
+    return _unit_integral_matrix(_top_pairs(s._stack, tau), s.n, tau)[0]
 
 
 class TestUnitIntegral:
@@ -176,7 +177,8 @@ class TestUnitIntegral:
         common = rng.integers(0, levels, size=(n, 1))
         x = common + rng.integers(0, levels, size=(n, d)) * rng.integers(0, 2, size=d)
         s = MultivariateSample(x.astype(float), tuple(f"X{j}" for j in range(d)))
-        unit, r11 = _unit_integral_matrix(s._stack, tau)[0], _r11_matrix(s._stack, tau)[0]
+        top = _top_pairs(s._stack, tau)
+        unit, r11 = _unit_integral_matrix(top, s.n, tau)[0], _r11_matrix(top, s.n, tau)[0]
         for j in range(d):
             for ell in range(j + 1, d):
                 tc = empirical_tail_copula(s, tau, j, ell)
