@@ -14,19 +14,18 @@ computations failed but others succeeded (failures are reported in-band).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from .covariance import _scan_v_star_laws
-from .equality_tests import equality_test
+from .equality_tests import _results
 from .errors import DomainError, LevelError, TailjointError
-from .inference import _estimate_sample, _interval, confidence_region, region_boundary_points
+from .inference import _by_group, _estimate_sample, _interval, _regions, region_boundary_points
 from .marginal import estimate_margins
 from .sample import (
     MultivariateSample,
@@ -43,7 +42,7 @@ from .simulation import (
     run_mc_mse,
     run_mc_power,
 )
-from .taildep import extremal_coefficient
+from .taildep import _extremal_coefficients
 
 SCHEMA_VERSION = "1"
 
@@ -167,11 +166,12 @@ def _emit_csv_rows(header, rows, out_dir, name: str) -> None:
 
 
 def _emit_csv_points(header, points: np.ndarray, out_dir, name: str) -> None:
-    """The rows of a 2-D float array as CSV, each row formatted by one %
-    of "%.17g,...,%.17g": the digits that _csv_cell gives each float."""
-    row = ",".join(["%.17g"] * points.shape[1])
-    lines = [",".join(header)] + [row % p for p in map(tuple, points.tolist())]
-    _emit_text("\n".join(lines) + "\n", out_dir, name)
+    """The rows of a 2-D float array as CSV, all formatted by one % of
+    "%.17g,...,%.17g\n" repeated per row: the digits that _csv_cell gives
+    each float."""
+    row = ",".join(["%.17g"] * points.shape[1]) + "\n"
+    body = (row * len(points)) % tuple(points.ravel().tolist())
+    _emit_text(",".join(header) + "\n" + body, out_dir, name)
 
 
 def _csv_cell(x) -> str:
@@ -243,13 +243,18 @@ def _print_estimate_table(rows, methods) -> None:
         )
 
 
-def _region_groups(d: int):
-    if d in (2, 3):
-        return [tuple(range(d))]
-    return [pair for pair in itertools.combinations(range(d), 2)]
+def _row(head: dict, entry) -> dict:
+    """head, then the status and the entry's JSON fields, or its error."""
+    if isinstance(entry, TailjointError):
+        return {**head, "status": "failed", "error": str(entry)}
+    return {**head, "status": "ok", **entry.to_json_dict()}
 
 
 def cmd_region(args) -> int:
+    """The joint region of the panel for d = 2 or 3, else of every pair, per
+    method.  The panel is fitted once, and each method's pairs run as d - 1
+    stacks, one per column offset (``inference._by_group``); each region is
+    the one confidence_region gives on ``sample.select(group)``."""
     sample = _load_sample(args)
     if sample.d < 2:
         raise DomainError("joint regions require at least two margins")
@@ -257,34 +262,25 @@ def cmd_region(args) -> int:
     alpha = _alpha(args)
     naive = bool(args.naive)
     tau_prime = None if args.intermediate else _resolve_tau_prime(args, sample.n)
+    size = sample.d if sample.d <= 3 else 2
+    groups = _by_group(
+        sample, tau, tau_prime, (size,), _methods(args), naive, partial(_regions, alpha=alpha)
+    )
     docs = []
-    failures = 0
-    for group in _region_groups(sample.d):
-        sub = sample.select(group)
-        tag = "-".join(sub.labels)
-        for method in _methods(args):
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "command": "region",
-                "margins": list(sub.labels),
-                "method": method,
-            }
-            docs.append(doc)
-            try:
-                region = confidence_region(sub, tau, tau_prime, alpha, method, naive)
-            except TailjointError as exc:
-                doc.update(status="failed", error=str(exc))
-                failures += 1
-                continue
-            doc["status"] = "ok"
-            doc.update(region.to_json_dict())
-            if args.out is not None:
+    for group, regions in groups.items():
+        labels = [sample.labels[j] for j in group]
+        for method, region in regions.items():
+            head = {"schema_version": SCHEMA_VERSION, "command": "region",
+                    "margins": labels, "method": method}
+            docs.append(_row(head, region))
+            if args.out is not None and docs[-1]["status"] == "ok":
                 _emit_csv_points(
-                    sub.labels,
+                    labels,
                     region_boundary_points(region),
                     args.out,
-                    f"boundary_{tag}_{method}.csv",
+                    f"boundary_{'-'.join(labels)}_{method}.csv",
                 )
+    failures = sum(doc["status"] == "failed" for doc in docs)
     if failures == len(docs):
         raise DomainError("all requested regions failed: " + docs[0]["error"])
     _emit_json(docs, args.out, "regions.json")
@@ -292,36 +288,31 @@ def cmd_region(args) -> int:
 
 
 def cmd_test(args) -> int:
+    """The LAWS, QB and quantile equality tests of the panel and, for d > 2,
+    of every pair, and each pair's extremal coefficient.  The panel is
+    fitted once, and each kind's pairs run as d - 1 stacks, one per column
+    offset (``inference._by_group``); each test is the one equality_test
+    gives on ``sample.select(group)``."""
     sample = _load_sample(args)
     if sample.d < 2:
         raise DomainError("equality tests require at least two margins")
     tau = _resolve_tau(args, sample.n)
     tau_prime = _resolve_tau_prime(args, sample.n)
     alpha = _alpha(args)
-    groups = [tuple(range(sample.d))]
-    if sample.d > 2:
-        groups += list(itertools.combinations(range(sample.d), 2))
+    sizes = (sample.d, 2) if sample.d > 2 else (2,)
+    groups = _by_group(
+        sample, tau, tau_prime, sizes, ("laws", "qb", "quantile"), False,
+        partial(_results, alpha=alpha),
+    )
+    omega = _extremal_coefficients(sample._stack, tau)[0]
     rows = []
-    failures = 0
-    for group in groups:
-        sub = sample.select(group)
-        kinds = ("laws", "qb", "quantile")
+    for group, tests in groups.items():
+        labels = [sample.labels[j] for j in group]
+        rows += [_row({"margins": labels, "kind": kind}, test) for kind, test in tests.items()]
         if len(group) == 2:
-            kinds += ("extremal_coefficient",)
-        for kind in kinds:
-            row = {"margins": list(sub.labels), "kind": kind}
-            try:
-                if kind == "extremal_coefficient":
-                    result = {"statistic": extremal_coefficient(sub, tau, 0, 1)}
-                else:
-                    result = equality_test(sub, tau, tau_prime, kind, alpha).to_json_dict()
-                row["status"] = "ok"
-                row.update(result)
-            except TailjointError as exc:
-                row["status"] = "failed"
-                row["error"] = str(exc)
-                failures += 1
-            rows.append(row)
+            rows.append({"margins": labels, "kind": "extremal_coefficient",
+                         "status": "ok", "statistic": float(omega[group])})
+    failures = sum(row["status"] == "failed" for row in rows)
     if failures == len(rows):
         raise DomainError("all tests failed: " + rows[0]["error"])
     doc = {
@@ -521,7 +512,10 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: each parse
+    makes a new namespace, and set_defaults binds each command's handler."""
     parser = argparse.ArgumentParser(
         prog="tailjoint",
         description="Joint estimation and inference for extreme expectiles "

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import RAISE, DomainError, SingularCovarianceError
-from .inference import _check_alpha, _check_method, _estimate_sample, _Estimate
+from .inference import _check_alpha, _check_method, _estimate_sample, _Estimate, _per_sample
 from .numerics import SpdMatrix, _SpdStack, chi_square_quantile, chi_square_sf
 from .sample import MultivariateSample
 
@@ -110,22 +110,33 @@ def equality_test(
     Weissman extrapolation (kind "quantile")."""
     _check_method(kind, tuple(_TEST_NAMES))
     est = _estimate_sample(sample, tau, tau_prime, kind)
-    d = sample.d
-    if d < 2:
+    if sample.d < 2:
         raise DomainError("equality test requires at least two margins")
+    return _results(est, alpha)[0]
+
+
+def _results(est: _Estimate, alpha: float) -> list:
+    """The test of each sample of the estimate's stack, of its method's
+    kind (``inference._per_sample``)."""
     _check_alpha(alpha)
     stat, mean, scale = _statistic(est)
-    stat, mean = float(stat[0]), float(mean[0])
-    return TestResult(
-        kind=kind,
-        statistic=stat,
-        df=d - 1,
-        p_value=chi_square_sf(stat, d - 1),
-        reject=stat > chi_square_quantile(1.0 - alpha, d - 1),
-        alpha=alpha,
-        tau=tau,
-        tau_prime=tau_prime,
-        k=est.levels.k,
-        common_mean=mean,
-        covariance_scale=scale,
-    )
+    df = est.center.shape[-1] - 1
+    quantile = chi_square_quantile(1.0 - alpha, df)
+
+    def result(b: int) -> TestResult:
+        s = float(stat[b])
+        return TestResult(
+            kind=est.method,
+            statistic=s,
+            df=df,
+            p_value=chi_square_sf(s, df),
+            reject=s > quantile,
+            alpha=alpha,
+            tau=est.tau,
+            tau_prime=est.levels.tau_prime,
+            k=est.levels.k,
+            common_mean=float(mean[b]),
+            covariance_scale=scale,
+        )
+
+    return _per_sample(est, result)

@@ -8,6 +8,7 @@ and g = log on the log scale, lies in the ellipsoid shape^{1/2} B(0, radius).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, partial
@@ -16,8 +17,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .covariance import _bias_qb, _hill_block, _one, _v_laws_raw, _v_qb_raw, _v_star_laws
-from .errors import RAISE, Checks, DomainError, NumericError
-from .marginal import MarginalTailEstimates, _qb_factors
+from .errors import RAISE, Checks, DomainError, NumericError, TailjointError
+from .marginal import MarginalTailEstimates, _fit_levels, _qb_factors
 from .numerics import (
     SpdMatrix, _spd_stack, _SpdStack, chi_square_quantile, std_normal_quantile,
 )
@@ -250,6 +251,68 @@ def _region_parts(est: _Estimate, alpha: float):
     return kind, covariance, shift, radius
 
 
+def _per_sample(est: _Estimate, build) -> list:
+    """build(b) for each sample b of the estimate's stack, or the error of
+    the first check that failed the sample."""
+    failed = est.checks.first or [None] * len(est.center)
+    return [build(b) if error is None else error for b, error in enumerate(failed)]
+
+
+def _regions(est: _Estimate, alpha: float) -> list:
+    """The region of each sample of the estimate's stack (``_per_sample``)."""
+    kind, covariance, shift, radius = _region_parts(est, alpha)
+    scale, tau_prime = ("linear", None) if est.levels is None else ("log", est.levels.tau_prime)
+    return _per_sample(est, lambda b: ConfidenceRegion(
+        kind=kind, scale=scale, alpha=alpha, tau=est.tau, tau_prime=tau_prime,
+        center=est.center[b], bias_shift=shift[b],
+        shape=SpdMatrix(_SpdStack(*(a[b : b + 1] for a in covariance))), radius=radius,
+    ))
+
+
+def _by_group(
+    sample: MultivariateSample,
+    tau: float,
+    tau_prime: float | None,
+    sizes: tuple[int, ...],
+    methods: tuple[str, ...],
+    naive: bool,
+    outcomes: Callable[[_Estimate], list],
+) -> dict:
+    """{group: {method: entry}} for every group of m margins of the sample,
+    m in sizes (d for the panel, 2 for every pair), in the order of
+    ``itertools.combinations``: the entry of outcomes(est), a region or a
+    test, that the same call on ``sample.select(group)`` gives, or its error.
+
+    The panel is fitted once, each margin failing alone; a group fails with
+    the error of its first failed margin, and a level that TailLevelPair or
+    the fit rejects fails them all.  Each method runs the groups of one
+    column offset as one stack (``MultivariateSample._group_stacks``), with
+    their fit gathered from the panel's.
+    """
+    groups = [g for m in sizes for g in itertools.combinations(range(sample.d), m)]
+    fitted = Checks(sample.d)
+    try:
+        levels = None if tau_prime is None else TailLevelPair(tau, tau_prime, sample.n)
+        with np.errstate(all="ignore"):
+            fit = _fit_levels(sample, tau, fitted)
+    except TailjointError as exc:
+        return {g: dict.fromkeys(methods, exc) for g in groups}
+    failed = np.array([error is not None for error in fitted.first])
+    out = {}
+    for m in sizes:
+        for idx, st in sample._group_stacks(m):
+            sub = MarginalTailEstimates(
+                tau, *(a[idx] for a in (fit.gamma_hat, fit.q_hat, fit.xi_laws))
+            )
+            for method in methods:
+                checks = Checks(len(idx))
+                checks(failed[idx], lambda j: fitted.first[idx.flat[j]])
+                with np.errstate(all="ignore"):
+                    entries = outcomes(_estimate(st, sub, levels, method, naive, checks))
+                out.update(zip([(tuple(g), method) for g in idx.tolist()], entries))
+    return {g: {method: out[g, method] for method in methods} for g in groups}
+
+
 def confidence_region(
     sample: MultivariateSample,
     tau: float,
@@ -269,13 +332,7 @@ def confidence_region(
     2g^2/(1-2g) (QB) at tau, and gamma-hat^2 with no bias adjustment at
     tau_prime, matching the naive marginal intervals."""
     _check_method(method)
-    est = _estimate_sample(sample, tau, tau_prime, method, naive)
-    kind, covariance, shift, radius = _region_parts(est, alpha)
-    return ConfidenceRegion(
-        kind=kind, scale="linear" if tau_prime is None else "log", alpha=alpha, tau=tau,
-        tau_prime=tau_prime, center=est.center[0], bias_shift=shift[0],
-        shape=SpdMatrix(covariance), radius=radius,
-    )
+    return _regions(_estimate_sample(sample, tau, tau_prime, method, naive), alpha)[0]
 
 
 def region_contains(region: ConfidenceRegion, point) -> bool:

@@ -256,9 +256,11 @@ def _fit_stack(st, tau: float, checks) -> MarginalTailEstimates:
     )
 
 
-def _fit_levels(sample, tau: np.ndarray, checks) -> MarginalTailEstimates:
-    """The fit of the sample at each of an (L, 1) array of levels tau, as
-    (L, d) arrays; unlike estimate_margins it is not kept on the sample."""
+def _fit_levels(sample, tau, checks) -> MarginalTailEstimates:
+    """The fit of the sample at a level tau, as arrays of its d margins, or
+    at each of an (L, 1) array of levels tau, as (L, d) arrays, each margin
+    or level failing through checks; unlike estimate_margins it is not kept
+    on the sample."""
     return _fit_sorted(sample.sorted_columns, sample._laws_sums, tau, checks)
 
 

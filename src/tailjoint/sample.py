@@ -11,6 +11,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, IngestionError, LevelError
 
@@ -150,6 +151,27 @@ class MultivariateSample:
             self.sorted_columns[None], self._ranks[None],
         )
 
+    def _group_stacks(self, m: int):
+        """The groups of m evenly spaced margins of this sample as stacks, one
+        per column offset s: the (B, m) margins (j, j + s, ...) of the
+        stack's groups and their ``_Stack``.  So m = d gives the panel as a
+        stack of one, and m = 2 every pair, in d - 1 stacks.
+
+        The column-major rows are read-only strided views of this sample's,
+        with no copy.  The row-major values, which the QB bias averages, are
+        gathered, so that each group's mean sums its rows in the order that
+        a ``select()`` of the group does (see ``covariance._bias_qb``).
+        """
+        rows = (self._columns, self._order, self.sorted_columns, self._ranks)
+        for s in range(1, (self.d - 1) // (m - 1) + 1):
+            span = (m - 1) * s + 1
+            groups = np.arange(self.d - span + 1)[:, None] + s * np.arange(m)
+            views = (
+                sliding_window_view(a, span, axis=0)[..., ::s].swapaxes(-1, -2)
+                for a in rows
+            )
+            yield groups, _Stack(self.values[:, groups].swapaxes(0, 1), *views)
+
 
 class _Stack(NamedTuple):
     """B samples of one size n x d, stacked along a leading axis: the values
@@ -285,9 +307,13 @@ def ingest_csv(path, has_date_column: bool = False) -> MultivariateSample:
     Both give the values that the csv module and float() read.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        # Line by line, as the csv module reads a file, so that a decoding
-        # error names the same position.
-        text = "".join(fh)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            # Again line by line, as the csv module reads a file, so that the
+            # error names the same position.
+            fh.seek(0)
+            text = "".join(fh)
     start = 1 if has_date_column else 0
     header, values, dates = _parse_plain(text, start) or _parse_cells(path, text, start)
     labels = tuple(h.strip() for h in header[start:])
@@ -318,9 +344,13 @@ def _parse_plain(text: str, start: int):
         return None
     if start and body.count(",") != lines * (width - 1):
         return None
+    # The lines as a list, not as a StringIO, which would hold a 4-byte copy
+    # of every character.  The C reader refuses a line break inside a line,
+    # so a text that mixes \r\n and \n line ends is walked.
+    rows = body.split("\r\n" if "\r" in body else "\n")
     try:
         values = np.loadtxt(
-            io.StringIO(body), delimiter=",", comments=None, ndmin=2,
+            rows, delimiter=",", comments=None, ndmin=2,
             usecols=range(start, width) if start else None,
         )
     except ValueError:
@@ -331,8 +361,7 @@ def _parse_plain(text: str, start: int):
     if start:
         try:
             dates = tuple(
-                dt.date.fromisoformat(line.split(",", 1)[0].strip())
-                for line in body.split("\n", lines - 1)
+                dt.date.fromisoformat(line.split(",", 1)[0].strip()) for line in rows[:lines]
             )
         except ValueError:
             return None
@@ -359,6 +388,8 @@ def _parse_cells(path, text: str, start: int):
                 f"{path}: row {i + 2} has {len(row)} cells, expected {width}"
             )
         if start:
+            if not row:  # a blank row under a blank header
+                raise IngestionError(f"{path}: row {i + 2}, column 1: missing date")
             try:
                 dates.append(dt.date.fromisoformat(row[0].strip()))
             except ValueError:

@@ -117,10 +117,15 @@ def _unit_integral_matrix(top: np.ndarray, n: int, tau: float) -> np.ndarray:
 def extremal_coefficient(
     sample: MultivariateSample, tau: float, j: int, ell: int
 ) -> float:
-    """omega-hat = 2 - R-hat(1,1), the pair's entry of _r11_matrix."""
+    """omega-hat = 2 - R-hat(1,1), the pair's entry of _extremal_coefficients."""
     _check_pair(sample.d, tau, j, ell)
-    r11 = _r11_matrix(_top_pairs(sample._stack, tau), sample.n, tau)
-    return 2.0 - float(r11[0, j, ell])
+    return float(_extremal_coefficients(sample._stack, tau)[0, j, ell])
+
+
+def _extremal_coefficients(st, tau: float) -> np.ndarray:
+    """omega-hat of every pair of columns of each sample of a stack, from one
+    ``_top_pairs`` mask; the diagonal is unused."""
+    return 2.0 - _r11_matrix(_top_pairs(st, tau), st.n, tau)
 
 
 def _independent(x, y, theta):

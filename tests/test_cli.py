@@ -2,22 +2,27 @@
 and byte-identical reruns."""
 
 import datetime
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import count_eighs, count_fits, count_numpy_calls
+from conftest import assert_same_outcome, count_eighs, count_fits, count_numpy_calls
 
 from tailjoint.cli import main, parse_model_spec
 from tailjoint.covariance import estimate_v_star_laws
+from tailjoint.equality_tests import equality_test
 from tailjoint.errors import DomainError, TailjointError
+from tailjoint.inference import _by_group, _regions, confidence_region
 from tailjoint.sample import ingest_csv, tau_from_k
+from tailjoint.taildep import extremal_coefficient
 
 
 def write_sample_csv(path, n=500, d=2, seed=5, gamma=1.0 / 3.0, scale=1.0):
@@ -125,6 +130,14 @@ class TestEstimate:
         assert captured.out == ""
         assert captured.err == "error: margin 'a': non-finite interval endpoint\n"
 
+    def test_blank_dated_file_exits_1(self, tmp_path, capsys):
+        csv = tmp_path / "blank.csv"
+        csv.write_text("\n" * 5)
+        assert main(["estimate", "--input", str(csv), "--date-column", "--k", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {csv}: row 2, column 1: missing date\n"
+
     def test_missing_input_is_hard_error(self, tmp_path, capsys):
         assert main(["estimate", "--input", str(tmp_path / "nope.csv"),
                      "--k", "50"]) == 1
@@ -173,6 +186,135 @@ class TestTestCommand:
         tags = {tuple(r["margins"]) for r in doc["results"]}
         assert ("X1", "X2", "X3") in tags
         assert ("X1", "X2") in tags and ("X2", "X3") in tags
+
+
+def write_failing_panel(path, d: int):
+    """A dependent Pareto panel (n=300, rounded to 2 decimals, so with ties)
+    whose column X1 is negative (a Hill threshold <= 0), X2 a copy of X0 (a
+    singular pair) and the last column heavy (gamma-hat >= 1/2)."""
+    rng = np.random.default_rng(d)
+    u = 0.5 * rng.random((300, d)) + 0.5 / (1.0 + np.exp(-rng.standard_normal((300, 1))))
+    x = (1.0 - u) ** -0.25
+    x[:, 1] -= 100.0
+    x[:, 2] = x[:, 0]
+    x[:, -1] = (1.0 - rng.random(300)) ** -0.9
+    x = np.round(x, 2)
+    lines = [",".join(f"X{j}" for j in range(d))]
+    lines += [",".join(format(v, ".17g") for v in row) for row in x]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ingest_csv(path)
+
+
+def same_outcome(row: dict, head: tuple, call) -> None:
+    """A row of the CLI's JSON, past its keys head, is call()'s JSON fields
+    to the bit (compared as JSON text), or its failure with the message of
+    the error that call() raises."""
+    try:
+        want = call()
+    except TailjointError as exc:
+        assert row["status"] == "failed" and row["error"] == str(exc)
+    else:
+        assert row["status"] == "ok"
+        got = {key: v for key, v in row.items() if key not in head + ("status",)}
+        want = want if isinstance(want, dict) else want.to_json_dict()
+        assert json.dumps(got) == json.dumps(want)
+
+
+class TestGroupsAsOffsetStacks:
+    """test and region run the pairs of a panel as stacks of one column
+    offset each, with their fits gathered from the panel's one fit; every
+    row is the single-group library call on sample.select(group), to the
+    bit, or fails as it does."""
+
+    K, TAU_PRIME, ALPHA = 30, 0.999, 0.05
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--intermediate"], ["--naive"], ["--intermediate", "--naive"],
+         ["--method", "laws"], ["--method", "qb"]],
+    )
+    def test_region_rows_are_single_pair_regions(self, tmp_path, capsys, d, flags):
+        sample = write_failing_panel(tmp_path / "x.csv", d)
+        assert main(["region", "--input", str(tmp_path / "x.csv"), "--k", str(self.K),
+                     "--tau-prime", str(self.TAU_PRIME), *flags]) == 2
+        docs = json.loads(capsys.readouterr().out)
+        tau = tau_from_k(sample.n, self.K)
+        tau_prime = None if "--intermediate" in flags else self.TAU_PRIME
+        methods = [flags[1]] if "--method" in flags else ["laws", "qb"]
+        pairs = list(itertools.combinations(range(d), 2))
+        assert [(tuple(doc["margins"]), doc["method"]) for doc in docs] == [
+            ((f"X{j}", f"X{ell}"), m) for j, ell in pairs for m in methods
+        ]
+        for doc in docs:
+            sub = sample.select([int(label[1:]) for label in doc["margins"]])
+            same_outcome(doc, ("schema_version", "command", "margins", "method"), lambda: (
+                confidence_region(sub, tau, tau_prime, self.ALPHA, doc["method"],
+                                  "--naive" in flags)
+            ))
+        assert "ok" in {doc["status"] for doc in docs}
+        errors = {doc.get("error") for doc in docs}
+        assert "Hill requires positive tail: threshold order statistic <= 0" in errors
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_test_rows_are_single_group_tests(self, tmp_path, capsys, d):
+        sample = write_failing_panel(tmp_path / "x.csv", d)
+        assert main(["test", "--input", str(tmp_path / "x.csv"), "--k", str(self.K),
+                     "--tau-prime", str(self.TAU_PRIME)]) == 2
+        rows = json.loads(capsys.readouterr().out)["results"]
+        tau = tau_from_k(sample.n, self.K)
+        groups = [tuple(range(d))] + list(itertools.combinations(range(d), 2))
+        kinds = ["laws", "qb", "quantile"]
+        assert [(tuple(r["margins"]), r["kind"]) for r in rows] == [
+            (tuple(f"X{j}" for j in g), kind)
+            for g in groups for kind in kinds + ["extremal_coefficient"] * (len(g) == 2)
+        ]
+        for row in rows:
+            sub = sample.select([int(label[1:]) for label in row["margins"]])
+            if row["kind"] == "extremal_coefficient":
+                same_outcome(row, ("margins", "kind"), lambda: {
+                    "statistic": extremal_coefficient(sub, tau, 0, 1)
+                })
+            else:
+                # A test's JSON fields start with its kind.
+                same_outcome(row, ("margins",), lambda: equality_test(
+                    sub, tau, self.TAU_PRIME, row["kind"], self.ALPHA
+                ))
+        errors = {r.get("error") for r in rows}
+        assert "Hill requires positive tail: threshold order statistic <= 0" in errors
+        assert "singular test matrix" in errors
+
+    @pytest.mark.parametrize("naive", [False, True])
+    @pytest.mark.parametrize("tau_prime", [None, 0.999])
+    def test_failures_keep_their_class(self, tmp_path, naive, tau_prime):
+        sample = write_failing_panel(tmp_path / "x.csv", 5)
+        tau = tau_from_k(sample.n, self.K)
+        groups = _by_group(sample, tau, tau_prime, (2,), ("laws", "qb"), naive,
+                           partial(_regions, alpha=self.ALPHA))
+        for pair, regions in groups.items():
+            for method, region in regions.items():
+                assert_same_outcome(
+                    region if isinstance(region, TailjointError) else region.to_json_dict(),
+                    lambda: confidence_region(
+                        sample.select(pair), tau, tau_prime, self.ALPHA, method, naive
+                    ).to_json_dict(),
+                )
+
+    def test_level_error_fails_every_row(self, tmp_path, capsys):
+        write_failing_panel(tmp_path / "x.csv", 4)
+        argv = ["--input", str(tmp_path / "x.csv"), "--k", str(self.K), "--tau-prime", "0.5"]
+        assert main(["region", *argv]) == 1
+        assert capsys.readouterr().err == (
+            "error: all requested regions failed: levels must satisfy 0 < tau < "
+            "tau_prime < 1, got tau=0.9, tau_prime=0.5\n"
+        )
+        # The extremal coefficients need no extreme level.
+        assert main(["test", *argv]) == 2
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert {r["status"] for r in rows if r["kind"] == "extremal_coefficient"} == {"ok"}
+        assert {r.get("error") for r in rows if r["kind"] != "extremal_coefficient"} == {
+            "levels must satisfy 0 < tau < tau_prime < 1, got tau=0.9, tau_prime=0.5"
+        }
 
 
 class TestTraceScan:
@@ -523,10 +665,10 @@ class TestFlagsPerCommand:
 
 
 class TestFitsPerCommand:
-    @pytest.mark.parametrize("command, fits", [("estimate", 1), ("test", 11), ("region", 10)])
+    @pytest.mark.parametrize("command, fits", [("estimate", 1), ("test", 1), ("region", 1)])
     def test_each_panel_fitted_once(self, tmp_path, monkeypatch, capsys, command, fits):
-        # d = 5: estimate fits the panel; test fits it and its 10 pairs, and
-        # region fits the 10 pairs, each once for every method and kind.
+        # d = 5: every command fits the panel once; test and region gather
+        # the fits of its 10 pairs from it, for every method and kind.
         data = write_sample_csv(tmp_path / "d5.csv", n=1000, d=5, gamma=0.25)
         counted = count_fits(monkeypatch)
         assert main([command, "--input", str(data), "--k", "100"]) == 0

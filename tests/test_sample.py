@@ -356,6 +356,13 @@ class TestIngestCsv(object):
             dt.date(2020, 1, 9),
         )
 
+    def test_blank_dated_file_names_the_missing_date(self, tmp_path):
+        # A blank header has no cells, so every blank row has as many.
+        p = tmp_path / "x.csv"
+        p.write_text("\n" * 5)
+        with pytest.raises(IngestionError, match=r"x\.csv: row 2, column 1: missing date"):
+            ingest_csv(p, has_date_column=True)
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)
         s = make_sample(rng.normal(size=20), rng.pareto(3.0, size=20) + 1.0)
