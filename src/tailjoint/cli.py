@@ -192,6 +192,8 @@ def cmd_estimate(args) -> int:
     # before any row is built.
     xi_qb = margins.xi_qb
     stars = {"laws": margins.xi_star_laws, "qb": margins.xi_star_qb}
+    # The levels are the panel's, not a margin's: checked before the rows.
+    TailLevelPair(tau, tau_prime, sample.n)
     # Built at first use, inside margin 0's error context, then shared by
     # every margin's interval.
     estimate = cache(lambda method: _estimate_sample(sample, tau, tau_prime, method, naive))

@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from .errors import RAISE, Checks, DomainError, NumericError
-from .marginal import _check_qb, _fit_levels, estimate_margins, m_function
+from .marginal import _check_qb, _fit_sorted, estimate_margins, m_function
 from .numerics import SpdMatrix, _spd_stack, integrate_1d_tail, integrate_tail_box
 from .sample import MultivariateSample, TailLevelPair, effective_k
 from .taildep import (
@@ -467,7 +467,7 @@ def _scan_v_star_laws(sample: MultivariateSample, levels: list) -> list:
     log_dn = np.array([[levels[i].log_dn] for i in order])
     checks = Checks(len(order))
     with np.errstate(all="ignore"):
-        fit = _fit_levels(sample, tau, checks)
+        fit = _fit_sorted(sample.sorted_columns, tau, checks)
         g = fit.gamma_hat
         _check_laws(g, checks)
         sigma = _sigma_blocks(g, *_nested_sums(sample, g, fit.q_hat, fit.xi_laws, tau))
@@ -506,7 +506,7 @@ def _nested_sums(sample: MultivariateSample, g, q, xi, tau):
     A cut-off sequence that does not fall, such as an xi-hat that rises
     with k, raises NumericError."""
     n, d, levels = sample.n, sample.d, len(tau)
-    x = sample._columns
+    x = sample._stack.columns[0]
     scale = np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=-1))[1])
     mant, log_q = xi * scale, np.log(q * scale)
     centre = mant[levels // 2]
@@ -514,7 +514,7 @@ def _nested_sums(sample: MultivariateSample, g, q, xi, tau):
     above = [_entries(xi[:, j], x[j], "LAWS expectiles") for j in range(d)]
     over = [_entries(q[:, j], x[j], "Hill thresholds") for j in range(d)]
     cut = _r11_cut(n, tau[:, 0])
-    top = [_entries(cut - 1, r, "tail copula cut-offs") for r in sample._ranks]
+    top = [_entries(cut - 1, r, "tail copula cut-offs") for r in sample._stack.ranks[0]]
     surv = np.stack([_prefix(e, levels) for e in above], axis=-1)
 
     a, b = 1.0 - tau[:, 0], 2.0 * tau[:, 0] - 1.0

@@ -109,9 +109,9 @@ def equality_test(
     QB-extrapolated (kind "laws" or "qb"), or of equal extreme quantiles by
     Weissman extrapolation (kind "quantile")."""
     _check_method(kind, tuple(_TEST_NAMES))
-    est = _estimate_sample(sample, tau, tau_prime, kind)
     if sample.d < 2:
         raise DomainError("equality test requires at least two margins")
+    est = _estimate_sample(sample, tau, tau_prime, kind)
     return _results(est, alpha)[0]
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .covariance import _bias_qb, _hill_block, _one, _v_laws_raw, _v_qb_raw, _v_star_laws
 from .errors import RAISE, Checks, DomainError, NumericError, TailjointError
-from .marginal import MarginalTailEstimates, _fit_levels, _qb_factors
+from .marginal import MarginalTailEstimates, _fit_sorted, _qb_factors
 from .numerics import (
     SpdMatrix, _spd_stack, _SpdStack, chi_square_quantile, std_normal_quantile,
 )
@@ -294,7 +294,7 @@ def _by_group(
     try:
         levels = None if tau_prime is None else TailLevelPair(tau, tau_prime, sample.n)
         with np.errstate(all="ignore"):
-            fit = _fit_levels(sample, tau, fitted)
+            fit = _fit_sorted(sample.sorted_columns, tau, fitted)
     except TailjointError as exc:
         return {g: dict.fromkeys(methods, exc) for g in groups}
     failed = np.array([error is not None for error in fitted.first])

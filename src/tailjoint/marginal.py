@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RAISE, DomainError, LevelError
-from .sample import _read_only, _sums_sorted, effective_k
+from .sample import _read_only, effective_k
 
 
 def _column(column) -> np.ndarray:
@@ -39,18 +39,37 @@ def _sorted_row(column) -> np.ndarray:
 
 def laws_expectile(column, tau: float) -> float:
     """Empirical expectile at level tau, solved exactly on the sorted data."""
-    xs = _sorted_row(column)
-    return float(_laws_sorted(xs, _sums_sorted(xs), tau)[0])
+    return float(_laws_sorted(_sorted_row(column), tau)[0])
 
 
-def _laws_sorted(xs: np.ndarray, sums, tau) -> np.ndarray:
-    """LAWS expectile of each ascending row of the 2-D array xs, given the
-    rows' tau-free sums ``_sums_sorted(xs)`` (module ``sample``): one per
-    row at a level tau, or (L, R) for an (L, 1) array of levels and R rows.
+def _sums_sorted(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tau-free parts of the LAWS estimating function of each ascending
+    row of the 2-D array xs, as arrays of its shape.
+
+    With cum the cumulative sums of a row, and above and below the numbers
+    of points strictly above and at or below position i, these are cum and
+
+        A_i = (cum_n - cum_i) - above_i x_i,   B_i = cum_i - below_i x_i,
+
+    so that psi_tau(x_i) = tau A_i + (1 - tau) B_i at every level tau.
+    """
+    n = xs.shape[1]
+    cum = np.cumsum(xs, axis=1)
+    below = np.arange(1, n + 1)
+    above = n - below
+    a = (cum[:, -1:] - cum) - above * xs
+    b = cum - below * xs
+    return cum, a, b
+
+
+def _laws_sorted(xs: np.ndarray, tau) -> np.ndarray:
+    """LAWS expectile of each ascending row of the 2-D array xs: one per row
+    at a level tau, or (L, R) for an (L, 1) array of levels and R rows.
 
     The estimating function psi(theta) = sum phi_tau(x_i - theta) is
     continuous, strictly decreasing and piecewise linear with breakpoints at
-    the observations, and its value at each of them is tau A + (1 - tau) B.
+    the observations, and its value at each of them is tau A + (1 - tau) B
+    (``_sums_sorted``).
     The root is located by the first breakpoint where psi <= 0 and solved
     in closed form on the segment below it.  The breakpoints of all levels
     come from one search over the levels (``_breakpoints``), not from a pass
@@ -59,7 +78,7 @@ def _laws_sorted(xs: np.ndarray, sums, tau) -> np.ndarray:
     levels = np.ravel(np.asarray(tau, dtype=float))
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise DomainError(f"expectile level must be in (0,1), got {tau}")
-    cum, a, b = sums
+    cum, a, b = _sums_sorted(xs)
     n = xs.shape[1]
     rows = np.arange(xs.shape[0])
     m = _breakpoints(a, b, levels).reshape(np.shape(tau)[:-1] + rows.shape)
@@ -234,47 +253,33 @@ class MarginalTailEstimates:
         return _qb_factors(self.gamma_hat, checks) * (factors * self.q_hat)
 
 
-def _fit_sorted(xs: np.ndarray, sums, tau, checks) -> MarginalTailEstimates:
-    """The fit of each ascending row of xs at level tau, given the rows'
-    LAWS sums, in read-only arrays.  For an (L, 1) array of levels tau the
-    arrays are (L, R), level by row, each level's exactly as a call at that
-    level alone gives it."""
-    gamma = _hill_sorted(xs, effective_k(xs.shape[1], tau), checks)
-    q = _quantile_sorted(xs, tau)
-    xi = _laws_sorted(xs, sums, tau)
-    return MarginalTailEstimates(tau, *(_read_only(a) for a in (gamma, q, xi)))
-
-
-def _fit_stack(st, tau: float, checks) -> MarginalTailEstimates:
-    """The fit at tau of every sample of the stack st (``sample._Stack``),
-    as (B, d) arrays: one _fit_sorted of all its B*d sorted columns."""
-    b, d, n = st.sorted_columns.shape
-    xs = st.sorted_columns.reshape(-1, n)
-    rows = _fit_sorted(xs, _sums_sorted(xs), tau, checks)
-    return MarginalTailEstimates(
-        tau, *(a.reshape(b, d) for a in (rows.gamma_hat, rows.q_hat, rows.xi_laws))
-    )
-
-
-def _fit_levels(sample, tau, checks) -> MarginalTailEstimates:
-    """The fit of the sample at a level tau, as arrays of its d margins, or
-    at each of an (L, 1) array of levels tau, as (L, d) arrays, each margin
-    or level failing through checks; unlike estimate_margins it is not kept
-    on the sample."""
-    return _fit_sorted(sample.sorted_columns, sample._laws_sums, tau, checks)
+def _fit_sorted(xs: np.ndarray, tau, checks) -> MarginalTailEstimates:
+    """The fit at level tau of each ascending row of xs, of any shape
+    (..., n), in read-only arrays of shape xs.shape[:-1]: a sample's d
+    margins, or a stack's (B, d).  The rows are fitted as one flat (-1, n)
+    array, in that order, each failing through checks.  For an (L, 1) array
+    of levels tau the arrays gain a leading axis of L, each level's exactly
+    as a call at that level alone gives it."""
+    n = xs.shape[-1]
+    rows = xs.reshape(-1, n)
+    gamma = _hill_sorted(rows, effective_k(n, tau), checks)
+    q = _quantile_sorted(rows, tau)
+    xi = _laws_sorted(rows, tau)
+    shape = np.shape(tau)[:-1] + xs.shape[:-1]
+    gamma, q, xi = (_read_only(a.reshape(shape)) for a in (gamma, q, xi))
+    return MarginalTailEstimates(tau, gamma, q, xi)
 
 
 def fit_column(column, tau: float) -> MarginalTailEstimates:
     """The fit of one column at level tau, as arrays of one margin: the Hill
     index, the intermediate quantile and the LAWS expectile, from which the
     QB expectile and the Weissman, LAWS and QB extrapolations are read."""
-    xs = _sorted_row(column)
-    return _fit_sorted(xs, _sums_sorted(xs), tau, RAISE)
+    return _fit_sorted(_sorted_row(column), tau, RAISE)
 
 
 def estimate_margins(sample, tau: float) -> MarginalTailEstimates:
     """Hill, intermediate quantile and both expectile estimators per column,
-    read from the sample's cached order statistics and LAWS sums.
+    read from the sample's cached order statistics.
 
     The fit is computed once per (sample, tau) and kept on the sample, so
     every estimator, region, interval and test at tau reads the same one; a
@@ -282,7 +287,7 @@ def estimate_margins(sample, tau: float) -> MarginalTailEstimates:
     """
     fits = sample._fits
     if tau not in fits:
-        fits[tau] = _fit_sorted(sample.sorted_columns, sample._laws_sums, tau, RAISE)
+        fits[tau] = _fit_sorted(sample.sorted_columns, tau, RAISE)
     return fits[tau]
 
 

@@ -23,13 +23,12 @@ class MultivariateSample:
     Dates, when present, are per-row metadata used by the weekly
     log-returns transform.
 
-    The values are a read-only copy of the input.  The column-wise order
-    statistics and ranks are computed on first use from one argsort of the
+    The values are a read-only copy of the input.  On first use the sample
+    is sorted and ranked as a stack of one (``_stack``), by the
+    ``_stack_panels`` that every Monte Carlo stack runs: one argsort of the
     values' column-major copy (``_column_order``: only a column with tied
-    values is sorted again, stably), and equal those of a stable argsort;
-    the tau-free sums of the LAWS estimating function (``_laws_sums``: the
-    cumulative sums of the order statistics and the parts A and B of psi)
-    from one cumulative sum on first use; and the marginal fit once per level
+    values is sorted again, stably), so its order statistics and ranks equal
+    those of a stable argsort.  The marginal fit is computed once per level
     tau (``marginal.estimate_margins``).  All are read-only and shared by
     every estimator that reads this sample.
     """
@@ -76,80 +75,37 @@ class MultivariateSample:
         return MultivariateSample(self.values * c, self.labels, self.dates)
 
     def select(self, indices) -> "MultivariateSample":
-        """Sub-sample of the given columns, preserving order.
-
-        A column's order statistics, ranks and LAWS sums do not depend on the
-        other columns, so the sub-sample slices this sample's instead of
-        sorting and summing: for a run of adjacent columns, such as all of
-        them, as views of this sample's rows, otherwise as copies.
-        """
+        """Sub-sample of the given columns, preserving order."""
         indices = list(indices)
         for j in indices:
             _check_margin(j, self.d)
-        sub = MultivariateSample(
+        return MultivariateSample(
             self.values[:, indices],
             tuple(self.labels[j] for j in indices),
             self.dates,
         )
-        rows = indices
-        if indices and indices == list(range(indices[0], indices[-1] + 1)):
-            rows = slice(indices[0], indices[-1] + 1)
-        # Fill the sub-sample's cached properties before first use.
-        sub.__dict__["_columns"] = _read_only(self._columns[rows])
-        sub.__dict__["_sorted"] = tuple(_read_only(a[rows]) for a in self._sorted)
-        sub.__dict__["_ranks"] = _read_only(self._ranks[rows])
-        sub.__dict__["_laws_sums"] = tuple(_read_only(s[rows]) for s in self._laws_sums)
-        return sub
-
-    @cached_property
-    def _columns(self) -> np.ndarray:
-        """The values column-major, d x n: row j is column j (read-only)."""
-        return _read_only(np.ascontiguousarray(self.values.T))
-
-    @cached_property
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row order and the sorted values of each column, d x n
-        (``_column_order``)."""
-        return _column_order(self._columns)
-
-    @property
-    def _order(self) -> np.ndarray:
-        """Row order of each column, d x n, ties kept in input order."""
-        return self._sorted[0]
 
     @cached_property
     def _fits(self) -> dict:
         """Marginal fits by level tau, kept by ``marginal.estimate_margins``."""
         return {}
 
-    @property
-    def sorted_columns(self) -> np.ndarray:
-        """d x n array whose row j is column j sorted ascending (read-only)."""
-        return self._sorted[1]
+    @cached_property
+    def _stack(self) -> "_Stack":
+        """This sample as a stack of one (``_stack_panels``), for the stacked
+        builders."""
+        return _stack_panels(self.values[None])
 
     @cached_property
-    def _ranks(self) -> np.ndarray:
-        """The ranks column-major, d x n (read-only)."""
-        return _column_ranks(self._order)
+    def sorted_columns(self) -> np.ndarray:
+        """d x n array whose row j is column j sorted ascending (read-only)."""
+        return self._stack.sorted_columns[0]
 
     @cached_property
     def ranks(self) -> np.ndarray:
         """n x d per-column ranks, 1 = smallest, stable tie-breaking by
         input order (read-only)."""
-        return self._ranks.T
-
-    @cached_property
-    def _laws_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_sums_sorted`` of the sorted columns (read-only)."""
-        return _sums_sorted(self.sorted_columns)
-
-    @property
-    def _stack(self) -> "_Stack":
-        """This sample as a stack of one, for the stacked builders."""
-        return _Stack(
-            self.values[None], self._columns[None], self._order[None],
-            self.sorted_columns[None], self._ranks[None],
-        )
+        return self._stack.ranks[0].T
 
     def _group_stacks(self, m: int):
         """The groups of m evenly spaced margins of this sample as stacks, one
@@ -162,7 +118,7 @@ class MultivariateSample:
         gathered, so that each group's mean sums its rows in the order that
         a ``select()`` of the group does (see ``covariance._bias_qb``).
         """
-        rows = (self._columns, self._order, self.sorted_columns, self._ranks)
+        rows = [a[0] for a in self._stack[1:]]
         for s in range(1, (self.d - 1) // (m - 1) + 1):
             span = (m - 1) * s + 1
             groups = np.arange(self.d - span + 1)[:, None] + s * np.arange(m)
@@ -177,8 +133,7 @@ class _Stack(NamedTuple):
     """B samples of one size n x d, stacked along a leading axis: the values
     (B, n, d), which the QB bias averages, and, column-major as (B, d, n)
     for the n-long work of the covariances, the values again, each column's
-    row order, its sorted values and its ranks, all as ``MultivariateSample``
-    computes them."""
+    row order, its sorted values and its ranks (``_stack_panels``)."""
 
     values: np.ndarray
     columns: np.ndarray
@@ -238,26 +193,6 @@ def _check_margin(j, d: int) -> None:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _sums_sorted(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tau-free parts of the LAWS estimating function of each ascending
-    row of the 2-D array xs, as read-only arrays of its shape.
-
-    With cum the cumulative sums of a row, and above and below the numbers
-    of points strictly above and at or below position i, these are cum and
-
-        A_i = (cum_n - cum_i) - above_i x_i,   B_i = cum_i - below_i x_i,
-
-    so that psi_tau(x_i) = tau A_i + (1 - tau) B_i at every level tau.
-    """
-    n = xs.shape[1]
-    cum = np.cumsum(xs, axis=1)
-    below = np.arange(1, n + 1)
-    above = n - below
-    a = (cum[:, -1:] - cum) - above * xs
-    b = cum - below * xs
-    return _read_only(cum), _read_only(a), _read_only(b)
 
 
 def effective_k(n: int, tau):

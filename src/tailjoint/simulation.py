@@ -26,7 +26,7 @@ from scipy import special
 from .errors import Checks, DomainError, TailjointError
 from .inference import _check_alpha, _check_method, _endpoints, _estimate, _region_parts
 from .equality_tests import _statistic
-from .marginal import _check_hill_size, _fit_stack, _qb_factors
+from .marginal import _check_hill_size, _fit_sorted, _qb_factors
 from .numerics import _quadratic_form, chi_square_quantile
 from .sample import MultivariateSample, TailLevelPair, _stack_panels, effective_k
 
@@ -340,7 +340,7 @@ def _outcomes(
         )
         with np.errstate(all="ignore"):
             st = _stack_panels(values)
-            columns = outcome(st, _fit_stack(st, tau, checks), checks)
+            columns = outcome(st, _fit_sorted(st.sorted_columns, tau, checks), checks)
         outcomes += [
             error if error is not None else tuple(float(c[i]) for c in columns)
             for i, error in enumerate(checks.first)

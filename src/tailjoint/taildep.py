@@ -2,7 +2,8 @@
 sum over the one gather of the top ranks of every pair), the extremal
 coefficient, and analytic tail-copula oracles used for testing.  Every
 empirical quantity reads the sample's cached ranks, column-major as d x n
-rows (``MultivariateSample._ranks``, ``_Stack.ranks``)."""
+rows (``_Stack.ranks``, of which ``MultivariateSample._stack`` is a
+stack of one)."""
 
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ def empirical_tail_copula(
     sample: MultivariateSample, tau: float, j: int, ell: int
 ) -> EmpiricalTailCopula:
     _check_pair(sample.d, tau, j, ell)
-    u = _tail_points(sample._ranks, tau)
+    u = _tail_points(sample._stack.ranks[0], tau)
     return EmpiricalTailCopula(sample.n, tau, u[j], u[ell])
 
 

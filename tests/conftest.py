@@ -5,6 +5,8 @@ from inside the tests would be swallowed by output capture for passing
 tests, so they are replayed in the terminal summary instead.
 """
 
+import sys
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -28,17 +30,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def count_fits(monkeypatch) -> list:
     """Record the level of every marginal fit computed (not looked up) from
     here on, one entry per level of a fit of many levels; returns the
-    record."""
+    record.  ``marginal._fit_sorted`` is replaced in every loaded
+    ``tailjoint`` module that binds it."""
     from tailjoint import marginal
 
     fits = []
     original = marginal._fit_sorted
 
-    def counting(xs, sums, tau, checks):
+    def counting(xs, tau, checks):
         fits.extend(np.ravel(tau).tolist())
-        return original(xs, sums, tau, checks)
+        return original(xs, tau, checks)
 
-    monkeypatch.setattr(marginal, "_fit_sorted", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tailjoint.") and getattr(module, "_fit_sorted", None) is original:
+            monkeypatch.setattr(module, "_fit_sorted", counting)
     return fits
 
 

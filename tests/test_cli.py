@@ -130,6 +130,20 @@ class TestEstimate:
         assert captured.out == ""
         assert captured.err == "error: margin 'a': non-finite interval endpoint\n"
 
+    def test_level_errors_name_no_margin(self, data_csv, capsys):
+        # The levels are the panel's: an extreme level below tau, or a tau
+        # of k = 1, fails before any margin's row.
+        assert main(["estimate", "--input", str(data_csv), "--k", "50",
+                     "--tau-prime", "0.5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: levels must satisfy 0 < tau < tau_prime < 1, got tau=0.9, tau_prime=0.5\n"
+        )
+        assert main(["estimate", "--input", str(data_csv), "--tau", "0.998",
+                     "--tau-prime", "0.9999"]) == 1
+        assert capsys.readouterr().err == (
+            "error: effective size k=1 outside [2, n-1] for n=500\n"
+        )
+
     def test_blank_dated_file_exits_1(self, tmp_path, capsys):
         csv = tmp_path / "blank.csv"
         csv.write_text("\n" * 5)

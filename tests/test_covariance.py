@@ -34,7 +34,7 @@ from tailjoint.errors import (
     TailjointError,
 )
 from tailjoint.marginal import (
-    _fit_stack,
+    _fit_sorted,
     asymmetric_weight,
     empirical_quantile,
     estimate_margins,
@@ -502,7 +502,7 @@ class TestColumnMajorLaws:
         )
         values[3] -= 0.6  # a negative value in one sample
         st = _stack_panels(values)
-        self.assert_bit_for_bit(st, _fit_stack(st, 0.9, RAISE), 0.9)
+        self.assert_bit_for_bit(st, _fit_sorted(st.sorted_columns, 0.9, RAISE), 0.9)
 
     def test_one_sample_with_expectile_on_an_observation(self):
         # Integer values: at k = 10 margin 1's LAWS expectile is exactly 7,
@@ -803,13 +803,13 @@ class TestScanVStarLaws:
     def test_rising_cut_offs_raise(self, monkeypatch):
         # Exact expectiles fall as k grows; a fit whose xi-hat rises would
         # make the tail sets not nested, and the scan refuses it.
-        fit_levels = covariance._fit_levels
+        fit_sorted = covariance._fit_sorted
 
-        def rising(sample, tau, checks):
-            fit = fit_levels(sample, tau, checks)
+        def rising(xs, tau, checks):
+            fit = fit_sorted(xs, tau, checks)
             return type(fit)(fit.tau, fit.gamma_hat, fit.q_hat, fit.xi_laws[::-1])
 
-        monkeypatch.setattr(covariance, "_fit_levels", rising)
+        monkeypatch.setattr(covariance, "_fit_sorted", rising)
         s = tied_panel()
         levels = [TailLevelPair(tau_from_k(s.n, k), 0.999, s.n) for k in (20, 30)]
         with pytest.raises(NumericError, match="LAWS expectiles rise with k"):
@@ -820,7 +820,7 @@ class TestScanVStarLaws:
         # per level: no (L, n) array.  So adding 400 levels raises its peak
         # by far less than one n-long row of floats per level.
         s = sample_model(SimulationModel.gumbel_frechet(d=3), 4000, rng_stream(2, 0))
-        s._ranks, s._laws_sums  # sorted, ranked and summed before tracing
+        s._stack  # sorted and ranked before tracing
         peaks = []
         for ks in (range(50, 60), range(50, 460)):
             levels = [TailLevelPair(tau_from_k(s.n, k), 0.9999, s.n) for k in ks]

@@ -151,11 +151,13 @@ class TestAllTesters:
         assert result.reject
 
     def test_d1_rejected(self, kind):
-        s = MultivariateSample(
-            (np.random.default_rng(0).pareto(3.0, size=(100, 1)) + 1.0), ("a",)
-        )
-        with pytest.raises(DomainError):
-            equality_test(s, TAU, TAU_PRIME, kind)
+        # Also a lone margin whose Hill threshold is not positive: its fit
+        # would fail, but the margin count is checked first.
+        x = np.random.default_rng(0).pareto(3.0, size=(100, 1)) + 1.0
+        for values in (x, -x):
+            s = MultivariateSample(values, ("a",))
+            with pytest.raises(DomainError, match="at least two margins"):
+                equality_test(s, TAU, TAU_PRIME, kind)
 
     def test_metadata(self, kind):
         s = fixture_sample()

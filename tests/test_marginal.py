@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tailjoint.errors import DomainError, LevelError, TailjointError
 from tailjoint.marginal import (
     _laws_sorted,
+    _sums_sorted,
     empirical_quantile,
     estimate_margins,
     fit_column,
@@ -20,7 +21,7 @@ from tailjoint.marginal import (
     m_function,
     qb_factor,
 )
-from tailjoint.sample import MultivariateSample, _sums_sorted, effective_k
+from tailjoint.sample import MultivariateSample, effective_k
 from tailjoint.simulation import SimulationModel, rng_stream, sample_model
 
 
@@ -154,24 +155,15 @@ class TestLawsFromCachedSums:
                 continue  # the Hill part of the fit raises before LAWS is read
             assert np.array_equal(fit.xi_laws, want)
 
-    def test_sub_sample_slices_the_sums(self):
-        rng = np.random.default_rng(4)
-        s = MultivariateSample(rng.pareto(3.0, size=(50, 3)) + 1.0, ("a", "b", "c"))
-        sub = s.select([2, 0])
-        for whole, part in zip(s._laws_sums, sub._laws_sums):
-            assert np.array_equal(part, whole[[2, 0]])
-            assert not part.flags.writeable
-
 
 def assert_levels_match_single_calls(xs, levels) -> None:
     """_laws_sorted of the ascending rows xs at the (L, 1) array of levels
     equals, bit for bit, its L single-level calls, in which psi is
     evaluated at every point."""
     xs = np.sort(np.asarray(xs, dtype=float), axis=1)
-    sums = _sums_sorted(xs)
     tau = np.asarray(levels, dtype=float).reshape(-1, 1)
-    got = _laws_sorted(xs, sums, tau)
-    want = np.array([_laws_sorted(xs, sums, float(t)) for t in tau[:, 0]])
+    got = _laws_sorted(xs, tau)
+    want = np.array([_laws_sorted(xs, float(t)) for t in tau[:, 0]])
     assert got.shape == want.shape == (len(tau), len(xs))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

@@ -3,13 +3,14 @@ returns transform."""
 
 import csv
 import datetime as dt
+import itertools
 import math
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailjoint import sample
@@ -59,8 +60,8 @@ class TestMultivariateSample:
 
     @pytest.mark.parametrize("indices", [[-1], [0, 3], [True]])
     def test_select_margin_indices_checked(self, indices):
-        # Unchecked, [-1] slices no cached column: a one-column sub-sample
-        # whose fit holds empty arrays.
+        # Unchecked, [-1] and [True] would pick a column silently, and [0, 3]
+        # would fail with numpy's IndexError.
         s = make_sample([1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12])
         with pytest.raises(DomainError, match="margin index"):
             s.select(indices)
@@ -133,18 +134,6 @@ class TestOrderStatisticsCache:
         sub = s.select([3, 2, 0])
         self.assert_matches_fresh_sort(sub)
         assert np.array_equal(sub.sorted_columns, s.sorted_columns[[3, 2, 0]])
-
-    def test_select_of_adjacent_columns_shares_rows(self):
-        rng = np.random.default_rng(11)
-        s = make_sample(*rng.normal(size=(4, 30)))
-        for group in ([1, 2], [0, 1, 2, 3]):
-            sub = s.select(group)
-            self.assert_matches_fresh_sort(sub)
-            for a, b in ((sub._columns, s._columns), (sub.sorted_columns, s.sorted_columns),
-                         (sub._order, s._order), (sub._ranks, s._ranks),
-                         (sub._laws_sums[0], s._laws_sums[0])):
-                assert np.shares_memory(a, b)
-        assert not np.shares_memory(s.select([2, 0])._columns, s._columns)
 
     def test_select_before_parent_use(self):
         rng = np.random.default_rng(9)
@@ -247,7 +236,7 @@ class TestColumnOrder:
     def test_sample_equals_stable_argsort(self, x):
         s = MultivariateSample(x[0], tuple(f"C{j}" for j in range(x.shape[2])))
         order, xs, ranks = stable_sort(x[0])
-        assert np.array_equal(s._order, order)
+        assert np.array_equal(s._stack.order[0], order)
         assert np.array_equal(bits(s.sorted_columns), bits(xs))
         assert np.array_equal(s.ranks, ranks.T)
         assert np.array_equal(s._stack.ranks[0], ranks)
@@ -264,6 +253,31 @@ class TestColumnOrder:
         calls = count_sorts(monkeypatch)
         _column_order(np.ascontiguousarray(np.swapaxes(x, -1, -2)))
         assert calls == [((3, 2, 50), None), ((1, 50), "stable")]
+
+
+class TestGroupStacks:
+    """Each offset stack of ``_group_stacks``, strided views of the panel's
+    rows, is bit for bit the stack that ``_stack_panels`` sorts and ranks
+    from its groups' columns on its own."""
+
+    @given(tied_stacks(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_offset_stacks_equal_sorted_groups(self, x, pairs):
+        values = x[0]
+        d = values.shape[1]
+        assume(d >= 2)
+        s = MultivariateSample(values, tuple(f"C{j}" for j in range(d)))
+        m = 2 if pairs else d
+        seen = []
+        for groups, stack in s._group_stacks(m):
+            want = _stack_panels(values[:, groups].swapaxes(0, 1))
+            assert np.array_equal(bits(stack.values), bits(want.values))
+            assert np.array_equal(bits(stack.columns), bits(want.columns))
+            assert np.array_equal(stack.order, want.order)
+            assert np.array_equal(bits(stack.sorted_columns), bits(want.sorted_columns))
+            assert np.array_equal(stack.ranks, want.ranks)
+            seen += [tuple(g) for g in groups.tolist()]
+        assert sorted(seen) == list(itertools.combinations(range(d), m))
 
 
 class TestOrderStatistic:

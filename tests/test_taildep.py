@@ -93,7 +93,7 @@ class TestR11Matrix:
     @settings(max_examples=40, deadline=None)
     def test_rank_cut_off_equals_indicator_product(self, s):
         for tau in level_grid(s.n):
-            top = (_tail_points(s._ranks, tau) <= 1.0).astype(float).T
+            top = (_tail_points(s._stack.ranks[0], tau) <= 1.0).astype(float).T
             want = top.T @ top / (s.n * (1.0 - tau))
             assert np.array_equal(_r11_matrix(_top_pairs(s._stack, tau), s.n, tau)[0], want)
 
