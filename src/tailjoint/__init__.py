@@ -6,10 +6,6 @@ tests, benchmark-model simulation, and a command-line front end."""
 from .covariance import (
     estimate_bias_qb,
     estimate_sigma_laws,
-    estimate_v_laws,
-    estimate_v_qb,
-    estimate_v_star_laws,
-    estimate_v_star_qb,
     theoretical_sigma_laws,
     theoretical_sigma_q,
     theoretical_v_laws,
@@ -36,6 +32,7 @@ from .inference import (
     ConfidenceRegion,
     MarginalInterval,
     confidence_region,
+    estimate_covariance,
     marginal_interval,
     region_boundary_points,
     region_contains,

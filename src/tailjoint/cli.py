@@ -14,6 +14,8 @@ computations failed but others succeeded (failures are reported in-band).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -168,10 +170,12 @@ def _emit_csv_rows(header, rows, out_dir, name: str) -> None:
 def _emit_csv_points(header, points: np.ndarray, out_dir, name: str) -> None:
     """The rows of a 2-D float array as CSV, all formatted by one % of
     "%.17g,...,%.17g\n" repeated per row: the digits that _csv_cell gives
-    each float."""
+    each float, under a header quoted as csv.writer quotes it."""
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\n").writerow(header)
     row = ",".join(["%.17g"] * points.shape[1]) + "\n"
     body = (row * len(points)) % tuple(points.ravel().tolist())
-    _emit_text(",".join(header) + "\n" + body, out_dir, name)
+    _emit_text(head.getvalue() + body, out_dir, name)
 
 
 def _csv_cell(x) -> str:
@@ -191,11 +195,10 @@ def cmd_estimate(args) -> int:
     # Every row reports xi_qb; a margin with gamma-hat >= 1 fails here,
     # before any row is built.
     xi_qb = margins.xi_qb
-    stars = {"laws": margins.xi_star_laws, "qb": margins.xi_star_qb}
     # The levels are the panel's, not a margin's: checked before the rows.
     TailLevelPair(tau, tau_prime, sample.n)
     # Built at first use, inside margin 0's error context, then shared by
-    # every margin's interval.
+    # every margin's extrapolated estimate (its center) and interval.
     estimate = cache(lambda method: _estimate_sample(sample, tau, tau_prime, method, naive))
     rows = []
     for j, label in enumerate(sample.labels):
@@ -208,7 +211,7 @@ def cmd_estimate(args) -> int:
                 "xi_qb": xi_qb[j],
             }
             for method in methods:
-                entry[f"xi_star_{method}"] = float(stars[method](tau_prime)[j])
+                entry[f"xi_star_{method}"] = float(estimate(method).center[0, j])
             for method in methods:
                 iv = _interval(estimate(method), j, alpha)
                 entry[f"interval_{method}"] = {"lower": iv.lower, "upper": iv.upper}
@@ -263,6 +266,8 @@ def cmd_region(args) -> int:
     tau = _resolve_tau(args, sample.n)
     alpha = _alpha(args)
     naive = bool(args.naive)
+    if args.intermediate and args.tau_prime is not None:
+        raise DomainError("--intermediate does not read --tau-prime")
     tau_prime = None if args.intermediate else _resolve_tau_prime(args, sample.n)
     size = sample.d if sample.d <= 3 else 2
     groups = _by_group(
@@ -276,11 +281,14 @@ def cmd_region(args) -> int:
                     "margins": labels, "method": method}
             docs.append(_row(head, region))
             if args.out is not None and docs[-1]["status"] == "ok":
+                # A label may hold any character: "%" and "/" are escaped,
+                # as in a URL, so each name is one file in args.out.
+                name = "-".join(labels).replace("%", "%25").replace("/", "%2F")
                 _emit_csv_points(
                     labels,
                     region_boundary_points(region),
                     args.out,
-                    f"boundary_{'-'.join(labels)}_{method}.csv",
+                    f"boundary_{name}_{method}.csv",
                 )
     failures = sum(doc["status"] == "failed" for doc in docs)
     if failures == len(docs):
@@ -361,8 +369,8 @@ def cmd_trace_scan(args) -> int:
         raise DomainError(
             f"k range [{k_min}, {k_max}] outside [2, {sample.n - 1}] for n={sample.n}"
         )
-    # Each k's covariance or failure, as estimate_v_star_laws gives it: a
-    # level that TailLevelPair rejects fails first, the rest run stacked.
+    # Each k's "laws" covariance or failure, as estimate_covariance gives
+    # it: a level that TailLevelPair rejects fails first, the rest run stacked.
     ks = range(k_min, k_max + 1)
     levels, results = {}, {}
     for k in ks:
@@ -414,6 +422,11 @@ def parse_model_spec(text: str) -> SimulationModel:
     return SimulationModel(kind, d, gammas, theta=theta, vartheta=vartheta)
 
 
+# The flags of simulate that each experiment does not read: giving one is an
+# error, not a setting that is silently dropped.
+_UNREAD = {"mse": ("method", "naive", "tau_prime", "alpha"), "power": ("naive",)}
+
+
 def cmd_simulate(args) -> int:
     if args.model is None:
         raise DomainError("--model is required")
@@ -423,12 +436,11 @@ def cmd_simulate(args) -> int:
     n = args.n
     tau = _resolve_tau(args, n)
     experiment = args.experiment if args.experiment is not None else "mse"
-    if experiment == "mse":
-        given = {"--method": args.method, "--naive": args.naive or None,
-                 "--tau-prime": args.tau_prime, "--alpha": args.alpha}
-        unread = [flag for flag, value in given.items() if value is not None]
-        if unread:
-            raise DomainError(f"--experiment mse does not read {', '.join(unread)}")
+    given = {**vars(args), "naive": args.naive or None}
+    unread = ["--" + dest.replace("_", "-") for dest in _UNREAD.get(experiment, ())
+              if given[dest] is not None]
+    if unread:
+        raise DomainError(f"--experiment {experiment} does not read {', '.join(unread)}")
     alpha = _alpha(args)
     reps = args.reps if args.reps is not None else 100
     seed = args.seed if args.seed is not None else 1

@@ -4,13 +4,16 @@ Theoretical matrices are exact functionals of the tail indices and a tail
 copula oracle; by the oracle's homogeneity each of their integrals over
 [1,inf)^2 is one 1-D quadrature (``numerics.integrate_tail_box``).
 Estimated matrices plug the marginal estimators and the empirical tail
-copula into the same displays; each estimated builder takes only the sample
-and its levels and reads the fit that ``marginal.estimate_margins`` keeps
-on the sample, so one (sample, tau) is fitted once however many builders
-read it.  Every public covariance builder returns the symmetrized,
-PSD-clipped :class:`~tailjoint.numerics.SpdMatrix` it builds, except
-``estimate_sigma_laws``, which returns the raw array; the QB bias is
-returned as its array of per-margin components.
+copula into the same displays, read from the fit that
+``marginal.estimate_margins`` keeps on the sample, so one (sample, tau) is
+fitted once however many of them read it.  Every theoretical builder
+returns the symmetrized, PSD-clipped :class:`~tailjoint.numerics.SpdMatrix`
+it builds.  The plug-in covariance of the LAWS or QB estimators, at either
+level, naive or not, has one entry point, ``inference.estimate_covariance``,
+built and checked by the dispatch of the regions, intervals and tests
+(``inference._estimate``).  The plug-ins public here are the raw (Hill,
+LAWS) array ``estimate_sigma_laws`` and the QB bias ``estimate_bias_qb``,
+an array of per-margin components.
 
 The Hill and QB displays (``_hill_block``, ``_qb_matrix``) read tail
 dependence only through two d x d pair matrices, R(1,1) and the unit
@@ -20,12 +23,12 @@ Each estimated display is computed for a stack of B samples at one level
 at once (``_v_laws_raw``, ``_sigma_laws``, ``_v_star_laws``,
 ``_v_qb_raw``, ``_bias_qb``: leading axis B, with the fit as (B, d)
 arrays), and a check that fails marks its sample through an
-``errors.Checks``.  The public single-sample builders are the stack of one
-(``MultivariateSample._stack``) with ``errors.RAISE``, so they raise the
-first failure.  The regions, intervals and tests read these stacked
-builders through ``inference._estimate``, which also builds the naive
-diagonals and the Weissman (quantile-test) covariance, the Hill block; the
-Monte Carlo power harness runs the same code on stacks of replications.
+``errors.Checks``.  A single sample is the stack of one
+(``MultivariateSample._stack``) with ``errors.RAISE``, which raises the
+first failure.  ``inference._estimate`` reads these stacked builders, and
+also builds the naive diagonals and the Weissman (quantile-test)
+covariance, the Hill block; the Monte Carlo harnesses run the same code on
+stacks of replications.
 
 The n-long work reads the stack's column-major (B, d, n) rows
 (``sample._Stack``): the values, the sorted values, the row order and the
@@ -44,7 +47,8 @@ counts are prefix sums along the levels of sums over the rows by the level
 at which they enter (``_nested_sums``): one pass over the panel per pair
 of margins, whatever the number of levels.  The diagonals are the same
 closed forms, and one batched SPD check serves all the levels, each
-failing alone, with the first failure that estimate_v_star_laws raises.
+failing alone, with the first failure that ``estimate_covariance`` raises
+for "laws" at that level.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import numpy as np
 from .errors import RAISE, Checks, DomainError, NumericError
 from .marginal import _check_qb, _fit_sorted, estimate_margins, m_function
 from .numerics import SpdMatrix, _spd_stack, integrate_1d_tail, integrate_tail_box
-from .sample import MultivariateSample, TailLevelPair, effective_k
+from .sample import MultivariateSample, effective_k
 from .taildep import (
     OracleTailCopula,
     _r11_cut,
@@ -351,12 +355,6 @@ def _laws_blocks(g, mbar, cross, surv, tau, mant, n: int):
     return m, cross
 
 
-def estimate_v_laws(sample: MultivariateSample, tau: float) -> SpdMatrix:
-    """Plug-in estimate of the intermediate LAWS covariance matrix."""
-    m = _v_laws_raw(*_one(sample, tau), tau, RAISE)[0][0]
-    return SpdMatrix.from_array(m, "LAWS covariance")
-
-
 def _bias_qb(st, g, q, tau: float, checks) -> np.ndarray:
     """The QB bias components of each sample of the stack st (see
     estimate_bias_qb)."""
@@ -385,17 +383,6 @@ def _v_qb_raw(st, g, tau: float, log_dn: float, checks) -> np.ndarray:
     top = _top_pairs(st, tau)
     r11, unit = _r11_matrix(top, st.n, tau), _unit_integral_matrix(top, st.n, tau)
     return _qb_matrix(g, r11, unit, log_dn, checks)
-
-
-def _v_qb(sample: MultivariateSample, tau: float, log_dn: float) -> SpdMatrix:
-    st, g, _, _ = _one(sample, tau)
-    m = _v_qb_raw(st, g, tau, log_dn, RAISE)[0]
-    return SpdMatrix.from_array(m, "star-QB covariance" if log_dn else "QB covariance")
-
-
-def estimate_v_qb(sample: MultivariateSample, tau: float) -> SpdMatrix:
-    """Plug-in estimate of the intermediate QB covariance matrix."""
-    return _v_qb(sample, tau, 0.0)
 
 
 def _sigma_laws(st, g, q, xi, tau: float, checks) -> np.ndarray:
@@ -454,7 +441,8 @@ def _v_star_laws(st, g, q, xi, tau: float, log_dn: float, checks) -> np.ndarray:
 def _scan_v_star_laws(sample: MultivariateSample, levels: list) -> list:
     """The star-LAWS covariance of the sample at each TailLevelPair of
     levels, in order: its checked entries, or the TailjointError of the
-    first check it fails, the one estimate_v_star_laws raises.
+    first check it fails, the one that ``inference.estimate_covariance``
+    raises for "laws" at that level.
 
     The levels are fitted at once, in ascending k, and not kept on the
     sample; their (Hill, LAWS) matrices come from ``_nested_sums``, and are
@@ -572,20 +560,3 @@ def _set_sums(entry, u, v, mu, nu, levels: int):
     mu and nu per level."""
     uv, su, sv, count = (_prefix(entry, levels, w) for w in (u * v, u, v, None))
     return uv - nu * su - mu * sv + mu * nu * count, sv - nu * count
-
-
-def estimate_v_star_laws(
-    sample: MultivariateSample, tau: float, tau_prime: float
-) -> SpdMatrix:
-    """Plug-in covariance of the LAWS extrapolating estimators (log scale)."""
-    levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    m = _v_star_laws(*_one(sample, tau), tau, levels.log_dn, RAISE)[0]
-    return SpdMatrix.from_array(m, "star-LAWS covariance")
-
-
-def estimate_v_star_qb(
-    sample: MultivariateSample, tau: float, tau_prime: float
-) -> SpdMatrix:
-    """Plug-in covariance of the QB extrapolating estimators (log scale)."""
-    levels = TailLevelPair(tau=tau, tau_prime=tau_prime, n=sample.n)
-    return _v_qb(sample, tau, levels.log_dn)

@@ -109,7 +109,8 @@ class _Estimate(NamedTuple):
     (``numerics._SpdStack``), whose checks fail samples through ``checks``.
 
     The stack is one sample (``_estimate_sample``: the single-sample
-    regions, intervals and tests) or a stack of Monte Carlo replications
+    regions, intervals, tests and ``estimate_covariance``, and the centers
+    of the ``estimate`` command) or a stack of Monte Carlo replications
     (``simulation``), read by the same consumers: the region parts, the
     interval endpoints and the test statistic.  shift and covariance are
     built on first call and then reused; each consumer calls them in its
@@ -143,9 +144,9 @@ def _estimate(
     otherwise the extrapolation to levels.tau_prime on the log scale.
     method is "laws", "qb" or, extrapolated only, "quantile" (Weissman).
     Each part is built for the whole stack by the stacked builders of
-    ``covariance``, and each covariance is checked by one ``_spd_stack``,
-    with the names and in the check order of the public single-sample
-    builders; a failed check fails its sample through checks.  The naive
+    ``covariance``, and each covariance is checked by one ``_spd_stack``
+    under its name ("star-LAWS covariance", ...); a failed check fails its
+    sample through checks.  The naive
     variants assume independent margins: a diagonal covariance and,
     extrapolated, no bias shift.
     """
@@ -213,8 +214,8 @@ def _estimate_sample(
     naive: bool = False,
 ) -> _Estimate:
     """_estimate of the sample as a stack of one, which raises its first
-    failure: the estimate of every single-sample region, interval and test,
-    read from the fit that estimate_margins keeps on the sample."""
+    failure: the estimate of every single-sample region, interval, test and
+    covariance, read from the fit that estimate_margins keeps on the sample."""
     levels = None if tau_prime is None else TailLevelPair(tau, tau_prime, sample.n)
     st, *fit = _one(sample, tau)
     return _estimate(st, MarginalTailEstimates(tau, *fit), levels, method, naive, RAISE)
@@ -333,6 +334,23 @@ def confidence_region(
     tau_prime, matching the naive marginal intervals."""
     _check_method(method)
     return _regions(_estimate_sample(sample, tau, tau_prime, method, naive), alpha)[0]
+
+
+def estimate_covariance(
+    sample: MultivariateSample,
+    tau: float,
+    tau_prime: float | None,
+    method: str,
+    naive: bool = False,
+) -> SpdMatrix:
+    """Plug-in covariance of the LAWS or QB estimators (method "laws" or
+    "qb"): the shape of confidence_region's region with the same arguments.
+    With tau_prime=None it is the intermediate covariance at tau, on the
+    linear scale; otherwise that of the estimators extrapolated to
+    tau_prime, on the log scale.  The naive variant is the independence
+    diagonal."""
+    _check_method(method)
+    return SpdMatrix(_estimate_sample(sample, tau, tau_prime, method, naive).covariance())
 
 
 def region_contains(region: ConfidenceRegion, point) -> bool:

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: every command, exit codes, config merging,
 and byte-identical reruns."""
 
+import csv
 import datetime
 import itertools
 import json
@@ -17,10 +18,9 @@ import pytest
 from conftest import assert_same_outcome, count_eighs, count_fits, count_numpy_calls
 
 from tailjoint.cli import main, parse_model_spec
-from tailjoint.covariance import estimate_v_star_laws
 from tailjoint.equality_tests import equality_test
 from tailjoint.errors import DomainError, TailjointError
-from tailjoint.inference import _by_group, _regions, confidence_region
+from tailjoint.inference import _by_group, _regions, confidence_region, estimate_covariance
 from tailjoint.sample import ingest_csv, tau_from_k
 from tailjoint.taildep import extremal_coefficient
 
@@ -178,6 +178,40 @@ class TestRegion:
         docs = json.loads(capsys.readouterr().out)
         assert all(d["status"] == "ok" for d in docs)
 
+    @pytest.mark.parametrize("tau_prime", ["0.999", "0.5"])
+    def test_intermediate_rejects_tau_prime(self, data_csv, capsys, tau_prime):
+        # An intermediate region has no extreme level: a --tau-prime, valid
+        # or not, is an error and not dropped.
+        assert main(["region", "--input", str(data_csv), "--k", "50",
+                     "--intermediate", "--tau-prime", tau_prime]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --intermediate does not read --tau-prime\n"
+
+    def test_boundary_files_of_any_label(self, tmp_path):
+        # Exchange-rate labels hold a "/", which names no file; "%" is
+        # escaped too, so that no two label pairs share a name.  A header
+        # cell holding a comma or a quote is quoted.
+        labels = ["GBP/USD", "a,b", 'q"x', "50%"]
+        data = write_sample_csv(tmp_path / "data.csv", d=4)
+        rows = data.read_text().splitlines()[1:]
+        with data.open("w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerow(labels)
+            f.write("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["region", "--input", str(data), "--k", "50", "--out", str(out)]) == 0
+        names = {"GBP/USD": "GBP%2FUSD", "a,b": "a,b", 'q"x': 'q"x', "50%": "50%25"}
+        expected = {"regions.json"}
+        for pair in itertools.combinations(labels, 2):
+            for method in ("laws", "qb"):
+                name = f"boundary_{names[pair[0]]}-{names[pair[1]]}_{method}.csv"
+                expected.add(name)
+                with (out / name).open(newline="") as f:
+                    table = list(csv.reader(f))
+                assert table[0] == list(pair)
+                assert {len(row) for row in table[1:]} == {2}
+        assert {p.name for p in out.iterdir()} == expected
+
     def test_univariate_rejected(self, tmp_path, capsys):
         csv = write_sample_csv(tmp_path / "one.csv", d=1)
         assert main(["region", "--input", str(csv), "--k", "50"]) == 1
@@ -250,11 +284,12 @@ class TestGroupsAsOffsetStacks:
     )
     def test_region_rows_are_single_pair_regions(self, tmp_path, capsys, d, flags):
         sample = write_failing_panel(tmp_path / "x.csv", d)
+        tau_prime = None if "--intermediate" in flags else self.TAU_PRIME
+        levels = [] if tau_prime is None else ["--tau-prime", str(tau_prime)]
         assert main(["region", "--input", str(tmp_path / "x.csv"), "--k", str(self.K),
-                     "--tau-prime", str(self.TAU_PRIME), *flags]) == 2
+                     *levels, *flags]) == 2
         docs = json.loads(capsys.readouterr().out)
         tau = tau_from_k(sample.n, self.K)
-        tau_prime = None if "--intermediate" in flags else self.TAU_PRIME
         methods = [flags[1]] if "--method" in flags else ["laws", "qb"]
         pairs = list(itertools.combinations(range(d), 2))
         assert [(tuple(doc["margins"]), doc["method"]) for doc in docs] == [
@@ -356,9 +391,9 @@ class TestTraceScan:
 
     @staticmethod
     def statuses_match_single_levels(csv, lines, k_min, tau_prime) -> list:
-        """Check each scan row against estimate_v_star_laws at its k: the
-        trace exactly, or the text of the exception it raises; returns the
-        rows' statuses."""
+        """Check each scan row against estimate_covariance for "laws" at its
+        k: the trace exactly, or the text of the exception it raises; returns
+        the rows' statuses."""
         sample = ingest_csv(csv)
         statuses = []
         for k, line in enumerate(lines, k_min):
@@ -366,7 +401,7 @@ class TestTraceScan:
             assert int(k_text) == k
             statuses.append(status)
             try:
-                cov = estimate_v_star_laws(sample, tau_from_k(sample.n, k), tau_prime)
+                cov = estimate_covariance(sample, tau_from_k(sample.n, k), tau_prime, "laws")
             except TailjointError as exc:
                 assert status == f"failed: {exc}"
                 continue
@@ -550,6 +585,14 @@ class TestSimulate:
         assert captured.err == (
             "error: --experiment mse does not read --method, --naive, --tau-prime\n"
         )
+
+    def test_power_rejects_naive(self, capsys):
+        # The power experiment runs the adjusted tests only.
+        assert main(["simulate", "--model", "clayton_frechet", "--experiment", "power",
+                     "--n", "200", "--k", "20", "--reps", "2", "--naive"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --experiment power does not read --naive\n"
 
     @pytest.mark.parametrize(
         "spec, key",

@@ -16,10 +16,6 @@ from tailjoint.covariance import (
     _sigma_laws_cross_diag,
     estimate_bias_qb,
     estimate_sigma_laws,
-    estimate_v_laws,
-    estimate_v_qb,
-    estimate_v_star_laws,
-    estimate_v_star_qb,
     theoretical_sigma_laws,
     theoretical_sigma_q,
     theoretical_v_laws,
@@ -33,6 +29,7 @@ from tailjoint.errors import (
     NumericError,
     TailjointError,
 )
+from tailjoint.inference import estimate_covariance
 from tailjoint.marginal import (
     _fit_sorted,
     asymmetric_weight,
@@ -343,7 +340,7 @@ class TestEstimateVLaws:
     def test_straight_line_oracle(self):
         s = seed1_sample()
         tau = 0.9
-        est = estimate_v_laws(s, tau).entries
+        est = estimate_covariance(s, tau, None, "laws").entries
         assert np.allclose(est, laws_variance_oracle(s, tau), rtol=1e-12, atol=1e-14)
 
     def test_duplicated_column_offdiag(self):
@@ -353,7 +350,7 @@ class TestEstimateVLaws:
             ("a", "a2", "b"),
         )
         tau = 0.9
-        est = estimate_v_laws(dup, tau).entries
+        est = estimate_covariance(dup, tau, None, "laws").entries
         oracle = laws_variance_oracle(dup, tau)
         assert est[0, 1] == pytest.approx(oracle[0, 1], rel=1e-12)
 
@@ -362,7 +359,7 @@ class TestEstimateVLaws:
         x = rng.pareto(1.2, size=500) + 1.0  # gamma ~ 0.83
         s = MultivariateSample(np.column_stack([x, x + rng.random(500)]), ("a", "b"))
         with pytest.raises(DomainError, match="use QB"):
-            estimate_v_laws(s, 0.9)
+            estimate_covariance(s, 0.9, None, "laws")
 
     def test_mc_consistency_diagonal_and_offdiag(self):
         # Independent Pareto(1/3) margins: the estimated diagonal tracks
@@ -385,7 +382,7 @@ class TestEstimateVLaws:
             rng = np.random.default_rng([3, i])
             x = (1.0 - rng.random((n, 2))) ** -g
             s = MultivariateSample(x, ("a", "b"))
-            m = estimate_v_laws(s, tau).entries
+            m = estimate_covariance(s, tau, None, "laws").entries
             diag.append(m[0, 0])
             off.append(abs(m[0, 1]))
         assert np.mean(diag) == pytest.approx(population, abs=0.03)
@@ -519,7 +516,7 @@ class TestEstimateVQb:
     def test_straight_line_oracle(self):
         s = seed1_sample()
         tau = 0.9
-        est = estimate_v_qb(s, tau).entries
+        est = estimate_covariance(s, tau, None, "qb").entries
         n, d = s.n, s.d
         k = effective_k(n, tau)
         g = np.array([hill_estimator(s.column(j), k) for j in range(d)])
@@ -538,7 +535,7 @@ class TestEstimateVQb:
         # so every empirical tail-copula quantity vanishes.
         x = np.arange(1.0, 101.0)
         s = MultivariateSample(np.column_stack([x, x[::-1]]), ("a", "b"))
-        est = estimate_v_qb(s, 0.9).entries
+        est = estimate_covariance(s, 0.9, None, "qb").entries
         assert est[0, 1] == pytest.approx(0.0, abs=1e-14)
 
 
@@ -546,7 +543,7 @@ class TestEstimateVStarLaws:
     def test_straight_line_oracle_comonotone(self):
         s = seed1_sample(comonotone=True)
         tau, tau_prime = 0.9, 0.999
-        est = estimate_v_star_laws(s, tau, tau_prime).entries
+        est = estimate_covariance(s, tau, tau_prime, "laws").entries
         # Independent re-evaluation: rebuild the interleaved block matrix
         # from first principles and contract with (1, 1/log dn).
         n, d = s.n, s.d
@@ -602,14 +599,14 @@ class TestEstimateVStarLaws:
                 for ell in range(2):
                     block = sigma[2 * j : 2 * j + 2, 2 * ell : 2 * ell + 2]
                     expected[j, ell] = w @ block @ w
-            est = estimate_v_star_laws(s, tau, tau_prime).entries
+            est = estimate_covariance(s, tau, tau_prime, "laws").entries
             assert np.allclose(est, 0.5 * (expected + expected.T), rtol=1e-12)
 
     def test_large_log_dn_tends_to_hill_block(self):
         s = seed1_sample()
         tau = 0.9
         sigma = estimate_sigma_laws(s, tau)
-        est = estimate_v_star_laws(s, tau, 1.0 - 1e-12).entries
+        est = estimate_covariance(s, tau, 1.0 - 1e-12, "laws").entries
         assert est[0, 0] == pytest.approx(sigma[0, 0], rel=0.3)
 
 
@@ -623,7 +620,7 @@ class TestEstimateVStarQb:
     def test_straight_line_oracle(self):
         s = seed1_sample()
         tau, tau_prime = 0.9, 0.999
-        est = estimate_v_star_qb(s, tau, tau_prime).entries
+        est = estimate_covariance(s, tau, tau_prime, "qb").entries
         n, d = s.n, s.d
         k = effective_k(n, tau)
         log_dn = math.log((1.0 - tau) / (1.0 - tau_prime))
@@ -644,7 +641,7 @@ class TestEstimateVStarQb:
         with mock.patch.object(
             covariance, "_top_pairs", side_effect=covariance._top_pairs
         ) as top_pairs:
-            estimate_v_star_qb(seed1_sample(), 0.9, 0.999)
+            estimate_covariance(seed1_sample(), 0.9, 0.999, "qb")
         assert top_pairs.call_count == 1
 
     def test_large_log_dn_diagonal_tends_to_gamma_sq(self):
@@ -652,7 +649,7 @@ class TestEstimateVStarQb:
         tau = 0.9
         k = effective_k(s.n, tau)
         g0 = hill_estimator(s.column(0), k)
-        est = estimate_v_star_qb(s, tau, 1.0 - 1e-12).entries
+        est = estimate_covariance(s, tau, 1.0 - 1e-12, "qb").entries
         assert est[0, 0] == pytest.approx(g0**2, rel=0.3)
 
     def test_mc_consistency_with_logistic_oracle(self):
@@ -669,7 +666,7 @@ class TestEstimateVStarQb:
         ests = []
         for i in range(50):
             s = sample_model(model, n, rng_stream(5, i))
-            ests.append(estimate_v_star_qb(s, tau, tau_prime).entries)
+            ests.append(estimate_covariance(s, tau, tau_prime, "qb").entries)
         mean_est = np.mean(ests, axis=0)
         assert np.allclose(mean_est, theo, atol=0.1)
 
@@ -735,14 +732,15 @@ def scan_with_clips(sample, ks, tau_prime):
 
 
 def assert_scan_matches_single_levels(sample, ks, tau_prime=0.999, exact=False) -> set:
-    """Each level of a scan of the sample against estimate_v_star_laws: the
-    same failure class and message, or else, where neither clips, the same
-    trace to the bit, and every entry within 1e-12 of the matrix's largest
-    (exact: every entry to the bit).  Returns the kinds of failure seen."""
+    """Each level of a scan of the sample against estimate_covariance for
+    "laws": the same failure class and message, or else, where neither
+    clips, the same trace to the bit, and every entry within 1e-12 of the
+    matrix's largest (exact: every entry to the bit).  Returns the kinds of
+    failure seen."""
     kinds = set()
     for lv, got, clip in zip(*scan_with_clips(sample, ks, tau_prime)):
         try:
-            want = estimate_v_star_laws(sample, lv.tau, lv.tau_prime)
+            want = estimate_covariance(sample, lv.tau, lv.tau_prime, "laws")
         except TailjointError as exc:
             assert (type(got), str(got)) == (type(exc), str(exc))
             psd = isinstance(exc, NotPositiveSemidefiniteError)
@@ -796,7 +794,7 @@ class TestScanVStarLaws:
         got = covariance._scan_v_star_laws(s, levels)
         assert np.array_equal(got[1], got[3])
         for lv, m in zip(levels, got):
-            want = estimate_v_star_laws(s, lv.tau, lv.tau_prime).entries
+            want = estimate_covariance(s, lv.tau, lv.tau_prime, "laws").entries
             assert np.trace(m) == np.trace(want)
             assert np.max(np.abs(m - want)) <= 1e-12 * np.max(np.abs(want))
 

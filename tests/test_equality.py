@@ -172,7 +172,8 @@ class TestAllTesters:
 
 class TestStatisticConstruction:
     def test_laws_uses_bias_shifted_log_estimates(self):
-        from tailjoint.covariance import estimate_bias_qb, estimate_v_star_laws
+        from tailjoint.covariance import estimate_bias_qb
+        from tailjoint.inference import estimate_covariance
         from tailjoint.marginal import fit_column
         from tailjoint.numerics import SpdMatrix as Spd
 
@@ -183,7 +184,7 @@ class TestStatisticConstruction:
         )
         bias = estimate_bias_qb(s, TAU)
         z = np.log(est) + bias / math.sqrt(s.n * (1.0 - TAU))
-        cov = estimate_v_star_laws(s, TAU, TAU_PRIME).entries
+        cov = estimate_covariance(s, TAU, TAU_PRIME, "laws").entries
         v = Spd.from_array(result.covariance_scale * cov)
         assert result.statistic == pytest.approx(
             deviance_statistic(z, v), rel=1e-12

@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tailjoint.covariance import (
-    estimate_bias_qb,
-    estimate_v_laws,
-    estimate_v_star_laws,
-    estimate_v_star_qb,
-)
+from tailjoint.covariance import estimate_bias_qb
 from conftest import count_eighs
 
 from tailjoint.equality_tests import equality_test
@@ -20,6 +15,7 @@ from tailjoint.inference import (
     _estimate_sample,
     _interval,
     confidence_region,
+    estimate_covariance,
     marginal_interval,
     region_boundary_points,
     region_contains,
@@ -191,19 +187,15 @@ class TestOneEighPerCovariance:
 
 
 class TestRegionShapes:
-    def test_adjusted_shapes_are_plugin_estimates(self):
+    @pytest.mark.parametrize("naive", [False, True])
+    @pytest.mark.parametrize("tau_prime", [None, TAU_PRIME], ids=["linear", "log"])
+    @pytest.mark.parametrize("method", ["laws", "qb"])
+    def test_shapes_are_plugin_estimates(self, method, tau_prime, naive):
         s = fixture_sample()
-        assert np.allclose(
-            confidence_region(s, TAU, None, ALPHA, "laws").shape.entries,
-            estimate_v_laws(s, TAU).entries,
-        )
-        assert np.allclose(
-            confidence_region(s, TAU, TAU_PRIME, ALPHA, "laws").shape.entries,
-            estimate_v_star_laws(s, TAU, TAU_PRIME).entries,
-        )
-        assert np.allclose(
-            confidence_region(s, TAU, TAU_PRIME, ALPHA, "qb").shape.entries,
-            estimate_v_star_qb(s, TAU, TAU_PRIME).entries,
+        region = confidence_region(s, TAU, tau_prime, ALPHA, method, naive)
+        assert np.array_equal(
+            region.shape.entries,
+            estimate_covariance(s, TAU, tau_prime, method, naive).entries,
         )
 
     def test_naive_shapes_are_independence_diagonals(self):
@@ -272,7 +264,7 @@ class TestMarginalIntervals:
         center = fit_column(s.column(0), TAU).xi_star_qb(TAU_PRIME)[0]
         log_dn = math.log((1.0 - TAU) / (1.0 - TAU_PRIME))
         root = math.sqrt(s.n * (1.0 - TAU))
-        var = estimate_v_star_qb(s, TAU, TAU_PRIME).entries[0, 0]
+        var = estimate_covariance(s, TAU, TAU_PRIME, "qb").entries[0, 0]
         half = log_dn / root * math.sqrt(var) * std_normal_quantile(1.0 - ALPHA / 2.0)
         assert interval.lower == pytest.approx(center * math.exp(-half), rel=1e-12)
         assert interval.upper == pytest.approx(center * math.exp(half), rel=1e-12)
@@ -297,8 +289,8 @@ class TestMarginalIntervals:
         s = one_column()
         laws = marginal_interval(s, TAU, TAU_PRIME, 0, ALPHA, "laws")
         qb = marginal_interval(s, TAU, TAU_PRIME, 0, ALPHA, "qb")
-        v_laws = estimate_v_star_laws(s, TAU, TAU_PRIME).entries[0, 0]
-        v_qb = estimate_v_star_qb(s, TAU, TAU_PRIME).entries[0, 0]
+        v_laws = estimate_covariance(s, TAU, TAU_PRIME, "laws").entries[0, 0]
+        v_qb = estimate_covariance(s, TAU, TAU_PRIME, "qb").entries[0, 0]
         assert math.log(laws.upper / laws.lower) / math.log(
             qb.upper / qb.lower
         ) == pytest.approx(math.sqrt(v_laws / v_qb), rel=1e-10)
@@ -367,7 +359,7 @@ class TestValidation:
         rng = np.random.default_rng(15)
         s = MultivariateSample(rng.pareto(1.2, (500, d)) + 1.0, ("X0", "X1")[:d])
         with pytest.raises(DomainError, match="tail too heavy"):
-            estimate_v_star_laws(s, TAU, TAU_PRIME)
+            estimate_covariance(s, TAU, TAU_PRIME, "laws")
         with pytest.raises(DomainError, match=match):
             call(s)
 
