@@ -162,9 +162,13 @@ def _emit_json(doc, out_dir, name: str) -> None:
 
 
 def _emit_csv_rows(header, rows, out_dir, name: str) -> None:
-    lines = [",".join(str(h) for h in header)]
-    lines += [",".join(_csv_cell(x) for x in row) for row in rows]
-    _emit_text("\n".join(lines) + "\n", out_dir, name)
+    """Rows through csv.writer, which quotes a cell holding a comma, such
+    as a failure message; floats keep _csv_cell's digits."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(x) for x in row] for row in rows)
+    _emit_text(text.getvalue(), out_dir, name)
 
 
 def _emit_csv_points(header, points: np.ndarray, out_dir, name: str) -> None:

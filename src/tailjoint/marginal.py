@@ -84,12 +84,15 @@ def _laws_sorted(xs: np.ndarray, tau) -> np.ndarray:
     m = _breakpoints(a, b, levels).reshape(np.shape(tau)[:-1] + rows.shape)
     at_point = (m == 0) | (tau * a[rows, m] + (1.0 - tau) * b[rows, m] == 0.0)
     # Otherwise the root lies in (xs[m-1], xs[m]); on that segment m points
-    # sit at or below.
+    # sit at or below.  Rounding can put num / den just outside the segment
+    # (a constant row's root is then off its value, and not monotone in
+    # tau), so it is clamped to it.
     s_lo = cum[rows, m - 1]
     s_hi = cum[:, -1] - s_lo
     num = tau * s_hi + (1.0 - tau) * s_lo
     den = tau * (n - m) + (1.0 - tau) * m
-    return np.where(at_point, xs[rows, m], num / den)
+    root = np.clip(num / den, xs[rows, m - 1], xs[rows, m])
+    return np.where(at_point, xs[rows, m], root)
 
 
 def _breakpoints(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:

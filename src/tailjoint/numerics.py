@@ -10,20 +10,22 @@ inverse quadratic form, GLS mean and deviance reads them, as sum (v^T x)^2
 eigenvalue is at most 1e-10 times its trace is singular for all of them.
 An ``SpdMatrix`` is a stack of one.
 
-The normal and chi-square functions call ``scipy.special`` directly; no
-other scipy module is used.  The 1-D integrals of the theoretical (oracle)
-covariances use one nested double-exponential rule (``_de_integral``):
+The normal quantile and the chi-square quantile, cdf and upper tail (at
+integer df, all the regions, intervals and tests need) are computed with
+the ``math`` module alone, so this module loads no scipy.  The 1-D
+integrals of the theoretical (oracle) covariances use one nested
+double-exponential rule (``_de_integral``):
 each level evaluates the integrand once, on an array of nodes, and an
 integral that does not reach its tolerance raises NumericError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     RAISE,
@@ -44,11 +46,62 @@ CLIP_RTOL = 1e-6
 _QUAD_TOL, _TAIL_1D_TOL = 1e-10, 1e-12
 
 
+# Wichura's AS241 (PPND16, Appl. Statist. 37, 1988), good to about 1e-16:
+# the normal quantile as a ratio of degree-7 polynomials, in r = 0.180625 -
+# q^2 for |q| = |p - 1/2| <= 0.425, and otherwise, with r = sqrt(-log
+# min(p, 1 - p)), in r - 1.6 for r <= 5 and in r - 5 beyond.  Each pair holds
+# the numerator's and the denominator's coefficients, lowest order first.
+_AS241 = (
+    (
+        (3.3871328727963666080, 133.14166789178437745, 1971.5909503065514427,
+         13731.693765509461125, 45921.953931549871457, 67265.770927008700853,
+         33430.575583588128105, 2509.0809287301226727),
+        (1.0, 42.313330701600911252, 687.18700749205790830, 5394.1960214247511077,
+         21213.794301586595867, 39307.895800092710610, 28729.085735721942674,
+         5226.4952788528545610),
+    ),
+    (
+        (1.42343711074968357734, 4.63033784615654529590, 5.76949722146069140550,
+         3.64784832476320460504, 1.27045825245236838258, 0.241780725177450611770,
+         0.0227238449892691845833, 7.74545014278341407640e-4),
+        (1.0, 2.05319162663775882187, 1.67638483018380384940, 0.689767334985100004550,
+         0.148103976427480074590, 0.0151986665636164571966, 5.47593808499534494600e-4,
+         1.05075007164441684324e-9),
+    ),
+    (
+        (6.65790464350110377720, 5.46378491116411436990, 1.78482653991729133580,
+         0.296560571828504891230, 0.0265321895265761230930, 0.00124266094738807843860,
+         2.71155556874348757815e-5, 2.01033439929228813265e-7),
+        (1.0, 0.599832206555887937690, 0.136929880922735805310, 0.0148753612908506148525,
+         7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+         2.04426310338993978564e-15),
+    ),
+)
+_LN2 = math.log(2.0)
+
+
+def _ratio(coefs, r: float) -> float:
+    num = den = 0.0
+    for c, d in zip(reversed(coefs[0]), reversed(coefs[1])):
+        num, den = num * r + c, den * r + d
+    return num / den
+
+
 def std_normal_quantile(p: float) -> float:
-    """Quantile of the standard Gaussian distribution."""
+    """Quantile of the standard Gaussian distribution: AS241, and in the
+    tails one Newton step on Phi(x) = erfc(-x / sqrt 2) / 2."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"normal quantile requires p in (0,1), got {p}")
-    return float(special.ndtri(p))
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        return q * _ratio(_AS241[0], 0.180625 - q * q)
+    tail = min(p, 1.0 - p)  # 1 - p is exact for p >= 1/2
+    r = math.sqrt(-math.log(tail))
+    x = -_ratio(_AS241[1], r - 1.6) if r <= 5.0 else -_ratio(_AS241[2], r - 5.0)
+    x -= (0.5 * math.erfc(-x / math.sqrt(2.0)) - tail) / (
+        math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    )
+    return x if p < 0.5 else -x
 
 
 def _check_df(df, name: str) -> None:
@@ -57,22 +110,96 @@ def _check_df(df, name: str) -> None:
 
 
 def chi_square_quantile(p: float, df: int) -> float:
-    """(1-alpha)-quantile of the chi-square distribution with df degrees."""
+    """The p-quantile of the chi-square distribution with df degrees.
+
+    Newton's method in t = log x on the closed-form pdf, solving
+    log P(X <= x) = log p for p <= 1/2 and log P(X > x) = log(1 - p)
+    otherwise (1 - p is exact there).  Both sides are concave in t, as the
+    log-gamma law is log-concave, so from a start on the outer side of the
+    root every iterate stays between the start and the root.  The starts
+    are bounds: 2 (p Gamma(a + 1))^(1/a), a = df/2, below the lower root,
+    as P(X <= 2y) <= y^a / Gamma(a + 1); and 2 (a + L + sqrt(L^2 + 2aL)),
+    L = -log(1 - p), above the upper root, where the Chernoff bound puts
+    P(X > x) below 1 - p.
+    """
     if not 0.0 < p < 1.0:
         raise DomainError(f"chi-square quantile requires p in (0,1), got {p}")
     _check_df(df, "quantile")
-    return float(2.0 * special.gammaincinv(df / 2.0, p))
+    a = 0.5 * df
+    upper = p > 0.5
+    if upper:
+        target = math.log(1.0 - p)
+        x = 2.0 * (a - target + math.sqrt(target * (target - 2.0 * a)))
+    else:
+        target = math.log(p)
+        x = 2.0 * math.exp((target + math.lgamma(a + 1.0)) / a)
+        if x == 0.0:
+            return 0.0
+    for _ in range(100):
+        log_tail = math.log(chi_square_sf(x, df)) if upper else _log_chi2_lower(x, a)
+        # |d log tail / dt| = x f(x) / tail
+        rate = math.exp(a * (math.log(x) - _LN2) - 0.5 * x - math.lgamma(a) - log_tail)
+        dt = (log_tail - target) / (rate if upper else -rate)
+        step = x * math.exp(dt)
+        if abs(dt) <= 1e-9 or step == x:  # converged, or no float left between
+            return step
+        x = step
+    raise NumericError(f"chi-square quantile did not converge at p={p}, df={df}")
 
 
 def chi_square_cdf(x: float, df: int) -> float:
+    """P(X <= x): 1 - P(X > x) where that tail is at most 1/2, and the
+    lower-tail series elsewhere."""
     _check_df(df, "cdf")
-    return float(special.chdtr(df, x))
+    sf = chi_square_sf(x, df)
+    if not sf > 0.5:
+        return 1.0 - sf
+    return math.exp(_log_chi2_lower(x, 0.5 * df))
 
 
 def chi_square_sf(x: float, df: int) -> float:
-    """Upper tail P(X > x), accurate where it is far below 1e-16."""
+    """Upper tail P(X > x), accurate where it is far below 1e-16.
+
+    At integer df in closed form (Abramowitz and Stegun 26.4.4-26.4.5): with
+    y = x/2, the sum of y^e e^{-y} / Gamma(e + 1) over e = df/2 - 1,
+    df/2 - 2, ... > -1/2, plus erfc(sqrt y) for odd df.  The terms are
+    positive, so the sum keeps its relative accuracy however small it is,
+    and each is taken in log space, so that none overflows.  It is 1 at
+    x = 0 (and at most 1, where rounding would lift the sum above it), 0 at
+    x = inf, and NaN at a NaN or negative x.
+    """
     _check_df(df, "sf")
-    return float(special.chdtrc(df, x))
+    if not x > 0.0:
+        return 1.0 if x == 0.0 else math.nan
+    if x == math.inf:
+        return 0.0
+    y, ly = 0.5 * x, math.log(x) - _LN2
+    odd = int(df) % 2
+    sf = math.erfc(math.sqrt(y)) if odd else 0.0
+    e = 0.5 * odd
+    while e < 0.5 * df:
+        sf += math.exp(e * ly - y - math.lgamma(e + 1.0))
+        e += 1.0
+    return min(sf, 1.0)
+
+
+def _log_chi2_lower(x: float, a: float) -> float:
+    """log P(X <= x) at df = 2a by the series of positive terms
+    y^a e^{-y} / Gamma(a + 1) * sum_n y^n / ((a + 1) ... (a + n)), y = x/2,
+    which converges fast below the median.  Once the next divisor b exceeds
+    y, the terms after a term t add up to less than t y / (b - y)."""
+    if x == 0.0:
+        return -math.inf
+    y = 0.5 * x
+    s = t = 1.0
+    b = a + 1.0
+    while True:
+        t *= y / b
+        s += t
+        b += 1.0
+        if b > y and t * y <= 1e-17 * s * (b - y):
+            break
+    return a * (math.log(x) - _LN2) - y - math.lgamma(a + 1.0) + math.log(s)
 
 
 class _SpdStack(NamedTuple):

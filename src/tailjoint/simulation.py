@@ -11,7 +11,8 @@ the stacked code that the single-sample estimators, regions, intervals and
 tests run as a stack of one (``inference._estimate`` and its consumers), so
 each replication's outcome and failure are the single-sample call's.
 
-The samplers and the margin oracles call ``scipy.special`` directly;
+Only the Gaussian-Student and Student samplers and the Frechet and
+Student margin oracles need ``scipy.special``, and import it on first use;
 ``scipy.optimize`` is imported by the first true-expectile solve.
 """
 
@@ -21,7 +22,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import Checks, DomainError, TailjointError
 from .inference import _check_alpha, _check_method, _endpoints, _estimate, _region_parts
@@ -181,6 +181,8 @@ def _draw(model: SimulationModel, n: int, rng: np.random.Generator) -> np.ndarra
         u = np.exp(-((e / frailty[:, None]) ** (1.0 / model.vartheta)))
         x = (-np.log(u)) ** -g
     elif kind == "gaussian_student":
+        from scipy import special
+
         chol = np.linalg.cholesky(listed_correlation(d))
         z = rng.standard_normal(size=(n, d)) @ chol.T
         u = special.ndtr(z)
@@ -205,6 +207,8 @@ def _draw(model: SimulationModel, n: int, rng: np.random.Generator) -> np.ndarra
 def _student_quantile(u: np.ndarray, nu: float) -> np.ndarray:
     """The Student-t(nu) quantiles of the levels u in [0, 1].  stdtrit gives
     +inf at u = 0; the quantile there is -inf."""
+    from scipy import special
+
     return np.where(u == 0.0, -np.inf, special.stdtrit(nu, u))
 
 
@@ -223,6 +227,8 @@ class MarginOracle:
 
     def mean(self) -> float:
         if self.kind == "frechet":
+            from scipy import special
+
             return float(special.gamma(1.0 - self.gamma))
         if self.kind == "pareto":
             return 1.0 / (1.0 - self.gamma)
@@ -230,6 +236,12 @@ class MarginOracle:
 
     def partial_mean(self, theta: float) -> float:
         """E(X - theta)_+, exact via truncated first moments."""
+        if self.kind == "pareto":
+            if theta <= 1.0:
+                return self.mean() - theta
+            return self.gamma / (1.0 - self.gamma) * theta ** (1.0 - 1.0 / self.gamma)
+        from scipy import special
+
         if self.kind == "frechet":
             if theta <= 0.0:
                 return self.mean() - theta
@@ -238,10 +250,6 @@ class MarginOracle:
                 special.gamma(1.0 - self.gamma) * special.gammainc(1.0 - self.gamma, a)
             )
             return upper - theta * float(-np.expm1(-a))
-        if self.kind == "pareto":
-            if theta <= 1.0:
-                return self.mean() - theta
-            return self.gamma / (1.0 - self.gamma) * theta ** (1.0 - 1.0 / self.gamma)
         nu = 1.0 / self.gamma
         log_pdf = (
             np.log(special.poch(0.5 * nu, 0.5))

@@ -366,6 +366,15 @@ class TestGroupsAsOffsetStacks:
         }
 
 
+def scan_rows(text: str) -> list:
+    """The (k, trace, status) rows of a trace_scan.csv text, read by
+    csv.reader under its header; every row has exactly three cells."""
+    header, *rows = csv.reader(text.splitlines())
+    assert header == ["k", "trace", "status"]
+    assert all(len(row) == 3 for row in rows), rows
+    return rows
+
+
 class TestTraceScan:
     def test_scan_range(self, tmp_path, data_csv):
         out = tmp_path / "out"
@@ -380,24 +389,22 @@ class TestTraceScan:
     def test_partial_failures_exit_two(self, tmp_path, capsys):
         # Tail index 0.5: the per-k Hill estimates straddle the 1/2 threshold,
         # so some k values fail while others succeed.
-        csv = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
-        code = main(["trace-scan", "--input", str(csv), "--k-min", "5",
+        path = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
+        code = main(["trace-scan", "--input", str(path), "--k-min", "5",
                      "--k-max", "80"])
         assert code == 2
-        lines = capsys.readouterr().out.splitlines()[1:]
-        statuses = [line.split(",", 2)[2] for line in lines]
+        statuses = [status for _, _, status in scan_rows(capsys.readouterr().out)]
         assert any(s == "ok" for s in statuses)
         assert any(s.startswith("failed:") for s in statuses)
 
     @staticmethod
-    def statuses_match_single_levels(csv, lines, k_min, tau_prime) -> list:
+    def statuses_match_single_levels(path, rows, k_min, tau_prime) -> list:
         """Check each scan row against estimate_covariance for "laws" at its
         k: the trace exactly, or the text of the exception it raises; returns
         the rows' statuses."""
-        sample = ingest_csv(csv)
+        sample = ingest_csv(path)
         statuses = []
-        for k, line in enumerate(lines, k_min):
-            k_text, trace, status = line.split(",", 2)
+        for k, (k_text, trace, status) in enumerate(rows, k_min):
             assert int(k_text) == k
             statuses.append(status)
             try:
@@ -412,36 +419,54 @@ class TestTraceScan:
     def test_rows_match_covariance_trace(self, tmp_path, capsys):
         # Heavy tail: some k fail in-band, and their message is the one the
         # per-k covariance raises.
-        csv = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
-        assert main(["trace-scan", "--input", str(csv), "--k-min", "5",
+        path = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
+        assert main(["trace-scan", "--input", str(path), "--k-min", "5",
                      "--k-max", "80"]) == 2
-        lines = capsys.readouterr().out.splitlines()[1:]
-        statuses = self.statuses_match_single_levels(csv, lines, 5, 1.0 - 1.0 / 300)
+        rows = scan_rows(capsys.readouterr().out)
+        statuses = self.statuses_match_single_levels(path, rows, 5, 1.0 - 1.0 / 300)
         failed = sum(s != "ok" for s in statuses)
-        assert len(lines) == 76 and 0 < failed < 76
+        assert len(rows) == 76 and 0 < failed < 76
 
     def test_failed_levels_between_ok_ones_keep_their_own_failure(self, tmp_path, capsys):
         # The failed levels of the heavy panel sit between ok ones, and each
         # keeps its own first failure.
-        csv = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
-        assert main(["trace-scan", "--input", str(csv), "--k-min", "5",
+        path = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
+        assert main(["trace-scan", "--input", str(path), "--k-min", "5",
                      "--k-max", "80"]) == 2
-        lines = capsys.readouterr().out.splitlines()[1:]
-        statuses = self.statuses_match_single_levels(csv, lines, 5, 1.0 - 1.0 / 300)
+        rows = scan_rows(capsys.readouterr().out)
+        statuses = self.statuses_match_single_levels(path, rows, 5, 1.0 - 1.0 / 300)
         ok = [i for i, s in enumerate(statuses) if s == "ok"]
         assert any(s != "ok" for s in statuses[ok[0] : ok[-1]])
 
     def test_levels_rejected_before_the_fit(self, tmp_path, capsys):
         # At tau' = 0.99 and n = 300, k = 2 and 3 give tau >= tau': those
         # rows fail with the LevelError of TailLevelPair, the rest run.
-        csv = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
-        assert main(["trace-scan", "--input", str(csv), "--tau-prime", "0.99",
+        # Their messages hold commas, so the status cells are quoted.
+        path = write_sample_csv(tmp_path / "heavy.csv", n=300, gamma=0.5, seed=2)
+        assert main(["trace-scan", "--input", str(path), "--tau-prime", "0.99",
                      "--k-min", "2", "--k-max", "80"]) == 2
-        lines = capsys.readouterr().out.splitlines()[1:]
-        statuses = self.statuses_match_single_levels(csv, lines, 2, 0.99)
+        rows = scan_rows(capsys.readouterr().out)
+        assert "," in rows[0][2]
+        statuses = self.statuses_match_single_levels(path, rows, 2, 0.99)
         assert all(s.startswith("failed: levels must satisfy") for s in statuses[:2])
         assert not statuses[2].startswith("failed: levels must satisfy")
         assert "ok" in statuses
+
+    def test_constant_column_fails_each_level_on_its_own(self, tmp_path, capsys):
+        # A constant column used to make the whole scan raise "LAWS
+        # expectiles rise with k"; every level now fails with its own error.
+        path = tmp_path / "constant.csv"
+        x = (1.0 - np.random.default_rng(0).random(50)) ** -0.3
+        lines = ["a,b"] + [f"{v:.17g},7.3" for v in x]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["trace-scan", "--input", str(path), "--k-min", "2",
+                     "--k-max", "49"]) == 1
+        sample = ingest_csv(path)
+        with pytest.raises(TailjointError) as first:
+            estimate_covariance(sample, tau_from_k(50, 2), 0.99, "laws")
+        assert capsys.readouterr().err == (
+            f"error: trace scan failed at every k: {first.value}\n"
+        )
 
     def test_every_level_rejected_before_the_fit(self, tmp_path, capsys):
         # At tau' = 0.99 and n = 300 no k in 2..3 gives tau < tau': no
@@ -526,6 +551,8 @@ class TestSimulate:
         for name in ("simulate.json", "simulate.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         doc = json.loads((outs[0] / "simulate.json").read_text())
+        header, row = csv.reader((outs[0] / "simulate.csv").read_text().splitlines())
+        assert header == sorted(doc[0]) and len(row) == len(header)
         assert set(doc[0]) == {
             "schema_version", "command", "naive", "experiment", "model", "n", "d",
             "k", "tau", "tau_prime", "replications", "master_seed", "failures",

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import count_eighs, level_grid, step_unit_integral, tail_panels
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -782,9 +782,21 @@ class TestScanVStarLaws:
         assert_scan_matches_single_levels(s, range(2, 40))
 
     @given(scan_panels())
+    @example(MultivariateSample(np.full((50, 1), 4e-300), ("X0",)))
     @settings(max_examples=40, deadline=None)
     def test_every_level_matches_its_single_level_call(self, s):
         assert_scan_matches_single_levels(s, range(2, s.n), 1.0 - 0.5 / s.n)
+
+    @pytest.mark.parametrize("n", [50, 51, 137])
+    @pytest.mark.parametrize("c", [7.3, 1e-10, 4e-300])
+    def test_constant_column_fails_level_by_level(self, c, n):
+        # A constant column's LAWS expectiles equal its value at every
+        # level, so the tail sets stay nested and each level keeps its own
+        # failure instead of the whole scan raising.
+        x = np.column_stack([np.linspace(1.0, 9.0, n) ** 3, np.full(n, c)])
+        for values in (x[:, 1:], x):
+            s = MultivariateSample(values, ("a", "b")[: values.shape[1]])
+            assert assert_scan_matches_single_levels(s, range(2, n), 1.0 - 0.5 / n)
 
     def test_levels_in_any_order(self):
         # The scan runs its levels in ascending k and returns them in the

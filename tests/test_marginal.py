@@ -99,6 +99,16 @@ class TestLawsExpectile:
             e = laws_expectile(x, tau)
             assert x.min() < e < x.max() or math.isclose(e, x.min()) or math.isclose(e, x.max())
 
+    @pytest.mark.parametrize("n", [50, 51, 137])
+    @pytest.mark.parametrize("c", [7.3, 1e-10, 4e-300])
+    def test_constant_column_is_its_value_at_every_level(self, c, n):
+        # Rounding put the segment root num/den off the constant, and not
+        # monotone across levels; clamped to its segment, it is the value.
+        levels = np.array([[1.0 - k / n] for k in range(2, n)])
+        xi = _laws_sorted(np.full((1, n), c), levels)
+        assert np.all(xi == c)
+        assert laws_expectile([c] * n, 0.9) == c
+
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(9)
         x = rng.pareto(3.0, size=50)
@@ -137,7 +147,8 @@ def full_scan_laws(xs, tau):
     s_hi = total[:, 0] - s_lo
     num = tau * s_hi + (1.0 - tau) * s_lo
     den = tau * (n - m) + (1.0 - tau) * m
-    return np.where(at_point, xs[rows, m], num / den)
+    root = np.clip(num / den, xs[rows, m - 1], xs[rows, m])
+    return np.where(at_point, xs[rows, m], root)
 
 
 class TestLawsFromCachedSums:

@@ -1,12 +1,13 @@
 """Special functions, SPD matrix algebra, and tail-box quadrature."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from tailjoint.errors import (
     DomainError,
@@ -43,10 +44,20 @@ class TestStdNormalQuantile:
         with pytest.raises(DomainError):
             std_normal_quantile(p)
 
-    def test_equals_scipy_stats(self):
+    def test_within_8_ulp_of_scipy_on_its_grid(self):
         grid = [1e-300, 1e-16, 1e-8, *np.linspace(0.001, 0.999, 37), 1.0 - 1e-12]
         for p in grid:
-            assert std_normal_quantile(float(p)) == stats.norm.ppf(p)
+            want = special.ndtri(p)
+            assert abs(std_normal_quantile(float(p)) - want) <= 8 * math.ulp(want)
+
+    @given(st.one_of(st.floats(1e-300, 1.0), st.floats(-300.0, -1e-3).map(lambda e: 10.0**e)))
+    @settings(max_examples=300, deadline=None)
+    def test_within_8_ulp_of_scipy_out_to_1e_300(self, p):
+        # AS241 and ndtri are each within about 3 ulp of the exact quantile.
+        for p in (p, 1.0 - p):
+            if 0.0 < p < 1.0:
+                want = special.ndtri(p)
+                assert abs(std_normal_quantile(p) - want) <= 8 * math.ulp(want)
 
 
 class TestChiSquareQuantile:
@@ -87,6 +98,76 @@ class TestChiSquareTails:
         # 1 - cdf is 0.0 here; chi2(2) has the closed-form tail exp(-x/2).
         assert 1.0 - chi_square_cdf(200.0, 2) == 0.0
         assert chi_square_sf(200.0, 2) == pytest.approx(np.exp(-100.0), rel=1e-13)
+
+
+# The chi-square functions against scipy.special, df 1-12.  The relative
+# bounds hold scipy's own error as well as ours: both take e^{-x/2} in log
+# space, where rounding the exponent costs up to about eps x/2, and in 40-digit
+# arithmetic chdtrc(1, 2.1865) and 2 gammaincinv(1/2, 0.8596) are off by 3.1e-14
+# and 2.1e-14, where the functions here are exact.  Where scipy's value is
+# below the smallest normal float (or 0, as chdtrc(1, 1425) is), ours need
+# only be below it too.
+EPS = 2.0**-52
+TINY = sys.float_info.min
+PROBABILITIES = st.one_of(
+    st.floats(1e-300, 1.0 - 1e-16),
+    st.floats(-300.0, -1e-3).map(lambda e: 10.0**e),
+    st.floats(-16.0, -1e-3).map(lambda e: 1.0 - 10.0**e),
+)
+
+
+def assert_close(got: float, want: float, rel: float) -> None:
+    if want < TINY:
+        assert 0.0 <= got < TINY
+    else:
+        assert abs(got - want) <= rel * want
+
+
+class TestAgainstScipy:
+    @given(st.integers(1, 12), st.floats(1e-3, 1500.0))
+    @settings(max_examples=400, deadline=None)
+    def test_tails_match_chdtrc_and_chdtr(self, df, x):
+        # Beyond x = 1382 the upper tail is below 1e-300.
+        bound = 5e-14 + 2.0 * EPS * x
+        for got, want in ((chi_square_sf(x, df), special.chdtrc(df, x)),
+                          (chi_square_cdf(x, df), special.chdtr(df, x))):
+            assert_close(got, want, bound)
+
+    @pytest.mark.parametrize("df", range(1, 13))
+    def test_upper_tail_below_1e_300(self, df):
+        x = 1385.0 + 5.0 * df
+        want = special.chdtrc(df, x)
+        assert TINY < want < 1e-300
+        assert chi_square_sf(x, df) == pytest.approx(want, rel=5e-14 + 2.0 * EPS * x)
+
+    @given(st.integers(1, 12), PROBABILITIES)
+    @settings(max_examples=400, deadline=None)
+    def test_quantile_matches_gammaincinv(self, df, p):
+        want = 2.0 * special.gammaincinv(0.5 * df, p)
+        bound = 5e-14 + 4.0 * EPS * abs(math.log(min(p, 1.0 - p)))
+        assert_close(chi_square_quantile(p, df), want, bound)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 12])
+    @pytest.mark.parametrize("x", [-1.0, -0.0, 0.0, math.inf, -math.inf, math.nan])
+    def test_edge_values_as_scipy(self, x, df):
+        for got, want in ((chi_square_sf(x, df), special.chdtrc(df, x)),
+                          (chi_square_cdf(x, df), special.chdtr(df, x))):
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @given(
+        st.integers(1, 400),
+        st.floats(0.0, math.inf),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_no_input_overflows(self, df, x, p):
+        # Every term is an exp of a non-positive log, and every Newton
+        # iterate stays between its start and the root: no OverflowError
+        # and no other raise.
+        assert 0.0 <= chi_square_sf(x, df) <= 1.0
+        assert 0.0 <= chi_square_cdf(x, df) <= 1.0
+        assert 0.0 <= chi_square_quantile(p, df) < math.inf
+        assert math.isfinite(std_normal_quantile(p))
 
 
 @pytest.mark.parametrize("p", np.arange(0.01, 1.0, 0.07))
