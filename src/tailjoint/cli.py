@@ -26,7 +26,7 @@ import numpy as np
 
 from .covariance import _scan_v_star_laws
 from .equality_tests import _results
-from .errors import DomainError, LevelError, TailjointError
+from .errors import DomainError, IngestionError, LevelError, TailjointError
 from .inference import _by_group, _estimate_sample, _interval, _regions, region_boundary_points
 from .marginal import estimate_margins
 from .sample import (
@@ -61,9 +61,17 @@ _FLAGS = {
 }
 
 
+def _decoded(read, path, *args):
+    """read(path, *args), a file that is not UTF-8 an IngestionError naming it."""
+    try:
+        return read(path, *args)
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
+
+
 def _parse_config_file(path: str) -> dict:
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_decoded(Path.read_text, Path(path), "utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -145,7 +153,7 @@ def _alpha(args) -> float:
 def _load_sample(args) -> MultivariateSample:
     if args.input is None:
         raise DomainError("--input is required")
-    return ingest_csv(args.input, has_date_column=bool(args.date_column))
+    return _decoded(ingest_csv, args.input, bool(args.date_column))
 
 
 def _emit_text(text: str, out_dir, name: str) -> None:
@@ -498,7 +506,7 @@ def cmd_ingest(args) -> int:
     if args.input is None:
         raise DomainError("--input is required")
     has_dates = True if not args.no_returns else bool(args.date_column)
-    sample = ingest_csv(args.input, has_date_column=has_dates)
+    sample = _decoded(ingest_csv, args.input, has_dates)
     if not args.no_returns:
         sample = to_negative_weekly_log_returns(sample)
         name = "returns.csv"
@@ -557,10 +565,7 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(args)
         return args.run(args)
-    except TailjointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TailjointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,20 +15,17 @@ built and checked by the dispatch of the regions, intervals and tests
 LAWS) array ``estimate_sigma_laws`` and the QB bias ``estimate_bias_qb``,
 an array of per-margin components.
 
-The Hill and QB displays (``_hill_block``, ``_qb_matrix``) read tail
-dependence only through two d x d pair matrices, R(1,1) and the unit
-integrals I, given by the oracle (``_oracle_matrix``) or by the ranks.
+Every covariance of the LAWS, QB and Weissman estimators but the naive
+diagonals is one contraction W Sigma W^T (``_contract``) of the joint
+covariance Sigma of (Hill_j, X_j) over the margins, X the intermediate LAWS
+(``_sigma_laws``) or quantile (``_sigma_q_blocks``) estimator, with weights
+(wh_j, wx_j) per margin (``inference._estimate`` lists them).
 
-Each estimated display is computed for a stack of B samples at one level
-at once (``_v_laws_raw``, ``_sigma_laws``, ``_v_star_laws``,
-``_v_qb_raw``, ``_bias_qb``: leading axis B, with the fit as (B, d)
-arrays), and a check that fails marks its sample through an
-``errors.Checks``.  A single sample is the stack of one
+Each plug-in Sigma is built for a stack of B samples at one level at once
+(leading axis B, the fit as (B, d) arrays); a check that fails marks its
+sample through an ``errors.Checks``.  A single sample is the stack of one
 (``MultivariateSample._stack``) with ``errors.RAISE``, which raises the
-first failure.  ``inference._estimate`` reads these stacked builders, and
-also builds the naive diagonals and the Weissman (quantile-test)
-covariance, the Hill block; the Monte Carlo harnesses run the same code on
-stacks of replications.
+first failure.
 
 The n-long work reads the stack's column-major (B, d, n) rows
 (``sample._Stack``): the values, the sorted values, the row order and the
@@ -61,11 +58,7 @@ from .marginal import _check_qb, _fit_sorted, estimate_margins, m_function
 from .numerics import SpdMatrix, _spd_stack, integrate_1d_tail, integrate_tail_box
 from .sample import MultivariateSample, effective_k
 from .taildep import (
-    OracleTailCopula,
-    _r11_cut,
-    _r11_matrix,
-    _top_pairs,
-    _unit_integral_matrix,
+    OracleTailCopula, _r11_cut, _r11_matrix, _top_pairs, _unit_integral_matrix,
 )
 
 
@@ -104,9 +97,9 @@ def _oracle_matrix(oracle, d: int, functional) -> np.ndarray:
 _R11, _UNIT = OracleTailCopula.r11, OracleTailCopula.unit_integral
 
 
-def _outer(g: np.ndarray) -> np.ndarray:
-    """g_j g_l for every pair, one d x d matrix per leading index of g."""
-    return g[..., :, None] * g[..., None, :]
+def _outer(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """a_j b_l (b = a by default), one d x d matrix per leading index."""
+    return a[..., :, None] * (a if b is None else b)[..., None, :]
 
 
 def _set_diagonal(m: np.ndarray, diag: np.ndarray) -> None:
@@ -126,22 +119,34 @@ def _hill_block(g: np.ndarray, r11: np.ndarray) -> np.ndarray:
     return m
 
 
-def _qb_matrix(
-    g: np.ndarray, r11: np.ndarray, unit: np.ndarray, log_dn: float, checks
-) -> np.ndarray:
-    """QB covariance: g_j g_l (R (m_j-1)(m_l-1) + m_j I[j,l] + m_l I[l,j]) off
-    the diagonal and g^2 (1 + m^2) on it, with m_j = m(g_j) + log_dn and
-    I[j, l] on margin j's axis.  log_dn = 0 gives the intermediate
-    (linear-scale) matrix; log_dn > 0 divides by log d_n^2, giving the
-    covariance of the extrapolating estimators on the log scale.  A sample
-    with some g outside (0, 1), where m is undefined, fails."""
-    ok = (g > 0.0) & (g < 1.0)
-    checks(~ok, lambda j: DomainError(f"m(x) requires x in (0,1), got {g.flat[j]}"))
-    mg = _each(lambda x: m_function(x) if 0.0 < x < 1.0 else np.nan, g) + log_dn
-    mi = mg[..., :, None] * unit  # m_j I[j, l]
-    m = _outer(g) * (r11 * _outer(mg - 1.0) + (mi + np.swapaxes(mi, -1, -2)))
-    _set_diagonal(m, g**2 * (1.0 + mg**2))
-    return m / log_dn**2 if log_dn else m
+def _sigma_q_blocks(g: np.ndarray, r11: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """The (Hill, intermediate quantile) covariance from R(1,1) and the unit
+    integrals I: the Hill block on both diagonal blocks, and Cov(Hill_j, q_l)
+    = g_j g_l (I[j,l] - R_jl(1,1)) off them, 0 at j = l."""
+    hill, cross = _hill_block(g, r11), _outer(g) * (unit - r11)
+    _set_diagonal(cross, 0.0)
+    return _interleave(hill, cross, hill)
+
+
+def _qb_weights(g: np.ndarray, log_dn: float | None = None):
+    """The weights (wh, wx) of the QB estimators: (m(g), 1) at the
+    intermediate level, ((m(g) + log dn)/log dn, 1/log dn) extrapolated; m is
+    NaN where g lies outside (0, 1), whose sample the QB center fails."""
+    m = _each(lambda x: m_function(x) if 0.0 < x < 1.0 else np.nan, g)
+    return (m, 1.0) if log_dn is None else ((m + log_dn) / log_dn, 1.0 / log_dn)
+
+
+def _contract(sigma: np.ndarray, wh, wx) -> np.ndarray:
+    """W Sigma W^T: the covariance of the estimators wh_j Hill_j + wx_j X_j,
+    sigma the interleaved covariance of (Hill_1, X_1, ..., Hill_d, X_d), one
+    matrix per leading index, and the weights broadcast to (..., d).  The
+    diagonal blocks' terms are summed first: a weight of 0 adds exact zeros,
+    so (1, 0) gives the Hill block and (0, 1) the X block to the bit."""
+    h, x = np.atleast_1d(wh, wx)
+    hx = _outer(h, x)
+    return (
+        _outer(h) * sigma[..., 0::2, 0::2] + _outer(x) * sigma[..., 1::2, 1::2]
+    ) + (hx * sigma[..., 0::2, 1::2] + np.swapaxes(hx, -1, -2) * sigma[..., 1::2, 0::2])
 
 
 def _laws_pair_integral(orc: OracleTailCopula, gj: float, gl: float) -> float:
@@ -185,27 +190,27 @@ def _interleave(hill: np.ndarray, cross: np.ndarray, other: np.ndarray) -> np.nd
     return m
 
 
+def _theoretical_sigma_q(g: np.ndarray, oracle) -> np.ndarray:
+    """The unchecked array of theoretical_sigma_q at checked tail indices."""
+    return _sigma_q_blocks(g, *(_oracle_matrix(oracle, g.size, f) for f in (_R11, _UNIT)))
+
+
 def theoretical_sigma_q(gammas, oracle) -> SpdMatrix:
     """2d x 2d covariance of (Hill, intermediate quantile) across margins.
 
     Coordinates are interleaved per margin: (gamma_1, q_1, gamma_2, q_2, ...).
     """
     g = _gammas(gammas, 1.0, "covariance formula")
-    r11 = _oracle_matrix(oracle, g.size, _R11)
-    hill = _hill_block(g, r11)
-    cross = np.outer(g, g) * (_oracle_matrix(oracle, g.size, _UNIT) - r11)
     return SpdMatrix.from_array(
-        _interleave(hill, cross, hill), "theoretical Hill/quantile covariance"
+        _theoretical_sigma_q(g, oracle), "theoretical Hill/quantile covariance"
     )
 
 
 def theoretical_v_qb(gammas, oracle) -> SpdMatrix:
     """Asymptotic covariance of the joint intermediate QB estimators."""
     g = _gammas(gammas, 1.0, "covariance formula")
-    d = g.size
-    r11, unit = _oracle_matrix(oracle, d, _R11), _oracle_matrix(oracle, d, _UNIT)
     return SpdMatrix.from_array(
-        _qb_matrix(g, r11, unit, 0.0, RAISE), "theoretical QB covariance"
+        _contract(_theoretical_sigma_q(g, oracle), *_qb_weights(g)), "theoretical QB covariance"
     )
 
 
@@ -252,39 +257,26 @@ def _theoretical_sigma_laws(gammas, oracle) -> np.ndarray:
     return _interleave(hill, cross, laws)
 
 
-def _contract_blocks(sigma: np.ndarray, log_dn, checks) -> np.ndarray:
-    """(1, 1/log dn)^T Sigma_block (1, 1/log dn) applied to every 2x2 block,
-    with one log dn, or a (B, 1) array of one per matrix of the stack; a
-    log dn that is not positive fails its matrix."""
-    checks(
-        np.broadcast_to(np.asarray(log_dn) <= 0.0, sigma.shape[:-2] + (1,)),
-        lambda j: DomainError("contraction requires log d_n > 0"),
-    )
-    w = 1.0 / np.expand_dims(log_dn, -1)
-    b00, b01 = sigma[..., 0::2, 0::2], sigma[..., 0::2, 1::2]
-    b10, b11 = sigma[..., 1::2, 0::2], sigma[..., 1::2, 1::2]
-    return b00 + (b01 + b10) * w + b11 * w * w
-
-
 def theoretical_v_star_laws(gammas, oracle, log_dn: float) -> SpdMatrix:
     """Finite-n covariance of the LAWS extrapolating estimators (log scale):
     the contraction of the theoretical (Hill, LAWS) covariance, of which
     only the result is checked."""
     sigma = _theoretical_sigma_laws(gammas, oracle)
+    if not log_dn > 0.0:
+        raise DomainError("contraction requires log d_n > 0")
     return SpdMatrix.from_array(
-        _contract_blocks(sigma, log_dn, RAISE), "theoretical star-LAWS covariance"
+        _contract(sigma, 1.0, 1.0 / log_dn), "theoretical star-LAWS covariance"
     )
 
 
 def theoretical_v_star_qb(gammas, oracle, log_dn: float) -> SpdMatrix:
     """Finite-n covariance of the QB extrapolating estimators (log scale)."""
     g = _gammas(gammas, 1.0, "covariance formula")
-    if log_dn <= 0.0:
+    if not log_dn > 0.0:
         raise DomainError("star-QB covariance requires log d_n > 0")
-    d = g.size
-    r11, unit = _oracle_matrix(oracle, d, _R11), _oracle_matrix(oracle, d, _UNIT)
     return SpdMatrix.from_array(
-        _qb_matrix(g, r11, unit, log_dn, RAISE), "theoretical star-QB covariance"
+        _contract(_theoretical_sigma_q(g, oracle), *_qb_weights(g, log_dn)),
+        "theoretical star-QB covariance",
     )
 
 
@@ -377,12 +369,11 @@ def estimate_bias_qb(sample: MultivariateSample, tau: float) -> np.ndarray:
     return _bias_qb(st, g, q, tau, RAISE)[0]
 
 
-def _v_qb_raw(st, g, tau: float, log_dn: float, checks) -> np.ndarray:
-    """Unclipped plug-in QB covariance of each sample of the stack st:
-    _qb_matrix read from the ranks, through one ``_top_pairs`` mask."""
+def _sigma_q(st, g, tau: float) -> np.ndarray:
+    """Plug-in (Hill, quantile) covariance of each sample of the stack st:
+    _sigma_q_blocks read from the ranks, through one ``_top_pairs`` mask."""
     top = _top_pairs(st, tau)
-    r11, unit = _r11_matrix(top, st.n, tau), _unit_integral_matrix(top, st.n, tau)
-    return _qb_matrix(g, r11, unit, log_dn, checks)
+    return _sigma_q_blocks(g, _r11_matrix(top, st.n, tau), _unit_integral_matrix(top, st.n, tau))
 
 
 def _sigma_laws(st, g, q, xi, tau: float, checks) -> np.ndarray:
@@ -432,12 +423,6 @@ def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
     return g[..., None, :] * (s1 / n) - _outer(g) * (s2 / n)
 
 
-def _v_star_laws(st, g, q, xi, tau: float, log_dn: float, checks) -> np.ndarray:
-    """Unclipped plug-in star-LAWS covariance of each sample of the stack st
-    at the levels (tau, log dn)."""
-    return _contract_blocks(_sigma_laws(st, g, q, xi, tau, checks), log_dn, checks)
-
-
 def _scan_v_star_laws(sample: MultivariateSample, levels: list) -> list:
     """The star-LAWS covariance of the sample at each TailLevelPair of
     levels, in order: its checked entries, or the TailjointError of the
@@ -459,8 +444,7 @@ def _scan_v_star_laws(sample: MultivariateSample, levels: list) -> list:
         g = fit.gamma_hat
         _check_laws(g, checks)
         sigma = _sigma_blocks(g, *_nested_sums(sample, g, fit.q_hat, fit.xi_laws, tau))
-        m = _contract_blocks(sigma, log_dn, checks)
-        m = _spd_stack(m, "star-LAWS covariance", checks).entries
+        m = _spd_stack(_contract(sigma, 1.0, 1.0 / log_dn), "star-LAWS covariance", checks).entries
     out = [None] * len(order)
     for row, (i, error) in enumerate(zip(order, checks.first)):
         out[i] = m[row] if error is None else error

@@ -111,7 +111,7 @@ def equality_test(
     _check_method(kind, tuple(_TEST_NAMES))
     if sample.d < 2:
         raise DomainError("equality test requires at least two margins")
-    est = _estimate_sample(sample, tau, tau_prime, kind)
+    est = _estimate_sample(sample, tau, tau_prime, kind, extreme=True)
     return _results(est, alpha)[0]
 
 

@@ -16,14 +16,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .covariance import _bias_qb, _hill_block, _one, _v_laws_raw, _v_qb_raw, _v_star_laws
-from .errors import RAISE, Checks, DomainError, NumericError, TailjointError
+from .covariance import _bias_qb, _contract, _one, _qb_weights, _sigma_laws, _sigma_q
+from .errors import RAISE, Checks, DomainError, LevelError, NumericError, TailjointError
 from .marginal import MarginalTailEstimates, _fit_sorted, _qb_factors
 from .numerics import (
     SpdMatrix, _spd_stack, _SpdStack, chi_square_quantile, std_normal_quantile,
 )
 from .sample import MultivariateSample, TailLevelPair, _check_margin, _Stack
-from .taildep import _r11_matrix, _top_pairs
 
 # Relative slack when comparing the membership quadratic form to radius^2,
 # so that analytically constructed boundary points test as inside.
@@ -144,9 +143,10 @@ def _estimate(
     otherwise the extrapolation to levels.tau_prime on the log scale.
     method is "laws", "qb" or, extrapolated only, "quantile" (Weissman).
     Each part is built for the whole stack by the stacked builders of
-    ``covariance``, and each covariance is checked by one ``_spd_stack``
-    under its name ("star-LAWS covariance", ...); a failed check fails its
-    sample through checks.  The naive
+    ``covariance``: each covariance is a contraction W Sigma W^T of the
+    (Hill, LAWS) or (Hill, quantile) covariance (``covariance._contract``),
+    checked by one ``_spd_stack`` under its name ("star-LAWS covariance",
+    ...); a failed check fails its sample through checks.  The naive
     variants assume independent margins: a diagonal covariance and,
     extrapolated, no bias shift.
     """
@@ -170,16 +170,19 @@ def _estimate(
         )
         return _diagonal(2.0 * g**power / (1.0 - 2.0 * g))
 
+    def raw() -> np.ndarray:
+        return _contract(sigma(), *weights)
+
+    laws = partial(_sigma_laws, st, g, q, xi, tau, checks)
+    quantile = partial(_sigma_q, st, g, tau)
     name = f"{method.upper()} covariance"
     if levels is None:
         if method == "laws":
             center, shift, power = xi, zero, 3
-
-            def raw():
-                return _v_laws_raw(st, g, q, xi, tau, checks)[0]
+            sigma, weights = laws, (0.0, 1.0)
         else:
             center, shift, power = _qb_factors(g, checks) * q, lambda: -bias(), 2
-            raw = partial(_v_qb_raw, st, g, tau, 0.0, checks)
+            sigma, weights = quantile, _qb_weights(g)
         if naive:
             raw, name = partial(naive_diagonal, power), "naive " + name
     else:
@@ -187,16 +190,13 @@ def _estimate(
         name = "star-" + name
         if method == "laws":
             center, shift = fit.xi_star_laws(tau_prime), bias
-            raw = partial(_v_star_laws, st, g, q, xi, tau, log_dn, checks)
+            sigma, weights = laws, (1.0, 1.0 / log_dn)
         elif method == "qb":
             center, shift = fit.xi_star_qb(tau_prime, checks), zero
-            raw = partial(_v_qb_raw, st, g, tau, log_dn, checks)
+            sigma, weights = quantile, _qb_weights(g, log_dn)
         else:
             center, shift = fit.weissman_quantiles(tau_prime), zero
-            name = "quantile test covariance"
-
-            def raw():
-                return _hill_block(g, _r11_matrix(_top_pairs(st, tau), st.n, tau))
+            sigma, weights, name = quantile, (1.0, 0.0), "quantile test covariance"
         if naive:
             shift, raw = zero, partial(_diagonal, g**2)
             name = "naive star covariance"
@@ -212,10 +212,14 @@ def _estimate_sample(
     tau_prime: float | None,
     method: str,
     naive: bool = False,
+    extreme: bool = False,
 ) -> _Estimate:
     """_estimate of the sample as a stack of one, which raises its first
     failure: the estimate of every single-sample region, interval, test and
-    covariance, read from the fit that estimate_margins keeps on the sample."""
+    covariance, read from the fit that estimate_margins keeps on the sample.
+    An interval or a test (extreme) requires tau_prime."""
+    if extreme and tau_prime is None:
+        raise LevelError("an extreme level tau_prime is required, got None")
     levels = None if tau_prime is None else TailLevelPair(tau, tau_prime, sample.n)
     st, *fit = _one(sample, tau)
     return _estimate(st, MarginalTailEstimates(tau, *fit), levels, method, naive, RAISE)
@@ -443,4 +447,5 @@ def marginal_interval(
     """
     _check_method(method)
     _check_margin(j, sample.d)
-    return _interval(_estimate_sample(sample, tau, tau_prime, method, naive), j, alpha)
+    est = _estimate_sample(sample, tau, tau_prime, method, naive, extreme=True)
+    return _interval(est, j, alpha)

@@ -198,7 +198,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def effective_k(n: int, tau):
     """floor(n(1-tau)) with a guard against floating-point droop: an int for
     a level tau, an integer array for an array of levels."""
-    k = np.floor(n * (1.0 - np.asarray(tau, dtype=float)) + 1e-9).astype(np.int64)
+    tau = np.asarray(tau, dtype=float)
+    if not np.isfinite(tau).all():
+        raise LevelError(f"tau must be finite, got {tau}")
+    k = np.floor(n * (1.0 - tau) + 1e-9).astype(np.int64)
     return k if k.ndim else int(k)
 
 
@@ -223,6 +226,8 @@ class TailLevelPair:
         k = effective_k(self.n, self.tau)
         if not 2 <= k <= self.n - 1:
             raise LevelError(f"effective size k={k} outside [2, n-1] for n={self.n}")
+        if not self.log_dn > 0.0:
+            raise LevelError(f"tau={self.tau} and tau_prime={self.tau_prime} give log d_n = 0")
 
     @property
     def k(self) -> int:

@@ -89,10 +89,10 @@ class SimulationModel:
             raise DomainError(f"{len(gammas)} tail indices for d={self.d}")
         if any(not 0.0 < g < 1.0 for g in gammas):
             raise DomainError("tail indices must lie in (0,1)")
-        if self.theta <= 0.0:
-            raise DomainError("Clayton parameter must be positive")
-        if self.vartheta < 1.0:
-            raise DomainError("Gumbel parameter must be at least 1")
+        if not 0.0 < self.theta < math.inf:
+            raise DomainError(f"Clayton parameter must be positive and finite, got {self.theta}")
+        if not 1.0 <= self.vartheta < math.inf:
+            raise DomainError(f"Gumbel parameter must be finite, at least 1, got {self.vartheta}")
         if self.kind == "multivariate_student" and len(set(gammas)) != 1:
             raise DomainError(
                 "the multivariate Student model has a single degrees-of-freedom "
@@ -139,7 +139,8 @@ def rng_stream(master_seed: int, stream_index: int) -> np.random.Generator:
     """Counter-based generator keyed by (master seed, replication index),
     each an integer in [0, 2^64)."""
     for name, value in (("seed", master_seed), ("stream index", stream_index)):
-        if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**64):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (integer and 0 <= value < 2**64):
             raise DomainError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     key = np.array([master_seed, stream_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -369,7 +370,7 @@ def _run_mc(
     the first replication, as do (through _check_levels, which each harness
     calls first) sizes and levels that would fail every replication.
     """
-    if not isinstance(M, (int, np.integer)):
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
         raise DomainError(f"replication count must be an integer, got {M!r}")
     if M < 1:
         raise DomainError("Monte Carlo requires at least one replication")

@@ -897,3 +897,33 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: tailjoint")
     assert "trace-scan" in proc.stdout
+
+
+NOT_UTF8 = b"a,b\n1,2\n\xff,3\n"
+SIMULATE_SMALL = ["--n", "300", "--k", "30", "--reps", "3"]
+MALFORMED = {
+    "estimate on a csv that is not utf-8": ["estimate", "--input", "{csv}", "--k", "2"],
+    "ingest of a csv that is not utf-8": ["ingest", "--input", "{csv}", "--out", "{out}"],
+    "a config that is not utf-8": ["estimate", "--config", "{cfg}"],
+    "clayton theta nan": ["simulate", "--model", "clayton_frechet:theta=nan", *SIMULATE_SMALL],
+    "clayton theta inf": ["simulate", "--model", "clayton_frechet:theta=inf", *SIMULATE_SMALL],
+    "gumbel vartheta nan": ["simulate", "--model", "gumbel_frechet:vartheta=nan",
+                            "--experiment", "power", *SIMULATE_SMALL],
+    "gumbel vartheta inf": ["simulate", "--model", "gumbel_frechet:vartheta=inf",
+                            "--experiment", "power", *SIMULATE_SMALL],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_1_with_one_error_line(tmp_path, capsys, argv):
+    (tmp_path / "x.csv").write_bytes(NOT_UTF8)
+    (tmp_path / "x.cfg").write_bytes(b"input = \xff.csv\n")
+    paths = {"csv": tmp_path / "x.csv", "cfg": tmp_path / "x.cfg", "out": tmp_path / "out"}
+    assert main([a.format(**paths) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    if "{csv}" in argv or "{cfg}" in argv:
+        path = paths["csv" if "{csv}" in argv else "cfg"]
+        assert lines[0].startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")

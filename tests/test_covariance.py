@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from tailjoint import covariance
+from tailjoint import covariance, inference
 from tailjoint.covariance import (
     _sigma_laws_cross_diag,
     estimate_bias_qb,
@@ -269,8 +269,13 @@ class TestTheoreticalVStar:
         eighs = count_eighs(monkeypatch)
         m = theoretical_v_star_laws(g, LOG3, log_dn).entries
         assert eighs == [1]
-        w = 1.0 / log_dn
-        want = sig[0::2, 0::2] + (sig[0::2, 1::2] + sig[1::2, 0::2]) * w + sig[1::2, 1::2] * w * w
+        # W Sigma W^T with W's row j holding (1, 1/log d_n) at margin j's
+        # (Hill_j, LAWS_j) columns, entry by entry.
+        w, d = 1.0 / log_dn, len(g)
+        want = np.array([[
+            (1.0 * 1.0 * sig[2 * j, 2 * ell] + w * w * sig[2 * j + 1, 2 * ell + 1])
+            + (1.0 * w * sig[2 * j, 2 * ell + 1] + w * 1.0 * sig[2 * j + 1, 2 * ell])
+            for ell in range(d)] for j in range(d)])
         assert np.array_equal(m, want)
 
 
@@ -669,6 +674,106 @@ class TestEstimateVStarQb:
             ests.append(estimate_covariance(s, tau, tau_prime, "qb").entries)
         mean_est = np.mean(ests, axis=0)
         assert np.allclose(mean_est, theo, atol=0.1)
+
+
+def qb_reference(g, r11, unit, log_dn=0.0) -> np.ndarray:
+    """The paper's QB covariance written out: g_j g_l (R (m_j - 1)(m_l - 1)
+    + m_j I[j,l] + m_l I[l,j]) off the diagonal and g_j^2 (1 + m_j^2) on it,
+    with m_j = m(g_j) + log d_n and I[j,l] on margin j's axis; divided by
+    log d_n^2 when extrapolated (log d_n > 0), on the log scale."""
+    mg = np.array([m_function(x) for x in g]) + log_dn
+    mi = mg[:, None] * unit
+    m = np.outer(g, g) * (r11 * np.outer(mg - 1.0, mg - 1.0) + mi + mi.T)
+    np.fill_diagonal(m, g**2 * (1.0 + mg**2))
+    return m / log_dn**2 if log_dn else m
+
+
+def assert_close_to_largest(got, want, rtol=1e-14) -> None:
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def dispatched(sample, tau, tau_prime, method, naive=False) -> np.ndarray:
+    """The raw matrix that inference._estimate hands to its SPD check, which
+    may fail it."""
+    with mock.patch.object(inference, "_spd_stack", side_effect=inference._spd_stack) as spd:
+        try:
+            inference._estimate_sample(sample, tau, tau_prime, method, naive).covariance()
+        except TailjointError:
+            pass
+    return spd.call_args.args[0][0]
+
+
+class TestOneContraction:
+    """Every plug-in and theoretical covariance is W Sigma W^T of one (Hill,
+    X) covariance: QB matches the paper's closed form, and the weight-0
+    variants give their block to the bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tail_panels(), st.integers(2, 40), st.sampled_from([None, 0.999]))
+    def test_plug_in_qb_is_the_closed_form(self, sample, k, tau_prime):
+        tau = tau_from_k(sample.n, min(k, sample.n - 1))
+        try:
+            g = estimate_margins(sample, tau).gamma_hat
+            log_dn = 0.0 if tau_prime is None else TailLevelPair(tau, tau_prime, sample.n).log_dn
+        except TailjointError:
+            return
+        if np.any((g <= 0.0) | (g >= 1.0)):
+            return
+        top = covariance._top_pairs(sample._stack, tau)
+        r11 = covariance._r11_matrix(top, sample.n, tau)[0]
+        unit = covariance._unit_integral_matrix(top, sample.n, tau)[0]
+        want = qb_reference(g, r11, unit, log_dn)
+        assert_close_to_largest(dispatched(sample, tau, tau_prime, "qb"), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(0.02, 0.98), min_size=1, max_size=4),
+        st.sampled_from([IND, COM, LOG3, OracleTailCopula.logistic(1.5)]),
+        st.floats(0.1, 20.0),
+    )
+    def test_theoretical_qb_is_the_closed_form(self, gammas, oracle, log_dn):
+        g, d = np.array(gammas), len(gammas)
+        r11 = covariance._oracle_matrix(oracle, d, OracleTailCopula.r11)
+        unit = covariance._oracle_matrix(oracle, d, OracleTailCopula.unit_integral)
+        sigma = covariance._theoretical_sigma_q(g, oracle)
+        for weights, ld in ((covariance._qb_weights(g), 0.0),
+                            (covariance._qb_weights(g, log_dn), log_dn)):
+            want = qb_reference(g, r11, unit, ld)
+            assert_close_to_largest(covariance._contract(sigma, *weights), want)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_weight_zero_variants_are_their_blocks(self, d):
+        s = seed1_sample(n=400, d=d)
+        tau = 0.9
+        st_, g, q, xi = covariance._one(s, tau)
+        laws = covariance._v_laws_raw(st_, g, q, xi, tau, RAISE)[0][0]
+        hill = covariance._hill_block(
+            g, covariance._r11_matrix(covariance._top_pairs(st_, tau), s.n, tau)
+        )[0]
+        assert np.array_equal(dispatched(s, tau, None, "laws"), laws)
+        assert np.array_equal(dispatched(s, tau, 0.999, "quantile"), hill)
+        g = g[0]
+        naive = {
+            (None, "laws"): 2.0 * g**3 / (1.0 - 2.0 * g),
+            (None, "qb"): 2.0 * g**2 / (1.0 - 2.0 * g),
+            (0.999, "laws"): g**2,
+            (0.999, "qb"): g**2,
+        }
+        for (tau_prime, method), diag in naive.items():
+            got = dispatched(s, tau, tau_prime, method, naive=True)
+            assert np.array_equal(got, np.diag(diag))
+
+    def test_scan_weights_broadcast_per_level(self):
+        # An (L, 1) array of 1/log d_n contracts each level's matrix with
+        # its own weight, as one call per level does.
+        rng = np.random.default_rng(4)
+        sigma = rng.normal(size=(3, 6, 6))
+        sigma = sigma @ sigma.transpose(0, 2, 1)
+        w = np.array([[0.5], [0.25], [0.125]])
+        got = covariance._contract(sigma, 1.0, w)
+        for i in range(3):
+            assert np.array_equal(got[i], covariance._contract(sigma[i], 1.0, w[i, 0]))
 
 
 def flat_topped_panel() -> MultivariateSample:

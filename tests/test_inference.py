@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from tailjoint.covariance import estimate_bias_qb
-from conftest import count_eighs
+from conftest import count_eighs, count_fits
 
 from tailjoint.equality_tests import equality_test
-from tailjoint.errors import DomainError, NumericError
+from tailjoint.errors import DomainError, LevelError, NumericError
 from tailjoint.inference import (
     ConfidenceRegion,
     _estimate_sample,
@@ -368,6 +368,30 @@ class TestValidation:
 
         with pytest.raises(LevelError):
             confidence_region(fixture_sample(), 0.999, 0.9, ALPHA, "laws")
+
+    @pytest.mark.parametrize("kind", ["laws", "qb", "quantile"])
+    def test_interval_and_test_require_tau_prime_before_the_fit(self, monkeypatch, kind):
+        fits = count_fits(monkeypatch)
+        s = fixture_sample()
+        with pytest.raises(LevelError, match="tau_prime is required"):
+            equality_test(s, TAU, None, kind)
+        if kind != "quantile":
+            with pytest.raises(LevelError, match="tau_prime is required"):
+                marginal_interval(s, TAU, None, 0, ALPHA, kind)
+        assert fits == []
+
+    @pytest.mark.parametrize("method", ["laws", "qb"])
+    def test_nan_tau_is_a_level_error(self, method):
+        with pytest.raises(LevelError, match="tau must be finite, got nan"):
+            estimate_covariance(fixture_sample(), math.nan, None, method)
+
+    @pytest.mark.parametrize("method", ["laws", "qb", "quantile"])
+    def test_levels_with_log_dn_zero_rejected(self, method):
+        # 1 - tau and 1 - tau_prime round to the same number: log d_n = 0
+        # would divide by zero in the extrapolated covariance.
+        s = fixture_sample()
+        with pytest.raises(LevelError, match="log d_n = 0"):
+            equality_test(s, 0.1, math.nextafter(0.1, 1.0), method)
 
     def test_region_invariants(self):
         with pytest.raises(DomainError):

@@ -310,6 +310,14 @@ class TestLevels:
             TailLevelPair(tau=0.999, tau_prime=0.95, n=1000)
         with pytest.raises(LevelError):
             TailLevelPair(tau=0.9995, tau_prime=0.9999, n=1000)  # k < 2
+        with pytest.raises(LevelError, match="log d_n = 0"):
+            TailLevelPair(tau=0.1, tau_prime=math.nextafter(0.1, 1.0), n=1000)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, np.array([0.9, math.nan])])
+    def test_effective_k_of_a_non_finite_level(self, tau):
+        # Unchecked, a NaN level casts to INT64_MIN with a RuntimeWarning.
+        with pytest.raises(LevelError, match="tau must be finite"):
+            effective_k(100, tau)
 
 
 class TestIngestCsv(object):

@@ -160,7 +160,8 @@ class TestStreams:
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "seed, index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (1.0, 0), ("1", 0)]
+        "seed, index",
+        [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (1.0, 0), ("1", 0), (True, 0), (0, False)],
     )
     def test_key_outside_uint64_raises(self, seed, index):
         with pytest.raises(DomainError, match="integer in"):
@@ -201,6 +202,17 @@ class TestModelValidation:
             SimulationModel.clayton_frechet(2, gamma=1.0)
         with pytest.raises(DomainError):
             SimulationModel.clayton_frechet(2, gamma=(G, G, G))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_copula_parameters(self, value):
+        with pytest.raises(DomainError, match="Clayton parameter must be positive and finite"):
+            SimulationModel.clayton_frechet(2, theta=value)
+        with pytest.raises(DomainError, match="Gumbel parameter must be finite, at least 1"):
+            SimulationModel.gumbel_frechet(2, vartheta=value)
+
+    def test_bool_replication_count(self):
+        with pytest.raises(DomainError, match="replication count must be an integer"):
+            run_mc_mse(SimulationModel.clayton_frechet(2), 200, 0.9, True, 1)
 
     def test_listed_correlation(self):
         m = listed_correlation(3)
