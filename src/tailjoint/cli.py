@@ -32,6 +32,7 @@ from .marginal import estimate_margins
 from .sample import (
     MultivariateSample,
     TailLevelPair,
+    _csv_text,
     ingest_csv,
     emit_csv,
     tau_from_k,
@@ -179,17 +180,6 @@ def _emit_csv_rows(header, rows, out_dir, name: str) -> None:
     _emit_text(text.getvalue(), out_dir, name)
 
 
-def _emit_csv_points(header, points: np.ndarray, out_dir, name: str) -> None:
-    """The rows of a 2-D float array as CSV, all formatted by one % of
-    "%.17g,...,%.17g\n" repeated per row: the digits that _csv_cell gives
-    each float, under a header quoted as csv.writer quotes it."""
-    head = io.StringIO()
-    csv.writer(head, lineterminator="\n").writerow(header)
-    row = ",".join(["%.17g"] * points.shape[1]) + "\n"
-    body = (row * len(points)) % tuple(points.ravel().tolist())
-    _emit_text(head.getvalue() + body, out_dir, name)
-
-
 def _csv_cell(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
@@ -296,9 +286,8 @@ def cmd_region(args) -> int:
                 # A label may hold any character: "%" and "/" are escaped,
                 # as in a URL, so each name is one file in args.out.
                 name = "-".join(labels).replace("%", "%25").replace("/", "%2F")
-                _emit_csv_points(
-                    labels,
-                    region_boundary_points(region),
+                _emit_text(
+                    _csv_text(labels, region_boundary_points(region), "\n"),
                     args.out,
                     f"boundary_{name}_{method}.csv",
                 )

@@ -218,11 +218,17 @@ def _estimate_sample(
     failure: the estimate of every single-sample region, interval, test and
     covariance, read from the fit that estimate_margins keeps on the sample.
     An interval or a test (extreme) requires tau_prime."""
-    if extreme and tau_prime is None:
-        raise LevelError("an extreme level tau_prime is required, got None")
+    if extreme:
+        _require_tau_prime(tau_prime)
     levels = None if tau_prime is None else TailLevelPair(tau, tau_prime, sample.n)
     st, *fit = _one(sample, tau)
     return _estimate(st, MarginalTailEstimates(tau, *fit), levels, method, naive, RAISE)
+
+
+def _require_tau_prime(tau_prime: float | None) -> None:
+    """The check of every interval and test, which need an extreme level."""
+    if tau_prime is None:
+        raise LevelError("an extreme level tau_prime is required, got None")
 
 
 def _check_method(method: str, methods: tuple[str, ...] = ("laws", "qb")) -> None:

@@ -12,11 +12,14 @@ An ``SpdMatrix`` is a stack of one.
 
 The normal quantile and the chi-square quantile, cdf and upper tail (at
 integer df, all the regions, intervals and tests need) are computed with
-the ``math`` module alone, so this module loads no scipy.  The 1-D
-integrals of the theoretical (oracle) covariances use one nested
-double-exponential rule (``_de_integral``):
-each level evaluates the integrand once, on an array of nodes, and an
-integral that does not reach its tolerance raises NumericError.
+the ``math`` module alone, so this module loads no scipy.  The normal cdf
+of the Gaussian-copula samplers (``_ndtr``) is Cephes ndtr, as
+scipy.special.ndtr computes it, bit for bit: its arithmetic runs in numpy
+and its exponentials in ``math``.  The 1-D integrals of the theoretical
+(oracle) covariances use one nested double-exponential rule
+(``_de_integral``): each level evaluates the integrand once, on an array
+of nodes, and an integral that does not reach its tolerance raises
+NumericError.
 """
 
 from __future__ import annotations
@@ -102,6 +105,77 @@ def std_normal_quantile(p: float) -> float:
         math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     )
     return x if p < 0.5 else -x
+
+
+# Cephes ndtr (Moshier), as scipy.special.ndtr runs it: with x = a / sqrt 2,
+# Phi(a) = 1/2 + erf(x) / 2 for |x| < 1/sqrt 2, and otherwise erfc(|x|) / 2,
+# or 1 minus it for x > 0.  erf(x) = x T(x^2) / U(x^2) for |x| < 1, and
+# erfc(z) = 1 - erf(z) below 1, e^{-z^2} P(z) / Q(z) below 8, e^{-z^2} R(z) /
+# S(z) beyond, and 0 once z^2 exceeds _MAXLOG.  Each tuple holds its
+# polynomial's coefficients, highest order first; Q, S and U are monic, their
+# leading 1 left out.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1, 1.96520832956077098242e2,
+           5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0, 7.40974269950448939160e0,
+           2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _horner(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
+    """Cephes polevl (or p1evl when monic) at x: Horner's rule from the
+    highest-order coefficient down."""
+    y = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes erf for |x| < 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+
+
+def _per_element(f, a: np.ndarray) -> np.ndarray:
+    """f of each element of a, through the math module: numpy's vectorized
+    transcendental functions can differ from the C library's in the last bit."""
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal cdf of each element: Cephes ndtr, bit for bit
+    scipy.special.ndtr.  0 at -inf and below about -37.68 (where e^{-x^2}
+    underflows), 1 at +inf, NaN at NaN."""
+    x = np.asarray(a, dtype=float) * _SQRT1_2
+    z = np.abs(x)
+    tail = np.zeros_like(z)  # erfc(z) / 2
+    near = (_SQRT1_2 <= z) & (z < 1.0)
+    tail[near] = 0.5 * (1.0 - _erf(z[near]))
+    for far, num, den in (
+        ((1.0 <= z) & (z < 8.0), _ERFC_P, _ERFC_Q),
+        ((8.0 <= z) & (z * z <= _MAXLOG), _ERFC_R, _ERFC_S),
+    ):
+        t = z[far]
+        tail[far] = 0.5 * (_per_element(math.exp, -t * t) * _horner(t, num)
+                           / _horner(t, den, monic=True))
+    y = np.where(x > 0.0, 1.0 - tail, tail)
+    inner = z < _SQRT1_2
+    y[inner] = 0.5 + 0.5 * _erf(x[inner])
+    y[np.isnan(x)] = np.nan
+    return y
 
 
 def _check_df(df, name: str) -> None:

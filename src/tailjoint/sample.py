@@ -358,17 +358,30 @@ def _parse_cells(path, text: str, start: int):
 
 
 def emit_csv(sample: MultivariateSample, path) -> None:
-    """Write a sample back to CSV with 17 significant digits."""
+    """Write a sample back to CSV with 17 significant digits, as csv.writer
+    writes it: "\r\n" line ends, and a date column first when it has dates."""
+    header = sample.labels if sample.dates is None else ("date",) + sample.labels
+    text = _csv_text(header, sample.values, "\r\n", sample.dates)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if sample.dates is not None:
-            writer.writerow(("date",) + sample.labels)
-            for date, row in zip(sample.dates, sample.values):
-                writer.writerow([date.isoformat()] + [format(x, ".17g") for x in row])
-        else:
-            writer.writerow(sample.labels)
-            for row in sample.values:
-                writer.writerow([format(x, ".17g") for x in row])
+        fh.write(text)
+
+
+def _csv_text(header, values: np.ndarray, lineterminator: str, dates=None) -> str:
+    """The rows of a 2-D float array as CSV, led by their ISO dates when
+    given, all formatted by one % of a row format "%.17g,...,%.17g" repeated
+    per row: the 17 significant digits that read back to the same double.
+    The header is quoted as csv.writer quotes it, and no number needs
+    quoting."""
+    head = io.StringIO()
+    csv.writer(head, lineterminator=lineterminator).writerow(header)
+    row = ",".join(["%.17g"] * values.shape[1]) + lineterminator
+    cells = values.ravel().tolist()
+    if dates is not None:
+        row = "%s," + row
+        cells = [
+            c for date, r in zip(dates, values.tolist()) for c in (date.isoformat(), *r)
+        ]
+    return head.getvalue() + (row * len(values)) % tuple(cells)
 
 
 def to_negative_weekly_log_returns(prices: MultivariateSample) -> MultivariateSample:

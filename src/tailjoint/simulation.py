@@ -11,8 +11,12 @@ the stacked code that the single-sample estimators, regions, intervals and
 tests run as a stack of one (``inference._estimate`` and its consumers), so
 each replication's outcome and failure are the single-sample call's.
 
-Only the Gaussian-Student and Student samplers and the Frechet and
-Student margin oracles need ``scipy.special``, and import it on first use;
+The samplers load no scipy, but for Student margins at a tail index other
+than 1/2 or 1/4: the Gaussian copula's normal cdf is Cephes ndtr
+(``numerics._ndtr``), and the Student quantile at nu = 2 and 4 is Shaw's
+closed form (``_student_quantile``), each bit for bit scipy's.  Student
+margins at any other nu (such as 3, at tail index 1/3) and the Frechet and
+Student margin oracles import ``scipy.special`` on first use;
 ``scipy.optimize`` is imported by the first true-expectile solve.
 """
 
@@ -24,10 +28,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import Checks, DomainError, TailjointError
-from .inference import _check_alpha, _check_method, _endpoints, _estimate, _region_parts
+from .inference import (
+    _check_alpha, _check_method, _endpoints, _estimate, _region_parts,
+    _require_tau_prime,
+)
 from .equality_tests import _statistic
 from .marginal import _check_hill_size, _fit_sorted, _qb_factors
-from .numerics import _quadratic_form, chi_square_quantile
+from .numerics import _ndtr, _per_element, _quadratic_form, chi_square_quantile
 from .sample import MultivariateSample, TailLevelPair, _stack_panels, effective_k
 
 _PAIRWISE_CORRELATIONS = {
@@ -182,11 +189,9 @@ def _draw(model: SimulationModel, n: int, rng: np.random.Generator) -> np.ndarra
         u = np.exp(-((e / frailty[:, None]) ** (1.0 / model.vartheta)))
         x = (-np.log(u)) ** -g
     elif kind == "gaussian_student":
-        from scipy import special
-
         chol = np.linalg.cholesky(listed_correlation(d))
         z = rng.standard_normal(size=(n, d)) @ chol.T
-        u = special.ndtr(z)
+        u = _ndtr(z)
         x = np.column_stack(
             [_student_quantile(u[:, j], 1.0 / g[j]) for j in range(d)]
         )
@@ -206,11 +211,33 @@ def _draw(model: SimulationModel, n: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _student_quantile(u: np.ndarray, nu: float) -> np.ndarray:
-    """The Student-t(nu) quantiles of the levels u in [0, 1].  stdtrit gives
-    +inf at u = 0; the quantile there is -inf."""
-    from scipy import special
+    """The Student-t(nu) quantiles of the levels u in [0, 1], -inf at 0 and
+    +inf at 1: scipy.special.stdtrit's, bit for bit.
 
-    return np.where(u == 0.0, -np.inf, special.stdtrit(nu, u))
+    At nu = 2 and 4 these are Shaw's exact forms (J. Comput. Finance 9(4),
+    2006) in the order of operations of Boost, which stdtrit runs: with
+    p = min(u, 1 - u) and v = 1 - p, the lower quantile is (2p - 1) /
+    sqrt(2pv) at nu = 2, and -sqrt(r - 4) at nu = 4 (+0 at p = 1/2), where
+    a = 4pv and r = 4 cos(acos(sqrt a) / 3) / sqrt a (cos and acos from
+    math); u > 1/2 takes its negative.  Every other nu loads scipy.special for stdtrit,
+    which gives +inf at u = 0.
+    """
+    if nu not in (2.0, 4.0):
+        from scipy import special
+
+        return np.where(u == 0.0, -np.inf, special.stdtrit(nu, u))
+    upper = u > 0.5
+    p = np.where(upper, 1.0 - u, u)
+    v = 1.0 - p
+    with np.errstate(divide="ignore"):  # p = 0: the infinite quantile
+        if nu == 2.0:
+            t = (2.0 * p - 1.0) / np.sqrt(2.0 * p * v)
+        else:
+            root = np.sqrt(4.0 * p * v)
+            r = 4.0 * _per_element(lambda s: math.cos(math.acos(s) / 3.0), root) / root
+            x = np.sqrt(r - 4.0)
+            t = np.where(p < 0.5, -x, x)
+    return np.where(upper, -t, t)
 
 
 @dataclass(frozen=True)
@@ -475,6 +502,7 @@ def run_mc_interval_coverage(
     interval (inference._endpoints)."""
     _check_method(method)
     _check_alpha(alpha)
+    _require_tau_prime(tau_prime)
     truth = model.margin_oracle(0).true_expectile(tau_prime)
     levels = _check_levels(n, tau, tau_prime)
 
@@ -518,6 +546,7 @@ def run_mc_power(
     _check_alpha(alpha)
     if model.d < 2:
         raise DomainError("equality testing requires d >= 2")
+    _require_tau_prime(tau_prime)
     levels = _check_levels(n, tau, tau_prime)
     quantile = chi_square_quantile(1.0 - alpha, model.d - 1)
 

@@ -17,6 +17,7 @@ from tailjoint.errors import (
 )
 from tailjoint.numerics import (
     SpdMatrix,
+    _ndtr,
     chi_square_cdf,
     chi_square_quantile,
     chi_square_sf,
@@ -58,6 +59,51 @@ class TestStdNormalQuantile:
             if 0.0 < p < 1.0:
                 want = special.ndtri(p)
                 assert abs(std_normal_quantile(p) - want) <= 8 * math.ulp(want)
+
+
+class TestNdtr:
+    """The Cephes port equals scipy.special.ndtr bit for bit on each branch:
+    erf for |a| < 1, 1 - erf in [1, sqrt 2), the P/Q tail in [sqrt 2, 8 sqrt 2),
+    the R/S tail beyond, and 0 once e^{-a^2/2} underflows."""
+
+    R2 = math.sqrt(2.0)
+
+    @staticmethod
+    def assert_bits_equal(a):
+        a = np.asarray(a, dtype=float)
+        got, want = _ndtr(a), special.ndtr(a)
+        assert got.shape == a.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 1.0), (1.0, R2), (R2, 8.0 * R2), (8.0 * R2, 37.0), (37.0, 40.0),
+    ], ids=["erf", "one_minus_erf", "pq", "rs", "underflow"])
+    def test_each_branch_both_signs(self, lo, hi):
+        rng = np.random.default_rng(7)
+        a = np.concatenate([
+            rng.uniform(lo, hi, 20000), np.linspace(lo, hi, 2001),
+            [lo, np.nextafter(lo, hi), np.nextafter(hi, lo)],
+        ])
+        self.assert_bits_equal(np.concatenate([a, -a]))
+
+    def test_branch_edges(self):
+        maxlog = 7.09782712893383996843e2
+        edges = np.array([1.0, self.R2, 8.0 * self.R2, math.sqrt(2.0 * maxlog)])
+        a = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        self.assert_bits_equal(np.concatenate([a, -a]))
+
+    def test_underflow_to_zero(self):
+        # e^{-a^2/2} underflows once a^2/2 exceeds Cephes MAXLOG (a near 37.68).
+        a = np.linspace(-38.5, -37.0, 3001)
+        self.assert_bits_equal(a)
+        assert _ndtr(np.array([-38.5]))[0] == 0.0 and _ndtr(np.array([-37.6]))[0] > 0.0
+
+    def test_special_values(self):
+        a = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        self.assert_bits_equal(a)
+        got = _ndtr(a)
+        assert got[0] == got[1] == 0.5 and got[2] == 1.0 and got[3] == 0.0
+        assert math.isnan(got[4])
 
 
 class TestChiSquareQuantile:

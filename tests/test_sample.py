@@ -395,6 +395,24 @@ class TestIngestCsv(object):
         assert p1.read_bytes() == p2.read_bytes()
         assert np.array_equal(s.values, s2.values)
 
+    @pytest.mark.parametrize("dated", [False, True])
+    def test_emit_csv_bytes_equal_csv_writer(self, tmp_path, dated):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+        values[:3] = [[-0.0, 1e-300, 1e300], [5e-324, -1e-310, 0.1], [1.0 / 3.0, 0.0, -7.0]]
+        labels = ("a,b", '"q"', "plain")
+        dates = (
+            tuple(dt.date(2020, 1, 1) + dt.timedelta(i) for i in range(40)) if dated else None
+        )
+        emit_csv(MultivariateSample(values, labels, dates), tmp_path / "x.csv")
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow((("date",) if dated else ()) + labels)
+            for i, row in enumerate(values):
+                lead = [dates[i].isoformat()] if dated else []
+                writer.writerow(lead + [format(x, ".17g") for x in row])
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 def ingest_outcome(path, has_date_column: bool):
     """ingest_csv's sample as (values' bits, labels, dates), or its error as

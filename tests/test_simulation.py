@@ -105,8 +105,10 @@ class TestSamplers:
 
 
 class TestSpecialFunctionForms:
-    """The samplers and oracles call scipy.special directly; their values
-    are exactly those of the scipy.stats forms they replace."""
+    """The samplers' normal cdf (a Cephes port) and Student quantiles (Shaw's
+    closed forms at nu = 2 and 4, scipy.special.stdtrit elsewhere) and the
+    oracles' scipy.special calls give exactly the values of the scipy.stats
+    forms they replace."""
 
     @staticmethod
     def stats_draw(model, n, rng):
@@ -123,7 +125,10 @@ class TestSpecialFunctionForms:
     @pytest.mark.parametrize("model", [
         SimulationModel.gaussian_student(3),
         SimulationModel.gaussian_student(2, gamma=(0.2, 0.45)),
+        SimulationModel.gaussian_student(5, gamma=0.25),
+        SimulationModel.gaussian_student(3, gamma=(0.25, 0.5, 1.0 / 3.0)),
         SimulationModel.univariate("student"),
+        SimulationModel.univariate("student", gamma=0.25),
     ])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_draws_equal_stats_form(self, model, seed):
@@ -137,6 +142,23 @@ class TestSpecialFunctionForms:
         x = _student_quantile(u, nu)
         assert x[0] == -np.inf
         assert np.array_equal(x, stats.t.ppf(u, nu))
+
+    @pytest.mark.parametrize("nu", [2.0, 4.0])
+    def test_closed_form_quantiles_equal_stdtrit(self, nu):
+        from scipy import special
+
+        rng = np.random.default_rng(int(nu))
+        u = np.concatenate([
+            [0.0, 5e-324, 1e-300, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0],
+            [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)],
+            rng.random(100_000),
+            10.0 ** -rng.uniform(0.0, 300.0, 2000),
+        ])
+        u = np.concatenate([u, 1.0 - u])
+        got = _student_quantile(u, nu)
+        want = np.where(u == 0.0, -np.inf, special.stdtrit(nu, u))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got[0] == -np.inf and got[6] == np.inf and got[4] == 0.0
 
     @pytest.mark.parametrize("g", [0.1, 0.25, G, 0.45])
     def test_student_partial_mean_equals_stats_form(self, g):
@@ -331,6 +353,18 @@ class TestHarnesses:
     def test_configuration_that_fails_every_replication_raises(self, run, args, error):
         with pytest.raises(error):
             run(SimulationModel.clayton_frechet(2), *args)
+
+    def test_interval_coverage_requires_tau_prime_before_a_draw(self, monkeypatch):
+        monkeypatch.setattr("tailjoint.simulation._draw", pytest.fail)
+        with pytest.raises(LevelError, match="tau_prime is required, got None"):
+            run_mc_interval_coverage(
+                SimulationModel.gumbel_frechet(2), 300, 0.9, None, 3, 0.05, "laws", 1
+            )
+
+    def test_power_requires_tau_prime_before_a_draw(self, monkeypatch):
+        monkeypatch.setattr("tailjoint.simulation._draw", pytest.fail)
+        with pytest.raises(LevelError, match="tau_prime is required, got None"):
+            run_mc_power(SimulationModel.gumbel_frechet(2), 300, 0.9, None, 3, 0.05, 1)
 
     def test_mse_single_replication(self):
         model = SimulationModel.univariate("pareto")

@@ -1,7 +1,10 @@
 """Start-up cost: importing the package loads numpy and no scipy module, and
-neither do the analysis commands, the oracle quadrature or a Gumbel-Frechet
-power run.  ``scipy.special`` loads with the first sampler or margin oracle
-that needs it, and ``scipy.optimize`` with the first true-expectile solve."""
+neither do the analysis commands, the oracle quadrature, a Gumbel-Frechet
+power run, or a Gaussian-Student draw at tail index 1/4 (Student-t with 4
+degrees of freedom) written out by emit_csv.  ``scipy.special`` loads with
+the first Student quantile at other degrees of freedom (such as 3, the
+default tail index 1/3) or margin oracle that needs it, and
+``scipy.optimize`` with the first true-expectile solve."""
 
 import os
 import subprocess
@@ -46,6 +49,16 @@ with tempfile.TemporaryDirectory() as tmp:
         assert code == 0, (argv, code)
 print("after the commands:", *scipy_modules())
 
+with tempfile.TemporaryDirectory() as tmp:
+    tailjoint.emit_csv(
+        tailjoint.sample_model(
+            tailjoint.SimulationModel.gaussian_student(d=5, gamma=0.25), 500,
+            tailjoint.rng_stream(1, 0),
+        ),
+        Path(tmp) / "draw.csv",
+    )
+print("after a draw at gamma 1/4:", *scipy_modules())
+
 tailjoint.sample_model(
     tailjoint.SimulationModel.gaussian_student(d=2), 50, tailjoint.rng_stream(1, 0)
 )
@@ -66,6 +79,7 @@ def test_analysis_path_loads_no_scipy():
         "after import:",
         "after quadrature and power:",
         "after the commands:",
+        "after a draw at gamma 1/4:",
         "after a draw: True False",
         "after expectile: True",
     ]
