@@ -8,16 +8,12 @@ from .covariance import (
     estimate_sigma_laws,
     theoretical_sigma_laws,
     theoretical_sigma_q,
-    theoretical_v_laws,
-    theoretical_v_qb,
     theoretical_v_star_laws,
     theoretical_v_star_qb,
 )
 from .equality_tests import (
     TestResult,
-    deviance_statistic,
     equality_test,
-    gls_common_mean,
 )
 from .errors import (
     DomainError,
@@ -40,17 +36,14 @@ from .inference import (
 from .marginal import (
     MarginalTailEstimates,
     asymmetric_weight,
-    empirical_quantile,
     estimate_margins,
     fit_column,
-    hill_estimator,
     laws_expectile,
     m_function,
     qb_factor,
 )
 from .numerics import (
     SpdMatrix,
-    chi_square_cdf,
     chi_square_quantile,
     std_normal_quantile,
 )

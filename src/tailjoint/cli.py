@@ -172,7 +172,8 @@ def _emit_json(doc, out_dir, name: str) -> None:
 
 def _emit_csv_rows(header, rows, out_dir, name: str) -> None:
     """Rows through csv.writer, which quotes a cell holding a comma, such
-    as a failure message; floats keep _csv_cell's digits."""
+    as a failure message, and writes None as an empty cell; floats keep
+    _csv_cell's digits."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
@@ -180,10 +181,8 @@ def _emit_csv_rows(header, rows, out_dir, name: str) -> None:
     _emit_text(text.getvalue(), out_dir, name)
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+def _csv_cell(x):
+    return format(x, ".17g") if isinstance(x, float) else x
 
 
 def cmd_estimate(args) -> int:

@@ -149,36 +149,6 @@ def _contract(sigma: np.ndarray, wh, wx) -> np.ndarray:
     ) + (hx * sigma[..., 0::2, 1::2] + np.swapaxes(hx, -1, -2) * sigma[..., 1::2, 0::2])
 
 
-def _laws_pair_integral(orc: OracleTailCopula, gj: float, gl: float) -> float:
-    """Limit covariance of the intermediate LAWS estimators of one pair:
-    gj gl times the integral over [1,inf)^2 of R(cj x^{-1/gj}, cl y^{-1/gl})
-    with c = 1/g - 1; zero for tail-independent margins."""
-    if orc.kind == "independent":
-        return 0.0
-    cj, cl = 1.0 / gj - 1.0, 1.0 / gl - 1.0
-    return gj * gl * integrate_tail_box(orc._formula, cj, cl, gj, gl, 0)
-
-
-def _theoretical_laws_block(g: np.ndarray, oracle) -> np.ndarray:
-    """Limit covariance of the intermediate LAWS estimators: 2g^3/(1-2g) on
-    the diagonal, _laws_pair_integral off it."""
-    m = np.diag(2.0 * g**3 / (1.0 - 2.0 * g))
-    for j in range(g.size):
-        for ell in range(j + 1, g.size):
-            m[j, ell] = m[ell, j] = _laws_pair_integral(
-                _pair_oracle(oracle, j, ell), g[j], g[ell]
-            )
-    return m
-
-
-def theoretical_v_laws(gammas, oracle) -> SpdMatrix:
-    """Asymptotic covariance of the joint intermediate LAWS estimators."""
-    g = _gammas(gammas, 0.5, "variance formula")
-    return SpdMatrix.from_array(
-        _theoretical_laws_block(g, oracle), "theoretical LAWS covariance"
-    )
-
-
 def _interleave(hill: np.ndarray, cross: np.ndarray, other: np.ndarray) -> np.ndarray:
     """The 2d x 2d covariance of (Hill_1, X_1, ..., Hill_d, X_d) from its
     d x d blocks: Cov(Hill, Hill), Cov(Hill_j, X_l) at (j, l), and Cov(X, X);
@@ -206,14 +176,6 @@ def theoretical_sigma_q(gammas, oracle) -> SpdMatrix:
     )
 
 
-def theoretical_v_qb(gammas, oracle) -> SpdMatrix:
-    """Asymptotic covariance of the joint intermediate QB estimators."""
-    g = _gammas(gammas, 1.0, "covariance formula")
-    return SpdMatrix.from_array(
-        _contract(_theoretical_sigma_q(g, oracle), *_qb_weights(g)), "theoretical QB covariance"
-    )
-
-
 def _sigma_laws_cross_diag(g: float) -> float:
     """Hill/LAWS cross term gamma^3 (gamma^{-1}-1)^gamma / (1-gamma)^2."""
     return g**3 * (1.0 / g - 1.0) ** g / (1.0 - g) ** 2
@@ -224,48 +186,57 @@ def theoretical_sigma_laws(gammas, oracle) -> SpdMatrix:
 
     Coordinates are interleaved per margin, as in theoretical_sigma_q.
     """
+    g = _gammas(gammas, 0.5, "covariance formula")
     return SpdMatrix.from_array(
-        _theoretical_sigma_laws(gammas, oracle), "theoretical Hill/LAWS covariance"
+        _theoretical_sigma_laws(g, oracle), "theoretical Hill/LAWS covariance"
     )
 
 
-def _theoretical_sigma_laws(gammas, oracle) -> np.ndarray:
-    """The unchecked array of theoretical_sigma_laws."""
-    g = _gammas(gammas, 0.5, "covariance formula")
+def _cross_entry(orc: OracleTailCopula, gj: float, gl: float) -> float:
+    """Cov(Hill_j, LAWS_l) of a pair of distinct margins: a double integral
+    with a dx/x weight on the first axis minus a single tail integral in the
+    second variable."""
+    cl, al = 1.0 / gl - 1.0, 1.0 / gl
+    double = integrate_tail_box(orc._formula, 1.0, cl, gj, gl, 1)
+    # R(1, cl y^{-al}) kinks where its second argument is 1, for the
+    # comonotone R.
+    single = integrate_1d_tail(lambda y: orc._formula(1.0, cl * y**-al), cl**gl)
+    return gl * double - gj * gl * single
+
+
+def _theoretical_sigma_laws(g: np.ndarray, oracle) -> np.ndarray:
+    """The unchecked array of theoretical_sigma_laws at checked tail
+    indices, assembled as the plug-in's (``_sigma_blocks``).  The LAWS block
+    has 2g^3/(1-2g) on its diagonal and, for each pair, gj gl times the
+    integral over [1,inf)^2 of R(cj x^{-1/gj}, cl y^{-1/gl}), c = 1/g - 1;
+    the pair's cross entries are ``_cross_entry``'s."""
     d = g.size
-    cross = np.diag([_sigma_laws_cross_diag(gj) for gj in g])
-
-    def cross_entry(orc, gj, gl):
-        # Cov(Hill_j, LAWS_l): double integral with a dx/x weight on the
-        # first axis minus a single tail integral in the second variable.
-        if orc.kind == "independent":
-            return 0.0
-        cl, al = 1.0 / gl - 1.0, 1.0 / gl
-        double = integrate_tail_box(orc._formula, 1.0, cl, gj, gl, 1)
-        # R(1, cl y^{-al}) kinks where its second argument is 1, for the
-        # comonotone R.
-        single = integrate_1d_tail(lambda y: orc._formula(1.0, cl * y**-al), cl**gl)
-        return gl * double - gj * gl * single
-
-    hill = _hill_block(g, _oracle_matrix(oracle, d, _R11))
-    laws = _theoretical_laws_block(g, oracle)
+    r11 = _oracle_matrix(oracle, d, _R11)
+    laws, cross = np.diag(2.0 * g**3 / (1.0 - 2.0 * g)), np.zeros((d, d))
     for j in range(d):
         for ell in range(j + 1, d):
             orc = _pair_oracle(oracle, j, ell)
-            cross[j, ell] = cross_entry(orc, g[j], g[ell])
-            cross[ell, j] = cross_entry(orc, g[ell], g[j])
-    return _interleave(hill, cross, laws)
+            if orc.kind == "independent":
+                continue  # R = 0: the pair's entries are 0
+            cj, cl = 1.0 / g[j] - 1.0, 1.0 / g[ell] - 1.0
+            laws[j, ell] = laws[ell, j] = g[j] * g[ell] * integrate_tail_box(
+                orc._formula, cj, cl, g[j], g[ell], 0
+            )
+            cross[j, ell] = _cross_entry(orc, g[j], g[ell])
+            cross[ell, j] = _cross_entry(orc, g[ell], g[j])
+    return _sigma_blocks(g, laws, cross, r11)
 
 
 def theoretical_v_star_laws(gammas, oracle, log_dn: float) -> SpdMatrix:
     """Finite-n covariance of the LAWS extrapolating estimators (log scale):
     the contraction of the theoretical (Hill, LAWS) covariance, of which
     only the result is checked."""
-    sigma = _theoretical_sigma_laws(gammas, oracle)
+    g = _gammas(gammas, 0.5, "covariance formula")
     if not log_dn > 0.0:
         raise DomainError("contraction requires log d_n > 0")
     return SpdMatrix.from_array(
-        _contract(sigma, 1.0, 1.0 / log_dn), "theoretical star-LAWS covariance"
+        _contract(_theoretical_sigma_laws(g, oracle), 1.0, 1.0 / log_dn),
+        "theoretical star-LAWS covariance",
     )
 
 
@@ -385,7 +356,8 @@ def _sigma_laws(st, g, q, xi, tau: float, checks) -> np.ndarray:
 
 def _sigma_blocks(g, vlaws, cross, r11) -> np.ndarray:
     """The (Hill, LAWS) covariance from its LAWS block, the Hill/LAWS cross
-    terms, whose diagonal this replaces by the closed form, and R-hat(1,1)."""
+    terms, whose diagonal this replaces by the closed form, and R(1,1):
+    the plug-in's from R-hat, and the theoretical one's from the oracle."""
     _set_diagonal(cross, _each(_sigma_laws_cross_diag, g))
     return _interleave(_hill_block(g, r11), cross, vlaws)
 

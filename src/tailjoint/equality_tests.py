@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import RAISE, DomainError, SingularCovarianceError
+from .errors import DomainError, SingularCovarianceError
 from .inference import _check_alpha, _check_method, _estimate_sample, _Estimate, _per_sample
-from .numerics import SpdMatrix, _SpdStack, chi_square_quantile, chi_square_sf
+from .numerics import _SpdStack, chi_square_quantile, chi_square_sf
 from .sample import MultivariateSample
 
 
@@ -58,25 +58,6 @@ def _deviance(z: np.ndarray, v: _SpdStack, checks):
     a, b = v.whiten(z), v.whiten(np.ones_like(z))
     mean = (a * b).sum(axis=-1) / (b * b).sum(axis=-1)
     return mean, (v.whiten(z - mean[:, None]) ** 2).sum(axis=-1)
-
-
-def _vector(z, v: SpdMatrix) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (v.dim,):
-        raise DomainError("mean estimation: vector and covariance dimensions differ")
-    if not np.isfinite(z).all():
-        raise DomainError("mean estimation requires a finite vector")
-    return z
-
-
-def gls_common_mean(z, v: SpdMatrix) -> float:
-    """Generalized least squares estimate of a common mean under covariance v."""
-    return float(_deviance(_vector(z, v)[None], v._stack, RAISE)[0][0])
-
-
-def deviance_statistic(z, v: SpdMatrix) -> float:
-    """(z - m 1)^T v^{-1} (z - m 1) with m the GLS common mean."""
-    return float(_deviance(_vector(z, v)[None], v._stack, RAISE)[1][0])
 
 
 _TEST_NAMES = {"laws": "LAWS", "qb": "QB", "quantile": "quantile"}

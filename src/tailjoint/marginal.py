@@ -143,29 +143,15 @@ def _breakpoints(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def empirical_quantile(column, tau: float) -> float:
-    """Order statistic X_{n - floor(n(1-tau)), n}."""
-    return float(_quantile_sorted(_sorted_row(column), tau)[0])
-
-
 def _quantile_sorted(xs: np.ndarray, tau) -> np.ndarray:
     """The intermediate order statistic of each ascending row of xs, at a
-    level tau or, as (L, R), at each of an (L, 1) array of levels."""
+    level tau or, as (L, R), at each of an (L, 1) array of levels, whose
+    effective sizes ``_hill_sorted`` has checked to lie in [1, n - 1]."""
     n = xs.shape[1]
-    i = n - effective_k(n, tau)
-    if np.any(i < 1):
-        raise LevelError(f"quantile level tau={np.min(tau)} too small for n={n}")
-    return xs[np.arange(xs.shape[0]), i - 1]
-
-
-def hill_estimator(column, k: int) -> float:
-    """Average log-excess of the top k order statistics over the (k+1)-th."""
-    return float(_hill_sorted(_sorted_row(column), k, RAISE)[0])
+    return xs[np.arange(xs.shape[0]), n - effective_k(n, tau) - 1]
 
 
 def _check_hill_size(n: int, k: int) -> None:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise LevelError(f"Hill effective size must be an integer, got {k!r}")
     if not 1 <= k <= n - 1:
         raise LevelError(f"Hill effective size k={k} outside [1, {n - 1}]")
 

@@ -10,7 +10,7 @@ inverse quadratic form, GLS mean and deviance reads them, as sum (v^T x)^2
 eigenvalue is at most 1e-10 times its trace is singular for all of them.
 An ``SpdMatrix`` is a stack of one.
 
-The normal quantile and the chi-square quantile, cdf and upper tail (at
+The normal quantile and the chi-square quantile and upper tail (at
 integer df, all the regions, intervals and tests need) are computed with
 the ``math`` module alone, so this module loads no scipy.  The normal cdf
 of the Gaussian-copula samplers (``_ndtr``) is Cephes ndtr, as
@@ -219,16 +219,6 @@ def chi_square_quantile(p: float, df: int) -> float:
             return step
         x = step
     raise NumericError(f"chi-square quantile did not converge at p={p}, df={df}")
-
-
-def chi_square_cdf(x: float, df: int) -> float:
-    """P(X <= x): 1 - P(X > x) where that tail is at most 1/2, and the
-    lower-tail series elsewhere."""
-    _check_df(df, "cdf")
-    sf = chi_square_sf(x, df)
-    if not sf > 0.5:
-        return 1.0 - sf
-    return math.exp(_log_chi2_lower(x, 0.5 * df))
 
 
 def chi_square_sf(x: float, df: int) -> float:

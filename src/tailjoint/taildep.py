@@ -37,7 +37,7 @@ class EmpiricalTailCopula:
         return self.n * (1.0 - self.tau)
 
     def evaluate(self, u: float, v: float) -> float:
-        if u < 0.0 or v < 0.0:
+        if not (u >= 0.0 and v >= 0.0):  # NaN included
             raise DomainError("tail copula arguments must be nonnegative")
         if u == 0.0 or v == 0.0:
             return 0.0
@@ -180,7 +180,7 @@ class OracleTailCopula:
     def evaluate(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if np.any(x < 0.0) or np.any(y < 0.0):
+        if not (np.all(x >= 0.0) and np.all(y >= 0.0)):  # NaN included
             raise DomainError("tail copula arguments must be nonnegative")
         return self._formula(x, y)
 

@@ -76,6 +76,17 @@ def assert_same_outcome(outcome, serial) -> None:
         assert outcome == want
 
 
+def gls_deviance(z, v) -> tuple:
+    """The GLS common mean and the deviance of the vector z under the
+    SpdMatrix v, as floats: ``equality_tests._deviance`` on a stack of one,
+    the arithmetic of every equality test."""
+    from tailjoint.equality_tests import _deviance
+    from tailjoint.errors import RAISE
+
+    mean, stat = _deviance(np.asarray(z, dtype=float)[None], v._stack, RAISE)
+    return float(mean[0]), float(stat[0])
+
+
 def count_eighs(monkeypatch) -> list:
     """Record every ``np.linalg.eigh`` call from here on as the length of its
     argument: the number of matrices of a (B, d, d) stack; returns the

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import record_criterion
 
-from tailjoint.covariance import theoretical_v_laws
+from tailjoint.covariance import theoretical_sigma_laws
 from tailjoint.equality_tests import equality_test
 from tailjoint.inference import (
     confidence_region,
@@ -21,7 +21,6 @@ from tailjoint.inference import (
 from tailjoint.marginal import (
     estimate_margins,
     fit_column,
-    hill_estimator,
     laws_expectile,
 )
 from tailjoint.numerics import chi_square_quantile
@@ -108,8 +107,9 @@ def test_criterion_2_laws_solver_oracle():
 
 def test_criterion_3_variance_quadrature_anchor():
     g = np.array([1.0 / 3.0, 1.0 / 3.0])
-    como = theoretical_v_laws(g, OracleTailCopula.comonotone()).entries
-    indep = theoretical_v_laws(g, OracleTailCopula.independent()).entries
+    # The LAWS block of the (Hill, LAWS) covariance.
+    como = theoretical_sigma_laws(g, OracleTailCopula.comonotone()).entries[1::2, 1::2]
+    indep = theoretical_sigma_laws(g, OracleTailCopula.independent()).entries[1::2, 1::2]
     ok = (
         abs(como[0, 0] - 2.0 / 9.0) < 1e-6
         and abs(como[0, 1] - 2.0 / 9.0) < 1e-6
@@ -395,8 +395,8 @@ def test_criterion_11_exchange_rate_pipeline():
     )
     tau = 1.0 - 150.0 / returns.n
     tau_prime = 0.9995312
-    gamma = hill_estimator(returns.column(j), 150)
-    xi_star = fit_column(returns.column(j), tau).xi_star_laws(tau_prime)[0]
+    fit = fit_column(returns.column(j), tau)  # k = 150
+    gamma, xi_star = fit.gamma_hat[0], fit.xi_star_laws(tau_prime)[0]
     ok = abs(gamma - 0.3331) < 0.002 and abs(xi_star - 0.0716) < 0.002
     assert report(
         "criterion-11", ok, f"gamma {gamma:.4f} vs 0.3331, xi* {xi_star:.4f} vs 0.0716"

@@ -16,18 +16,16 @@ PUBLIC_NAMES = [
     "McReport", "MultivariateSample", "NotPositiveSemidefiniteError",
     "NumericError", "OracleTailCopula", "SimulationModel",
     "SingularCovarianceError", "SpdMatrix", "TailLevelPair", "TailjointError",
-    "TestResult", "asymmetric_weight", "chi_square_cdf", "chi_square_quantile",
-    "confidence_region", "deviance_statistic", "effective_k", "emit_csv",
-    "empirical_quantile", "empirical_tail_copula", "equality_test",
-    "estimate_bias_qb", "estimate_covariance", "estimate_margins",
-    "estimate_sigma_laws", "extremal_coefficient", "fit_column",
-    "gls_common_mean", "hill_estimator", "ingest_csv", "laws_expectile",
-    "listed_correlation", "m_function", "marginal_interval", "qb_factor",
-    "region_boundary_points", "region_contains", "rng_stream",
-    "run_mc_coverage", "run_mc_interval_coverage", "run_mc_mse",
-    "run_mc_power", "sample_model", "std_normal_quantile", "tau_from_k",
-    "theoretical_sigma_laws", "theoretical_sigma_q", "theoretical_v_laws",
-    "theoretical_v_qb", "theoretical_v_star_laws", "theoretical_v_star_qb",
+    "TestResult", "asymmetric_weight", "chi_square_quantile",
+    "confidence_region", "effective_k", "emit_csv", "empirical_tail_copula",
+    "equality_test", "estimate_bias_qb", "estimate_covariance",
+    "estimate_margins", "estimate_sigma_laws", "extremal_coefficient",
+    "fit_column", "ingest_csv", "laws_expectile", "listed_correlation",
+    "m_function", "marginal_interval", "qb_factor", "region_boundary_points",
+    "region_contains", "rng_stream", "run_mc_coverage",
+    "run_mc_interval_coverage", "run_mc_mse", "run_mc_power", "sample_model",
+    "std_normal_quantile", "tau_from_k", "theoretical_sigma_laws",
+    "theoretical_sigma_q", "theoretical_v_star_laws", "theoretical_v_star_qb",
     "to_negative_weekly_log_returns", "true_expectiles",
 ]
 

@@ -560,6 +560,19 @@ class TestSimulate:
         }
         assert doc[0]["experiment"] == "mse"
 
+    def test_null_field_is_an_empty_cell(self, tmp_path, capsys):
+        # The MSE run has no extreme level: tau_prime is null in the JSON,
+        # and its csv cell is empty, as a field missing from a row is.
+        assert main(["simulate", "--model", "clayton_frechet", "--experiment", "mse",
+                     "--n", "200", "--k", "20", "--reps", "3", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        doc = json.loads((tmp_path / "simulate.json").read_text())[0]
+        header, row = csv.reader((tmp_path / "simulate.csv").read_text().splitlines())
+        cells = dict(zip(header, row))
+        assert doc["tau_prime"] is None and cells["tau_prime"] == ""
+        assert "None" not in row
+
     @pytest.mark.parametrize(
         "flags",
         SIMULATE_FAILING_EVERY_REPLICATION.values(),

@@ -18,8 +18,6 @@ from tailjoint.covariance import (
     estimate_sigma_laws,
     theoretical_sigma_laws,
     theoretical_sigma_q,
-    theoretical_v_laws,
-    theoretical_v_qb,
     theoretical_v_star_laws,
 )
 from tailjoint.errors import (
@@ -33,13 +31,12 @@ from tailjoint.inference import estimate_covariance
 from tailjoint.marginal import (
     _fit_sorted,
     asymmetric_weight,
-    empirical_quantile,
     estimate_margins,
-    hill_estimator,
+    fit_column,
     laws_expectile,
     m_function,
 )
-from tailjoint.numerics import CLIP_RTOL
+from tailjoint.numerics import _QUAD_TOL, CLIP_RTOL
 from tailjoint.sample import (
     MultivariateSample, TailLevelPair, _stack_panels, effective_k, tau_from_k,
 )
@@ -50,6 +47,24 @@ from tailjoint.taildep import OracleTailCopula, empirical_tail_copula
 IND = OracleTailCopula.independent()
 COM = OracleTailCopula.comonotone()
 LOG3 = OracleTailCopula.logistic(3.0)
+
+
+def v_laws(gammas, oracle) -> np.ndarray:
+    """The intermediate LAWS covariance: the LAWS block of
+    theoretical_sigma_laws."""
+    return theoretical_sigma_laws(gammas, oracle).entries[1::2, 1::2]
+
+
+def v_qb(gammas, oracle) -> np.ndarray:
+    """The intermediate QB covariance: the contraction of
+    theoretical_sigma_q with the QB weights (m(g), 1)."""
+    g = np.asarray(gammas, dtype=float)
+    return covariance._contract(theoretical_sigma_q(g, oracle).entries, *covariance._qb_weights(g))
+
+
+def hill(column, tau) -> float:
+    """The Hill estimate of fit_column at tau."""
+    return float(fit_column(column, tau).gamma_hat[0])
 
 
 def seed1_sample(n=200, d=2, comonotone=False):
@@ -81,37 +96,43 @@ def comonotone_laws_pair(g1, g2):
 
 class TestTheoreticalVLaws:
     def test_diagonal_value(self):
-        v = theoretical_v_laws([1.0 / 3.0, 1.0 / 3.0], IND)
-        assert v.entries[0, 0] == pytest.approx(2.0 / 9.0, rel=1e-12)
+        v = v_laws([1.0 / 3.0, 1.0 / 3.0], IND)
+        assert v[0, 0] == pytest.approx(2.0 / 9.0, rel=1e-12)
 
     def test_independent_offdiag_zero(self):
-        v = theoretical_v_laws([0.3, 0.25], IND)
-        assert abs(v.entries[0, 1]) < 1e-10
+        v = v_laws([0.3, 0.25], IND)
+        assert abs(v[0, 1]) < 1e-10
 
     def test_comonotone_equals_diagonal(self):
         # Quadrature anchor: with the R=min oracle and equal gamma = 1/3 the
         # off-diagonal integral collapses to the diagonal 2 g^3/(1-2g) = 2/9,
         # so the correlation is exactly 1.
         # (tiny PSD clip of the rank-one matrix perturbs entries at ~1e-9)
-        v = theoretical_v_laws([1.0 / 3.0, 1.0 / 3.0], COM)
-        assert v.entries[0, 0] == pytest.approx(2.0 / 9.0, abs=1e-6)
-        assert v.entries[0, 1] == pytest.approx(2.0 / 9.0, abs=1e-6)
+        v = v_laws([1.0 / 3.0, 1.0 / 3.0], COM)
+        assert v[0, 0] == pytest.approx(2.0 / 9.0, abs=1e-6)
+        assert v[0, 1] == pytest.approx(2.0 / 9.0, abs=1e-6)
 
     def test_heavy_tail_rejected(self):
         with pytest.raises(DomainError):
-            theoretical_v_laws([0.5, 0.3], IND)
+            v_laws([0.5, 0.3], IND)
 
     @pytest.mark.parametrize("g1", [0.05, 0.2, 1.0 / 3.0, 0.4, 0.49])
     @pytest.mark.parametrize("g2", [0.05, 0.2, 1.0 / 3.0, 0.4, 0.49])
     def test_comonotone_closed_form(self, g1, g2):
-        v = theoretical_v_laws([g1, g2], COM).entries
+        v = v_laws([g1, g2], COM)
         assert v[0, 1] == pytest.approx(comonotone_laws_pair(g1, g2), rel=1e-10)
 
     def test_comonotone_asymmetric_anchor(self):
         assert comonotone_laws_pair(0.2, 0.4) == pytest.approx(0.10250930256796174, rel=1e-14)
 
-    def test_logistic_matches_log_coordinate_dblquad(self):
-        g1, g2, theta = 0.2, 0.4, 3.0
+    @pytest.mark.parametrize(
+        "g1,g2,theta",
+        [(0.2, 0.4, 3.0), (0.25, 1.0 / 3.0, 2.0), (0.15, 0.25, 2.0), (0.1, 0.45, 1.5),
+         (0.3, 0.3, 5.0)],
+    )
+    def test_logistic_matches_log_coordinate_dblquad(self, g1, g2, theta):
+        # At the quadrature's claimed tolerance, against an independent 2-D
+        # rule whose own tolerance is 100 times finer.
         c1, c2 = 1.0 / g1 - 1.0, 1.0 / g2 - 1.0
 
         def r(u, v):
@@ -126,10 +147,11 @@ class TestTheoreticalVLaws:
             val = r(c1 * math.exp(-a), c2 * math.exp(-b))
             return math.exp(math.log(val) + g1 * a + g2 * b) if val > 0.0 else 0.0
 
-        ref, _ = integrate.dblquad(f, 0.0, np.inf, 0.0, np.inf, epsabs=0.0, epsrel=1e-10)
+        ref, _ = integrate.dblquad(f, 0.0, np.inf, 0.0, np.inf, epsabs=0.0, epsrel=1e-12)
         ref *= (g1 * g2) ** 2
-        v = theoretical_v_laws([g1, g2], LOG3).entries
-        assert v[0, 1] == pytest.approx(ref, rel=1e-6)
+        sigma = theoretical_sigma_laws([g1, g2], OracleTailCopula.logistic(theta))
+        assert sigma.clip_magnitude == 0.0
+        assert sigma.entries[1, 3] == pytest.approx(ref, rel=_QUAD_TOL, abs=0.0)
 
 
 class TestTheoreticalSigmaQ:
@@ -149,18 +171,18 @@ class TestTheoreticalSigmaQ:
 
 class TestTheoreticalVQb:
     def test_diagonal_one_third(self):
-        v = theoretical_v_qb([1.0 / 3.0, 1.0 / 3.0], IND)
+        v = v_qb([1.0 / 3.0, 1.0 / 3.0], IND)
         expected = (1.0 / 9.0) * (1.0 + m_function(1.0 / 3.0) ** 2)
         assert expected == pytest.approx(0.183446, abs=1e-6)
-        assert v.entries[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert v[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_diagonal_one_half(self):
-        v = theoretical_v_qb([0.5, 0.5], IND)
-        assert v.entries[0, 0] == pytest.approx(1.25, rel=1e-12)
+        v = v_qb([0.5, 0.5], IND)
+        assert v[0, 0] == pytest.approx(1.25, rel=1e-12)
 
     def test_independent_offdiag_zero(self):
-        v = theoretical_v_qb([0.3, 0.4], IND)
-        assert abs(v.entries[0, 1]) < 1e-12
+        v = v_qb([0.3, 0.4], IND)
+        assert abs(v[0, 1]) < 1e-12
 
 
 class TestTheoreticalSigmaLaws:
@@ -177,12 +199,10 @@ class TestTheoreticalSigmaLaws:
         m = theoretical_sigma_laws([0.3, 0.25], IND).entries
         assert np.allclose(m[0:2, 2:4], 0.0, atol=1e-12)
 
-    def test_22_entry_matches_v_laws(self):
-        g = [1.0 / 3.0, 0.3]
+    def test_laws_diagonal_closed_form(self):
+        g = np.array([1.0 / 3.0, 0.3])
         sig = theoretical_sigma_laws(g, LOG3).entries
-        v = theoretical_v_laws(g, LOG3).entries
-        assert sig[1, 3] == pytest.approx(v[0, 1], rel=1e-8)
-        assert sig[1, 1] == pytest.approx(v[0, 0], rel=1e-12)
+        assert np.diag(sig)[1::2] == pytest.approx(2.0 * g**3 / (1.0 - 2.0 * g), rel=1e-12)
 
     @pytest.mark.parametrize("gammas", [(0.2, 0.4), (0.4, 0.2), (0.05, 0.49), (0.3, 0.3)])
     def test_comonotone_hill_laws_cross_closed_form(self, gammas):
@@ -213,13 +233,10 @@ class TestOracleSymmetry:
     @settings(max_examples=30, deadline=None)
     def test_swapping_margins_swaps_entries(self, g1, g2, oracle):
         perm = [2, 3, 0, 1]
-        for build, order in ((theoretical_v_laws, [1, 0]), (theoretical_sigma_laws, perm)):
-            fwd, rev = build([g1, g2], oracle), build([g2, g1], oracle)
-            assert np.allclose(
-                rev.entries, fwd.entries[np.ix_(order, order)], rtol=1e-9, atol=1e-13
-            )
-            for v in (fwd, rev):
-                assert v.clip_magnitude <= CLIP_RTOL * np.trace(v.entries)
+        fwd, rev = theoretical_sigma_laws([g1, g2], oracle), theoretical_sigma_laws([g2, g1], oracle)
+        assert np.allclose(rev.entries, fwd.entries[np.ix_(perm, perm)], rtol=1e-9, atol=1e-13)
+        for v in (fwd, rev):
+            assert v.clip_magnitude <= CLIP_RTOL * np.trace(v.entries)
 
 
 class TestLogisticLimit:
@@ -229,8 +246,8 @@ class TestLogisticLimit:
     @pytest.mark.parametrize("theta", [1e6, math.inf])
     def test_v_laws_matches_comonotone(self, theta):
         g = (0.2, 0.3)
-        v = theoretical_v_laws(g, OracleTailCopula.logistic(theta)).entries
-        assert np.allclose(v, theoretical_v_laws(g, COM).entries, rtol=1e-10, atol=0.0)
+        v = v_laws(g, OracleTailCopula.logistic(theta))
+        assert np.allclose(v, v_laws(g, COM), rtol=1e-10, atol=0.0)
 
     def test_infinite_theta_is_comonotone(self):
         # R(1,1) = 2 - 2^(1/theta) and the unit integral reach their
@@ -238,7 +255,7 @@ class TestLogisticLimit:
         g = (0.2, 0.3)
         orc = OracleTailCopula.logistic(math.inf)
         assert orc.evaluate([0.5, 2.0, 3.0], [1.0, 1.0, 0.0]).tolist() == [0.5, 1.0, 0.0]
-        for build in (theoretical_sigma_laws, theoretical_v_qb):
+        for build in (theoretical_sigma_laws, theoretical_sigma_q):
             assert np.allclose(
                 build(g, orc).entries, build(g, COM).entries, rtol=1e-10, atol=0.0
             )
@@ -251,10 +268,21 @@ class TestLogisticLimit:
 def test_dict_oracle_missing_pair_names_it():
     oracle = {(0, 1): OracleTailCopula.logistic(2.0)}
     with pytest.raises(DomainError, match=r"pair \(0, 2\)"):
-        theoretical_v_laws((0.2, 0.3, 0.25), oracle)
+        theoretical_sigma_laws((0.2, 0.3, 0.25), oracle)
 
 
 class TestTheoreticalVStar:
+    @pytest.mark.parametrize("log_dn", [0.0, -1.0, math.nan])
+    def test_bad_log_dn_raises_before_any_quadrature(self, log_dn):
+        ran = AssertionError("a quadrature ran")
+        with mock.patch.object(covariance, "integrate_tail_box", side_effect=ran), \
+                mock.patch.object(covariance, "integrate_1d_tail", side_effect=ran):
+            with pytest.raises(DomainError, match=r"^contraction requires log d_n > 0$"):
+                theoretical_v_star_laws([0.2, 0.3], LOG3, log_dn)
+            # The tail indices are checked first.
+            with pytest.raises(DomainError, match="tail indices lie in"):
+                theoretical_v_star_laws([0.5, 0.3], LOG3, log_dn)
+
     def test_star_laws_contraction_limit(self):
         # As log d_n grows the contraction keeps only the Hill block.
         g = [1.0 / 3.0, 0.3]
@@ -308,8 +336,8 @@ class TestEstimateBiasQb:
         root = math.sqrt(s.n * (1.0 - tau))
         for j in range(s.d):
             col = s.column(j)
-            g = hill_estimator(col, effective_k(s.n, tau))
-            q = empirical_quantile(col, tau)
+            g = hill(col, tau)
+            q = float(fit_column(col, tau).q_hat[0])
             expected = -g * (1.0 / g - 1.0) ** g * col.mean() * root / q
             assert b[j] == pytest.approx(expected, rel=1e-12)
 
@@ -317,9 +345,8 @@ class TestEstimateBiasQb:
 def laws_variance_oracle(sample, tau):
     """Independent straight-line evaluation of the intermediate LAWS
     covariance display."""
-    n, d = sample.n, sample.d
-    k = effective_k(n, tau)
-    g = np.array([hill_estimator(sample.column(j), k) for j in range(d)])
+    d = sample.d
+    g = np.array([hill(sample.column(j), tau) for j in range(d)])
     xi = np.array([laws_expectile(sample.column(j), tau) for j in range(d)])
     out = np.empty((d, d))
     for j in range(d):
@@ -522,9 +549,8 @@ class TestEstimateVQb:
         s = seed1_sample()
         tau = 0.9
         est = estimate_covariance(s, tau, None, "qb").entries
-        n, d = s.n, s.d
-        k = effective_k(n, tau)
-        g = np.array([hill_estimator(s.column(j), k) for j in range(d)])
+        d = s.d
+        g = np.array([hill(s.column(j), tau) for j in range(d)])
         mg = np.array([m_function(x) for x in g])
         tc = empirical_tail_copula(s, tau, 0, 1)
         r11 = tc.evaluate(1.0, 1.0)
@@ -554,7 +580,7 @@ class TestEstimateVStarLaws:
         n, d = s.n, s.d
         k = effective_k(n, tau)
         log_dn = math.log((1.0 - tau) / (1.0 - tau_prime))
-        g = np.array([hill_estimator(s.column(j), k) for j in range(d)])
+        g = np.array([hill(s.column(j), tau) for j in range(d)])
         xi = np.array([laws_expectile(s.column(j), tau) for j in range(d)])
         vlaws = laws_variance_oracle(s, tau)
         tc = empirical_tail_copula(s, tau, 0, 1)
@@ -626,10 +652,9 @@ class TestEstimateVStarQb:
         s = seed1_sample()
         tau, tau_prime = 0.9, 0.999
         est = estimate_covariance(s, tau, tau_prime, "qb").entries
-        n, d = s.n, s.d
-        k = effective_k(n, tau)
+        d = s.d
         log_dn = math.log((1.0 - tau) / (1.0 - tau_prime))
-        g = np.array([hill_estimator(s.column(j), k) for j in range(d)])
+        g = np.array([hill(s.column(j), tau) for j in range(d)])
         mg = np.array([m_function(x) for x in g]) + log_dn
         tc = empirical_tail_copula(s, tau, 0, 1)
         r11 = tc.evaluate(1.0, 1.0)
@@ -652,8 +677,7 @@ class TestEstimateVStarQb:
     def test_large_log_dn_diagonal_tends_to_gamma_sq(self):
         s = seed1_sample()
         tau = 0.9
-        k = effective_k(s.n, tau)
-        g0 = hill_estimator(s.column(0), k)
+        g0 = hill(s.column(0), tau)
         est = estimate_covariance(s, tau, 1.0 - 1e-12, "qb").entries
         assert est[0, 0] == pytest.approx(g0**2, rel=0.3)
 

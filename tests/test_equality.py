@@ -7,15 +7,11 @@ import numpy as np
 import pytest
 from scipy import special
 
-from conftest import count_fits
+from conftest import count_fits, gls_deviance
 
-from tailjoint.equality_tests import (
-    deviance_statistic,
-    equality_test,
-    gls_common_mean,
-)
+from tailjoint.equality_tests import equality_test
 from tailjoint.errors import DomainError
-from tailjoint.numerics import SpdMatrix, chi_square_cdf
+from tailjoint.numerics import SpdMatrix
 from tailjoint.sample import MultivariateSample
 
 TAU, TAU_PRIME = 0.9, 0.999
@@ -31,6 +27,14 @@ def fixture_sample(n=500, d=2, seed=3, heavy_first=False):
     return MultivariateSample(values, tuple(f"X{j}" for j in range(d)))
 
 
+def gls_common_mean(z, v):
+    return gls_deviance(z, v)[0]
+
+
+def deviance_statistic(z, v):
+    return gls_deviance(z, v)[1]
+
+
 class TestGlsCommonMean:
     def test_constant_vector(self):
         v = SpdMatrix.from_array(np.array([[2.0, 0.5], [0.5, 1.0]]))
@@ -44,11 +48,6 @@ class TestGlsCommonMean:
         v = SpdMatrix.from_array(np.diag([1.0, 4.0]))
         # weights proportional to (1, 1/4): mean = 2*(1/4)/(5/4) = 0.4
         assert gls_common_mean([0.0, 2.0], v) == pytest.approx(0.4, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        v = SpdMatrix.from_array(np.eye(2))
-        with pytest.raises(DomainError):
-            gls_common_mean([1.0, 2.0, 3.0], v)
 
 
 class TestDevianceStatistic:
@@ -82,13 +81,6 @@ class TestNearSingular:
 
         with pytest.raises(SingularCovarianceError, match="^singular test matrix$"):
             f([0.0, 1.0], SpdMatrix.from_array(self.V))
-
-
-@pytest.mark.parametrize("f", [gls_common_mean, deviance_statistic])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_vector_errors(f, bad):
-    with pytest.raises(DomainError, match="finite vector"):
-        f([bad, 1.0], SpdMatrix.from_array(np.eye(2)))
 
 
 def duplicated_sample():
@@ -134,7 +126,7 @@ class TestAllTesters:
         s = fixture_sample(heavy_first=True, seed=11)
         result = equality_test(s, TAU, TAU_PRIME, kind, alpha=0.05)
         assert result.p_value == pytest.approx(
-            1.0 - chi_square_cdf(result.statistic, result.df), abs=1e-12
+            1.0 - special.chdtr(result.df, result.statistic), abs=1e-12
         )
         assert result.reject == (result.p_value < 0.05 - 1e-10) or math.isclose(
             result.p_value, 0.05, abs_tol=1e-9

@@ -13,15 +13,13 @@ from tailjoint.errors import DomainError, LevelError, TailjointError
 from tailjoint.marginal import (
     _laws_sorted,
     _sums_sorted,
-    empirical_quantile,
     estimate_margins,
     fit_column,
-    hill_estimator,
     laws_expectile,
     m_function,
     qb_factor,
 )
-from tailjoint.sample import MultivariateSample, effective_k
+from tailjoint.sample import MultivariateSample, tau_from_k
 from tailjoint.simulation import SimulationModel, rng_stream, sample_model
 
 
@@ -235,14 +233,28 @@ class TestLawsLevelSearch:
         assert_levels_match_single_calls([[0.5, 1.0, 2.0, 7.0]], [0.75, 0.25])
 
 
+def empirical_quantile(x, tau):
+    """The intermediate quantile of fit_column(x, tau)."""
+    return float(fit_column(x, tau).q_hat[0])
+
+
+def hill_estimator(x, k):
+    """The Hill estimate of fit_column at the level of effective size k."""
+    return float(fit_column(x, tau_from_k(len(x), k)).gamma_hat[0])
+
+
 class TestEmpiricalQuantile:
     def test_ten_points(self):
         x = list(range(1, 11))
         assert empirical_quantile(x, 0.75) == 8.0
 
-    def test_extreme_level_gives_maximum(self):
+    def test_most_extreme_level_gives_second_largest(self):
+        # k = 1 is the smallest size a fit accepts: the threshold is the
+        # second-largest value, and a level of k = 0 fails the Hill fit.
         x = list(range(1, 11))
-        assert empirical_quantile(x, 0.999) == 10.0
+        assert empirical_quantile(x, 0.9) == 9.0
+        with pytest.raises(LevelError, match="outside"):
+            empirical_quantile(x, 0.999)
 
     def test_three_points(self):
         assert empirical_quantile([3.0, 1.0, 2.0], 0.5) == 2.0
@@ -285,11 +297,6 @@ class TestHillEstimator:
     def test_bad_k(self):
         with pytest.raises(LevelError):
             hill_estimator([1.0, 2.0, 3.0], 3)
-
-    @pytest.mark.parametrize("k", [2.5, 2.0, True])
-    def test_non_integer_k(self, k):
-        with pytest.raises(LevelError, match="must be an integer"):
-            hill_estimator([1.0, 2.0, 3.0, 4.0], k)
 
 
 class TestFitKeptOnSample:
@@ -398,22 +405,24 @@ class TestExtrapolation:
 
 def _composed(name, x, tau, tau_prime):
     """Each estimate that fit_column gives a column, composed by hand from
-    the primitive estimators, in the order the formulas read them."""
-    gamma = hill_estimator(x, effective_k(len(x), tau))
+    the primitive estimates (the fit's Hill index and intermediate
+    quantile, and laws_expectile), in the order the formulas read them."""
+    fit = fit_column(x, tau)
+    gamma, q = float(fit.gamma_hat[0]), float(fit.q_hat[0])
     if name == "gamma_hat":
         return gamma
     if name == "xi_qb":
-        return qb_factor(gamma) * empirical_quantile(x, tau)
+        return qb_factor(gamma) * q
     if not 0.0 < tau <= tau_prime < 1.0:
         raise LevelError(
             f"extrapolation requires tau <= tau_prime in (0,1), got {tau}, {tau_prime}"
         )
     factor = ((1.0 - tau_prime) / (1.0 - tau)) ** -gamma
     if name == "weissman_quantiles":
-        return factor * empirical_quantile(x, tau)
+        return factor * q
     if name == "xi_star_laws":
         return factor * laws_expectile(x, tau)
-    return qb_factor(gamma) * (factor * empirical_quantile(x, tau))
+    return qb_factor(gamma) * (factor * q)
 
 
 def _outcome(f, *args):

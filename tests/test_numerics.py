@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import gls_deviance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
@@ -17,8 +18,8 @@ from tailjoint.errors import (
 )
 from tailjoint.numerics import (
     SpdMatrix,
+    _log_chi2_lower,
     _ndtr,
-    chi_square_cdf,
     chi_square_quantile,
     chi_square_sf,
     integrate_1d_tail,
@@ -128,21 +129,20 @@ class TestChiSquareQuantile:
 
 class TestChiSquareTails:
     @pytest.mark.parametrize("df", [1.5, 0, -1, 0.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("name,fn", [("cdf", chi_square_cdf), ("sf", chi_square_sf)])
-    def test_df_validated_like_the_quantile(self, name, fn, df):
-        with pytest.raises(DomainError, match=f"chi-square {name} requires integer df >= 1, got"):
-            fn(3.0, df)
+    def test_df_validated_like_the_quantile(self, df):
+        with pytest.raises(DomainError, match="chi-square sf requires integer df >= 1, got"):
+            chi_square_sf(3.0, df)
 
     def test_quantile_rejects_fractional_df(self):
         with pytest.raises(DomainError, match="chi-square quantile requires integer df >= 1, got 1.5"):
             chi_square_quantile(0.95, 1.5)
 
     def test_integral_float_df_accepted(self):
-        assert chi_square_cdf(3.0, 2.0) == chi_square_cdf(3.0, 2)
+        assert chi_square_sf(3.0, 2.0) == chi_square_sf(3.0, 2)
 
     def test_sf_far_tail(self):
         # 1 - cdf is 0.0 here; chi2(2) has the closed-form tail exp(-x/2).
-        assert 1.0 - chi_square_cdf(200.0, 2) == 0.0
+        assert 1.0 - special.chdtr(2, 200.0) == 0.0
         assert chi_square_sf(200.0, 2) == pytest.approx(np.exp(-100.0), rel=1e-13)
 
 
@@ -172,12 +172,17 @@ def assert_close(got: float, want: float, rel: float) -> None:
 class TestAgainstScipy:
     @given(st.integers(1, 12), st.floats(1e-3, 1500.0))
     @settings(max_examples=400, deadline=None)
-    def test_tails_match_chdtrc_and_chdtr(self, df, x):
+    def test_upper_tail_matches_chdtrc(self, df, x):
         # Beyond x = 1382 the upper tail is below 1e-300.
-        bound = 5e-14 + 2.0 * EPS * x
-        for got, want in ((chi_square_sf(x, df), special.chdtrc(df, x)),
-                          (chi_square_cdf(x, df), special.chdtr(df, x))):
-            assert_close(got, want, bound)
+        assert_close(chi_square_sf(x, df), special.chdtrc(df, x), 5e-14 + 2.0 * EPS * x)
+
+    @given(st.integers(1, 12), st.floats(1e-3, 40.0))
+    @settings(max_examples=400, deadline=None)
+    def test_lower_series_matches_chdtr(self, df, x):
+        # The series that the quantile reads for p <= 1/2, on and well
+        # beyond the lower side of every median of df <= 12.
+        got = math.exp(_log_chi2_lower(x, 0.5 * df))
+        assert_close(got, special.chdtr(df, x), 5e-14 + 2.0 * EPS * x)
 
     @pytest.mark.parametrize("df", range(1, 13))
     def test_upper_tail_below_1e_300(self, df):
@@ -196,9 +201,8 @@ class TestAgainstScipy:
     @pytest.mark.parametrize("df", [1, 2, 3, 4, 12])
     @pytest.mark.parametrize("x", [-1.0, -0.0, 0.0, math.inf, -math.inf, math.nan])
     def test_edge_values_as_scipy(self, x, df):
-        for got, want in ((chi_square_sf(x, df), special.chdtrc(df, x)),
-                          (chi_square_cdf(x, df), special.chdtr(df, x))):
-            assert got == want or (math.isnan(got) and math.isnan(want))
+        got, want = chi_square_sf(x, df), special.chdtrc(df, x)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
     @given(
         st.integers(1, 400),
@@ -211,7 +215,6 @@ class TestAgainstScipy:
         # iterate stays between its start and the root: no OverflowError
         # and no other raise.
         assert 0.0 <= chi_square_sf(x, df) <= 1.0
-        assert 0.0 <= chi_square_cdf(x, df) <= 1.0
         assert 0.0 <= chi_square_quantile(p, df) < math.inf
         assert math.isfinite(std_normal_quantile(p))
 
@@ -220,7 +223,7 @@ class TestAgainstScipy:
 def test_cdf_quantile_roundtrip(p):
     p = float(p)
     assert stats.norm.cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-8)
-    assert chi_square_cdf(chi_square_quantile(p, 3), 3) == pytest.approx(p, abs=1e-8)
+    assert special.chdtr(3, chi_square_quantile(p, 3)) == pytest.approx(p, abs=1e-8)
 
 
 class TestSpdMatrix:
@@ -329,8 +332,6 @@ class TestEigenAlgebraProperties:
     @given(spd_cases())
     @settings(max_examples=200, deadline=None)
     def test_agree_with_solve(self, case):
-        from tailjoint.equality_tests import deviance_statistic, gls_common_mean
-
         m, x, cond = case
         v = SpdMatrix.from_array(m)
         e, one = v.entries, np.ones(x.size)
@@ -342,8 +343,9 @@ class TestEigenAlgebraProperties:
         # The mean's natural scale is sqrt(x' m^-1 x / 1' m^-1 1) (Cauchy-
         # Schwarz), the deviance's is x' m^-1 x: both can be near zero.
         scale = np.sqrt(form / (one @ inv_one))
-        assert abs(gls_common_mean(x, v) - mean) <= rtol * scale
-        assert abs(deviance_statistic(x, v) - r @ np.linalg.solve(e, r)) <= rtol * form
+        got_mean, got_deviance = gls_deviance(x, v)
+        assert abs(got_mean - mean) <= rtol * scale
+        assert abs(got_deviance - r @ np.linalg.solve(e, r)) <= rtol * form
 
     @given(spd_cases(), st.floats(1e-3, 1e3))
     @settings(max_examples=100, deadline=None)
@@ -363,13 +365,10 @@ class TestEigenAlgebraProperties:
     @given(spd_cases(dims=(2, 5), low=-1e-9))
     @settings(max_examples=100, deadline=None)
     def test_clipped_matrix_is_singular_everywhere(self, case):
-        from tailjoint.equality_tests import deviance_statistic, gls_common_mean
-
         m, x, _ = case
         v = SpdMatrix.from_array(m)
         assert v.clip_magnitude > 0.0
-        for f in (v.quadratic_form, lambda x: gls_common_mean(x, v),
-                  lambda x: deviance_statistic(x, v)):
+        for f in (v.quadratic_form, lambda x: gls_deviance(x, v)):
             with pytest.raises(SingularCovarianceError):
                 f(x)
 

@@ -1,6 +1,8 @@
 """Empirical tail copula, its pair matrices R(1,1) and unit integrals,
 extremal coefficient, and the analytic tail-copula oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import level_grid, step_unit_integral, tail_panels
@@ -57,6 +59,12 @@ class TestEmpiricalEvaluation:
         s = comonotone_sample()
         with pytest.raises(DomainError):
             empirical_tail_copula(s, 0.9, 0, 1).evaluate(-0.1, 1.0)
+
+    @pytest.mark.parametrize("u,v", [(math.nan, 1.0), (1.0, math.nan), (math.nan, 0.0)])
+    def test_nan_argument_rejected(self, u, v):
+        tc = empirical_tail_copula(comonotone_sample(), 0.9, 0, 1)
+        with pytest.raises(DomainError, match="nonnegative"):
+            tc.evaluate(u, v)
 
     def test_same_margin_rejected(self):
         s = comonotone_sample()
@@ -224,6 +232,11 @@ class TestOracle:
 
     def test_independent_zero(self):
         assert OracleTailCopula.independent().evaluate(5.0, 7.0) == 0.0
+
+    @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (1.0, math.nan), ([0.5, math.nan], 1.0)])
+    def test_nan_argument_rejected(self, x, y):
+        with pytest.raises(DomainError, match="nonnegative"):
+            OracleTailCopula.logistic(2.0).evaluate(x, y)
 
     def test_invalid_theta(self):
         with pytest.raises(DomainError):
