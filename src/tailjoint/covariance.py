@@ -54,8 +54,8 @@ import math
 import numpy as np
 
 from .errors import RAISE, Checks, DomainError, NumericError
-from .marginal import _check_qb, _fit_sorted, estimate_margins, m_function
-from .numerics import SpdMatrix, _spd_stack, integrate_1d_tail, integrate_tail_box
+from .marginal import _check_qb, _fit_sorted, _sum_shift, estimate_margins, m_function
+from .numerics import SpdMatrix, _per_element, _spd_stack, integrate_1d_tail, integrate_tail_box
 from .sample import MultivariateSample, effective_k
 from .taildep import (
     OracleTailCopula, _r11_cut, _r11_matrix, _top_pairs, _unit_integral_matrix,
@@ -107,11 +107,6 @@ def _set_diagonal(m: np.ndarray, diag: np.ndarray) -> None:
     m[..., i, i] = diag
 
 
-def _each(f, g: np.ndarray) -> np.ndarray:
-    """The scalar function f of every entry of g."""
-    return np.array([f(x) for x in g.flat]).reshape(g.shape)
-
-
 def _hill_block(g: np.ndarray, r11: np.ndarray) -> np.ndarray:
     """Cov(Hill_j, Hill_l) = g_j g_l R_jl(1,1), with g_j^2 on the diagonal."""
     m = _outer(g) * r11
@@ -132,7 +127,7 @@ def _qb_weights(g: np.ndarray, log_dn: float | None = None):
     """The weights (wh, wx) of the QB estimators: (m(g), 1) at the
     intermediate level, ((m(g) + log dn)/log dn, 1/log dn) extrapolated; m is
     NaN where g lies outside (0, 1), whose sample the QB center fails."""
-    m = _each(lambda x: m_function(x) if 0.0 < x < 1.0 else np.nan, g)
+    m = _per_element(lambda x: m_function(x) if 0.0 < x < 1.0 else np.nan, g)
     return (m, 1.0) if log_dn is None else ((m + log_dn) / log_dn, 1.0 / log_dn)
 
 
@@ -177,8 +172,9 @@ def theoretical_sigma_q(gammas, oracle) -> SpdMatrix:
 
 
 def _sigma_laws_cross_diag(g: float) -> float:
-    """Hill/LAWS cross term gamma^3 (gamma^{-1}-1)^gamma / (1-gamma)^2."""
-    return g**3 * (1.0 / g - 1.0) ** g / (1.0 - g) ** 2
+    """Hill/LAWS cross term gamma^3 (gamma^{-1}-1)^gamma / (1-gamma)^2; NaN
+    outside (0, 1), in a sample that _check_laws has failed."""
+    return g**3 * (1.0 / g - 1.0) ** g / (1.0 - g) ** 2 if 0.0 < g < 1.0 else math.nan
 
 
 def theoretical_sigma_laws(gammas, oracle) -> SpdMatrix:
@@ -323,8 +319,12 @@ def _bias_qb(st, g, q, tau: float, checks) -> np.ndarray:
     estimate_bias_qb)."""
     _check_qb(g, checks)  # where the factor (1/g - 1)^g below is undefined
     # Summed over the row-major values, in row order: a sum along the
-    # column-major rows would be pairwise, and differ in its last bits.
-    means = st.values.mean(axis=-2)
+    # column-major rows would be pairwise, and differ in its last bits.  A
+    # margin whose sum would overflow is scaled down, and its q with it.
+    values, shift = st.values, _sum_shift(st.sorted_columns)
+    if shift.any():
+        values, q = np.ldexp(values, -shift[..., None, :]), np.ldexp(q, -shift)
+    means = values.mean(axis=-2)
     root = math.sqrt(st.n * (1.0 - tau))
     # q-hat is the Hill threshold order statistic, which the fit has
     # already required to be positive.
@@ -358,7 +358,7 @@ def _sigma_blocks(g, vlaws, cross, r11) -> np.ndarray:
     """The (Hill, LAWS) covariance from its LAWS block, the Hill/LAWS cross
     terms, whose diagonal this replaces by the closed form, and R(1,1):
     the plug-in's from R-hat, and the theoretical one's from the oracle."""
-    _set_diagonal(cross, _each(_sigma_laws_cross_diag, g))
+    _set_diagonal(cross, _per_element(_sigma_laws_cross_diag, g))
     return _interleave(_hill_block(g, r11), cross, vlaws)
 
 
@@ -397,30 +397,26 @@ def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
 
 def _scan_v_star_laws(sample: MultivariateSample, levels: list) -> list:
     """The star-LAWS covariance of the sample at each TailLevelPair of
-    levels, in order: its checked entries, or the TailjointError of the
-    first check it fails, the one that ``inference.estimate_covariance``
+    levels, in ascending k: its checked entries, or the TailjointError of
+    the first check it fails, the one that ``inference.estimate_covariance``
     raises for "laws" at that level.
 
-    The levels are fitted at once, in ascending k, and not kept on the
-    sample; their (Hill, LAWS) matrices come from ``_nested_sums``, and are
-    contracted and checked by one ``_spd_stack``, each level failing alone.
+    The levels are fitted at once, and not kept on the sample; their (Hill,
+    LAWS) matrices come from ``_nested_sums``, which refuses levels out of
+    order, and one ``_spd_stack`` checks them, each level failing alone.
     """
     if not levels:
         return []
-    order = sorted(range(len(levels)), key=lambda i: -levels[i].tau)
-    tau = np.array([[levels[i].tau] for i in order])
-    log_dn = np.array([[levels[i].log_dn] for i in order])
-    checks = Checks(len(order))
+    tau = np.array([[lv.tau] for lv in levels])
+    log_dn = np.array([[lv.log_dn] for lv in levels])
+    checks = Checks(len(levels))
     with np.errstate(all="ignore"):
         fit = _fit_sorted(sample.sorted_columns, tau, checks)
         g = fit.gamma_hat
         _check_laws(g, checks)
         sigma = _sigma_blocks(g, *_nested_sums(sample, g, fit.q_hat, fit.xi_laws, tau))
         m = _spd_stack(_contract(sigma, 1.0, 1.0 / log_dn), "star-LAWS covariance", checks).entries
-    out = [None] * len(order)
-    for row, (i, error) in enumerate(zip(order, checks.first)):
-        out[i] = m[row] if error is None else error
-    return out
+    return [m[row] if error is None else error for row, error in enumerate(checks.first)]
 
 
 def _nested_sums(sample: MultivariateSample, g, q, xi, tau):

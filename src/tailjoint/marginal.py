@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RAISE, DomainError, LevelError
+from .numerics import _per_element
 from .sample import _read_only, effective_k
 
 
@@ -78,6 +79,9 @@ def _laws_sorted(xs: np.ndarray, tau) -> np.ndarray:
     levels = np.ravel(np.asarray(tau, dtype=float))
     if not np.all((levels > 0.0) & (levels < 1.0)):
         raise DomainError(f"expectile level must be in (0,1), got {tau}")
+    shift = _sum_shift(xs)
+    if shift.any():
+        return np.ldexp(_laws_sorted(np.ldexp(xs, -shift[:, None]), tau), shift)
     cum, a, b = _sums_sorted(xs)
     n = xs.shape[1]
     rows = np.arange(xs.shape[0])
@@ -93,6 +97,14 @@ def _laws_sorted(xs: np.ndarray, tau) -> np.ndarray:
     den = tau * (n - m) + (1.0 - tau) * m
     root = np.clip(num / den, xs[rows, m - 1], xs[rows, m])
     return np.where(at_point, xs[rows, m], root)
+
+
+def _sum_shift(xs: np.ndarray) -> np.ndarray:
+    """The power of two that scales each ascending row of xs (..., n) down,
+    exactly, so that any sum of 2n of its values is finite: 0 unless its
+    largest |x| is within a factor 2n of the float maximum."""
+    top = np.maximum(-xs[..., 0], xs[..., -1])
+    return np.maximum(0, np.frexp(top)[1] + xs.shape[-1].bit_length() - 1022)
 
 
 def _breakpoints(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -184,20 +196,17 @@ def qb_factor(gamma: float) -> float:
     return (1.0 / gamma - 1.0) ** -gamma
 
 
-def _check_qb(g: np.ndarray, checks) -> np.ndarray:
+def _check_qb(g: np.ndarray, checks) -> None:
     """Fail each sample with an entry of g outside (0, 1), where qb_factor
-    is undefined, named by its first such entry; return where g is inside."""
+    is undefined, named by its first such entry."""
     ok = (g > 0.0) & (g < 1.0)
     checks(~ok, lambda j: DomainError(f"QB factor undefined for tail index {g.flat[j]}"))
-    return ok
 
 
 def _qb_factors(g: np.ndarray, checks) -> np.ndarray:
     """qb_factor of every entry of g, NaN where _check_qb fails it."""
-    ok = _check_qb(g, checks)
-    return np.array(
-        [qb_factor(x) if good else np.nan for x, good in zip(g.flat, ok.flat)]
-    ).reshape(g.shape)
+    _check_qb(g, checks)
+    return _per_element(lambda x: qb_factor(x) if 0.0 < x < 1.0 else np.nan, g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +234,7 @@ class MarginalTailEstimates:
                 f"got {self.tau}, {tau_prime}"
             )
         ratio = (1.0 - tau_prime) / (1.0 - self.tau)
-        g = self.gamma_hat
-        return np.array([ratio ** -float(x) for x in g.flat]).reshape(g.shape)
+        return _per_element(lambda x: ratio**-x, self.gamma_hat)
 
     def weissman_quantiles(self, tau_prime: float) -> np.ndarray:
         """Weissman extrapolated quantiles at level tau_prime, per margin."""

@@ -10,16 +10,16 @@ inverse quadratic form, GLS mean and deviance reads them, as sum (v^T x)^2
 eigenvalue is at most 1e-10 times its trace is singular for all of them.
 An ``SpdMatrix`` is a stack of one.
 
-The normal quantile and the chi-square quantile and upper tail (at
-integer df, all the regions, intervals and tests need) are computed with
-the ``math`` module alone, so this module loads no scipy.  The normal cdf
-of the Gaussian-copula samplers (``_ndtr``) is Cephes ndtr, as
-scipy.special.ndtr computes it, bit for bit: its arithmetic runs in numpy
-and its exponentials in ``math``.  The 1-D integrals of the theoretical
-(oracle) covariances use one nested double-exponential rule
-(``_de_integral``): each level evaluates the integrand once, on an array
-of nodes, and an integral that does not reach its tolerance raises
-NumericError.
+No scipy is loaded.  The normal quantile is ``statistics.NormalDist``'s,
+refined in the tails with ``math.erfc``, and the chi-square quantile and
+upper tail (at integer df, all the regions, intervals and tests need) use
+``math`` alone.  The normal cdf of the Gaussian-copula samplers
+(``_ndtr``) is Cephes ndtr, bit for bit scipy.special.ndtr: its
+polynomials run in ``np.polyval`` and its exponentials in ``math``.  The
+1-D integrals of the theoretical (oracle) covariances use one nested
+double-exponential rule (``_de_integral``): each level evaluates the
+integrand once, on an array of nodes, and an integral that does not reach
+its tolerance raises NumericError.
 """
 
 from __future__ import annotations
@@ -49,58 +49,21 @@ CLIP_RTOL = 1e-6
 _QUAD_TOL, _TAIL_1D_TOL = 1e-10, 1e-12
 
 
-# Wichura's AS241 (PPND16, Appl. Statist. 37, 1988), good to about 1e-16:
-# the normal quantile as a ratio of degree-7 polynomials, in r = 0.180625 -
-# q^2 for |q| = |p - 1/2| <= 0.425, and otherwise, with r = sqrt(-log
-# min(p, 1 - p)), in r - 1.6 for r <= 5 and in r - 5 beyond.  Each pair holds
-# the numerator's and the denominator's coefficients, lowest order first.
-_AS241 = (
-    (
-        (3.3871328727963666080, 133.14166789178437745, 1971.5909503065514427,
-         13731.693765509461125, 45921.953931549871457, 67265.770927008700853,
-         33430.575583588128105, 2509.0809287301226727),
-        (1.0, 42.313330701600911252, 687.18700749205790830, 5394.1960214247511077,
-         21213.794301586595867, 39307.895800092710610, 28729.085735721942674,
-         5226.4952788528545610),
-    ),
-    (
-        (1.42343711074968357734, 4.63033784615654529590, 5.76949722146069140550,
-         3.64784832476320460504, 1.27045825245236838258, 0.241780725177450611770,
-         0.0227238449892691845833, 7.74545014278341407640e-4),
-        (1.0, 2.05319162663775882187, 1.67638483018380384940, 0.689767334985100004550,
-         0.148103976427480074590, 0.0151986665636164571966, 5.47593808499534494600e-4,
-         1.05075007164441684324e-9),
-    ),
-    (
-        (6.65790464350110377720, 5.46378491116411436990, 1.78482653991729133580,
-         0.296560571828504891230, 0.0265321895265761230930, 0.00124266094738807843860,
-         2.71155556874348757815e-5, 2.01033439929228813265e-7),
-        (1.0, 0.599832206555887937690, 0.136929880922735805310, 0.0148753612908506148525,
-         7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
-         2.04426310338993978564e-15),
-    ),
-)
 _LN2 = math.log(2.0)
 
 
-def _ratio(coefs, r: float) -> float:
-    num = den = 0.0
-    for c, d in zip(reversed(coefs[0]), reversed(coefs[1])):
-        num, den = num * r + c, den * r + d
-    return num / den
-
-
 def std_normal_quantile(p: float) -> float:
-    """Quantile of the standard Gaussian distribution: AS241, and in the
-    tails one Newton step on Phi(x) = erfc(-x / sqrt 2) / 2."""
+    """Quantile of the standard Gaussian distribution: AS241, as imported
+    from ``statistics`` on the first call, and for p outside [0.075, 0.925]
+    one Newton step on Phi(x) = erfc(-x / sqrt 2) / 2."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"normal quantile requires p in (0,1), got {p}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        return q * _ratio(_AS241[0], 0.180625 - q * q)
+    from statistics import NormalDist
+
+    if abs(p - 0.5) <= 0.425:
+        return NormalDist().inv_cdf(p)
     tail = min(p, 1.0 - p)  # 1 - p is exact for p >= 1/2
-    r = math.sqrt(-math.log(tail))
-    x = -_ratio(_AS241[1], r - 1.6) if r <= 5.0 else -_ratio(_AS241[2], r - 5.0)
+    x = NormalDist().inv_cdf(tail)
     x -= (0.5 * math.erfc(-x / math.sqrt(2.0)) - tail) / (
         math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     )
@@ -112,46 +75,36 @@ def std_normal_quantile(p: float) -> float:
 # or 1 minus it for x > 0.  erf(x) = x T(x^2) / U(x^2) for |x| < 1, and
 # erfc(z) = 1 - erf(z) below 1, e^{-z^2} P(z) / Q(z) below 8, e^{-z^2} R(z) /
 # S(z) beyond, and 0 once z^2 exceeds _MAXLOG.  Each tuple holds its
-# polynomial's coefficients, highest order first; Q, S and U are monic, their
-# leading 1 left out.
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
-           7.46321056442269912687e0, 4.86371970985681366614e1, 1.96520832956077098242e2,
-           5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
-           5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+# polynomial's coefficients, highest order first, for ``np.polyval``: the
+# Horner rule of Cephes polevl, and of p1evl for the monic Q, S and U.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
-           5.01905042251180477414e0, 6.16021097993053585195e0, 7.40974269950448939160e0,
-           2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
           7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
           2.26290000613890934246e4, 4.92673942608635921086e4)
 _MAXLOG = 7.09782712893383996843e2
 _SQRT1_2 = math.sqrt(0.5)
 
 
-def _horner(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
-    """Cephes polevl (or p1evl when monic) at x: Horner's rule from the
-    highest-order coefficient down."""
-    y = x + coefs[0] if monic else coefs[0]
-    for c in coefs[1:]:
-        y = y * x + c
-    return y
-
-
 def _erf(x: np.ndarray) -> np.ndarray:
     """Cephes erf for |x| < 1."""
     z = x * x
-    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+    return x * np.polyval(_ERF_T, z) / np.polyval(_ERF_U, z)
 
 
 def _per_element(f, a: np.ndarray) -> np.ndarray:
-    """f of each element of a, through the math module: numpy's vectorized
-    transcendental functions can differ from the C library's in the last bit."""
+    """The scalar function f of each element of a, in a's shape.  f gets
+    Python floats, so its powers and its ``math`` calls are the C
+    library's: numpy's vectorized ones can differ in the last bit."""
     return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
@@ -169,8 +122,8 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
         ((8.0 <= z) & (z * z <= _MAXLOG), _ERFC_R, _ERFC_S),
     ):
         t = z[far]
-        tail[far] = 0.5 * (_per_element(math.exp, -t * t) * _horner(t, num)
-                           / _horner(t, den, monic=True))
+        tail[far] = 0.5 * (_per_element(math.exp, -t * t) * np.polyval(num, t)
+                           / np.polyval(den, t))
     y = np.where(x > 0.0, 1.0 - tail, tail)
     inner = z < _SQRT1_2
     y[inner] = 0.5 + 0.5 * _erf(x[inner])
@@ -251,7 +204,10 @@ def _log_chi2_lower(x: float, a: float) -> float:
     """log P(X <= x) at df = 2a by the series of positive terms
     y^a e^{-y} / Gamma(a + 1) * sum_n y^n / ((a + 1) ... (a + n)), y = x/2,
     which converges fast below the median.  Once the next divisor b exceeds
-    y, the terms after a term t add up to less than t y / (b - y)."""
+    y, the terms after a term t add up to less than t y / (b - y).  Its
+    domain is below the median, where chi_square_quantile reads it (for
+    p <= 1/2): the partial sums grow like e^y before the terms fall, and
+    are inf once y passes about 709."""
     if x == 0.0:
         return -math.inf
     y = 0.5 * x
@@ -329,8 +285,7 @@ class SpdMatrix:
     def sqrt(self) -> "SpdMatrix":
         """Principal symmetric square root, v diag(w)^{1/2} v^T."""
         w, v = np.sqrt(self._stack.w), self._stack.v
-        s = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
-        return SpdMatrix(_SpdStack(0.5 * (s + s.transpose(0, 2, 1)), np.zeros(1), w, v))
+        return SpdMatrix(_SpdStack(_compose(w, v), np.zeros(1), w, v))
 
     def quadratic_form(self, vec, name: str = "covariance") -> float:
         """v^T m^{-1} v from the kept eigenpairs."""
@@ -386,10 +341,14 @@ def _spd_stack(m: np.ndarray, name: str, checks) -> _SpdStack:
     neg = low < 0.0
     if neg.any():
         w = np.clip(w, 0.0, None)
-        vn = v[neg]
-        s = (vn * w[neg][:, None, :]) @ vn.transpose(0, 2, 1)
-        sym[neg] = 0.5 * (s + s.transpose(0, 2, 1))
+        sym[neg] = _compose(w[neg], v[neg])
     return _SpdStack(sym, clip, w, v)
+
+
+def _compose(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v diag(w) v^T of each eigenpair (w, v) of a stack, symmetrized."""
+    s = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
+    return 0.5 * (s + s.transpose(0, 2, 1))
 
 
 # Double-exponential quadrature (Takahasi and Mori, Publ. RIMS 9, 1974): the

@@ -157,6 +157,16 @@ class TestEstimate:
                      "--k", "50"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "1"], "--k must lie in [2, 499] for n=500"),
+        (["--k", "500"], "--k must lie in [2, 499] for n=500"),
+        (["--tau", "1.0"], "--tau must lie in (0,1), got 1.0"),
+        (["--k", "50", "--alpha", "0"], "--alpha must lie in (0,1), got 0.0"),
+    ])
+    def test_level_out_of_range_exits_1(self, data_csv, capsys, flags, message):
+        assert main(["estimate", "--input", str(data_csv), *flags]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestRegion:
     def test_bivariate_regions_and_boundaries(self, tmp_path, data_csv):
@@ -234,6 +244,13 @@ class TestTestCommand:
         tags = {tuple(r["margins"]) for r in doc["results"]}
         assert ("X1", "X2", "X3") in tags
         assert ("X1", "X2") in tags and ("X2", "X3") in tags
+
+    def test_univariate_rejected(self, tmp_path, capsys):
+        csv = write_sample_csv(tmp_path / "one.csv", d=1)
+        assert main(["test", "--input", str(csv), "--k", "50"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: equality tests require at least two margins\n"
+        )
 
 
 def write_failing_panel(path, d: int):
@@ -385,6 +402,14 @@ class TestTraceScan:
         assert lines[0] == "k,trace,status"
         assert len(lines) == 22
         assert all(line.endswith(",ok") for line in lines[1:])
+
+    def test_single_k_is_its_row_of_a_range(self, data_csv, capsys):
+        scans = []
+        for flags in (["--k", "30"], ["--k-min", "20", "--k-max", "40"]):
+            assert main(["trace-scan", "--input", str(data_csv), "--tau-prime", "0.999",
+                         *flags]) == 0
+            scans.append(scan_rows(capsys.readouterr().out))
+        assert scans[0] == [scans[1][10]] and scans[0][0][0] == "30"
 
     def test_partial_failures_exit_two(self, tmp_path, capsys):
         # Tail index 0.5: the per-k Hill estimates straddle the 1/2 threshold,
@@ -616,6 +641,23 @@ class TestSimulate:
         assert "noncoverage_pct_laws" in docs[0]
         assert "noncoverage_pct_qb" in docs[1]
 
+    def test_interval_both_methods(self, capsys):
+        assert main(["simulate", "--model", "clayton_frechet", "--experiment",
+                     "interval", "--n", "300", "--k", "30", "--reps", "3",
+                     "--seed", "2"]) == 0
+        docs = json.loads(capsys.readouterr().out)
+        assert [doc["experiment"] for doc in docs] == ["interval_coverage"] * 2
+        assert docs[0]["tau_prime"] == 1.0 - 1.0 / 300
+        assert "noncoverage_pct_laws" in docs[0]
+        assert "noncoverage_pct_qb" in docs[1]
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--n", "200"], "--model"), (["--model", "clayton_frechet"], "--n"),
+    ])
+    def test_model_and_n_required(self, capsys, flags, flag):
+        assert main(["simulate", *flags, "--k", "20", "--reps", "2"]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag} is required\n")
+
     def test_mse_rejects_flags_it_does_not_read(self, capsys):
         assert main(["simulate", "--model", "clayton_frechet", "--experiment", "mse",
                      "--n", "200", "--k", "20", "--reps", "2", "--method", "bogus",
@@ -721,6 +763,28 @@ class TestConfigFile:
         assert captured.err.startswith(f"error: config key {key}: expected ")
         assert repr(value) in captured.err
 
+    @pytest.mark.parametrize("value, naive", [
+        ("yes", True), ("True", True), ("1", True), ("false", False), ("NO", False),
+        ("0", False),
+    ])
+    def test_config_boolean_and_text_values(self, tmp_path, data_csv, capsys, value, naive):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"naive = {value}\nmethod = qb\n")
+        assert main(["estimate", "--input", str(data_csv), "--k", "50",
+                     "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["naive"] is naive
+        assert "xi_star_qb" in doc["margins"][0] and "xi_star_laws" not in doc["margins"][0]
+
+    def test_config_boolean_that_does_not_parse_exits_1(self, tmp_path, data_csv, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("naive = maybe\n")
+        assert main(["estimate", "--input", str(data_csv), "--k", "50",
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: config key naive: expected a boolean, got 'maybe'\n"
+        )
+
 
 def unread_flag_base(command, data_csv):
     if command == "trace-scan":
@@ -796,6 +860,10 @@ class TestIngest:
     def test_requires_out(self, data_csv, capsys):
         assert main(["ingest", "--input", str(data_csv)]) == 1
         capsys.readouterr()
+
+    def test_requires_input(self, tmp_path, capsys):
+        assert main(["ingest", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", "error: --input is required\n")
 
 
 class TestModelSpec:

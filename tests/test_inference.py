@@ -22,7 +22,8 @@ from tailjoint.inference import (
 )
 from tailjoint.marginal import estimate_margins, fit_column
 from tailjoint.numerics import SpdMatrix, chi_square_quantile, std_normal_quantile
-from tailjoint.sample import MultivariateSample
+from tailjoint.sample import MultivariateSample, tau_from_k
+from tailjoint.simulation import SimulationModel, rng_stream, sample_model
 
 TAU, TAU_PRIME, ALPHA = 0.9, 0.999, 0.05
 
@@ -240,6 +241,24 @@ class TestScaleEquivariance:
             assert region_contains(r2, c * z)
         outside = r1.center * 10.0
         assert not region_contains(r2, c * outside)
+
+    def test_panel_near_the_float_maximum(self):
+        # Scaled by 2^1013, this panel's sums of n values overflow: the LAWS
+        # fit and the QB bias scale such margins down by a power of two, so
+        # the fit is 2^1013 times the unscaled one and the bias is the same,
+        # to the bit.  A RuntimeWarning fails the test (pyproject.toml).
+        s = sample_model(SimulationModel.gumbel_frechet(d=3, gamma=0.3), 2000, rng_stream(4, 0))
+        big, tau = s.scaled(2.0**1013), tau_from_k(s.n, 100)
+        fit, fit_big = estimate_margins(s, tau), estimate_margins(big, tau)
+        assert np.array_equal(fit_big.gamma_hat, fit.gamma_hat)
+        for name in ("q_hat", "xi_laws"):
+            assert np.array_equal(getattr(fit_big, name), np.ldexp(getattr(fit, name), 1013))
+        assert np.array_equal(estimate_bias_qb(big, tau), estimate_bias_qb(s, tau))
+        for method in ("laws", "qb"):
+            r, r_big = (confidence_region(x, tau, TAU_PRIME, ALPHA, method) for x in (s, big))
+            assert np.allclose(r_big.center, 2.0**1013 * r.center, rtol=1e-12)
+            t, t_big = (equality_test(x, tau, TAU_PRIME, method) for x in (s, big))
+            assert t_big.statistic == pytest.approx(t.statistic, rel=1e-9)
 
 
 class TestMarginalIntervals:

@@ -1,10 +1,11 @@
 """Start-up cost: importing the package loads numpy and no scipy module, and
 neither do the analysis commands, the oracle quadrature, a Gumbel-Frechet
 power run, or a Gaussian-Student draw at tail index 1/4 (Student-t with 4
-degrees of freedom) written out by emit_csv.  ``scipy.special`` loads with
-the first Student quantile at other degrees of freedom (such as 3, the
-default tail index 1/3) or margin oracle that needs it, and
-``scipy.optimize`` with the first true-expectile solve."""
+degrees of freedom) written out by emit_csv.  ``statistics`` loads with the
+first normal quantile, which the commands' marginal intervals read, and not
+before.  ``scipy.special`` loads with the first Student quantile at other
+degrees of freedom (such as 3, the default tail index 1/3) or margin oracle
+that needs it, and ``scipy.optimize`` with the first true-expectile solve."""
 
 import os
 import subprocess
@@ -22,11 +23,14 @@ import numpy as np
 import tailjoint, tailjoint.cli
 
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def lazy_modules():
+    # scipy's, and statistics, which the normal quantile imports on first call
+    return sorted(
+        m for m in sys.modules if m in ("scipy", "statistics") or m.startswith("scipy.")
+    )
 
 
-print("after import:", *scipy_modules())
+print("after import:", *lazy_modules())
 
 copula = tailjoint.OracleTailCopula.logistic(2.0)
 tailjoint.theoretical_v_star_laws((0.15, 0.25), copula, 3.9)
@@ -34,7 +38,7 @@ tailjoint.run_mc_power(
     tailjoint.SimulationModel.gumbel_frechet(d=2), n=200, tau=0.9, tau_prime=0.99,
     M=3, alpha=0.05, master_seed=1,
 )
-print("after quadrature and power:", *scipy_modules())
+print("after quadrature and power:", *lazy_modules())
 
 with tempfile.TemporaryDirectory() as tmp:
     values = (1.0 - np.random.default_rng(1).random((300, 3))) ** -0.25
@@ -47,7 +51,7 @@ with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):
             code = tailjoint.cli.main(argv + ["--input", str(path), "--out", tmp])
         assert code == 0, (argv, code)
-print("after the commands:", *scipy_modules())
+print("after the commands:", *lazy_modules())
 
 with tempfile.TemporaryDirectory() as tmp:
     tailjoint.emit_csv(
@@ -57,7 +61,7 @@ with tempfile.TemporaryDirectory() as tmp:
         ),
         Path(tmp) / "draw.csv",
     )
-print("after a draw at gamma 1/4:", *scipy_modules())
+print("after a draw at gamma 1/4:", *lazy_modules())
 
 tailjoint.sample_model(
     tailjoint.SimulationModel.gaussian_student(d=2), 50, tailjoint.rng_stream(1, 0)
@@ -78,8 +82,8 @@ def test_analysis_path_loads_no_scipy():
     assert out == [
         "after import:",
         "after quadrature and power:",
-        "after the commands:",
-        "after a draw at gamma 1/4:",
+        "after the commands: statistics",
+        "after a draw at gamma 1/4: statistics",
         "after a draw: True False",
         "after expectile: True",
     ]
