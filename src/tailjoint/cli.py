@@ -27,7 +27,9 @@ import numpy as np
 from .covariance import _scan_v_star_laws
 from .equality_tests import _results
 from .errors import DomainError, IngestionError, LevelError, TailjointError
-from .inference import _by_group, _estimate_sample, _interval, _regions, region_boundary_points
+from .inference import (
+    _by_group, _check_alpha, _estimate_sample, _interval, _regions, region_boundary_points,
+)
 from .marginal import estimate_margins
 from .sample import (
     MultivariateSample,
@@ -146,8 +148,7 @@ def _methods(args) -> tuple[str, ...]:
 
 def _alpha(args) -> float:
     alpha = args.alpha if args.alpha is not None else 0.05
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"--alpha must lie in (0,1), got {alpha}")
+    _check_alpha(alpha)
     return alpha
 
 
@@ -172,17 +173,13 @@ def _emit_json(doc, out_dir, name: str) -> None:
 
 def _emit_csv_rows(header, rows, out_dir, name: str) -> None:
     """Rows through csv.writer, which quotes a cell holding a comma, such
-    as a failure message, and writes None as an empty cell; floats keep
-    _csv_cell's digits."""
+    as a failure message, and writes None as an empty cell; a float cell
+    comes formatted with 17 significant digits."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_csv_cell(x) for x in row] for row in rows)
+    writer.writerows(rows)
     _emit_text(text.getvalue(), out_dir, name)
-
-
-def _csv_cell(x):
-    return format(x, ".17g") if isinstance(x, float) else x
 
 
 def cmd_estimate(args) -> int:
@@ -379,16 +376,15 @@ def cmd_trace_scan(args) -> int:
         except LevelError as exc:
             results[k] = exc
     results.update(zip(levels, _scan_v_star_laws(sample, list(levels.values()))))
-    rows, errors = [], []
-    for k in ks:
-        if isinstance(results[k], TailjointError):
-            rows.append((k, math.nan, f"failed: {results[k]}"))
-            errors.append(str(results[k]))
-        else:
-            rows.append((k, float(np.trace(results[k])), "ok"))
-    if len(errors) == len(rows):
-        raise DomainError("trace scan failed at every k: " + errors[0])
-    _emit_csv_rows(("k", "trace", "status"), rows, args.out, "trace_scan.csv")
+    errors = {k: str(r) for k, r in results.items() if isinstance(r, TailjointError)}
+    if len(errors) == len(ks):
+        raise DomainError("trace scan failed at every k: " + errors[k_min])
+    ok = [k for k in ks if k not in errors]
+    traces = dict(zip(ok, np.array([results[k] for k in ok]).trace(axis1=1, axis2=2).tolist()))
+    # Every trace, and nan for a failed level, in one %.17g format.
+    cells = (",".join(["%.17g"] * len(ks)) % tuple(traces.get(k, math.nan) for k in ks)).split(",")
+    status = ["ok" if k in traces else f"failed: {errors[k]}" for k in ks]
+    _emit_csv_rows(("k", "trace", "status"), zip(ks, cells, status), args.out, "trace_scan.csv")
     return 2 if errors else 0
 
 
@@ -483,7 +479,8 @@ def cmd_simulate(args) -> int:
     _emit_json(docs, args.out, "simulate.json")
     if args.out is not None:
         header = sorted({key for doc in docs for key in doc})
-        rows = [[doc.get(key, "") for key in header] for doc in docs]
+        cells = ([doc.get(key, "") for key in header] for doc in docs)
+        rows = [[format(x, ".17g") if isinstance(x, float) else x for x in row] for row in cells]
         _emit_csv_rows(header, rows, args.out, "simulate.csv")
     return 0
 

@@ -434,8 +434,9 @@ def _nested_sums(sample: MultivariateSample, g, q, xi, tau):
     Gram entry and cross numerator is a sum over such sets of a product of
     residuals y - delta or of log x_j - log q_j, expanded into sums of
     products, of single terms and counts (``_set_sums``): one ``bincount``
-    of the rows by entry level and one ``cumsum`` along the levels each,
-    whatever the number of levels.  The pairs of margins run one at a time.
+    of the rows that enter by the last level, by entry level, and one
+    ``cumsum`` along the levels for all four, whatever the number of
+    levels.  The pairs of margins run one at a time.
 
     Margin j is scaled once by the power of two 2^-e_j that takes its
     largest |x| to [1/2, 1), and centred on its scaled xi c_j at the middle
@@ -499,16 +500,22 @@ def _entries(cuts, x, what: str) -> np.ndarray:
     return np.searchsorted(-cuts, -x, side="right").astype(np.int32)
 
 
-def _prefix(entry, levels: int, weights=None) -> np.ndarray:
-    """Over the rows that have entered by each of the levels, given each
-    row's entry level (levels for never): the integer count of those rows,
-    or the sum of their weights."""
-    return np.cumsum(np.bincount(entry, weights, minlength=levels + 1)[:levels])
+def _prefix(entry, levels: int) -> np.ndarray:
+    """The integer count of the rows that have entered by each of the
+    levels, given each row's entry level (levels for never)."""
+    return np.cumsum(np.bincount(entry[entry < levels], minlength=levels))
 
 
 def _set_sums(entry, u, v, mu, nu, levels: int):
     """The sums of (u - mu)(v - nu) and of v - nu over the rows that have
     entered by each of the levels (``_prefix``), with u and v per row and
-    mu and nu per level."""
-    uv, su, sv, count = (_prefix(entry, levels, w) for w in (u * v, u, v, None))
+    mu and nu per level.  The four weights u v, u, v and 1 of the rows that
+    enter are binned by one bincount, each in its own run of levels bins;
+    a bin sums its rows in row order, as a bincount of every row does."""
+    rows = np.flatnonzero(entry < levels)
+    e, u, v = entry[rows], u[rows], v[rows]
+    bins = np.concatenate((e, e + levels, e + 2 * levels, e + 3 * levels))
+    weights = np.concatenate((u * v, u, v, np.ones_like(u)))
+    sums = np.bincount(bins, weights, minlength=4 * levels).reshape(4, levels)
+    uv, su, sv, count = np.cumsum(sums, axis=1)
     return uv - nu * su - mu * sv + mu * nu * count, sv - nu * count

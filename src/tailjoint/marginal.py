@@ -172,7 +172,8 @@ def _hill_sorted(xs: np.ndarray, k, checks) -> np.ndarray:
     """Hill estimate of each ascending row of xs: at an effective size k, or,
     as (L, R), at each of an (L, 1) array of sizes.  A row whose threshold
     order statistic is not positive fails its sample or level (see
-    errors.Checks).  Each estimate is the mean over exactly its own top k."""
+    errors.Checks).  Each estimate is the mean over exactly its own top k,
+    summed as np.mean sums it and divided by k."""
     n = xs.shape[1]
     ks = np.ravel(k).tolist()
     for size in ks:
@@ -183,7 +184,7 @@ def _hill_sorted(xs: np.ndarray, k, checks) -> np.ndarray:
         lambda j: DomainError("Hill requires positive tail: threshold order statistic <= 0"),
     )
     gamma = np.array([
-        np.mean(np.log(xs[:, n - size :] / t[:, None]), axis=1)
+        np.add.reduce(np.log(xs[:, n - size :] / t[:, None]), axis=1) / size
         for size, t in zip(ks, thresholds)
     ])
     return gamma.reshape(np.shape(k)[:-1] + xs.shape[:1])
@@ -234,7 +235,7 @@ class MarginalTailEstimates:
                 f"got {self.tau}, {tau_prime}"
             )
         ratio = (1.0 - tau_prime) / (1.0 - self.tau)
-        return _per_element(lambda x: ratio**-x, self.gamma_hat)
+        return _per_element(lambda x: _power(ratio, -x), self.gamma_hat)
 
     def weissman_quantiles(self, tau_prime: float) -> np.ndarray:
         """Weissman extrapolated quantiles at level tau_prime, per margin."""
@@ -248,6 +249,14 @@ class MarginalTailEstimates:
         """QB-extrapolated expectiles at level tau_prime, per margin."""
         factors = self._factors(tau_prime)
         return _qb_factors(self.gamma_hat, checks) * (factors * self.q_hat)
+
+
+def _power(base: float, x: float) -> float:
+    """base**x in Python floats, inf where it overflows."""
+    try:
+        return base**x
+    except OverflowError:
+        return math.inf
 
 
 def _fit_sorted(xs: np.ndarray, tau, checks) -> MarginalTailEstimates:

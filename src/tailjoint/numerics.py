@@ -207,7 +207,8 @@ def _log_chi2_lower(x: float, a: float) -> float:
     y, the terms after a term t add up to less than t y / (b - y).  Its
     domain is below the median, where chi_square_quantile reads it (for
     p <= 1/2): the partial sums grow like e^y before the terms fall, and
-    are inf once y passes about 709."""
+    are inf once y passes about 709.  There, where the upper tail is below
+    1e-300, it is log1p of minus the upper tail (df = 2a an integer)."""
     if x == 0.0:
         return -math.inf
     y = 0.5 * x
@@ -219,6 +220,8 @@ def _log_chi2_lower(x: float, a: float) -> float:
         b += 1.0
         if b > y and t * y <= 1e-17 * s * (b - y):
             break
+    if s == math.inf:
+        return math.log1p(-chi_square_sf(x, round(2.0 * a)))
     return a * (math.log(x) - _LN2) - y - math.lgamma(a + 1.0) + math.log(s)
 
 

@@ -197,7 +197,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def effective_k(n: int, tau):
     """floor(n(1-tau)) with a guard against floating-point droop: an int for
-    a level tau, an integer array for an array of levels."""
+    a level tau (in Python floats, where it fits an int64), an integer array
+    for an array of levels."""
+    if isinstance(tau, float) and abs(x := n * (1.0 - tau) + 1e-9) < 2.0**63:
+        return math.floor(x)
     tau = np.asarray(tau, dtype=float)
     if not np.isfinite(tau).all():
         raise LevelError(f"tau must be finite, got {tau}")
@@ -274,7 +277,7 @@ def _parse_plain(text: str, start: int):
     only if it holds a row per line and every value is finite, and a dated
     text must hold a comma per line for every column after the first.
     """
-    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+    if '"' in text or "\0" in text:
         return None
     head, _, body = text.partition("\n")
     header = head.removesuffix("\r").split(",")
@@ -287,7 +290,11 @@ def _parse_plain(text: str, start: int):
     # The lines as a list, not as a StringIO, which would hold a 4-byte copy
     # of every character.  The C reader refuses a line break inside a line,
     # so a text that mixes \r\n and \n line ends is walked.
-    rows = body.split("\r\n" if "\r" in body else "\n")
+    crlf = "\r" in body
+    rows = body.split("\r\n" if crlf else "\n")
+    # Every \r ends the header or one of the \r\n that the split found.
+    if text.count("\r") != head.endswith("\r") + crlf * (len(rows) - 1):
+        return None
     try:
         values = np.loadtxt(
             rows, delimiter=",", comments=None, ndmin=2,

@@ -342,9 +342,10 @@ class McReport:
 
 # Replications per stack.  A stack shares the fixed cost of each numpy call
 # among its replications, and its (B, n, d) arrays add to the peak memory.
-# At n=1000, d=2 (the benchmark's mc_power workload on a 2-core Xeon) stacks
-# of 8, 12 and 16 took 0.70, 0.66 and 0.65 ms per power replication (2.17
-# one by one) and added 0.6, 1.3 and 2.2 MB of peak RSS.
+# At n=1000, d=2 (the benchmark's mc_power workload on a 2-core Xeon, medians
+# of 25 interleaved rounds) stacks of 12, 24, 48 and 100 took 0.46, 0.44,
+# 0.45 and 0.42 ms per power replication, within 10% of each other, while
+# stacks of 8, 12 and 16 added 0.6, 1.3 and 2.2 MB of peak RSS.
 _STACK = 12
 
 

@@ -161,7 +161,7 @@ class TestEstimate:
         (["--k", "1"], "--k must lie in [2, 499] for n=500"),
         (["--k", "500"], "--k must lie in [2, 499] for n=500"),
         (["--tau", "1.0"], "--tau must lie in (0,1), got 1.0"),
-        (["--k", "50", "--alpha", "0"], "--alpha must lie in (0,1), got 0.0"),
+        (["--k", "50", "--alpha", "0"], "alpha must be in (0,1), got 0.0"),
     ])
     def test_level_out_of_range_exits_1(self, data_csv, capsys, flags, message):
         assert main(["estimate", "--input", str(data_csv), *flags]) == 1
@@ -251,6 +251,25 @@ class TestTestCommand:
         assert capsys.readouterr() == (
             "", "error: equality tests require at least two margins\n"
         )
+
+    def test_overflowing_extrapolation_fails_its_rows(self, tmp_path, capsys):
+        # Column a: 450 values near 1e-150 and 50 near 1e150, so gamma-hat
+        # is about 690 at k=50 and its extrapolation factor overflows a
+        # float.  The rows that read it fail in-band; the others survive.
+        rng = np.random.default_rng(3)
+        a = np.concatenate([1e-150 * (1.0 + rng.random(450)), 1e150 * (1.0 + rng.random(50))])
+        rng.shuffle(a)
+        b = 1.0 + rng.pareto(3.0, 500)
+        csv = tmp_path / "huge.csv"
+        csv.write_text("a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist())))
+        assert main(["test", "--input", str(csv), "--k", "50"]) == 2
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out)["results"]
+        assert [(r["kind"], r["status"]) for r in rows] == [
+            ("laws", "failed"), ("qb", "failed"),
+            ("quantile", "ok"), ("extremal_coefficient", "ok"),
+        ]
+        assert captured.err == ""
 
 
 def write_failing_panel(path, d: int):

@@ -964,3 +964,45 @@ class TestScanVStarLaws:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] - peaks[0] < 400 * s.n * 8 / 4
+
+
+def binned_prefix(entry, levels: int, weights=None) -> np.ndarray:
+    """The reference of the nested sums: a bincount of every row, whose last
+    bin, of the rows that never enter, is dropped, then a cumsum."""
+    return np.cumsum(np.bincount(entry, weights, minlength=levels + 1)[:levels])
+
+
+def binned_set_sums(entry, u, v, mu, nu, levels: int):
+    uv, su, sv, count = (binned_prefix(entry, levels, w) for w in (u * v, u, v, None))
+    return uv - nu * su - mu * sv + mu * nu * count, sv - nu * count
+
+
+@st.composite
+def entry_cases(draw):
+    """Entry levels of n = 1..120 rows in [0, levels] (levels for never):
+    any, a tenth of the rows entering, all 0 or all levels; and per-row
+    values u, v and per-level values mu, nu of mixed signs and scales."""
+    n, levels = draw(st.integers(1, 120)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["any", "tail", "all 0", "all levels"]))
+    entry = {
+        "any": rng.integers(0, levels + 1, n),
+        "tail": np.where(rng.random(n) < 0.1, rng.integers(0, levels, n), levels),
+        "all 0": np.zeros(n, dtype=int),
+        "all levels": np.full(n, levels),
+    }[kind].astype(np.int32)
+    u, v = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-5, 6, (2, n))
+    mu, nu = rng.standard_normal((2, levels))
+    return entry, u, v, mu, nu, levels
+
+
+class TestNestedSums:
+    @given(entry_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_sums_over_the_rows_that_enter_equal_the_full_binning(self, case):
+        entry, *_, levels = case
+        got, want = covariance._prefix(entry, levels), binned_prefix(entry, levels)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        for got, want in zip(covariance._set_sums(*case), binned_set_sums(*case)):
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -9,8 +9,9 @@ from conftest import level_grid, tail_panels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailjoint.errors import DomainError, LevelError, TailjointError
+from tailjoint.errors import RAISE, DomainError, LevelError, TailjointError
 from tailjoint.marginal import (
+    _hill_sorted,
     _laws_sorted,
     _sums_sorted,
     estimate_margins,
@@ -264,6 +265,23 @@ class TestEmpiricalQuantile:
         assert empirical_quantile([3.0, 1.0, 2.0], 1e-9) == 1.0
 
 
+@st.composite
+def hill_cases(draw):
+    """Ascending positive rows of n = 3..80 points, continuous, tied
+    (rounded), integer, or scaled to 1e-300 or 1e300; and 1..12 effective
+    sizes in [1, n - 1], unsorted, some repeated."""
+    n, rows = draw(st.integers(3, 80)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.minimum(1.0 + rng.pareto(draw(st.floats(1.0, 6.0)), size=(rows, n)), 1e6)
+    kind = draw(st.sampled_from(["continuous", "tied", "integer", "tiny", "huge"]))
+    x = {
+        "continuous": x, "tied": np.round(x, 1), "integer": np.ceil(4.0 * x),
+        "tiny": x * 1e-300, "huge": x * 1e300,
+    }[kind]
+    sizes = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=12))
+    return np.sort(x, axis=1), sizes
+
+
 class TestHillEstimator:
     def test_exact_log_powers(self):
         assert hill_estimator([1.0, math.e, math.e**2], 2) == pytest.approx(
@@ -297,6 +315,21 @@ class TestHillEstimator:
     def test_bad_k(self):
         with pytest.raises(LevelError):
             hill_estimator([1.0, 2.0, 3.0], 3)
+
+    @given(hill_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_sizes_at_once_equal_each_size_alone(self, case):
+        # Each row of an (L, 1) array of sizes is its size's own call, and
+        # np.mean of its top log-excesses, to the bit.
+        xs, sizes = case
+        n = xs.shape[1]
+        got = _hill_sorted(xs, np.array(sizes)[:, None], RAISE)
+        assert got.shape == (len(sizes), len(xs))
+        for row, size in zip(got, sizes):
+            alone = _hill_sorted(xs, size, RAISE)
+            mean = np.mean(np.log(xs[:, n - size :] / xs[:, n - 1 - size, None]), axis=1)
+            assert np.array_equal(row.view(np.int64), alone.view(np.int64))
+            assert np.array_equal(alone.view(np.int64), mean.view(np.int64))
 
 
 class TestFitKeptOnSample:

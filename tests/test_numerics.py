@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 from conftest import gls_deviance
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -176,11 +176,13 @@ class TestAgainstScipy:
         # Beyond x = 1382 the upper tail is below 1e-300.
         assert_close(chi_square_sf(x, df), special.chdtrc(df, x), 5e-14 + 2.0 * EPS * x)
 
-    @given(st.integers(1, 12), st.floats(1e-3, 40.0))
+    @given(st.integers(1, 12), st.floats(1e-3, 2000.0))
+    @example(1, 1430.5)
     @settings(max_examples=400, deadline=None)
     def test_lower_series_matches_chdtr(self, df, x):
         # The series that the quantile reads for p <= 1/2, on and well
-        # beyond the lower side of every median of df <= 12.
+        # beyond the lower side of every median of df <= 12, and past
+        # x = 1418, where its partial sums overflow.
         got = math.exp(_log_chi2_lower(x, 0.5 * df))
         assert_close(got, special.chdtr(df, x), 5e-14 + 2.0 * EPS * x)
 

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tailjoint import sample
@@ -312,6 +312,18 @@ class TestLevels:
             TailLevelPair(tau=0.9995, tau_prime=0.9999, n=1000)  # k < 2
         with pytest.raises(LevelError, match="log d_n = 0"):
             TailLevelPair(tau=0.1, tau_prime=math.nextafter(0.1, 1.0), n=1000)
+
+    @given(st.integers(1, 10**7), st.floats(allow_nan=False, allow_infinity=False))
+    @example(5000, -1e308)  # n(1 - tau) overflows to inf
+    @example(5000, -1e20)  # finite, and beyond an int64
+    @example(5000, 1.0 - 50 / 5000)
+    @example(7, 1.0 - 2.0**-53)
+    @settings(max_examples=300, deadline=None)
+    def test_float_level_equals_its_array(self, n, tau):
+        with np.errstate(all="ignore"):  # the cast of a level beyond an int64
+            want = effective_k(n, np.array([tau]))[0]
+            got = effective_k(n, tau)
+        assert type(got) is int and got == want
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, np.array([0.9, math.nan])])
     def test_effective_k_of_a_non_finite_level(self, tau):
