@@ -28,12 +28,12 @@ sample through an ``errors.Checks``.  A single sample is the stack of one
 first failure.
 
 The n-long work reads the stack's column-major (B, d, n) rows
-(``sample._Stack``): the values, the sorted values, the row order and the
-ranks, so each margin's loop runs along one contiguous row.  The LAWS
-residuals phi are built there, each margin's scaled by the power of two of
-its xi-hat so that their Gram product phi phi^T cannot overflow or
-underflow, and the Hill/LAWS cross terms gather each margin's top k rows
-from them.
+(``sample._Stack``): the values, the sorted values and the row order (a
+stack holds no ranks), so each margin's loop runs along one contiguous
+row.  The LAWS residuals phi are built there, each margin's scaled by the
+power of two of its xi-hat so that their Gram product phi phi^T cannot
+overflow or underflow, and the Hill/LAWS cross terms gather each margin's
+top k rows from them.
 
 A scan over many levels of one sample, such as ``trace-scan``
 (``_scan_v_star_laws``), fits every level at once and builds no
@@ -56,7 +56,7 @@ import numpy as np
 from .errors import RAISE, Checks, DomainError, NumericError
 from .marginal import _check_qb, _fit_sorted, _sum_shift, estimate_margins, m_function
 from .numerics import SpdMatrix, _per_element, _spd_stack, integrate_1d_tail, integrate_tail_box
-from .sample import MultivariateSample, effective_k
+from .sample import MultivariateSample, _row_starts, effective_k
 from .taildep import (
     OracleTailCopula, _r11_cut, _r11_matrix, _top_pairs, _unit_integral_matrix,
 )
@@ -282,11 +282,11 @@ def _v_laws_raw(st, g, q, xi, tau: float, checks) -> tuple[np.ndarray, np.ndarra
     n = st.n
     mant, power = np.frexp(xi)
     surv = (st.sorted_columns > xi[..., None]).sum(axis=-1)
-    # phi_tau(y) = (1 - tau) y, or tau y above xi: where the rank is above
-    # n - surv.  Built in place, from y = (x - xi) 2^-e.
+    # phi_tau(y) = (1 - tau) y, or tau y above xi (the top surv ranks, in
+    # any tie order).  Built in place, from y = (x - xi) 2^-e.
     phi = st.columns - xi[..., None]
     phi *= np.ldexp(1.0, -power)[..., None]
-    phi *= np.where(st.ranks > n - surv[..., None], tau, 1.0 - tau)
+    phi *= np.where(st.columns > xi[..., None], tau, 1.0 - tau)
     mbar = phi @ np.swapaxes(phi, -1, -2) / n
     cross = _hill_laws_cross(st, phi, q, g, effective_k(n, tau))
     return _laws_blocks(g, mbar, cross, surv, tau, mant, n)
@@ -314,21 +314,19 @@ def _laws_blocks(g, mbar, cross, surv, tau, mant, n: int):
     return m, cross
 
 
-def _bias_qb(st, g, q, tau: float, checks) -> np.ndarray:
-    """The QB bias components of each sample of the stack st (see
-    estimate_bias_qb)."""
+def _bias_qb(st, g, q, checks) -> np.ndarray:
+    """The QB bias components of each sample of the stack st, without the
+    factor sqrt(n(1-tau)) of estimate_bias_qb: the bias shift itself."""
     _check_qb(g, checks)  # where the factor (1/g - 1)^g below is undefined
-    # Summed over the row-major values, in row order: a sum along the
-    # column-major rows would be pairwise, and differ in its last bits.  A
-    # margin whose sum would overflow is scaled down, and its q with it.
-    values, shift = st.values, _sum_shift(st.sorted_columns)
+    # Each mean is a sum along a column-major row, whatever the layout of
+    # the input.  A margin whose sum would overflow is scaled down, and its
+    # q with it.
+    columns, shift = st.columns, _sum_shift(st.sorted_columns)
     if shift.any():
-        values, q = np.ldexp(values, -shift[..., None, :]), np.ldexp(q, -shift)
-    means = values.mean(axis=-2)
-    root = math.sqrt(st.n * (1.0 - tau))
+        columns, q = np.ldexp(columns, -shift[..., None]), np.ldexp(q, -shift)
     # q-hat is the Hill threshold order statistic, which the fit has
     # already required to be positive.
-    comps = -g * (1.0 / g - 1.0) ** g * means * root / q
+    comps = -g * (1.0 / g - 1.0) ** g * columns.mean(axis=-1) / q
     checks(~np.isfinite(comps), lambda j: DomainError("bias components must be finite"))
     return comps
 
@@ -337,12 +335,14 @@ def estimate_bias_qb(sample: MultivariateSample, tau: float) -> np.ndarray:
     """First-order bias of the QB estimator, one component per margin:
     -gamma (gamma^{-1}-1)^gamma Xbar sqrt(n(1-tau)) / q-hat."""
     st, g, q, _ = _one(sample, tau)
-    return _bias_qb(st, g, q, tau, RAISE)[0]
+    comps = _bias_qb(st, g, q, RAISE)[0] * math.sqrt(sample.n * (1.0 - tau))
+    RAISE(~np.isfinite(comps), lambda j: DomainError("bias components must be finite"))
+    return comps
 
 
 def _sigma_q(st, g, tau: float) -> np.ndarray:
     """Plug-in (Hill, quantile) covariance of each sample of the stack st:
-    _sigma_q_blocks read from the ranks, through one ``_top_pairs`` mask."""
+    _sigma_q_blocks read from the top rows, through one ``_top_pairs`` mask."""
     top = _top_pairs(st, tau)
     return _sigma_q_blocks(g, _r11_matrix(top, st.n, tau), _unit_integral_matrix(top, st.n, tau))
 
@@ -385,10 +385,10 @@ def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
     of those k log-excesses with the residuals of the rows they sit in, and
     one sum of those residuals; the log is taken only on the top k.
     """
-    b, d, n = phi.shape
+    n = phi.shape[-1]
     # phi[b, l, r] of margin j's top k rows r, gathered by flat index.
-    first = np.arange(b)[:, None] * (d * n) + np.arange(d) * n  # (B, d): row starts
-    top = phi.ravel()[st.order[..., n - k :, None] + first[:, None, None, :]]  # (B, d, k, d)
+    first = _row_starts(phi.shape)[:, None, None, :, 0]  # (B, 1, 1, d)
+    top = phi.ravel()[st.order[..., n - k :, None] + first]  # (B, d, k, d)
     values, q = st.sorted_columns[..., n - k :], thresholds[..., None]
     s1 = (np.log(values / q)[..., None, :] @ top)[..., 0, :]
     s2 = np.where((values > q)[..., None], top, 0.0).sum(axis=-2)
@@ -455,7 +455,7 @@ def _nested_sums(sample: MultivariateSample, g, q, xi, tau):
     above = [_entries(xi[:, j], x[j], "LAWS expectiles") for j in range(d)]
     over = [_entries(q[:, j], x[j], "Hill thresholds") for j in range(d)]
     cut = _r11_cut(n, tau[:, 0])
-    top = [_entries(cut - 1, r, "tail copula cut-offs") for r in sample._stack.ranks[0]]
+    top = [_entries(cut - 1, r, "tail copula cut-offs") for r in sample.ranks.T]
     surv = np.stack([_prefix(e, levels) for e in above], axis=-1)
 
     a, b = 1.0 - tau[:, 0], 2.0 * tau[:, 0] - 1.0

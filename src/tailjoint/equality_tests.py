@@ -66,7 +66,7 @@ _TEST_NAMES = {"laws": "LAWS", "qb": "QB", "quantile": "quantile"}
 def _statistic(est: _Estimate):
     """The deviance statistic, GLS common mean and covariance scale of each
     sample of the estimate's stack: from its extrapolated center (B, d),
-    which must be positive, then its shift and its checked covariance,
+    which must be positive, then its checked covariance and its shift,
     built in that order."""
     levels, checks = est.levels, est.checks
     checks(
@@ -75,11 +75,11 @@ def _statistic(est: _Estimate):
             f"{_TEST_NAMES[est.method]} test requires positive extrapolated estimates"
         ),
     )
-    z = np.log(est.center) + est.shift()
+    covariance, z = est.covariance(), np.log(est.center) + est.shift()
     scale = (levels.log_dn / math.sqrt(levels.n * (1.0 - levels.tau))) ** 2
     # The GLS mean is the same under the scaled covariance, and the
     # deviance is divided by the scale.
-    mean, stat = _deviance(z, est.covariance(), checks)
+    mean, stat = _deviance(z, covariance, checks)
     return stat / scale, mean, scale
 
 

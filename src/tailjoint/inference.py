@@ -112,9 +112,9 @@ class _Estimate(NamedTuple):
     of the ``estimate`` command) or a stack of Monte Carlo replications
     (``simulation``), read by the same consumers: the region parts, the
     interval endpoints and the test statistic.  shift and covariance are
-    built on first call and then reused; each consumer calls them in its
-    own order, which fixes the error it raises when more than one input is
-    undefined.
+    built on first call and then reused; every consumer builds the
+    covariance first, so a LAWS estimate fails the LAWS check of its Hill
+    estimates before the QB check of its bias shift.
     """
 
     n: int
@@ -153,9 +153,7 @@ def _estimate(
     tau = fit.tau
     g, q, xi = fit.gamma_hat, fit.q_hat, fit.xi_laws
     zero = partial(np.zeros, g.shape)
-
-    def bias() -> np.ndarray:
-        return _bias_qb(st, g, q, tau, checks) / math.sqrt(st.n * (1.0 - tau))
+    bias = partial(_bias_qb, st, g, q, checks)
 
     def naive_diagonal(power: int) -> np.ndarray:
         # The independence-case variance 2g^power/(1-2g), ignoring both the
@@ -410,7 +408,7 @@ def _endpoints(est: _Estimate, j: int, alpha: float) -> tuple[np.ndarray, np.nda
     """The lower and upper endpoints (B,) of the log-scale interval for
     margin j of each sample of the estimate's stack, center x exp(shift -+
     half width).  A sample fails on a non-positive center, then on its
-    shift and its covariance, built in that order, then on an endpoint
+    covariance and its shift, built in that order, then on an endpoint
     that overflows."""
     _check_alpha(alpha)
     checks, center = est.checks, est.center[:, j]
@@ -419,8 +417,8 @@ def _endpoints(est: _Estimate, j: int, alpha: float) -> tuple[np.ndarray, np.nda
         lambda i: DomainError("log-scale interval requires a positive point estimate"),
     )
     root = math.sqrt(est.n * (1.0 - est.tau))
-    shift = est.shift()[:, j]
     var = est.covariance().entries[:, j, j]
+    shift = est.shift()[:, j]
     half = est.levels.log_dn / root * np.sqrt(var) * std_normal_quantile(1.0 - alpha / 2.0)
     with np.errstate(over="ignore"):
         lower, upper = center * np.exp(shift - half), center * np.exp(shift + half)

@@ -263,9 +263,13 @@ def _fit_sorted(xs: np.ndarray, tau, checks) -> MarginalTailEstimates:
     """The fit at level tau of each ascending row of xs, of any shape
     (..., n), in read-only arrays of shape xs.shape[:-1]: a sample's d
     margins, or a stack's (B, d).  The rows are fitted as one flat (-1, n)
-    array, in that order, each failing through checks.  For an (L, 1) array
-    of levels tau the arrays gain a leading axis of L, each level's exactly
-    as a call at that level alone gives it."""
+    array, in that order, each failing through checks; a finite level
+    outside (0, 1) raises first.  For an (L, 1) array of levels tau the
+    arrays gain a leading axis of L, each level's exactly as a call at that
+    level alone gives it."""
+    t = np.asarray(tau, dtype=float)
+    if np.any(np.isfinite(t) & ((t <= 0.0) | (t >= 1.0))):
+        raise LevelError(f"tau must be in (0,1), got {tau}")
     n = xs.shape[-1]
     rows = xs.reshape(-1, n)
     gamma = _hill_sorted(rows, effective_k(n, tau), checks)

@@ -24,13 +24,13 @@ class MultivariateSample:
     log-returns transform.
 
     The values are a read-only copy of the input.  On first use the sample
-    is sorted and ranked as a stack of one (``_stack``), by the
-    ``_stack_panels`` that every Monte Carlo stack runs: one argsort of the
-    values' column-major copy (``_column_order``: only a column with tied
-    values is sorted again, stably), so its order statistics and ranks equal
-    those of a stable argsort.  The marginal fit is computed once per level
-    tau (``marginal.estimate_margins``).  All are read-only and shared by
-    every estimator that reads this sample.
+    is sorted as a stack of one (``_stack``), by the ``_stack_panels`` that
+    every Monte Carlo stack runs: one argsort of the values' column-major
+    copy (``_column_order``: only a column with tied values is sorted again,
+    stably), so its row order and order statistics (and ``ranks``, built
+    from that order where read) equal those of a stable argsort.  The
+    marginal fit is computed once per level tau (``estimate_margins``).
+    All are read-only and shared by every estimator that reads this sample.
     """
 
     values: np.ndarray
@@ -104,53 +104,45 @@ class MultivariateSample:
     @cached_property
     def ranks(self) -> np.ndarray:
         """n x d per-column ranks, 1 = smallest, stable tie-breaking by
-        input order (read-only)."""
-        return self._stack.ranks[0].T
+        input order (read-only), for the readers of every rank."""
+        return _column_ranks(self._stack.order[0]).T
 
     def _group_stacks(self, m: int):
         """The groups of m evenly spaced margins of this sample as stacks, one
         per column offset s: the (B, m) margins (j, j + s, ...) of the
         stack's groups and their ``_Stack``.  So m = d gives the panel as a
-        stack of one, and m = 2 every pair, in d - 1 stacks.
-
-        The column-major rows are read-only strided views of this sample's,
-        with no copy.  The row-major values, which the QB bias averages, are
-        gathered, so that each group's mean sums its rows in the order that
-        a ``select()`` of the group does (see ``covariance._bias_qb``).
+        stack of one, and m = 2 every pair, in d - 1 stacks.  Each array
+        is a read-only strided view of this sample's rows, with no copy.
         """
-        rows = [a[0] for a in self._stack[1:]]
+        rows = [a[0] for a in self._stack]
         for s in range(1, (self.d - 1) // (m - 1) + 1):
             span = (m - 1) * s + 1
             groups = np.arange(self.d - span + 1)[:, None] + s * np.arange(m)
-            views = (
+            yield groups, _Stack(*(
                 sliding_window_view(a, span, axis=0)[..., ::s].swapaxes(-1, -2)
                 for a in rows
-            )
-            yield groups, _Stack(self.values[:, groups].swapaxes(0, 1), *views)
+            ))
 
 
 class _Stack(NamedTuple):
-    """B samples of one size n x d, stacked along a leading axis: the values
-    (B, n, d), which the QB bias averages, and, column-major as (B, d, n)
-    for the n-long work of the covariances, the values again, each column's
-    row order, its sorted values and its ranks (``_stack_panels``)."""
+    """B samples of one size n x d, stacked along a leading axis and held
+    column-major as (B, d, n), so that the n-long work runs along
+    contiguous rows: the values, each column's row order and its sorted
+    values (``_stack_panels``)."""
 
-    values: np.ndarray
     columns: np.ndarray
     order: np.ndarray
     sorted_columns: np.ndarray
-    ranks: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.values.shape[-2]
+        return self.columns.shape[-1]
 
 
 def _stack_panels(values: np.ndarray) -> _Stack:
-    """Sort and rank a (B, n, d) stack of panels (``_column_order``)."""
+    """Sort a (B, n, d) stack of panels (``_column_order``)."""
     columns = _read_only(np.ascontiguousarray(np.swapaxes(values, -1, -2)))
-    order, sorted_columns = _column_order(columns)
-    return _Stack(values, columns, order, sorted_columns, _column_ranks(order))
+    return _Stack(columns, *_column_order(columns))
 
 
 def _column_order(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,18 +154,24 @@ def _column_order(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     every column, but may put equal values in any order.  So the columns
     whose sorted values hold an adjacent equal pair are sorted again,
     stably, and their sorted values gathered again, because -0.0 == +0.0.
-    The sorted values of the first gather serve both the tie check and the
-    untied columns.  NaN is equal to nothing, so rows of NaN, which only a
-    replication that has failed its finiteness check holds, may differ in
+    The sorted values of the first flat gather serve both the tie check and
+    the untied columns.  NaN is equal to nothing, so rows of NaN, which only
+    a replication that has failed its finiteness check holds, may differ in
     order from a stable argsort."""
     order = np.argsort(columns, axis=-1)
-    xs = np.take_along_axis(columns, order, axis=-1)
+    flat, starts = columns.ravel(), _row_starts(columns.shape)
+    xs = np.take(flat, order + starts)
     tied = np.nonzero((xs[..., 1:] == xs[..., :-1]).any(axis=-1))
     if tied[0].size:
-        again = columns[tied]
-        order[tied] = np.argsort(again, axis=-1, kind="stable")
-        xs[tied] = np.take_along_axis(again, order[tied], axis=-1)
+        order[tied] = np.argsort(columns[tied], axis=-1, kind="stable")
+        xs[tied] = np.take(flat, order[tied] + starts[tied])
     return _read_only(order), _read_only(xs)
+
+
+def _row_starts(shape: tuple) -> np.ndarray:
+    """The flat index of the first entry of each row of a C-ordered array
+    of the given (..., n) shape, as a (..., 1) array."""
+    return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1] + (1,))
 
 
 def _column_ranks(order: np.ndarray) -> np.ndarray:

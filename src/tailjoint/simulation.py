@@ -5,9 +5,9 @@ Reproducibility contract: replication i of a run with master seed s draws
 exclusively from a counter-based generator keyed by (s, i), and results are
 reduced in replication order.  Outputs are therefore bit-identical for a
 given (model, n, M, master_seed).  Every harness runs on one engine
-(``_run_mc``): it draws stacks of replications, sorts, ranks and fits each
-stack at once, and hands it to the harness's outcome function, which runs
-the stacked code that the single-sample estimators, regions, intervals and
+(``_run_mc``): it draws stacks of replications, sorts and fits each stack
+at once, and hands it to the harness's outcome function, which runs the
+stacked code that the single-sample estimators, regions, intervals and
 tests run as a stack of one (``inference._estimate`` and its consumers), so
 each replication's outcome and failure are the single-sample call's.
 
@@ -357,12 +357,12 @@ def _outcomes(
     replication fails.
 
     Replication i draws from rng_stream(master_seed, i), as sample_model
-    does.  Stacks of _STACK replications are sorted, ranked and fitted at
-    tau at once, and outcome(st, fit, checks) returns a list of (B,) arrays
-    computed by the stacked code that the single-sample estimators,
-    regions, intervals and tests run as a stack of one; a failed check
-    marks its replication (errors.Checks), whose later arithmetic is
-    ignored.
+    does.  Stacks of _STACK replications are sorted (``sample._Stack``,
+    which holds no ranks) and fitted at tau at once, and outcome(st, fit,
+    checks) returns a list of (B,) arrays computed by the stacked code that
+    the single-sample estimators, regions, intervals and tests run as a
+    stack of one; a failed check marks its replication (errors.Checks),
+    whose later arithmetic is ignored.
     """
     outcomes = []
     for start in range(0, M, _STACK):

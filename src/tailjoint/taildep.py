@@ -1,9 +1,8 @@
 """Empirical tail copula, its pair matrices R(1,1) and unit integrals (each a
-sum over the one gather of the top ranks of every pair), the extremal
-coefficient, and analytic tail-copula oracles used for testing.  Every
-empirical quantity reads the sample's cached ranks, column-major as d x n
-rows (``_Stack.ranks``, of which ``MultivariateSample._stack`` is a
-stack of one)."""
+sum over one mask of the rows in the top ranks of every pair), the
+extremal coefficient, and analytic tail-copula oracles used for testing.
+The pair matrices read each margin's top rows from its row order
+(``sample._Stack``); only the tail copula of one pair reads every rank."""
 
 from __future__ import annotations
 
@@ -13,7 +12,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import integrate_unit_log
-from .sample import MultivariateSample, _check_margin
+from .sample import MultivariateSample, _check_margin, _row_starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +48,7 @@ def empirical_tail_copula(
     sample: MultivariateSample, tau: float, j: int, ell: int
 ) -> EmpiricalTailCopula:
     _check_pair(sample.d, tau, j, ell)
-    u = _tail_points(sample._stack.ranks[0], tau)
+    u = _tail_points(sample.ranks.T, tau)
     return EmpiricalTailCopula(sample.n, tau, u[j], u[ell])
 
 
@@ -85,13 +84,14 @@ def _r11_cut(n: int, tau):
 
 def _top_pairs(st, tau: float) -> np.ndarray:
     """(S, d, d, M) mask of a ``sample._Stack`` at level tau: entry (j, l, m)
-    says whether margin j's row of rank cut + m, the m-th of its rows of
-    rank cut..n (read through its row order), reaches the cut-off rank c
-    (``_r11_cut``) on margin l too: the rows in the top ranks of both."""
+    says whether margin j's row of rank cut + m, the m-th of the last M
+    rows of its row order, has a rank of at least cut (``_r11_cut``) on
+    margin l too, as read from a mask of every margin's last M rows."""
     cut = int(_r11_cut(st.n, tau))
-    rows = st.order[..., None, cut - 1 :]  # (S, d, 1, M)
-    margins = np.arange(st.ranks.shape[1])[:, None]
-    return st.ranks[np.arange(len(rows))[:, None, None, None], margins, rows] >= cut
+    rows, starts = st.order[..., cut - 1 :], _row_starts(st.order.shape)  # (S, d, M), (S, d, 1)
+    top = np.zeros(st.order.size, dtype=bool)
+    top[rows + starts] = True
+    return top[rows[..., None, :] + starts[:, None]]
 
 
 def _r11_matrix(top: np.ndarray, n: int, tau: float) -> np.ndarray:

@@ -118,6 +118,23 @@ def count_numpy_calls(monkeypatch, *names) -> list:
     return calls
 
 
+def count_rank_builds(monkeypatch) -> list:
+    """Record every rank array built (``sample._column_ranks``) and every
+    ``np.take_along_axis`` and ``np.put_along_axis`` call from here on, by
+    name; returns the record."""
+    from tailjoint import sample
+
+    calls = count_numpy_calls(monkeypatch, "take_along_axis", "put_along_axis")
+    original = sample._column_ranks
+
+    def counting(order):
+        calls.append("_column_ranks")
+        return original(order)
+
+    monkeypatch.setattr(sample, "_column_ranks", counting)
+    return calls
+
+
 def step_unit_integral(tc, axis: int) -> float:
     """Integral over (0,1] of R-hat(u,1)/u (axis 0) or R-hat(1,u)/u (axis 1)
     of an empirical tail copula, summed step by step: R-hat(., 1) is i/k on

@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_same_outcome, count_eighs, count_fits, count_numpy_calls
+from conftest import (
+    assert_same_outcome, count_eighs, count_fits, count_numpy_calls, count_rank_builds,
+)
 
 from tailjoint.cli import main, parse_model_spec
 from tailjoint.equality_tests import equality_test
@@ -253,15 +255,9 @@ class TestTestCommand:
         )
 
     def test_overflowing_extrapolation_fails_its_rows(self, tmp_path, capsys):
-        # Column a: 450 values near 1e-150 and 50 near 1e150, so gamma-hat
-        # is about 690 at k=50 and its extrapolation factor overflows a
-        # float.  The rows that read it fail in-band; the others survive.
-        rng = np.random.default_rng(3)
-        a = np.concatenate([1e-150 * (1.0 + rng.random(450)), 1e150 * (1.0 + rng.random(50))])
-        rng.shuffle(a)
-        b = 1.0 + rng.pareto(3.0, 500)
-        csv = tmp_path / "huge.csv"
-        csv.write_text("a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist())))
+        # The rows that read the overflowing factor fail in-band; the others
+        # survive.
+        csv = write_overflow_panel(tmp_path / "huge.csv")
         assert main(["test", "--input", str(csv), "--k", "50"]) == 2
         captured = capsys.readouterr()
         rows = json.loads(captured.out)["results"]
@@ -270,6 +266,29 @@ class TestTestCommand:
             ("quantile", "ok"), ("extremal_coefficient", "ok"),
         ]
         assert captured.err == ""
+
+    def test_laws_row_fails_with_the_laws_message(self, tmp_path, capsys):
+        # gamma-hat ~ 690 fails both the LAWS check (>= 1/2) and the QB one
+        # (>= 1) that the LAWS shift reads through the QB bias: the LAWS row
+        # of test names the LAWS check, as region --method laws does.
+        csv = write_overflow_panel(tmp_path / "huge.csv")
+        message = "tail too heavy for LAWS variance (Hill estimate >= 1/2) -- use QB"
+        assert main(["test", "--input", str(csv), "--k", "50"]) == 2
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert [r["error"] for r in rows if r["kind"] == "laws"] == [message]
+        assert main(["region", "--input", str(csv), "--k", "50", "--method", "laws"]) == 1
+        assert capsys.readouterr().err == f"error: all requested regions failed: {message}\n"
+
+
+def write_overflow_panel(path):
+    """Column a: 450 values near 1e-150 and 50 near 1e150, so gamma-hat is
+    about 690 at k=50 and its extrapolation factor overflows a float."""
+    rng = np.random.default_rng(3)
+    a = np.concatenate([1e-150 * (1.0 + rng.random(450)), 1e150 * (1.0 + rng.random(50))])
+    rng.shuffle(a)
+    b = 1.0 + rng.pareto(3.0, 500)
+    path.write_text("a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist())))
+    return path
 
 
 def write_failing_panel(path, d: int):
@@ -547,6 +566,14 @@ class TestTraceScan:
         calls = count_numpy_calls(monkeypatch, "sort", "argsort")
         counts = self.scan_call_counts(tmp_path, data_csv, calls)
         assert counts[0] == counts[1] <= 2
+
+    def test_ranks_built_once_per_panel(self, tmp_path, data_csv, monkeypatch):
+        calls = count_rank_builds(monkeypatch)
+        for k_max in (22, 120):
+            calls.clear()
+            assert main(["trace-scan", "--input", str(data_csv), "--k-min", "20",
+                         "--k-max", str(k_max), "--out", str(tmp_path / "out")]) == 0
+            assert calls.count("_column_ranks") == 1 and "take_along_axis" not in calls
 
     def test_bincounts_and_cumsums_do_not_grow_with_k_range(
         self, tmp_path, data_csv, monkeypatch
@@ -842,6 +869,21 @@ class TestFlagsPerCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"config key {key!r} is not a recognized flag" in captured.err
+
+
+class TestRanksPerCommand:
+    @pytest.mark.parametrize(
+        "argv", [["estimate"], ["test"], ["region"], ["region", "--intermediate"]]
+    )
+    def test_no_ranks_built(self, tmp_path, monkeypatch, capsys, argv):
+        # The stacks of estimate, region and test read each margin's row
+        # order and sorted values only: no rank array, and no
+        # take_along_axis or put_along_axis.
+        data = write_sample_csv(tmp_path / "d5.csv", n=1000, d=5, gamma=0.25)
+        calls = count_rank_builds(monkeypatch)
+        assert main([argv[0], "--input", str(data), "--k", "100", *argv[1:]]) == 0
+        capsys.readouterr()
+        assert calls == []
 
 
 class TestFitsPerCommand:

@@ -22,6 +22,7 @@ from tailjoint.covariance import (
 )
 from tailjoint.errors import (
     RAISE,
+    Checks,
     DomainError,
     NotPositiveSemidefiniteError,
     NumericError,
@@ -38,7 +39,7 @@ from tailjoint.marginal import (
 )
 from tailjoint.numerics import _QUAD_TOL, CLIP_RTOL
 from tailjoint.sample import (
-    MultivariateSample, TailLevelPair, _stack_panels, effective_k, tau_from_k,
+    MultivariateSample, TailLevelPair, _column_ranks, _stack_panels, effective_k, tau_from_k,
 )
 from tailjoint.simulation import SimulationModel, rng_stream, sample_model
 from tailjoint.taildep import OracleTailCopula, empirical_tail_copula
@@ -341,6 +342,20 @@ class TestEstimateBiasQb:
             expected = -g * (1.0 / g - 1.0) ** g * col.mean() * root / q
             assert b[j] == pytest.approx(expected, rel=1e-12)
 
+    def test_components_beyond_the_float_range_raise(self):
+        # Half the column at -8e307: each component is finite, about 9e307,
+        # until it is scaled by sqrt(n(1 - tau)) = sqrt(10).
+        rng = np.random.default_rng(0)
+        x = np.concatenate([
+            np.full(50, -8e307), np.full(39, 0.1), [0.2], 0.2 * np.exp(rng.exponential(0.3, 10)),
+        ])
+        s = MultivariateSample(x[:, None], ("a",))
+        stack, g, q, _ = covariance._one(s, 0.9)
+        assert np.isfinite(covariance._bias_qb(stack, g, q, RAISE)).all()
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match="bias components must be finite"):
+                estimate_bias_qb(s, 0.9)
+
 
 def laws_variance_oracle(sample, tau):
     """Independent straight-line evaluation of the intermediate LAWS
@@ -478,19 +493,38 @@ class TestEstimateSigmaLawsExactness:
             assert np.max(np.abs(sigma - want)) <= 1e-13 * scale
 
 
-def row_major_laws(st, g, q, xi, tau):
+@st.composite
+def tied_stacks(draw) -> np.ndarray:
+    """A (B, n, d) stack of B = 1..3 panels (n = 20..80, d = 1..3) of
+    Pareto-tailed columns rounded to 0, 1 or 2 decimals: ties at xi-hat,
+    at the Hill threshold and at R-hat's cut-off."""
+    b, n, d = draw(st.integers(1, 3)), draw(st.integers(20, 80)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = (1.0 - rng.random((b, n, d))) ** -draw(st.floats(0.05, 0.45))
+    return np.round(draw(st.sampled_from([1.0, 4.0])) * x, draw(st.integers(0, 2)))
+
+
+def row_major_laws(st, g, q, xi, tau, by_rank=False):
     """The raw LAWS covariance and the Hill/LAWS cross terms of each sample
     of the stack st, built on its row-major (n, d) values: the residuals
-    phi = asymmetric_weight(x - xi) with the weight chosen by sign, their
-    Gram phi^T phi, and the cross terms from the (k, d) rows of phi that
-    each margin's top k rows hold.  The reference that the column-major
-    builder (covariance._v_laws_raw) equals bit for bit."""
+    phi = asymmetric_weight(x - xi) with the weight chosen by sign, or, by
+    rank, tau on each margin's top surv ranks (surv its values above xi)
+    and 1 - tau below, their Gram phi^T phi, and the cross terms from the
+    (k, d) rows of phi that each margin's top k rows hold.  The reference
+    that the column-major builder (covariance._v_laws_raw) equals bit for
+    bit."""
     n, d = st.n, g.shape[-1]
     omt, k = 1.0 - tau, effective_k(n, tau)
+    rows = np.ascontiguousarray(np.swapaxes(st.columns, -1, -2))
     vlaws, cross = np.empty((len(g), d, d)), np.empty((len(g), d, d))
     for b, gb in enumerate(g):
-        phi = asymmetric_weight(st.values[b] - xi[b], tau)
-        surv = (st.sorted_columns[b] > xi[b][:, None]).sum(axis=-1) / n
+        count = (st.sorted_columns[b] > xi[b][:, None]).sum(axis=-1)
+        if by_rank:
+            above = _column_ranks(st.order[b]).T > n - count
+            phi = np.where(above, tau, 1.0 - tau) * (rows[b] - xi[b])
+        else:
+            phi = asymmetric_weight(rows[b] - xi[b], tau)
+        surv = count / n
         vlaws[b] = np.outer(gb, gb) * (phi.T @ phi / n) / (omt * np.outer(xi[b], xi[b]))
         np.fill_diagonal(
             vlaws[b],
@@ -523,6 +557,26 @@ class TestColumnMajorLaws:
         off = ~np.eye(g.shape[-1], dtype=bool)
         assert np.array_equal(sigma[:, 1::2, 1::2], vlaws)
         assert np.array_equal(sigma[:, 0::2, 1::2][:, off], cross[:, off])
+
+    @given(tied_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_weight_above_xi_is_the_weight_of_the_top_ranks(self, values):
+        # phi's weight is tau where a value lies above xi-hat; the reference
+        # puts it on each margin's top surv ranks.  Every level of the
+        # samples that pass their checks, with ties at xi-hat, at the Hill
+        # threshold and at R-hat's cut-off.
+        stack, n = _stack_panels(values), values.shape[1]
+        for k in range(1, n):
+            tau = tau_from_k(n, k)
+            checks = Checks(len(values))
+            with np.errstate(all="ignore"):
+                fit = _fit_sorted(stack.sorted_columns, tau, checks)
+                g, q, xi = fit.gamma_hat, fit.q_hat, fit.xi_laws
+                got = covariance._v_laws_raw(stack, g, q, xi, tau, checks)
+                want = row_major_laws(stack, g, q, xi, tau, by_rank=True)
+            ok = np.array([error is None for error in checks.first])
+            for a, b in zip(got, want):
+                assert np.array_equal(a[ok], b[ok])
 
     def test_replication_stack(self):
         model = SimulationModel.gumbel_frechet(d=3, gamma=0.25)

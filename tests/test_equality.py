@@ -224,11 +224,12 @@ class TestStatisticConstruction:
             fit.xi_qb
         result = equality_test(s, 0.95, 0.999, "quantile")
         assert math.isfinite(result.statistic) and 0.0 <= result.p_value <= 1.0
-        # The LAWS test shifts by the QB bias, which needs the QB factor: it
-        # fails with that message, not with NaN bias components.
+        # The LAWS test shifts by the QB bias, which needs the QB factor, but
+        # its own check of the Hill estimates comes first: it fails with the
+        # LAWS message, not the QB one nor NaN bias components.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(DomainError, match="QB factor"):
+            with pytest.raises(DomainError, match="tail too heavy for LAWS variance"):
                 equality_test(s, 0.95, 0.999, "laws")
 
     def test_unequal_tails_eventually_rejected(self):

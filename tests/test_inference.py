@@ -1,15 +1,19 @@
 """Confidence ellipsoids and marginal intervals."""
 
+import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tailjoint.covariance import estimate_bias_qb
-from conftest import count_eighs, count_fits
+from conftest import count_eighs, count_fits, tail_panels
 
 from tailjoint.equality_tests import equality_test
-from tailjoint.errors import DomainError, LevelError, NumericError
+from tailjoint.errors import DomainError, LevelError, NumericError, TailjointError
 from tailjoint.inference import (
     ConfidenceRegion,
     _estimate_sample,
@@ -259,6 +263,47 @@ class TestScaleEquivariance:
             assert np.allclose(r_big.center, 2.0**1013 * r.center, rtol=1e-12)
             t, t_big = (equality_test(x, tau, TAU_PRIME, method) for x in (s, big))
             assert t_big.statistic == pytest.approx(t.statistic, rel=1e-9)
+
+
+def every_outcome(s, tau) -> list:
+    """The QB bias, the regions, the intervals and the equality tests of the
+    sample at tau, as exact text, or the class and message of the error."""
+    calls = [partial(estimate_bias_qb, s, tau)]
+    calls += [
+        partial(confidence_region, s, tau, tau_prime, ALPHA, method)
+        for tau_prime in (None, TAU_PRIME) for method in ("laws", "qb")
+    ]
+    calls += [
+        partial(marginal_interval, s, tau, TAU_PRIME, j, ALPHA, method)
+        for j in range(s.d) for method in ("laws", "qb")
+    ]
+    calls += [partial(equality_test, s, tau, TAU_PRIME, kind, ALPHA) for kind in ("laws", "qb", "quantile")]
+    out = []
+    for call in calls:
+        try:
+            got = call()
+        except TailjointError as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append(got.tobytes() if isinstance(got, np.ndarray)
+                       else json.dumps(got.to_json_dict()) if isinstance(got, ConfidenceRegion)
+                       else repr(got))
+    return out
+
+
+class TestLayout:
+    """A panel and its Fortran-ordered copy give the same bits: each sum
+    over a margin's values runs along the sample's column-major rows,
+    whatever the layout of the input."""
+
+    @given(tail_panels(), st.integers(2, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_c_and_f_ordered_copies_agree(self, s, k):
+        assume(s.d >= 2 and k <= s.n - 1)
+        f = MultivariateSample(np.asfortranarray(s.values), s.labels)
+        assert s.values.flags.c_contiguous and f.values.flags.f_contiguous
+        tau = tau_from_k(s.n, k)
+        assert every_outcome(f, tau) == every_outcome(s, tau)
 
 
 class TestMarginalIntervals:

@@ -332,6 +332,29 @@ class TestHillEstimator:
             assert np.array_equal(alone.view(np.int64), mean.view(np.int64))
 
 
+class TestFitLevelCheck:
+    """A level outside (0, 1) is a LevelError of the fit itself, raised
+    before its effective size is formed: no cast warning (an error under
+    this suite's settings) and no Hill message about a negative k."""
+
+    @pytest.mark.parametrize(
+        "tau, message",
+        [(-1e20, r"tau must be in \(0,1\), got -1e\+20"),
+         (0.0, r"tau must be in \(0,1\), got 0.0"),
+         (1.0, r"tau must be in \(0,1\), got 1.0"),
+         (1.5, r"tau must be in \(0,1\), got 1.5"),
+         (math.nan, "tau must be finite, got nan")],
+    )
+    def test_level_outside_the_unit_interval(self, tau, message):
+        x = np.arange(1.0, 101.0)
+        with pytest.raises(LevelError, match=message):
+            fit_column(x, tau)
+        s = MultivariateSample(x[:, None], ("a",))
+        with pytest.raises(LevelError, match=message):
+            estimate_margins(s, tau)
+        assert s._fits == {}
+
+
 class TestFitKeptOnSample:
     def test_fit_arrays_read_only(self):
         rng = np.random.default_rng(3)

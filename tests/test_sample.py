@@ -19,6 +19,7 @@ from tailjoint.sample import (
     MultivariateSample,
     TailLevelPair,
     _column_order,
+    _column_ranks,
     _stack_panels,
     effective_k,
     emit_csv,
@@ -228,7 +229,7 @@ class TestColumnOrder:
         stack = _stack_panels(x)
         assert np.array_equal(stack.order, order)
         assert np.array_equal(bits(stack.sorted_columns), bits(xs))
-        assert np.array_equal(stack.ranks, ranks)
+        assert np.array_equal(_column_ranks(stack.order), ranks)
         assert np.array_equal(bits(stack.columns), bits(np.swapaxes(x, -1, -2)))
 
     @given(tied_stacks())
@@ -239,7 +240,7 @@ class TestColumnOrder:
         assert np.array_equal(s._stack.order[0], order)
         assert np.array_equal(bits(s.sorted_columns), bits(xs))
         assert np.array_equal(s.ranks, ranks.T)
-        assert np.array_equal(s._stack.ranks[0], ranks)
+        assert np.array_equal(_column_ranks(s._stack.order[0]), ranks)
 
     def test_untied_panel_sorts_once(self, monkeypatch):
         x = np.random.default_rng(4).standard_normal((3, 50, 2))
@@ -271,11 +272,10 @@ class TestGroupStacks:
         seen = []
         for groups, stack in s._group_stacks(m):
             want = _stack_panels(values[:, groups].swapaxes(0, 1))
-            assert np.array_equal(bits(stack.values), bits(want.values))
             assert np.array_equal(bits(stack.columns), bits(want.columns))
             assert np.array_equal(stack.order, want.order)
             assert np.array_equal(bits(stack.sorted_columns), bits(want.sorted_columns))
-            assert np.array_equal(stack.ranks, want.ranks)
+            assert np.array_equal(_column_ranks(stack.order), _column_ranks(want.order))
             seen += [tuple(g) for g in groups.tolist()]
         assert sorted(seen) == list(itertools.combinations(range(d), m))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from conftest import assert_same_outcome, count_fits, record_outcomes
+from conftest import assert_same_outcome, count_fits, count_rank_builds, record_outcomes
 
 from tailjoint.equality_tests import equality_test
 from tailjoint.errors import (
@@ -488,6 +488,13 @@ class TestStackedPower:
         assert len(got) == M
         for i, outcome in enumerate(got):
             assert_same_outcome(outcome, lambda: self.serial(model, seed, i, methods))
+
+    def test_no_ranks_built(self, monkeypatch):
+        # A stack reads each margin's row order and sorted values only: no
+        # rank array, and no take_along_axis or put_along_axis.
+        calls = count_rank_builds(monkeypatch)
+        run_mc_power(self.FAILING, self.N, self.TAU, self.TAU_PRIME, _STACK + 1, self.ALPHA, 4)
+        assert calls == []
 
     def test_report_reduces_stacked_outcomes(self, monkeypatch):
         M, methods = _STACK + 1, ("laws", "qb")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailjoint.errors import DomainError
-from tailjoint.sample import MultivariateSample
+from tailjoint.sample import MultivariateSample, _column_ranks, _stack_panels
 from tailjoint.taildep import (
     OracleTailCopula,
     _r11_cut,
@@ -101,9 +101,23 @@ class TestR11Matrix:
     @settings(max_examples=40, deadline=None)
     def test_rank_cut_off_equals_indicator_product(self, s):
         for tau in level_grid(s.n):
-            top = (_tail_points(s._stack.ranks[0], tau) <= 1.0).astype(float).T
+            top = (_tail_points(s.ranks.T, tau) <= 1.0).astype(float).T
             want = top.T @ top / (s.n * (1.0 - tau))
             assert np.array_equal(_r11_matrix(_top_pairs(s._stack, tau), s.n, tau)[0], want)
+
+    @given(tail_panels())
+    @settings(max_examples=60, deadline=None)
+    def test_order_marks_equal_rank_mask(self, s):
+        # The mask marked through the row order is the one read from the
+        # ranks, on a stack of the panel and its reversal: rounded values
+        # and constant runs put ties at the cut-off rank.
+        stack = _stack_panels(np.stack([s.values, s.values[::-1]]))
+        ranks = _column_ranks(stack.order)
+        for tau in level_grid(s.n):
+            cut = int(_r11_cut(s.n, tau))
+            rows = stack.order[..., None, cut - 1 :]
+            want = ranks[np.arange(2)[:, None, None, None], np.arange(s.d)[:, None], rows] >= cut
+            assert np.array_equal(_top_pairs(stack, tau), want)
 
     @given(n=st.integers(4, 6000), k=st.integers(1, 5999), tau=st.floats(1e-9, 1.0 - 1e-9))
     @settings(max_examples=200, deadline=None)
