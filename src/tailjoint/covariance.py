@@ -28,12 +28,12 @@ sample through an ``errors.Checks``.  A single sample is the stack of one
 first failure.
 
 The n-long work reads the stack's column-major (B, d, n) rows
-(``sample._Stack``): the values, the sorted values and the row order (a
-stack holds no ranks), so each margin's loop runs along one contiguous
-row.  The LAWS residuals phi are built there, each margin's scaled by the
-power of two of its xi-hat so that their Gram product phi phi^T cannot
-overflow or underflow, and the Hill/LAWS cross terms gather each margin's
-top k rows from them.
+(``sample._Stack``): the values, the sorted values and the row order of
+each margin's top rows (a stack holds no ranks), so each margin's loop
+runs along one contiguous row.  The LAWS residuals phi are built there,
+each margin's scaled by the power of two of its xi-hat so that their Gram
+product phi phi^T cannot overflow or underflow, and the Hill/LAWS cross
+terms gather each margin's top k rows from them.
 
 A scan over many levels of one sample, such as ``trace-scan``
 (``_scan_v_star_laws``), fits every level at once and builds no
@@ -385,10 +385,10 @@ def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
     of those k log-excesses with the residuals of the rows they sit in, and
     one sum of those residuals; the log is taken only on the top k.
     """
-    n = phi.shape[-1]
+    n, kept = phi.shape[-1], st.order.shape[-1]
     # phi[b, l, r] of margin j's top k rows r, gathered by flat index.
     first = _row_starts(phi.shape)[:, None, None, :, 0]  # (B, 1, 1, d)
-    top = phi.ravel()[st.order[..., n - k :, None] + first]  # (B, d, k, d)
+    top = phi.ravel()[st.order[..., kept - k :, None] + first]  # (B, d, k, d)
     values, q = st.sorted_columns[..., n - k :], thresholds[..., None]
     s1 = (np.log(values / q)[..., None, :] @ top)[..., 0, :]
     s2 = np.where((values > q)[..., None], top, 0.0).sum(axis=-2)
@@ -494,10 +494,15 @@ def _nested_sums(sample: MultivariateSample, g, q, xi, tau):
 def _entries(cuts, x, what: str) -> np.ndarray:
     """The level at which each value of x enters the sets {x > cut} of a
     sequence of levels, whose cut-offs cuts fall or stay: the first level
-    whose cut-off is below it, or len(cuts) for none."""
+    whose cut-off is below it, or len(cuts) for none.  Only the values
+    above the last cut-off are searched for, unless a cut-off is NaN (a
+    failed level), which searchsorted orders last."""
     if np.any(cuts[1:] > cuts[:-1]):
         raise NumericError(f"{what} rise with k: the scan's tail sets are not nested")
-    return np.searchsorted(-cuts, -x, side="right").astype(np.int32)
+    entry = np.full(x.shape, len(cuts), dtype=np.int32)
+    rows = np.flatnonzero((x > cuts[-1]) | np.isnan(cuts).any())
+    entry[rows] = np.searchsorted(-cuts, -x[rows], side="right")
+    return entry
 
 
 def _prefix(entry, levels: int) -> np.ndarray:

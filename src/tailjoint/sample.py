@@ -25,12 +25,13 @@ class MultivariateSample:
 
     The values are a read-only copy of the input.  On first use the sample
     is sorted as a stack of one (``_stack``), by the ``_stack_panels`` that
-    every Monte Carlo stack runs: one argsort of the values' column-major
-    copy (``_column_order``: only a column with tied values is sorted again,
-    stably), so its row order and order statistics (and ``ranks``, built
-    from that order where read) equal those of a stable argsort.  The
-    marginal fit is computed once per level tau (``estimate_margins``).
-    All are read-only and shared by every estimator that reads this sample.
+    every Monte Carlo stack runs, but keeping the order of all n rows: one
+    argsort of the values' column-major copy (``_column_order``: only a
+    column with tied values is sorted again, stably), so its row order and
+    order statistics (and ``ranks``, built from that order where read)
+    equal those of a stable argsort.  The marginal fit is computed once per
+    level tau (``estimate_margins``).  All are read-only and shared by
+    every estimator that reads this sample.
     """
 
     values: np.ndarray
@@ -127,8 +128,10 @@ class MultivariateSample:
 class _Stack(NamedTuple):
     """B samples of one size n x d, stacked along a leading axis and held
     column-major as (B, d, n), so that the n-long work runs along
-    contiguous rows: the values, each column's row order and its sorted
-    values (``_stack_panels``)."""
+    contiguous rows (``_stack_panels``): the values, the row order of each
+    column's top T rows, as (B, d, T), and its sorted values.  Readers
+    take a column's top rows from the end of its order, and the flat
+    start of each row from the shape of ``columns``."""
 
     columns: np.ndarray
     order: np.ndarray
@@ -139,33 +142,55 @@ class _Stack(NamedTuple):
         return self.columns.shape[-1]
 
 
-def _stack_panels(values: np.ndarray) -> _Stack:
-    """Sort a (B, n, d) stack of panels (``_column_order``)."""
+def _stack_panels(values: np.ndarray, top: int | None = None) -> _Stack:
+    """Sort a (B, n, d) stack of panels (``_column_order``), keeping the row
+    order of each column's top rows, all n of them by default."""
     columns = _read_only(np.ascontiguousarray(np.swapaxes(values, -1, -2)))
-    return _Stack(columns, *_column_order(columns))
+    return _Stack(columns, *_column_order(columns, top))
 
 
-def _column_order(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row order of each row of (..., d, n) columns, ties kept in input
-    order, and the row sorted ascending, both (..., d, n) and read-only:
-    those of a stable argsort.
+def _column_order(columns: np.ndarray, top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The row order of the top rows (1..n, all n by default) of each row of
+    (..., d, n) columns, as (..., d, top), and the row sorted ascending, as
+    (..., d, n), both read-only: the last top entries of a stable argsort's
+    order, and its sorted values.
 
-    One argsort of numpy's default kind (SIMD where the CPU has it) orders
-    every column, but may put equal values in any order.  So the columns
-    whose sorted values hold an adjacent equal pair are sorted again,
-    stably, and their sorted values gathered again, because -0.0 == +0.0.
-    The sorted values of the first flat gather serve both the tie check and
-    the untied columns.  NaN is equal to nothing, so rows of NaN, which only
-    a replication that has failed its finiteness check holds, may differ in
-    order from a stable argsort."""
-    order = np.argsort(columns, axis=-1)
+    With all n rows, one argsort of numpy's default kind (SIMD where the
+    CPU has it) orders every column, and one flat gather gives the sorted
+    values.  With fewer, np.sort gives them, and one default-kind argsort
+    orders a column's top rows: the positions at or above its order
+    statistic n - top (from 0).  Either may put equal values in any order,
+    and a column with ties may have more rows at or above it.  So the
+    columns whose sorted values hold an adjacent equal pair, or NaN (only
+    in a replication that has failed its finiteness check), are sorted
+    again, whole and stably, and their sorted values gathered again,
+    because -0.0 == +0.0."""
+    n = columns.shape[-1]
+    top = n if top is None else top
     flat, starts = columns.ravel(), _row_starts(columns.shape)
-    xs = np.take(flat, order + starts)
-    tied = np.nonzero((xs[..., 1:] == xs[..., :-1]).any(axis=-1))
-    if tied[0].size:
-        order[tied] = np.argsort(columns[tied], axis=-1, kind="stable")
-        xs[tied] = np.take(flat, order[tied] + starts[tied])
+    if top < n:
+        xs = np.sort(columns, axis=-1)
+        redo = _ties_or_nan(xs)
+        above = columns >= xs[..., n - top, None]
+        above[redo] = np.arange(n) >= n - top  # so each row marks top; redone below
+        at = np.flatnonzero(above).reshape(columns.shape[:-1] + (top,))
+        by_value = np.argsort(flat[at], axis=-1) + _row_starts(at.shape)
+        order = np.take(at - starts, by_value)
+    else:
+        order = np.argsort(columns, axis=-1)
+        xs = np.take(flat, order + starts)
+        redo = _ties_or_nan(xs)
+    if redo[0].size:
+        full = np.argsort(columns[redo], axis=-1, kind="stable")
+        order[redo] = full[..., n - top :]
+        xs[redo] = np.take(flat, full + starts[redo])
     return _read_only(order), _read_only(xs)
+
+
+def _ties_or_nan(xs: np.ndarray) -> tuple:
+    """The indices of the ascending rows of xs that hold an adjacent equal
+    pair or NaN (which sorts last)."""
+    return np.nonzero((xs[..., 1:] == xs[..., :-1]).any(axis=-1) | np.isnan(xs[..., -1]))
 
 
 def _row_starts(shape: tuple) -> np.ndarray:
@@ -196,13 +221,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def effective_k(n: int, tau):
     """floor(n(1-tau)) with a guard against floating-point droop: an int for
     a level tau (in Python floats, where it fits an int64), an integer array
-    for an array of levels."""
+    for an array of levels.  A level that is not finite, or whose
+    n(1-tau) does not fit an int64, raises LevelError."""
     if isinstance(tau, float) and abs(x := n * (1.0 - tau) + 1e-9) < 2.0**63:
         return math.floor(x)
     tau = np.asarray(tau, dtype=float)
     if not np.isfinite(tau).all():
         raise LevelError(f"tau must be finite, got {tau}")
-    k = np.floor(n * (1.0 - tau) + 1e-9).astype(np.int64)
+    with np.errstate(over="ignore"):  # n(1 - tau) beyond a double: inf
+        x = n * (1.0 - tau) + 1e-9
+    beyond = ~(np.abs(x) < 2.0**63)
+    if beyond.any():
+        t = float(tau[beyond].flat[0])
+        raise LevelError(f"tau={t!r} gives n(1-tau)={n * (1.0 - t)!r}, beyond an int64")
+    k = np.floor(x).astype(np.int64)
     return k if k.ndim else int(k)
 
 

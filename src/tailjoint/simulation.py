@@ -4,9 +4,12 @@ Carlo harnesses for MSE, region coverage, interval coverage and test power.
 Reproducibility contract: replication i of a run with master seed s draws
 exclusively from a counter-based generator keyed by (s, i), and results are
 reduced in replication order.  Outputs are therefore bit-identical for a
-given (model, n, M, master_seed).  Every harness runs on one engine
+given (model, n, M, master_seed).  A run keys one Philox generator afresh
+before each replication (``_rekey``), to the state that rng_stream(s, i)
+starts in.  Every harness runs on one engine
 (``_run_mc``): it draws stacks of replications, sorts and fits each stack
-at once, and hands it to the harness's outcome function, which runs the
+at once (keeping the row order of only the top rows that its estimators
+read), and hands it to the harness's outcome function, which runs the
 stacked code that the single-sample estimators, regions, intervals and
 tests run as a stack of one (``inference._estimate`` and its consumers), so
 each replication's outcome and failure are the single-sample call's.
@@ -36,6 +39,7 @@ from .equality_tests import _statistic
 from .marginal import _check_hill_size, _fit_sorted, _qb_factors
 from .numerics import _ndtr, _per_element, _quadratic_form, chi_square_quantile
 from .sample import MultivariateSample, TailLevelPair, _stack_panels, effective_k
+from .taildep import _r11_cut
 
 _PAIRWISE_CORRELATIONS = {
     2: {(0, 1): 0.8},
@@ -151,6 +155,21 @@ def rng_stream(master_seed: int, stream_index: int) -> np.random.Generator:
             raise DomainError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     key = np.array([master_seed, stream_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+def _rekey(rng: np.random.Generator, master_seed: int, stream_index: int) -> np.random.Generator:
+    """rng, its Philox set to the state in which rng_stream(master_seed,
+    stream_index) starts: that key, counter 0 and an empty buffer.  The
+    setter copies the arrays; it is a fifth of the cost of a new Philox."""
+    key = np.array([master_seed, stream_index], dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def _positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -342,10 +361,11 @@ class McReport:
 
 # Replications per stack.  A stack shares the fixed cost of each numpy call
 # among its replications, and its (B, n, d) arrays add to the peak memory.
-# At n=1000, d=2 (the benchmark's mc_power workload on a 2-core Xeon, medians
-# of 25 interleaved rounds) stacks of 12, 24, 48 and 100 took 0.46, 0.44,
-# 0.45 and 0.42 ms per power replication, within 10% of each other, while
-# stacks of 8, 12 and 16 added 0.6, 1.3 and 2.2 MB of peak RSS.
+# At n=1000, d=2 (the benchmark's mc_power configuration on a 2-core Xeon,
+# medians of 25 interleaved rounds of M=200) stacks of 12, 24, 48 and 100
+# took 0.31, 0.29, 0.28 and 0.30 ms of wall time per power replication,
+# within 11% of each other, while stacks of 8, 12 and 16 added 0.8, 1.5 and
+# 2.0 MB to the peak RSS of a stack of one.
 _STACK = 12
 
 
@@ -356,18 +376,22 @@ def _outcomes(
     that outcome returns, or the TailjointError of the first check that the
     replication fails.
 
-    Replication i draws from rng_stream(master_seed, i), as sample_model
-    does.  Stacks of _STACK replications are sorted (``sample._Stack``,
-    which holds no ranks) and fitted at tau at once, and outcome(st, fit,
-    checks) returns a list of (B,) arrays computed by the stacked code that
-    the single-sample estimators, regions, intervals and tests run as a
-    stack of one; a failed check marks its replication (errors.Checks),
-    whose later arithmetic is ignored.
+    Replication i draws what rng_stream(master_seed, i) gives, from one
+    generator re-keyed before each replication (``_rekey``).  Stacks of
+    _STACK replications are sorted (``sample._Stack``, which keeps the row
+    order of only the top rows that ``_top_pairs`` and
+    ``_hill_laws_cross`` read at tau) and fitted at tau at once, and
+    outcome(st, fit, checks) returns a list of (B,) arrays computed by the
+    stacked code that the single-sample estimators, regions, intervals and
+    tests run as a stack of one; a failed check marks its replication
+    (errors.Checks), whose later arithmetic is ignored.
     """
+    rng = rng_stream(master_seed, 0)
+    top = max(effective_k(n, tau), n + 1 - int(_r11_cut(n, tau)))
     outcomes = []
     for start in range(0, M, _STACK):
         values = np.stack([
-            _draw(model, n, rng_stream(master_seed, i))
+            _draw(model, n, _rekey(rng, master_seed, i))
             for i in range(start, min(start + _STACK, M))
         ])
         checks = Checks(len(values))
@@ -376,7 +400,7 @@ def _outcomes(
             lambda j: DomainError("sample values must all be finite"),
         )
         with np.errstate(all="ignore"):
-            st = _stack_panels(values)
+            st = _stack_panels(values, top)
             columns = outcome(st, _fit_sorted(st.sorted_columns, tau, checks), checks)
         outcomes += [
             error if error is not None else tuple(float(c[i]) for c in columns)

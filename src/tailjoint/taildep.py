@@ -87,9 +87,10 @@ def _top_pairs(st, tau: float) -> np.ndarray:
     says whether margin j's row of rank cut + m, the m-th of the last M
     rows of its row order, has a rank of at least cut (``_r11_cut``) on
     margin l too, as read from a mask of every margin's last M rows."""
-    cut = int(_r11_cut(st.n, tau))
-    rows, starts = st.order[..., cut - 1 :], _row_starts(st.order.shape)  # (S, d, M), (S, d, 1)
-    top = np.zeros(st.order.size, dtype=bool)
+    size = st.n + 1 - int(_r11_cut(st.n, tau))
+    rows = st.order[..., st.order.shape[-1] - size :]  # (S, d, M)
+    starts = _row_starts(st.columns.shape)  # (S, d, 1)
+    top = np.zeros(st.columns.size, dtype=bool)
     top[rows + starts] = True
     return top[rows[..., None, :] + starts[:, None]]
 

@@ -118,6 +118,19 @@ def count_numpy_calls(monkeypatch, *names) -> list:
     return calls
 
 
+def count_sorts(monkeypatch) -> list:
+    """Record the shape and kind of every ``np.argsort`` call from here on."""
+    calls = []
+    argsort = np.argsort
+
+    def counting(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("kind")))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    return calls
+
+
 def count_rank_builds(monkeypatch) -> list:
     """Record every rank array built (``sample._column_ranks``) and every
     ``np.take_along_axis`` and ``np.put_along_axis`` call from here on, by

@@ -126,33 +126,74 @@ class TestTheoreticalVLaws:
     def test_comonotone_asymmetric_anchor(self):
         assert comonotone_laws_pair(0.2, 0.4) == pytest.approx(0.10250930256796174, rel=1e-14)
 
-    @pytest.mark.parametrize(
-        "g1,g2,theta",
-        [(0.2, 0.4, 3.0), (0.25, 1.0 / 3.0, 2.0), (0.15, 0.25, 2.0), (0.1, 0.45, 1.5),
-         (0.3, 0.3, 5.0)],
-    )
+    LOGISTIC_POINTS = [
+        (0.2, 0.4, 3.0), (0.25, 1.0 / 3.0, 2.0), (0.15, 0.25, 2.0), (0.1, 0.45, 1.5),
+        (0.3, 0.3, 5.0),
+    ]
+
+    @pytest.mark.parametrize("g1,g2,theta", LOGISTIC_POINTS)
     def test_logistic_matches_log_coordinate_dblquad(self, g1, g2, theta):
         # At the quadrature's claimed tolerance, against an independent 2-D
         # rule whose own tolerance is 100 times finer.
         c1, c2 = 1.0 / g1 - 1.0, 1.0 / g2 - 1.0
-
-        def r(u, v):
-            # logistic tail copula without the cancellation of u + v - (...)
-            lo, hi = min(u, v), max(u, v)
-            if lo == 0.0:
-                return 0.0
-            return lo - hi * math.expm1(math.log1p((lo / hi) ** theta) / theta)
+        r = logistic_r(theta)
 
         def f(b, a):
             # x = e^(g1 a), y = e^(g2 b): dx dy = g1 g2 e^(g1 a + g2 b) da db
-            val = r(c1 * math.exp(-a), c2 * math.exp(-b))
-            return math.exp(math.log(val) + g1 * a + g2 * b) if val > 0.0 else 0.0
+            return weighted(r(c1 * math.exp(-a), c2 * math.exp(-b)), g1 * a + g2 * b)
 
         ref, _ = integrate.dblquad(f, 0.0, np.inf, 0.0, np.inf, epsabs=0.0, epsrel=1e-12)
         ref *= (g1 * g2) ** 2
         sigma = theoretical_sigma_laws([g1, g2], OracleTailCopula.logistic(theta))
         assert sigma.clip_magnitude == 0.0
         assert sigma.entries[1, 3] == pytest.approx(ref, rel=_QUAD_TOL, abs=0.0)
+
+    @pytest.mark.parametrize("g1,g2,theta", LOGISTIC_POINTS)
+    def test_logistic_cross_terms_match_log_coordinate_quadrature(self, g1, g2, theta):
+        # Cov(Hill_j, LAWS_l) = g_l D - g_j g_l S, D the integral over
+        # [1,inf)^2 of R(x^(-1/g_j), c_l y^(-1/g_l)) / x and S that of
+        # R(1, c_l y^(-1/g_l)) over [1,inf), c_l = 1/g_l - 1, each by an
+        # independent rule 100 times finer than the claimed tolerance.
+        r = logistic_r(theta)
+
+        def cross(gj, gl):
+            cl = 1.0 / gl - 1.0
+
+            def f(b, a):
+                # x = e^(gj a), y = e^(gl b): dx/x dy = gj gl e^(gl b) da db
+                return weighted(r(math.exp(-a), cl * math.exp(-b)), gl * b)
+
+            double, _ = integrate.dblquad(
+                f, 0.0, np.inf, 0.0, np.inf, epsabs=0.0, epsrel=1e-12
+            )
+            single, _ = integrate.quad(
+                lambda b: weighted(r(1.0, cl * math.exp(-b)), gl * b),
+                0.0, np.inf, epsabs=0.0, epsrel=1e-12,
+            )
+            return gl * (gj * gl * double) - gj * gl * (gl * single)
+
+        sigma = theoretical_sigma_laws([g1, g2], OracleTailCopula.logistic(theta))
+        assert sigma.clip_magnitude == 0.0
+        assert sigma.entries[0, 3] == pytest.approx(cross(g1, g2), rel=_QUAD_TOL, abs=0.0)
+        assert sigma.entries[2, 1] == pytest.approx(cross(g2, g1), rel=_QUAD_TOL, abs=0.0)
+
+
+def logistic_r(theta: float):
+    """The logistic tail copula R(u, v) of two floats, without the
+    cancellation of u + v - (u^theta + v^theta)^(1/theta)."""
+
+    def r(u, v):
+        lo, hi = min(u, v), max(u, v)
+        if lo == 0.0:
+            return 0.0
+        return lo - hi * math.expm1(math.log1p((lo / hi) ** theta) / theta)
+
+    return r
+
+
+def weighted(value: float, log_weight: float) -> float:
+    """value e^log_weight, 0 where value is, without overflow of the weight."""
+    return math.exp(math.log(value) + log_weight) if value > 0.0 else 0.0
 
 
 class TestTheoreticalSigmaQ:
@@ -1050,7 +1091,32 @@ def entry_cases(draw):
     return entry, u, v, mu, nu, levels
 
 
+@st.composite
+def entry_searches(draw):
+    """Falling cut-offs of 1..30 levels, of floats with ties, some NaN or
+    none, or of integers; and 1..120 values among, at and beyond them."""
+    levels, n = draw(st.integers(1, 30)), draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["floats", "nan", "integers"]))
+    if kind == "integers":
+        cuts = -np.sort(-rng.integers(0, n + 1, levels))
+        return cuts, rng.permutation(n) + 1
+    cuts = -np.sort(-np.round(rng.standard_normal(levels), 1))
+    x = np.concatenate((rng.standard_normal(n), rng.choice(cuts, n)))
+    if kind == "nan":
+        cuts[rng.random(levels) < draw(st.floats(0.0, 1.0))] = np.nan
+    return cuts, x
+
+
 class TestNestedSums:
+    @given(entry_searches())
+    @settings(max_examples=300, deadline=None)
+    def test_entries_equal_the_search_of_every_row(self, case):
+        cuts, x = case
+        got = covariance._entries(cuts, x, "cut-offs")
+        want = np.searchsorted(-cuts, -x, side="right").astype(np.int32)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     @given(entry_cases())
     @settings(max_examples=200, deadline=None)
     def test_sums_over_the_rows_that_enter_equal_the_full_binning(self, case):

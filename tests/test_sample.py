@@ -13,6 +13,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import count_sorts
+
 from tailjoint import sample
 from tailjoint.errors import DomainError, IngestionError, LevelError
 from tailjoint.sample import (
@@ -205,17 +207,20 @@ def stable_sort(values: np.ndarray):
     return order, np.take_along_axis(columns, order, axis=-1), ranks
 
 
-def count_sorts(monkeypatch) -> list:
-    """Record the shape and kind of every ``np.argsort`` call from here on."""
-    calls = []
-    argsort = np.argsort
-
-    def counting(a, *args, **kwargs):
-        calls.append((np.shape(a), kwargs.get("kind")))
-        return argsort(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "argsort", counting)
-    return calls
+@st.composite
+def tail_stacks(draw):
+    """A stack of ``tied_stacks`` some of whose columns hold infinities, or
+    NaN among them, at random rows, and a number of top rows in 1..n."""
+    x = draw(tied_stacks())
+    b, n, d = x.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for j in range(d):
+        kind = draw(st.sampled_from(["finite", "infinite", "nan"]))
+        if kind != "finite":
+            spots = rng.random((b, n)) < draw(st.floats(0.0, 0.5))
+            fill = [np.inf, -np.inf] if kind == "infinite" else [np.nan, np.inf]
+            x[..., j] = np.where(spots, rng.choice(fill, (b, n)), x[..., j])
+    return x, draw(st.integers(1, n))
 
 
 class TestColumnOrder:
@@ -241,6 +246,35 @@ class TestColumnOrder:
         assert np.array_equal(bits(s.sorted_columns), bits(xs))
         assert np.array_equal(s.ranks, ranks.T)
         assert np.array_equal(_column_ranks(s._stack.order[0]), ranks)
+
+    @given(tail_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_top_rows_equal_the_stable_argsorts_last(self, case):
+        # A stack that keeps the order of its top rows only, as a Monte
+        # Carlo stack does.  A column with NaN need only sort without error.
+        x, top = case
+        order, xs, _ = stable_sort(x)
+        stack = _stack_panels(x, top)
+        assert stack.order.shape == x.shape[:-2] + (x.shape[-1], top)
+        clean = ~np.isnan(np.swapaxes(x, -1, -2)).any(axis=-1)
+        assert np.array_equal(stack.order[clean], order[..., x.shape[-2] - top :][clean])
+        assert np.array_equal(bits(stack.sorted_columns[clean]), bits(xs[clean]))
+        assert np.array_equal(bits(stack.columns), bits(np.swapaxes(x, -1, -2)))
+
+    def test_untied_top_rows_sort_no_whole_row(self, monkeypatch):
+        x = np.random.default_rng(4).standard_normal((3, 50, 2))
+        x[2, 9, 0] = np.inf
+        calls = count_sorts(monkeypatch)
+        _column_order(np.ascontiguousarray(np.swapaxes(x, -1, -2)), 7)
+        assert calls == [((3, 2, 7), None)]
+
+    def test_tied_top_rows_sort_the_whole_row_again(self, monkeypatch):
+        x = np.random.default_rng(5).standard_normal((3, 50, 2))
+        x[1, 7, 1] = x[1, 30, 1]
+        x[0, 3, 0] = np.nan
+        calls = count_sorts(monkeypatch)
+        _column_order(np.ascontiguousarray(np.swapaxes(x, -1, -2)), 7)
+        assert calls == [((3, 2, 7), None), ((2, 50), "stable")]
 
     def test_untied_panel_sorts_once(self, monkeypatch):
         x = np.random.default_rng(4).standard_normal((3, 50, 2))
@@ -314,16 +348,34 @@ class TestLevels:
             TailLevelPair(tau=0.1, tau_prime=math.nextafter(0.1, 1.0), n=1000)
 
     @given(st.integers(1, 10**7), st.floats(allow_nan=False, allow_infinity=False))
-    @example(5000, -1e308)  # n(1 - tau) overflows to inf
-    @example(5000, -1e20)  # finite, and beyond an int64
     @example(5000, 1.0 - 50 / 5000)
     @example(7, 1.0 - 2.0**-53)
     @settings(max_examples=300, deadline=None)
     def test_float_level_equals_its_array(self, n, tau):
-        with np.errstate(all="ignore"):  # the cast of a level beyond an int64
+        try:
             want = effective_k(n, np.array([tau]))[0]
+        except LevelError as exc:
+            with pytest.raises(LevelError) as info:
+                effective_k(n, tau)
+            assert str(info.value) == str(exc)
+        else:
             got = effective_k(n, tau)
-        assert type(got) is int and got == want
+            assert type(got) is int and got == want
+
+    @pytest.mark.parametrize(
+        "n, tau, size",
+        [(5000, -1e308, "inf"), (5000, -1e20, "5e+23"), (100, -1e20, "1e+22"),
+         (1, -(2.0**63), "9.223372036854776e+18")],
+        ids=["overflows-to-inf", "finite", "n=100", "2^63"],
+    )
+    def test_level_beyond_an_int64(self, n, tau, size):
+        # Both paths raise the same error, naming tau and n(1 - tau), where
+        # a cast would warn and give INT64_MIN.
+        message = f"tau={tau!r} gives n(1-tau)={size}, beyond an int64"
+        for level in (tau, np.array([tau]), np.array([0.5, tau])):
+            with pytest.raises(LevelError) as info:
+                effective_k(n, level)
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, np.array([0.9, math.nan])])
     def test_effective_k_of_a_non_finite_level(self, tau):

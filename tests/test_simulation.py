@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from conftest import assert_same_outcome, count_fits, count_rank_builds, record_outcomes
+from conftest import (
+    assert_same_outcome, count_fits, count_rank_builds, count_sorts, record_outcomes,
+)
 
+from tailjoint import simulation
 from tailjoint.equality_tests import equality_test
 from tailjoint.errors import (
     DomainError, LevelError, NotPositiveSemidefiniteError, TailjointError,
@@ -194,6 +197,62 @@ class TestStreams:
         assert np.array_equal(
             rng_stream(top, top).random(4), rng_stream(np.uint64(top), top).random(4)
         )
+
+
+class TestReplicationDraws:
+    """Every harness re-keys one generator before each replication; so
+    replication i must draw exactly what rng_stream(seed, i) gives, even
+    after a replication that left part of the generator's buffer unread."""
+
+    SEED, TAU, TAU_PRIME, M = 3, 0.6, 0.9, _STACK + 1
+    MODELS = [
+        *(SimulationModel(kind, 2, (0.25, 0.25)) for kind in (
+            "clayton_frechet", "gaussian_student", "gumbel_frechet", "multivariate_student",
+        )),
+        *(SimulationModel.univariate(margin, 0.25) for margin in ("frechet", "pareto", "student")),
+        # Student margins at nu = 4 are drawn in closed form, at nu = 3 by scipy.
+        SimulationModel.gaussian_student(2, G),
+        SimulationModel.univariate("student", G),
+    ]
+
+    def harnesses(self, model, n):
+        yield lambda: run_mc_mse(model, n, self.TAU, self.M, self.SEED)
+        yield lambda: run_mc_coverage(model, n, self.TAU, self.M, 0.05, "qb", self.SEED)
+        yield lambda: run_mc_interval_coverage(
+            model, n, self.TAU, self.TAU_PRIME, self.M, 0.05, "qb", self.SEED
+        )
+        if model.d >= 2:
+            yield lambda: run_mc_power(
+                model, n, self.TAU, self.TAU_PRIME, self.M, 0.05, self.SEED
+            )
+
+    @pytest.mark.parametrize("n", [5, 999, 1000])
+    @pytest.mark.parametrize(
+        "model", MODELS, ids=[f"{m.kind}-{1 / m.gammas[0]:g}" for m in MODELS]
+    )
+    def test_replication_draws_its_own_stream(self, model, n, monkeypatch):
+        want, unread = [], []
+        for i in range(self.M):
+            rng = rng_stream(self.SEED, i)
+            want.append(_draw(model, n, rng))
+            unread.append(rng.bit_generator.state["buffer_pos"] < 4)
+        # n uniforms read n words of the buffer, four to a block, so only
+        # the univariate draws at n = 1000 may read every block whole.
+        assert any(unread[:-1]) or n == 1000
+        stacks, original = [], simulation._stack_panels
+
+        def recording(values, *args):
+            stacks.append(values.copy())
+            return original(values, *args)
+
+        monkeypatch.setattr(simulation, "_stack_panels", recording)
+        for harness in self.harnesses(model, n):
+            stacks.clear()
+            harness()
+            got = np.concatenate(stacks)
+            assert len(got) == self.M
+            for i in range(self.M):
+                assert np.array_equal(got[i], want[i])
 
 
 class TestModelValidation:
@@ -495,6 +554,14 @@ class TestStackedPower:
         calls = count_rank_builds(monkeypatch)
         run_mc_power(self.FAILING, self.N, self.TAU, self.TAU_PRIME, _STACK + 1, self.ALPHA, 4)
         assert calls == []
+
+    def test_untied_stacks_sort_no_whole_row(self, monkeypatch):
+        # The draws are continuous, so no column is tied: each stack orders
+        # only the top rows that the estimators read, never a whole row.
+        calls = count_sorts(monkeypatch)
+        run_mc_power(self.FAILING, self.N, self.TAU, self.TAU_PRIME, _STACK + 1, self.ALPHA, 4)
+        rows = [shape[-1] for shape, _ in calls]
+        assert rows and max(rows) < self.N
 
     def test_report_reduces_stacked_outcomes(self, monkeypatch):
         M, methods = _STACK + 1, ("laws", "qb")
