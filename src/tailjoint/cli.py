@@ -26,7 +26,7 @@ import numpy as np
 
 from .covariance import _scan_v_star_laws
 from .equality_tests import _results
-from .errors import DomainError, IngestionError, LevelError, TailjointError
+from .errors import DomainError, IngestionError, LevelError, NumericError, TailjointError
 from .inference import (
     _by_group, _check_alpha, _estimate_sample, _interval, _regions, region_boundary_points,
 )
@@ -277,15 +277,18 @@ def cmd_region(args) -> int:
         for method, region in regions.items():
             head = {"schema_version": SCHEMA_VERSION, "command": "region",
                     "margins": labels, "method": method}
+            if not isinstance(region, TailjointError):
+                try:  # a region whose boundary leaves the float range fails
+                    points = region_boundary_points(region)
+                except NumericError as exc:
+                    region = exc
             docs.append(_row(head, region))
             if args.out is not None and docs[-1]["status"] == "ok":
                 # A label may hold any character: "%" and "/" are escaped,
                 # as in a URL, so each name is one file in args.out.
                 name = "-".join(labels).replace("%", "%25").replace("/", "%2F")
                 _emit_text(
-                    _csv_text(labels, region_boundary_points(region), "\n"),
-                    args.out,
-                    f"boundary_{name}_{method}.csv",
+                    _csv_text(labels, points, "\n"), args.out, f"boundary_{name}_{method}.csv"
                 )
     failures = sum(doc["status"] == "failed" for doc in docs)
     if failures == len(docs):

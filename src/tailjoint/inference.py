@@ -380,7 +380,8 @@ def region_contains(region: ConfidenceRegion, point) -> bool:
 
 
 def region_boundary_points(region: ConfidenceRegion) -> np.ndarray:
-    """Plot-ready boundary cloud: 512 points in 2-D, a 64x64 mesh in 3-D."""
+    """Plot-ready boundary cloud: 512 points in 2-D, a 64x64 mesh in 3-D.
+    A point beyond the float range raises NumericError."""
     root = region.shape.sqrt().entries
     if region.dim == 2:
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
@@ -399,9 +400,11 @@ def region_boundary_points(region: ConfidenceRegion) -> np.ndarray:
     else:
         raise DomainError("boundary export supports dimensions 2 and 3 only")
     w = region.radius * sphere @ root.T + region.bias_shift
-    if region.scale == "log":
-        return region.center * np.exp(w)
-    return region.center * (1.0 + w)
+    with np.errstate(over="ignore"):
+        points = region.center * (np.exp(w) if region.scale == "log" else 1.0 + w)
+    if not np.isfinite(points).all():
+        raise NumericError("non-finite region boundary point")
+    return points
 
 
 def _endpoints(est: _Estimate, j: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:

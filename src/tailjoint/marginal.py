@@ -58,8 +58,13 @@ def _sums_sorted(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cum = np.cumsum(xs, axis=1)
     below = np.arange(1, n + 1)
     above = n - below
-    a = (cum[:, -1:] - cum) - above * xs
-    b = cum - below * xs
+    # In place, as in _breakpoints: a Monte Carlo stack's rows make each
+    # temporary hundreds of KB, and fewer of them keep the heap from
+    # growing and being trimmed again (page faults) on every stack.
+    a = cum[:, -1:] - cum
+    a -= above * xs
+    b = below * xs
+    np.subtract(cum, b, out=b)
     return cum, a, b
 
 
@@ -123,7 +128,9 @@ def _breakpoints(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     one level the search is that evaluation, made for every point at once.
     """
     if len(t) == 1:
-        return np.argmax(t[0] * a + (1.0 - t[0]) * b <= 0.0, axis=1)[None]
+        psi = t[0] * a
+        psi += (1.0 - t[0]) * b
+        return np.argmax(psi <= 0.0, axis=1)[None]
     size, (r, n) = len(t), a.shape
     order = np.argsort(t, kind="stable")
     # The ascending levels, padded with NaN, where psi <= 0 fails, to 2^p - 1.

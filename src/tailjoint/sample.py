@@ -23,13 +23,15 @@ class MultivariateSample:
     Dates, when present, are per-row metadata used by the weekly
     log-returns transform.
 
-    The values are a read-only copy of the input.  On first use the sample
-    is sorted as a stack of one (``_stack``), by the ``_stack_panels`` that
-    every Monte Carlo stack runs, but keeping the order of all n rows: one
-    argsort of the values' column-major copy (``_column_order``: only a
-    column with tied values is sorted again, stably), so its row order and
-    order statistics (and ``ranks``, built from that order where read)
-    equal those of a stable argsort.  The marginal fit is computed once per
+    The values are a read-only copy of the input, in its layout.  On first
+    use the sample is sorted as a stack of one (``_stack``), by the
+    ``_stack_columns`` that every Monte Carlo stack runs, but keeping the
+    order of all n rows: one argsort of the values' columns, copied
+    column-major unless they are held so (as sample_model's are), with
+    only a column with tied values sorted again, stably
+    (``_column_order``).  So its row order and order statistics (and
+    ``ranks``, built from that order where read) equal those of a stable
+    argsort.  The marginal fit is computed once per
     level tau (``estimate_margins``).  All are read-only and shared by
     every estimator that reads this sample.
     """
@@ -93,9 +95,10 @@ class MultivariateSample:
 
     @cached_property
     def _stack(self) -> "_Stack":
-        """This sample as a stack of one (``_stack_panels``), for the stacked
-        builders."""
-        return _stack_panels(self.values[None])
+        """This sample as a stack of one (``_stack_columns``), for the stacked
+        builders: its transposed values, without a copy when they are held
+        column-major."""
+        return _stack_columns(self.values.T[None])
 
     @cached_property
     def sorted_columns(self) -> np.ndarray:
@@ -128,8 +131,10 @@ class MultivariateSample:
 class _Stack(NamedTuple):
     """B samples of one size n x d, stacked along a leading axis and held
     column-major as (B, d, n), so that the n-long work runs along
-    contiguous rows (``_stack_panels``): the values, the row order of each
-    column's top T rows, as (B, d, T), and its sorted values.  Readers
+    contiguous rows (``_stack_columns``): the values, the row order of each
+    column's top T rows, as (B, d, T), and its sorted values.  A Monte
+    Carlo stack's values are the buffer that its draw wrote in place
+    (``simulation._draw``); a sample's are its transposed values.  Readers
     take a column's top rows from the end of its order, and the flat
     start of each row from the shape of ``columns``."""
 
@@ -142,10 +147,12 @@ class _Stack(NamedTuple):
         return self.columns.shape[-1]
 
 
-def _stack_panels(values: np.ndarray, top: int | None = None) -> _Stack:
-    """Sort a (B, n, d) stack of panels (``_column_order``), keeping the row
-    order of each column's top rows, all n of them by default."""
-    columns = _read_only(np.ascontiguousarray(np.swapaxes(values, -1, -2)))
+def _stack_columns(columns: np.ndarray, top: int | None = None) -> _Stack:
+    """Sort a (B, d, n) stack of columns (``_column_order``), keeping the
+    row order of each column's top rows, all n of them by default.  The
+    stack holds the columns themselves, made read-only, when they are
+    C-contiguous, and a contiguous copy otherwise."""
+    columns = _read_only(np.ascontiguousarray(columns))
     return _Stack(columns, *_column_order(columns, top))
 
 

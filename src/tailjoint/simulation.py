@@ -7,7 +7,9 @@ reduced in replication order.  Outputs are therefore bit-identical for a
 given (model, n, M, master_seed).  A run keys one Philox generator afresh
 before each replication (``_rekey``), to the state that rng_stream(s, i)
 starts in.  Every harness runs on one engine
-(``_run_mc``): it draws stacks of replications, sorts and fits each stack
+(``_run_mc``): it draws stacks of replications in place, each replication
+into its own rows and each transform once per stack (``_draw``, whose
+stack of one is sample_model's draw), sorts and fits each stack
 at once (keeping the row order of only the top rows that its estimators
 read), and hands it to the harness's outcome function, which runs the
 stacked code that the single-sample estimators, regions, intervals and
@@ -38,7 +40,7 @@ from .inference import (
 from .equality_tests import _statistic
 from .marginal import _check_hill_size, _fit_sorted, _qb_factors
 from .numerics import _ndtr, _per_element, _quadratic_form, chi_square_quantile
-from .sample import MultivariateSample, TailLevelPair, _stack_panels, effective_k
+from .sample import MultivariateSample, TailLevelPair, _stack_columns, effective_k
 from .taildep import _r11_cut
 
 _PAIRWISE_CORRELATIONS = {
@@ -172,61 +174,108 @@ def _rekey(rng: np.random.Generator, master_seed: int, stream_index: int) -> np.
     return rng
 
 
-def _positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Positive alpha-stable variates with Laplace transform exp(-t^alpha)."""
-    w = rng.uniform(0.0, np.pi, size=n)
-    e = rng.exponential(size=n)
-    return (
-        np.sin(alpha * w) / np.sin(w) ** (1.0 / alpha)
-        * (np.sin((1.0 - alpha) * w) / e) ** ((1.0 - alpha) / alpha)
-    )
+def _positive_stable(alpha: float, w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Positive alpha-stable variates with Laplace transform exp(-t^alpha),
+    by Kanter's representation (Ann. Probab. 3(4), 1975), from uniforms w
+    on [0, 1) and standard exponentials e of one shape.  Both are
+    overwritten, and the variates are returned in a new array."""
+    w *= np.pi
+    t = w * (1.0 - alpha)
+    np.sin(t, out=t)
+    np.divide(t, e, out=e)
+    e **= (1.0 - alpha) / alpha
+    np.multiply(w, alpha, out=t)
+    np.sin(t, out=t)
+    np.sin(w, out=w)
+    w **= 1.0 / alpha
+    t /= w
+    t *= e
+    return t
 
 
 def sample_model(
     model: SimulationModel, n: int, rng: np.random.Generator
 ) -> MultivariateSample:
-    """Draw n observations from the model using the supplied generator."""
+    """Draw n observations from the model using the supplied generator:
+    ``_draw``'s stack of one.  The sample holds the drawn (d, n) columns
+    transposed, as n x d values in column-major order, so its stack
+    (``MultivariateSample._stack``) reads them without a copy."""
     if n < 4:
         raise DomainError("samplers require n >= 4")
     labels = tuple(f"X{j + 1}" for j in range(model.d))
-    return MultivariateSample(_draw(model, n, rng), labels)
+    return MultivariateSample(_draw(model, n, 1, [rng])[0].T, labels)
 
 
-def _draw(model: SimulationModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The n x d values of sample_model."""
-    g = np.asarray(model.gammas)
-    d = model.d
-    kind = model.kind
-    if kind == "clayton_frechet":
-        frailty = rng.gamma(1.0 / model.theta, size=n)
-        e = rng.exponential(size=(n, d))
-        u = (1.0 + e / frailty[:, None]) ** (-1.0 / model.theta)
-        x = (-np.log(u)) ** -g
-    elif kind == "gumbel_frechet":
-        frailty = _positive_stable(1.0 / model.vartheta, n, rng)
-        e = rng.exponential(size=(n, d))
-        u = np.exp(-((e / frailty[:, None]) ** (1.0 / model.vartheta)))
-        x = (-np.log(u)) ** -g
-    elif kind == "gaussian_student":
-        chol = np.linalg.cholesky(listed_correlation(d))
-        z = rng.standard_normal(size=(n, d)) @ chol.T
-        u = _ndtr(z)
-        x = np.column_stack(
-            [_student_quantile(u[:, j], 1.0 / g[j]) for j in range(d)]
-        )
-    elif kind == "multivariate_student":
-        nu = 1.0 / g[0]
-        chol = np.linalg.cholesky(listed_correlation(d))
-        z = rng.standard_normal(size=(n, d)) @ chol.T
-        w = rng.chisquare(nu, size=n)
-        x = z / np.sqrt(w / nu)[:, None]
-    elif kind == "univariate_frechet":
-        x = (-np.log(rng.random(size=(n, 1)))) ** -g
-    elif kind == "univariate_pareto":
-        x = (1.0 - rng.random(size=(n, 1))) ** -g
-    else:  # univariate_student
-        x = _student_quantile(rng.random(size=(n, 1)), 1.0 / g[0])
-    return np.asarray(x, dtype=float)
+def _draw(model: SimulationModel, n: int, B: int, rngs) -> np.ndarray:
+    """The (B, d, n) columns of B samples of n observations from the model,
+    sample b drawn from the b-th generator that rngs yields.
+
+    Each sample's raw variates (uniforms, exponentials, gammas, normals and
+    chi-square variates, in the order that the model reads them) are drawn
+    in turn into its own rows of buffers that the stack shares; an (n, d)
+    block is drawn row-major and written transposed, after the normals'
+    correlation is applied.  Each transform then runs once on the whole
+    stack, in place.  The transforms are elementwise, so a sample's values
+    are bit for bit the same in a stack of any size."""
+    g = np.asarray(model.gammas)[:, None]
+    d, kind = model.d, model.kind
+    x = np.empty((B, d, n))
+    if kind in ("clayton_frechet", "gumbel_frechet"):
+        gumbel = kind == "gumbel_frechet"
+        frailty, e = np.empty((B, n)), np.empty((n, d))
+        w = np.empty((B, n)) if gumbel else None
+        for b, rng in enumerate(rngs):
+            if gumbel:
+                rng.random(out=w[b])
+                rng.standard_exponential(out=frailty[b])
+            else:
+                rng.standard_gamma(1.0 / model.theta, out=frailty[b])
+            x[b] = rng.standard_exponential(out=e).T
+        if gumbel:
+            frailty = _positive_stable(1.0 / model.vartheta, w, frailty)
+        x /= frailty[:, None]
+        if gumbel:  # u = exp(-(e / frailty)^(1/vartheta))
+            x **= 1.0 / model.vartheta
+            np.negative(x, out=x)
+            np.exp(x, out=x)
+        else:  # u = (1 + e / frailty)^(-1/theta)
+            x += 1.0
+            x **= -1.0 / model.theta
+        _frechet(x, g)
+    elif kind in ("gaussian_student", "multivariate_student"):
+        chol_t = np.linalg.cholesky(listed_correlation(d)).T
+        student = kind == "multivariate_student"
+        nu, chi = 1.0 / g[0, 0], np.empty((B, n)) if student else None
+        for b, rng in enumerate(rngs):
+            x[b] = (rng.standard_normal(size=(n, d)) @ chol_t).T
+            if student:
+                chi[b] = rng.chisquare(nu, size=n)
+        if student:  # x = z / sqrt(chi / nu)
+            chi /= nu
+            np.sqrt(chi, out=chi)
+            x /= chi[:, None]
+        else:
+            x = _ndtr(x)
+            for j in range(d):
+                x[:, j] = _student_quantile(x[:, j], 1.0 / g[j, 0])
+    else:
+        for b, rng in enumerate(rngs):
+            rng.random(out=x[b, 0])
+        if kind == "univariate_frechet":
+            _frechet(x, g)
+        elif kind == "univariate_pareto":
+            np.subtract(1.0, x, out=x)
+            x **= -g
+        else:
+            x[:, 0] = _student_quantile(x[:, 0], 1.0 / g[0, 0])
+    return x
+
+
+def _frechet(u: np.ndarray, g: np.ndarray) -> None:
+    """Map levels u to Frechet(g) values, (-log u)^-g, in place."""
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    u **= -g
 
 
 def _student_quantile(u: np.ndarray, nu: float) -> np.ndarray:
@@ -360,12 +409,12 @@ class McReport:
 
 
 # Replications per stack.  A stack shares the fixed cost of each numpy call
-# among its replications, and its (B, n, d) arrays add to the peak memory.
-# At n=1000, d=2 (the benchmark's mc_power configuration on a 2-core Xeon,
-# medians of 25 interleaved rounds of M=200) stacks of 12, 24, 48 and 100
-# took 0.31, 0.29, 0.28 and 0.30 ms of wall time per power replication,
-# within 11% of each other, while stacks of 8, 12 and 16 added 0.8, 1.5 and
-# 2.0 MB to the peak RSS of a stack of one.
+# among its replications, and its (B, d, n) arrays add to the peak memory.
+# At n=1000, d=2 (the benchmark's mc_power configuration on a 2-core Xeon
+# with AVX-512, medians of 25 interleaved rounds of M=200) stacks of 12,
+# 24, 48 and 100 took 0.240, 0.208, 0.209 and 0.216 ms of wall time per
+# power replication, while stacks of 8, 12, 16 and 24 added 0.2, 0.75, 1.35
+# and 2.3 MB to the peak RSS of a stack of one.
 _STACK = 12
 
 
@@ -378,7 +427,9 @@ def _outcomes(
 
     Replication i draws what rng_stream(master_seed, i) gives, from one
     generator re-keyed before each replication (``_rekey``).  Stacks of
-    _STACK replications are sorted (``sample._Stack``, which keeps the row
+    _STACK replications are drawn in place into one (B, d, n) array
+    (``_draw``), which becomes the stack's values without a copy, sorted
+    (``sample._stack_columns``, which keeps the row
     order of only the top rows that ``_top_pairs`` and
     ``_hill_laws_cross`` read at tau) and fitted at tau at once, and
     outcome(st, fit, checks) returns a list of (B,) arrays computed by the
@@ -390,20 +441,20 @@ def _outcomes(
     top = max(effective_k(n, tau), n + 1 - int(_r11_cut(n, tau)))
     outcomes = []
     for start in range(0, M, _STACK):
-        values = np.stack([
-            _draw(model, n, _rekey(rng, master_seed, i))
-            for i in range(start, min(start + _STACK, M))
-        ])
-        checks = Checks(len(values))
+        stop = min(start + _STACK, M)
+        columns = _draw(
+            model, n, stop - start, (_rekey(rng, master_seed, i) for i in range(start, stop))
+        )
+        checks = Checks(len(columns))
         checks(
-            ~np.isfinite(values).all(axis=(1, 2)),
+            ~np.isfinite(columns).all(axis=(1, 2)),
             lambda j: DomainError("sample values must all be finite"),
         )
         with np.errstate(all="ignore"):
-            st = _stack_panels(values, top)
-            columns = outcome(st, _fit_sorted(st.sorted_columns, tau, checks), checks)
+            st = _stack_columns(columns, top)
+            results = outcome(st, _fit_sorted(st.sorted_columns, tau, checks), checks)
         outcomes += [
-            error if error is not None else tuple(float(c[i]) for c in columns)
+            error if error is not None else tuple(float(r[i]) for r in results)
             for i, error in enumerate(checks.first)
         ]
     return outcomes

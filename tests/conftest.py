@@ -2,9 +2,14 @@
 
 The acceptance tests record one scorecard line per criterion; printing them
 from inside the tests would be swallowed by output capture for passing
-tests, so they are replayed in the terminal summary instead.
+tests, so they are replayed in the terminal summary instead.  When the
+environment variable TAILJOINT_SCORECARD names a file, the lines are also
+written there as JSON, one {"criterion", "status", "detail"} object per
+line in the order recorded, so that two runs' scorecards can be diffed.
 """
 
+import json
+import os
 import sys
 
 import numpy as np
@@ -25,6 +30,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+    path = os.environ.get("TAILJOINT_SCORECARD")
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump([scorecard_entry(line) for line in CRITERION_LINES], fh, indent=1)
+            fh.write("\n")
+
+
+def scorecard_entry(line: str) -> dict:
+    """A scorecard line "criterion-N: STATUS (detail)" as a JSON object; the
+    detail, with its rates and failure counts, is "" when the line has none."""
+    criterion, _, rest = line.partition(": ")
+    status, _, detail = rest.partition(" (")
+    return {"criterion": criterion, "status": status, "detail": detail.removesuffix(")")}
 
 
 def count_fits(monkeypatch) -> list:

@@ -224,6 +224,37 @@ class TestRegion:
                 assert {len(row) for row in table[1:]} == {2}
         assert {p.name for p in out.iterdir()} == expected
 
+    @pytest.mark.filterwarnings("error")
+    def test_boundary_beyond_the_float_range_fails_in_band(self, tmp_path, capsys):
+        # A 5 x 5 panel near 1e303 at k = 4: three QB pair regions are
+        # computed, and the boundaries of two of them pass the float max.
+        # Those fail with their reason and write no file; the third is
+        # written, so the run exits 2.
+        panel = [
+            [1.44e+303, 1.97e+303, 2.67e+303, 2.35e+303, 4.46e+303],
+            [3.42e+303, 4.54e+303, 1.23e+303, 1.64e+303, 1.72e+303],
+            [1.25e+303, 1.21e+303, 3.09e+303, 1.05e+304, 2.72e+303],
+            [1.48e+303, 2.3e+303, 1.46e+303, 2.47e+303, 1.44e+303],
+            [2.71e+303, 1.24e+304, 1.16e+304, 3.75e+303, 4.39e+303],
+        ]
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "a,b,c,d,e\n" + "".join(",".join(map(repr, row)) + "\n" for row in panel),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["region", "--input", str(data), "--k", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        docs = json.loads((out / "regions.json").read_text())
+        reasons = {tuple(d["margins"]): d.get("error") for d in docs if d["method"] == "qb"}
+        assert {pair for pair, error in reasons.items() if error is None} == {("a", "e")}
+        for pair in (("a", "d"), ("d", "e")):
+            assert reasons[pair] == "non-finite region boundary point"
+        assert {p.name for p in out.iterdir()} == {"regions.json", "boundary_a-e_qb.csv"}
+        rows = (out / "boundary_a-e_qb.csv").read_text().splitlines()[1:]
+        assert len(rows) == 512
+        assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
     def test_univariate_rejected(self, tmp_path, capsys):
         csv = write_sample_csv(tmp_path / "one.csv", d=1)
         assert main(["region", "--input", str(csv), "--k", "50"]) == 1

@@ -39,7 +39,7 @@ from tailjoint.marginal import (
 )
 from tailjoint.numerics import _QUAD_TOL, CLIP_RTOL
 from tailjoint.sample import (
-    MultivariateSample, TailLevelPair, _column_ranks, _stack_panels, effective_k, tau_from_k,
+    MultivariateSample, TailLevelPair, _column_ranks, _stack_columns, effective_k, tau_from_k,
 )
 from tailjoint.simulation import SimulationModel, rng_stream, sample_model
 from tailjoint.taildep import OracleTailCopula, empirical_tail_copula
@@ -606,7 +606,7 @@ class TestColumnMajorLaws:
         # puts it on each margin's top surv ranks.  Every level of the
         # samples that pass their checks, with ties at xi-hat, at the Hill
         # threshold and at R-hat's cut-off.
-        stack, n = _stack_panels(values), values.shape[1]
+        stack, n = _stack_columns(values.swapaxes(1, 2)), values.shape[1]
         for k in range(1, n):
             tau = tau_from_k(n, k)
             checks = Checks(len(values))
@@ -625,7 +625,7 @@ class TestColumnMajorLaws:
             [sample_model(model, 400, rng_stream(5, i)).values for i in range(6)]
         )
         values[3] -= 0.6  # a negative value in one sample
-        st = _stack_panels(values)
+        st = _stack_columns(values.swapaxes(1, 2))
         self.assert_bit_for_bit(st, _fit_sorted(st.sorted_columns, 0.9, RAISE), 0.9)
 
     def test_one_sample_with_expectile_on_an_observation(self):

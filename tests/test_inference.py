@@ -156,6 +156,18 @@ class TestBoundaryPoints:
         with pytest.raises(DomainError):
             region_boundary_points(region)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, c", [("log", 1e306), ("linear", 1e307)])
+    def test_boundary_beyond_the_float_range_raises(self, scale, c):
+        # The region itself is finite; its boundary passes the float max.
+        region = ConfidenceRegion(
+            kind="test", scale=scale, alpha=ALPHA, tau=TAU, tau_prime=None,
+            center=np.array([c, 1.0]), bias_shift=np.zeros(2),
+            shape=SpdMatrix.from_array(np.eye(2)), radius=100.0,
+        )
+        with pytest.raises(NumericError, match="non-finite region boundary point"):
+            region_boundary_points(region)
+
 
 class TestOneEighPerCovariance:
     """A covariance is decomposed once, by its PSD check: every test,

@@ -22,7 +22,7 @@ from tailjoint.sample import (
     TailLevelPair,
     _column_order,
     _column_ranks,
-    _stack_panels,
+    _stack_columns,
     effective_k,
     emit_csv,
     ingest_csv,
@@ -231,7 +231,7 @@ class TestColumnOrder:
     @settings(max_examples=150, deadline=None)
     def test_stack_equals_stable_argsort(self, x):
         order, xs, ranks = stable_sort(x)
-        stack = _stack_panels(x)
+        stack = _stack_columns(np.swapaxes(x, -1, -2))
         assert np.array_equal(stack.order, order)
         assert np.array_equal(bits(stack.sorted_columns), bits(xs))
         assert np.array_equal(_column_ranks(stack.order), ranks)
@@ -254,7 +254,7 @@ class TestColumnOrder:
         # Carlo stack does.  A column with NaN need only sort without error.
         x, top = case
         order, xs, _ = stable_sort(x)
-        stack = _stack_panels(x, top)
+        stack = _stack_columns(np.swapaxes(x, -1, -2), top)
         assert stack.order.shape == x.shape[:-2] + (x.shape[-1], top)
         clean = ~np.isnan(np.swapaxes(x, -1, -2)).any(axis=-1)
         assert np.array_equal(stack.order[clean], order[..., x.shape[-2] - top :][clean])
@@ -292,7 +292,7 @@ class TestColumnOrder:
 
 class TestGroupStacks:
     """Each offset stack of ``_group_stacks``, strided views of the panel's
-    rows, is bit for bit the stack that ``_stack_panels`` sorts and ranks
+    rows, is bit for bit the stack that ``_stack_columns`` sorts and ranks
     from its groups' columns on its own."""
 
     @given(tied_stacks(), st.booleans())
@@ -305,7 +305,7 @@ class TestGroupStacks:
         m = 2 if pairs else d
         seen = []
         for groups, stack in s._group_stacks(m):
-            want = _stack_panels(values[:, groups].swapaxes(0, 1))
+            want = _stack_columns(values[:, groups].transpose(1, 2, 0))
             assert np.array_equal(bits(stack.columns), bits(want.columns))
             assert np.array_equal(stack.order, want.order)
             assert np.array_equal(bits(stack.sorted_columns), bits(want.sorted_columns))

@@ -1,5 +1,6 @@
 """Benchmark model samplers, margin oracles, and Monte Carlo harnesses."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,8 +16,9 @@ from tailjoint.equality_tests import equality_test
 from tailjoint.errors import (
     DomainError, LevelError, NotPositiveSemidefiniteError, TailjointError,
 )
-from tailjoint.inference import confidence_region, marginal_interval
+from tailjoint.inference import _estimate_sample, confidence_region, marginal_interval
 from tailjoint.marginal import estimate_margins
+from tailjoint.sample import MultivariateSample, emit_csv
 from tailjoint.simulation import (
     _STACK,
     MarginOracle,
@@ -95,7 +97,8 @@ class TestSamplers:
         from tailjoint.simulation import _positive_stable
 
         alpha = 1.0 / 3.0
-        s = _positive_stable(alpha, 200_000, rng_stream(13, 0))
+        rng = rng_stream(13, 0)
+        s = _positive_stable(alpha, rng.random(200_000), rng.standard_exponential(200_000))
         assert float(np.mean(np.exp(-s))) == pytest.approx(math.exp(-1.0), abs=0.01)
 
     def test_small_n_rejected(self):
@@ -135,7 +138,7 @@ class TestSpecialFunctionForms:
     ])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_draws_equal_stats_form(self, model, seed):
-        x = _draw(model, 2000, rng_stream(seed, 5))
+        x = _draw(model, 2000, 1, [rng_stream(seed, 5)])[0].T
         assert np.array_equal(x, self.stats_draw(model, 2000, rng_stream(seed, 5)))
 
     @pytest.mark.parametrize("nu", [2.0, 3.0, 1.0 / 0.45, 10.0])
@@ -234,18 +237,18 @@ class TestReplicationDraws:
         want, unread = [], []
         for i in range(self.M):
             rng = rng_stream(self.SEED, i)
-            want.append(_draw(model, n, rng))
+            want.append(_draw(model, n, 1, [rng])[0])
             unread.append(rng.bit_generator.state["buffer_pos"] < 4)
         # n uniforms read n words of the buffer, four to a block, so only
         # the univariate draws at n = 1000 may read every block whole.
         assert any(unread[:-1]) or n == 1000
-        stacks, original = [], simulation._stack_panels
+        stacks, original = [], simulation._stack_columns
 
-        def recording(values, *args):
-            stacks.append(values.copy())
-            return original(values, *args)
+        def recording(columns, *args):
+            stacks.append(columns.copy())
+            return original(columns, *args)
 
-        monkeypatch.setattr(simulation, "_stack_panels", recording)
+        monkeypatch.setattr(simulation, "_stack_columns", recording)
         for harness in self.harnesses(model, n):
             stacks.clear()
             harness()
@@ -253,6 +256,93 @@ class TestReplicationDraws:
             assert len(got) == self.M
             for i in range(self.M):
                 assert np.array_equal(got[i], want[i])
+
+
+class TestDrawDigests:
+    """The draws of sample_model, pinned by the first 16 hex digits of the
+    sha256 of their values' bytes (in row-major order), independently of
+    how the draw is computed: every model kind at nu = 4 and the Student
+    models at nu = 3, n = 5, 999 and 1000, streams (7, 0) and (7, 1).
+    Recorded with numpy 2.4 on an x86-64 host with AVX-512, whose
+    vectorized pow, exp and log may differ in the last bit from those of
+    other builds and hosts."""
+
+    MODELS = TestReplicationDraws.MODELS
+    DIGESTS = {
+        ("clayton_frechet-4", 5): ("3d1809bb2b286204", "86b846054bb7bb96"),
+        ("clayton_frechet-4", 999): ("bcf5a5839c5f4a4d", "84bf4cf5c4b35f5b"),
+        ("clayton_frechet-4", 1000): ("edf24fb7c05e1f3e", "74cb7d2dfb2873ea"),
+        ("gaussian_student-4", 5): ("ff45c81e0062ad9b", "d95aace152ec2bab"),
+        ("gaussian_student-4", 999): ("f194a5eb4af9d74d", "b2d5dfa39ed852d3"),
+        ("gaussian_student-4", 1000): ("9b89153e29308dae", "b516a1fe98c905c6"),
+        ("gumbel_frechet-4", 5): ("8662a2f091fbe1e4", "ee01b732a1102a17"),
+        ("gumbel_frechet-4", 999): ("a28655d684765609", "6a64a74c998d4a46"),
+        ("gumbel_frechet-4", 1000): ("c364d9eba37cbc50", "93b5b4949b3c113a"),
+        ("multivariate_student-4", 5): ("195b0e4202f64a85", "74dd161df0a68204"),
+        ("multivariate_student-4", 999): ("3f285cc5f99a9daa", "6ea6c9738880d250"),
+        ("multivariate_student-4", 1000): ("a61a2b25c80f600b", "86840c8c46ef3432"),
+        ("univariate_frechet-4", 5): ("c3c6b8022b2a7fad", "375768da6bd57def"),
+        ("univariate_frechet-4", 999): ("5461c0cef22e41cb", "02c4bdd80914cb06"),
+        ("univariate_frechet-4", 1000): ("e8976cdf91d547a9", "d508d07756bb0a52"),
+        ("univariate_pareto-4", 5): ("0c60501ef2bb208c", "85bd0f16c77a18bb"),
+        ("univariate_pareto-4", 999): ("839e35bec612aec5", "737b5ba967de2042"),
+        ("univariate_pareto-4", 1000): ("2e52bd75cee773e7", "a1821949cb8adddb"),
+        ("univariate_student-4", 5): ("a0f26abad7e073b3", "521d3df68ef96bfa"),
+        ("univariate_student-4", 999): ("cbb81348111326aa", "e3bca968205feae2"),
+        ("univariate_student-4", 1000): ("d23c452d0434ba23", "14f74f5bd40a7f70"),
+        ("gaussian_student-3", 5): ("5f7203f8c761625f", "9e7d4f3fc62d2a88"),
+        ("gaussian_student-3", 999): ("5a6d4177569889ca", "23da23ad965266cd"),
+        ("gaussian_student-3", 1000): ("a2cabc4b0a518433", "ef06d1e577a1bd91"),
+        ("univariate_student-3", 5): ("2c2414d6b1b4e056", "d2dddd12ce68a148"),
+        ("univariate_student-3", 999): ("18157ab10612bf9c", "6e65515935682a4f"),
+        ("univariate_student-3", 1000): ("6d287966c6c501c5", "240ad9ad2a06ec89"),
+    }
+
+    @pytest.mark.parametrize("n", [5, 999, 1000])
+    @pytest.mark.parametrize(
+        "model", MODELS, ids=[f"{m.kind}-{1 / m.gammas[0]:g}" for m in MODELS]
+    )
+    def test_draws_equal_recorded_digests(self, model, n):
+        got = tuple(
+            hashlib.sha256(sample_model(model, n, rng_stream(7, i)).values.tobytes())
+            .hexdigest()[:16]
+            for i in (0, 1)
+        )
+        assert got == self.DIGESTS[(f"{model.kind}-{1 / model.gammas[0]:g}", n)]
+
+
+class TestColumnMajorValues:
+    """sample_model's values are held column-major; every result read from
+    a sample is that of the same values held row-major."""
+
+    TAU, TAU_PRIME = 0.95, 0.999
+
+    def results(self, s, tmp_path, name):
+        """The sample's CSV bytes, its fit and its covariances: LAWS and QB,
+        intermediate and extreme, and the Weissman quantiles' (which
+        estimate_covariance does not name, and the quantile test reads)."""
+        path = tmp_path / f"{name}.csv"
+        emit_csv(s, path)
+        fit = estimate_margins(s, self.TAU)
+        out = [path.read_bytes(), *(a.tobytes() for a in (fit.gamma_hat, fit.q_hat, fit.xi_laws))]
+        for method, tau_prime in [
+            ("laws", None), ("qb", None), ("laws", self.TAU_PRIME), ("qb", self.TAU_PRIME),
+            ("quantile", self.TAU_PRIME),
+        ]:
+            est = _estimate_sample(s, self.TAU, tau_prime, method, False)
+            out.append(est.covariance().entries.tobytes())
+        return out
+
+    @pytest.mark.parametrize(
+        "model", TestReplicationDraws.MODELS,
+        ids=[f"{m.kind}-{1 / m.gammas[0]:g}" for m in TestReplicationDraws.MODELS],
+    )
+    def test_results_do_not_depend_on_the_layout(self, model, tmp_path):
+        s = sample_model(model, 1000, rng_stream(4, 0))
+        assert s.values.flags.f_contiguous and (model.d == 1 or not s.values.flags.c_contiguous)
+        row_major = MultivariateSample(np.ascontiguousarray(s.values), s.labels)
+        assert row_major.values.flags.c_contiguous
+        assert self.results(s, tmp_path, "f") == self.results(row_major, tmp_path, "c")
 
 
 class TestModelValidation:

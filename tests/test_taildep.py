@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailjoint.errors import DomainError
-from tailjoint.sample import MultivariateSample, _column_ranks, _stack_panels
+from tailjoint.sample import MultivariateSample, _column_ranks, _stack_columns
 from tailjoint.taildep import (
     OracleTailCopula,
     _r11_cut,
@@ -111,7 +111,7 @@ class TestR11Matrix:
         # The mask marked through the row order is the one read from the
         # ranks, on a stack of the panel and its reversal: rounded values
         # and constant runs put ties at the cut-off rank.
-        stack = _stack_panels(np.stack([s.values, s.values[::-1]]))
+        stack = _stack_columns(np.stack([s.values.T, s.values[::-1].T]))
         ranks = _column_ranks(stack.order)
         for tau in level_grid(s.n):
             cut = int(_r11_cut(s.n, tau))
