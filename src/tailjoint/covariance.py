@@ -274,19 +274,25 @@ def _v_laws_raw(st, g, q, xi, tau: float, checks) -> tuple[np.ndarray, np.ndarra
     the column-major rows of st: the asymmetric residuals phi, read by their
     Gram product and by the cross terms (``_hill_laws_cross``).
 
-    Margin j's residuals are scaled by 2^-e_j, with xi_j = m_j 2^e_j, and
-    its xi by the same power, to m_j: the Gram product neither overflows
-    nor underflows at any scale of the data, and, power-of-two scaling
-    being exact, every entry is the unscaled formula's to the bit."""
+    One mask of the values above xi weights phi and gives the survival
+    counts.  Margin j's residuals are scaled by 2^-e_j, with
+    xi_j = m_j 2^e_j, and its xi by the same power, to m_j: the Gram
+    product neither overflows nor underflows at any scale of the data, a
+    subnormal xi included, and, power-of-two scaling being exact, every
+    entry is the unscaled formula's to the bit."""
     _check_laws(g, checks)
     n = st.n
     mant, power = np.frexp(xi)
-    surv = (st.sorted_columns > xi[..., None]).sum(axis=-1)
-    # phi_tau(y) = (1 - tau) y, or tau y above xi (the top surv ranks, in
-    # any tie order).  Built in place, from y = (x - xi) 2^-e.
+    above = st.columns > xi[..., None]
+    surv = above.sum(axis=-1)
+    # phi_tau(y) = (1 - tau) y, or tau y above xi.  Built in place, from
+    # y = (x - xi) 2^-e: one multiply, unless 2^-e overflows.
     phi = st.columns - xi[..., None]
-    phi *= np.ldexp(1.0, -power)[..., None]
-    phi *= np.where(st.columns > xi[..., None], tau, 1.0 - tau)
+    if power.min(initial=0) > -1022:
+        phi *= np.ldexp(1.0, -power)[..., None]
+    else:
+        np.ldexp(phi, -power[..., None], out=phi)
+    phi *= np.where(above, tau, 1.0 - tau)
     mbar = phi @ np.swapaxes(phi, -1, -2) / n
     cross = _hill_laws_cross(st, phi, q, g, effective_k(n, tau))
     return _laws_blocks(g, mbar, cross, surv, tau, mant, n)
@@ -448,10 +454,10 @@ def _nested_sums(sample: MultivariateSample, g, q, xi, tau):
     with k, raises NumericError."""
     n, d, levels = sample.n, sample.d, len(tau)
     x = sample._stack.columns[0]
-    scale = np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=-1))[1])
-    mant, log_q = xi * scale, np.log(q * scale)
+    power = -np.frexp(np.abs(x).max(axis=-1))[1]  # 2^power itself may overflow
+    mant, log_q = np.ldexp(xi, power), np.log(np.ldexp(q, power))
     centre = mant[levels // 2]
-    y, delta = x * scale[:, None] - centre[:, None], mant - centre
+    y, delta = np.ldexp(x, power[:, None]) - centre[:, None], mant - centre
     above = [_entries(xi[:, j], x[j], "LAWS expectiles") for j in range(d)]
     over = [_entries(q[:, j], x[j], "Hill thresholds") for j in range(d)]
     cut = _r11_cut(n, tau[:, 0])
@@ -462,7 +468,7 @@ def _nested_sums(sample: MultivariateSample, g, q, xi, tau):
     gram, cross, r11 = (np.zeros((levels, d, d)) for _ in range(3))
     everyone = np.zeros(n, dtype=np.intp)
     for j in range(d):
-        logs = np.log(x[j] * scale[j])
+        logs = np.log(np.ldexp(x[j], power[j]))
         for ell in range(d):
             if ell == j:
                 continue

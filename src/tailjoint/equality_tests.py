@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularCovarianceError
+from .errors import DomainError, NumericError, SingularCovarianceError
 from .inference import _check_alpha, _check_method, _estimate_sample, _Estimate, _per_sample
 from .numerics import _SpdStack, chi_square_quantile, chi_square_sf
 from .sample import MultivariateSample
@@ -67,15 +67,17 @@ def _statistic(est: _Estimate):
     """The deviance statistic, GLS common mean and covariance scale of each
     sample of the estimate's stack: from its extrapolated center (B, d),
     which must be positive, then its checked covariance and its shift,
-    built in that order."""
-    levels, checks = est.levels, est.checks
+    built in that order; a center that is not finite fails after them."""
+    levels, checks, name = est.levels, est.checks, _TEST_NAMES[est.method]
     checks(
         est.center <= 0.0,
-        lambda j: DomainError(
-            f"{_TEST_NAMES[est.method]} test requires positive extrapolated estimates"
-        ),
+        lambda j: DomainError(f"{name} test requires positive extrapolated estimates"),
     )
     covariance, z = est.covariance(), np.log(est.center) + est.shift()
+    checks(
+        ~np.isfinite(est.center),
+        lambda j: NumericError(f"{name} test requires finite extrapolated estimates"),
+    )
     scale = (levels.log_dn / math.sqrt(levels.n * (1.0 - levels.tau))) ** 2
     # The GLS mean is the same under the scaled covariance, and the
     # deviance is divided by the scale.

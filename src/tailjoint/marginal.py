@@ -43,28 +43,31 @@ def laws_expectile(column, tau: float) -> float:
     return float(_laws_sorted(_sorted_row(column), tau)[0])
 
 
-def _sums_sorted(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sums_sorted(xs: np.ndarray, start: int = 0) -> tuple:
     """The tau-free parts of the LAWS estimating function of each ascending
-    row of the 2-D array xs, as arrays of its shape.
+    row of the 2-D array xs: the cumulative sums cum of each whole row, and
+    A and B at its positions from start on.
 
-    With cum the cumulative sums of a row, and above and below the numbers
-    of points strictly above and at or below position i, these are cum and
+    With above and below the numbers of points strictly above and at or
+    below position i, these are
 
         A_i = (cum_n - cum_i) - above_i x_i,   B_i = cum_i - below_i x_i,
 
-    so that psi_tau(x_i) = tau A_i + (1 - tau) B_i at every level tau.
+    so that psi_tau(x_i) = tau A_i + (1 - tau) B_i at every level tau.  Each
+    entry is computed on its own, so a window's are the whole row's.
     """
     n = xs.shape[1]
     cum = np.cumsum(xs, axis=1)
-    below = np.arange(1, n + 1)
+    below = np.arange(start + 1, n + 1)
     above = n - below
+    x = xs[:, start:]
     # In place, as in _breakpoints: a Monte Carlo stack's rows make each
     # temporary hundreds of KB, and fewer of them keep the heap from
     # growing and being trimmed again (page faults) on every stack.
-    a = cum[:, -1:] - cum
-    a -= above * xs
-    b = below * xs
-    np.subtract(cum, b, out=b)
+    a = cum[:, -1:] - cum[:, start:]
+    a -= above * x
+    b = below * x
+    np.subtract(cum[:, start:], b, out=b)
     return cum, a, b
 
 
@@ -77,9 +80,10 @@ def _laws_sorted(xs: np.ndarray, tau) -> np.ndarray:
     the observations, and its value at each of them is tau A + (1 - tau) B
     (``_sums_sorted``).
     The root is located by the first breakpoint where psi <= 0 and solved
-    in closed form on the segment below it.  The breakpoints of all levels
-    come from one search over the levels (``_breakpoints``), not from a pass
-    over the rows per level.
+    in closed form on the segment below it.  At one level that breakpoint
+    is searched on a certified tail window of each row (``_breakpoint``);
+    the breakpoints of several levels come from one search over the levels
+    (``_breakpoints``), not from a pass over the rows per level.
     """
     levels = np.ravel(np.asarray(tau, dtype=float))
     if not np.all((levels > 0.0) & (levels < 1.0)):
@@ -87,21 +91,67 @@ def _laws_sorted(xs: np.ndarray, tau) -> np.ndarray:
     shift = _sum_shift(xs)
     if shift.any():
         return np.ldexp(_laws_sorted(np.ldexp(xs, -shift[:, None]), tau), shift)
-    cum, a, b = _sums_sorted(xs)
     n = xs.shape[1]
     rows = np.arange(xs.shape[0])
-    m = _breakpoints(a, b, levels).reshape(np.shape(tau)[:-1] + rows.shape)
-    at_point = (m == 0) | (tau * a[rows, m] + (1.0 - tau) * b[rows, m] == 0.0)
+    if len(levels) == 1:
+        cum, m = _breakpoint(xs, levels[0])
+    else:
+        cum, a, b = _sums_sorted(xs)
+        m = _breakpoints(a, b, levels)
+    m = m.reshape(np.shape(tau)[:-1] + rows.shape)
+    # psi at the breakpoint, from the products that the search compared.
+    x_m, s_lo = xs[rows, m], cum[rows, m - 1]
+    a_m = (cum[:, -1] - cum[rows, m]) - (n - 1 - m) * x_m
+    b_m = cum[rows, m] - (m + 1) * x_m
+    at_point = (m == 0) | (tau * a_m + (1.0 - tau) * b_m == 0.0)
     # Otherwise the root lies in (xs[m-1], xs[m]); on that segment m points
     # sit at or below.  Rounding can put num / den just outside the segment
     # (a constant row's root is then off its value, and not monotone in
     # tau), so it is clamped to it.
-    s_lo = cum[rows, m - 1]
     s_hi = cum[:, -1] - s_lo
     num = tau * s_hi + (1.0 - tau) * s_lo
     den = tau * (n - m) + (1.0 - tau) * m
-    root = np.clip(num / den, xs[rows, m - 1], xs[rows, m])
-    return np.where(at_point, xs[rows, m], root)
+    root = np.clip(num / den, xs[rows, m - 1], x_m)
+    return np.where(at_point, x_m, root)
+
+
+def _breakpoint(xs: np.ndarray, t: float, start: int | None = None):
+    """The cumulative sums of each ascending row of xs, and its breakpoint
+    at the level t: ``argmax(psi <= 0)`` over the whole row, searched on
+    the row's last W = 5 floor(n(1 - t)) + 8 positions when W < n/2.
+
+    The psi of the exact A and B, t A + u B with u = fl(1 - t), never rises
+    along an ascending row, as neither A nor B does.  The rounded psi is
+    within E = 8 n^2 eps M + 2^-1072 of it everywhere, with M the row's
+    largest |x| and eps = 2^-52.  The cumulative sums are within
+    gamma_{n-1} n M of theirs, in any order of summation (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sec. 4.2); A and B add
+    4 eps n M / 2 and 3 eps n M / 2 in their subtractions and integer
+    products, which cannot underflow; as |A| + |B| <= 2 n M, the products
+    by t and u and their sum add 2 eps n M and at most 2^-1074 in
+    underflow.  In all, 3 gamma_{n-1} n M + 11 eps n M / 2 + 2^-1074, at
+    most 3.5 eps n^2 M + 2^-1074 for n >= 2: E has twice that margin.  So
+    where the window holds a rounded psi <= 0 and its first rounded psi
+    exceeds 2E, every earlier position has exact psi above E and rounded
+    psi above 0, and the window's breakpoint is the row's.  Every other
+    row (NaN or infinite, constant, with its root below the window or too
+    close to certify) is searched whole."""
+    n = xs.shape[1]
+    if start is None:
+        width = 5 * math.floor(n * (1.0 - t)) + 8
+        start = n - width if 2 * width < n else 0
+    cum, a, b = _sums_sorted(xs, start)
+    psi = t * a
+    psi += (1.0 - t) * b
+    hit = psi <= 0.0
+    m = np.argmax(hit, axis=1)
+    if start:
+        bound = math.ldexp(n * n, -48) * np.maximum(-xs[:, 0], xs[:, -1]) + 2.0**-1071
+        whole = ~(hit[np.arange(len(m)), m] & (psi[:, 0] > bound))
+        m += start
+        if whole.any():
+            m[whole] = _breakpoint(xs[whole], t, 0)[1]
+    return cum, m
 
 
 def _sum_shift(xs: np.ndarray) -> np.ndarray:
@@ -124,13 +174,8 @@ def _breakpoints(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     the levels finds for every point together; the breakpoint at the l-th
     smallest level is the first position whose running max of c exceeds l.
     The other points, where rounding puts a or b across zero (as in a
-    constant column) or either is NaN, are evaluated at every level.  At
-    one level the search is that evaluation, made for every point at once.
+    constant column) or either is NaN, are evaluated at every level.
     """
-    if len(t) == 1:
-        psi = t[0] * a
-        psi += (1.0 - t[0]) * b
-        return np.argmax(psi <= 0.0, axis=1)[None]
     size, (r, n) = len(t), a.shape
     order = np.argsort(t, kind="stable")
     # The ascending levels, padded with NaN, where psi <= 0 fails, to 2^p - 1.
@@ -235,27 +280,33 @@ class MarginalTailEstimates:
         with gamma-hat >= 1 fails only what needs the QB factor."""
         return _qb_factors(self.gamma_hat, RAISE) * self.q_hat
 
-    def _factors(self, tau_prime: float) -> np.ndarray:
+    def _extrapolated(self, tau_prime: float, base: np.ndarray) -> np.ndarray:
+        """base times each margin's factor ((1 - tau_prime)/(1 - tau))^-gamma,
+        inf where the product overflows."""
         if not 0.0 < self.tau <= tau_prime < 1.0:
             raise LevelError(
                 f"extrapolation requires tau <= tau_prime in (0,1), "
                 f"got {self.tau}, {tau_prime}"
             )
         ratio = (1.0 - tau_prime) / (1.0 - self.tau)
-        return _per_element(lambda x: _power(ratio, -x), self.gamma_hat)
+        factors = _per_element(lambda x: _power(ratio, -x), self.gamma_hat)
+        with np.errstate(over="ignore"):
+            return factors * base
 
     def weissman_quantiles(self, tau_prime: float) -> np.ndarray:
         """Weissman extrapolated quantiles at level tau_prime, per margin."""
-        return self._factors(tau_prime) * self.q_hat
+        return self._extrapolated(tau_prime, self.q_hat)
 
     def xi_star_laws(self, tau_prime: float) -> np.ndarray:
         """LAWS-extrapolated expectiles at level tau_prime, per margin."""
-        return self._factors(tau_prime) * self.xi_laws
+        return self._extrapolated(tau_prime, self.xi_laws)
 
     def xi_star_qb(self, tau_prime: float, checks=RAISE) -> np.ndarray:
         """QB-extrapolated expectiles at level tau_prime, per margin."""
-        factors = self._factors(tau_prime)
-        return _qb_factors(self.gamma_hat, checks) * (factors * self.q_hat)
+        quantiles = self.weissman_quantiles(tau_prime)
+        factors = _qb_factors(self.gamma_hat, checks)
+        with np.errstate(over="ignore"):
+            return factors * quantiles
 
 
 def _power(base: float, x: float) -> float:

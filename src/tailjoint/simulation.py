@@ -411,11 +411,11 @@ class McReport:
 # Replications per stack.  A stack shares the fixed cost of each numpy call
 # among its replications, and its (B, d, n) arrays add to the peak memory.
 # At n=1000, d=2 (the benchmark's mc_power configuration on a 2-core Xeon
-# with AVX-512, medians of 25 interleaved rounds of M=200) stacks of 12,
-# 24, 48 and 100 took 0.240, 0.208, 0.209 and 0.216 ms of wall time per
-# power replication, while stacks of 8, 12, 16 and 24 added 0.2, 0.75, 1.35
-# and 2.3 MB to the peak RSS of a stack of one.
-_STACK = 12
+# with AVX-512, medians of 25 interleaved M=200 runs), stacks of 12, 16, 20
+# and 24 took 0.228, 0.216, 0.210 and 0.207 ms of wall time per power
+# replication, with a traced (tracemalloc) peak of 943, 1199, 1466 and
+# 1746 KB; beyond 16 the peak RSS of the benchmark rises.
+_STACK = 16
 
 
 def _outcomes(
@@ -429,13 +429,14 @@ def _outcomes(
     generator re-keyed before each replication (``_rekey``).  Stacks of
     _STACK replications are drawn in place into one (B, d, n) array
     (``_draw``), which becomes the stack's values without a copy, sorted
-    (``sample._stack_columns``, which keeps the row
-    order of only the top rows that ``_top_pairs`` and
-    ``_hill_laws_cross`` read at tau) and fitted at tau at once, and
-    outcome(st, fit, checks) returns a list of (B,) arrays computed by the
-    stacked code that the single-sample estimators, regions, intervals and
-    tests run as a stack of one; a failed check marks its replication
-    (errors.Checks), whose later arithmetic is ignored.
+    (``sample._stack_columns``, which keeps the row order of only the top
+    rows that ``_top_pairs`` and ``_hill_laws_cross`` read at tau) and
+    fitted at tau at once (each LAWS root searched on a certified tail
+    window of its row, ``marginal._breakpoint``), and outcome(st, fit,
+    checks) returns a list of (B,) arrays computed by the stacked code
+    that the single-sample estimators, regions, intervals and tests run as
+    a stack of one; a failed check marks its replication (errors.Checks),
+    whose later arithmetic is ignored.
     """
     rng = rng_stream(master_seed, 0)
     top = max(effective_k(n, tau), n + 1 - int(_r11_cut(n, tau)))

@@ -23,7 +23,7 @@ from tailjoint.cli import main, parse_model_spec
 from tailjoint.equality_tests import equality_test
 from tailjoint.errors import DomainError, TailjointError
 from tailjoint.inference import _by_group, _regions, confidence_region, estimate_covariance
-from tailjoint.sample import ingest_csv, tau_from_k
+from tailjoint.sample import MultivariateSample, emit_csv, ingest_csv, tau_from_k
 from tailjoint.taildep import extremal_coefficient
 
 
@@ -286,7 +286,8 @@ class TestTestCommand:
         )
 
     def test_overflowing_extrapolation_fails_its_rows(self, tmp_path, capsys):
-        # The rows that read the overflowing factor fail in-band; the others
+        # The rows that read the overflowing factor fail in-band, the
+        # Weissman row on its infinite extrapolated quantile; the others
         # survive.
         csv = write_overflow_panel(tmp_path / "huge.csv")
         assert main(["test", "--input", str(csv), "--k", "50"]) == 2
@@ -294,8 +295,9 @@ class TestTestCommand:
         rows = json.loads(captured.out)["results"]
         assert [(r["kind"], r["status"]) for r in rows] == [
             ("laws", "failed"), ("qb", "failed"),
-            ("quantile", "ok"), ("extremal_coefficient", "ok"),
+            ("quantile", "failed"), ("extremal_coefficient", "ok"),
         ]
+        assert rows[2]["error"] == "quantile test requires finite extrapolated estimates"
         assert captured.err == ""
 
     def test_laws_row_fails_with_the_laws_message(self, tmp_path, capsys):
@@ -1059,6 +1061,67 @@ class TestScaleEquivariance:
                 assert np.allclose(got[name][1:], want[name][1:], rtol=0.0, atol=1e-10)
             else:
                 assert_equivariant(got[name], want[name], c)
+
+
+def edge_panels() -> dict:
+    """n = 100 panels at the edges of the float range, with ties and a
+    constant column, against a Pareto(4) column B."""
+    b = 1.0 + np.random.default_rng(7).pareto(4.0, 100)
+    c = 1.0 + np.random.default_rng(8).pareto(3.0, 100)
+    return {
+        "overflow": (1.7e308 * np.random.default_rng(2).random(100), b),
+        "subnormal": (5e-324 * np.arange(1.0, 101.0), b),
+        "1e300": (1e300 * b, 1e300 * c),
+        "1e-300": (1e-300 * b, 1e-300 * c),
+        "tied": (np.round(b, 1), c),
+        "constant": (np.full(100, 2.0), b, c),
+    }
+
+
+EDGE_RUNS = (
+    ["estimate", "--k", "10"],
+    ["estimate", "--tau", "0.9", "--tau-prime", "0.9999"],
+    ["region", "--k", "10"],
+    ["test", "--k", "10"],
+    ["test", "--tau", "0.9", "--tau-prime", "0.999"],
+    ["test", "--tau", "0.9", "--tau-prime", "0.9999"],
+    ["trace-scan", "--k-min", "5", "--k-max", "30"],
+)
+
+
+def finite_cells(path: Path) -> bool:
+    """Whether every number in an output file is finite: JSON constants
+    NaN and Infinity, or a CSV cell that reads as a non-finite float."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        try:
+            json.loads(text, parse_constant=lambda name: 1 / 0)
+        except ZeroDivisionError:
+            return False
+        return True
+    for row in csv.reader(text.splitlines()):
+        for cell in row:
+            try:
+                if not math.isfinite(float(cell)):
+                    return False
+            except ValueError:
+                pass
+    return True
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("panel", edge_panels())
+def test_edge_panels_exit_cleanly_with_finite_outputs(tmp_path, panel):
+    # Every command exits 0, 1 or 2, emits no warning (an error here) and
+    # writes no non-finite number: what cannot be computed fails in-band.
+    columns = edge_panels()[panel]
+    data = tmp_path / "data.csv"
+    emit_csv(MultivariateSample(np.column_stack(columns), tuple("ABC"[: len(columns)])), data)
+    for i, argv in enumerate(EDGE_RUNS):
+        out = tmp_path / f"out{i}"
+        assert main([*argv, "--input", str(data), "--out", str(out)]) in (0, 1, 2), argv
+        for path in sorted(out.iterdir()) if out.exists() else []:
+            assert finite_cells(path), (argv, path.name)
 
 
 def test_python_dash_m_runs_the_cli():

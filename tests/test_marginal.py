@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 from conftest import level_grid, tail_panels
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tailjoint import marginal
 from tailjoint.errors import RAISE, DomainError, LevelError, TailjointError
 from tailjoint.marginal import (
     _hill_sorted,
     _laws_sorted,
+    _sum_shift,
     _sums_sorted,
     estimate_margins,
     fit_column,
@@ -164,6 +166,116 @@ class TestLawsFromCachedSums:
             except TailjointError:
                 continue  # the Hill part of the fit raises before LAWS is read
             assert np.array_equal(fit.xi_laws, want)
+
+
+def whole_row_laws(xs, tau):
+    """full_scan_laws of the rows of xs after the exact power-of-two scaling
+    that ``_laws_sorted`` applies to rows near the float maximum."""
+    shift = _sum_shift(xs)
+    return np.ldexp(full_scan_laws(np.ldexp(xs, -shift[:, None]), tau), shift)
+
+
+def assert_same_bits(got, want) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def window_cases(draw):
+    """1..4 ascending rows of n = 5..5000 Pareto points, continuous, rounded
+    (tied), constant, mixed-sign, nearly constant, flat from some rank on,
+    or holding a NaN, at scales from subnormal to the float maximum; and
+    1..3 levels of level_grid(n), where short rows and low levels take no
+    window."""
+    kind = draw(st.sampled_from(
+        ["continuous", "rounded", "constant", "mixed", "near-constant", "flat top", "nan"]
+    ))
+    n = draw(st.integers(500 if kind == "near-constant" else 5, 5000))
+    rows = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = 1.0 + rng.pareto(draw(st.floats(1.5, 8.0)), size=(rows, n))
+    if kind == "rounded":
+        x = np.round(x, 1)
+    elif kind == "constant":
+        x[0] = x[0, 0]
+    elif kind == "mixed":
+        x -= np.median(x)
+    elif kind == "near-constant":
+        # A spread of about n/10 units in the last place, where psi is
+        # within its rounding error of 0 along much of the row.
+        x = 1.0 + n * 2.0**-52 * 0.1 * x
+    elif kind == "flat top":
+        x = np.minimum(x, np.quantile(x, draw(st.floats(0.05, 0.95))))
+    elif kind == "nan":
+        x[0, rng.integers(n)] = np.nan
+    scale = draw(st.sampled_from([1.0, 1e-300, 5e-324, 1e300, 0.0]))
+    x = x * scale if scale else x / np.nanmax(np.abs(x)) * 1.7e308
+    # Levels of the whole grid, of its top tenth (1 - k/n for k <= n/10 + 1)
+    # and of its top hundredth.
+    grid = level_grid(n)
+    level = st.one_of(
+        st.sampled_from(grid), *(st.sampled_from(grid[23 : 24 + n // top]) for top in (10, 100))
+    )
+    return np.sort(x, axis=1), draw(st.lists(level, min_size=1, max_size=3))
+
+
+# Rows of 1 plus about 100 units in the last place: psi is within its
+# rounding error of 0 along much of each row, so a certificate 10^6 times
+# too weak takes the window's breakpoint for most of them.
+NEARLY_CONSTANT = (
+    np.sort(1.0 + (1.0 + np.random.default_rng(3).pareto(3.0, (64, 1000))) * 100 * 2.0**-52),
+    [0.999, 0.998, 0.995, 0.99],
+)
+
+
+def whole_row_searches(monkeypatch) -> list:
+    """Record the number of rows of every whole-row search that a windowed
+    search falls back to (``marginal._breakpoint`` with start 0)."""
+    calls = []
+    original = marginal._breakpoint
+
+    def recording(xs, t, start=None):
+        if start == 0:
+            calls.append(len(xs))
+        return original(xs, t, start)
+
+    monkeypatch.setattr(marginal, "_breakpoint", recording)
+    return calls
+
+
+class TestLawsTailWindow:
+    """At one level the breakpoint is searched on a certified tail window of
+    each row; the root must be the whole-row search's to the bit."""
+
+    @given(window_cases())
+    @example(NEARLY_CONSTANT)
+    @settings(max_examples=150, deadline=None)
+    def test_root_equals_full_scan(self, case):
+        xs, levels = case
+        with np.errstate(all="ignore"):
+            for tau in levels:
+                assert_same_bits(_laws_sorted(xs, tau), whole_row_laws(xs, tau))
+
+    def test_pareto_rows_take_the_window(self, monkeypatch):
+        xs = np.sort(1.0 + np.random.default_rng(1).pareto(3.0, (6, 1000)), axis=1)
+        calls = whole_row_searches(monkeypatch)
+        for tau in (0.9, 0.95, 0.99):
+            assert_same_bits(_laws_sorted(xs, tau), full_scan_laws(xs, tau))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "row",
+        [np.full(1000, 2.3), np.r_[np.zeros(400), np.ones(600)]],
+        ids=["constant", "root below the window"],
+    )
+    def test_row_searched_whole(self, row, monkeypatch):
+        # The 0/1 row's root, 570/590, lies in (x[399], x[400]): its
+        # breakpoint, 400, is below the window's first position, 742.
+        pareto = np.sort(1.0 + np.random.default_rng(2).pareto(3.0, 1000))
+        xs = np.vstack([pareto, row, pareto])
+        calls = whole_row_searches(monkeypatch)
+        assert_same_bits(_laws_sorted(xs, 0.95), full_scan_laws(xs, 0.95))
+        assert calls == [1]
 
 
 def assert_levels_match_single_calls(xs, levels) -> None:

@@ -671,6 +671,41 @@ class TestStackedPower:
         }
 
 
+class TestStackSize:
+    """A harness's per-replication outcomes and report do not depend on the
+    number of replications per stack."""
+
+    M = 2 * _STACK + 1
+    STUDENT = SimulationModel.gaussian_student(2)
+    RUNS = {
+        "mse": lambda M: run_mc_mse(SimulationModel.clayton_frechet(3), 500, 0.9, M, 1),
+        "coverage": lambda M: run_mc_coverage(
+            TestStackSize.STUDENT, 1000, 1.0 - 1.0 / math.sqrt(1000), M, 0.05, "laws", 17,
+            tau_prime=0.999,
+        ),
+        "interval": lambda M: run_mc_interval_coverage(
+            SimulationModel.univariate("frechet"), 1000, 0.95, 0.999, M, 0.05, "laws", 94
+        ),
+        "power": lambda M: run_mc_power(
+            TestStackedPower.FAILING, 1000, 0.95, 0.999, M, 0.05, 4
+        ),
+    }
+
+    @pytest.mark.parametrize("harness", RUNS)
+    def test_outcomes_and_report_at_any_stack_size(self, harness, monkeypatch):
+        runs, reports = record_outcomes(monkeypatch), []
+        for stack in (1, 12, 16):
+            monkeypatch.setattr(simulation, "_STACK", stack)
+            reports.append(self.RUNS[harness](self.M))
+        outcomes = [
+            [(type(o), str(o)) if isinstance(o, TailjointError) else o for o in run]
+            for run in runs
+        ]
+        assert len(outcomes[0]) == self.M
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert reports[0] == reports[1] == reports[2]
+
+
 def noncovered(region, truth) -> tuple:
     """(1.0,) when the pivot of the region's central limit approximation
     misses truth, (0.0,) otherwise: the residual estimate-over-truth,
