@@ -17,14 +17,11 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from functools import cache, partial
 from pathlib import Path
 
-import numpy as np
-
-from .covariance import _scan_v_star_laws
+from .covariance import _scan_traces
 from .equality_tests import _results
 from .errors import DomainError, IngestionError, LevelError, NumericError, TailjointError
 from .inference import (
@@ -369,8 +366,10 @@ def cmd_trace_scan(args) -> int:
         raise DomainError(
             f"k range [{k_min}, {k_max}] outside [2, {sample.n - 1}] for n={sample.n}"
         )
-    # Each k's "laws" covariance or failure, as estimate_covariance gives
-    # it: a level that TailLevelPair rejects fails first, the rest run stacked.
+    # Each k's star-LAWS trace or failure: a level that TailLevelPair
+    # rejects fails first, the rest run stacked.  A row's status covers the
+    # fit, the Hill check and the per-margin variances; the joint matrix's
+    # PSD check is left to region and test.
     ks = range(k_min, k_max + 1)
     levels, results = {}, {}
     for k in ks:
@@ -378,16 +377,15 @@ def cmd_trace_scan(args) -> int:
             levels[k] = TailLevelPair(tau_from_k(sample.n, k), tau_prime, sample.n)
         except LevelError as exc:
             results[k] = exc
-    results.update(zip(levels, _scan_v_star_laws(sample, list(levels.values()))))
+    results.update(zip(levels, _scan_traces(sample, list(levels.values()))))
     errors = {k: str(r) for k, r in results.items() if isinstance(r, TailjointError)}
     if len(errors) == len(ks):
         raise DomainError("trace scan failed at every k: " + errors[k_min])
-    ok = [k for k in ks if k not in errors]
-    traces = dict(zip(ok, np.array([results[k] for k in ok]).trace(axis1=1, axis2=2).tolist()))
-    # Every trace, and nan for a failed level, in one %.17g format.
-    cells = (",".join(["%.17g"] * len(ks)) % tuple(traces.get(k, math.nan) for k in ks)).split(",")
-    status = ["ok" if k in traces else f"failed: {errors[k]}" for k in ks]
-    _emit_csv_rows(("k", "trace", "status"), zip(ks, cells, status), args.out, "trace_scan.csv")
+    rows = (
+        (k, None, f"failed: {errors[k]}") if k in errors else (k, "%.17g" % results[k], "ok")
+        for k in ks
+    )
+    _emit_csv_rows(("k", "trace", "status"), rows, args.out, "trace_scan.csv")
     return 2 if errors else 0
 
 

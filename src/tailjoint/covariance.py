@@ -36,16 +36,10 @@ product phi phi^T cannot overflow or underflow, and the Hill/LAWS cross
 terms gather each margin's top k rows from them.
 
 A scan over many levels of one sample, such as ``trace-scan``
-(``_scan_v_star_laws``), fits every level at once and builds no
-residuals.  The sets of rows that its sums run over (the values above
-xi-hat, above q-hat, and R-hat(1,1)'s top ranks, of one margin or of two)
-only gain rows as k grows, so every level's Gram entries, cross terms and
-counts are prefix sums along the levels of sums over the rows by the level
-at which they enter (``_nested_sums``): one pass over the panel per pair
-of margins, whatever the number of levels.  The diagonals are the same
-closed forms, and one batched SPD check serves all the levels, each
-failing alone, with the first failure that ``estimate_covariance`` raises
-for "laws" at that level.
+(``_scan_traces``), fits every level at once and reads only each level's
+trace: the per-margin variances, closed forms in the fit and each
+margin's survival count, with one batched SPD check of their diagonal
+matrices for all the levels.
 """
 
 from __future__ import annotations
@@ -53,12 +47,12 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .errors import RAISE, Checks, DomainError, NumericError
+from .errors import RAISE, Checks, DomainError
 from .marginal import _check_qb, _fit_sorted, _sum_shift, estimate_margins, m_function
 from .numerics import SpdMatrix, _per_element, _spd_stack, integrate_1d_tail, integrate_tail_box
 from .sample import MultivariateSample, _row_starts, effective_k
 from .taildep import (
-    OracleTailCopula, _r11_cut, _r11_matrix, _top_pairs, _unit_integral_matrix,
+    OracleTailCopula, _r11_matrix, _top_pairs, _unit_integral_matrix,
 )
 
 
@@ -105,6 +99,11 @@ def _outer(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 def _set_diagonal(m: np.ndarray, diag: np.ndarray) -> None:
     i = np.arange(m.shape[-1])
     m[..., i, i] = diag
+
+
+def _diagonal(diag: np.ndarray) -> np.ndarray:
+    """The diagonal matrix of each row of diag (..., d)."""
+    return diag[..., None] * np.eye(diag.shape[-1])
 
 
 def _hill_block(g: np.ndarray, r11: np.ndarray) -> np.ndarray:
@@ -298,26 +297,32 @@ def _v_laws_raw(st, g, q, xi, tau: float, checks) -> tuple[np.ndarray, np.ndarra
     return _laws_blocks(g, mbar, cross, surv, tau, mant, n)
 
 
-def _laws_blocks(g, mbar, cross, surv, tau, mant, n: int):
+def _laws_blocks(g, mbar, cross, surv, tau: float, mant, n: int):
     """The LAWS covariance and the Hill/LAWS cross terms of each entry from
     the Gram product mbar of its residuals scaled by the powers of two that
     take xi to mant, and the numerators of the cross terms, from the same
     residuals: their off-diagonals.  The diagonal of the covariance is the
-    closed form in the survival counts surv (the number of each margin's
-    values above xi).  tau is one level or an (L, 1) array of them."""
+    closed form ``_laws_diag``."""
     omt = 1.0 - tau
-    cross /= np.expand_dims(omt, -1) * mant[..., None, :]
-    surv = surv / n
-    diag = (
+    cross /= omt * mant[..., None, :]
+    m = _outer(g)
+    m *= mbar
+    m /= omt * _outer(mant)
+    _set_diagonal(m, _laws_diag(g, surv, tau, n))
+    return m, cross
+
+
+def _laws_diag(g, surv, tau, n: int) -> np.ndarray:
+    """The finite-sample variance of each margin's intermediate LAWS
+    estimator from its Hill estimate g and survival count surv (the number
+    of its values above xi-hat) at level tau, one level or an (L, 1) array
+    of them."""
+    omt, surv = 1.0 - tau, surv / n
+    return (
         2.0 * g**2 / (1.0 - 2.0 * g)
         * (1.0 + surv / omt)
         / (1.0 + (2.0 * tau - 1.0) * surv / omt) ** 2
     )
-    m = _outer(g)
-    m *= mbar
-    m /= np.expand_dims(omt, -1) * _outer(mant)
-    _set_diagonal(m, diag)
-    return m, cross
 
 
 def _bias_qb(st, g, q, checks) -> np.ndarray:
@@ -401,132 +406,32 @@ def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
     return g[..., None, :] * (s1 / n) - _outer(g) * (s2 / n)
 
 
-def _scan_v_star_laws(sample: MultivariateSample, levels: list) -> list:
-    """The star-LAWS covariance of the sample at each TailLevelPair of
-    levels, in ascending k: its checked entries, or the TailjointError of
-    the first check it fails, the one that ``inference.estimate_covariance``
-    raises for "laws" at that level.
+def _scan_traces(sample: MultivariateSample, levels: list) -> list:
+    """The trace of the star-LAWS covariance of the sample at each
+    TailLevelPair of levels, in any order, or the TailjointError of the
+    first check it fails: the one that ``inference.estimate_covariance``
+    raises for "laws" there, but for the joint matrix's PSD check.
 
-    The levels are fitted at once, and not kept on the sample; their (Hill,
-    LAWS) matrices come from ``_nested_sums``, which refuses levels out of
-    order, and one ``_spd_stack`` checks them, each level failing alone.
-    """
+    The levels are fitted at once, and not kept on the sample.  A trace is
+    the sum of the per-margin variances, each margin's (Hill, LAWS) block of
+    closed forms contracted by ``_contract``.  One ``_spd_stack`` checks
+    their diagonal matrices, each level failing alone."""
     if not levels:
         return []
     tau = np.array([[lv.tau] for lv in levels])
-    log_dn = np.array([[lv.log_dn] for lv in levels])
+    log_dn = np.array([[[lv.log_dn]] for lv in levels])
     checks = Checks(len(levels))
     with np.errstate(all="ignore"):
-        fit = _fit_sorted(sample.sorted_columns, tau, checks)
+        xs, n = sample.sorted_columns, sample.n
+        fit = _fit_sorted(xs, tau, checks)
         g = fit.gamma_hat
         _check_laws(g, checks)
-        sigma = _sigma_blocks(g, *_nested_sums(sample, g, fit.q_hat, fit.xi_laws, tau))
-        m = _spd_stack(_contract(sigma, 1.0, 1.0 / log_dn), "star-LAWS covariance", checks).entries
-    return [m[row] if error is None else error for row, error in enumerate(checks.first)]
-
-
-def _nested_sums(sample: MultivariateSample, g, q, xi, tau):
-    """``_v_laws_raw``'s LAWS block and cross terms, and R-hat(1,1), of the
-    sample at each of an (L, 1) array of levels tau in ascending k (falling
-    tau), given their (L, d) fit, from sums over nested sets of rows.
-
-    Each sum runs over one of three sets of a margin j, or over the rows
-    that two of them share: A_j, the values above xi_j, where phi's weight
-    is tau and not 1 - tau; T_j, the values above q_j, the rows whose
-    log-excess the cross terms read; and R-hat's top ranks.  Their cut-offs
-    fall as k grows, so each set only gains rows: a row enters it at one
-    level (``_entries``), and a set shared by two margins at the later of
-    its two.  With phi's weight split as (1 - tau) + (2 tau - 1) 1{A}, each
-    Gram entry and cross numerator is a sum over such sets of a product of
-    residuals y - delta or of log x_j - log q_j, expanded into sums of
-    products, of single terms and counts (``_set_sums``): one ``bincount``
-    of the rows that enter by the last level, by entry level, and one
-    ``cumsum`` along the levels for all four, whatever the number of
-    levels.  The pairs of margins run one at a time.
-
-    Margin j is scaled once by the power of two 2^-e_j that takes its
-    largest |x| to [1/2, 1), and centred on its scaled xi c_j at the middle
-    level: y = x 2^-e_j - c_j, and delta = xi 2^-e_j - c_j at each level.
-    So no product overflows or underflows at any scale of the data, and
-    the expansion loses no more than the spread of xi over the levels
-    allows.  The survival counts and R-hat's counts are integers, exact.
-    A cut-off sequence that does not fall, such as an xi-hat that rises
-    with k, raises NumericError."""
-    n, d, levels = sample.n, sample.d, len(tau)
-    x = sample._stack.columns[0]
-    power = -np.frexp(np.abs(x).max(axis=-1))[1]  # 2^power itself may overflow
-    mant, log_q = np.ldexp(xi, power), np.log(np.ldexp(q, power))
-    centre = mant[levels // 2]
-    y, delta = np.ldexp(x, power[:, None]) - centre[:, None], mant - centre
-    above = [_entries(xi[:, j], x[j], "LAWS expectiles") for j in range(d)]
-    over = [_entries(q[:, j], x[j], "Hill thresholds") for j in range(d)]
-    cut = _r11_cut(n, tau[:, 0])
-    top = [_entries(cut - 1, r, "tail copula cut-offs") for r in sample.ranks.T]
-    surv = np.stack([_prefix(e, levels) for e in above], axis=-1)
-
-    a, b = 1.0 - tau[:, 0], 2.0 * tau[:, 0] - 1.0
-    gram, cross, r11 = (np.zeros((levels, d, d)) for _ in range(3))
-    everyone = np.zeros(n, dtype=np.intp)
-    for j in range(d):
-        logs = np.log(np.ldexp(x[j], power[j]))
-        for ell in range(d):
-            if ell == j:
-                continue
-            # Over T_j, and over T_j and A_ell: the sums of (log x_j -
-            # log q_j)(y_ell - delta_ell), and of y_ell - delta_ell.
-            over_j, both = (
-                _set_sums(e, logs, y[ell], log_q[:, j], delta[:, ell], levels)
-                for e in (over[j], np.maximum(over[j], above[ell]))
-            )
-            s1, s2 = (a * t + b * u for t, u in zip(over_j, both))
-            cross[:, j, ell] = g[:, ell] * (s1 / n) - g[:, j] * g[:, ell] * (s2 / n)
-            if ell < j:
-                continue
-            # Over every row, A_j, A_ell and both: the sums of
-            # (y_j - delta_j)(y_ell - delta_ell).
-            s_all, s_j, s_ell, s_both = (
-                _set_sums(e, y[j], y[ell], delta[:, j], delta[:, ell], levels)[0]
-                for e in (everyone, above[j], above[ell], np.maximum(above[j], above[ell]))
-            )
-            gram[:, j, ell] = gram[:, ell, j] = (
-                a * a * s_all + a * b * (s_j + s_ell) + b * b * s_both
-            )
-            r11[:, j, ell] = r11[:, ell, j] = _prefix(np.maximum(top[j], top[ell]), levels)
-    gram /= n
-    r11 /= np.expand_dims(n * (1.0 - tau), -1)
-    return (*_laws_blocks(g, gram, cross, surv, tau, mant, n), r11)
-
-
-def _entries(cuts, x, what: str) -> np.ndarray:
-    """The level at which each value of x enters the sets {x > cut} of a
-    sequence of levels, whose cut-offs cuts fall or stay: the first level
-    whose cut-off is below it, or len(cuts) for none.  Only the values
-    above the last cut-off are searched for, unless a cut-off is NaN (a
-    failed level), which searchsorted orders last."""
-    if np.any(cuts[1:] > cuts[:-1]):
-        raise NumericError(f"{what} rise with k: the scan's tail sets are not nested")
-    entry = np.full(x.shape, len(cuts), dtype=np.int32)
-    rows = np.flatnonzero((x > cuts[-1]) | np.isnan(cuts).any())
-    entry[rows] = np.searchsorted(-cuts, -x[rows], side="right")
-    return entry
-
-
-def _prefix(entry, levels: int) -> np.ndarray:
-    """The integer count of the rows that have entered by each of the
-    levels, given each row's entry level (levels for never)."""
-    return np.cumsum(np.bincount(entry[entry < levels], minlength=levels))
-
-
-def _set_sums(entry, u, v, mu, nu, levels: int):
-    """The sums of (u - mu)(v - nu) and of v - nu over the rows that have
-    entered by each of the levels (``_prefix``), with u and v per row and
-    mu and nu per level.  The four weights u v, u, v and 1 of the rows that
-    enter are binned by one bincount, each in its own run of levels bins;
-    a bin sums its rows in row order, as a bincount of every row does."""
-    rows = np.flatnonzero(entry < levels)
-    e, u, v = entry[rows], u[rows], v[rows]
-    bins = np.concatenate((e, e + levels, e + 2 * levels, e + 3 * levels))
-    weights = np.concatenate((u * v, u, v, np.ones_like(u)))
-    sums = np.bincount(bins, weights, minlength=4 * levels).reshape(4, levels)
-    uv, su, sv, count = np.cumsum(sums, axis=1)
-    return uv - nu * su - mu * sv + mu * nu * count, sv - nu * count
+        # Each margin's number of values above xi-hat, at every level.
+        above = [n - np.searchsorted(x, xi, "right") for x, xi in zip(xs, fit.xi_laws.T)]
+        surv = np.stack(above, axis=-1)
+        cross = _per_element(_sigma_laws_cross_diag, g)
+        blocks = np.stack((g**2, cross, cross, _laws_diag(g, surv, tau, n)), axis=-1)
+        var = _contract(blocks.reshape(g.shape + (2, 2)), 1.0, 1.0 / log_dn)[..., 0, 0]
+        checked = _spd_stack(_diagonal(var), "star-LAWS covariance", checks)
+        traces = checked.entries.trace(axis1=1, axis2=2)
+    return [t if error is None else error for t, error in zip(traces.tolist(), checks.first)]

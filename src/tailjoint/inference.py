@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .covariance import _bias_qb, _contract, _one, _qb_weights, _sigma_laws, _sigma_q
+from .covariance import _bias_qb, _contract, _diagonal, _one, _qb_weights, _sigma_laws, _sigma_q
 from .errors import RAISE, Checks, DomainError, LevelError, NumericError, TailjointError
 from .marginal import MarginalTailEstimates, _fit_sorted, _qb_factors
 from .numerics import (
@@ -94,11 +94,6 @@ def _check_log_centers(center: np.ndarray, checks) -> None:
     """Fail each sample with a non-positive center entry, which a log-scale
     region cannot hold."""
     checks(center <= 0.0, lambda j: DomainError("log-scale regions require positive centers"))
-
-
-def _diagonal(diag: np.ndarray) -> np.ndarray:
-    """The diagonal matrix of each row of diag (B, d)."""
-    return diag[..., None] * np.eye(diag.shape[-1])
 
 
 class _Estimate(NamedTuple):

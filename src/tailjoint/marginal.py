@@ -267,7 +267,7 @@ class MarginalTailEstimates:
     """Per-margin tail summaries at a common intermediate level: arrays of
     d margins, or (B, d) for a stack of B samples; or (L, d) for L levels of
     one sample, with tau their (L, 1) array, which only ``trace-scan``
-    reads (``covariance._scan_v_star_laws``)."""
+    reads (``covariance._scan_traces``)."""
 
     tau: float | np.ndarray
     gamma_hat: np.ndarray

@@ -41,7 +41,7 @@ from .equality_tests import _statistic
 from .marginal import _check_hill_size, _fit_sorted, _qb_factors
 from .numerics import _ndtr, _per_element, _quadratic_form, chi_square_quantile
 from .sample import MultivariateSample, TailLevelPair, _stack_columns, effective_k
-from .taildep import _r11_cut
+from .taildep import _ordered_rows
 
 _PAIRWISE_CORRELATIONS = {
     2: {(0, 1): 0.8},
@@ -430,7 +430,7 @@ def _outcomes(
     _STACK replications are drawn in place into one (B, d, n) array
     (``_draw``), which becomes the stack's values without a copy, sorted
     (``sample._stack_columns``, which keeps the row order of only the top
-    rows that ``_top_pairs`` and ``_hill_laws_cross`` read at tau) and
+    rows that the covariances read at tau, ``taildep._ordered_rows``) and
     fitted at tau at once (each LAWS root searched on a certified tail
     window of its row, ``marginal._breakpoint``), and outcome(st, fit,
     checks) returns a list of (B,) arrays computed by the stacked code
@@ -438,8 +438,7 @@ def _outcomes(
     a stack of one; a failed check marks its replication (errors.Checks),
     whose later arithmetic is ignored.
     """
-    rng = rng_stream(master_seed, 0)
-    top = max(effective_k(n, tau), n + 1 - int(_r11_cut(n, tau)))
+    rng, top = rng_stream(master_seed, 0), _ordered_rows(n, tau)
     outcomes = []
     for start in range(0, M, _STACK):
         stop = min(start + _STACK, M)

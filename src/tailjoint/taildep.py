@@ -6,13 +6,14 @@ The pair matrices read each margin's top rows from its row order
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .numerics import integrate_unit_log
-from .sample import MultivariateSample, _check_margin, _row_starts
+from .sample import MultivariateSample, _check_margin, _row_starts, effective_k
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,17 +70,16 @@ def _tail_points(ranks: np.ndarray, tau, n: int | None = None) -> np.ndarray:
     return (n + 1 - ranks) / ((n + 1) * (1.0 - tau))
 
 
-def _r11_cut(n: int, tau):
+def _r11_cut(n: int, tau: float) -> int:
     """The smallest rank r of a sample of size n whose U (``_tail_points``)
-    is at most 1, at a level tau or at each of an array of levels: the top
-    ranks are those at or above it.  U falls as the rank rises, so the cut
-    is n + 1 minus the number of m = n + 1 - r in 1..n that pass the test.
-    Every m up to (n+1)(1-tau), as that product rounds, passes, and none
-    above its floor plus one, so only that one m is tested."""
-    tau = np.asarray(tau, dtype=float)
-    floor = np.floor((n + 1) * (1.0 - tau)).astype(np.int64)
-    next_passes = (floor < n) & (_tail_points(n - floor, tau, n) <= 1.0)
-    return n + 1 - np.minimum(floor, n) - next_passes
+    is at most 1 at level tau: the top ranks are those at or above it.  U
+    falls as the rank rises, so the cut is n + 1 minus the number of
+    m = n + 1 - r in 1..n that pass the test.  Every m up to
+    (n+1)(1-tau), as that product rounds, passes, and none above its floor
+    plus one, so only that one m is tested."""
+    floor = math.floor((n + 1) * (1.0 - tau))
+    next_passes = floor < n and _tail_points(n - floor, tau, n) <= 1.0
+    return int(n + 1 - min(floor, n) - next_passes)
 
 
 def _top_pairs(st, tau: float) -> np.ndarray:
@@ -87,12 +87,20 @@ def _top_pairs(st, tau: float) -> np.ndarray:
     says whether margin j's row of rank cut + m, the m-th of the last M
     rows of its row order, has a rank of at least cut (``_r11_cut``) on
     margin l too, as read from a mask of every margin's last M rows."""
-    size = st.n + 1 - int(_r11_cut(st.n, tau))
+    size = st.n + 1 - _r11_cut(st.n, tau)
     rows = st.order[..., st.order.shape[-1] - size :]  # (S, d, M)
     starts = _row_starts(st.columns.shape)  # (S, d, 1)
     top = np.zeros(st.columns.size, dtype=bool)
     top[rows + starts] = True
     return top[rows[..., None, :] + starts[:, None]]
+
+
+def _ordered_rows(n: int, tau: float) -> int:
+    """How many of each column's top rows the stacked covariances read in
+    row order at level tau, so the most that a stack must order: the top k
+    of the Hill/LAWS cross terms (``covariance._hill_laws_cross``) and the
+    top ranks of ``_top_pairs``."""
+    return max(effective_k(n, tau), n + 1 - _r11_cut(n, tau))
 
 
 def _r11_matrix(top: np.ndarray, n: int, tau: float) -> np.ndarray:

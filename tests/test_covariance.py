@@ -25,7 +25,6 @@ from tailjoint.errors import (
     Checks,
     DomainError,
     NotPositiveSemidefiniteError,
-    NumericError,
     TailjointError,
 )
 from tailjoint.inference import estimate_covariance
@@ -940,8 +939,8 @@ def scan_panels(draw) -> MultivariateSample:
 
 
 def scan_with_clips(sample, ks, tau_prime):
-    """_scan_v_star_laws of the sample at k = ks (ascending) and tau_prime,
-    and the clip magnitude of each level's checked matrix."""
+    """_scan_traces of the sample at k = ks and tau_prime, and the clip
+    magnitude of each level's checked diagonal matrix."""
     levels = [TailLevelPair(tau_from_k(sample.n, k), tau_prime, sample.n) for k in ks]
     spd_stack, clips = covariance._spd_stack, []
 
@@ -951,46 +950,52 @@ def scan_with_clips(sample, ks, tau_prime):
         return checked
 
     with mock.patch.object(covariance, "_spd_stack", recording):
-        got = covariance._scan_v_star_laws(sample, levels)
+        got = covariance._scan_traces(sample, levels)
     return levels, got, clips
 
 
-def assert_scan_matches_single_levels(sample, ks, tau_prime=0.999, exact=False) -> set:
+def assert_scan_matches_single_levels(sample, ks, tau_prime=0.999) -> set:
     """Each level of a scan of the sample against estimate_covariance for
-    "laws": the same failure class and message, or else, where neither
-    clips, the same trace to the bit, and every entry within 1e-12 of the
-    matrix's largest (exact: every entry to the bit).  Returns the kinds of
-    failure seen."""
+    "laws": the same failure class and message; where that call fails the
+    joint matrix's PSD check, ok with the trace of the raw contraction of
+    estimate_sigma_laws; else, where neither clips, the same trace.  Each
+    trace to the bit.  Returns the kinds of failure of the single-level
+    calls."""
     kinds = set()
     for lv, got, clip in zip(*scan_with_clips(sample, ks, tau_prime)):
         try:
             want = estimate_covariance(sample, lv.tau, lv.tau_prime, "laws")
+        except NotPositiveSemidefiniteError as exc:
+            kinds.add(type(exc).__name__)
+            raw = covariance._contract(estimate_sigma_laws(sample, lv.tau), 1.0, 1.0 / lv.log_dn)
+            assert not isinstance(got, TailjointError), got
+            assert got == np.trace(raw)
+            continue
         except TailjointError as exc:
             assert (type(got), str(got)) == (type(exc), str(exc))
-            psd = isinstance(exc, NotPositiveSemidefiniteError)
-            kinds.add(type(exc).__name__ if psd else str(exc).split(" (")[0])
+            kinds.add(str(exc).split(" (")[0])
             continue
         assert not isinstance(got, TailjointError), got
-        if exact:
-            assert np.array_equal(got, want.entries)
         if clip == 0.0 and want.clip_magnitude == 0.0:
-            assert np.trace(got) == np.trace(want.entries)
-        scale = np.max(np.abs(want.entries))
-        assert np.max(np.abs(got - want.entries)) <= 1e-12 * scale
+            assert got == np.trace(want.entries)
     return kinds
 
 
-class TestScanVStarLaws:
+def outcome(result):
+    """A scan's trace, or its failure as (class, message)."""
+    return (type(result), str(result)) if isinstance(result, TailjointError) else result
+
+
+class TestScanTraces:
     def test_each_level_equals_its_single_level_call(self):
         # At k = 44..56 this Gumbel draw has star-LAWS matrices that are
-        # not PSD next to valid ones; the flat-topped panel has Hill
-        # estimates of 0 and of 1/2 and more.  Whole matrices are compared:
-        # their trace reads only diagonals that the nested sums do not
-        # reach.
+        # not PSD next to valid ones: the scan reports their traces, which
+        # read only the per-margin blocks.  The flat-topped panel has Hill
+        # estimates of 0 and of 1/2 and more.
         gumbel = sample_model(SimulationModel.gumbel_frechet(d=2), 1000, rng_stream(1, 30))
         kinds = set()
         for sample, ks in ((gumbel, range(44, 57)), (flat_topped_panel(), range(2, 199))):
-            kinds |= assert_scan_matches_single_levels(sample, ks, exact=True)
+            kinds |= assert_scan_matches_single_levels(sample, ks)
         assert kinds == {
             "NotPositiveSemidefiniteError",
             "LAWS variance requires positive Hill estimates",
@@ -1015,114 +1020,33 @@ class TestScanVStarLaws:
     @pytest.mark.parametrize("c", [7.3, 1e-10, 4e-300])
     def test_constant_column_fails_level_by_level(self, c, n):
         # A constant column's LAWS expectiles equal its value at every
-        # level, so the tail sets stay nested and each level keeps its own
-        # failure instead of the whole scan raising.
+        # level: each level keeps its own failure.
         x = np.column_stack([np.linspace(1.0, 9.0, n) ** 3, np.full(n, c)])
         for values in (x[:, 1:], x):
             s = MultivariateSample(values, ("a", "b")[: values.shape[1]])
             assert assert_scan_matches_single_levels(s, range(2, n), 1.0 - 0.5 / n)
 
-    def test_levels_out_of_order_raise(self):
-        # The scan takes its levels in ascending k, as trace-scan gives
-        # them; a level of smaller k after a larger one is refused.
-        s = tied_panel()
-        levels = [TailLevelPair(tau_from_k(s.n, k), 0.999, s.n) for k in (30, 90, 60)]
-        with pytest.raises(NumericError, match="rise with k"):
-            covariance._scan_v_star_laws(s, levels)
-
-    def test_rising_cut_offs_raise(self, monkeypatch):
-        # Exact expectiles fall as k grows; a fit whose xi-hat rises would
-        # make the tail sets not nested, and the scan refuses it.
-        fit_sorted = covariance._fit_sorted
-
-        def rising(xs, tau, checks):
-            fit = fit_sorted(xs, tau, checks)
-            return type(fit)(fit.tau, fit.gamma_hat, fit.q_hat, fit.xi_laws[::-1])
-
-        monkeypatch.setattr(covariance, "_fit_sorted", rising)
-        s = tied_panel()
-        levels = [TailLevelPair(tau_from_k(s.n, k), 0.999, s.n) for k in (20, 30)]
-        with pytest.raises(NumericError, match="LAWS expectiles rise with k"):
-            covariance._scan_v_star_laws(s, levels)
+    def test_levels_in_any_order_give_the_same_rows(self):
+        # Ok and failed levels of the flat-topped panel, ascending, reversed
+        # and shuffled: each level gives the same trace or failure.
+        s = flat_topped_panel()
+        levels = [TailLevelPair(tau_from_k(s.n, k), 0.999, s.n) for k in range(2, 199)]
+        want = [outcome(r) for r in covariance._scan_traces(s, levels)]
+        for order in (np.arange(len(levels))[::-1], np.random.default_rng(3).permutation(len(levels))):
+            got = covariance._scan_traces(s, [levels[i] for i in order])
+            assert [outcome(r) for r in got] == [want[i] for i in order]
 
     def test_memory_does_not_grow_by_rows_per_level(self):
-        # Beyond its (L, 2d, 2d) results, a scan of L levels holds nothing
-        # per level: no (L, n) array.  So adding 400 levels raises its peak
-        # by far less than one n-long row of floats per level.
+        # Beyond its (L, d, d) checked matrices, a scan of L levels holds
+        # nothing per level: no (L, n) array.  So adding 400 levels raises
+        # its peak by far less than one n-long row of floats per level.
         s = sample_model(SimulationModel.gumbel_frechet(d=3), 4000, rng_stream(2, 0))
-        s._stack  # sorted and ranked before tracing
+        s._stack  # sorted before tracing
         peaks = []
         for ks in (range(50, 60), range(50, 460)):
             levels = [TailLevelPair(tau_from_k(s.n, k), 0.9999, s.n) for k in ks]
             tracemalloc.start()
-            covariance._scan_v_star_laws(s, levels)
+            covariance._scan_traces(s, levels)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] - peaks[0] < 400 * s.n * 8 / 4
-
-
-def binned_prefix(entry, levels: int, weights=None) -> np.ndarray:
-    """The reference of the nested sums: a bincount of every row, whose last
-    bin, of the rows that never enter, is dropped, then a cumsum."""
-    return np.cumsum(np.bincount(entry, weights, minlength=levels + 1)[:levels])
-
-
-def binned_set_sums(entry, u, v, mu, nu, levels: int):
-    uv, su, sv, count = (binned_prefix(entry, levels, w) for w in (u * v, u, v, None))
-    return uv - nu * su - mu * sv + mu * nu * count, sv - nu * count
-
-
-@st.composite
-def entry_cases(draw):
-    """Entry levels of n = 1..120 rows in [0, levels] (levels for never):
-    any, a tenth of the rows entering, all 0 or all levels; and per-row
-    values u, v and per-level values mu, nu of mixed signs and scales."""
-    n, levels = draw(st.integers(1, 120)), draw(st.integers(1, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["any", "tail", "all 0", "all levels"]))
-    entry = {
-        "any": rng.integers(0, levels + 1, n),
-        "tail": np.where(rng.random(n) < 0.1, rng.integers(0, levels, n), levels),
-        "all 0": np.zeros(n, dtype=int),
-        "all levels": np.full(n, levels),
-    }[kind].astype(np.int32)
-    u, v = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-5, 6, (2, n))
-    mu, nu = rng.standard_normal((2, levels))
-    return entry, u, v, mu, nu, levels
-
-
-@st.composite
-def entry_searches(draw):
-    """Falling cut-offs of 1..30 levels, of floats with ties, some NaN or
-    none, or of integers; and 1..120 values among, at and beyond them."""
-    levels, n = draw(st.integers(1, 30)), draw(st.integers(1, 120))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["floats", "nan", "integers"]))
-    if kind == "integers":
-        cuts = -np.sort(-rng.integers(0, n + 1, levels))
-        return cuts, rng.permutation(n) + 1
-    cuts = -np.sort(-np.round(rng.standard_normal(levels), 1))
-    x = np.concatenate((rng.standard_normal(n), rng.choice(cuts, n)))
-    if kind == "nan":
-        cuts[rng.random(levels) < draw(st.floats(0.0, 1.0))] = np.nan
-    return cuts, x
-
-
-class TestNestedSums:
-    @given(entry_searches())
-    @settings(max_examples=300, deadline=None)
-    def test_entries_equal_the_search_of_every_row(self, case):
-        cuts, x = case
-        got = covariance._entries(cuts, x, "cut-offs")
-        want = np.searchsorted(-cuts, -x, side="right").astype(np.int32)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-
-    @given(entry_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_sums_over_the_rows_that_enter_equal_the_full_binning(self, case):
-        entry, *_, levels = case
-        got, want = covariance._prefix(entry, levels), binned_prefix(entry, levels)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        for got, want in zip(covariance._set_sums(*case), binned_set_sums(*case)):
-            assert got.dtype == want.dtype == np.float64
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -114,7 +114,7 @@ class TestR11Matrix:
         stack = _stack_columns(np.stack([s.values.T, s.values[::-1].T]))
         ranks = _column_ranks(stack.order)
         for tau in level_grid(s.n):
-            cut = int(_r11_cut(s.n, tau))
+            cut = _r11_cut(s.n, tau)
             rows = stack.order[..., None, cut - 1 :]
             want = ranks[np.arange(2)[:, None, None, None], np.arange(s.d)[:, None], rows] >= cut
             assert np.array_equal(_top_pairs(stack, tau), want)
@@ -123,12 +123,11 @@ class TestR11Matrix:
     @settings(max_examples=200, deadline=None)
     def test_cut_off_tests_every_rank(self, n, k, tau):
         # The one rank that _r11_cut tests gives the cut-off that testing
-        # every rank 1..n gives, at 1 - k/n and at any level.
-        taus = np.array([tau, 1.0 - min(k, n - 1) / n])
+        # every rank 1..n gives, as an int, at 1 - k/n and at any level.
         ranks = np.arange(1, n + 1)
-        want = [n + 1 - (_tail_points(ranks, t) <= 1.0).sum() for t in taus]
-        assert _r11_cut(n, taus).tolist() == want
-        assert [_r11_cut(n, t) for t in taus] == want
+        for t in (tau, 1.0 - min(k, n - 1) / n):
+            cut = _r11_cut(n, t)
+            assert type(cut) is int and cut == n + 1 - (_tail_points(ranks, t) <= 1.0).sum()
 
 
 def unit_integrals(s, tau):
