@@ -41,7 +41,7 @@ from tailjoint.sample import (
     MultivariateSample, TailLevelPair, _column_ranks, _stack_columns, effective_k, tau_from_k,
 )
 from tailjoint.simulation import SimulationModel, rng_stream, sample_model
-from tailjoint.taildep import OracleTailCopula, empirical_tail_copula
+from tailjoint.taildep import OracleTailCopula, _ordered_rows, empirical_tail_copula
 
 
 IND = OracleTailCopula.independent()
@@ -614,6 +614,28 @@ class TestColumnMajorLaws:
                 g, q, xi = fit.gamma_hat, fit.q_hat, fit.xi_laws
                 got = covariance._v_laws_raw(stack, g, q, xi, tau, checks)
                 want = row_major_laws(stack, g, q, xi, tau, by_rank=True)
+            ok = np.array([error is None for error in checks.first])
+            for a, b in zip(got, want):
+                assert np.array_equal(a[ok], b[ok])
+
+    @given(tied_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_stack_ordering_only_its_ordered_rows_gives_the_same_covariance(self, values):
+        # A Monte Carlo stack orders only the top rows that the Hill/LAWS
+        # cross terms read (taildep._ordered_rows); at every level, the
+        # samples that pass their checks get the fully ordered stack's LAWS
+        # covariance and cross terms to the bit, ties at k-hat included.
+        columns, n = values.swapaxes(1, 2), values.shape[1]
+        full = _stack_columns(columns)
+        for k in range(1, n):
+            tau = tau_from_k(n, k)
+            part = _stack_columns(columns, _ordered_rows(n, tau))
+            checks = Checks(len(values))
+            with np.errstate(all="ignore"):
+                fit = _fit_sorted(part.sorted_columns, tau, checks)
+                g, q, xi = fit.gamma_hat, fit.q_hat, fit.xi_laws
+                got = covariance._v_laws_raw(part, g, q, xi, tau, checks)
+                want = covariance._v_laws_raw(full, g, q, xi, tau, Checks(len(values)))
             ok = np.array([error is None for error in checks.first])
             for a, b in zip(got, want):
                 assert np.array_equal(a[ok], b[ok])

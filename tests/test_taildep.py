@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailjoint.errors import DomainError
-from tailjoint.sample import MultivariateSample, _column_ranks, _stack_columns
+from tailjoint.sample import MultivariateSample, _column_ranks, _stack_columns, effective_k
 from tailjoint.taildep import (
     OracleTailCopula,
+    _ordered_rows,
     _r11_cut,
     _r11_matrix,
     _tail_points,
@@ -128,6 +129,24 @@ class TestR11Matrix:
         for t in (tau, 1.0 - min(k, n - 1) / n):
             cut = _r11_cut(n, t)
             assert type(cut) is int and cut == n + 1 - (_tail_points(ranks, t) <= 1.0).sum()
+
+    @given(tail_panels())
+    @settings(max_examples=60, deadline=None)
+    def test_ordering_only_the_ordered_rows_gives_the_same_mask(self, s):
+        # A Monte Carlo stack orders only the _ordered_rows top rows of each
+        # column.  At every level that it runs at (Hill size k >= 1) its
+        # mask and R-hat(1,1) are those of the fully ordered stack, on a
+        # stack of the panel and its reversal: rounded values and constant
+        # runs put ties at the cut-off rank.
+        columns = np.stack([s.values.T, s.values[::-1].T])
+        full = _stack_columns(columns)
+        for tau in (t for t in level_grid(s.n) if effective_k(s.n, t) >= 1):
+            top = _ordered_rows(s.n, tau)
+            assert type(top) is int and s.n + 1 - _r11_cut(s.n, tau) <= top <= s.n
+            mask = _top_pairs(_stack_columns(columns, top), tau)
+            want = _top_pairs(full, tau)
+            assert np.array_equal(mask, want)
+            assert np.array_equal(_r11_matrix(mask, s.n, tau), _r11_matrix(want, s.n, tau))
 
 
 def unit_integrals(s, tau):
