@@ -2,7 +2,7 @@
 
 Theoretical matrices are exact functionals of the tail indices and a tail
 copula oracle; by the oracle's homogeneity each of their integrals over
-[1,inf)^2 is one 1-D quadrature (``numerics.integrate_tail_box``).
+[1,inf)^2 is one 1-D integral, and those of a pair share one pass (``_pair_entries``).
 Estimated matrices plug the marginal estimators and the empirical tail
 copula into the same displays, read from the fit that
 ``marginal.estimate_margins`` keeps on the sample, so one (sample, tau) is
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import RAISE, Checks, DomainError
 from .marginal import _check_qb, _fit_sorted, _sum_shift, estimate_margins, m_function
-from .numerics import SpdMatrix, _per_element, _spd_stack, integrate_1d_tail, integrate_tail_box
+from .numerics import _QUAD_TOL, SpdMatrix, _de_integral, _per_element, _spd_stack, _tail_box
 from .sample import MultivariateSample, _row_starts, effective_k
 from .taildep import (
     OracleTailCopula, _r11_matrix, _top_pairs, _unit_integral_matrix,
@@ -61,9 +61,7 @@ def _gammas(gammas, upper: float, what: str) -> np.ndarray:
     if g.size < 1:
         raise DomainError("need at least one tail index")
     if np.any(g <= 0.0) or np.any(g >= upper):
-        raise DomainError(
-            f"{what} undefined unless all tail indices lie in (0, {upper})"
-        )
+        raise DomainError(f"{what} undefined unless all tail indices lie in (0, {upper})")
     return g
 
 
@@ -79,12 +77,14 @@ def _pair_oracle(oracle, j: int, ell: int) -> OracleTailCopula:
 
 
 def _oracle_matrix(oracle, d: int, functional) -> np.ndarray:
-    """The symmetric d x d matrix of a pair functional of the oracle, such
-    as OracleTailCopula.r11 or .unit_integral, with a zero diagonal."""
-    m = np.zeros((d, d))
+    """The symmetric d x d matrix, zero on its diagonal, of a pair functional
+    such as OracleTailCopula.r11, taken once per distinct pair oracle."""
+    m, seen = np.zeros((d, d)), {}
     for j in range(d):
         for ell in range(j + 1, d):
-            m[j, ell] = m[ell, j] = functional(_pair_oracle(oracle, j, ell))
+            if (orc := _pair_oracle(oracle, j, ell)) not in seen:
+                seen[orc] = functional(orc)
+            m[j, ell] = m[ell, j] = seen[orc]
     return m
 
 
@@ -187,39 +187,41 @@ def theoretical_sigma_laws(gammas, oracle) -> SpdMatrix:
     )
 
 
-def _cross_entry(orc: OracleTailCopula, gj: float, gl: float) -> float:
-    """Cov(Hill_j, LAWS_l) of a pair of distinct margins: a double integral
-    with a dx/x weight on the first axis minus a single tail integral in the
-    second variable."""
-    cl, al = 1.0 / gl - 1.0, 1.0 / gl
-    double = integrate_tail_box(orc._formula, 1.0, cl, gj, gl, 1)
-    # R(1, cl y^{-al}) kinks where its second argument is 1, for the
-    # comonotone R.
-    single = integrate_1d_tail(lambda y: orc._formula(1.0, cl * y**-al), cl**gl)
-    return gl * double - gj * gl * single
+def _pair_entries(orc: OracleTailCopula, gj: float, gl: float) -> np.ndarray:
+    """The LAWS entry (gj gl times a tail box), Cov(Hill_j, LAWS_l) and
+    Cov(Hill_l, LAWS_j) of a pair, c = 1/g - 1, from one pass evaluating
+    R(t, 1) once per node.  Cov(Hill_j, LAWS_l) = gl D - gj gl S, D the tail
+    box of R(x^{-1/gj}, cl y^{-1/gl}) / x and S = int_1^inf R(1, cl y^{-1/gl})
+    dy, which y = (cl t)^gl and R(1, v) = v R(1/v, 1) make gl cl^gl times
+    the integral of D's 1-D integrand beyond its kink 1/cl: so the cross
+    term is one integral, that integrand weighted by gl beyond 1/cl."""
+    cj, cl = 1.0 / gj - 1.0, 1.0 / gl - 1.0
+    scales, kinks, rows = zip(
+        _tail_box(cj, cl, gj, gl, 0), _tail_box(1.0, cl, gj, gl, 1), _tail_box(1.0, cj, gl, gj, 1)
+    )
+
+    def f(t):
+        rt, weights = orc._formula(t, 1.0) / t, zip(rows, kinks, (1.0, gl, gj))
+        return np.stack([row(rt, t) * np.where(t < kink, 1.0, w) for row, kink, w in weights])
+
+    edges = [0.0, *sorted({1.0, *kinks}), np.inf]
+    val = _de_integral(f, edges, _QUAD_TOL, "Hill/LAWS pair integrals")
+    return val * scales * np.array([gj * gl, gl, gj])
 
 
 def _theoretical_sigma_laws(g: np.ndarray, oracle) -> np.ndarray:
-    """The unchecked array of theoretical_sigma_laws at checked tail
-    indices, assembled as the plug-in's (``_sigma_blocks``).  The LAWS block
-    has 2g^3/(1-2g) on its diagonal and, for each pair, gj gl times the
-    integral over [1,inf)^2 of R(cj x^{-1/gj}, cl y^{-1/gl}), c = 1/g - 1;
-    the pair's cross entries are ``_cross_entry``'s."""
-    d = g.size
-    r11 = _oracle_matrix(oracle, d, _R11)
+    """The unchecked theoretical_sigma_laws at checked tail indices, built
+    as the plug-in's (``_sigma_blocks``): 2g^3/(1-2g) on the LAWS diagonal,
+    and ``_pair_entries`` once per distinct (gj, gl, oracle) off it."""
+    d, seen = g.size, {}
     laws, cross = np.diag(2.0 * g**3 / (1.0 - 2.0 * g)), np.zeros((d, d))
     for j in range(d):
         for ell in range(j + 1, d):
-            orc = _pair_oracle(oracle, j, ell)
-            if orc.kind == "independent":
-                continue  # R = 0: the pair's entries are 0
-            cj, cl = 1.0 / g[j] - 1.0, 1.0 / g[ell] - 1.0
-            laws[j, ell] = laws[ell, j] = g[j] * g[ell] * integrate_tail_box(
-                orc._formula, cj, cl, g[j], g[ell], 0
-            )
-            cross[j, ell] = _cross_entry(orc, g[j], g[ell])
-            cross[ell, j] = _cross_entry(orc, g[ell], g[j])
-    return _sigma_blocks(g, laws, cross, r11)
+            if (key := (_pair_oracle(oracle, j, ell), g[j], g[ell])) not in seen:
+                seen[key] = _pair_entries(*key)
+            laws[j, ell], cross[j, ell], cross[ell, j] = seen[key]
+            laws[ell, j] = laws[j, ell]
+    return _sigma_blocks(g, laws, cross, _oracle_matrix(oracle, d, _R11))
 
 
 def theoretical_v_star_laws(gammas, oracle, log_dn: float) -> SpdMatrix:

@@ -19,7 +19,7 @@ polynomials run in ``np.polyval`` and its exponentials in ``math``.  The
 1-D integrals of the theoretical (oracle) covariances use one nested
 double-exponential rule (``_de_integral``): each level evaluates the
 integrand once, on an array of nodes, and an integral that does not reach
-its tolerance raises NumericError.
+its tolerance raises NumericError, and may stack several integrals.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ from .errors import (
 CLIP_RTOL = 1e-6
 
 # Tolerance of the quadratures: an integral I is accepted when its error
-# estimate is at most tol max(1, |I|).  integrate_1d_tail, split at the
-# comonotone kink of the Hill-LAWS cross term that its caller passes, is
-# held to 1e-12, which typically costs it one more level than 1e-10.
-_QUAD_TOL, _TAIL_1D_TOL = 1e-10, 1e-12
+# estimate is at most tol max(1, |I|).  Every oracle integral, those that
+# share one pass included, is held to it.
+_QUAD_TOL = 1e-10
 
 
 _LN2 = math.log(2.0)
@@ -410,19 +409,17 @@ def _de_level(level: int) -> _DeLevel:
 _DE = tuple(_de_level(level) for level in range(_DE_LEVELS))
 
 
-def _de_integral(f, edges, tol: float, what: str) -> float:
-    """Integral of f over [edges[0], edges[-1]], as the sum over the pieces
-    between consecutive edges, of which only the last may end at inf.
-
-    f takes an array of points and returns its values there; each level
-    calls it once, on its new nodes in every piece.  The first level gives
-    the estimates at steps h and 2h (from its even nodes) at once.  The
-    integral has converged when the last halving changed it by at most
-    tol max(1, |I|), counting in the outermost terms of each piece, the size
-    of what the finite node range leaves out.  Floating-point warnings are
-    silenced inside: a non-finite sum, or no convergence at the last level,
-    raises NumericError.
-    """
+def _de_integral(f, edges, tol: float, what: str) -> np.ndarray:
+    """Integrals of the m functions f stacks over [edges[0], edges[-1]], as
+    sums over the pieces between edges, only the last of which may end at
+    inf.  f takes N points and returns (m, N) values, or (N,) for m = 1;
+    each level calls it once, on its new nodes in every piece, and the first
+    gives the estimates at steps h and 2h (from its even nodes) at once.  An
+    integral is kept at the first level where the last halving changed it
+    by at most tol max(1, |I|), counting the outermost terms of each piece
+    (what the finite node range leaves out); the pass stops once all are.
+    Floating-point warnings are silenced inside: a non-finite sum, or an
+    integral left at the last level, raises NumericError."""
     a = np.array(edges[:-1], dtype=float)[:, None]
     b = np.array(edges[1:], dtype=float)[:, None]
     tail = b[-1, 0] == np.inf
@@ -436,26 +433,41 @@ def _de_integral(f, edges, tol: float, what: str) -> float:
             w = (width * lv.ts_w).ravel()
             if tail:
                 x, w = np.concatenate((x, start + lv.es_x)), np.concatenate((w, lv.es_w))
-            wf = w * f(x)
-            total += wf.sum()
-            value = lv.h * total
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite {what}")
+            wf = w * np.atleast_2d(f(x))
+            total += wf.sum(axis=-1)
+            value = (lv.h * total).tolist()
             if lv is _DE[0]:
                 n = width.size * lv.off.size
-                ts, es = wf[:n].reshape(width.size, lv.off.size), wf[n:]
-                last = 2.0 * lv.h * (ts[:, ::2].sum() + es[::2].sum())
-                ends = np.abs(ts[:, [0, -1]]).sum()
+                ts, es = wf[:, :n].reshape(len(wf), width.size, lv.off.size), wf[:, n:]
+                last = 2.0 * lv.h * (ts[..., ::2].sum(axis=(1, 2)) + es[:, ::2].sum(axis=-1))
+                ends = np.abs(ts[..., :: lv.off.size - 1]).sum(axis=(1, 2))  # first, last
                 if tail:
-                    ends += np.abs(es[[0, -1]]).sum()
-                ends *= lv.h
-            change = abs(value - last)
-            if change + ends <= tol * max(1.0, abs(value)):
-                return float(value)
+                    ends += np.abs(es[:, :: lv.es_x.size - 1]).sum(axis=-1)
+                last, ends, result = last.tolist(), (lv.h * ends).tolist(), [None] * len(value)
+            change = [abs(v - u) if r is None else 0.0 for v, u, r in zip(value, last, result)]
+            if not math.isfinite(sum(change)):
+                raise NumericError(f"non-finite {what}")
+            result = [v if r is None and c + e <= tol * max(1.0, abs(v)) else r
+                      for v, c, e, r in zip(value, change, ends, result)]
+            if None not in result:
+                return np.array(result)
             last = value
     raise NumericError(
-        f"{what} did not converge to {tol:g}: the last halving changed it by {change:.1e}"
+        f"{what} did not converge to {tol:g}: the last halving changed it by {max(change):.1e}"
     )
+
+
+def _tail_box(c1: float, c2: float, g1: float, g2: float, w: int) -> tuple:
+    """The reduction of integrate_tail_box's integral to 1-D: the scale of
+    the 1-D integral, the kink c1/c2 of its integrand, and the integrand at
+    the nodes t from R(t,1)/t there (R(t,1)/t times t^{-p}: t^{-p-1} alone
+    overflows at the nodes near 0)."""
+    p, q = g1 * (1.0 - w), g2
+    e = 1.0 - p - q
+    if not e > 0.0:
+        raise DomainError(f"tail-box integral diverges: g1 (1 - w) + g2 = {p + q} >= 1")
+    scale = g1 * c1**p * g2 * c2**q / e
+    return scale, c1 / c2, lambda rt, t: rt * t**-p * np.minimum(c2, c1 / t) ** e
 
 
 def integrate_tail_box(r, c1: float, c2: float, g1: float, g2: float, w: int) -> float:
@@ -464,7 +476,7 @@ def integrate_tail_box(r, c1: float, c2: float, g1: float, g2: float, w: int) ->
     R must be homogeneous of order 1, as every tail copula is:
     R(ts, s) = s R(t, 1).  With u = c1 x^{-1/g1} = ts and v = c2 y^{-1/g2}
     = s the s-integral is closed-form, which leaves, for p = g1 (1-w),
-    q = g2 and e = 1-p-q,
+    q = g2 and e = 1-p-q (``_tail_box``),
 
         g1 c1^p g2 c2^q / e * int_0^inf R(t,1) t^{-p-1} min(c2, c1/t)^e dt;
 
@@ -472,27 +484,13 @@ def integrate_tail_box(r, c1: float, c2: float, g1: float, g2: float, w: int) ->
     array of t.  The 1-D integrand can kink only at t = 1 (comonotone R)
     and at t = c1/c2, so the quadrature is split there.
     """
-    p, q = g1 * (1.0 - w), g2
-    e = 1.0 - p - q
-    if not e > 0.0:
-        raise DomainError(f"tail-box integral diverges: g1 (1 - w) + g2 = {p + q} >= 1")
-
-    def f(t):
-        # R(t,1)/t times t^{-p}: t^{-p-1} alone overflows at the nodes near 0.
-        return r(t, 1.0) / t * t**-p * np.minimum(c2, c1 / t) ** e
-
-    edges = [0.0, *sorted({1.0, c1 / c2}), np.inf]
-    val = _de_integral(f, edges, _QUAD_TOL, "tail-box integral")
-    return float(val * g1 * c1**p * g2 * c2**q / e)
-
-
-def integrate_1d_tail(f, kink: float) -> float:
-    """Integral over [1,inf) of f, which takes an array of x, split at a
-    point where f may kink (when it lies above 1)."""
-    edges = [1.0, kink, np.inf] if kink > 1.0 else [1.0, np.inf]
-    return _de_integral(f, edges, _TAIL_1D_TOL, "tail integral")
+    scale, kink, f = _tail_box(c1, c2, g1, g2, w)
+    edges = [0.0, *sorted({1.0, kink}), np.inf]
+    val = _de_integral(lambda t: f(r(t, 1.0) / t, t), edges, _QUAD_TOL, "tail-box integral")
+    return float(val[0] * scale)
 
 
 def integrate_unit_log(f) -> float:
     """Integral over (0,1] of f(u)/u, f taking an array of u."""
-    return _de_integral(lambda u: f(u) / u, [0.0, 1.0], _QUAD_TOL, "unit log-weight integral")
+    val = _de_integral(lambda u: f(u) / u, [0.0, 1.0], _QUAD_TOL, "unit log-weight integral")
+    return float(val[0])

@@ -195,3 +195,20 @@ def level_grid(n: int) -> list:
     """Levels tau in [0.5, 0.98] at which n(1-tau) is mostly not an integer,
     and the levels 1 - k/n at which it is."""
     return list(np.linspace(0.5, 0.98, 23)) + [1.0 - k / n for k in range(1, n)]
+
+
+def comonotone_laws_pair(g1, g2):
+    """Closed form of the comonotone LAWS off-diagonal g1 g2 times the
+    integral over [1,inf)^2 of min(c1 x^(-1/g1), c2 y^(-1/g2)), c = 1/g - 1.
+
+    With u = c1 x^(-1/g1), v = c2 y^(-1/g2) it is g1^2 g2^2 c1^g1 c2^g2 times
+    the integral of min(u,v) u^(-g1-1) v^(-g2-1) over (0,c1] x (0,c2], a sum
+    of power integrals split at u = v and u = c2."""
+    c1, c2 = 1.0 / g1 - 1.0, 1.0 / g2 - 1.0
+    a = min(c1, c2)
+    box = a ** (1.0 - g1 - g2) / ((1.0 - g1 - g2) * g2 * (1.0 - g2)) - a ** (
+        1.0 - g1
+    ) * c2**-g2 / (g2 * (1.0 - g1))
+    if c1 > c2:
+        box += c2 ** (1.0 - g2) / (1.0 - g2) * (c2**-g1 - c1**-g1) / g1
+    return (g1 * g2) ** 2 * c1**g1 * c2**g2 * box

@@ -1133,16 +1133,28 @@ def test_edge_panels_exit_cleanly_with_finite_outputs(tmp_path, panel):
             assert finite_cells(path), (argv, path.name)
 
 
+# Most draws take a k at which the commands can run, and a trace-scan range
+# that can mix ok and failed levels; the values of k that fail every
+# command outright are drawn once in four, and the last columns that do
+# (constant, all negative) once in seven.
+K_KINDS = ("valid",) * 3 + ("edge",)
+LAST_COLUMNS = ("pareto", "heavy", "light", "tied", "copy", "shifted") * 2 + (
+    "constant", "negative",
+)
+SCALES = (1.0,) * 4 + (1e150, 1e-150, 1e300, 1e-300)
+
+
 @st.composite
 def cli_runs(draw):
     """An n x d panel (n = 5..400, d = 1..5) as CSV text, and the command
-    lines of estimate, region, test and trace-scan at one k in
-    {0, 1, 2, 3, n/4, n-2, n-1, n} (trace-scan from k = 2 to k, or at k
-    below 2).  The columns are Pareto with tail indices up to 1/2 but for
-    the last, which may instead have a tail index up to 2, or be
-    light-tailed, rounded (ties), constant, c times the first column, all
-    negative or shifted to hold negatives; the panel is scaled by 1,
-    1e+-150 or 1e+-300."""
+    lines of estimate, region, test and trace-scan at one k: mostly a k in
+    [2, n-1], with a trace-scan from k = 2 to it, and otherwise a k in
+    {0, 1, n} (trace-scan from min(k, 2) to k).  The columns are Pareto
+    with tail indices up to 1/2 but for the last, which may instead have a
+    tail index up to 2, or be light-tailed, rounded (ties), c times the
+    first column, shifted to hold negatives, or, less often, constant or
+    all negative; the panel is scaled by 1, or less often by 1e+-150 or
+    1e+-300."""
     n, d = draw(st.integers(5, 400)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = (1.0 - rng.random((n, d))) ** -np.array([draw(st.floats(0.05, 0.5)) for _ in range(d)])
@@ -1156,13 +1168,15 @@ def cli_runs(draw):
         "copy": draw(st.sampled_from([1.0, 2.5, -1.0])) * x[:, 0],
         "negative": -last,
         "shifted": last - np.median(last),
-    }[draw(st.sampled_from(["pareto", "heavy", "light", "tied", "constant", "copy",
-                            "negative", "shifted"]))]
+    }[draw(st.sampled_from(LAST_COLUMNS))]
     with np.errstate(over="ignore"):  # beyond the float range: ingestion fails
-        x *= draw(st.sampled_from([1.0, 1e150, 1e-150, 1e300, 1e-300]))
+        x *= draw(st.sampled_from(SCALES))
     lines = [",".join(f"X{j}" for j in range(d))]
     lines += [",".join(format(v, ".17g") for v in row) for row in x]
-    k = draw(st.sampled_from([0, 1, 2, 3, n // 4, n - 2, n - 1, n]))
+    if draw(st.sampled_from(K_KINDS)) == "valid":
+        k = draw(st.integers(2, n - 1))
+    else:
+        k = draw(st.sampled_from([0, 1, n]))
     argvs = [[command, "--k", str(k)] for command in ("estimate", "region", "test")]
     argvs.append(["trace-scan", "--k-min", str(min(k, 2)), "--k-max", str(k)])
     return "\n".join(lines) + "\n", argvs

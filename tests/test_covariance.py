@@ -6,7 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import count_eighs, level_grid, step_unit_integral, tail_panels
+from conftest import (
+    comonotone_laws_pair, count_eighs, level_grid, step_unit_integral, tail_panels,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -75,23 +77,6 @@ def seed1_sample(n=200, d=2, comonotone=False):
     else:
         values = rng.pareto(3.0, size=(n, d)) + 1.0
     return MultivariateSample(values, tuple(f"X{j}" for j in range(values.shape[1])))
-
-
-def comonotone_laws_pair(g1, g2):
-    """Closed form of the comonotone LAWS off-diagonal g1 g2 times the
-    integral over [1,inf)^2 of min(c1 x^(-1/g1), c2 y^(-1/g2)), c = 1/g - 1.
-
-    With u = c1 x^(-1/g1), v = c2 y^(-1/g2) it is g1^2 g2^2 c1^g1 c2^g2 times
-    the integral of min(u,v) u^(-g1-1) v^(-g2-1) over (0,c1] x (0,c2], a sum
-    of power integrals split at u = v and u = c2."""
-    c1, c2 = 1.0 / g1 - 1.0, 1.0 / g2 - 1.0
-    a = min(c1, c2)
-    box = a ** (1.0 - g1 - g2) / ((1.0 - g1 - g2) * g2 * (1.0 - g2)) - a ** (
-        1.0 - g1
-    ) * c2**-g2 / (g2 * (1.0 - g1))
-    if c1 > c2:
-        box += c2 ** (1.0 - g2) / (1.0 - g2) * (c2**-g1 - c1**-g1) / g1
-    return (g1 * g2) ** 2 * c1**g1 * c2**g2 * box
 
 
 class TestTheoreticalVLaws:
@@ -263,6 +248,68 @@ class TestTheoreticalSigmaLaws:
             assert m[2 * j, 2 * ell + 1] == pytest.approx(closed, rel=1e-10)
 
 
+def count_passes(monkeypatch) -> tuple:
+    """The oracle's R evaluations, and the levels of each quadrature pass of
+    the covariance builders (one entry per pass)."""
+    calls, passes = [], []
+    formula, de_integral = OracleTailCopula._formula, covariance._de_integral
+
+    def counted_formula(self, x, y):
+        calls.append(np.size(x))
+        return formula(self, x, y)
+
+    def counted_pass(f, *args):
+        passes.append(0)
+
+        def level(x):
+            passes[-1] += 1
+            return f(x)
+
+        return de_integral(level, *args)
+
+    monkeypatch.setattr(OracleTailCopula, "_formula", counted_formula)
+    monkeypatch.setattr(covariance, "_de_integral", counted_pass)
+    return calls, passes
+
+
+class TestQuadraturePasses:
+    # Each pair's LAWS entry and cross terms take one pass, which evaluates
+    # R once per level: a later change that splits the pass shows here.
+    def test_oracle_inputs_take_one_pass(self, monkeypatch):
+        calls, passes = count_passes(monkeypatch)
+        theoretical_sigma_laws([0.15, 0.25], OracleTailCopula.logistic(2.0))
+        assert len(passes) == 1
+        assert len(calls) == passes[0] <= 2
+
+    def test_one_pass_per_pair_and_one_r_per_level(self, monkeypatch):
+        calls, passes = count_passes(monkeypatch)
+        theoretical_sigma_laws([0.1, 0.2, 0.3], LOG3)
+        assert len(passes) == 3
+        assert len(calls) == sum(passes)
+
+    def test_equal_pairs_share_their_pass(self, monkeypatch):
+        calls, passes = count_passes(monkeypatch)
+        fresh = theoretical_sigma_laws([0.2, 0.3, 0.2, 0.3], LOG3).entries
+        # (0.2, 0.3) at (0, 1), (0, 3) and (2, 3); (0.3, 0.2) at (1, 2);
+        # (0.2, 0.2) and (0.3, 0.3) once each.
+        assert len(passes) == 4
+        for j, ell in ((0, 3), (2, 3)):
+            block = fresh[2 * j : 2 * j + 2, 2 * ell : 2 * ell + 2]
+            assert np.array_equal(block, fresh[0:2, 2:4])
+
+    def test_one_functional_per_distinct_oracle(self, monkeypatch):
+        unit = []
+        real = covariance._UNIT
+        monkeypatch.setattr(covariance, "_UNIT", lambda orc: unit.append(orc) or real(orc))
+        theoretical_sigma_q([0.1, 0.2, 0.3, 0.4, 0.45], LOG3)
+        assert unit == [LOG3]
+        other = OracleTailCopula.logistic(2.0)
+        oracle = {(0, 1): LOG3, (0, 2): other, (1, 2): OracleTailCopula.logistic(3.0)}
+        unit.clear()
+        theoretical_sigma_q([0.1, 0.2, 0.3], oracle)
+        assert unit == [LOG3, other]
+
+
 class TestOracleSymmetry:
     @given(
         g1=st.floats(0.02, 0.48),
@@ -316,8 +363,8 @@ class TestTheoreticalVStar:
     @pytest.mark.parametrize("log_dn", [0.0, -1.0, math.nan])
     def test_bad_log_dn_raises_before_any_quadrature(self, log_dn):
         ran = AssertionError("a quadrature ran")
-        with mock.patch.object(covariance, "integrate_tail_box", side_effect=ran), \
-                mock.patch.object(covariance, "integrate_1d_tail", side_effect=ran):
+        with mock.patch.object(covariance, "_de_integral", side_effect=ran), \
+                mock.patch.object(OracleTailCopula, "_formula", side_effect=ran):
             with pytest.raises(DomainError, match=r"^contraction requires log d_n > 0$"):
                 theoretical_v_star_laws([0.2, 0.3], LOG3, log_dn)
             # The tail indices are checked first.

@@ -5,11 +5,12 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import gls_deviance
+from conftest import comonotone_laws_pair, gls_deviance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from tailjoint.covariance import _pair_entries
 from tailjoint.errors import (
     DomainError,
     NotPositiveSemidefiniteError,
@@ -17,12 +18,13 @@ from tailjoint.errors import (
     SingularCovarianceError,
 )
 from tailjoint.numerics import (
+    _QUAD_TOL,
     SpdMatrix,
+    _de_integral,
     _log_chi2_lower,
     _ndtr,
     chi_square_quantile,
     chi_square_sf,
-    integrate_1d_tail,
     integrate_tail_box,
     integrate_unit_log,
     std_normal_quantile,
@@ -453,14 +455,29 @@ class TestQuadratureConvergence:
             integrate_unit_log(np.ones_like)
 
     def test_oscillating_integrand_raises(self):
-        with pytest.raises(NumericError):
-            integrate_1d_tail(np.cos, 2.0)
+        # R(t, 1) = t cos t leaves cos(t) t^(-0.7) beyond t = 1, whose
+        # integral to infinity the exp-sinh nodes never settle.
+        with pytest.raises(NumericError, match="did not converge"):
+            integrate_tail_box(lambda t, s: t * np.cos(t), 1.0, 1.0, 0.3, 0.3, 1)
 
-    def test_tail_split_at_kink(self):
-        # min(1, 4/x^2) kinks at x = 2: the integral is 1 + 2 = 3.
-        assert integrate_1d_tail(lambda x: np.minimum(1.0, 4.0 / x**2), 2.0) == (
-            pytest.approx(3.0, rel=1e-12)
-        )
+    def test_stacked_integrals_are_each_their_own_pass(self):
+        # Each row of a stack is accepted at the level where it would be
+        # alone, so its value is its own pass's; the pass runs to the level
+        # of the slowest row.
+        rows = (lambda x: np.exp(-x), lambda x: 1.0 / (1.0 + x * x), lambda x: x**-0.5 / (1.0 + x))
+        edges = [0.0, 0.5, 2.0, np.inf]
+        alone = [_de_integral(f, edges, _QUAD_TOL, "row")[0] for f in rows]
+        stacked = _de_integral(lambda x: np.stack([f(x) for f in rows]), edges, _QUAD_TOL, "rows")
+        assert stacked.tolist() == alone
+        assert alone == pytest.approx([1.0, math.pi / 2.0, math.pi], rel=1e-12)
+
+    def test_one_row_left_unsettled_raises(self):
+        # e^-x settles at once, but cos has no integral over [0, inf).
+        def rows(x):
+            return np.stack((np.exp(-x), np.cos(x)))
+
+        with pytest.raises(NumericError, match="did not converge"):
+            _de_integral(rows, [0.0, np.inf], _QUAD_TOL, "rows")
 
 
 # The accuracy grid: every integral the theoretical covariances take of the
@@ -499,6 +516,45 @@ def reference(f, edges) -> float:
     return total
 
 
+def box_reference(r, c1, c2, g1, g2, w) -> tuple:
+    """The tail box of integrate_tail_box by QUADPACK on its 1-D reduction,
+    and the closed-form scale of that reduction."""
+    p, q = g1 * (1 - w), g2
+    e = 1.0 - p - q
+    scale = g1 * c1**p * g2 * c2**q / e
+
+    def f(t):
+        return r(t, 1.0) / t * t**-p * min(c2, c1 / t) ** e
+
+    return scale * reference(f, [0.0, *sorted({1.0, c1 / c2}), math.inf]), scale
+
+
+def laws_reference(r, gj, gl) -> float:
+    """The LAWS pair entry, gj gl times the tail box of
+    R(cj x^(-1/gj), cl y^(-1/gl)), c = 1/g - 1."""
+    return gj * gl * box_reference(r, 1.0 / gj - 1.0, 1.0 / gl - 1.0, gj, gl, 0)[0]
+
+
+def cross_reference(r, gj, gl) -> float:
+    """Cov(Hill_j, LAWS_l) as gl D - gj gl S, with D, the tail box of
+    R(x^(-1/gj), cl y^(-1/gl)) / x, and S, the integral over [1, inf) of
+    R(1, cl y^(-1/gl)) split at its kink y = cl^gl, taken apart."""
+    cl = 1.0 / gl - 1.0
+    double = box_reference(r, 1.0, cl, gj, gl, 1)[0]
+    single = reference(lambda y: r(1.0, cl * y ** (-1.0 / gl)), [1.0, cl**gl, math.inf])
+    return gl * double - gj * gl * single
+
+
+def assert_pair_entries(theta, gj, gl) -> None:
+    """The pair pass's LAWS entry and both cross terms, each within
+    _QUAD_TOL max(1, |ref|) of its reference."""
+    r = scalar_r(theta)
+    want = (laws_reference(r, gj, gl), cross_reference(r, gj, gl), cross_reference(r, gl, gj))
+    got = _pair_entries(oracle(theta), gj, gl)
+    for name, a, b in zip(("laws", "cross jl", "cross lj"), got, want):
+        assert abs(a - b) <= _QUAD_TOL * max(1.0, abs(b)), (name, gj, gl, a, b)
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("theta", THETAS)
 class TestQuadratureAccuracy:
@@ -511,29 +567,52 @@ class TestQuadratureAccuracy:
             for g2 in GAMMAS:
                 for w in (0, 1):
                     c1, c2 = (1.0 if w else 1.0 / g1 - 1.0), 1.0 / g2 - 1.0
-                    p, q = g1 * (1 - w), g2
-                    e = 1.0 - p - q
-                    scale = g1 * c1**p * g2 * c2**q / e
-
-                    def f(t):
-                        return r(t, 1.0) / t * t**-p * min(c2, c1 / t) ** e
-
-                    ref = scale * reference(f, [0.0, *sorted({1.0, c1 / c2}), math.inf])
+                    ref, scale = box_reference(r, c1, c2, g1, g2, w)
                     val = integrate_tail_box(oracle(theta)._formula, c1, c2, g1, g2, w)
                     assert abs(val - ref) <= 1e-10 * max(scale, abs(ref)), (g1, g2, w)
 
-    def test_1d_tail(self, theta):
-        # The single integral of the cross terms, over [1, inf) of
-        # R(1, c y^(-1/g)), claimed to 1e-12 max(1, |I|).
-        r = scalar_r(theta)
-        for g in GAMMAS:
-            c = 1.0 / g - 1.0
-            ref = reference(lambda y: r(1.0, c * y ** (-1.0 / g)), [1.0, c**g, math.inf])
-            val = integrate_1d_tail(lambda y: oracle(theta)._formula(1.0, c * y ** (-1.0 / g)), c**g)
-            assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref)), g
+    def test_pair_pass(self, theta):
+        # The one pass of each pair: its LAWS entry and its cross terms, each
+        # one positive integral, against the references of the separate
+        # forms, the cross term as gl D - gj gl S.
+        for gj in GAMMAS:
+            for gl in GAMMAS:
+                assert_pair_entries(theta, gj, gl)
 
     def test_unit_integral(self, theta):
         r = scalar_r(theta)
         ref = reference(lambda u: r(u, 1.0) / u, [0.0, 1.0])
         val = integrate_unit_log(lambda u: oracle(theta)._formula(u, 1.0))
         assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+THETA_DRAWS = st.one_of(st.floats(1.05, 100.0), st.just("comonotone"))
+TAIL_INDEX = st.floats(0.05, 0.49)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestOracleIntegralProperties:
+    # Every integral that the theoretical covariances take of an oracle, at
+    # drawn tail indices and logistic parameters (and the comonotone kind),
+    # against the references above.
+    @given(theta=THETA_DRAWS, gj=TAIL_INDEX, gl=TAIL_INDEX)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_pair_pass(self, theta, gj, gl):
+        assert_pair_entries(theta, gj, gl)
+
+    @given(theta=THETA_DRAWS)
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    def test_unit_integral_and_r11(self, theta):
+        r, orc = scalar_r(theta), oracle(theta)
+        ref = reference(lambda u: r(u, 1.0) / u, [0.0, 1.0])
+        assert abs(orc.unit_integral() - ref) <= _QUAD_TOL * max(1.0, abs(ref))
+        r11 = 1.0 if theta == "comonotone" else 2.0 - 2.0 ** (1.0 / theta)
+        assert orc.r11() == pytest.approx(r11, rel=1e-14)
+        assert float(orc._formula(1.0, 1.0)) == pytest.approx(r11, rel=1e-14)
+
+    @given(gj=TAIL_INDEX, gl=TAIL_INDEX)
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    def test_comonotone_laws_entry_closed_form(self, gj, gl):
+        ref = comonotone_laws_pair(gj, gl)
+        val = _pair_entries(oracle("comonotone"), gj, gl)[0]
+        assert abs(val - ref) <= _QUAD_TOL * max(1.0, abs(ref))
