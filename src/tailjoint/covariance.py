@@ -2,7 +2,7 @@
 
 Theoretical matrices are exact functionals of the tail indices and a tail
 copula oracle; by the oracle's homogeneity each of their integrals over
-[1,inf)^2 is one 1-D integral, and those of a pair share one pass (``_pair_entries``).
+[1,inf)^2 is one 1-D integral, and a pair's share one ``_pair_entries`` pass.
 Estimated matrices plug the marginal estimators and the empirical tail
 copula into the same displays, read from the fit that
 ``marginal.estimate_margins`` keeps on the sample, so one (sample, tau) is
@@ -61,7 +61,9 @@ def _gammas(gammas, upper: float, what: str) -> np.ndarray:
     if g.size < 1:
         raise DomainError("need at least one tail index")
     if np.any(g <= 0.0) or np.any(g >= upper):
-        raise DomainError(f"{what} undefined unless all tail indices lie in (0, {upper})")
+        raise DomainError(
+            f"{what} undefined unless all tail indices lie in (0, {upper})"
+        )
     return g
 
 
@@ -77,14 +79,12 @@ def _pair_oracle(oracle, j: int, ell: int) -> OracleTailCopula:
 
 
 def _oracle_matrix(oracle, d: int, functional) -> np.ndarray:
-    """The symmetric d x d matrix, zero on its diagonal, of a pair functional
-    such as OracleTailCopula.r11, taken once per distinct pair oracle."""
-    m, seen = np.zeros((d, d)), {}
+    """The symmetric d x d matrix of a pair functional of the oracle, such
+    as OracleTailCopula.r11 or .unit_integral, with a zero diagonal."""
+    m = np.zeros((d, d))
     for j in range(d):
         for ell in range(j + 1, d):
-            if (orc := _pair_oracle(oracle, j, ell)) not in seen:
-                seen[orc] = functional(orc)
-            m[j, ell] = m[ell, j] = seen[orc]
+            m[j, ell] = m[ell, j] = functional(_pair_oracle(oracle, j, ell))
     return m
 
 
@@ -196,13 +196,17 @@ def _pair_entries(orc: OracleTailCopula, gj: float, gl: float) -> np.ndarray:
     the integral of D's 1-D integrand beyond its kink 1/cl: so the cross
     term is one integral, that integrand weighted by gl beyond 1/cl."""
     cj, cl = 1.0 / gj - 1.0, 1.0 / gl - 1.0
-    scales, kinks, rows = zip(
+    scales, kinks, (laws, cross_jl, cross_lj) = zip(
         _tail_box(cj, cl, gj, gl, 0), _tail_box(1.0, cl, gj, gl, 1), _tail_box(1.0, cj, gl, gj, 1)
     )
 
     def f(t):
-        rt, weights = orc._formula(t, 1.0) / t, zip(rows, kinks, (1.0, gl, gj))
-        return np.stack([row(rt, t) * np.where(t < kink, 1.0, w) for row, kink, w in weights])
+        rt = orc._formula(t, 1.0) / t
+        return np.stack((
+            laws(rt, t),
+            cross_jl(rt, t) * np.where(t < kinks[1], 1.0, gl),
+            cross_lj(rt, t) * np.where(t < kinks[2], 1.0, gj),
+        ))
 
     edges = [0.0, *sorted({1.0, *kinks}), np.inf]
     val = _de_integral(f, edges, _QUAD_TOL, "Hill/LAWS pair integrals")
@@ -210,16 +214,15 @@ def _pair_entries(orc: OracleTailCopula, gj: float, gl: float) -> np.ndarray:
 
 
 def _theoretical_sigma_laws(g: np.ndarray, oracle) -> np.ndarray:
-    """The unchecked theoretical_sigma_laws at checked tail indices, built
-    as the plug-in's (``_sigma_blocks``): 2g^3/(1-2g) on the LAWS diagonal,
-    and ``_pair_entries`` once per distinct (gj, gl, oracle) off it."""
-    d, seen = g.size, {}
+    """The unchecked array of theoretical_sigma_laws at checked tail
+    indices, assembled as the plug-in's (``_sigma_blocks``): 2g^3/(1-2g) on
+    the LAWS diagonal, and each pair's ``_pair_entries`` off it."""
+    d = g.size
     laws, cross = np.diag(2.0 * g**3 / (1.0 - 2.0 * g)), np.zeros((d, d))
     for j in range(d):
         for ell in range(j + 1, d):
-            if (key := (_pair_oracle(oracle, j, ell), g[j], g[ell])) not in seen:
-                seen[key] = _pair_entries(*key)
-            laws[j, ell], cross[j, ell], cross[ell, j] = seen[key]
+            entries = _pair_entries(_pair_oracle(oracle, j, ell), g[j], g[ell])
+            laws[j, ell], cross[j, ell], cross[ell, j] = entries
             laws[ell, j] = laws[j, ell]
     return _sigma_blocks(g, laws, cross, _oracle_matrix(oracle, d, _R11))
 

@@ -18,8 +18,8 @@ upper tail (at integer df, all the regions, intervals and tests need) use
 polynomials run in ``np.polyval`` and its exponentials in ``math``.  The
 1-D integrals of the theoretical (oracle) covariances use one nested
 double-exponential rule (``_de_integral``): each level evaluates the
-integrand once, on an array of nodes, and an integral that does not reach
-its tolerance raises NumericError, and may stack several integrals.
+integrand once, on an array of nodes, for one integral or a stack of
+them, and an integral that does not reach its tolerance raises NumericError.
 """
 
 from __future__ import annotations
@@ -411,15 +411,18 @@ _DE = tuple(_de_level(level) for level in range(_DE_LEVELS))
 
 def _de_integral(f, edges, tol: float, what: str) -> np.ndarray:
     """Integrals of the m functions f stacks over [edges[0], edges[-1]], as
-    sums over the pieces between edges, only the last of which may end at
-    inf.  f takes N points and returns (m, N) values, or (N,) for m = 1;
-    each level calls it once, on its new nodes in every piece, and the first
-    gives the estimates at steps h and 2h (from its even nodes) at once.  An
-    integral is kept at the first level where the last halving changed it
-    by at most tol max(1, |I|), counting the outermost terms of each piece
-    (what the finite node range leaves out); the pass stops once all are.
-    Floating-point warnings are silenced inside: a non-finite sum, or an
-    integral left at the last level, raises NumericError."""
+    sums over the pieces between consecutive edges, of which only the last
+    may end at inf.
+
+    f takes an array of N points and returns its (m, N) values there, or
+    (N,) for m = 1; each level calls it once, on its new nodes in every
+    piece.  The first level gives the estimates at steps h and 2h (from its
+    even nodes) at once.  The pass has converged when the last halving
+    changed every integral I by at most tol max(1, |I|), counting in the
+    outermost terms of each piece, the size of what the finite node range
+    leaves out.  Floating-point warnings are silenced inside: a non-finite
+    sum, or no convergence at the last level, raises NumericError.
+    """
     a = np.array(edges[:-1], dtype=float)[:, None]
     b = np.array(edges[1:], dtype=float)[:, None]
     tail = b[-1, 0] == np.inf
@@ -435,59 +438,49 @@ def _de_integral(f, edges, tol: float, what: str) -> np.ndarray:
                 x, w = np.concatenate((x, start + lv.es_x)), np.concatenate((w, lv.es_w))
             wf = w * np.atleast_2d(f(x))
             total += wf.sum(axis=-1)
-            value = (lv.h * total).tolist()
+            value = lv.h * total
+            if not np.isfinite(value).all():
+                raise NumericError(f"non-finite {what}")
             if lv is _DE[0]:
                 n = width.size * lv.off.size
                 ts, es = wf[:, :n].reshape(len(wf), width.size, lv.off.size), wf[:, n:]
                 last = 2.0 * lv.h * (ts[..., ::2].sum(axis=(1, 2)) + es[:, ::2].sum(axis=-1))
-                ends = np.abs(ts[..., :: lv.off.size - 1]).sum(axis=(1, 2))  # first, last
+                ends = np.abs(ts[..., [0, -1]]).sum(axis=(1, 2))
                 if tail:
-                    ends += np.abs(es[:, :: lv.es_x.size - 1]).sum(axis=-1)
-                last, ends, result = last.tolist(), (lv.h * ends).tolist(), [None] * len(value)
-            change = [abs(v - u) if r is None else 0.0 for v, u, r in zip(value, last, result)]
-            if not math.isfinite(sum(change)):
-                raise NumericError(f"non-finite {what}")
-            result = [v if r is None and c + e <= tol * max(1.0, abs(v)) else r
-                      for v, c, e, r in zip(value, change, ends, result)]
-            if None not in result:
-                return np.array(result)
+                    ends += np.abs(es[:, [0, -1]]).sum(axis=-1)
+                ends *= lv.h
+            change = np.abs(value - last)
+            if (change + ends <= tol * np.maximum(1.0, np.abs(value))).all():
+                return value
             last = value
     raise NumericError(
-        f"{what} did not converge to {tol:g}: the last halving changed it by {max(change):.1e}"
+        f"{what} did not converge to {tol:g}: the last halving changed it by {change.max():.1e}"
     )
 
 
 def _tail_box(c1: float, c2: float, g1: float, g2: float, w: int) -> tuple:
-    """The reduction of integrate_tail_box's integral to 1-D: the scale of
-    the 1-D integral, the kink c1/c2 of its integrand, and the integrand at
-    the nodes t from R(t,1)/t there (R(t,1)/t times t^{-p}: t^{-p-1} alone
-    overflows at the nodes near 0)."""
+    """The integral over [1,inf)^2 of R(c1 x^{-1/g1}, c2 y^{-1/g2}) x^{-w}
+    dx dy, reduced to 1-D.
+
+    R must be homogeneous of order 1, as every tail copula is:
+    R(ts, s) = s R(t, 1).  With u = c1 x^{-1/g1} = ts and v = c2 y^{-1/g2}
+    = s the s-integral is closed-form, which leaves, for p = g1 (1-w),
+    q = g2 and e = 1-p-q,
+
+        g1 c1^p g2 c2^q / e * int_0^inf R(t,1) t^{-p-1} min(c2, c1/t)^e dt;
+
+    the integral diverges unless e > 0, and raises DomainError.  Returns the
+    scale in front, the kink t = c1/c2 of the 1-D integrand (which can kink
+    only there and at t = 1, for the comonotone R), and the integrand at an
+    array of t from R(t,1)/t there (times t^{-p}: t^{-p-1} alone overflows at
+    the nodes near 0).
+    """
     p, q = g1 * (1.0 - w), g2
     e = 1.0 - p - q
     if not e > 0.0:
         raise DomainError(f"tail-box integral diverges: g1 (1 - w) + g2 = {p + q} >= 1")
     scale = g1 * c1**p * g2 * c2**q / e
     return scale, c1 / c2, lambda rt, t: rt * t**-p * np.minimum(c2, c1 / t) ** e
-
-
-def integrate_tail_box(r, c1: float, c2: float, g1: float, g2: float, w: int) -> float:
-    """Integral over [1,inf)^2 of R(c1 x^{-1/g1}, c2 y^{-1/g2}) x^{-w} dx dy.
-
-    R must be homogeneous of order 1, as every tail copula is:
-    R(ts, s) = s R(t, 1).  With u = c1 x^{-1/g1} = ts and v = c2 y^{-1/g2}
-    = s the s-integral is closed-form, which leaves, for p = g1 (1-w),
-    q = g2 and e = 1-p-q (``_tail_box``),
-
-        g1 c1^p g2 c2^q / e * int_0^inf R(t,1) t^{-p-1} min(c2, c1/t)^e dt;
-
-    the integral diverges unless e > 0, and raises DomainError.  R takes an
-    array of t.  The 1-D integrand can kink only at t = 1 (comonotone R)
-    and at t = c1/c2, so the quadrature is split there.
-    """
-    scale, kink, f = _tail_box(c1, c2, g1, g2, w)
-    edges = [0.0, *sorted({1.0, kink}), np.inf]
-    val = _de_integral(lambda t: f(r(t, 1.0) / t, t), edges, _QUAD_TOL, "tail-box integral")
-    return float(val[0] * scale)
 
 
 def integrate_unit_log(f) -> float:

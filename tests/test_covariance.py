@@ -287,28 +287,6 @@ class TestQuadraturePasses:
         assert len(passes) == 3
         assert len(calls) == sum(passes)
 
-    def test_equal_pairs_share_their_pass(self, monkeypatch):
-        calls, passes = count_passes(monkeypatch)
-        fresh = theoretical_sigma_laws([0.2, 0.3, 0.2, 0.3], LOG3).entries
-        # (0.2, 0.3) at (0, 1), (0, 3) and (2, 3); (0.3, 0.2) at (1, 2);
-        # (0.2, 0.2) and (0.3, 0.3) once each.
-        assert len(passes) == 4
-        for j, ell in ((0, 3), (2, 3)):
-            block = fresh[2 * j : 2 * j + 2, 2 * ell : 2 * ell + 2]
-            assert np.array_equal(block, fresh[0:2, 2:4])
-
-    def test_one_functional_per_distinct_oracle(self, monkeypatch):
-        unit = []
-        real = covariance._UNIT
-        monkeypatch.setattr(covariance, "_UNIT", lambda orc: unit.append(orc) or real(orc))
-        theoretical_sigma_q([0.1, 0.2, 0.3, 0.4, 0.45], LOG3)
-        assert unit == [LOG3]
-        other = OracleTailCopula.logistic(2.0)
-        oracle = {(0, 1): LOG3, (0, 2): other, (1, 2): OracleTailCopula.logistic(3.0)}
-        unit.clear()
-        theoretical_sigma_q([0.1, 0.2, 0.3], oracle)
-        assert unit == [LOG3, other]
-
 
 class TestOracleSymmetry:
     @given(

@@ -24,8 +24,8 @@ from tailjoint.numerics import (
     _log_chi2_lower,
     _ndtr,
     chi_square_quantile,
+    _tail_box,
     chi_square_sf,
-    integrate_tail_box,
     integrate_unit_log,
     std_normal_quantile,
 )
@@ -377,6 +377,15 @@ class TestEigenAlgebraProperties:
                 f(x)
 
 
+def integrate_tail_box(r, c1, c2, g1, g2, w) -> float:
+    """The tail box of _tail_box's reduction, R taking an array of t: one
+    pass of _de_integral split at the kinks t = 1 and c1/c2."""
+    scale, kink, f = _tail_box(c1, c2, g1, g2, w)
+    edges = [0.0, *sorted({1.0, kink}), np.inf]
+    val = _de_integral(lambda t: f(r(t, 1.0) / t, t), edges, _QUAD_TOL, "tail-box integral")
+    return float(val[0] * scale)
+
+
 def power_copula(a):
     """R(u, v) = u^a v^(1-a): homogeneous of order 1, and it turns the tail
     box into a product of two 1-D power integrals."""
@@ -454,22 +463,32 @@ class TestQuadratureConvergence:
         with pytest.raises(NumericError, match="did not converge"):
             integrate_unit_log(np.ones_like)
 
-    def test_oscillating_integrand_raises(self):
-        # R(t, 1) = t cos t leaves cos(t) t^(-0.7) beyond t = 1, whose
-        # integral to infinity the exp-sinh nodes never settle.
+    def test_oscillating_integrand_raises(self, monkeypatch):
+        # R(t, 1) = t cos t leaves cos(t) t^(-0.7) beyond t = 1 in a pair's
+        # cross terms, whose integral to infinity the exp-sinh nodes never
+        # settle.
+        monkeypatch.setattr(OracleTailCopula, "_formula", lambda self, t, s: t * np.cos(t))
         with pytest.raises(NumericError, match="did not converge"):
-            integrate_tail_box(lambda t, s: t * np.cos(t), 1.0, 1.0, 0.3, 0.3, 1)
+            _pair_entries(OracleTailCopula.logistic(2.0), 0.3, 0.3)
 
-    def test_stacked_integrals_are_each_their_own_pass(self):
-        # Each row of a stack is accepted at the level where it would be
-        # alone, so its value is its own pass's; the pass runs to the level
-        # of the slowest row.
+    def test_stacked_integrals_run_to_the_slowest_row(self):
+        # A stack stops at the first level where every row passes, the
+        # slowest row's own level, and each row stays within the tolerance
+        # of its own pass.
         rows = (lambda x: np.exp(-x), lambda x: 1.0 / (1.0 + x * x), lambda x: x**-0.5 / (1.0 + x))
         edges = [0.0, 0.5, 2.0, np.inf]
-        alone = [_de_integral(f, edges, _QUAD_TOL, "row")[0] for f in rows]
-        stacked = _de_integral(lambda x: np.stack([f(x) for f in rows]), edges, _QUAD_TOL, "rows")
-        assert stacked.tolist() == alone
-        assert alone == pytest.approx([1.0, math.pi / 2.0, math.pi], rel=1e-12)
+
+        def counted(f):
+            calls = []
+            val = _de_integral(lambda x: calls.append(0) or f(x), edges, _QUAD_TOL, "rows")
+            return val, len(calls)
+
+        alone = [counted(f) for f in rows]
+        stacked, levels = counted(lambda x: np.stack([f(x) for f in rows]))
+        assert levels == max(n for _, n in alone) > min(n for _, n in alone)
+        for a, (b, _) in zip(stacked, alone):
+            assert abs(a - b[0]) <= _QUAD_TOL * max(1.0, abs(b[0]))
+        assert stacked.tolist() == pytest.approx([1.0, math.pi / 2.0, math.pi], rel=1e-12)
 
     def test_one_row_left_unsettled_raises(self):
         # e^-x settles at once, but cos has no integral over [0, inf).
