@@ -19,7 +19,9 @@ Every covariance of the LAWS, QB and Weissman estimators but the naive
 diagonals is one contraction W Sigma W^T (``_contract``) of the joint
 covariance Sigma of (Hill_j, X_j) over the margins, X the intermediate LAWS
 (``_sigma_laws``) or quantile (``_sigma_q_blocks``) estimator, with weights
-(wh_j, wx_j) per margin (``inference._estimate`` lists them).
+(wh_j, wx_j) per margin (``inference._estimate`` lists them).  The builders
+hold Sigma as its d x d (Hill, cross, X) blocks, which the contraction
+reads; only the public 2d x 2d getters interleave them (``_interleave``).
 
 Each plug-in Sigma is built for a stack of B samples at one level at once
 (leading axis B, the fit as (B, d) arrays); a check that fails marks its
@@ -51,19 +53,18 @@ from .errors import RAISE, Checks, DomainError
 from .marginal import _check_qb, _fit_sorted, _sum_shift, estimate_margins, m_function
 from .numerics import _QUAD_TOL, SpdMatrix, _de_integral, _per_element, _spd_stack, _tail_box
 from .sample import MultivariateSample, _row_starts, effective_k
-from .taildep import (
-    OracleTailCopula, _r11_matrix, _top_pairs, _unit_integral_matrix,
-)
+from .taildep import OracleTailCopula, _r11_matrix, _top_pairs, _unit_integral_matrix
+
+_G_MIN = 1.0 / np.finfo(float).max  # 1/gamma overflows at or below it
 
 
 def _gammas(gammas, upper: float, what: str) -> np.ndarray:
     g = np.asarray(gammas, dtype=float).ravel()
     if g.size < 1:
         raise DomainError("need at least one tail index")
-    if np.any(g <= 0.0) or np.any(g >= upper):
-        raise DomainError(
-            f"{what} undefined unless all tail indices lie in (0, {upper})"
-        )
+    if not ((_G_MIN < g) & (g < upper)).all():  # one in-range mask, false at NaN
+        raise DomainError(f"{what} undefined unless all tail indices lie in (0, {upper}), "
+                          "1/gamma finite")
     return g
 
 
@@ -113,13 +114,13 @@ def _hill_block(g: np.ndarray, r11: np.ndarray) -> np.ndarray:
     return m
 
 
-def _sigma_q_blocks(g: np.ndarray, r11: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """The (Hill, intermediate quantile) covariance from R(1,1) and the unit
-    integrals I: the Hill block on both diagonal blocks, and Cov(Hill_j, q_l)
-    = g_j g_l (I[j,l] - R_jl(1,1)) off them, 0 at j = l."""
+def _sigma_q_blocks(g: np.ndarray, r11: np.ndarray, unit: np.ndarray) -> tuple:
+    """The blocks of the (Hill, intermediate quantile) covariance from R(1,1)
+    and the unit integrals I: the Hill block on both diagonal blocks, and
+    Cov(Hill_j, q_l) = g_j g_l (I[j,l] - R_jl(1,1)) off them, 0 at j = l."""
     hill, cross = _hill_block(g, r11), _outer(g) * (unit - r11)
     _set_diagonal(cross, 0.0)
-    return _interleave(hill, cross, hill)
+    return hill, cross, hill
 
 
 def _qb_weights(g: np.ndarray, log_dn: float | None = None):
@@ -130,23 +131,22 @@ def _qb_weights(g: np.ndarray, log_dn: float | None = None):
     return (m, 1.0) if log_dn is None else ((m + log_dn) / log_dn, 1.0 / log_dn)
 
 
-def _contract(sigma: np.ndarray, wh, wx) -> np.ndarray:
-    """W Sigma W^T: the covariance of the estimators wh_j Hill_j + wx_j X_j,
-    sigma the interleaved covariance of (Hill_1, X_1, ..., Hill_d, X_d), one
-    matrix per leading index, and the weights broadcast to (..., d).  The
-    diagonal blocks' terms are summed first: a weight of 0 adds exact zeros,
-    so (1, 0) gives the Hill block and (0, 1) the X block to the bit."""
+def _contract(hill, cross, other, wh, wx) -> np.ndarray:
+    """W Sigma W^T: the covariance of the estimators wh_j Hill_j + wx_j X_j
+    from the d x d blocks of Sigma: Cov(Hill, Hill), Cov(Hill_j, X_l) at
+    (j, l) and Cov(X, X), one matrix per leading index, with the weights
+    broadcast to (..., d); the cross block enters as P + P^T, P = wh_j wx_l
+    cross_jl.  The diagonal blocks' terms are summed first: a weight of 0
+    adds exact zeros, so (1, 0) gives the Hill block and (0, 1) the X block."""
     h, x = np.atleast_1d(wh, wx)
-    hx = _outer(h, x)
-    return (
-        _outer(h) * sigma[..., 0::2, 0::2] + _outer(x) * sigma[..., 1::2, 1::2]
-    ) + (hx * sigma[..., 0::2, 1::2] + np.swapaxes(hx, -1, -2) * sigma[..., 1::2, 0::2])
+    p = _outer(h, x) * cross
+    return (_outer(h) * hill + _outer(x) * other) + (p + np.swapaxes(p, -1, -2))
 
 
 def _interleave(hill: np.ndarray, cross: np.ndarray, other: np.ndarray) -> np.ndarray:
     """The 2d x 2d covariance of (Hill_1, X_1, ..., Hill_d, X_d) from its
     d x d blocks: Cov(Hill, Hill), Cov(Hill_j, X_l) at (j, l), and Cov(X, X);
-    one matrix per leading index."""
+    one matrix per leading index.  Only the public 2d x 2d getters build it."""
     d = hill.shape[-1]
     m = np.empty(hill.shape[:-2] + (2 * d, 2 * d))
     m[..., 0::2, 0::2], m[..., 0::2, 1::2] = hill, cross
@@ -154,8 +154,8 @@ def _interleave(hill: np.ndarray, cross: np.ndarray, other: np.ndarray) -> np.nd
     return m
 
 
-def _theoretical_sigma_q(g: np.ndarray, oracle) -> np.ndarray:
-    """The unchecked array of theoretical_sigma_q at checked tail indices."""
+def _theoretical_sigma_q(g: np.ndarray, oracle) -> tuple:
+    """The unchecked blocks of theoretical_sigma_q at checked tail indices."""
     return _sigma_q_blocks(g, *(_oracle_matrix(oracle, g.size, f) for f in (_R11, _UNIT)))
 
 
@@ -164,10 +164,8 @@ def theoretical_sigma_q(gammas, oracle) -> SpdMatrix:
 
     Coordinates are interleaved per margin: (gamma_1, q_1, gamma_2, q_2, ...).
     """
-    g = _gammas(gammas, 1.0, "covariance formula")
-    return SpdMatrix.from_array(
-        _theoretical_sigma_q(g, oracle), "theoretical Hill/quantile covariance"
-    )
+    sigma = _theoretical_sigma_q(_gammas(gammas, 1.0, "covariance formula"), oracle)
+    return SpdMatrix.from_array(_interleave(*sigma), "theoretical Hill/quantile covariance")
 
 
 def _sigma_laws_cross_diag(g: float) -> float:
@@ -181,10 +179,8 @@ def theoretical_sigma_laws(gammas, oracle) -> SpdMatrix:
 
     Coordinates are interleaved per margin, as in theoretical_sigma_q.
     """
-    g = _gammas(gammas, 0.5, "covariance formula")
-    return SpdMatrix.from_array(
-        _theoretical_sigma_laws(g, oracle), "theoretical Hill/LAWS covariance"
-    )
+    sigma = _theoretical_sigma_laws(_gammas(gammas, 0.5, "covariance formula"), oracle)
+    return SpdMatrix.from_array(_interleave(*sigma), "theoretical Hill/LAWS covariance")
 
 
 def _pair_entries(orc: OracleTailCopula, gj: float, gl: float) -> np.ndarray:
@@ -213,8 +209,8 @@ def _pair_entries(orc: OracleTailCopula, gj: float, gl: float) -> np.ndarray:
     return val * scales * np.array([gj * gl, gl, gj])
 
 
-def _theoretical_sigma_laws(g: np.ndarray, oracle) -> np.ndarray:
-    """The unchecked array of theoretical_sigma_laws at checked tail
+def _theoretical_sigma_laws(g: np.ndarray, oracle) -> tuple:
+    """The unchecked blocks of theoretical_sigma_laws at checked tail
     indices, assembled as the plug-in's (``_sigma_blocks``): 2g^3/(1-2g) on
     the LAWS diagonal, and each pair's ``_pair_entries`` off it."""
     d = g.size
@@ -232,23 +228,21 @@ def theoretical_v_star_laws(gammas, oracle, log_dn: float) -> SpdMatrix:
     the contraction of the theoretical (Hill, LAWS) covariance, of which
     only the result is checked."""
     g = _gammas(gammas, 0.5, "covariance formula")
-    if not log_dn > 0.0:
-        raise DomainError("contraction requires log d_n > 0")
-    return SpdMatrix.from_array(
-        _contract(_theoretical_sigma_laws(g, oracle), 1.0, 1.0 / log_dn),
-        "theoretical star-LAWS covariance",
-    )
+    if not 0.0 < log_dn < math.inf:
+        raise DomainError("contraction requires a finite log d_n > 0")
+    with np.errstate(all="ignore"):  # an overflow fails the check as non-finite
+        v = _contract(*_theoretical_sigma_laws(g, oracle), 1.0, 1.0 / log_dn)
+    return SpdMatrix.from_array(v, "theoretical star-LAWS covariance")
 
 
 def theoretical_v_star_qb(gammas, oracle, log_dn: float) -> SpdMatrix:
     """Finite-n covariance of the QB extrapolating estimators (log scale)."""
     g = _gammas(gammas, 1.0, "covariance formula")
-    if not log_dn > 0.0:
-        raise DomainError("star-QB covariance requires log d_n > 0")
-    return SpdMatrix.from_array(
-        _contract(_theoretical_sigma_q(g, oracle), *_qb_weights(g, log_dn)),
-        "theoretical star-QB covariance",
-    )
+    if not 0.0 < log_dn < math.inf:
+        raise DomainError("star-QB covariance requires a finite log d_n > 0")
+    with np.errstate(all="ignore"):  # as in theoretical_v_star_laws
+        v = _contract(*_theoretical_sigma_q(g, oracle), *_qb_weights(g, log_dn))
+    return SpdMatrix.from_array(v, "theoretical star-QB covariance")
 
 
 def _one(sample: MultivariateSample, tau: float):
@@ -356,26 +350,28 @@ def estimate_bias_qb(sample: MultivariateSample, tau: float) -> np.ndarray:
     return comps
 
 
-def _sigma_q(st, g, tau: float) -> np.ndarray:
-    """Plug-in (Hill, quantile) covariance of each sample of the stack st:
-    _sigma_q_blocks read from the top rows, through one ``_top_pairs`` mask."""
+def _sigma_q(st, g, tau: float) -> tuple:
+    """The blocks of the plug-in (Hill, quantile) covariance of each sample
+    of the stack st: _sigma_q_blocks read from the top rows, through one
+    ``_top_pairs`` mask."""
     top = _top_pairs(st, tau)
     return _sigma_q_blocks(g, _r11_matrix(top, st.n, tau), _unit_integral_matrix(top, st.n, tau))
 
 
-def _sigma_laws(st, g, q, xi, tau: float, checks) -> np.ndarray:
-    """Raw plug-in (Hill, LAWS) covariance of each sample of the stack st
-    (see estimate_sigma_laws)."""
+def _sigma_laws(st, g, q, xi, tau: float, checks) -> tuple:
+    """The blocks of the raw plug-in (Hill, LAWS) covariance of each sample
+    of the stack st (see estimate_sigma_laws)."""
     vlaws, cross = _v_laws_raw(st, g, q, xi, tau, checks)
     return _sigma_blocks(g, vlaws, cross, _r11_matrix(_top_pairs(st, tau), st.n, tau))
 
 
-def _sigma_blocks(g, vlaws, cross, r11) -> np.ndarray:
-    """The (Hill, LAWS) covariance from its LAWS block, the Hill/LAWS cross
-    terms, whose diagonal this replaces by the closed form, and R(1,1):
-    the plug-in's from R-hat, and the theoretical one's from the oracle."""
+def _sigma_blocks(g, vlaws, cross, r11) -> tuple:
+    """The (Hill, cross, LAWS) blocks of the (Hill, LAWS) covariance from its
+    LAWS block, the Hill/LAWS cross terms, whose diagonal this replaces by
+    the closed form, and R(1,1): the plug-in's from R-hat, and the
+    theoretical one's from the oracle."""
     _set_diagonal(cross, _per_element(_sigma_laws_cross_diag, g))
-    return _interleave(_hill_block(g, r11), cross, vlaws)
+    return _hill_block(g, r11), cross, vlaws
 
 
 def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
@@ -384,7 +380,7 @@ def estimate_sigma_laws(sample: MultivariateSample, tau: float) -> np.ndarray:
     Coordinates are interleaved per margin.  Returned unclipped so that the
     log d_n contraction is an exact linear function of these blocks.
     """
-    return _sigma_laws(*_one(sample, tau), tau, RAISE)[0]
+    return _interleave(*_sigma_laws(*_one(sample, tau), tau, RAISE))[0]
 
 
 def _hill_laws_cross(st, phi, thresholds, g, k: int) -> np.ndarray:
@@ -434,9 +430,10 @@ def _scan_traces(sample: MultivariateSample, levels: list) -> list:
         # Each margin's number of values above xi-hat, at every level.
         above = [n - np.searchsorted(x, xi, "right") for x, xi in zip(xs, fit.xi_laws.T)]
         surv = np.stack(above, axis=-1)
+        # Each margin's (Hill, LAWS) blocks, as 1 x 1 matrices.
         cross = _per_element(_sigma_laws_cross_diag, g)
-        blocks = np.stack((g**2, cross, cross, _laws_diag(g, surv, tau, n)), axis=-1)
-        var = _contract(blocks.reshape(g.shape + (2, 2)), 1.0, 1.0 / log_dn)[..., 0, 0]
+        blocks = (b[..., None, None] for b in (g**2, cross, _laws_diag(g, surv, tau, n)))
+        var = _contract(*blocks, 1.0, 1.0 / log_dn)[..., 0, 0]
         checked = _spd_stack(_diagonal(var), "star-LAWS covariance", checks)
         traces = checked.entries.trace(axis1=1, axis2=2)
     return [t if error is None else error for t, error in zip(traces.tolist(), checks.first)]

@@ -55,7 +55,7 @@ class Checks:
 
     def __call__(self, bad, error) -> None:
         bad = np.asarray(bad)
-        if not bad.any():
+        if not np.count_nonzero(bad):
             return
         if self.first is None:
             raise error(int(np.argmax(bad)))

@@ -164,7 +164,7 @@ def _estimate(
         return _diagonal(2.0 * g**power / (1.0 - 2.0 * g))
 
     def raw() -> np.ndarray:
-        return _contract(sigma(), *weights)
+        return _contract(*sigma(), *weights)
 
     laws = partial(_sigma_laws, st, g, q, xi, tau, checks)
     quantile = partial(_sigma_q, st, g, tau)

@@ -24,6 +24,7 @@ them, and an integral that does not reach its tolerance raises NumericError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,16 +32,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    RAISE,
-    DomainError,
-    NotPositiveSemidefiniteError,
-    NumericError,
-    SingularCovarianceError,
+    RAISE, DomainError, NotPositiveSemidefiniteError, NumericError, SingularCovarianceError,
 )
 
 # Relative tolerance (times the trace) below which negative eigenvalues are
 # clipped to zero; anything more negative is treated as a formula bug.
 CLIP_RTOL = 1e-6
+# An entry of this size or more can overflow the sum m + m^T.
+_BIG, _TINY = 2.0**1023, np.finfo(float).tiny
 
 # Tolerance of the quadratures: an integral I is accepted when its error
 # estimate is at most tol max(1, |I|).  Every oracle integral, those that
@@ -238,10 +237,9 @@ class _SpdStack(NamedTuple):
 
     def singular(self) -> np.ndarray:
         """Where a matrix is too near singular to invert: its smallest
-        eigenvalue is at most 1e-10 times its trace (1 for a zero trace)."""
-        tr = self.w.sum(axis=-1)
-        tr[tr == 0.0] = 1.0
-        return self.w[:, 0] <= 1e-10 * tr
+        eigenvalue is at most 1e-10 times its trace (a zero trace included,
+        as the eigenvalues are then all 0)."""
+        return self.w[:, 0] <= 1e-10 * self.w.sum(axis=-1)
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
         """diag(w)^{-1/2} v^T x of each row x (B, d), whose squared norm is
@@ -251,17 +249,10 @@ class _SpdStack(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SpdMatrix:
-    """Symmetric positive semidefinite matrix with clipping provenance.
-
-    Construction symmetrizes the input and clips slightly negative
-    eigenvalues (within CLIP_RTOL times the trace) up to zero; larger
-    violations raise :class:`NotPositiveSemidefiniteError`.  The matrix
-    keeps the eigenpairs of that check, its stack of one (``_SpdStack``),
-    and reads its quadratic form and its square root from them.  It is
-    singular, and its quadratic form raises
-    :class:`SingularCovarianceError`, when its smallest eigenvalue is at
-    most 1e-10 times its trace.
-    """
+    """Symmetric positive semidefinite matrix with clipping provenance: the
+    stack of one (``_SpdStack``) of its check and clip (``_spd_stack``),
+    whose eigenpairs give its quadratic form and its square root.  The
+    quadratic form of a singular matrix raises SingularCovarianceError."""
 
     _stack: _SpdStack
 
@@ -280,8 +271,8 @@ class SpdMatrix:
     @classmethod
     def from_array(cls, m, name: str = "matrix") -> "SpdMatrix":
         m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError(f"{name} must be square, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise DomainError(f"{name} must be square and non-empty, got shape {m.shape}")
         return cls(_spd_stack(m[None], name, RAISE))
 
     def sqrt(self) -> "SpdMatrix":
@@ -311,37 +302,42 @@ def _quadratic_form(m: _SpdStack, x: np.ndarray, name: str, checks) -> np.ndarra
     return (m.whiten(x) ** 2).sum(axis=-1)
 
 
-def _spd_stack(m: np.ndarray, name: str, checks) -> _SpdStack:
+def _spd_stack(m: np.ndarray, name: str, checks, back=1.0) -> _SpdStack:
     """The symmetrized, PSD-clipped matrices of the stack m (B, d, d), their
     clip magnitudes and their eigenpairs.  A matrix with a non-finite entry,
-    an asymmetry above 1e-8 of its largest entry, or an eigenvalue below
+    an asymmetry above 1e-8 of its largest entry (m - m^T is antisymmetric,
+    so its largest entry is its largest |entry|), or an eigenvalue below
     -CLIP_RTOL times its trace fails its sample, in that order; eigenvalues
-    above that are clipped up to zero.  A non-finite matrix is replaced by
-    the identity so that the decomposition of the others is defined."""
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    checks(~finite, lambda j: NumericError(f"{name} has non-finite entries"))
-    if not finite.all():
-        m = np.where(finite[:, None, None], m, np.eye(m.shape[-1]))
-    t = m.transpose(0, 2, 1)
+    above that are clipped up to zero, and the clip is +0 where none is.
+    A stack with a non-finite entry, or one of 2^1023 or more (where m + m^T
+    overflows), goes round again: a non-finite matrix as the identity, so
+    that the others' decompositions are defined, and one that may overflow
+    at 2^-64 of its size, scaled back after (by back, in a message), an
+    eigenvalue beyond the float range as +-inf."""
     scale = np.abs(m).max(axis=(-2, -1))
-    scale[scale == 0.0] = 1.0
-    checks(
-        np.abs(m - t).max(axis=(-2, -1)) > 1e-8 * scale,
-        lambda j: DomainError(f"{name} is not symmetric"),
-    )
+    if not scale.max(initial=0.0) < _BIG:
+        finite = np.isfinite(scale)
+        checks(~finite, lambda j: NumericError(f"{name} has non-finite entries"))
+        unit = np.where(scale < _BIG, 1.0, 2.0**-64)[:, None]
+        m = np.where(finite[:, None, None], m * unit[..., None], np.eye(m.shape[-1]))
+        with np.errstate(over="ignore"):
+            s = _spd_stack(m, name, checks, 1.0 / unit[:, 0])
+            s = _SpdStack(s.entries / unit[..., None], s.clip / unit[:, 0], s.w / unit, s.v)
+        bad = ~np.isfinite(s.entries).all(axis=(-2, -1))
+        checks(bad, lambda j: NumericError(f"{name} has non-finite entries once clipped"))
+        return s
+    t = m.transpose(0, 2, 1)
+    asymmetric = (m - t).max(axis=(-2, -1)) > 1e-8 * scale
+    checks(asymmetric, lambda j: DomainError(f"{name} is not symmetric"))
     sym = 0.5 * (m + t)
     w, v = np.linalg.eigh(sym)
-    low = w[:, 0]
-    tol = CLIP_RTOL * np.maximum(np.abs(sym.trace(axis1=1, axis2=2)), np.finfo(float).tiny)
-    checks(
-        low < -tol,
-        lambda j: NotPositiveSemidefiniteError(
-            f"{name} has eigenvalue {low[j]:.3e} below -{tol[j]:.3e}"
-        ),
-    )
-    clip = np.maximum(0.0, -low)
+    low, tol = w[:, 0], CLIP_RTOL * np.maximum(np.abs(sym.trace(axis1=1, axis2=2)), _TINY)
+    checks(low < -tol, lambda j: NotPositiveSemidefiniteError(
+        f"{name} has eigenvalue {(low * back)[j]:.3e} below -{(tol * back)[j]:.3e}"))
     neg = low < 0.0
-    if neg.any():
+    clip = np.zeros(len(low))
+    if np.count_nonzero(neg):
+        clip = np.where(neg, -low, clip)
         w = np.clip(w, 0.0, None)
         sym[neg] = _compose(w[neg], v[neg])
     return _SpdStack(sym, clip, w, v)
@@ -409,6 +405,16 @@ def _de_level(level: int) -> _DeLevel:
 _DE = tuple(_de_level(level) for level in range(_DE_LEVELS))
 
 
+@functools.cache
+def _first_level_picks(pieces: int, tail: bool) -> tuple:
+    """Where the first level's even nodes, and each piece's two end nodes,
+    sit among its nodes on that many finite pieces and a tail, if any."""
+    k, ends = _DE[0].off.size, [0, -1]
+    at = np.arange(pieces * k + tail * _DE[0].es_x.size)
+    ts, es = at[: pieces * k].reshape(pieces, k), at[pieces * k :]
+    return np.r_[ts[:, ::2].ravel(), es[::2]], np.r_[ts[:, ends].ravel(), es[ends] if tail else es]
+
+
 def _de_integral(f, edges, tol: float, what: str) -> np.ndarray:
     """Integrals of the m functions f stacks over [edges[0], edges[-1]], as
     sums over the pieces between consecutive edges, of which only the last
@@ -416,8 +422,9 @@ def _de_integral(f, edges, tol: float, what: str) -> np.ndarray:
 
     f takes an array of N points and returns its (m, N) values there, or
     (N,) for m = 1; each level calls it once, on its new nodes in every
-    piece.  The first level gives the estimates at steps h and 2h (from its
-    even nodes) at once.  The pass has converged when the last halving
+    piece.  The first level gives the estimates at steps h and 2h at once,
+    reading its even nodes, and each piece's two end nodes, by one gather
+    each (``_first_level_picks``).  The pass has converged when the last halving
     changed every integral I by at most tol max(1, |I|), counting in the
     outermost terms of each piece, the size of what the finite node range
     leaves out.  Floating-point warnings are silenced inside: a non-finite
@@ -442,13 +449,9 @@ def _de_integral(f, edges, tol: float, what: str) -> np.ndarray:
             if not np.isfinite(value).all():
                 raise NumericError(f"non-finite {what}")
             if lv is _DE[0]:
-                n = width.size * lv.off.size
-                ts, es = wf[:, :n].reshape(len(wf), width.size, lv.off.size), wf[:, n:]
-                last = 2.0 * lv.h * (ts[..., ::2].sum(axis=(1, 2)) + es[:, ::2].sum(axis=-1))
-                ends = np.abs(ts[..., [0, -1]]).sum(axis=(1, 2))
-                if tail:
-                    ends += np.abs(es[:, [0, -1]]).sum(axis=-1)
-                ends *= lv.h
+                even, end = _first_level_picks(width.size, tail)
+                last = wf.take(even, axis=-1).sum(axis=-1) * (2.0 * lv.h)
+                ends = np.abs(wf.take(end, axis=-1)).sum(axis=-1) * lv.h
             change = np.abs(value - last)
             if (change + ends <= tol * np.maximum(1.0, np.abs(value))).all():
                 return value

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from tailjoint import covariance, inference
+from tailjoint import covariance, inference, numerics
 from tailjoint.covariance import (
     _sigma_laws_cross_diag,
     estimate_bias_qb,
@@ -21,6 +22,7 @@ from tailjoint.covariance import (
     theoretical_sigma_laws,
     theoretical_sigma_q,
     theoretical_v_star_laws,
+    theoretical_v_star_qb,
 )
 from tailjoint.errors import (
     RAISE,
@@ -38,7 +40,7 @@ from tailjoint.marginal import (
     laws_expectile,
     m_function,
 )
-from tailjoint.numerics import _QUAD_TOL, CLIP_RTOL
+from tailjoint.numerics import _QUAD_TOL, CLIP_RTOL, SpdMatrix
 from tailjoint.sample import (
     MultivariateSample, TailLevelPair, _column_ranks, _stack_columns, effective_k, tau_from_k,
 )
@@ -57,11 +59,18 @@ def v_laws(gammas, oracle) -> np.ndarray:
     return theoretical_sigma_laws(gammas, oracle).entries[1::2, 1::2]
 
 
+def blocks(sigma: np.ndarray) -> tuple:
+    """The (Hill, cross, X) d x d blocks of an interleaved 2d x 2d
+    covariance of (Hill_1, X_1, ..., Hill_d, X_d), as _contract reads them."""
+    return sigma[..., 0::2, 0::2], sigma[..., 0::2, 1::2], sigma[..., 1::2, 1::2]
+
+
 def v_qb(gammas, oracle) -> np.ndarray:
     """The intermediate QB covariance: the contraction of
     theoretical_sigma_q with the QB weights (m(g), 1)."""
     g = np.asarray(gammas, dtype=float)
-    return covariance._contract(theoretical_sigma_q(g, oracle).entries, *covariance._qb_weights(g))
+    sigma = theoretical_sigma_q(g, oracle).entries
+    return covariance._contract(*blocks(sigma), *covariance._qb_weights(g))
 
 
 def hill(column, tau) -> float:
@@ -287,6 +296,82 @@ class TestQuadraturePasses:
         assert len(passes) == 3
         assert len(calls) == sum(passes)
 
+    @pytest.mark.parametrize("build", [theoretical_v_star_laws, theoretical_v_star_qb])
+    def test_star_builders_take_one_pass_and_one_check(self, monkeypatch, build):
+        # On the oracle inputs: one pass (the pair's, or the unit integral's
+        # through integrate_unit_log), one SPD check, and a contraction read
+        # from the blocks, never from the interleaved 2d x 2d matrix.
+        calls, passes = count_passes(monkeypatch)
+        monkeypatch.setattr(numerics, "_de_integral", covariance._de_integral)
+        checks, spd_stack = [], numerics._spd_stack
+        monkeypatch.setattr(numerics, "_spd_stack", lambda *a: checks.append(0) or spd_stack(*a))
+        monkeypatch.setattr(covariance, "_interleave", mock.Mock(side_effect=AssertionError))
+        build([0.15, 0.25], OracleTailCopula.logistic(2.0), math.log(50.0))
+        assert len(passes) == 1 and len(checks) == 1
+
+
+SWEEP_ORACLES = [IND, COM, *(OracleTailCopula.logistic(t) for t in (1.0, 2.0, 1e6, math.inf))]
+SWEEP_GAMMAS = [math.nan, math.inf, -math.inf, 0.0, 0.5, 1.0, 5e-324, 1e-300]
+SWEEP_ENTRIES = [0.0, 1.0, -1.0, 1e308, -1e308, 1e-308, -5e-324, np.finfo(float).max, math.nan, math.inf]
+
+
+@st.composite
+def sweep_matrices(draw):
+    """A d x d matrix, d from 0 to 5, of small floats and of entries near
+    1e+-308 and the float max, some non-finite; as drawn, symmetrized, or a
+    Gram matrix scaled to 1e+-300."""
+    d = draw(st.integers(0, 5))
+    entries = st.one_of(st.sampled_from(SWEEP_ENTRIES), st.floats(-10.0, 10.0))
+    m = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+    form = draw(st.sampled_from(["drawn", "symmetrized", "gram"]))
+    with np.errstate(all="ignore"):
+        if form == "symmetrized":
+            m = 0.5 * m + 0.5 * m.T
+        elif form == "gram":
+            m = m @ m.T * draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    return m
+
+
+def finite_or_typed(call, *args) -> None:
+    """call(*args) with warnings as errors returns a finite SpdMatrix or
+    raises a TailjointError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            m = call(*args)
+        except TailjointError:
+            return
+    assert np.isfinite(m.entries).all() and math.isfinite(m.clip_magnitude)
+
+
+@st.composite
+def sweep_gammas(draw):
+    """0 to 3 tail indices in (0, 1/2), one of them replaced, half the time,
+    by an edge value (NaN, +-inf, 0, a bound, a tiny one) or any value
+    around [0, 1]."""
+    g = draw(st.lists(st.floats(0.02, 0.48), max_size=3))
+    if g and draw(st.booleans()):
+        edge = st.one_of(st.sampled_from(SWEEP_GAMMAS), st.floats(-0.1, 1.1))
+        g[draw(st.integers(0, len(g) - 1))] = draw(edge)
+    return g
+
+
+@given(
+    sweep_gammas(),
+    st.sampled_from(SWEEP_ORACLES),
+    st.one_of(st.sampled_from([0.0, math.nan, math.inf, 5e-324, 1e-300]), st.floats(-1.0, 50.0)),
+    sweep_matrices(),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_theoretical_path_edge_sweep(gammas, oracle, log_dn, m):
+    # The public entry points of the theoretical covariances and the SPD
+    # check at edge inputs: a defined result or a typed error, no warning.
+    finite_or_typed(theoretical_sigma_q, gammas, oracle)
+    finite_or_typed(theoretical_sigma_laws, gammas, oracle)
+    finite_or_typed(theoretical_v_star_laws, gammas, oracle, log_dn)
+    finite_or_typed(theoretical_v_star_qb, gammas, oracle, log_dn)
+    finite_or_typed(SpdMatrix.from_array, m)
+
 
 class TestOracleSymmetry:
     @given(
@@ -337,13 +422,33 @@ def test_dict_oracle_missing_pair_names_it():
         theoretical_sigma_laws((0.2, 0.3, 0.25), oracle)
 
 
+BUILDERS = {
+    "sigma_q": lambda g: theoretical_sigma_q(g, LOG3),
+    "sigma_laws": lambda g: theoretical_sigma_laws(g, LOG3),
+    "v_star_laws": lambda g: theoretical_v_star_laws(g, LOG3, 2.0),
+    "v_star_qb": lambda g: theoretical_v_star_qb(g, LOG3, 2.0),
+}
+
+
 class TestTheoreticalVStar:
-    @pytest.mark.parametrize("log_dn", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    @pytest.mark.parametrize("gammas", [[math.nan, 0.2], [0.2, math.nan], [1e-310, 0.2]])
+    def test_out_of_range_gammas_raise_before_any_quadrature(self, build, gammas):
+        # NaN fails the in-range mask; below 1/max, 1/gamma overflows.
+        ran = AssertionError("a quadrature ran")
+        with mock.patch.object(covariance, "_de_integral", side_effect=ran), \
+                mock.patch.object(OracleTailCopula, "_formula", side_effect=ran):
+            with pytest.raises(DomainError, match="tail indices lie in"):
+                build(gammas)
+
+    @pytest.mark.parametrize("log_dn", [0.0, -1.0, math.nan, math.inf])
     def test_bad_log_dn_raises_before_any_quadrature(self, log_dn):
         ran = AssertionError("a quadrature ran")
         with mock.patch.object(covariance, "_de_integral", side_effect=ran), \
                 mock.patch.object(OracleTailCopula, "_formula", side_effect=ran):
-            with pytest.raises(DomainError, match=r"^contraction requires log d_n > 0$"):
+            with pytest.raises(
+                DomainError, match=r"^contraction requires a finite log d_n > 0$"
+            ):
                 theoretical_v_star_laws([0.2, 0.3], LOG3, log_dn)
             # The tail indices are checked first.
             with pytest.raises(DomainError, match="tail indices lie in"):
@@ -618,10 +723,10 @@ class TestColumnMajorLaws:
         got_vlaws, got_cross = covariance._v_laws_raw(st, g, q, xi, tau, RAISE)
         assert np.array_equal(got_vlaws, vlaws)
         assert np.array_equal(got_cross, cross)
-        sigma = covariance._sigma_laws(st, g, q, xi, tau, RAISE)
+        _, sigma_cross, sigma_laws = covariance._sigma_laws(st, g, q, xi, tau, RAISE)
         off = ~np.eye(g.shape[-1], dtype=bool)
-        assert np.array_equal(sigma[:, 1::2, 1::2], vlaws)
-        assert np.array_equal(sigma[:, 0::2, 1::2][:, off], cross[:, off])
+        assert np.array_equal(sigma_laws, vlaws)
+        assert np.array_equal(sigma_cross[:, off], cross[:, off])
 
     @given(tied_stacks())
     @settings(max_examples=60, deadline=None)
@@ -905,7 +1010,7 @@ class TestOneContraction:
         for weights, ld in ((covariance._qb_weights(g), 0.0),
                             (covariance._qb_weights(g, log_dn), log_dn)):
             want = qb_reference(g, r11, unit, ld)
-            assert_close_to_largest(covariance._contract(sigma, *weights), want)
+            assert_close_to_largest(covariance._contract(*sigma, *weights), want)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_weight_zero_variants_are_their_blocks(self, d):
@@ -936,9 +1041,9 @@ class TestOneContraction:
         sigma = rng.normal(size=(3, 6, 6))
         sigma = sigma @ sigma.transpose(0, 2, 1)
         w = np.array([[0.5], [0.25], [0.125]])
-        got = covariance._contract(sigma, 1.0, w)
+        got = covariance._contract(*blocks(sigma), 1.0, w)
         for i in range(3):
-            assert np.array_equal(got[i], covariance._contract(sigma[i], 1.0, w[i, 0]))
+            assert np.array_equal(got[i], covariance._contract(*blocks(sigma[i]), 1.0, w[i, 0]))
 
 
 def flat_topped_panel() -> MultivariateSample:
@@ -1014,7 +1119,9 @@ def assert_scan_matches_single_levels(sample, ks, tau_prime=0.999) -> set:
             want = estimate_covariance(sample, lv.tau, lv.tau_prime, "laws")
         except NotPositiveSemidefiniteError as exc:
             kinds.add(type(exc).__name__)
-            raw = covariance._contract(estimate_sigma_laws(sample, lv.tau), 1.0, 1.0 / lv.log_dn)
+            raw = covariance._contract(
+                *blocks(estimate_sigma_laws(sample, lv.tau)), 1.0, 1.0 / lv.log_dn
+            )
             assert not isinstance(got, TailjointError), got
             assert got == np.trace(raw)
             continue

@@ -1,6 +1,7 @@
 """Special functions, SPD matrix algebra, and tail-box quadrature."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -12,10 +13,13 @@ from scipy import integrate, special, stats
 
 from tailjoint.covariance import _pair_entries
 from tailjoint.errors import (
+    RAISE,
+    Checks,
     DomainError,
     NotPositiveSemidefiniteError,
     NumericError,
     SingularCovarianceError,
+    TailjointError,
 )
 from tailjoint.numerics import (
     _QUAD_TOL,
@@ -23,6 +27,7 @@ from tailjoint.numerics import (
     _de_integral,
     _log_chi2_lower,
     _ndtr,
+    _spd_stack,
     chi_square_quantile,
     _tail_box,
     chi_square_sf,
@@ -265,6 +270,104 @@ class TestSpdMatrix:
         m = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveSemidefiniteError):
             SpdMatrix.from_array(m)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DomainError, match="must be square and non-empty"):
+            SpdMatrix.from_array(np.zeros((0, 0)))
+
+    def test_entries_near_the_float_max(self):
+        # m + m^T overflows here: the check runs at 2^-64 of the size, with
+        # no warning (warnings are errors in this suite).
+        m = np.full((2, 2), 1e308)
+        spd = SpdMatrix.from_array(m)
+        assert np.isfinite(spd.entries).all() and math.isfinite(spd.clip_magnitude)
+        assert np.allclose(spd.entries, m, rtol=1e-12, atol=0.0)
+        with pytest.raises(DomainError, match="is not symmetric"):
+            SpdMatrix.from_array(np.array([[1e308, -1e308], [1e308, 1e308]]))
+        with pytest.raises(NotPositiveSemidefiniteError, match="eigenvalue -1.000e\\+308 below"):
+            SpdMatrix.from_array(np.diag([-1e308, -1e308]))
+        # An eigenvalue beyond the float range reads -inf.
+        with pytest.raises(NotPositiveSemidefiniteError, match="eigenvalue -inf below"):
+            SpdMatrix.from_array(-m)
+
+    @pytest.mark.parametrize("m", [np.zeros((2, 2)), np.eye(3), np.diag([1.0, 0.0])])
+    def test_no_clip_reads_positive_zero(self, m):
+        clip = SpdMatrix.from_array(m).clip_magnitude
+        assert clip == 0.0 and math.copysign(1.0, clip) == 1.0
+
+
+# The defects a matrix of spd_stacks can carry, in the order of the checks
+# that fail them, with the message of each failure.
+FAILURES = {
+    "nonfinite": (NumericError, r"^m has non-finite entries$"),
+    "asymmetric": (DomainError, r"^m is not symmetric$"),
+    "indefinite": (NotPositiveSemidefiniteError, r"^m has eigenvalue -\S+ below -\S+$"),
+}
+
+
+@st.composite
+def spd_stacks(draw):
+    """A stack of 1 to 4 matrices of one size d, each built from eigenvalues
+    with a set of defects: a negative eigenvalue to clip (1e-8 of the
+    trace) or beyond the tolerance (a tenth of it), an asymmetric entry, a
+    non-finite entry, or a scale of 1e308, where m + m^T overflows.
+    Returns the stack and each matrix's defects."""
+    d, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack, defects = np.empty((b, d, d)), []
+    for i in range(b):
+        kinds = draw(st.sets(st.sampled_from(
+            ["clip", "indefinite", "asymmetric", "nonfinite", "big"]
+        )))
+        if d == 1:  # no room for an off-diagonal entry or a clip
+            kinds -= {"asymmetric", "clip", "indefinite"}
+        w = rng.uniform(0.1, 1.0, d) * 10.0 ** draw(st.floats(-3.0, 3.0))
+        if kinds & {"clip", "indefinite"}:
+            w[0] = -(0.1 if "indefinite" in kinds else 1e-8) * w[1:].sum()
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        m = (q * w) @ q.T
+        m = 0.5 * (m + m.T)
+        if "big" in kinds:
+            m = m / np.abs(m).max() * 1e308
+        if "asymmetric" in kinds:
+            m[0, -1] += 1e-3 * np.abs(m).max()
+        if "nonfinite" in kinds:
+            m[rng.integers(d), rng.integers(d)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        stack[i] = m
+        defects.append(kinds)
+    return stack, defects
+
+
+class TestSpdStack:
+    """The check of a stack is the check of each matrix alone, and each
+    matrix fails by the first of its defects, in the order of the checks."""
+
+    @given(spd_stacks())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_each_matrix_as_if_alone(self, case):
+        stack, defects = case
+        checks = Checks(len(stack))
+        with np.errstate(all="ignore"):  # as the stacked callers run it
+            together = _spd_stack(stack, "m", checks)
+        for i, kinds in enumerate(defects):
+            first = next((k for k in FAILURES if k in kinds), None)
+            try:
+                alone = _spd_stack(stack[i : i + 1], "m", RAISE)
+            except TailjointError as exc:
+                error, message = FAILURES[first]
+                assert type(exc) is error and re.match(message, str(exc)), (kinds, exc)
+                got = checks.first[i]
+                assert (type(got), str(got)) == (type(exc), str(exc))
+                continue
+            assert first is None and checks.first[i] is None, (kinds, checks.first[i])
+            for a, b in zip(together, alone):
+                assert a[i].tobytes() == b[0].tobytes()
+            # The clip is built only where an eigenvalue is negative: +0
+            # elsewhere.
+            clip = alone.clip[0]
+            assert (clip > 0.0 and alone.w[0, 0] == 0.0) if "clip" in kinds else clip == 0.0
+            assert math.copysign(1.0, clip) == 1.0
+            assert np.isfinite(alone.entries).all()
 
 
 def quadratic_form(m, v) -> float:
