@@ -311,7 +311,7 @@ def cmd_test(args) -> int:
         sample, tau, tau_prime, sizes, ("laws", "qb", "quantile"), False,
         partial(_results, alpha=alpha),
     )
-    omega = _extremal_coefficients(sample._stack, tau)[0]
+    omega = _extremal_coefficients(sample._stack(tau), tau)[0]
     rows = []
     for group, tests in groups.items():
         labels = [sample.labels[j] for j in group]

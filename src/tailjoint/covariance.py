@@ -31,11 +31,12 @@ first failure.
 
 The n-long work reads the stack's column-major (B, d, n) rows
 (``sample._Stack``): the values, the sorted values and the row order of
-each margin's top rows (a stack holds no ranks), so each margin's loop
-runs along one contiguous row.  The LAWS residuals phi are built there,
-each margin's scaled by the power of two of its xi-hat so that their Gram
-product phi phi^T cannot overflow or underflow, and the Hill/LAWS cross
-terms gather each margin's top k rows from them.
+each margin's top rows that its level reads (``sample._ordered_rows``;
+no ranks), so each margin's loop runs along one contiguous row.  The
+LAWS residuals phi are built there, each margin's scaled by the power of
+two of its xi-hat so that their Gram product phi phi^T cannot overflow or
+underflow, and the Hill/LAWS cross terms gather each margin's top k rows
+from them.
 
 A scan over many levels of one sample, such as ``trace-scan``
 (``_scan_traces``), fits every level at once and reads only each level's
@@ -249,7 +250,7 @@ def _one(sample: MultivariateSample, tau: float):
     """The sample as a stack of one, and its fit at tau as (1, d) arrays:
     gamma-hat, q-hat and xi-hat LAWS."""
     fit = estimate_margins(sample, tau)
-    return sample._stack, fit.gamma_hat[None], fit.q_hat[None], fit.xi_laws[None]
+    return sample._stack(tau), fit.gamma_hat[None], fit.q_hat[None], fit.xi_laws[None]
 
 
 def _check_laws(g, checks) -> None:

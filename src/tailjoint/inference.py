@@ -304,7 +304,7 @@ def _by_group(
     failed = np.array([error is not None for error in fitted.first])
     out = {}
     for m in sizes:
-        for idx, st in sample._group_stacks(m):
+        for idx, st in sample._group_stacks(m, tau):
             sub = MarginalTailEstimates(
                 tau, *(a[idx] for a in (fit.gamma_hat, fit.q_hat, fit.xi_laws))
             )

@@ -276,9 +276,15 @@ class SpdMatrix:
         return cls(_spd_stack(m[None], name, RAISE))
 
     def sqrt(self) -> "SpdMatrix":
-        """Principal symmetric square root, v diag(w)^{1/2} v^T."""
-        w, v = np.sqrt(self._stack.w), self._stack.v
-        return SpdMatrix(_SpdStack(_compose(w, v), np.zeros(1), w, v))
+        """Principal symmetric square root, v diag(w)^{1/2} v^T.  Where an
+        eigenvalue is beyond the float range (``_spd_stack``), the root is
+        composed from the entries at 4^-32 of their size and scaled back by
+        2^32, exactly."""
+        s, scale = self._stack, 1.0
+        if not np.isfinite(s.w).all():
+            s, scale = _spd_stack(s.entries * 2.0**-64, "matrix", RAISE), 2.0**32
+        w = np.sqrt(s.w)
+        return SpdMatrix(_SpdStack(_compose(w, s.v) * scale, np.zeros(1), w * scale, s.v))
 
     def quadratic_form(self, vec, name: str = "covariance") -> float:
         """v^T m^{-1} v from the kept eigenpairs."""

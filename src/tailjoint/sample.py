@@ -1,4 +1,5 @@
-"""Multivariate sample container, ranks, order statistics and CSV I/O."""
+"""Multivariate sample container, sorted columns and the row order of each
+column's top rows, tail levels and CSV I/O."""
 
 from __future__ import annotations
 
@@ -23,17 +24,13 @@ class MultivariateSample:
     Dates, when present, are per-row metadata used by the weekly
     log-returns transform.
 
-    The values are a read-only copy of the input, in its layout.  On first
-    use the sample is sorted as a stack of one (``_stack``), by the
-    ``_stack_columns`` that every Monte Carlo stack runs, but keeping the
-    order of all n rows: one argsort of the values' columns, copied
-    column-major unless they are held so (as sample_model's are), with
-    only a column with tied values sorted again, stably
-    (``_column_order``).  So its row order and order statistics (and
-    ``ranks``, built from that order where read) equal those of a stable
-    argsort.  The marginal fit is computed once per
-    level tau (``estimate_margins``).  All are read-only and shared by
-    every estimator that reads this sample.
+    The values are a read-only copy of the input, in its layout.  Its
+    sorted columns are computed once, by np.sort alone (``_sort_columns``).
+    Its stack (``_stack``) orders, as every Monte Carlo stack does, only the
+    top rows of each column that a level reads (``_ordered_rows``,
+    ``_column_order``), for the most rows that a level has read so far.
+    The marginal fit is computed once per level tau (``estimate_margins``).
+    All are read-only and shared by every estimator that reads this sample.
     """
 
     values: np.ndarray
@@ -94,31 +91,38 @@ class MultivariateSample:
         return {}
 
     @cached_property
-    def _stack(self) -> "_Stack":
-        """This sample as a stack of one (``_stack_columns``), for the stacked
-        builders: its transposed values, without a copy when they are held
-        column-major."""
-        return _stack_columns(self.values.T[None])
+    def _columns(self) -> np.ndarray:
+        """The values as the (1, d, n) columns of a stack of one, without a
+        copy when they are held column-major (as sample_model's are)."""
+        return _read_only(np.ascontiguousarray(self.values.T[None]))
 
     @cached_property
     def sorted_columns(self) -> np.ndarray:
         """d x n array whose row j is column j sorted ascending (read-only)."""
-        return self._stack.sorted_columns[0]
+        return _sort_columns(self._columns)[0]
 
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        """n x d per-column ranks, 1 = smallest, stable tie-breaking by
-        input order (read-only), for the readers of every rank."""
-        return _column_ranks(self._stack.order[0]).T
+    def _stack(self, tau: float) -> "_Stack":
+        """This sample as a stack of one (``_Stack``) that orders at least the
+        top rows that level tau reads (``_ordered_rows``; all n at level 0).
+        It is kept, and replaced only for a level that reads more rows: the
+        last T entries of a column's order are the same however many it
+        holds, so every reader gets the same rows from it."""
+        st, top = self.__dict__.get("_kept"), _ordered_rows(self.n, tau)
+        if st is None or st.order.shape[-1] < top:
+            xs = self.sorted_columns[None]
+            st = self.__dict__["_kept"] = _Stack(
+                self._columns, _column_order(self._columns, xs, top), xs
+            )
+        return st
 
-    def _group_stacks(self, m: int):
-        """The groups of m evenly spaced margins of this sample as stacks, one
-        per column offset s: the (B, m) margins (j, j + s, ...) of the
-        stack's groups and their ``_Stack``.  So m = d gives the panel as a
-        stack of one, and m = 2 every pair, in d - 1 stacks.  Each array
-        is a read-only strided view of this sample's rows, with no copy.
+    def _group_stacks(self, m: int, tau: float):
+        """The groups of m evenly spaced margins of this sample as stacks at
+        level tau, one per column offset s: the (B, m) margins (j, j + s,
+        ...) of the stack's groups and their ``_Stack``.  So m = d gives the
+        panel as a stack of one, and m = 2 every pair, in d - 1 stacks.  Each
+        array is a read-only strided view of this sample's ``_stack``.
         """
-        rows = [a[0] for a in self._stack]
+        rows = [a[0] for a in self._stack(tau)]
         for s in range(1, (self.d - 1) // (m - 1) + 1):
             span = (m - 1) * s + 1
             groups = np.arange(self.d - span + 1)[:, None] + s * np.arange(m)
@@ -131,12 +135,12 @@ class MultivariateSample:
 class _Stack(NamedTuple):
     """B samples of one size n x d, stacked along a leading axis and held
     column-major as (B, d, n), so that the n-long work runs along
-    contiguous rows (``_stack_columns``): the values, the row order of each
-    column's top T rows, as (B, d, T), and its sorted values.  A Monte
-    Carlo stack's values are the buffer that its draw wrote in place
-    (``simulation._draw``); a sample's are its transposed values.  Readers
-    take a column's top rows from the end of its order, and the flat
-    start of each row from the shape of ``columns``."""
+    contiguous rows: the values, the row order of each column's top T rows,
+    as (B, d, T), and its sorted values.  A Monte Carlo stack's values are
+    the buffer that its draw wrote in place (``simulation._draw``); a
+    sample's are its transposed values.  Readers take a column's top rows
+    from the end of its order, and the flat start of each row from the
+    shape of ``columns``."""
 
     columns: np.ndarray
     order: np.ndarray
@@ -147,71 +151,56 @@ class _Stack(NamedTuple):
         return self.columns.shape[-1]
 
 
-def _stack_columns(columns: np.ndarray, top: int | None = None) -> _Stack:
-    """Sort a (B, d, n) stack of columns (``_column_order``), keeping the
-    row order of each column's top rows, all n of them by default.  The
-    stack holds the columns themselves, made read-only, when they are
-    C-contiguous, and a contiguous copy otherwise."""
+def _stack_columns(columns: np.ndarray, tau: float) -> _Stack:
+    """A (B, d, n) stack of columns, sorted (``_sort_columns``) and with the
+    row order of each column's top rows that level tau reads
+    (``_ordered_rows``, ``_column_order``).  The stack holds the columns
+    themselves, made read-only, when they are C-contiguous, and a
+    contiguous copy otherwise."""
     columns = _read_only(np.ascontiguousarray(columns))
-    return _Stack(columns, *_column_order(columns, top))
+    xs = _sort_columns(columns)
+    return _Stack(columns, _column_order(columns, xs, _ordered_rows(columns.shape[-1], tau)), xs)
 
 
-def _column_order(columns: np.ndarray, top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The row order of the top rows (1..n, all n by default) of each row of
-    (..., d, n) columns, as (..., d, top), and the row sorted ascending, as
-    (..., d, n), both read-only: the last top entries of a stable argsort's
-    order, and its sorted values.
+def _sort_columns(columns: np.ndarray) -> np.ndarray:
+    """Each row of (..., d, n) columns sorted ascending, read-only, to the bit
+    as a stable argsort orders it but for NaN.  np.sort may put equal values
+    in any order, and only -0.0 and +0.0 are equal with other bits; so each
+    row's zeros go back in their row order."""
+    xs = np.sort(columns, axis=-1)
+    if (zeros := xs == 0.0).any():
+        xs[zeros] = columns[columns == 0.0]
+    return _read_only(xs)
 
-    With all n rows, one argsort of numpy's default kind (SIMD where the
-    CPU has it) orders every column, and one flat gather gives the sorted
-    values.  With fewer, np.sort gives them, and one default-kind argsort
-    orders a column's top rows: the positions at or above its order
-    statistic n - top (from 0).  Either may put equal values in any order,
-    and a column with ties may have more rows at or above it.  So the
-    columns whose sorted values hold an adjacent equal pair, or NaN (only
-    in a replication that has failed its finiteness check), are sorted
-    again, whole and stably, and their sorted values gathered again,
-    because -0.0 == +0.0."""
+
+def _column_order(columns: np.ndarray, xs: np.ndarray, top: int) -> np.ndarray:
+    """The row order of the top rows (1..n) of each row of C-contiguous
+    (..., d, n) columns, whose rows sorted ascending are xs, as
+    (..., d, top), read-only: the last top entries of a stable argsort's.
+
+    A row's top rows are the positions at or above its order statistic
+    n - top (from 0), and one argsort of numpy's default kind (SIMD where
+    the CPU has it) of their values orders them.  It may put equal values
+    in any order, and a row with ties may have more positions at or above
+    that statistic.  So a row of xs that holds an adjacent equal pair, or
+    NaN (which sorts last; only in a replication that has failed its
+    finiteness check), is ordered whole again, stably."""
     n = columns.shape[-1]
-    top = n if top is None else top
-    flat, starts = columns.ravel(), _row_starts(columns.shape)
-    if top < n:
-        xs = np.sort(columns, axis=-1)
-        redo = _ties_or_nan(xs)
-        above = columns >= xs[..., n - top, None]
-        above[redo] = np.arange(n) >= n - top  # so each row marks top; redone below
-        at = np.flatnonzero(above).reshape(columns.shape[:-1] + (top,))
-        by_value = np.argsort(flat[at], axis=-1) + _row_starts(at.shape)
-        order = np.take(at - starts, by_value)
-    else:
-        order = np.argsort(columns, axis=-1)
-        xs = np.take(flat, order + starts)
-        redo = _ties_or_nan(xs)
+    redo = np.nonzero((xs[..., 1:] == xs[..., :-1]).any(axis=-1) | np.isnan(xs[..., -1]))
+    above = columns >= xs[..., n - top, None]
+    above[redo] = np.arange(n) >= n - top  # so each row marks top; redone below
+    at = np.flatnonzero(above).reshape(columns.shape[:-1] + (top,))
+    by_value = np.argsort(columns.ravel()[at], axis=-1) + _row_starts(at.shape)
+    order = np.take(at - _row_starts(columns.shape), by_value)
     if redo[0].size:
-        full = np.argsort(columns[redo], axis=-1, kind="stable")
-        order[redo] = full[..., n - top :]
-        xs[redo] = np.take(flat, full + starts[redo])
-    return _read_only(order), _read_only(xs)
-
-
-def _ties_or_nan(xs: np.ndarray) -> tuple:
-    """The indices of the ascending rows of xs that hold an adjacent equal
-    pair or NaN (which sorts last)."""
-    return np.nonzero((xs[..., 1:] == xs[..., :-1]).any(axis=-1) | np.isnan(xs[..., -1]))
+        order[redo] = np.argsort(columns[redo], axis=-1, kind="stable")[..., n - top :]
+    return _read_only(order)
 
 
 def _row_starts(shape: tuple) -> np.ndarray:
     """The flat index of the first entry of each row of a C-ordered array
     of the given (..., n) shape, as a (..., 1) array."""
     return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1] + (1,))
-
-
-def _column_ranks(order: np.ndarray) -> np.ndarray:
-    """(..., d, n) ranks, 1 = smallest, from the (..., d, n) row order
-    (read-only)."""
-    ranks = np.empty(order.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
-    return _read_only(ranks)
 
 
 def _check_margin(j, d: int) -> None:
@@ -243,6 +232,33 @@ def effective_k(n: int, tau):
         raise LevelError(f"tau={t!r} gives n(1-tau)={n * (1.0 - t)!r}, beyond an int64")
     k = np.floor(x).astype(np.int64)
     return k if k.ndim else int(k)
+
+
+def _tail_points(ranks, tau, n: int):
+    """U = (n+1-r)/((n+1)(1-tau)) for ranks r (1 = smallest) of a sample of
+    size n; U <= 1 marks a margin's top ranks."""
+    return (n + 1 - ranks) / ((n + 1) * (1.0 - tau))
+
+
+def _r11_cut(n: int, tau: float) -> int:
+    """The smallest rank r of a sample of size n whose U (``_tail_points``)
+    is at most 1 at level tau: the top ranks are those at or above it.  U
+    falls as the rank rises, so the cut is n + 1 minus the number of
+    m = n + 1 - r in 1..n that pass the test.  Every m up to
+    (n+1)(1-tau), as that product rounds, passes, and none above its floor
+    plus one, so only that one m is tested."""
+    floor = math.floor((n + 1) * (1.0 - tau))
+    next_passes = floor < n and _tail_points(n - floor, tau, n) <= 1.0
+    return int(n + 1 - min(floor, n) - next_passes)
+
+
+def _ordered_rows(n: int, tau: float) -> int:
+    """T, how many of each column's top rows a stack orders for level tau:
+    the most that its readers take from the end of a column's order (the
+    top k of ``covariance._hill_laws_cross`` and the top ranks of
+    ``taildep._top_pairs``), and at least the row whose order statistic
+    ``_column_order`` reads.  Level 0 gives all n."""
+    return max(effective_k(n, tau), n + 1 - _r11_cut(n, tau), 1)
 
 
 def tau_from_k(n: int, k: int) -> float:

@@ -10,11 +10,12 @@ starts in.  Every harness runs on one engine
 (``_run_mc``): it draws stacks of replications in place, each replication
 into its own rows and each transform once per stack (``_draw``, whose
 stack of one is sample_model's draw), sorts and fits each stack
-at once (keeping the row order of only the top rows that its estimators
-read), and hands it to the harness's outcome function, which runs the
-stacked code that the single-sample estimators, regions, intervals and
-tests run as a stack of one (``inference._estimate`` and its consumers), so
-each replication's outcome and failure are the single-sample call's.
+at once (keeping the row order of only the top rows that its level reads,
+as a single sample's stack does), and hands it to the harness's outcome
+function, which runs the stacked code that the single-sample estimators,
+regions, intervals and tests run as a stack of one
+(``inference._estimate`` and its consumers), so each replication's
+outcome and failure are the single-sample call's.
 
 The samplers load no scipy, but for Student margins at a tail index other
 than 1/2 or 1/4: the Gaussian copula's normal cdf is Cephes ndtr
@@ -41,7 +42,6 @@ from .equality_tests import _statistic
 from .marginal import _check_hill_size, _fit_sorted, _qb_factors
 from .numerics import _ndtr, _per_element, _quadratic_form, chi_square_quantile
 from .sample import MultivariateSample, TailLevelPair, _stack_columns, effective_k
-from .taildep import _ordered_rows
 
 _PAIRWISE_CORRELATIONS = {
     2: {(0, 1): 0.8},
@@ -199,7 +199,7 @@ def sample_model(
     """Draw n observations from the model using the supplied generator:
     ``_draw``'s stack of one.  The sample holds the drawn (d, n) columns
     transposed, as n x d values in column-major order, so its stack
-    (``MultivariateSample._stack``) reads them without a copy."""
+    (``MultivariateSample._columns``) reads them without a copy."""
     if n < 4:
         raise DomainError("samplers require n >= 4")
     labels = tuple(f"X{j + 1}" for j in range(model.d))
@@ -429,16 +429,16 @@ def _outcomes(
     generator re-keyed before each replication (``_rekey``).  Stacks of
     _STACK replications are drawn in place into one (B, d, n) array
     (``_draw``), which becomes the stack's values without a copy, sorted
-    (``sample._stack_columns``, which keeps the row order of only the top
-    rows that the covariances read at tau, ``taildep._ordered_rows``) and
-    fitted at tau at once (each LAWS root searched on a certified tail
-    window of its row, ``marginal._breakpoint``), and outcome(st, fit,
+    and ordered at tau (``sample._stack_columns``: the rule of every stack,
+    the row order of only the top rows that level tau reads) and fitted at
+    tau at once (each LAWS root searched on a certified tail window of its
+    row, ``marginal._breakpoint``), and outcome(st, fit,
     checks) returns a list of (B,) arrays computed by the stacked code
     that the single-sample estimators, regions, intervals and tests run as
     a stack of one; a failed check marks its replication (errors.Checks),
     whose later arithmetic is ignored.
     """
-    rng, top = rng_stream(master_seed, 0), _ordered_rows(n, tau)
+    rng = rng_stream(master_seed, 0)
     outcomes = []
     for start in range(0, M, _STACK):
         stop = min(start + _STACK, M)
@@ -451,7 +451,7 @@ def _outcomes(
             lambda j: DomainError("sample values must all be finite"),
         )
         with np.errstate(all="ignore"):
-            st = _stack_columns(columns, top)
+            st = _stack_columns(columns, tau)
             results = outcome(st, _fit_sorted(st.sorted_columns, tau, checks), checks)
         outcomes += [
             error if error is not None else tuple(float(r[i]) for r in results)

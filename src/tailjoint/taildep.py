@@ -1,19 +1,18 @@
 """Empirical tail copula, its pair matrices R(1,1) and unit integrals (each a
 sum over one mask of the rows in the top ranks of every pair), the
 extremal coefficient, and analytic tail-copula oracles used for testing.
-The pair matrices read each margin's top rows from its row order
-(``sample._Stack``); only the tail copula of one pair reads every rank."""
+Each reads every margin's top rows from the end of its row order in a stack
+(``sample._Stack``); the tail copula of one pair orders all n rows."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .numerics import integrate_unit_log
-from .sample import MultivariateSample, _check_margin, _row_starts, effective_k
+from .sample import MultivariateSample, _check_margin, _r11_cut, _row_starts, _tail_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +48,10 @@ def empirical_tail_copula(
     sample: MultivariateSample, tau: float, j: int, ell: int
 ) -> EmpiricalTailCopula:
     _check_pair(sample.d, tau, j, ell)
-    u = _tail_points(sample.ranks.T, tau)
-    return EmpiricalTailCopula(sample.n, tau, u[j], u[ell])
+    n, order = sample.n, sample._stack(0.0).order[0]
+    u = np.empty(order.shape)
+    np.put_along_axis(u, order, _tail_points(np.arange(1, n + 1), tau, n), axis=-1)
+    return EmpiricalTailCopula(n, tau, u[j], u[ell])
 
 
 def _check_pair(d: int, tau: float, j: int, ell: int) -> None:
@@ -60,26 +61,6 @@ def _check_pair(d: int, tau: float, j: int, ell: int) -> None:
         raise DomainError("tail copula is defined for distinct margins")
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must be in (0,1), got {tau}")
-
-
-def _tail_points(ranks: np.ndarray, tau, n: int | None = None) -> np.ndarray:
-    """U_ij = (n+1-r_ij)/((n+1)(1-tau)) for every margin and observation of
-    (..., d, n) ranks, or for other ranks r of a sample of size n; U_ij <= 1
-    marks the top ranks of margin j."""
-    n = ranks.shape[-1] if n is None else n
-    return (n + 1 - ranks) / ((n + 1) * (1.0 - tau))
-
-
-def _r11_cut(n: int, tau: float) -> int:
-    """The smallest rank r of a sample of size n whose U (``_tail_points``)
-    is at most 1 at level tau: the top ranks are those at or above it.  U
-    falls as the rank rises, so the cut is n + 1 minus the number of
-    m = n + 1 - r in 1..n that pass the test.  Every m up to
-    (n+1)(1-tau), as that product rounds, passes, and none above its floor
-    plus one, so only that one m is tested."""
-    floor = math.floor((n + 1) * (1.0 - tau))
-    next_passes = floor < n and _tail_points(n - floor, tau, n) <= 1.0
-    return int(n + 1 - min(floor, n) - next_passes)
 
 
 def _top_pairs(st, tau: float) -> np.ndarray:
@@ -93,14 +74,6 @@ def _top_pairs(st, tau: float) -> np.ndarray:
     top = np.zeros(st.columns.size, dtype=bool)
     top[rows + starts] = True
     return top[rows[..., None, :] + starts[:, None]]
-
-
-def _ordered_rows(n: int, tau: float) -> int:
-    """How many of each column's top rows the stacked covariances read in
-    row order at level tau, so the most that a stack must order: the top k
-    of the Hill/LAWS cross terms (``covariance._hill_laws_cross``) and the
-    top ranks of ``_top_pairs``."""
-    return max(effective_k(n, tau), n + 1 - _r11_cut(n, tau))
 
 
 def _r11_matrix(top: np.ndarray, n: int, tau: float) -> np.ndarray:
@@ -129,7 +102,7 @@ def extremal_coefficient(
 ) -> float:
     """omega-hat = 2 - R-hat(1,1), the pair's entry of _extremal_coefficients."""
     _check_pair(sample.d, tau, j, ell)
-    return float(_extremal_coefficients(sample._stack, tau)[0, j, ell])
+    return float(_extremal_coefficients(sample._stack(tau), tau)[0, j, ell])
 
 
 def _extremal_coefficients(st, tau: float) -> np.ndarray:

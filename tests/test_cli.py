@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_same_outcome, count_eighs, count_fits, count_numpy_calls, count_rank_builds,
+    count_sorts,
 )
 
 from tailjoint.cli import main, parse_model_spec
@@ -607,6 +608,14 @@ class TestTraceScan:
         calls = count_numpy_calls(monkeypatch, "sort", "argsort")
         counts = self.scan_call_counts(tmp_path, data_csv, calls)
         assert counts[0] == counts[1] <= 2
+
+    def test_argsorts_only_its_levels(self, tmp_path, data_csv, monkeypatch):
+        # The panel's sorted columns come from np.sort, with no row order:
+        # the one argsort is the fit's, of the 101 levels.
+        calls = count_sorts(monkeypatch)
+        assert main(["trace-scan", "--input", str(data_csv), "--k-min", "20",
+                     "--k-max", "120", "--out", str(tmp_path / "out")]) == 0
+        assert calls == [((101,), "stable")]
 
     def test_builds_no_ranks(self, tmp_path, data_csv, monkeypatch):
         calls = count_rank_builds(monkeypatch)

@@ -8,7 +8,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
-    comonotone_laws_pair, count_eighs, level_grid, step_unit_integral, tail_panels,
+    column_ranks, comonotone_laws_pair, count_eighs, level_grid, step_unit_integral,
+    tail_panels,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -42,10 +43,10 @@ from tailjoint.marginal import (
 )
 from tailjoint.numerics import _QUAD_TOL, CLIP_RTOL, SpdMatrix
 from tailjoint.sample import (
-    MultivariateSample, TailLevelPair, _column_ranks, _stack_columns, effective_k, tau_from_k,
+    MultivariateSample, TailLevelPair, _stack_columns, effective_k, tau_from_k,
 )
 from tailjoint.simulation import SimulationModel, rng_stream, sample_model
-from tailjoint.taildep import OracleTailCopula, _ordered_rows, empirical_tail_copula
+from tailjoint.taildep import OracleTailCopula, empirical_tail_copula
 
 
 IND = OracleTailCopula.independent()
@@ -690,7 +691,7 @@ def row_major_laws(st, g, q, xi, tau, by_rank=False):
     for b, gb in enumerate(g):
         count = (st.sorted_columns[b] > xi[b][:, None]).sum(axis=-1)
         if by_rank:
-            above = _column_ranks(st.order[b]).T > n - count
+            above = column_ranks(st.order[b]).T > n - count
             phi = np.where(above, tau, 1.0 - tau) * (rows[b] - xi[b])
         else:
             phi = asymmetric_weight(rows[b] - xi[b], tau)
@@ -702,7 +703,7 @@ def row_major_laws(st, g, q, xi, tau, by_rank=False):
             * (1.0 + surv / omt)
             / (1.0 + (2.0 * tau - 1.0) * surv / omt) ** 2,
         )
-        top = phi[st.order[b][:, n - k :]]  # (d, k, d)
+        top = phi[st.order[b][:, st.order.shape[-1] - k :]]  # (d, k, d)
         values, thresholds = st.sorted_columns[b][:, n - k :], q[b][:, None]
         s1 = (np.log(values / thresholds)[:, None, :] @ top)[:, 0, :]
         s2 = np.where((values > thresholds)[..., None], top, 0.0).sum(axis=-2)
@@ -735,7 +736,7 @@ class TestColumnMajorLaws:
         # puts it on each margin's top surv ranks.  Every level of the
         # samples that pass their checks, with ties at xi-hat, at the Hill
         # threshold and at R-hat's cut-off.
-        stack, n = _stack_columns(values.swapaxes(1, 2)), values.shape[1]
+        stack, n = _stack_columns(values.swapaxes(1, 2), 0.0), values.shape[1]
         for k in range(1, n):
             tau = tau_from_k(n, k)
             checks = Checks(len(values))
@@ -751,15 +752,15 @@ class TestColumnMajorLaws:
     @given(tied_stacks())
     @settings(max_examples=60, deadline=None)
     def test_stack_ordering_only_its_ordered_rows_gives_the_same_covariance(self, values):
-        # A Monte Carlo stack orders only the top rows that the Hill/LAWS
-        # cross terms read (taildep._ordered_rows); at every level, the
+        # A stack orders only the top rows that the Hill/LAWS cross terms
+        # read (sample._ordered_rows); at every level, the
         # samples that pass their checks get the fully ordered stack's LAWS
         # covariance and cross terms to the bit, ties at k-hat included.
         columns, n = values.swapaxes(1, 2), values.shape[1]
-        full = _stack_columns(columns)
+        full = _stack_columns(columns, 0.0)
         for k in range(1, n):
             tau = tau_from_k(n, k)
-            part = _stack_columns(columns, _ordered_rows(n, tau))
+            part = _stack_columns(columns, tau)
             checks = Checks(len(values))
             with np.errstate(all="ignore"):
                 fit = _fit_sorted(part.sorted_columns, tau, checks)
@@ -776,7 +777,7 @@ class TestColumnMajorLaws:
             [sample_model(model, 400, rng_stream(5, i)).values for i in range(6)]
         )
         values[3] -= 0.6  # a negative value in one sample
-        st = _stack_columns(values.swapaxes(1, 2))
+        st = _stack_columns(values.swapaxes(1, 2), 0.9)
         self.assert_bit_for_bit(st, _fit_sorted(st.sorted_columns, 0.9, RAISE), 0.9)
 
     def test_one_sample_with_expectile_on_an_observation(self):
@@ -787,7 +788,7 @@ class TestColumnMajorLaws:
         fit = estimate_margins(s, tau)
         assert fit.xi_laws[1] == 7.0 and 7.0 in s.column(1)
         one = type(fit)(tau, *(a[None] for a in (fit.gamma_hat, fit.q_hat, fit.xi_laws)))
-        self.assert_bit_for_bit(s._stack, one, tau)
+        self.assert_bit_for_bit(s._stack(tau), one, tau)
 
 
 class TestEstimateVQb:
@@ -990,7 +991,7 @@ class TestOneContraction:
             return
         if np.any((g <= 0.0) | (g >= 1.0)):
             return
-        top = covariance._top_pairs(sample._stack, tau)
+        top = covariance._top_pairs(sample._stack(tau), tau)
         r11 = covariance._r11_matrix(top, sample.n, tau)[0]
         unit = covariance._unit_integral_matrix(top, sample.n, tau)[0]
         want = qb_reference(g, r11, unit, log_dn)
@@ -1195,7 +1196,7 @@ class TestScanTraces:
         # nothing per level: no (L, n) array.  So adding 400 levels raises
         # its peak by far less than one n-long row of floats per level.
         s = sample_model(SimulationModel.gumbel_frechet(d=3), 4000, rng_stream(2, 0))
-        s._stack  # sorted before tracing
+        s.sorted_columns  # sorted before tracing
         peaks = []
         for ks in (range(50, 60), range(50, 460)):
             levels = [TailLevelPair(tau_from_k(s.n, k), 0.9999, s.n) for k in ks]

@@ -257,6 +257,19 @@ class TestSpdMatrix:
         assert np.allclose(s, s.T, atol=1e-10)
         assert np.min(np.linalg.eigvalsh(s)) >= -1e-10
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [
+        np.full((2, 2), 1e308),
+        np.array([[1e308, -5e307], [-5e307, 1e308]]),
+        np.array([[1.5e308, 1e308, 0.0], [1e308, 1.5e308, 1.0], [0.0, 1.0, 2.0]]),
+    ])
+    def test_sqrt_of_entries_near_the_float_max(self, m):
+        # An eigenvalue beyond the float range, whose root (about 1e154)
+        # is within it.
+        s = SpdMatrix.from_array(m).sqrt().entries
+        assert np.isfinite(s).all()
+        assert np.abs(s @ s - m).max() <= 1e-12 * np.abs(m).max()
+
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):
             SpdMatrix.from_array(np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -1,5 +1,5 @@
-"""Sample container, ranks, order statistics, CSV I/O and the weekly
-returns transform."""
+"""Sample container, row order, ranks, order statistics, CSV I/O and the
+weekly returns transform."""
 
 import csv
 import datetime as dt
@@ -13,22 +13,25 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_sorts
+from conftest import column_ranks, count_sorts
 
-from tailjoint import sample
-from tailjoint.errors import DomainError, IngestionError, LevelError
+from tailjoint import confidence_region, equality_test, estimate_covariance, sample
+from tailjoint.errors import DomainError, IngestionError, LevelError, TailjointError
 from tailjoint.sample import (
     MultivariateSample,
     TailLevelPair,
     _column_order,
-    _column_ranks,
+    _ordered_rows,
+    _sort_columns,
     _stack_columns,
+    _tail_points,
     effective_k,
     emit_csv,
     ingest_csv,
     tau_from_k,
     to_negative_weekly_log_returns,
 )
+from tailjoint.taildep import empirical_tail_copula, extremal_coefficient
 
 
 def make_sample(*columns, labels=None, dates=None):
@@ -84,39 +87,60 @@ class TestMultivariateSample:
         assert {s, t, s} == {s, t}
 
 
+def ranks(s) -> np.ndarray:
+    """n x d ranks of the sample's columns, 1 = smallest, read from the row
+    order of its stack at level 0, which orders all n rows."""
+    return column_ranks(s._stack(0.0).order[0]).T
+
+
+def assert_ranks(s, want, tau=0.9):
+    """Column j of the sample has the ranks want[:, j] (1 = smallest): in the
+    row order of its stack, and in the points of the empirical tail copula
+    of the column paired with itself."""
+    want = np.asarray(want).reshape(s.n, s.d)
+    assert np.array_equal(ranks(s), want)
+    for j in range(s.d):
+        tc = empirical_tail_copula(make_sample(s.column(j), s.column(j)), tau, 0, 1)
+        points = _tail_points(want[:, j], tau, s.n)
+        assert np.array_equal(bits(tc.u), bits(points))
+        assert np.array_equal(bits(tc.v), bits(points))
+
+
 class TestRanks:
     def test_hand_column(self):
         s = make_sample([5.0, 1.0, 3.0, 7.0])
-        assert list(s.ranks[:, 0]) == [3, 1, 2, 4]
+        assert list(s._stack(0.0).order[0, 0]) == [1, 2, 0, 3]
+        assert_ranks(s, [3, 1, 2, 4])
 
     def test_increasing_column(self):
         s = make_sample(np.arange(10.0))
-        assert list(s.ranks[:, 0]) == list(range(1, 11))
+        assert_ranks(s, range(1, 11))
 
     def test_stable_ties(self):
         s = make_sample([2.0, 2.0, 1.0, 2.0])
-        assert list(s.ranks[:, 0]) == [2, 3, 1, 4]
+        assert list(s._stack(0.0).order[0, 0]) == [2, 0, 1, 3]
+        assert_ranks(s, [2, 3, 1, 4])
 
     def test_rank_inverse_recovers_order_statistics(self):
         rng = np.random.default_rng(3)
         s = make_sample(rng.normal(size=25))
-        ranks = s.ranks[:, 0]
-        for i, r in enumerate(ranks):
+        for i, r in enumerate(ranks(s)[:, 0]):
             assert s.values[i, 0] == s.sorted_columns[0, int(r) - 1]
+        assert np.array_equal(s.values[s._stack(0.0).order[0, 0], 0], s.sorted_columns[0])
 
 
 class TestOrderStatisticsCache:
-    """The cached sorted columns and ranks must equal a fresh sort."""
+    """The cached sorted columns and row order must equal a fresh sort."""
 
     @staticmethod
     def assert_matches_fresh_sort(s):
         assert s.sorted_columns.shape == (s.d, s.n)
+        expected = np.empty((s.n, s.d), dtype=np.int64)
         for j in range(s.d):
             col = s.values[:, j]
             assert np.array_equal(s.sorted_columns[j], np.sort(col))
-            expected = np.empty(s.n, dtype=np.int64)
-            expected[np.argsort(col, kind="stable")] = np.arange(1, s.n + 1)
-            assert np.array_equal(s.ranks[:, j], expected)
+            expected[np.argsort(col, kind="stable"), j] = np.arange(1, s.n + 1)
+        assert_ranks(s, expected)
 
     def test_random_panel(self):
         rng = np.random.default_rng(7)
@@ -127,7 +151,7 @@ class TestOrderStatisticsCache:
             [2.0, 2.0, 1.0, 2.0, 1.0, 3.0], [0.0, 0.0, 0.0, 0.0, -1.0, 0.0]
         )
         self.assert_matches_fresh_sort(s)
-        assert list(s.ranks[:, 1]) == [2, 3, 4, 5, 1, 6]
+        assert list(ranks(s)[:, 1]) == [2, 3, 4, 5, 1, 6]
 
     def test_select_slices_parent_cache(self):
         rng = np.random.default_rng(8)
@@ -153,11 +177,16 @@ class TestOrderStatisticsCache:
     def test_computed_once(self):
         s = make_sample([5.0, 1.0, 3.0, 7.0])
         assert s.sorted_columns is s.sorted_columns
-        assert s.ranks is s.ranks
+        st = s._stack(0.5)
+        assert s._stack(0.5) is st and s._stack(0.75) is st
+        full = s._stack(0.0)
+        assert full.order.shape[-1] == s.n > st.order.shape[-1]
+        assert s._stack(0.0) is full and s._stack(0.5) is full
+        assert np.shares_memory(full.sorted_columns, s.sorted_columns)
 
     def test_values_read_only(self):
         s = make_sample([5.0, 1.0, 3.0, 7.0], [1.0, 2.0, 3.0, 4.0])
-        for arr in (s.values, s.sorted_columns, s.ranks, s.column(0)):
+        for arr in (s.values, s.sorted_columns, s._stack(0.0).order[0], s.column(0)):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         assert list(s.sorted_columns[0]) == [1.0, 3.0, 5.0, 7.0]
@@ -169,6 +198,63 @@ class TestOrderStatisticsCache:
         values[0, 0] = -100.0  # the sample holds its own copy
         assert s.values[0, 0] == 5.0
         assert list(s.sorted_columns[0]) == [1.0, 3.0, 5.0, 7.0]
+
+
+def outcome(call) -> tuple:
+    """The bit patterns of the arrays that call returns, or its error's
+    class and message."""
+    try:
+        return tuple(bits(np.asarray(a, dtype=float)).tolist() for a in call())
+    except TailjointError as exc:
+        return type(exc), str(exc)
+
+
+# Each public reader of a sample's stack, at level tau: what it returns, as
+# arrays.
+STACK_READERS = {
+    "covariance": lambda s, tau: [estimate_covariance(s, tau, 0.999, "laws").entries,
+                                  estimate_covariance(s, tau, None, "qb").entries],
+    "region": lambda s, tau: (lambda r: [r.center, r.shape.entries])(
+        confidence_region(s, tau, 0.999, 0.05, "qb")),
+    "test": lambda s, tau: (lambda t: [t.statistic, t.p_value])(
+        equality_test(s, tau, 0.999, "laws")),
+    "extremal": lambda s, tau: [extremal_coefficient(s, tau, 0, 2)],
+    "tail_copula": lambda s, tau: (lambda t: [t.u, t.v])(empirical_tail_copula(s, tau, 2, 1)),
+}
+
+
+class TestKeptStack:
+    """A sample keeps one stack, and orders again only for a level that
+    reads more top rows than it holds: each call gives, to the bit, what
+    it gives on a fresh copy of the sample, at levels in rising and then
+    in falling order, by one reader alone or by all of them in turn."""
+
+    # n = 200: k = 100, 40, 10, 2, and 0 at 0.999 (no top rank).
+    LEVELS = [0.5, 0.8, 0.95, 0.99, 0.999]
+
+    @staticmethod
+    def panel():
+        rng = np.random.default_rng(17)
+        x = np.round((1.0 - rng.random((200, 3))) ** -0.3, 1)  # ties at every level
+        x[:30, 1] = x[0, 1]
+        return MultivariateSample(x, ("a", "b", "c"))
+
+    @pytest.mark.parametrize("names", [[name] for name in STACK_READERS] + [list(STACK_READERS)])
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_same_as_a_fresh_sample(self, names, rising):
+        s, levels = self.panel(), self.LEVELS if rising else self.LEVELS[::-1]
+        for tau in levels + levels[::-1]:
+            for name in names:
+                fresh = MultivariateSample(s.values, s.labels)
+                got = outcome(lambda: STACK_READERS[name](s, tau))
+                assert got == outcome(lambda: STACK_READERS[name](fresh, tau)), (name, tau)
+
+    @pytest.mark.parametrize("tau", [0.995, 0.999])
+    def test_no_top_rank_gives_independence(self, tau):
+        # n(1 - tau) < 1 at n = 100: no row is in the top ranks (T = 0).
+        x = np.random.default_rng(18).standard_normal((100, 2))
+        s = MultivariateSample(np.column_stack([x[:, 0], x[:, 0]]), ("a", "b"))
+        assert extremal_coefficient(s, tau, 0, 1) == 2.0
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -231,41 +317,50 @@ class TestColumnOrder:
     @settings(max_examples=150, deadline=None)
     def test_stack_equals_stable_argsort(self, x):
         order, xs, ranks = stable_sort(x)
-        stack = _stack_columns(np.swapaxes(x, -1, -2))
+        stack = _stack_columns(np.swapaxes(x, -1, -2), 0.0)
         assert np.array_equal(stack.order, order)
         assert np.array_equal(bits(stack.sorted_columns), bits(xs))
-        assert np.array_equal(_column_ranks(stack.order), ranks)
+        assert np.array_equal(column_ranks(stack.order), ranks)
         assert np.array_equal(bits(stack.columns), bits(np.swapaxes(x, -1, -2)))
 
-    @given(tied_stacks())
+    @given(tied_stacks(), st.sampled_from([0.0, 0.5, 0.9]))
     @settings(max_examples=150, deadline=None)
-    def test_sample_equals_stable_argsort(self, x):
+    def test_sample_equals_stable_argsort(self, x, tau):
         s = MultivariateSample(x[0], tuple(f"C{j}" for j in range(x.shape[2])))
         order, xs, ranks = stable_sort(x[0])
-        assert np.array_equal(s._stack.order[0], order)
+        n, top = s.n, _ordered_rows(s.n, tau)
         assert np.array_equal(bits(s.sorted_columns), bits(xs))
-        assert np.array_equal(s.ranks, ranks.T)
-        assert np.array_equal(_column_ranks(s._stack.order[0]), ranks)
+        assert np.array_equal(s._stack(tau).order[0], order[:, n - top :])
+        assert np.array_equal(s._stack(0.0).order[0], order)
+        assert np.array_equal(column_ranks(s._stack(0.0).order[0]), ranks)
 
     @given(tail_stacks())
     @settings(max_examples=200, deadline=None)
     def test_top_rows_equal_the_stable_argsorts_last(self, case):
-        # A stack that keeps the order of its top rows only, as a Monte
-        # Carlo stack does.  A column with NaN need only sort without error.
+        # The order of only the top rows, as every stack keeps.  A column
+        # with NaN need only sort without error.
         x, top = case
         order, xs, _ = stable_sort(x)
-        stack = _stack_columns(np.swapaxes(x, -1, -2), top)
-        assert stack.order.shape == x.shape[:-2] + (x.shape[-1], top)
-        clean = ~np.isnan(np.swapaxes(x, -1, -2)).any(axis=-1)
-        assert np.array_equal(stack.order[clean], order[..., x.shape[-2] - top :][clean])
-        assert np.array_equal(bits(stack.sorted_columns[clean]), bits(xs[clean]))
-        assert np.array_equal(bits(stack.columns), bits(np.swapaxes(x, -1, -2)))
+        columns = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+        got_xs = _sort_columns(columns)
+        got = _column_order(columns, got_xs, top)
+        assert got.shape == x.shape[:-2] + (x.shape[-1], top)
+        clean = ~np.isnan(columns).any(axis=-1)
+        assert np.array_equal(got[clean], order[..., x.shape[-2] - top :][clean])
+        assert np.array_equal(bits(got_xs[clean]), bits(xs[clean]))
+        stack = _stack_columns(np.swapaxes(x, -1, -2), 0.5)
+        assert np.array_equal(bits(stack.columns), bits(columns))
+
+    @staticmethod
+    def order_top(x, top):
+        columns = np.ascontiguousarray(np.swapaxes(x, -1, -2))
+        return _column_order(columns, _sort_columns(columns), top)
 
     def test_untied_top_rows_sort_no_whole_row(self, monkeypatch):
         x = np.random.default_rng(4).standard_normal((3, 50, 2))
         x[2, 9, 0] = np.inf
         calls = count_sorts(monkeypatch)
-        _column_order(np.ascontiguousarray(np.swapaxes(x, -1, -2)), 7)
+        self.order_top(x, 7)
         assert calls == [((3, 2, 7), None)]
 
     def test_tied_top_rows_sort_the_whole_row_again(self, monkeypatch):
@@ -273,43 +368,55 @@ class TestColumnOrder:
         x[1, 7, 1] = x[1, 30, 1]
         x[0, 3, 0] = np.nan
         calls = count_sorts(monkeypatch)
-        _column_order(np.ascontiguousarray(np.swapaxes(x, -1, -2)), 7)
+        self.order_top(x, 7)
         assert calls == [((3, 2, 7), None), ((2, 50), "stable")]
 
     def test_untied_panel_sorts_once(self, monkeypatch):
+        # All n rows: one default-kind argsort of them, and no other.
         x = np.random.default_rng(4).standard_normal((3, 50, 2))
         calls = count_sorts(monkeypatch)
-        _column_order(np.ascontiguousarray(np.swapaxes(x, -1, -2)))
+        self.order_top(x, 50)
         assert calls == [((3, 2, 50), None)]
 
     def test_only_the_tied_column_sorts_again(self, monkeypatch):
         x = np.random.default_rng(5).standard_normal((3, 50, 2))
         x[1, 7, 1] = x[1, 30, 1]
         calls = count_sorts(monkeypatch)
-        _column_order(np.ascontiguousarray(np.swapaxes(x, -1, -2)))
+        self.order_top(x, 50)
         assert calls == [((3, 2, 50), None), ((1, 50), "stable")]
+
+    def test_sorted_columns_order_no_row(self, monkeypatch):
+        # A sample's sorted columns, tied ones and signed zeros included,
+        # come from np.sort alone.
+        x = np.random.default_rng(6).standard_normal((50, 3))
+        x[:, 1] = np.round(x[:, 1])
+        x[::7, 2] = -0.0
+        x[::5, 2] = 0.0
+        s, want = MultivariateSample(x, ("a", "b", "c")), stable_sort(x)[1]
+        calls = count_sorts(monkeypatch)
+        assert np.array_equal(bits(s.sorted_columns), bits(want))
+        assert calls == []
 
 
 class TestGroupStacks:
     """Each offset stack of ``_group_stacks``, strided views of the panel's
-    rows, is bit for bit the stack that ``_stack_columns`` sorts and ranks
-    from its groups' columns on its own."""
+    rows, is bit for bit the stack that ``_stack_columns`` sorts and orders
+    from its groups' columns on its own at the same level."""
 
-    @given(tied_stacks(), st.booleans())
+    @given(tied_stacks(), st.booleans(), st.sampled_from([0.0, 0.5, 0.9]))
     @settings(max_examples=100, deadline=None)
-    def test_offset_stacks_equal_sorted_groups(self, x, pairs):
+    def test_offset_stacks_equal_sorted_groups(self, x, pairs, tau):
         values = x[0]
         d = values.shape[1]
         assume(d >= 2)
         s = MultivariateSample(values, tuple(f"C{j}" for j in range(d)))
         m = 2 if pairs else d
         seen = []
-        for groups, stack in s._group_stacks(m):
-            want = _stack_columns(values[:, groups].transpose(1, 2, 0))
+        for groups, stack in s._group_stacks(m, tau):
+            want = _stack_columns(values[:, groups].transpose(1, 2, 0), tau)
             assert np.array_equal(bits(stack.columns), bits(want.columns))
             assert np.array_equal(stack.order, want.order)
             assert np.array_equal(bits(stack.sorted_columns), bits(want.sorted_columns))
-            assert np.array_equal(_column_ranks(stack.order), _column_ranks(want.order))
             seen += [tuple(g) for g in groups.tolist()]
         assert sorted(seen) == list(itertools.combinations(range(d), m))
 

@@ -1,22 +1,22 @@
 """Empirical tail copula, its pair matrices R(1,1) and unit integrals,
 extremal coefficient, and the analytic tail-copula oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from conftest import level_grid, step_unit_integral, tail_panels
+from conftest import column_ranks, level_grid, step_unit_integral, tail_panels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailjoint.errors import DomainError
-from tailjoint.sample import MultivariateSample, _column_ranks, _stack_columns, effective_k
+from tailjoint.errors import DomainError, TailjointError
+from tailjoint.sample import (
+    MultivariateSample, _ordered_rows, _r11_cut, _stack_columns, _tail_points, effective_k,
+)
 from tailjoint.taildep import (
     OracleTailCopula,
-    _ordered_rows,
-    _r11_cut,
     _r11_matrix,
-    _tail_points,
     _top_pairs,
     _unit_integral_matrix,
     empirical_tail_copula,
@@ -101,10 +101,11 @@ class TestR11Matrix:
     @given(tail_panels())
     @settings(max_examples=40, deadline=None)
     def test_rank_cut_off_equals_indicator_product(self, s):
+        ranks = column_ranks(np.argsort(s.values.T, axis=-1, kind="stable"))
         for tau in level_grid(s.n):
-            top = (_tail_points(s.ranks.T, tau) <= 1.0).astype(float).T
+            top = (_tail_points(ranks, tau, s.n) <= 1.0).astype(float).T
             want = top.T @ top / (s.n * (1.0 - tau))
-            assert np.array_equal(_r11_matrix(_top_pairs(s._stack, tau), s.n, tau)[0], want)
+            assert np.array_equal(_r11_matrix(_top_pairs(s._stack(tau), tau), s.n, tau)[0], want)
 
     @given(tail_panels())
     @settings(max_examples=60, deadline=None)
@@ -112,8 +113,8 @@ class TestR11Matrix:
         # The mask marked through the row order is the one read from the
         # ranks, on a stack of the panel and its reversal: rounded values
         # and constant runs put ties at the cut-off rank.
-        stack = _stack_columns(np.stack([s.values.T, s.values[::-1].T]))
-        ranks = _column_ranks(stack.order)
+        stack = _stack_columns(np.stack([s.values.T, s.values[::-1].T]), 0.0)
+        ranks = column_ranks(stack.order)
         for tau in level_grid(s.n):
             cut = _r11_cut(s.n, tau)
             rows = stack.order[..., None, cut - 1 :]
@@ -128,29 +129,31 @@ class TestR11Matrix:
         ranks = np.arange(1, n + 1)
         for t in (tau, 1.0 - min(k, n - 1) / n):
             cut = _r11_cut(n, t)
-            assert type(cut) is int and cut == n + 1 - (_tail_points(ranks, t) <= 1.0).sum()
+            assert type(cut) is int and cut == n + 1 - (_tail_points(ranks, t, n) <= 1.0).sum()
 
     @given(tail_panels())
     @settings(max_examples=60, deadline=None)
     def test_ordering_only_the_ordered_rows_gives_the_same_mask(self, s):
-        # A Monte Carlo stack orders only the _ordered_rows top rows of each
-        # column.  At every level that it runs at (Hill size k >= 1) its
-        # mask and R-hat(1,1) are those of the fully ordered stack, on a
-        # stack of the panel and its reversal: rounded values and constant
-        # runs put ties at the cut-off rank.
+        # A stack orders only the _ordered_rows top rows of each column.  At
+        # every level its mask and R-hat(1,1) are those of the fully ordered
+        # stack, on a stack of the panel and its reversal: rounded values
+        # and constant runs put ties at the cut-off rank.
         columns = np.stack([s.values.T, s.values[::-1].T])
-        full = _stack_columns(columns)
-        for tau in (t for t in level_grid(s.n) if effective_k(s.n, t) >= 1):
+        full = _stack_columns(columns, 0.0)
+        for tau in level_grid(s.n):
             top = _ordered_rows(s.n, tau)
             assert type(top) is int and s.n + 1 - _r11_cut(s.n, tau) <= top <= s.n
-            mask = _top_pairs(_stack_columns(columns, top), tau)
+            assert effective_k(s.n, tau) <= top and top >= 1
+            part = _stack_columns(columns, tau)
+            assert part.order.shape[-1] == top
+            mask = _top_pairs(part, tau)
             want = _top_pairs(full, tau)
             assert np.array_equal(mask, want)
             assert np.array_equal(_r11_matrix(mask, s.n, tau), _r11_matrix(want, s.n, tau))
 
 
 def unit_integrals(s, tau):
-    return _unit_integral_matrix(_top_pairs(s._stack, tau), s.n, tau)[0]
+    return _unit_integral_matrix(_top_pairs(s._stack(tau), tau), s.n, tau)[0]
 
 
 class TestUnitIntegral:
@@ -217,7 +220,7 @@ class TestUnitIntegral:
         common = rng.integers(0, levels, size=(n, 1))
         x = common + rng.integers(0, levels, size=(n, d)) * rng.integers(0, 2, size=d)
         s = MultivariateSample(x.astype(float), tuple(f"X{j}" for j in range(d)))
-        top = _top_pairs(s._stack, tau)
+        top = _top_pairs(s._stack(tau), tau)
         unit, r11 = _unit_integral_matrix(top, s.n, tau)[0], _r11_matrix(top, s.n, tau)[0]
         for j in range(d):
             for ell in range(j + 1, d):
@@ -248,6 +251,61 @@ class TestExtremalCoefficient:
         # Unchecked, -1 reads the last column and 7 or 2 raise an IndexError.
         with pytest.raises(DomainError, match="margin index"):
             function(comonotone_sample(), 0.9, *pair)
+
+
+@st.composite
+def edge_cases(draw):
+    """An n x d panel (n = 4..60, d = 2..4) whose columns are each Pareto,
+    rounded (ties), signed zeros among a few values, constant, or scaled
+    near 1e-300 or 1e300, and a level: 1 - k/n for k near 2 or n - 1, a
+    level at which no row of a small panel is in the top ranks (T = 0),
+    one at either end of (0, 1), or any."""
+    n, d = draw(st.integers(4, 60)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = (1.0 - rng.random((n, d))) ** -draw(st.floats(0.05, 2.0))
+    for j in range(d):
+        kind = draw(st.sampled_from(["pareto", "tied", "zeros", "constant", "tiny", "huge"]))
+        if kind == "tied":
+            x[:, j] = np.round(x[:, j])
+        elif kind == "zeros":
+            x[:, j] = rng.choice([0.0, -0.0, 1.0, -1.0], n)
+        elif kind == "constant":
+            x[:, j] = draw(st.sampled_from([0.0, -0.0, 3.0]))
+        elif kind == "tiny":
+            x[:, j] *= 1e-300
+        elif kind == "huge":
+            x[:, j] = 1e300 / x[:, j]
+    k = draw(st.sampled_from([0, 1, 2, 3, n - 3, n - 2, n - 1, n]))
+    tau = draw(st.one_of(
+        st.just(1.0 - k / n),
+        st.sampled_from([0.995, 0.999, 5e-324, 1.0 - 2.0**-53]),
+        st.floats(0.0, 1.0),
+    ))
+    return MultivariateSample(x, tuple(f"X{j}" for j in range(d))), tau
+
+
+@pytest.mark.filterwarnings("error")
+@given(edge_cases())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_edge_panels_give_finite_results_or_typed_errors(case):
+    # The tail copula of every pair, evaluated inside and beyond the unit
+    # square, and its extremal coefficient: finite, or a TailjointError,
+    # with no warning (an error here).
+    s, tau = case
+    for j, ell in itertools.permutations(range(s.d), 2):
+        try:
+            tc = empirical_tail_copula(s, tau, j, ell)
+        except TailjointError:
+            pass
+        else:
+            assert np.isfinite(tc.u).all() and np.isfinite(tc.v).all()
+            assert all(math.isfinite(tc.evaluate(u, v)) for u, v in [(1.0, 1.0), (0.5, 3.0)])
+        try:
+            omega = extremal_coefficient(s, tau, j, ell)
+        except TailjointError:
+            pass
+        else:
+            assert math.isfinite(omega)
 
 
 class TestOracle:
